@@ -210,12 +210,6 @@ func LoadManagement(cfg Config, sc Scenario) (*LoadManagementReport, error) {
 	return experiments.LoadManagement(cfg, sc)
 }
 
-// StreamLoadManagement is LoadManagement over the streaming simulator; it
-// renders byte-identically to the batch path.
-func StreamLoadManagement(cfg Config, sc Scenario) (*LoadManagementReport, error) {
-	return experiments.StreamLoadManagement(cfg, sc)
-}
-
 // ParseScenario parses the scenario text form, e.g.
 // "drain paris day=3 for=2; inflate europe day=5 ms=40".
 func ParseScenario(text string) (Scenario, error) { return faults.ParseScenario(text) }

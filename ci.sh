@@ -29,10 +29,14 @@
 #      sharded worker fleet must merge to the exact reports — and, with a
 #      load policy, the exact utilization table — the single process
 #      writes), and the 4M-prefix x 30-day x 4-worker distributed smoke
-#      with its 2 GiB per-worker peak-RSS budget
+#      with its 2 GiB per-worker peak-RSS budget, then the benchmark
+#      module's own tests (perfbench is a nested module, so go test ./...
+#      skips it; they pin the three workloads' golden report digests)
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, and the fault-scenario parser, enough to replay the corpus
-#      and shake out shallow panics
+#      parser, the fault-scenario parser, and the two decoders of bytes
+#      that cross the worker/coordinator process boundary (ECDF builder
+#      frames and shard-day deltas), enough to replay the corpus and
+#      shake out shallow panics
 #   6. race detector over the concurrent packages: the dnswire servers,
 #      the parallel simulation core, the fault-injection layer, the
 #      loopback testbed, the HTTP front-ends, the client population
@@ -138,10 +142,17 @@ awk '/peak RSS/ {
 }' ci_dist_out/scale.log
 rm -rf ci_dist_out anycastsim.ci
 
+echo '== perfbench module tests (golden report digests of the benchmark workloads)'
+(cd perfbench && go test .)
+
 echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
+go test -run '^$' -fuzz FuzzECDFMergeEncoded -fuzztime 5s ./internal/stats/
+# Shard-day frames run to ~2 KB, and minimizing one new input at the
+# default -fuzzminimizetime (60s) would stall the whole 5s budget.
+go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/dnswire/ ./internal/sim/ ./internal/faults/ ./internal/testbed/ ./internal/frontend/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/

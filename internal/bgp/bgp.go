@@ -295,16 +295,6 @@ func (r *Router) AssignExcluding(c Client, ingress topology.SiteID, excludedFE f
 	}
 }
 
-// AssignmentSchedule returns the per-day assignment over [0, days).
-func (r *Router) AssignmentSchedule(c Client, days int) []Assignment {
-	ingress := r.IngressSchedule(c, days)
-	out := make([]Assignment, days)
-	for d, ing := range ingress {
-		out[d] = r.Assign(c, ing)
-	}
-	return out
-}
-
 // UnicastAssignment returns the path for a direct unicast fetch from the
 // client to the given front-end. The unicast /24 is announced only at the
 // front-end's own peering point (§3.1), so for most clients the whole path

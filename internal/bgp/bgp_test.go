@@ -276,11 +276,12 @@ func TestSwitchTargetsMostlyNearby(t *testing.T) {
 	var dists []float64
 	for p := uint64(0); p < 20000; p++ {
 		c := Client{PrefixID: p, Point: boston.Point, ISP: 0}
-		sched := r.AssignmentSchedule(c, 14)
+		ingress := r.IngressSchedule(c, 14)
 		for d := 1; d < 14; d++ {
-			if sched[d].FrontEnd != sched[d-1].FrontEnd {
-				a := b.Site(sched[d-1].FrontEnd).Metro.Point
-				bb := b.Site(sched[d].FrontEnd).Metro.Point
+			from, to := r.Assign(c, ingress[d-1]).FrontEnd, r.Assign(c, ingress[d]).FrontEnd
+			if to != from {
+				a := b.Site(from).Metro.Point
+				bb := b.Site(to).Metro.Point
 				dists = append(dists, geo.DistanceKm(a, bb).Float())
 			}
 		}
@@ -324,6 +325,8 @@ func BenchmarkAssignmentSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := Client{PrefixID: uint64(i), Point: boston.Point, ISP: 0}
-		_ = r.AssignmentSchedule(c, 30)
+		for _, ing := range r.IngressSchedule(c, 30) {
+			_ = r.Assign(c, ing)
+		}
 	}
 }

@@ -104,7 +104,8 @@ func TestScheduleSitesValidProperty(t *testing.T) {
 		if !c.Point.Valid() {
 			return true
 		}
-		for _, a := range r.AssignmentSchedule(c, 10) {
+		for _, ing := range r.IngressSchedule(c, 10) {
+			a := r.Assign(c, ing)
 			if !b.Site(a.Ingress).Peering || !b.Site(a.FrontEnd).FrontEnd {
 				return false
 			}

@@ -380,8 +380,8 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 	}
 	n := binary.LittleEndian.Uint64(util)
 	util = util[8:]
-	if uint64(len(util)) != 33*n {
-		return nil, fmt.Errorf("distsim: utilization section is %d bytes, want %d", len(util), 33*n)
+	if n != uint64(len(util))/33 || len(util)%33 != 0 {
+		return nil, fmt.Errorf("distsim: utilization section is %d bytes for %d sites", len(util), n)
 	}
 	if n == 0 {
 		return dayUtil, nil

@@ -160,8 +160,8 @@ func decodeMatrix(dst []float64, data []byte) ([]float64, error) {
 	}
 	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) != 8*n {
-		return nil, fmt.Errorf("distsim: matrix payload is %d bytes, want %d", len(data), 8*n)
+	if n != uint64(len(data))/8 || len(data)%8 != 0 {
+		return nil, fmt.Errorf("distsim: matrix payload is %d bytes for %d cells", len(data), n)
 	}
 	if dst == nil {
 		dst = make([]float64, n)
@@ -202,8 +202,8 @@ func decodeSiteMap(m map[topology.SiteID]float64, data []byte, add bool) error {
 	}
 	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
-	if uint64(len(data)) != 16*n {
-		return fmt.Errorf("distsim: site map payload is %d bytes, want %d", len(data), 16*n)
+	if n != uint64(len(data))/16 || len(data)%16 != 0 {
+		return fmt.Errorf("distsim: site map payload is %d bytes for %d pairs", len(data), n)
 	}
 	if !add {
 		clear(m)

@@ -10,6 +10,8 @@ import (
 	"sort"
 
 	"anycastcdn/internal/beacon"
+	"anycastcdn/internal/bgp"
+	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/topology"
@@ -50,16 +52,45 @@ func (r Report) Render() string {
 }
 
 // Suite runs experiments over one simulation result, caching shared
-// derived datasets.
+// derived datasets. The passive-log reports (Figures 4, 7 and 8,
+// Catchments, TCPDisruption, LoadShedding) are computed by a StreamSuite
+// fed the Result's days once, in stream order, so the batch and
+// streaming analyses are one code path.
 type Suite struct {
 	Res *sim.Result
 
 	dailyOnce bool
 	daily     [][]Comparison
+	passive   *StreamSuite
 }
 
 // NewSuite wraps a simulation result.
 func NewSuite(res *sim.Result) *Suite { return &Suite{Res: res} }
+
+// stream returns the StreamSuite over the Result's passive log, replaying
+// the Result's days into it on first use.
+func (s *Suite) stream() *StreamSuite {
+	if s.passive != nil {
+		return s.passive
+	}
+	res := s.Res
+	days := res.Cfg.Days
+	ss := NewStreamSuite(res.Cfg, res.World)
+	d := sim.DayResult{
+		Passive:     make([]logs.DayRecord, len(res.Assignments)),
+		Assignments: make([]bgp.Assignment, len(res.Assignments)),
+	}
+	for d.Day = 0; d.Day < days; d.Day++ {
+		for i := range d.Passive {
+			d.Passive[i] = res.Passive.At(i*days + d.Day)
+			d.Assignments[i] = res.Assignments[i][d.Day]
+		}
+		// Observe retains nothing and never fails.
+		_ = ss.Observe(d)
+	}
+	s.passive = ss
+	return ss
+}
 
 // Comparison is a per-(client, day) anycast-vs-best-unicast summary used
 // by Figures 5 and 6: the difference between the day's median anycast

@@ -71,32 +71,11 @@ type LoadManagementReport struct {
 	FastRoute     LoadArm
 }
 
-// LoadManagement runs the three-policy comparison in batch mode. Any
-// LoadManager knobs already set on cfg are kept (the Policy field is
-// overridden per arm); cfg.Scenario is overridden by sc.
+// LoadManagement runs the three-policy comparison, streaming each arm's
+// simulation and retaining only the aggregators' state, so it scales to
+// paper-size runs. Any LoadManager knobs already set on cfg are kept (the
+// Policy field is overridden per arm); cfg.Scenario is overridden by sc.
 func LoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, error) {
-	rep := newLoadManagementReport(cfg, sc)
-	for _, p := range []load.Policy{load.Static, load.Withdraw, load.FastRoute} {
-		res, err := sim.Run(armConfig(cfg, sc, p))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s arm: %w", p, err)
-		}
-		agg := newLoadMgmtAgg(res.World, cfg.Days)
-		agg.observeResult(res)
-		if err := rep.setArm(p, agg.arm(p)); err != nil {
-			return nil, err
-		}
-	}
-	return rep, nil
-}
-
-// StreamLoadManagement runs the same comparison over streaming
-// simulations, retaining only the aggregators' state — the path for
-// paper-scale runs. Its report renders byte-identical to
-// LoadManagement's (pinned by test): the batch path aggregates the
-// materialized Result in the same day-major record order the stream
-// delivers.
-func StreamLoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, error) {
 	rep := newLoadManagementReport(cfg, sc)
 	for _, p := range []load.Policy{load.Static, load.Withdraw, load.FastRoute} {
 		ac := armConfig(cfg, sc, p)
@@ -154,10 +133,8 @@ func (r *LoadManagementReport) setArm(p load.Policy, arm LoadArm) error {
 	return nil
 }
 
-// loadMgmtAgg accumulates one arm's metrics online. Suite-style batch
-// aggregation and the streaming Observe drive the same per-record and
-// per-day methods in the same order, which is what keeps the two paths'
-// float accumulation — and therefore the rendered report — identical.
+// loadMgmtAgg accumulates one arm's metrics online, one streamed day at a
+// time.
 type loadMgmtAgg struct {
 	w               *sim.World
 	perDayPeak      []float64
@@ -187,19 +164,6 @@ func (a *loadMgmtAgg) Observe(d sim.DayResult) error {
 	}
 	a.observeUtil(d.Day, d.Utilization)
 	return nil
-}
-
-// observeResult drives the same aggregation over a batch Result in
-// day-major order — the order the stream delivers records.
-func (a *loadMgmtAgg) observeResult(res *sim.Result) {
-	days := res.Cfg.Days
-	n := len(res.Assignments)
-	for d := 0; d < days; d++ {
-		for i := 0; i < n; i++ {
-			a.observeRecord(res.Passive.At(i*days+d), res.Assignments[i][d], d)
-		}
-		a.observeUtil(d, res.Utilization[d])
-	}
 }
 
 func (a *loadMgmtAgg) observeRecord(r logs.DayRecord, asg bgp.Assignment, day int) {

@@ -17,22 +17,12 @@ import (
 // balancer sheds fractions of its query load to the next anycast ring
 // while a naive route withdrawal cascades (§2's warning). crowdFactor
 // scales the hot front-end's demand.
-func (s *Suite) LoadShedding(crowdFactor float64) Report {
-	agg := newLoadShedAgg()
-	for c := s.Res.Passive.Cursor(); c.Next(); {
-		r := c.Record()
-		if r.Day != 0 {
-			continue
-		}
-		agg.observe(r, s.Res.Assignments[r.ClientID][0].Ingress)
-	}
-	return agg.report(s.Res.World, crowdFactor)
-}
+func (s *Suite) LoadShedding(crowdFactor float64) Report { return s.stream().LoadShedding(crowdFactor) }
 
 // loadShedAgg accumulates day-0 per-ingress query demand one passive
-// record at a time; Suite and StreamSuite share it. The caller supplies
-// each record's effective day-0 ingress alongside the record (the log
-// itself doesn't store ingresses).
+// record at a time for StreamSuite. The caller supplies each record's
+// effective day-0 ingress alongside the record (the log itself doesn't
+// store ingresses).
 type loadShedAgg struct {
 	demand map[topology.SiteID]float64
 }

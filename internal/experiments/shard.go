@@ -207,11 +207,14 @@ func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 		if count, data, err = getU64(data); err != nil {
 			return err
 		}
-		if uint64(len(data)) < 24*count {
+		if count > uint64(len(data))/24 {
 			return fmt.Errorf("experiments: truncated catchment tuples")
 		}
 		for i := uint64(0); i < count; i++ {
-			fe := topology.SiteID(binary.LittleEndian.Uint64(data))
+			fe, err := s.site(data)
+			if err != nil {
+				return err
+			}
 			vol := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			dist := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
 			data = data[24:]
@@ -220,11 +223,14 @@ func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 		if count, data, err = getU64(data); err != nil {
 			return err
 		}
-		if uint64(len(data)) < 16*count {
+		if count > uint64(len(data))/16 {
 			return fmt.Errorf("experiments: truncated demand pairs")
 		}
 		for i := uint64(0); i < count; i++ {
-			site := topology.SiteID(binary.LittleEndian.Uint64(data))
+			site, err := s.site(data)
+			if err != nil {
+				return err
+			}
 			s.shed.demand[site] += math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
 			data = data[16:]
 		}
@@ -276,6 +282,16 @@ func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 	return nil
 }
 
+// site decodes a site ID from the front of data. IDs outside the backbone
+// are rejected here because the reports index the backbone with them.
+func (s *StreamSuite) site(data []byte) (topology.SiteID, error) {
+	id := binary.LittleEndian.Uint64(data)
+	if n := s.World.Deployment.Backbone.NumSites(); id >= uint64(n) {
+		return 0, fmt.Errorf("experiments: site %d outside the %d-site backbone", id, n)
+	}
+	return topology.SiteID(id), nil
+}
+
 func putFloat(dst []byte, v float64) []byte {
 	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
 }
@@ -297,7 +313,7 @@ func idList(data []byte, lo, hi int) (payload, rest []byte, err error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if uint64(len(data)) < 8*count {
+	if count > uint64(len(data))/8 {
 		return nil, nil, fmt.Errorf("experiments: truncated ID list")
 	}
 	payload, rest = data[:8*count], data[8*count:]

@@ -1,16 +1,20 @@
 package experiments
 
 import (
+	"bytes"
+	"encoding/binary"
 	"testing"
 
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
+	"anycastcdn/internal/stats"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/units"
 )
 
 // shardFrames streams one shard's days through a ShardObserver and
 // returns the encoded per-day deltas.
-func shardFrames(t *testing.T, cfg sim.Config, w *sim.World, lo, hi int) [][]byte {
+func shardFrames(t testing.TB, cfg sim.Config, w *sim.World, lo, hi int) [][]byte {
 	t.Helper()
 	obs, err := NewShardObserver(cfg, w, lo, hi)
 	if err != nil {
@@ -117,6 +121,13 @@ func TestMergeShardDayErrors(t *testing.T) {
 		{"truncated", 0, 0, n, frames[0][:len(frames[0])/2]},
 		{"trailing bytes", 0, 0, n, append(append([]byte{}, frames[0]...), 0xAB)},
 	}
+	for name, data := range hostileFrames(t, 0, n) {
+		cases = append(cases, struct {
+			name        string
+			day, lo, hi int
+			data        []byte
+		}{name, 0, 0, n, data})
+	}
 	for _, c := range cases {
 		if err := fresh().MergeShardDay(c.day, c.lo, c.hi, c.data); err == nil {
 			t.Errorf("%s: malformed frame accepted", c.name)
@@ -137,4 +148,73 @@ func TestShardObserverRejectsBadRange(t *testing.T) {
 			t.Errorf("range [%d, %d) accepted", b[0], b[1])
 		}
 	}
+}
+
+// hostileFrames are well-framed day-0 deltas for [lo, hi) that a broken
+// or hostile worker could send: section counts whose byte size wraps
+// uint64 to 0, and site IDs outside the backbone.
+func hostileFrames(t testing.TB, lo, hi int) map[string][]byte {
+	t.Helper()
+	u64s := func(prefix []byte, vs ...uint64) []byte {
+		out := append([]byte{}, prefix...)
+		for _, v := range vs {
+			out = binary.LittleEndian.AppendUint64(out, v)
+		}
+		return out
+	}
+	header := u64s([]byte{shardDayMagic}, 0, uint64(lo), uint64(hi))
+	var empty stats.ECDFBuilder[units.Kilometers]
+	magic := empty.Encode(nil)[0] // an ECDF builder frame's first byte
+	emptyRuns := header
+	for i := 0; i < 4; i++ {
+		emptyRuns = empty.Encode(emptyRuns)
+	}
+	// The rest of a well-formed day-0 frame: empty switch, zero-query and
+	// Figure 7 ID lists, then an empty Figure 8 sketch.
+	sk, err := stats.NewLogQuantileSketch(fig8SketchLo, fig8SketchHi, fig8SketchBins)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := sk.Encode(u64s(nil, 0, 0, 0))
+	return map[string][]byte{
+		"1<<60 Figure 4 samples":  u64s(append(append([]byte{}, header...), magic), 1<<60),
+		"1<<61 catchment tuples":  u64s(emptyRuns, 1<<61),
+		"1<<60 demand pairs":      u64s(emptyRuns, 0, 1<<60),
+		"catchment site past end": append(u64s(emptyRuns, 1, 1<<40, 0, 0, 0), tail...),
+		"demand site past end":    append(u64s(emptyRuns, 0, 1, 1<<40, 0), tail...),
+	}
+}
+
+// FuzzMergeShardDay checks the coordinator's decoder of worker frames —
+// untrusted bytes from another process — for two properties: neither the
+// merge nor rendering what it accepted panics, and every frame a
+// ShardObserver encodes is accepted. The day and shard range are the
+// coordinator's own (trusted) values.
+func FuzzMergeShardDay(f *testing.F) {
+	cfg := testutil.TinyConfig(5)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		f.Fatal(err)
+	}
+	const lo, hi = 10, 20
+	frames := shardFrames(f, cfg, w, lo, hi)
+	for day, frame := range frames {
+		f.Add(uint8(day), frame)
+	}
+	for _, frame := range hostileFrames(f, lo, hi) {
+		f.Add(uint8(0), frame)
+	}
+	f.Fuzz(func(t *testing.T, day uint8, data []byte) {
+		d := int(day) % cfg.Days
+		ss := NewStreamSuite(cfg, w)
+		if err := ss.MergeShardDay(d, lo, hi, data); err != nil {
+			if bytes.Equal(data, frames[d]) {
+				t.Fatalf("day %d: encoded frame rejected: %v", d, err)
+			}
+			return
+		}
+		for _, r := range []Report{ss.Figure4(), ss.Catchments(10), ss.TCPDisruption(), ss.LoadShedding(4), ss.Figure7(), ss.Figure8()} {
+			_ = r.Render()
+		}
+	})
 }

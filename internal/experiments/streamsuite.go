@@ -4,13 +4,12 @@ import "anycastcdn/internal/sim"
 
 // StreamSuite computes the passive-log experiments online over a streaming
 // simulation: feed every sim.DayResult to Observe (or call Run) and read
-// the reports after the stream ends. It drives the same per-record
-// aggregators the batch Suite drives over a full Result, so the two
-// produce byte-identical reports — pinned by TestStreamSuiteMatchesSuite —
-// while the stream retains only the aggregators' state, never a day of
-// raw output. This is the analysis path for paper-scale runs (millions of
-// client /24s over a month) whose full measurement set would not fit in
-// memory.
+// the reports after the stream ends. It retains only the aggregators'
+// state, never a day of raw output, which makes it the analysis path for
+// paper-scale runs (millions of client /24s over a month) whose full
+// measurement set would not fit in memory. It is also the only
+// passive-log analysis: the batch Suite replays its Result's days into a
+// StreamSuite and delegates these reports to it.
 //
 // The beacon-driven figures (5, 6, 9) need cross-day latency samples per
 // client and are not part of the streaming suite.

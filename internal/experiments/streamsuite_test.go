@@ -7,10 +7,11 @@ import (
 	"anycastcdn/internal/testutil"
 )
 
-// TestStreamSuiteMatchesSuite pins the tentpole contract at the report
-// level: the streaming suite, fed day by day from StreamWorld, renders
-// byte-identical reports to the batch Suite computed over the full Result.
-// Every passive-log experiment is covered.
+// TestStreamSuiteMatchesSuite pins the batch Suite's replay of its Result
+// against the live stream: a StreamSuite fed day by day from StreamWorld
+// renders byte-identical reports to the Suite, which replays the
+// materialized Result's days into its own StreamSuite. Every passive-log
+// experiment is covered.
 func TestStreamSuiteMatchesSuite(t *testing.T) {
 	res := testutil.SuiteResult(t)
 	batch := testSuite(t)

@@ -336,33 +336,3 @@ func TestSurgeZeroSilencesRegion(t *testing.T) {
 		t.Fatal("baseline had no european volume in the window; test proves nothing")
 	}
 }
-
-// TestStreamMatchesRunUnderFaults extends the Stream/Run lockstep
-// guarantee to faulted runs.
-func TestStreamMatchesRunUnderFaults(t *testing.T) {
-	base := testutil.SmallResult(t)
-	fe, _ := busiestSite(t, base, 3, false)
-	sc, err := faults.ParseScenario(fmt.Sprintf("drain %s day=3 for=2; inflate asia day=2 ms=15", fe))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testutil.SmallConfig(1)
-	cfg.Scenario = &sc
-	full, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	day := 0
-	err = sim.Stream(cfg, func(d sim.DayResult) error {
-		for i := range d.Beacons {
-			if d.Beacons[i] != full.Beacons[day][i] {
-				t.Fatalf("day %d beacon %d differs between Stream and Run under faults", day, i)
-			}
-		}
-		day++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}

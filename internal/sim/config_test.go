@@ -1,12 +1,14 @@
 package sim_test
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/units"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -31,6 +33,18 @@ func TestConfigValidate(t *testing.T) {
 		{"beacon rate above one", mut(func(c *sim.Config) { c.BeaconSampleRate = 1.5 }), "sample rate"},
 		{"beacon rate below zero", mut(func(c *sim.Config) { c.BeaconSampleRate = -0.1 }), "sample rate"},
 		{"negative beacon cap", mut(func(c *sim.Config) { c.MaxBeaconsPerClientDay = -1 }), "beacon cap"},
+		{"NaN beacon rate", mut(func(c *sim.Config) { c.BeaconSampleRate = math.NaN() }), "sample rate"},
+		{"NaN query rate", mut(func(c *sim.Config) { c.QueriesPerVolume = math.NaN() }), "quer"},
+		{"infinite query rate", mut(func(c *sim.Config) { c.QueriesPerVolume = math.Inf(1) }), "quer"},
+		{"zero candidates means default", mut(func(c *sim.Config) { c.CandidateCount = 0 }), ""},
+		{"negative candidates", mut(func(c *sim.Config) { c.CandidateCount = -3 }), "candidate"},
+		{"gross-error rate above one", mut(func(c *sim.Config) { c.GeoGrossRate = 2 }), "gross-error rate"},
+		{"gross-error rate below zero", mut(func(c *sim.Config) { c.GeoGrossRate = -0.5 }), "gross-error rate"},
+		{"NaN gross-error rate", mut(func(c *sim.Config) { c.GeoGrossRate = math.NaN() }), "gross-error rate"},
+		{"negative geo median error", mut(func(c *sim.Config) { c.GeoMedianErrKm = -25 }), "geolocation error"},
+		{"NaN geo median error", mut(func(c *sim.Config) { c.GeoMedianErrKm = units.Kilometers(math.NaN()) }), "median error"},
+		{"negative geo gross error", mut(func(c *sim.Config) { c.GeoGrossKm = -1 }), "geolocation error"},
+		{"infinite geo gross error", mut(func(c *sim.Config) { c.GeoGrossKm = units.Kilometers(math.Inf(1)) }), "gross error"},
 		{"scenario event past end", mut(func(c *sim.Config) {
 			c.Scenario = &faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Drain, Target: "paris", Day: c.Days + 3, Days: 1},

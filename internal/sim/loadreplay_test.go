@@ -110,44 +110,74 @@ func TestManagedWorkersInvariance(t *testing.T) {
 	sameResults(t, "workers 1 vs max", serial, parallel)
 }
 
-// TestManagedRunMatchesStream extends Run/Stream lockstep to managed
-// runs, utilization snapshots included.
+// TestManagedRunMatchesStream is the layout test of RunWorld, the stream
+// materializer: every streamed day must land at its documented Result
+// position — passive row i*Days+d, Assignments[i][d], Beacons[d],
+// Utilization[d] — and an unmanaged run must leave Utilization nil.
 func TestManagedRunMatchesStream(t *testing.T) {
-	cfg := managedConfig(t, 7, load.FastRoute)
-	full, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	days := 0
-	err = sim.Stream(cfg, func(d sim.DayResult) error {
-		for i := range d.Beacons {
-			if d.Beacons[i] != full.Beacons[d.Day][i] {
-				t.Fatalf("day %d beacon %d differs between Stream and Run", d.Day, i)
+	unmanaged := managedConfig(t, 7, load.FastRoute)
+	unmanaged.LoadManager = nil
+	for _, tc := range []struct {
+		name string
+		cfg  sim.Config
+	}{
+		{"managed", managedConfig(t, 7, load.FastRoute)},
+		{"unmanaged", unmanaged},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			full, err := sim.Run(cfg)
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for i := range d.Passive {
-			if d.Passive[i] != full.Passive.At(i*cfg.Days+d.Day) {
-				t.Fatalf("day %d passive %d differs between Stream and Run", d.Day, i)
+			if len(full.Beacons) != cfg.Days || full.Passive.Len() != cfg.Prefixes*cfg.Days || len(full.Assignments) != cfg.Prefixes {
+				t.Fatalf("result shape: %d beacon days, %d passive rows, %d assignment rows",
+					len(full.Beacons), full.Passive.Len(), len(full.Assignments))
 			}
-		}
-		for i := range d.Assignments {
-			if d.Assignments[i] != full.Assignments[i][d.Day] {
-				t.Fatalf("day %d assignment %d differs between Stream and Run", d.Day, i)
+			if managed := cfg.LoadManager != nil; managed != (full.Utilization != nil) {
+				t.Fatalf("managed=%v but Utilization nil=%v", managed, full.Utilization == nil)
 			}
-		}
-		for i := range d.Utilization {
-			if d.Utilization[i] != full.Utilization[d.Day][i] {
-				t.Fatalf("day %d utilization %d differs between Stream and Run", d.Day, i)
+			days := 0
+			err = sim.Stream(cfg, func(d sim.DayResult) error {
+				if d.Day != days {
+					t.Fatalf("day %d delivered out of order (want %d)", d.Day, days)
+				}
+				if len(d.Beacons) != len(full.Beacons[d.Day]) {
+					t.Fatalf("day %d: %d streamed beacons, run has %d", d.Day, len(d.Beacons), len(full.Beacons[d.Day]))
+				}
+				for i := range d.Beacons {
+					if d.Beacons[i] != full.Beacons[d.Day][i] {
+						t.Fatalf("day %d beacon %d differs between Stream and Run", d.Day, i)
+					}
+				}
+				for i := range d.Passive {
+					if d.Passive[i] != full.Passive.At(i*cfg.Days+d.Day) {
+						t.Fatalf("day %d passive %d differs between Stream and Run", d.Day, i)
+					}
+				}
+				for i := range d.Assignments {
+					if d.Assignments[i] != full.Assignments[i][d.Day] {
+						t.Fatalf("day %d assignment %d differs between Stream and Run", d.Day, i)
+					}
+				}
+				if full.Utilization != nil && len(d.Utilization) != len(full.Utilization[d.Day]) {
+					t.Fatalf("day %d: %d streamed utilization rows, run has %d", d.Day, len(d.Utilization), len(full.Utilization[d.Day]))
+				}
+				for i := range d.Utilization {
+					if d.Utilization[i] != full.Utilization[d.Day][i] {
+						t.Fatalf("day %d utilization %d differs between Stream and Run", d.Day, i)
+					}
+				}
+				days++
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		days++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if days != cfg.Days {
-		t.Fatalf("stream delivered %d days, want %d", days, cfg.Days)
+			if days != cfg.Days {
+				t.Fatalf("stream delivered %d days, want %d", days, cfg.Days)
+			}
+		})
 	}
 }
 

@@ -7,13 +7,12 @@ import (
 )
 
 // parallelFor runs fn(i) for i in [0, n). It is the single worker-pool
-// helper of the simulation core — RunWorld and StreamWorld both dispatch
-// every parallel phase through it — so there is exactly one clamping rule
-// for Config.Workers: workers <= 0 means GOMAXPROCS. (Validate rejects
+// helper of the simulation core — the day loop dispatches every parallel
+// phase through it — so there is exactly one clamping rule for
+// Config.Workers: workers <= 0 means GOMAXPROCS. (Validate rejects
 // negative counts at the config boundary; a negative value reaching this
 // level through a direct RunWorld/StreamWorld call behaves like the zero
-// value rather than silently serializing, which is the disagreement the
-// two hand-rolled pools used to have.) The worker count is additionally
+// value rather than silently serializing.) The worker count is additionally
 // clamped to n, and a single worker runs inline: no goroutines, no
 // scheduling allocations — the serial path replay tests compare against
 // parallel runs byte for byte.

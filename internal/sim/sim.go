@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
@@ -55,9 +56,9 @@ type Config struct {
 	ISPs    *topology.ISPModelConfig
 	Mapper  *dns.MapperConfig
 	// Workers bounds simulation parallelism. 0 means GOMAXPROCS; Validate
-	// rejects negative values. RunWorld and StreamWorld share one worker
-	// pool (parallelFor), so the rule is identical on every parallel path:
-	// any non-positive count that reaches the pool behaves like 0.
+	// rejects negative values. Every parallel phase of the day loop runs
+	// on one worker pool (parallelFor): any non-positive count that
+	// reaches the pool behaves like 0.
 	Workers int
 	// Scenario optionally injects deterministic fault events (front-end
 	// drains, BGP flaps, LDNS outages, latency inflation) into the run;
@@ -74,8 +75,24 @@ type Config struct {
 }
 
 // Validate checks the configuration for values that would otherwise flow
-// silently into a nonsensical world build.
+// silently into a nonsensical world build or day loop.
 func (cfg Config) Validate() error {
+	// Every comparison below is false for NaN, so non-finite floats are
+	// rejected first.
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{
+		{"queries-per-volume", cfg.QueriesPerVolume},
+		{"beacon sample rate", cfg.BeaconSampleRate},
+		{"geolocation median error", cfg.GeoMedianErrKm.Float()},
+		{"geolocation gross-error rate", cfg.GeoGrossRate},
+		{"geolocation gross error", cfg.GeoGrossKm.Float()},
+	} {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("sim: non-finite %s %v", f.name, f.v)
+		}
+	}
 	if cfg.Prefixes <= 0 {
 		return fmt.Errorf("sim: non-positive prefix count %d", cfg.Prefixes)
 	}
@@ -93,6 +110,15 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxBeaconsPerClientDay < 0 {
 		return fmt.Errorf("sim: negative beacon cap %d", cfg.MaxBeaconsPerClientDay)
+	}
+	if cfg.CandidateCount < 0 {
+		return fmt.Errorf("sim: negative candidate count %d (use 0 for the default)", cfg.CandidateCount)
+	}
+	if cfg.GeoMedianErrKm < 0 || cfg.GeoGrossKm < 0 {
+		return fmt.Errorf("sim: negative geolocation error (median %v km, gross %v km)", cfg.GeoMedianErrKm, cfg.GeoGrossKm)
+	}
+	if cfg.GeoGrossRate < 0 || cfg.GeoGrossRate > 1 {
+		return fmt.Errorf("sim: geolocation gross-error rate %v outside [0, 1]", cfg.GeoGrossRate)
 	}
 	if cfg.Scenario != nil {
 		if err := cfg.Scenario.Validate(); err != nil {
@@ -186,18 +212,10 @@ func BuildShardWorld(cfg Config, lo, hi int) (*World, error) {
 // buildWorldRange is the shared builder behind BuildWorld (the full
 // range) and BuildShardWorld. cfg must already be validated.
 func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
-	dep, err := cdn.BuildPreset(cfg.Deployment)
+	w, err := buildComponents(cfg)
 	if err != nil {
-		return nil, fmt.Errorf("sim: building deployment: %w", err)
+		return nil, err
 	}
-	metros := geo.World()
-
-	ispCfg := topology.DefaultISPModelConfig(xrand.DeriveSeed(cfg.Seed, "isps"))
-	if cfg.ISPs != nil {
-		ispCfg = *cfg.ISPs
-	}
-	isps := topology.BuildISPs(dep.Backbone, metros, ispCfg)
-
 	mapCfg := dns.DefaultMapperConfig(xrand.DeriveSeed(cfg.Seed, "ldns"))
 	if cfg.Mapper != nil {
 		mapCfg = *cfg.Mapper
@@ -206,53 +224,25 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	// visits every client transiently and the mapper observes each one, so
 	// a shard build pays one pass of draws, not two, and materializes
 	// nothing outside [lo, hi).
-	rm, err := dns.NewRangeMapper(isps, metros, mapCfg, uint64(lo), uint64(hi))
+	rm, err := dns.NewRangeMapper(w.ISPs, w.Metros, mapCfg, uint64(lo), uint64(hi))
 	if err != nil {
 		return nil, fmt.Errorf("sim: mapping LDNS: %w", err)
 	}
-	pop, err := clients.GenerateRange(metros, isps,
+	w.Population, err = clients.GenerateRange(w.Metros, w.ISPs,
 		clients.DefaultConfig(xrand.DeriveSeed(cfg.Seed, "clients"), cfg.Prefixes), lo, hi, rm.Observe)
 	if err != nil {
 		return nil, fmt.Errorf("sim: generating clients: %w", err)
 	}
-	mapping := rm.Mapping()
-
-	routeCfg := bgp.DefaultConfig()
-	if cfg.Routing != nil {
-		routeCfg = *cfg.Routing
-	}
-	router := bgp.NewRouter(dep.Backbone, isps, xrand.DeriveSeed(cfg.Seed, "bgp"), routeCfg)
-
-	latCfg := latency.DefaultConfig()
-	if cfg.Latency != nil {
-		latCfg = *cfg.Latency
-	}
-	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latCfg)
-
-	geoDB := geo.NewDB(xrand.DeriveSeed(cfg.Seed, "geodb"),
-		cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm)
-	auth := dns.NewAuthority(dep, geoDB, cfg.CandidateCount)
-
-	exec := &beacon.Executor{
-		Router:    router,
-		Authority: auth,
-		Latency:   model,
-		Mapping:   mapping,
+	w.Mapping = rm.Mapping()
+	w.Executor = &beacon.Executor{
+		Router:    w.Router,
+		Authority: w.Authority,
+		Latency:   w.Latency,
+		Mapping:   w.Mapping,
 		Seed:      xrand.DeriveSeed(cfg.Seed, "beacon"),
 	}
-	w := &World{
-		Metros:     metros,
-		Deployment: dep,
-		ISPs:       isps,
-		Population: pop,
-		Mapping:    mapping,
-		Router:     router,
-		Authority:  auth,
-		Latency:    model,
-		Executor:   exec,
-	}
 	if cfg.Scenario != nil {
-		inj, err := faults.NewInjector(*cfg.Scenario, dep, mapping, metros)
+		inj, err := faults.NewInjector(*cfg.Scenario, w.Deployment, w.Mapping, w.Metros)
 		if err != nil {
 			return nil, fmt.Errorf("sim: compiling fault scenario: %w", err)
 		}
@@ -266,14 +256,21 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 // authority — everything the experiment aggregators and report renderers
 // consult, and nothing that scales with Prefixes. The distributed
 // coordinator uses it to merge and render shard partials without paying
-// for (or holding) a multi-million-client population; the sub-seeds are
-// the same ones BuildWorld derives, so every shared component is
+// for (or holding) a multi-million-client population; the components come
+// from the same builder BuildWorld uses, so every shared component is
 // identical to the workers' full builds. Population, Mapping, Executor
 // and Faults are nil: the returned world cannot simulate days.
 func BuildAnalysisWorld(cfg Config) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	return buildComponents(cfg)
+}
+
+// buildComponents builds every world component that does not depend on
+// the client population, each from its own sub-seed of cfg.Seed. cfg
+// must already be validated.
+func buildComponents(cfg Config) (*World, error) {
 	dep, err := cdn.BuildPreset(cfg.Deployment)
 	if err != nil {
 		return nil, fmt.Errorf("sim: building deployment: %w", err)
@@ -320,7 +317,8 @@ type Result struct {
 	Beacons [][]beacon.Measurement
 	// Passive is the per-client-day production log.
 	Passive *logs.Log
-	// Assignments[i] is client i's per-day anycast assignment.
+	// Assignments[i] is client i's per-day effective anycast assignment
+	// (after any fault rewrite).
 	Assignments [][]bgp.Assignment
 	// Utilization[d] is day d's per-front-end load picture; non-nil only
 	// when Cfg.LoadManager is active.
@@ -344,127 +342,35 @@ var (
 	labelLoadU       = xrand.NewLabel("load-u")
 )
 
-// RunWorld simulates over an already-built world. The run is
-// deterministic: all randomness derives from per-entity substreams, so the
-// parallel schedule cannot affect results.
-//
-// The reduce is direct-write. Beacon counts and passive rows are
-// deterministic functions of the config, so every output position is
-// known before the expensive work runs: pass one fills the columnar
-// passive log at exact indices (client-major: client i's day-d record is
-// row i*Days+d) and records per-client-day beacon counts; a serial
-// prefix-sum pass turns the counts into exact offsets within each day's
-// beacon slice; pass two executes beacons straight into their final
-// positions. Workers write disjoint indices of shared outputs, and no
-// per-client intermediate buffers exist — the allocation profile is the
-// outputs themselves plus two int32 index arrays.
-//
-// With an active LoadManager the run delegates to the streaming day loop
-// (load management is inherently day-serial: a day's controller step
-// needs the whole day's offered load) and materializes its outputs —
-// byte-identical to consuming StreamWorld directly.
+// RunWorld simulates over an already-built world and materializes the
+// stream into a Result: it runs StreamWorld's day loop, so a batch run
+// and a streaming run agree record for record by construction. Each
+// streamed day lands in its final position: the passive log is
+// client-major (client i's day-d record is row i*Days+d),
+// Assignments[i][d] is client i's effective assignment on day d, and
+// Beacons[d] is day d's measurements in stream order.
 func RunWorld(cfg Config, w *World) (*Result, error) {
 	if w.Population.Base != 0 {
 		return nil, fmt.Errorf("sim: batch run over a shard world (clients start at %d); use StreamShard", w.Population.Base)
 	}
+	n := len(w.Population.Clients)
+	days := cfg.Days
+	res := &Result{
+		Cfg:         cfg,
+		World:       w,
+		Beacons:     make([][]beacon.Measurement, days),
+		Passive:     &logs.Log{},
+		Assignments: make([][]bgp.Assignment, n),
+	}
 	if cfg.LoadManager != nil {
-		return runWorldViaStream(cfg, w)
-	}
-	n := len(w.Population.Clients)
-	days := cfg.Days
-	res := &Result{
-		Cfg:         cfg,
-		World:       w,
-		Beacons:     make([][]beacon.Measurement, days),
-		Passive:     &logs.Log{},
-		Assignments: make([][]bgp.Assignment, n),
-	}
-	res.Passive.Extend(n * days)
-	// counts[i*days+d] is client i's beacon count on day d; offs is its
-	// exclusive prefix sum within day d in client order, i.e. where client
-	// i's beacons start in res.Beacons[d].
-	counts := make([]int32, n*days)
-	offs := make([]int32, n*days)
-	trafficSeed := xrand.DeriveSeedL(cfg.Seed, labelTraffic)
-	parallelFor(n, cfg.Workers, func(i int) {
-		c := w.Population.Clients[i]
-		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		sched := effectiveSchedule(cfg, w, rc)
-		res.Assignments[i] = sched
-		prevFE := w.Router.Assign(rc, w.Router.BaseIngress(rc)).FrontEnd
-		for day := 0; day < days; day++ {
-			if day > 0 {
-				prevFE = sched[day-1].FrontEnd
-			}
-			q := c.QueriesOnDay(trafficSeed, day, w.Router.IsWeekend(day), cfg.QueriesPerVolume)
-			if !w.Faults.Empty() {
-				q = w.Faults.ScaleQueries(c.Region, day, q)
-			}
-			res.Passive.Set(i*days+day, logs.DayRecord{
-				ClientID:     c.ID,
-				Day:          day,
-				FrontEnd:     sched[day].FrontEnd,
-				Switched:     w.Router.SwitchedOnDay(rc, day),
-				PrevFrontEnd: prevFE,
-				Queries:      q,
-			})
-			if q > 0 {
-				counts[i*days+day] = int32(beaconCount(cfg, c.ID, day, q))
-			}
-		}
-	})
-	dayTotals := make([]int32, days)
-	for i := 0; i < n; i++ {
-		for d := 0; d < days; d++ {
-			offs[i*days+d] = dayTotals[d]
-			dayTotals[d] += counts[i*days+d]
-		}
-	}
-	for d, total := range dayTotals {
-		if total > 0 {
-			res.Beacons[d] = make([]beacon.Measurement, total)
-		}
-	}
-	parallelFor(n, cfg.Workers, func(i int) {
-		c := w.Population.Clients[i]
-		sched := res.Assignments[i]
-		for day := 0; day < days; day++ {
-			nb := int(counts[i*days+day])
-			if nb == 0 {
-				continue
-			}
-			off := int(offs[i*days+day])
-			out := res.Beacons[day][off : off+nb]
-			for k := 0; k < nb; k++ {
-				qid := xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k))
-				out[k] = w.Executor.Run(c, day, sched[day], qid)
-			}
-		}
-	})
-	return res, nil
-}
-
-// runWorldViaStream materializes a streaming run into a batch Result.
-// It is the batch path whenever load management is active, which makes
-// Run-vs-Stream byte-identity for managed runs structural rather than
-// something two parallel implementations have to maintain.
-func runWorldViaStream(cfg Config, w *World) (*Result, error) {
-	n := len(w.Population.Clients)
-	days := cfg.Days
-	res := &Result{
-		Cfg:         cfg,
-		World:       w,
-		Beacons:     make([][]beacon.Measurement, days),
-		Passive:     &logs.Log{},
-		Assignments: make([][]bgp.Assignment, n),
-		Utilization: make([][]SiteUtil, days),
+		res.Utilization = make([][]SiteUtil, days)
 	}
 	res.Passive.Extend(n * days)
 	flat := make([]bgp.Assignment, n*days)
 	for i := range res.Assignments {
 		res.Assignments[i] = flat[i*days : (i+1)*days : (i+1)*days]
 	}
-	err := StreamWorld(cfg, w, func(d DayResult) error {
+	err := streamRange(cfg, w, ShardOpts{Hi: n}, true, func(d DayResult) error {
 		day := d.Day
 		for i, r := range d.Passive {
 			res.Passive.Set(i*days+day, r)
@@ -473,9 +379,11 @@ func runWorldViaStream(cfg Config, w *World) (*Result, error) {
 			res.Assignments[i][day] = a
 		}
 		if len(d.Beacons) > 0 {
-			res.Beacons[day] = append([]beacon.Measurement(nil), d.Beacons...)
+			res.Beacons[day] = d.Beacons
 		}
-		res.Utilization[day] = append([]SiteUtil(nil), d.Utilization...)
+		if res.Utilization != nil {
+			res.Utilization[day] = append([]SiteUtil(nil), d.Utilization...)
+		}
 		return nil
 	})
 	if err != nil {
@@ -484,27 +392,10 @@ func runWorldViaStream(cfg Config, w *World) (*Result, error) {
 	return res, nil
 }
 
-// effectiveSchedule is the per-day anycast assignment a client actually
-// experiences: the BGP schedule with any active fault events applied.
-// With no injector (or an empty scenario) it is exactly the BGP schedule,
-// value for value, which is what keeps fault-free runs byte-identical.
-// Passive logs, beacon executions, and Result.Assignments all observe
-// this effective schedule, so a drain or flap shows up as a catchment
-// shift everywhere downstream.
-func effectiveSchedule(cfg Config, w *World, rc bgp.Client) []bgp.Assignment {
-	sched := w.Router.AssignmentSchedule(rc, cfg.Days)
-	if !w.Faults.Empty() {
-		for d := range sched {
-			sched[d] = w.Faults.Rewrite(rc, d, sched[d], w.Router)
-		}
-	}
-	return sched
-}
-
-// beaconCount draws how many of a client-day's queries carry the beacon.
-// It draws from its own substream, so calling it twice for the same
-// client-day (the count pass and the fill pass of simulateClient) returns
-// the same value without perturbing any other stream.
+// beaconCount draws how many of a client-day's queries carry the beacon,
+// from its own (client, day) substream: the count is a pure function of
+// the config, so it perturbs no other stream and each day's beacon
+// offsets are exact before any beacon executes.
 func beaconCount(cfg Config, clientID uint64, day, queries int) int {
 	expect := float64(queries) * cfg.BeaconSampleRate
 	nb := int(expect)

@@ -26,8 +26,8 @@ type DayResult struct {
 	// per client).
 	Passive []logs.DayRecord
 	// Assignments holds the day's effective anycast assignment per client
-	// (client order), after any fault rewrite — what Result.Assignments
-	// exposes per day in batch mode.
+	// (client order), after any fault rewrite; RunWorld stores it as
+	// Result.Assignments[i][Day].
 	Assignments []bgp.Assignment
 	// Utilization holds the day's per-front-end load picture; nil unless
 	// Config.LoadManager is active. When load management redirects a
@@ -40,10 +40,8 @@ type DayResult struct {
 // Stream simulates cfg.Days days, invoking fn once per day with that
 // day's outputs and retaining only one day in memory — the mode to use
 // for paper-scale runs (millions of prefixes) whose full measurement set
-// would not fit.
-//
-// The stream is identical, measurement for measurement, to the equivalent
-// Run: both derive from the same per-entity substreams.
+// would not fit. Run is the same day loop with every day kept in a
+// Result.
 func Stream(cfg Config, fn func(DayResult) error) error {
 	w, err := BuildWorld(cfg)
 	if err != nil {
@@ -68,7 +66,7 @@ func Stream(cfg Config, fn func(DayResult) error) error {
 // the buffers become garbage as soon as StreamWorld returns.
 func StreamWorld(cfg Config, w *World, fn func(DayResult) error) error {
 	base := int(w.Population.Base)
-	return streamRange(cfg, w, ShardOpts{Lo: base, Hi: base + len(w.Population.Clients)}, fn)
+	return streamRange(cfg, w, ShardOpts{Lo: base, Hi: base + len(w.Population.Clients)}, false, fn)
 }
 
 // ShardOpts selects the client slice a StreamShard call simulates and
@@ -105,10 +103,14 @@ type ShardOpts struct {
 // contiguous shard streams in shard order reproduces, record for record,
 // the single-process StreamWorld over the same world.
 func StreamShard(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error) error {
-	return streamRange(cfg, w, opts, fn)
+	return streamRange(cfg, w, opts, false, fn)
 }
 
-func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error) error {
+// streamRange is the day loop. With keepBeacons every day's Beacons is a
+// fresh slice the consumer may retain, which is how RunWorld keeps them:
+// the parallel beacon pass fills the slice, where copying each day out
+// of a reused buffer would run serially between days.
+func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func(DayResult) error) error {
 	if fn == nil {
 		return fmt.Errorf("sim: nil stream function")
 	}
@@ -128,11 +130,10 @@ func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error)
 	n := opts.Hi - opts.Lo
 	days := cfg.Days
 
-	// Per-client-day ingress sites, packed flat (client-major). The full
-	// [][]bgp.Assignment schedule RunWorld materializes is ~48 bytes per
-	// client-day — gigabytes at paper scale — while the ingress alone is
-	// one SiteID, and Router.Assign plus the fault rewrite recompute the
-	// rest per day, value-identically to the batch path.
+	// Per-client-day ingress sites, packed flat (client-major). A full
+	// assignment is ~48 bytes per client-day — gigabytes at paper scale —
+	// while the ingress alone is one SiteID, and Router.Assign plus the
+	// fault rewrite recompute the rest of each day's assignment.
 	scheds := make([]topology.SiteID, n*days)
 	// prevFE[i] is client i's serving front-end at the end of the previous
 	// day (the base assignment before day 0), carried across days for the
@@ -145,8 +146,8 @@ func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error)
 		prevFE[i] = w.Router.Assign(rc, w.Router.BaseIngress(rc)).FrontEnd
 	})
 
-	// Per-day output buffers, reused across days. The beacon buffer grows
-	// to the busiest day seen and stays there.
+	// Per-day output buffers, reused across days. Unless keepBeacons is
+	// set, the beacon buffer grows to the busiest day seen and stays there.
 	passive := make([]logs.DayRecord, n)
 	assigns := make([]bgp.Assignment, n)
 	counts := make([]int32, n)
@@ -245,7 +246,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, fn func(DayResult) error)
 			offs[i] = total
 			total += counts[i]
 		}
-		if int(total) > cap(beacons) {
+		if int(total) > cap(beacons) || keepBeacons {
 			beacons = make([]beacon.Measurement, total)
 		} else {
 			beacons = beacons[:total]

@@ -8,61 +8,6 @@ import (
 	"anycastcdn/internal/testutil"
 )
 
-func TestStreamMatchesRun(t *testing.T) {
-	full := testutil.SmallResult(t)
-	cfg := full.Cfg
-	day := 0
-	err := sim.Stream(cfg, func(d sim.DayResult) error {
-		if d.Day != day {
-			t.Fatalf("days out of order: got %d want %d", d.Day, day)
-		}
-		if len(d.Beacons) != len(full.Beacons[day]) {
-			t.Fatalf("day %d beacon count %d != run's %d", day, len(d.Beacons), len(full.Beacons[day]))
-		}
-		for i := range d.Beacons {
-			if d.Beacons[i] != full.Beacons[day][i] {
-				t.Fatalf("day %d measurement %d differs between Stream and Run", day, i)
-			}
-		}
-		if len(d.Passive) != cfg.Prefixes {
-			t.Fatalf("day %d passive records = %d, want %d", day, len(d.Passive), cfg.Prefixes)
-		}
-		day++
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if day != cfg.Days {
-		t.Fatalf("stream delivered %d days, want %d", day, cfg.Days)
-	}
-}
-
-func TestStreamPassiveMatchesRun(t *testing.T) {
-	full := testutil.SmallResult(t)
-	// Index run's passive records by (client, day).
-	type key struct {
-		client uint64
-		day    int
-	}
-	want := map[key]int{}
-	for c := full.Passive.Cursor(); c.Next(); {
-		r := c.Record()
-		want[key{r.ClientID, r.Day}] = r.Queries
-	}
-	err := sim.Stream(full.Cfg, func(d sim.DayResult) error {
-		for _, r := range d.Passive {
-			if q, ok := want[key{r.ClientID, r.Day}]; !ok || q != r.Queries {
-				t.Fatalf("passive record mismatch for client %d day %d", r.ClientID, r.Day)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestStreamStopsOnError(t *testing.T) {
 	cfg := testutil.SmallConfig(23)
 	sentinel := errors.New("stop")

@@ -86,7 +86,7 @@ func (b *ECDFBuilder[T]) MergeEncoded(data []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if uint64(len(data)) < 16*n {
+	if n > uint64(len(data))/16 {
 		return nil, fmt.Errorf("%w: truncated ECDF builder payload", ErrEncoding)
 	}
 	b.Grow(int(n))
@@ -157,7 +157,7 @@ func (s *QuantileSketch[T]) MergeEncoded(data []byte) ([]byte, error) {
 		return nil, fmt.Errorf("%w: got %d bins over [%v, %v), have %d over [%v, %v)",
 			ErrLayout, nbins, lo, hi, len(s.bins), s.lo, s.hi)
 	}
-	if uint64(len(data)) < 8*nbins {
+	if nbins > uint64(len(data))/8 {
 		return nil, fmt.Errorf("%w: truncated sketch bins", ErrEncoding)
 	}
 	for i := range s.bins {

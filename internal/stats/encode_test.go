@@ -124,7 +124,8 @@ func TestECDFBuilderMergeAssociative(t *testing.T) {
 }
 
 // TestECDFBuilderDecodeErrors covers the malformed-input paths: bad
-// magic, truncated header, truncated payload.
+// magic, truncated header, truncated payload, and a sample count whose
+// payload size overflows uint64.
 func TestECDFBuilderDecodeErrors(t *testing.T) {
 	var b ECDFBuilder[float64]
 	cases := map[string][]byte{
@@ -132,6 +133,7 @@ func TestECDFBuilderDecodeErrors(t *testing.T) {
 		"bad magic":         {0x00, 1, 2, 3},
 		"truncated header":  {ecdfMagic, 1, 2},
 		"truncated payload": append((&ECDFBuilder[float64]{xs: []float64{1}, ws: []float64{1}}).Encode(nil)[:12], 0),
+		"wrapped count":     {ecdfMagic, 0, 0, 0, 0, 0, 0, 0, 0x10}, // 1<<60 samples: 16*n wraps to 0
 	}
 	for name, data := range cases {
 		if _, err := b.Decode(data); err == nil {
