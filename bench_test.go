@@ -308,38 +308,6 @@ func BenchmarkAnycastvet(b *testing.B) {
 	}
 }
 
-// BenchmarkAnycastvetDataflow measures the dataflow passes alone: a
-// full-repo lockorder+errflow run per iteration, with a fresh Module
-// each time so the once-cached module-wide lock facts (CFG
-// construction, held-lock fixpoints, call-graph propagation, cycle
-// detection) are actually recomputed rather than served from the
-// sync.Once cache. This is the benchjson gate that catches the CFG or
-// worklist fixpoint going quadratic.
-func BenchmarkAnycastvetDataflow(b *testing.B) {
-	pkgs, err := analysis.LoadModule(".")
-	if err != nil {
-		b.Fatal(err)
-	}
-	var dataflow []*analysis.Analyzer
-	for _, an := range analysis.Analyzers() {
-		if an.Name == "lockorder" || an.Name == "errflow" {
-			dataflow = append(dataflow, an)
-		}
-	}
-	if len(dataflow) != 2 {
-		b.Fatalf("expected lockorder and errflow in the suite, got %d analyzers", len(dataflow))
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		mod := analysis.NewModule(pkgs)
-		diags, _ := analysis.RunModule(mod, pkgs, dataflow)
-		if len(diags) != 0 {
-			b.Fatalf("repo is not clean: %v", diags)
-		}
-	}
-}
-
 // BenchmarkSimulationDay measures raw simulation throughput.
 func BenchmarkSimulationDay(b *testing.B) {
 	cfg := sim.DefaultConfig(9)

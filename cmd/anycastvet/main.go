@@ -1,39 +1,27 @@
 // Command anycastvet runs the repository's custom static-analysis suite
 // (internal/analysis) over the module and reports invariant violations:
-// nondeterminism in replay-critical packages, dropped errors on the
-// network paths, mutex misuse, panics in library code, goroutines with no
-// join/cancel path, dnswire net I/O that ignores the caller's ctx,
-// bare-float64 latency/distance quantities that bypass internal/units,
-// exported mutex-holding types with no documented locking contract,
-// order-dependent map iteration (or wall-clock/global-rand use) reachable
-// from the replay roots, allocation-forcing constructs in //perf:hotpath
-// functions, lock-order deadlock cycles plus double locks and
-// some-paths-only unlocks found by held-lock dataflow over the
-// control-flow graph (lockorder), and flow-sensitive error mishandling —
-// errors overwritten before any check, nil checks reading a
-// shadowed-out err, results dereferenced on the error path (errflow).
+// dropped errors on the network paths, Lock() calls with no matching
+// Unlock, panics in library code, goroutines with no join/cancel path,
+// dnswire net I/O that ignores the caller's ctx, bare-float64
+// latency/distance quantities that bypass internal/units, exported
+// mutex-holding types with no documented locking contract, replay
+// hazards (order-dependent map iteration, wall-clock reads and global
+// math/rand in the deterministic packages or anywhere a replay root
+// reaches), and allocation-forcing constructs in //perf:hotpath
+// functions.
 //
 // The whole module is loaded and type-checked once; cross-package facts
-// (replay reachability, hot-path annotations, the global
-// lock-acquisition-order graph) always reflect the full module even when
-// the report is narrowed to a package pattern.
+// (replay reachability, hot-path annotations) always reflect the full
+// module even when the report is narrowed to a package pattern.
 //
 // Usage:
 //
 //	go run ./cmd/anycastvet ./...              # whole module
 //	go run ./cmd/anycastvet ./internal/sim/... # one subtree
 //	go run ./cmd/anycastvet -json ./...        # machine-readable output
-//	go run ./cmd/anycastvet -sarif ./...       # SARIF 2.1.0 output
 //	go run ./cmd/anycastvet -list              # describe the analyzers
 //	go run ./cmd/anycastvet -checks replaysafety,hotpathalloc ./...
 //	go run ./cmd/anycastvet -timings ./...     # per-analyzer wall-clock on stderr
-//	go run ./cmd/anycastvet -writebaseline vet_baseline.json ./...
-//	go run ./cmd/anycastvet -baseline vet_baseline.json ./...
-//
-// -writebaseline records the current diagnostics as grandfathered;
-// -baseline filters them out of later runs so a new analyzer can land
-// with existing violations tolerated and ratcheted down (regenerate
-// after each fix; new violations are never absorbed).
 //
 // Exit status: 0 clean, 1 diagnostics reported, 2 usage or load failure.
 package main
@@ -51,12 +39,9 @@ import (
 
 func main() {
 	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array")
-	sarifOut := flag.Bool("sarif", false, "emit diagnostics as SARIF 2.1.0")
 	list := flag.Bool("list", false, "list analyzers and exit")
 	checks := flag.String("checks", "", "comma-separated analyzer names to run (default: all)")
 	timings := flag.Bool("timings", false, "print per-analyzer wall-clock timings to stderr")
-	baselinePath := flag.String("baseline", "", "filter diagnostics against a baseline file (see -writebaseline)")
-	writeBaseline := flag.String("writebaseline", "", "write current diagnostics to a baseline file and exit")
 	flag.Parse()
 
 	if *list {
@@ -64,10 +49,6 @@ func main() {
 			fmt.Printf("%-16s %s\n", an.Name, an.Doc)
 		}
 		return
-	}
-	if *jsonOut && *sarifOut {
-		fmt.Fprintln(os.Stderr, "anycastvet: -json and -sarif are mutually exclusive")
-		os.Exit(2)
 	}
 
 	analyzers, err := selectAnalyzers(*checks)
@@ -112,40 +93,7 @@ func main() {
 		}
 	}
 
-	if *writeBaseline != "" {
-		f, err := os.Create(*writeBaseline)
-		if err == nil {
-			err = analysis.WriteBaseline(f, diags)
-			if cerr := f.Close(); err == nil {
-				err = cerr
-			}
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		fmt.Fprintf(os.Stderr, "anycastvet: wrote %d diagnostic(s) to baseline %s\n", len(diags), *writeBaseline)
-		return
-	}
-	if *baselinePath != "" {
-		f, err := os.Open(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		base, err := analysis.ReadBaseline(f)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-		diags = base.Filter(diags)
-	}
-
-	switch {
-	case *jsonOut:
+	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)
 		enc.SetIndent("", "  ")
 		if diags == nil {
@@ -155,12 +103,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "anycastvet:", err)
 			os.Exit(2)
 		}
-	case *sarifOut:
-		if err := analysis.WriteSARIF(os.Stdout, analyzers, diags); err != nil {
-			fmt.Fprintln(os.Stderr, "anycastvet:", err)
-			os.Exit(2)
-		}
-	default:
+	} else {
 		for _, d := range diags {
 			fmt.Println(d)
 		}

@@ -111,9 +111,8 @@ func (d Diagnostic) String() string {
 // Analyzers returns the full suite in reporting order.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
-		Nondeterminism, UncheckedErr, MutexHygiene, NoPanic, GoroutineLeak,
-		CtxPropagation, UnitSafety, LockDoc, ReplaySafety, HotPathAlloc,
-		LockOrder, ErrFlow,
+		UncheckedErr, MutexHygiene, NoPanic, GoroutineLeak, CtxPropagation,
+		UnitSafety, LockDoc, ReplaySafety, HotPathAlloc,
 	}
 }
 

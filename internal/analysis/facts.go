@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"strings"
-	"sync"
 )
 
 // Module is the cross-package view of one loaded module: every package
@@ -22,17 +21,8 @@ type Module struct {
 	// Pkgs is every package of the load, sorted by import path.
 	Pkgs []*Package
 
-	decls   map[*types.Func]*ast.FuncDecl
-	declPkg map[*types.Func]*Package
-	calls   map[*types.Func][]*types.Func
-
 	replayReachable map[*types.Func]bool
 	hotPath         map[*types.Func]bool
-
-	// Lock facts (lockorder.go) are derived lazily on first use and
-	// shared by every pass over this module.
-	lockOnce sync.Once
-	lockData *lockFactsData
 }
 
 // ReplayRootNames are the function names treated as replay roots: every
@@ -60,12 +50,11 @@ func (m *Module) HotPathDirective() string { return "//perf:hotpath" }
 func NewModule(pkgs []*Package) *Module {
 	m := &Module{
 		Pkgs:            pkgs,
-		decls:           map[*types.Func]*ast.FuncDecl{},
-		declPkg:         map[*types.Func]*Package{},
-		calls:           map[*types.Func][]*types.Func{},
 		replayReachable: map[*types.Func]bool{},
 		hotPath:         map[*types.Func]bool{},
 	}
+	calls := map[*types.Func][]*types.Func{}
+	var queue []*types.Func
 	for _, pkg := range pkgs {
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
@@ -77,41 +66,34 @@ func NewModule(pkgs []*Package) *Module {
 				if !ok {
 					continue
 				}
-				m.decls[obj] = fd
-				m.declPkg[obj] = pkg
 				if hasDirective(fd.Doc, "//perf:hotpath") {
 					m.hotPath[obj] = true
 				}
+				if isReplayRootName(obj.Name()) {
+					m.replayReachable[obj] = true
+					queue = append(queue, obj)
+				}
+				// Call edges: every call lexically inside a declaration
+				// (including inside its func literals) is attributed to
+				// that declaration.
+				ast.Inspect(fd, func(n ast.Node) bool {
+					call, ok := n.(*ast.CallExpr)
+					if !ok {
+						return true
+					}
+					if callee := calleeFunc(pkg.Info, call); callee != nil {
+						calls[obj] = append(calls[obj], callee)
+					}
+					return true
+				})
 			}
 		}
-	}
-	// Call edges: every call lexically inside a declaration (including
-	// inside its func literals) is attributed to that declaration.
-	for obj, fd := range m.decls {
-		pkg := m.declPkg[obj]
-		ast.Inspect(fd, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if callee := calleeFunc(pkg.Info, call); callee != nil {
-				m.calls[obj] = append(m.calls[obj], callee)
-			}
-			return true
-		})
 	}
 	// Replay reachability: BFS from every function named like a root.
-	var queue []*types.Func
-	for obj := range m.decls {
-		if isReplayRootName(obj.Name()) {
-			m.replayReachable[obj] = true
-			queue = append(queue, obj)
-		}
-	}
 	for len(queue) > 0 {
 		fn := queue[0]
 		queue = queue[1:]
-		for _, callee := range m.calls[fn] {
+		for _, callee := range calls[fn] {
 			if m.replayReachable[callee] {
 				continue
 			}
@@ -129,13 +111,6 @@ func (m *Module) ReplayReachable(fn *types.Func) bool { return m.replayReachable
 // HotPath reports the "annotated hot-path" fact: fn's declaration carries
 // a //perf:hotpath directive.
 func (m *Module) HotPath(fn *types.Func) bool { return m.hotPath[fn] }
-
-// FuncDecl returns fn's declaration, from whichever package declares it.
-func (m *Module) FuncDecl(fn *types.Func) *ast.FuncDecl { return m.decls[fn] }
-
-// FuncPackage returns the package declaring fn, or nil for functions
-// outside the module (stdlib, interface methods).
-func (m *Module) FuncPackage(fn *types.Func) *Package { return m.declPkg[fn] }
 
 func isReplayRootName(name string) bool {
 	for _, r := range ReplayRootNames {

@@ -75,15 +75,6 @@ var _ = idle
 	if mod.HotPath(lookup("a", "Leaf")) {
 		t.Errorf("HotPath(a.Leaf) = true, want false (not annotated)")
 	}
-
-	// Declaration lookups resolve to the declaring package.
-	leaf := lookup("a", "Leaf")
-	if fd := mod.FuncDecl(leaf); fd == nil || fd.Name.Name != "Leaf" {
-		t.Errorf("FuncDecl(a.Leaf) = %v, want the Leaf declaration", fd)
-	}
-	if p := mod.FuncPackage(leaf); p == nil || p.Path != "a" {
-		t.Errorf("FuncPackage(a.Leaf) resolves to %v, want package a", p)
-	}
 }
 
 // TestRunModuleSubsetKeepsFacts pins the CLI's split between fact scope

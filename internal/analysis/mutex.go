@@ -5,152 +5,24 @@ import (
 	"go/types"
 )
 
-// MutexHygiene enforces two locking invariants:
-//
-//  1. no lock value copies — a struct containing a sync.Mutex or
-//     sync.RWMutex must not be passed, assigned, ranged-over, or returned
-//     by value (the copy forks the lock state and the original and copy
-//     silently stop excluding each other);
-//  2. lock/unlock pairing — a function that calls mu.Lock() (or RLock)
-//     must contain at least one matching mu.Unlock() (or RUnlock), direct
-//     or deferred, on the same receiver expression.
+// MutexHygiene enforces lock/unlock pairing: a function that calls
+// mu.Lock() (or RLock) must contain at least one matching mu.Unlock() (or
+// RUnlock), direct or deferred, on the same receiver expression. Lock
+// copies are go vet's copylocks check, which ci.sh runs.
 var MutexHygiene = &Analyzer{
 	Name: "mutexhygiene",
-	Doc:  "flag lock copies and Lock() calls with no same-function Unlock",
+	Doc:  "flag Lock() calls with no same-function Unlock",
 	Run:  runMutexHygiene,
 }
 
 func runMutexHygiene(pass *Pass) {
 	for _, f := range pass.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.FuncDecl:
-				checkFuncSignature(pass, n.Recv, n.Type)
-				if n.Body != nil {
-					checkLockBalance(pass, n.Body)
-				}
-			case *ast.FuncLit:
-				checkFuncSignature(pass, nil, n.Type)
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					// Assigning to _ discards the value; no second usable
-					// copy of the lock comes into existence.
-					if len(n.Lhs) == len(n.Rhs) {
-						if id, ok := n.Lhs[i].(*ast.Ident); ok && id.Name == "_" {
-							continue
-						}
-					}
-					if copiesLock(pass, rhs) {
-						pass.Reportf(rhs.Pos(),
-							"assignment copies %s by value; the type contains a sync lock — use a pointer", exprTypeName(pass, rhs))
-					}
-				}
-			case *ast.RangeStmt:
-				if n.Value != nil {
-					if t := pass.Pkg.Info.TypeOf(n.Value); t != nil && containsLock(t) {
-						pass.Reportf(n.Value.Pos(),
-							"range value copies %s by value; the type contains a sync lock — range over indices or pointers", exprTypeName(pass, n.Value))
-					}
-				}
-			case *ast.CallExpr:
-				for _, arg := range n.Args {
-					if copiesLock(pass, arg) {
-						pass.Reportf(arg.Pos(),
-							"call passes %s by value; the type contains a sync lock — pass a pointer", exprTypeName(pass, arg))
-					}
-				}
-			}
-			return true
-		})
-	}
-}
-
-// checkFuncSignature flags receivers, parameters, and results whose
-// non-pointer types contain locks.
-func checkFuncSignature(pass *Pass, recv *ast.FieldList, ft *ast.FuncType) {
-	lists := []*ast.FieldList{recv, ft.Params, ft.Results}
-	kinds := []string{"receiver", "parameter", "result"}
-	for i, fl := range lists {
-		if fl == nil {
-			continue
-		}
-		for _, field := range fl.List {
-			t := pass.Pkg.Info.TypeOf(field.Type)
-			if t == nil {
-				continue
-			}
-			if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-				continue
-			}
-			if containsLock(t) {
-				pass.Reportf(field.Type.Pos(),
-					"%s %s passes a lock by value; use a pointer", kinds[i], types.TypeString(t, types.RelativeTo(pass.Pkg.Types)))
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				checkLockBalance(pass, fd.Body)
 			}
 		}
 	}
-}
-
-// copiesLock reports whether expr copies an existing lock-containing
-// value. Composite literals and function-call results construct fresh
-// values and are fine; reading an existing variable, field, element, or
-// dereference is a copy.
-func copiesLock(pass *Pass, expr ast.Expr) bool {
-	switch ast.Unparen(expr).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-	default:
-		return false
-	}
-	if id, ok := ast.Unparen(expr).(*ast.Ident); ok {
-		// Type names and package names are not values.
-		switch pass.Pkg.Info.Uses[id].(type) {
-		case *types.TypeName, *types.PkgName, nil:
-			return false
-		}
-	}
-	tv, ok := pass.Pkg.Info.Types[expr]
-	if !ok || !tv.IsValue() {
-		return false
-	}
-	return containsLock(tv.Type)
-}
-
-func exprTypeName(pass *Pass, expr ast.Expr) string {
-	if t := pass.Pkg.Info.TypeOf(expr); t != nil {
-		return types.TypeString(t, types.RelativeTo(pass.Pkg.Types))
-	}
-	return "value"
-}
-
-// containsLock walks t for sync.Mutex / sync.RWMutex, directly or through
-// struct fields and array elements (pointers and interfaces do not
-// propagate the copy hazard).
-func containsLock(t types.Type) bool {
-	return containsLockSeen(t, map[types.Type]bool{})
-}
-
-func containsLockSeen(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" &&
-			(obj.Name() == "Mutex" || obj.Name() == "RWMutex") {
-			return true
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLockSeen(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLockSeen(u.Elem(), seen)
-	}
-	return false
 }
 
 // lockPairs maps an acquire method to its release.

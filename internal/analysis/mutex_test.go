@@ -2,112 +2,6 @@ package analysis
 
 import "testing"
 
-func TestMutexHygieneCopies(t *testing.T) {
-	cases := []struct {
-		name string
-		src  string
-		want []string
-	}{
-		{
-			name: "mutex parameter by value",
-			src: `package x
-
-import "sync"
-
-func f(mu sync.Mutex) { _ = mu }
-`,
-			want: []string{"a.go:5:mutexhygiene"},
-		},
-		{
-			name: "pointer parameter is fine",
-			src: `package x
-
-import "sync"
-
-func f(mu *sync.Mutex) { _ = mu }
-`,
-			want: nil,
-		},
-		{
-			name: "struct containing a lock passed and assigned by value",
-			src: `package x
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func use(S) {}
-
-func f(s S) {
-	t := s
-	use(t)
-}
-`,
-			// parameter of use, parameter of f, assignment t := s, arg use(t)
-			want: []string{"a.go:10:mutexhygiene", "a.go:12:mutexhygiene", "a.go:13:mutexhygiene", "a.go:14:mutexhygiene"},
-		},
-		{
-			name: "value receiver with embedded rwmutex",
-			src: `package x
-
-import "sync"
-
-type S struct{ sync.RWMutex }
-
-func (s S) Get() int { return 0 }
-`,
-			want: []string{"a.go:7:mutexhygiene"},
-		},
-		{
-			name: "range over lock-bearing slice values",
-			src: `package x
-
-import "sync"
-
-type S struct{ mu sync.Mutex }
-
-func f(ss []S) int {
-	n := 0
-	for _, s := range ss {
-		_ = s
-		n++
-	}
-	return n
-}
-`,
-			// parameter ss is []S (slice does not itself copy), range value does
-			want: []string{"a.go:9:mutexhygiene"},
-		},
-		{
-			name: "constructing fresh values is fine",
-			src: `package x
-
-import "sync"
-
-type S struct {
-	mu sync.Mutex
-	n  int
-}
-
-func f() *S {
-	s := S{n: 1}
-	return &s
-}
-`,
-			want: nil,
-		},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			files := map[string]string{"a.go": tc.src}
-			wantDiags(t, checkFixture(t, MutexHygiene, "anycastcdn/internal/fixture", files), tc.want)
-		})
-	}
-}
-
 func TestMutexHygieneLockBalance(t *testing.T) {
 	cases := []struct {
 		name string

@@ -22,6 +22,30 @@ var ReplaySensitive = []string{
 	"anycastcdn/internal/distsim",
 }
 
+// RestrictedDeterminism lists the packages (and their subpackages) that
+// may not read the wall clock or the global math/rand source anywhere
+// outside tests, reachable from a replay root or not: the simulation
+// core, the prediction pipeline, the experiment harness, and the client
+// population model. Everything the paper's figures are computed from
+// flows through these. The list is narrower than ReplaySensitive on
+// purpose: internal/distsim reads the clock for its stall deadlines.
+var RestrictedDeterminism = []string{
+	"anycastcdn/internal/sim",
+	"anycastcdn/internal/core",
+	"anycastcdn/internal/experiments",
+	"anycastcdn/internal/clients",
+}
+
+// randConstructors are the math/rand names that build explicitly seeded
+// generators and are therefore replay-safe.
+var randConstructors = map[string]bool{
+	"New":        true,
+	"NewSource":  true,
+	"NewZipf":    true,
+	"NewPCG":     true, // math/rand/v2
+	"NewChaCha8": true,
+}
+
 // commutativeDirective justifies an order-dependent-looking map
 // iteration whose accumulation is in fact order-independent. A reason is
 // mandatory, on the range statement's line or the line above:
@@ -29,7 +53,7 @@ var ReplaySensitive = []string{
 //	//replay:commutative <reason>
 const commutativeDirective = "//replay:commutative"
 
-// ReplaySafety enforces byte-identical replay mechanically, two ways.
+// ReplaySafety enforces byte-identical replay mechanically, three ways.
 //
 // In the ReplaySensitive packages it flags `range` over a map whose body
 // accumulates into state declared outside the loop — appends, non-exact
@@ -38,28 +62,42 @@ const commutativeDirective = "//replay:commutative"
 // keys instead, or justify with //replay:commutative. Integer
 // accumulation is exact and order-independent, so it is exempt.
 //
-// Module-wide, it walks the cross-package fact graph: any function
-// statically reachable from a RunWorld/StreamWorld root — in whatever
-// package — must not call time.Now or the global math/rand functions,
-// and must not write to package-level maps (shared mutable state the
+// It forbids time.Now() calls and the global math/rand functions in two
+// scopes: every non-test file of the RestrictedDeterminism packages,
+// package-level initializers included, and every function reachable
+// from a replay root, in whatever package it lives. All randomness must
+// come from injected xrand substreams and all timestamps from an
+// injected clock, so a rerun with the same seed replays exactly.
+//
+// Module-wide, every function statically reachable from a replay root
+// must also not write to package-level maps (shared mutable state the
 // parallel schedule could interleave differently between runs).
 var ReplaySafety = &Analyzer{
 	Name: "replaysafety",
-	Doc:  "forbid order-dependent map iteration in replay-sensitive packages and nondeterminism reachable from RunWorld/StreamWorld",
+	Doc:  "forbid order-dependent map iteration, wall clocks and global math/rand in replay-critical code, and package-level map writes reachable from a replay root",
 	Run:  runReplaySafety,
 }
 
 func runReplaySafety(pass *Pass) {
 	commutative := collectCommutative(pass)
-	restricted := pathInList(pass.Pkg.Path, ReplaySensitive)
+	sensitive := pathInList(pass.Pkg.Path, ReplaySensitive)
+	clockFree := pathInList(pass.Pkg.Path, RestrictedDeterminism)
 	for _, f := range pass.Pkg.Files {
 		if pass.InTestFile(f.Pos()) {
 			continue
 		}
-		if restricted {
+		if sensitive {
 			checkMapRanges(pass, f, commutative)
 		}
-		checkReplayReachable(pass, f)
+		if clockFree {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if what, fix := clockOrGlobalRand(pass, n); what != "" {
+					pass.Reportf(n.Pos(), "%s breaks experiment replay; %s", what, fix)
+				}
+				return true
+			})
+		}
+		checkReplayReachable(pass, f, !clockFree)
 	}
 }
 
@@ -191,11 +229,41 @@ func isAppendCall(info *types.Info, e ast.Expr) bool {
 	return ok && b.Name() == "append"
 }
 
+// clockOrGlobalRand matches the two sources of run-to-run
+// nondeterminism: a time.Now() call and any use of a global math/rand
+// function (seeded constructors and the rand types are fine). It returns
+// what n is and how to fix it, or "" when n is neither.
+func clockOrGlobalRand(pass *Pass, n ast.Node) (what, fix string) {
+	switch n := n.(type) {
+	case *ast.CallExpr:
+		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
+			if pn := pass.PkgNameOf(sel); pn != nil && pn.Imported().Path() == "time" && sel.Sel.Name == "Now" {
+				return "time.Now()", "inject a clock (now func() time.Time) like dnswire.CachingResolver.Now"
+			}
+		}
+	case *ast.SelectorExpr:
+		pn := pass.PkgNameOf(n)
+		if pn == nil {
+			return "", ""
+		}
+		p := pn.Imported().Path()
+		if p != "math/rand" && p != "math/rand/v2" {
+			return "", ""
+		}
+		if _, isFunc := pass.Pkg.Info.Uses[n.Sel].(*types.Func); isFunc && !randConstructors[n.Sel.Name] {
+			return "global " + p + "." + n.Sel.Name, "use an injected xrand substream"
+		}
+	}
+	return "", ""
+}
+
 // checkReplayReachable walks every function in f that carries the
-// replay-sensitive fact (statically reachable from a RunWorld/StreamWorld
-// root, possibly across package boundaries) and flags wall-clock reads,
-// global randomness, and writes to package-level maps.
-func checkReplayReachable(pass *Pass, f *ast.File) {
+// replay-sensitive fact (statically reachable from a replay root,
+// possibly across package boundaries) and flags writes to package-level
+// maps, plus wall-clock reads and global randomness when clocks is set
+// (a RestrictedDeterminism package has had its whole file checked for
+// those already).
+func checkReplayReachable(pass *Pass, f *ast.File, clocks bool) {
 	if pass.Mod == nil {
 		return
 	}
@@ -208,42 +276,27 @@ func checkReplayReachable(pass *Pass, f *ast.File) {
 		if !ok || !pass.Mod.ReplayReachable(obj) {
 			continue
 		}
-		checkReachableBody(pass, fd)
+		checkReachableBody(pass, fd, clocks)
 	}
 }
 
-func checkReachableBody(pass *Pass, fd *ast.FuncDecl) {
+func checkReachableBody(pass *Pass, fd *ast.FuncDecl, clocks bool) {
 	info := pass.Pkg.Info
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if clocks {
+			if what, fix := clockOrGlobalRand(pass, n); what != "" {
+				pass.Reportf(n.Pos(), "%s in %s is reachable from a replay root; %s", what, fd.Name.Name, fix)
+			}
+		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
-				if pn := pass.PkgNameOf(sel); pn != nil &&
-					pn.Imported().Path() == "time" && sel.Sel.Name == "Now" {
-					pass.Reportf(n.Pos(),
-						"time.Now() in %s is reachable from a RunWorld/StreamWorld replay root; inject a clock", fd.Name.Name)
-				}
-			}
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok {
 				if b, ok := info.Uses[id].(*types.Builtin); ok && (b.Name() == "delete" || b.Name() == "clear") && len(n.Args) > 0 {
 					if v := packageLevelMap(info, n.Args[0]); v != nil {
 						pass.Reportf(n.Pos(),
-							"%s of package-level map %s in %s, which is reachable from a RunWorld/StreamWorld replay root; replay-sensitive state must be run-local", b.Name(), v.Name(), fd.Name.Name)
+							"%s of package-level map %s in %s, which is reachable from a replay root; replay-sensitive state must be run-local", b.Name(), v.Name(), fd.Name.Name)
 					}
 				}
-			}
-		case *ast.SelectorExpr:
-			pn := pass.PkgNameOf(n)
-			if pn == nil {
-				return true
-			}
-			p := pn.Imported().Path()
-			if p != "math/rand" && p != "math/rand/v2" {
-				return true
-			}
-			if _, isFunc := info.Uses[n.Sel].(*types.Func); isFunc && !randConstructors[n.Sel.Name] {
-				pass.Reportf(n.Pos(),
-					"global %s.%s in %s is reachable from a RunWorld/StreamWorld replay root; use an injected xrand substream", p, n.Sel.Name, fd.Name.Name)
 			}
 		case *ast.AssignStmt:
 			for _, lhs := range n.Lhs {
@@ -253,7 +306,7 @@ func checkReachableBody(pass *Pass, fd *ast.FuncDecl) {
 				}
 				if v := packageLevelMap(info, idx.X); v != nil {
 					pass.Reportf(lhs.Pos(),
-						"write to package-level map %s in %s, which is reachable from a RunWorld/StreamWorld replay root; replay-sensitive state must be run-local", v.Name(), fd.Name.Name)
+						"write to package-level map %s in %s, which is reachable from a replay root; replay-sensitive state must be run-local", v.Name(), fd.Name.Name)
 				}
 			}
 		}

@@ -180,9 +180,8 @@ func Total(m map[int]float64) float64 {
 	wantDiags(t, got, nil)
 }
 
-// TestReplaySafetyCrossPackageIgnore is the suppression-attribution
-// regression from the lockorder/errflow PR: a //lint:ignore at the
-// *reported* site must suppress a finding whose fact chain crosses
+// TestReplaySafetyCrossPackageIgnore pins suppression attribution: a
+// //lint:ignore at the *reported* site must suppress a finding whose fact chain crosses
 // packages — here the reachability fact originates at a StreamWorld
 // root in package b, while the directive sits next to the time.Now
 // call in package a, which has no root of its own.
@@ -207,4 +206,134 @@ func StreamWorld() {
 `},
 	})
 	wantDiags(t, got, nil)
+}
+
+// TestNondeterminism pins the clock and global-rand rule in its first
+// scope: anywhere outside tests in a RestrictedDeterminism package,
+// whether or not a replay root reaches the code.
+func TestNondeterminism(t *testing.T) {
+	cases := []struct {
+		name  string
+		path  string
+		files map[string]string
+		want  []string
+	}{
+		{
+			name: "global rand and bare time.Now in sim",
+			path: "anycastcdn/internal/sim",
+			files: map[string]string{"a.go": `package sim
+
+import (
+	"math/rand"
+	"time"
+)
+
+func Draw() int { return rand.Intn(10) }
+
+func Stamp() time.Time { return time.Now() }
+`},
+			want: []string{"a.go:8:replaysafety", "a.go:10:replaysafety"},
+		},
+		{
+			name: "seeded constructors and injected clocks are fine",
+			path: "anycastcdn/internal/core",
+			files: map[string]string{"a.go": `package core
+
+import (
+	"math/rand"
+	"time"
+)
+
+type M struct {
+	rng *rand.Rand
+	now func() time.Time
+}
+
+func New(seed int64) *M {
+	return &M{rng: rand.New(rand.NewSource(seed)), now: time.Now}
+}
+
+func (m *M) Draw() int { return m.rng.Intn(10) }
+`},
+			want: nil,
+		},
+		{
+			name: "renamed import is still caught",
+			path: "anycastcdn/internal/experiments",
+			files: map[string]string{"a.go": `package experiments
+
+import mrand "math/rand"
+
+func Draw() float64 { return mrand.Float64() }
+`},
+			want: []string{"a.go:5:replaysafety"},
+		},
+		{
+			name: "unrestricted package may use wall clocks",
+			path: "anycastcdn/internal/stats",
+			files: map[string]string{"a.go": `package stats
+
+import "time"
+
+func Stamp() time.Time { return time.Now() }
+`},
+			want: nil,
+		},
+		{
+			name: "test files are exempt",
+			path: "anycastcdn/internal/sim",
+			files: map[string]string{"a_test.go": `package sim
+
+import "time"
+
+func stamp() time.Time { return time.Now() }
+`},
+			want: nil,
+		},
+		{
+			name: "lint ignore suppresses with justification",
+			path: "anycastcdn/internal/clients",
+			files: map[string]string{"a.go": `package clients
+
+import "time"
+
+func Stamp() time.Time {
+	//lint:ignore replaysafety wall time feeds a log label, not an experiment output
+	return time.Now()
+}
+`},
+			want: nil,
+		},
+		{
+			name: "subpackage of a restricted package is restricted",
+			path: "anycastcdn/internal/sim/replay",
+			files: map[string]string{"a.go": `package replay
+
+import "math/rand"
+
+func Draw() int { return rand.Int() }
+`},
+			want: []string{"a.go:5:replaysafety"},
+		},
+		{
+			name: "root-reachable code in a restricted package is reported once",
+			path: "anycastcdn/internal/sim",
+			files: map[string]string{"a.go": `package sim
+
+import "time"
+
+func StreamWorld() int64 { return time.Now().UnixNano() }
+`},
+			want: []string{"a.go:5:replaysafety"},
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			got := checkFixture(t, ReplaySafety, tc.path, tc.files)
+			if len(got) != len(tc.want) {
+				t.Errorf("got %d diagnostics %v, want %d", len(got), got, len(tc.want))
+			}
+			wantDiags(t, got, tc.want)
+		})
+	}
 }

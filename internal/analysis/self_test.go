@@ -29,38 +29,24 @@ func TestRepoIsClean(t *testing.T) {
 	}
 }
 
-// TestSuiteShape pins the advertised analyzer set: at least the twelve
-// invariants the repo documents, each with a name and doc.
+// TestSuiteShape pins the advertised analyzer set: exactly the nine
+// invariants the repo documents, in reporting order, each with a name
+// and doc.
 func TestSuiteShape(t *testing.T) {
+	want := []string{
+		"uncheckederr", "mutexhygiene", "nopanic", "goroutineleak", "ctxpropagation",
+		"unitsafety", "lockdoc", "replaysafety", "hotpathalloc",
+	}
 	ans := Analyzers()
-	if len(ans) < 12 {
-		t.Fatalf("Analyzers() = %d analyzers, want >= 12", len(ans))
+	if len(ans) != len(want) {
+		t.Fatalf("Analyzers() = %d analyzers, want %d", len(ans), len(want))
 	}
-	want := map[string]bool{
-		"nondeterminism": false,
-		"uncheckederr":   false,
-		"mutexhygiene":   false,
-		"nopanic":        false,
-		"goroutineleak":  false,
-		"ctxpropagation": false,
-		"unitsafety":     false,
-		"lockdoc":        false,
-		"replaysafety":   false,
-		"hotpathalloc":   false,
-		"lockorder":      false,
-		"errflow":        false,
-	}
-	for _, an := range ans {
-		if an.Name == "" || an.Doc == "" || an.Run == nil {
-			t.Errorf("analyzer %+v is missing a name, doc, or run function", an)
+	for i, an := range ans {
+		if an.Name != want[i] {
+			t.Errorf("Analyzers()[%d] = %q, want %q", i, an.Name, want[i])
 		}
-		if _, ok := want[an.Name]; ok {
-			want[an.Name] = true
-		}
-	}
-	for name, seen := range want {
-		if !seen {
-			t.Errorf("analyzer %q missing from the suite", name)
+		if an.Doc == "" || an.Run == nil {
+			t.Errorf("analyzer %q is missing a doc or run function", an.Name)
 		}
 	}
 }

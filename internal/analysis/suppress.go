@@ -15,16 +15,15 @@ type ignoreKey struct {
 	line int
 }
 
-// collectIgnores gathers //lint:ignore directives from a package's
-// comments. A directive suppresses matching diagnostics on its own line
-// (trailing comment) and on the statement directly below it — including
-// every continuation line when that statement spans several (see
+// collectIgnores adds a package's //lint:ignore directives to out. A
+// directive suppresses matching diagnostics on its own line (trailing
+// comment) and on the statement directly below it — including every
+// continuation line when that statement spans several (see
 // stmtExtents). Malformed directives — a missing check name or a missing
 // justification — are themselves reported as "lint" diagnostics, so the
 // escape hatch cannot silently rot.
-func collectIgnores(pkg *Package, report func(Diagnostic)) map[ignoreKey]map[string]bool {
+func collectIgnores(pkg *Package, out map[ignoreKey]map[string]bool, report func(Diagnostic)) {
 	extents := stmtExtents(pkg)
-	out := map[ignoreKey]map[string]bool{}
 	cover := func(file string, line int, check string) {
 		key := ignoreKey{file: file, line: line}
 		if out[key] == nil {
@@ -68,7 +67,6 @@ func collectIgnores(pkg *Package, report func(Diagnostic)) map[ignoreKey]map[str
 			}
 		}
 	}
-	return out
 }
 
 // stmtExtents maps, per file, the starting line of each statement or
@@ -155,48 +153,15 @@ func RunModule(mod *Module, pkgs []*Package, analyzers []*Analyzer) ([]Diagnosti
 	}
 	wg.Wait()
 
-	// Ignores are collected from every package of the module, not just
-	// the report selection: a module-fact diagnostic (a lockorder cycle
-	// edge, a replaysafety reachability finding) lands in whatever file
-	// owns its site, and the //lint:ignore directive lives next to that
-	// site — which may belong to a package other than the one whose pass
-	// reported it. Suppression is therefore keyed purely by the
-	// diagnostic's (file, line, check). Malformed-directive diagnostics
-	// stay scoped to the selected packages so narrowing the report scope
-	// does not surface lint noise from elsewhere.
-	selected := make(map[*Package]bool, len(pkgs))
-	for _, pkg := range pkgs {
-		selected[pkg] = true
-	}
+	// Every analyzer reports only in files of its own pass's package, so
+	// the selected packages hold every directive that can cover a
+	// diagnostic — including one whose reachability fact originates in an
+	// unselected package.
 	var raw []Diagnostic
 	ignores := map[ignoreKey]map[string]bool{}
-	mergeIgnores := func(pkg *Package) {
-		report := func(d Diagnostic) {
-			if selected[pkg] {
-				raw = append(raw, d)
-			}
-		}
-		for key, checks := range collectIgnores(pkg, report) {
-			if ignores[key] == nil {
-				ignores[key] = checks
-				continue
-			}
-			for check := range checks {
-				ignores[key][check] = true
-			}
-		}
-	}
-	inModule := make(map[*Package]bool, len(mod.Pkgs))
-	for _, pkg := range mod.Pkgs {
-		inModule[pkg] = true
-		mergeIgnores(pkg)
-	}
 	for _, pkg := range pkgs {
-		if !inModule[pkg] {
-			mergeIgnores(pkg)
-		}
+		collectIgnores(pkg, ignores, func(d Diagnostic) { raw = append(raw, d) })
 	}
-
 	for i := range slots {
 		raw = append(raw, slots[i]...)
 	}

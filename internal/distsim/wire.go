@@ -31,15 +31,15 @@ import (
 type frameType byte
 
 const (
-	frameConfig    frameType = 1 // coordinator → worker: gob(wireConfig)
-	frameHello     frameType = 2 // worker → coordinator: world built, empty
-	frameCapsPart  frameType = 3 // worker → coordinator: shard load matrix
-	frameCaps      frameType = 4 // coordinator → worker: derived capacities
-	frameDemand    frameType = 5 // worker → coordinator: shard demand for one day
-	frameGlobal    frameType = 6 // coordinator → worker: reduced global demand
-	frameDay       frameType = 7 // worker → coordinator: one day's delta + utilization
-	frameDone      frameType = 8 // worker → coordinator: gob(WorkerStats)
-	frameError     frameType = 9 // either direction: failure message, then hang up
+	frameConfig    frameType = 1  // coordinator → worker: gob(wireConfig)
+	frameHello     frameType = 2  // worker → coordinator: world built, empty
+	frameCapsPart  frameType = 3  // worker → coordinator: shard load matrix
+	frameCaps      frameType = 4  // coordinator → worker: derived capacities
+	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day
+	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand
+	frameDay       frameType = 7  // worker → coordinator: one day's delta + utilization
+	frameDone      frameType = 8  // worker → coordinator: gob(WorkerStats)
+	frameError     frameType = 9  // either direction: failure message, then hang up
 	frameHeartbeat frameType = 10 // worker → coordinator: liveness, empty
 )
 
@@ -48,6 +48,13 @@ const (
 // hundreds of MB; 2 GiB is the protocol's hard cap and comfortably above
 // any real shard.
 const maxFramePayload = 2 << 30
+
+// frameChunk is the most read allocates ahead of the payload bytes it
+// has received. A frame of up to one chunk gets its whole buffer up
+// front; a larger one grows the buffer geometrically as the payload
+// arrives, so a header alone cannot make the reader allocate up to
+// maxFramePayload.
+const frameChunk = 1 << 20
 
 // frameConn frames a stream connection. Reads reuse one buffer (the
 // returned payload is valid until the next read); writes are serialized
@@ -99,14 +106,28 @@ func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 	if n > maxFramePayload {
 		return 0, nil, fmt.Errorf("distsim: frame payload %d exceeds protocol cap", n)
 	}
-	if cap(f.rbuf) < int(n) {
-		f.rbuf = make([]byte, n)
+	size := int(n)
+	buf := f.rbuf[:0]
+	if cap(buf) < size && size <= frameChunk {
+		buf = make([]byte, 0, size)
 	}
-	f.rbuf = f.rbuf[:n]
-	if _, err := io.ReadFull(f.conn, f.rbuf); err != nil {
-		return 0, nil, fmt.Errorf("distsim: reading frame payload: %w", err)
+	for len(buf) < size {
+		if len(buf) == cap(buf) {
+			grown := make([]byte, len(buf), min(size, max(2*cap(buf), frameChunk)))
+			copy(grown, buf)
+			buf = grown
+		}
+		m, err := io.ReadFull(f.conn, buf[len(buf):min(size, cap(buf))])
+		buf = buf[:len(buf)+m]
+		if err != nil {
+			if err == io.EOF && len(buf) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("distsim: reading frame payload: %w", err)
+		}
 	}
-	return t, f.rbuf, nil
+	f.rbuf = buf
+	return t, buf, nil
 }
 
 // readData returns the next non-heartbeat frame. Heartbeats prove the

@@ -261,8 +261,7 @@ func (m *Mapping) Resolver(clientID uint64) LDNS {
 // the deployment, geo database, and candidate count are read-only after
 // construction. mu is a leaf lock — never held across the geolocation
 // or distance computations, or while acquiring any other mutex — so it
-// imposes no acquisition order (verified by the lockorder analyzer's
-// held-lock dataflow).
+// imposes no acquisition order.
 type Authority struct {
 	dep   *cdn.Deployment
 	geoDB *geo.DB

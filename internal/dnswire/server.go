@@ -38,8 +38,7 @@ const DefaultDrainTimeout = 2 * time.Second
 // mu guards the closed flag and drain timeout; the socket and handler are
 // set once at construction and safe to read concurrently. mu is a leaf
 // lock: it is never held while acquiring any other mutex or calling
-// outside the struct, so it imposes no acquisition order (verified by
-// the lockorder analyzer's held-lock dataflow).
+// outside the struct, so it imposes no acquisition order.
 type Server struct {
 	conn    net.PacketConn
 	handler Handler

@@ -61,8 +61,7 @@ func readTCPMessage(r io.Reader) (*Message, error) {
 //
 // mu guards the closed flag, drain timeout, and the live-connection set.
 // mu is a leaf lock: it is never held while acquiring another mutex or
-// blocking on connection I/O, so it imposes no acquisition order
-// (verified by the lockorder analyzer's held-lock dataflow).
+// blocking on connection I/O, so it imposes no acquisition order.
 type TCPServer struct {
 	ln      net.Listener
 	handler Handler

@@ -291,8 +291,8 @@ func (r *LoadManagementReport) Report() Report {
 			Measured: fmt.Sprintf("peak util %.2f, %d overload site-days", r.Static.PeakUtil, r.Static.OverloadSiteDays),
 		},
 		{
-			Name:     "naive withdrawal cascades",
-			Paper:    "withdrawal 'can lead to cascading overloading' (§2)",
+			Name:  "naive withdrawal cascades",
+			Paper: "withdrawal 'can lead to cascading overloading' (§2)",
 			Measured: fmt.Sprintf("%d site-days withdrawn (rolling up to %d sites/day), peak util %.2f",
 				r.Withdraw.WithdrawnSiteDays, maxInt(r.Withdraw.PerDayWithdrawn), r.Withdraw.PeakUtil),
 		},

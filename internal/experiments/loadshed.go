@@ -176,4 +176,3 @@ func topCapacityPerRegion(w *sim.World, caps map[topology.SiteID]float64, exclud
 	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
-

@@ -112,12 +112,12 @@ func TestSurgeFactorAndScaleQueries(t *testing.T) {
 		q      int
 		want   int
 	}{
-		{geo.RegionEurope, 0, 10, 10},           // outside the window: untouched
-		{geo.RegionEurope, 1, 10, 30},           // x3
-		{geo.RegionEurope, 2, 3, 18},            // x6 stacked
-		{geo.RegionOceania, 1, 10, 3},           // 2.5 rounds half-up
-		{geo.RegionAsia, 1, 10, math.MaxInt32},  // clamped to the log's int32
-		{geo.RegionEurope, 1, 0, 0},             // nothing to scale
+		{geo.RegionEurope, 0, 10, 10},          // outside the window: untouched
+		{geo.RegionEurope, 1, 10, 30},          // x3
+		{geo.RegionEurope, 2, 3, 18},           // x6 stacked
+		{geo.RegionOceania, 1, 10, 3},          // 2.5 rounds half-up
+		{geo.RegionAsia, 1, 10, math.MaxInt32}, // clamped to the log's int32
+		{geo.RegionEurope, 1, 0, 0},            // nothing to scale
 	}
 	for _, tc := range scales {
 		if got := inj.ScaleQueries(tc.region, tc.day, tc.q); got != tc.want {

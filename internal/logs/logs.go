@@ -12,7 +12,7 @@
 // each analysis touching only the columns it reads, and lets the parallel
 // simulation reduce write disjoint indices of shared columns with no
 // per-client row buffers. Rows materialize only at the API edge: Append
-// and Set take a DayRecord, At and Cursor return one.
+// and Set take a DayRecord, At returns one.
 package logs
 
 import (
@@ -145,31 +145,6 @@ func (l *Log) frontEndChanged(i int) bool {
 	p := l.prevPacked[i]
 	return p&switchedBit != 0 && topology.SiteID(p&^switchedBit) != l.frontEnds[i]
 }
-
-// Cursor iterates the log in record order without materializing more than
-// one row at a time. Usage:
-//
-//	for c := l.Cursor(); c.Next(); {
-//		r := c.Record()
-//		...
-//	}
-type Cursor struct {
-	l *Log
-	i int
-}
-
-// Cursor returns an iterator positioned before the first record.
-func (l *Log) Cursor() Cursor { return Cursor{l: l, i: -1} }
-
-// Next advances to the next record, reporting whether one exists.
-func (c *Cursor) Next() bool {
-	c.i++
-	return c.i < c.l.Len()
-}
-
-// Record materializes the current row. Valid only after Next returned
-// true.
-func (c *Cursor) Record() DayRecord { return c.l.At(c.i) }
 
 // CumulativeSwitched computes Figure 7: for each day in [0, days), the
 // fraction of active clients that have seen at least one front-end change

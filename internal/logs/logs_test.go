@@ -134,7 +134,7 @@ func TestAppendAtRoundTrip(t *testing.T) {
 	}
 }
 
-func TestExtendSetAndCursor(t *testing.T) {
+func TestExtendSetAndAt(t *testing.T) {
 	var l Log
 	l.Append(DayRecord{ClientID: 1, Day: 0, Queries: 1})
 	base := l.Extend(2)
@@ -148,17 +148,13 @@ func TestExtendSetAndCursor(t *testing.T) {
 	want2 := DayRecord{ClientID: 3, Day: 2, FrontEnd: 2, Queries: 9}
 	l.Set(base+1, want2)
 	l.Set(base, want1)
-	var got []DayRecord
-	for c := l.Cursor(); c.Next(); {
-		got = append(got, c.Record())
-	}
 	want := []DayRecord{{ClientID: 1, Day: 0, Queries: 1}, want1, want2}
-	if len(got) != len(want) {
-		t.Fatalf("cursor yielded %d records, want %d", len(got), len(want))
+	if l.Len() != len(want) {
+		t.Fatalf("log holds %d records, want %d", l.Len(), len(want))
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("cursor record %d = %+v, want %+v", i, got[i], want[i])
+		if got := l.At(i); got != want[i] {
+			t.Fatalf("record %d = %+v, want %+v", i, got, want[i])
 		}
 	}
 }

@@ -128,8 +128,8 @@ func TestVolumes(t *testing.T) {
 
 func TestPassiveLogConsistentWithAssignments(t *testing.T) {
 	res := testutil.SmallResult(t)
-	for c := res.Passive.Cursor(); c.Next(); {
-		r := c.Record()
+	for i := 0; i < res.Passive.Len(); i++ {
+		r := res.Passive.At(i)
 		if got := res.Assignments[r.ClientID][r.Day].FrontEnd; got != r.FrontEnd {
 			t.Fatalf("passive log FE %d != assignment FE %d for client %d day %d",
 				r.FrontEnd, got, r.ClientID, r.Day)

@@ -63,8 +63,7 @@ type Config struct {
 // Close idempotent; everything else is set once by Start and read-only
 // while serving. mu is a leaf lock: Close releases it before shutting
 // down the servers it owns, so it is never held while acquiring their
-// mutexes and imposes no acquisition order (verified by the lockorder
-// analyzer's held-lock dataflow).
+// mutexes and imposes no acquisition order.
 type Testbed struct {
 	cfg Config
 	dns *dnswire.Server
