@@ -303,7 +303,7 @@ func NewSuite(res *Result) *Suite { return experiments.NewSuite(res) }
 // streaming run, rendering byte-identical reports to the batch Suite.
 type StreamSuite = experiments.StreamSuite
 
-// NewStreamSuite prepares streaming aggregators over a built world; feed
+// NewStreamSuite prepares the streaming analysis over a built world; feed
 // it with StreamWorld via its Observe method, or call its Run.
 func NewStreamSuite(cfg Config, w *World) *StreamSuite { return experiments.NewStreamSuite(cfg, w) }
 

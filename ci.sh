@@ -30,10 +30,11 @@
 #      module's own tests (perfbench is a nested module, so go test ./...
 #      skips it; they pin the three workloads' golden report digests)
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, and the two decoders of bytes
+#      parser, the fault-scenario parser, and the three decoders of bytes
 #      that cross the worker/coordinator process boundary (ECDF builder
-#      frames and shard-day deltas), enough to replay the corpus and
-#      shake out shallow panics
+#      frames, quantile sketches, and shard-day frames, whose last day
+#      carries each shard's analysis state), enough to replay the corpus
+#      and shake out shallow panics
 #   6. race detector over the concurrent packages: the dnswire servers,
 #      the parallel simulation core, the fault-injection layer, the
 #      loopback testbed, the HTTP front-ends, the client population
@@ -140,8 +141,10 @@ go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzECDFMergeEncoded -fuzztime 5s ./internal/stats/
-# Shard-day frames run to ~2 KB, and minimizing one new input at the
-# default -fuzzminimizetime (60s) would stall the whole 5s budget.
+# Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing
+# one new input at the default -fuzzminimizetime (60s) would stall the
+# whole 5s budget.
+go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimizetime 200x ./internal/stats/
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
 
 echo '== go test -race (concurrent packages)'

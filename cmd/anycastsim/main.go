@@ -30,7 +30,7 @@
 //
 // Distributed mode shards the client population across a fleet of worker
 // processes (re-execs of this binary with -worker) and merges their
-// per-day deltas into the same reports a single-process -reports run
+// day frames into the same reports a single-process -reports run
 // writes, byte for byte:
 //
 //	anycastsim -prefixes 4000000 -days 30 -distribute 4 -out data
@@ -256,23 +256,7 @@ func runDistributed(seed uint64, prefixes, days int, out, scenario, loadpolicy s
 	}
 	names := []string{"reports.txt"}
 	if res.Utilization != nil {
-		w := res.Suite.World
-		utilization, err := createCSV(out, "utilization.csv",
-			"day,site,metro,queries,capacity,utilization,shed_frac,withdrawn")
-		if err != nil {
-			return err
-		}
-		for day, units := range res.Utilization {
-			for _, u := range units {
-				if _, err := fmt.Fprintf(utilization.w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
-					day, u.Site, w.Deployment.Backbone.Site(u.Site).Metro.Name,
-					u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn); err != nil {
-					utilization.close()
-					return err
-				}
-			}
-		}
-		if err := utilization.close(); err != nil {
+		if err := writeUtilization(out, res.Suite.World, res.Utilization); err != nil {
 			return err
 		}
 		names = append(names, "utilization.csv")
@@ -311,19 +295,10 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 		beacons.close()
 		return err
 	}
-	var utilization *csvFile
-	if cfg.LoadManager != nil {
-		utilization, err = createCSV(out, "utilization.csv",
-			"day,site,metro,queries,capacity,utilization,shed_frac,withdrawn")
-		if err != nil {
-			beacons.close()
-			passive.close()
-			return err
-		}
-	}
 
 	start := time.Now()
 	var nBeacons int
+	var util [][]sim.SiteUtil
 	err = sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
 		for _, m := range d.Beacons {
 			nBeacons++
@@ -344,13 +319,8 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 				return err
 			}
 		}
-		for _, u := range d.Utilization {
-			_, err := fmt.Fprintf(utilization.w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
-				d.Day, u.Site, w.Deployment.Backbone.Site(u.Site).Metro.Name,
-				u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn)
-			if err != nil {
-				return err
-			}
+		if d.Utilization != nil {
+			util = append(util, append([]sim.SiteUtil(nil), d.Utilization...))
 		}
 		if suite != nil {
 			return suite.Observe(d)
@@ -362,11 +332,6 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 	}
 	if cerr := passive.close(); err == nil {
 		err = cerr
-	}
-	if utilization != nil {
-		if cerr := utilization.close(); err == nil {
-			err = cerr
-		}
 	}
 	if err != nil {
 		return err
@@ -381,7 +346,10 @@ func run(seed uint64, prefixes, days int, out, scenario, loadpolicy string, repo
 		return err
 	}
 	names := []string{"beacons.csv", "passive.csv", "clients.csv", "frontends.csv"}
-	if utilization != nil {
+	if cfg.LoadManager != nil {
+		if err := writeUtilization(out, w, util); err != nil {
+			return err
+		}
 		names = append(names, "utilization.csv")
 	}
 	if suite != nil {
@@ -423,6 +391,28 @@ func writeReports(dir string, suite *experiments.StreamSuite) error {
 		return err
 	}
 	return f.Close()
+}
+
+// writeUtilization writes a managed run's per-day fleet load table. Both
+// modes write it here, so ci.sh's cmp of the single-process and
+// distributed files compares their data, not two copies of the format.
+func writeUtilization(dir string, w *sim.World, days [][]sim.SiteUtil) error {
+	c, err := createCSV(dir, "utilization.csv",
+		"day,site,metro,queries,capacity,utilization,shed_frac,withdrawn")
+	if err != nil {
+		return err
+	}
+	for day, units := range days {
+		for _, u := range units {
+			if _, err := fmt.Fprintf(c.w, "%d,%d,%s,%.0f,%.0f,%.4f,%.4f,%t\n",
+				day, u.Site, w.Deployment.Backbone.Site(u.Site).Metro.Name,
+				u.Queries, u.Capacity, u.Utilization(), u.ShedFrac, u.Withdrawn); err != nil {
+				c.close()
+				return err
+			}
+		}
+	}
+	return c.close()
 }
 
 func writeClients(dir string, w *sim.World) error {

@@ -174,27 +174,46 @@ func reportMapRangeBody(pass *Pass, rng *ast.RangeStmt) {
 
 func checkMapRangeAssign(pass *Pass, rng *ast.RangeStmt, assign *ast.AssignStmt) {
 	for i, lhs := range assign.Lhs {
-		id, ok := ast.Unparen(lhs).(*ast.Ident)
-		if !ok {
+		lhs = ast.Unparen(lhs)
+		root := rootIdent(lhs)
+		if root == nil {
 			continue
 		}
-		obj := pass.Pkg.Info.ObjectOf(id)
+		obj := pass.Pkg.Info.ObjectOf(root)
 		if obj == nil || !declaredOutside(obj, rng) {
 			continue
 		}
 		// x = append(x, ...): element order follows key order.
-		if assign.Tok == token.ASSIGN && i < len(assign.Rhs) && isAppendCall(pass.Pkg.Info, assign.Rhs[i]) {
+		if assign.Tok == token.ASSIGN && lhs == root && i < len(assign.Rhs) && isAppendCall(pass.Pkg.Info, assign.Rhs[i]) {
 			pass.Reportf(assign.Pos(),
-				"append to %s inside map iteration records elements in random key order; iterate sorted keys or justify with %s", id.Name, commutativeDirective)
+				"append to %s inside map iteration records elements in random key order; iterate sorted keys or justify with %s", root.Name, commutativeDirective)
 			continue
 		}
-		// Compound accumulation whose result depends on evaluation order:
-		// float and complex addition are not associative, string append is
-		// ordered. Integer ops are exact and commute.
-		if assign.Tok != token.ASSIGN && assign.Tok != token.DEFINE && !exactCommutativeType(obj.Type()) {
+		// Compound accumulation — into a variable, a map or slice element,
+		// or a field — whose result depends on evaluation order: float and
+		// complex addition are not associative, string append is ordered.
+		// Integer ops are exact and commute.
+		if t := pass.Pkg.Info.TypeOf(lhs); assign.Tok != token.ASSIGN && assign.Tok != token.DEFINE && t != nil && !exactCommutativeType(t) {
 			pass.Reportf(assign.Pos(),
 				"%s accumulation into %s inside map iteration is order-dependent for %s; iterate sorted keys or justify with %s",
-				assign.Tok, id.Name, obj.Type(), commutativeDirective)
+				assign.Tok, types.ExprString(lhs), t, commutativeDirective)
+		}
+	}
+}
+
+// rootIdent walks an assignment target such as m[k], s.f or s.m[k].f
+// down to the identifier it is rooted at, or returns nil.
+func rootIdent(e ast.Expr) *ast.Ident {
+	for {
+		switch x := ast.Unparen(e).(type) {
+		case *ast.Ident:
+			return x
+		case *ast.IndexExpr:
+			e = x.X
+		case *ast.SelectorExpr:
+			e = x.X
+		default:
+			return nil
 		}
 	}
 }

@@ -3,9 +3,10 @@ package analysis
 import "testing"
 
 // TestReplaySafetyMapRanges covers every map-range construct the analyzer
-// flags in a replay-sensitive package — float accumulation, append,
-// channel send — plus the exemptions: integer accumulation, sorted-key
-// iteration, and a justified //replay:commutative directive.
+// flags in a replay-sensitive package — float accumulation into a
+// variable, a map element or a field, append, channel send — plus the
+// exemptions: integer accumulation (into a variable or an element),
+// sorted-key iteration, and a justified //replay:commutative directive.
 func TestReplaySafetyMapRanges(t *testing.T) {
 	src := `package sim
 
@@ -34,6 +35,20 @@ func Accumulate(m map[string]float64, ch chan float64) (float64, []string) {
 	}
 	return total + ordered, keys
 }
+
+func Elements(m, sums map[string]float64, counts map[string]int) float64 {
+	var acc struct{ total float64 }
+	for k, v := range m {
+		sums[k[:1]] += v
+		acc.total += v
+		counts[k[:1]] += 1
+	}
+	//replay:commutative every key is visited once, so each element gets one addition
+	for k, v := range m {
+		sums[k] += v
+	}
+	return acc.total
+}
 `
 	got := checkFixture(t, ReplaySafety, "anycastcdn/internal/sim", map[string]string{"a.go": src})
 	wantDiags(t, got, []string{
@@ -43,6 +58,10 @@ func Accumulate(m map[string]float64, ch chan float64) (float64, []string) {
 		// n += 1 is integer (exact, commutative): not flagged.
 		// line 18: justified by the //replay:commutative directive above it.
 		// line 24: range over a sorted slice, not a map.
+		"a.go:32:replaysafety", // sums[k[:1]] += v: float map element
+		"a.go:33:replaysafety", // acc.total += v: float field
+		// line 34: counts[k[:1]] += 1 is an integer element: not flagged.
+		// line 37: justified by the //replay:commutative directive above it.
 	})
 }
 

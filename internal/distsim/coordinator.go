@@ -58,8 +58,8 @@ type Result struct {
 }
 
 // Run executes cfg split across opts.Shards workers and merges their
-// per-day deltas into a single analysis. The merge is deterministic:
-// shard deltas are folded in (day, shard) order, so the result is
+// day frames into a single analysis. The merge is deterministic:
+// shard frames are folded in (day, shard) order, so the result is
 // byte-identical to a single-process run — regardless of how the workers'
 // execution interleaves.
 func Run(ctx context.Context, cfg sim.Config, opts Options) (*Result, error) {
@@ -80,7 +80,7 @@ func Run(ctx context.Context, cfg sim.Config, opts Options) (*Result, error) {
 		opts.Argv = []string{exe, "-worker"}
 	}
 
-	// The coordinator never holds a population: it merges encoded deltas
+	// The coordinator never holds a population: it merges encoded states
 	// over an analysis world (deployment, topology, models — no clients).
 	aw, err := sim.BuildAnalysisWorld(cfg)
 	if err != nil {
@@ -122,6 +122,9 @@ type coordinator struct {
 	demand      map[topology.SiteID]float64
 	siteScratch []topology.SiteID
 	sendBuf     []byte
+	// fes is the site order of every shard's utilization section: the
+	// backbone's front-ends in a managed run, empty otherwise.
+	fes []topology.SiteID
 }
 
 // annotate prefers the context's verdict when the run was canceled: the
@@ -288,13 +291,14 @@ func (c *coordinator) capsPhase() error {
 }
 
 // run drives the day loop and closes the protocol. The merge is
-// single-threaded and allocation-light: delta payloads are decoded in
+// single-threaded and allocation-light: frame payloads are decoded in
 // place from each connection's reusable read buffer.
 func (c *coordinator) run() (*Result, error) {
 	res := &Result{Suite: experiments.NewStreamSuite(c.cfg, c.world)}
 	managed := c.cfg.LoadManager != nil
 	if managed {
 		c.demand = make(map[topology.SiteID]float64)
+		c.fes = c.world.Deployment.Backbone.FrontEnds()
 		res.Utilization = make([][]sim.SiteUtil, 0, c.cfg.Days)
 	}
 
@@ -358,36 +362,35 @@ func (c *coordinator) demandBarrier(day int) error {
 	return nil
 }
 
-// mergeDay folds one worker's Day frame: the analysis delta into the
-// suite, then the utilization section into the day's fleet picture
-// (queries summed, control fields validated replica-identical).
+// mergeDay folds one worker's Day frame: the analysis frame into the
+// suite, then the utilization section into the day's fleet picture. The
+// section must list exactly c.fes, in order; the first shard's entries
+// seed the day, and every later shard's add their queries and must agree
+// on the replica-identical control fields.
 func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, payload []byte, dayUtil []sim.SiteUtil) ([]sim.SiteUtil, error) {
 	if len(payload) < 8 {
 		return nil, fmt.Errorf("distsim: truncated day frame")
 	}
-	deltaLen := binary.LittleEndian.Uint64(payload)
+	analysisLen := binary.LittleEndian.Uint64(payload)
 	payload = payload[8:]
-	if uint64(len(payload)) < deltaLen {
-		return nil, fmt.Errorf("distsim: day frame shorter than its delta")
+	if uint64(len(payload)) < analysisLen {
+		return nil, fmt.Errorf("distsim: day frame shorter than its analysis frame")
 	}
 	lo, hi := c.bounds[shard][0], c.bounds[shard][1]
-	if err := suite.MergeShardDay(day, lo, hi, payload[:deltaLen]); err != nil {
+	if err := suite.MergeShardDay(day, lo, hi, payload[:analysisLen]); err != nil {
 		return nil, err
 	}
-	util := payload[deltaLen:]
+	util := payload[analysisLen:]
 	if len(util) < 8 {
 		return nil, fmt.Errorf("distsim: day frame missing utilization section")
 	}
 	n := binary.LittleEndian.Uint64(util)
 	util = util[8:]
-	if n != uint64(len(util))/33 || len(util)%33 != 0 {
-		return nil, fmt.Errorf("distsim: utilization section is %d bytes for %d sites", len(util), n)
-	}
-	if n == 0 {
-		return dayUtil, nil
+	if n != uint64(len(c.fes)) || len(util) != 33*len(c.fes) {
+		return nil, fmt.Errorf("distsim: utilization section lists %d sites in %d bytes, want %d", n, len(util), len(c.fes))
 	}
 	first := dayUtil == nil
-	for i := uint64(0); i < n; i++ {
+	for i, fe := range c.fes {
 		u := sim.SiteUtil{
 			Site:      topology.SiteID(binary.LittleEndian.Uint64(util)),
 			Queries:   math.Float64frombits(binary.LittleEndian.Uint64(util[8:])),
@@ -396,16 +399,15 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 			Withdrawn: util[32] == 1,
 		}
 		util = util[33:]
+		if u.Site != fe {
+			return nil, fmt.Errorf("distsim: utilization entry %d is site %d, want front-end %d", i, u.Site, fe)
+		}
 		if first {
 			dayUtil = append(dayUtil, u)
 			continue
 		}
-		if uint64(len(dayUtil)) <= i {
-			return nil, fmt.Errorf("distsim: shards disagree on utilization length")
-		}
 		prev := &dayUtil[i]
-		if prev.Site != u.Site || prev.Capacity != u.Capacity ||
-			prev.ShedFrac != u.ShedFrac || prev.Withdrawn != u.Withdrawn {
+		if prev.Capacity != u.Capacity || prev.ShedFrac != u.ShedFrac || prev.Withdrawn != u.Withdrawn {
 			return nil, fmt.Errorf("distsim: replicas diverged on site %d control state", u.Site)
 		}
 		prev.Queries += u.Queries

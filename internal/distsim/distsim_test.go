@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -13,6 +14,7 @@ import (
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/topology"
 )
 
 // TestMain doubles as the worker fleet for the subprocess tests: the
@@ -306,5 +308,71 @@ func TestRunValidatesOptions(t *testing.T) {
 	}
 	if len(res.Workers) != 3 {
 		t.Errorf("shards not clamped to prefix count: %d workers", len(res.Workers))
+	}
+}
+
+// TestMergeDayValidatesUtilization pins the utilization section's shape:
+// in a managed run every shard lists every front-end, in backbone order,
+// and in an unmanaged run none does. A shard that listed fewer sites
+// would drop its load from the merged table, and an unknown site would
+// reach the backbone lookups of the CSV writer.
+func TestMergeDayValidatesUtilization(t *testing.T) {
+	cfg := testutil.TinyConfig(3)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	aw, err := sim.BuildAnalysisWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fes := aw.Deployment.Backbone.FrontEnds()
+	swapped := slices.Clone(fes)
+	swapped[0], swapped[1] = swapped[1], swapped[0]
+	bounds := [][2]int{{0, cfg.Prefixes / 2}, {cfg.Prefixes / 2, cfg.Prefixes}}
+	// dayFrame encodes shard's day-0 payload with 10 queries per listed site.
+	dayFrame := func(shard int, sites []topology.SiteID) []byte {
+		obs, err := experiments.NewShardObserver(cfg, w, bounds[shard][0], bounds[shard][1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		utils := make([]sim.SiteUtil, len(sites))
+		for i, s := range sites {
+			utils[i] = sim.SiteUtil{Site: s, Queries: 10, Capacity: 100}
+		}
+		return appendDayFrame(nil, obs, sim.DayResult{Utilization: utils})
+	}
+	for _, tc := range []struct {
+		name    string
+		managed bool
+		shards  [2][]topology.SiteID
+		wantErr bool
+	}{
+		{"managed, every front-end", true, [2][]topology.SiteID{fes, fes}, false},
+		{"unmanaged, no sections", false, [2][]topology.SiteID{nil, nil}, false},
+		{"short", true, [2][]topology.SiteID{fes, fes[:len(fes)-1]}, true},
+		{"empty", true, [2][]topology.SiteID{fes, nil}, true},
+		{"reordered", true, [2][]topology.SiteID{swapped, swapped}, true},
+		{"unexpected", false, [2][]topology.SiteID{nil, fes}, true},
+	} {
+		c := &coordinator{cfg: cfg, world: aw, bounds: bounds}
+		if tc.managed {
+			c.fes = fes
+		}
+		suite := experiments.NewStreamSuite(cfg, aw)
+		var dayUtil []sim.SiteUtil
+		var err error
+		for shard, sites := range tc.shards {
+			if dayUtil, err = c.mergeDay(suite, 0, shard, dayFrame(shard, sites), dayUtil); err != nil {
+				break
+			}
+		}
+		if gotErr := err != nil; gotErr != tc.wantErr {
+			t.Errorf("%s: merge error %v, want error %t", tc.name, err, tc.wantErr)
+			continue
+		}
+		if !tc.wantErr && tc.managed && (len(dayUtil) != len(fes) || dayUtil[0].Queries != 20) {
+			t.Errorf("%s: merged %d sites, first with %v queries; want %d sites of 20", tc.name, len(dayUtil), dayUtil[0].Queries, len(fes))
+		}
 	}
 }

@@ -2,9 +2,10 @@
 // worker processes. The coordinator splits the client population into
 // contiguous prefix-range shards, hands each shard to a worker (a
 // re-exec of the current binary, or an in-process goroutine speaking the
-// same protocol), and folds the workers' per-day encoded deltas into one
+// same protocol), and folds the workers' day frames into one
 // experiments.StreamSuite — in shard order, so the merged analysis is
 // byte-identical to a single-process run over the same configuration.
+// Each shard's analysis state travels once, on the last day's frame.
 //
 // For load-managed runs the day loop adds a two-phase demand exchange:
 // every worker reports its shard's offered load, the coordinator reduces
@@ -37,16 +38,16 @@ const (
 	frameCaps      frameType = 4  // coordinator → worker: derived capacities
 	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day
 	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand
-	frameDay       frameType = 7  // worker → coordinator: one day's delta + utilization
+	frameDay       frameType = 7  // worker → coordinator: one day's analysis frame + utilization
 	frameDone      frameType = 8  // worker → coordinator: gob(WorkerStats)
 	frameError     frameType = 9  // either direction: failure message, then hang up
 	frameHeartbeat frameType = 10 // worker → coordinator: liveness, empty
 )
 
-// maxFramePayload bounds a single frame. Day-0 deltas carry per-client
-// sections (~100 B/client), so paper-scale shards produce frames in the
-// hundreds of MB; 2 GiB is the protocol's hard cap and comfortably above
-// any real shard.
+// maxFramePayload bounds a single frame. The last day's frame carries the
+// shard's analysis state (~60 B/client), so paper-scale shards produce
+// frames of tens of MB; 2 GiB is the protocol's hard cap and comfortably
+// above any real shard.
 const maxFramePayload = 2 << 30
 
 // frameChunk is the most read allocates ahead of the payload bytes it

@@ -60,7 +60,7 @@ func ServeFD(ctx context.Context) error {
 
 // Serve runs the worker side of the protocol on conn: receive the
 // configuration and shard range, build the world, stream the shard, and
-// send one delta frame per day. Any failure is reported to the
+// send one day frame per day. Any failure is reported to the
 // coordinator as an Error frame before returning. Serve closes conn.
 func Serve(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
@@ -232,17 +232,28 @@ func (w *worker) exchangeDemand(day int, shard map[topology.SiteID]float64) (map
 	return w.global, nil
 }
 
-// sendDay frames one simulated day: the shard's encoded analysis delta,
-// then the utilization section for managed runs. The payload buffer is
+// sendDay sends one simulated day's Day frame. The payload buffer is
 // reused across days.
 func (w *worker) sendDay(obs *experiments.ShardObserver, d sim.DayResult) error {
-	buf := w.sendBuf[:0]
-	// Reserve the delta-length word, encode the delta in place, then
-	// back-patch — no second copy of a frame that carries per-client
-	// sections on day 0.
+	w.sendBuf = appendDayFrame(w.sendBuf[:0], obs, d)
+	w.stats.Days++
+	w.stats.Records += int64(len(d.Passive))
+	w.stats.Beacons += int64(len(d.Beacons))
+	return w.fc.write(frameDay, w.sendBuf, w.deadline())
+}
+
+// appendDayFrame appends a Day frame's payload to buf: the shard's
+// analysis frame (a bare header until the last day, which carries the
+// shard's state) behind its length word, then the utilization section,
+// which lists every front-end in a managed run and nothing otherwise.
+func appendDayFrame(buf []byte, obs *experiments.ShardObserver, d sim.DayResult) []byte {
+	// Reserve the length word, encode the frame in place, then back-patch
+	// — no second copy of the last day's frame, which carries the shard's
+	// per-client state.
+	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	buf = obs.AppendDay(d, buf)
-	binary.LittleEndian.PutUint64(buf[:8], uint64(len(buf)-8))
+	binary.LittleEndian.PutUint64(buf[start:], uint64(len(buf)-start-8))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(len(d.Utilization)))
 	for _, u := range d.Utilization {
 		buf = binary.LittleEndian.AppendUint64(buf, uint64(u.Site))
@@ -255,11 +266,7 @@ func (w *worker) sendDay(obs *experiments.ShardObserver, d sim.DayResult) error 
 			buf = append(buf, 0)
 		}
 	}
-	w.sendBuf = buf
-	w.stats.Days++
-	w.stats.Records += int64(len(d.Passive))
-	w.stats.Beacons += int64(len(d.Beacons))
-	return w.fc.write(frameDay, buf, w.deadline())
+	return buf
 }
 
 // sendDone closes the protocol with this worker's statistics.

@@ -7,8 +7,6 @@ import (
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/cdn"
 	"anycastcdn/internal/geo"
-	"anycastcdn/internal/logs"
-	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
@@ -260,50 +258,16 @@ func (s *Suite) Figure3() Report {
 // closest; ~82% of clients (87% of volume) within 2000 km.
 func (s *Suite) Figure4() Report { return s.stream().Figure4() }
 
-// figure4Agg accumulates Figure 4's distance samples one passive record at
-// a time for StreamSuite (and, per shard, ShardObserver). It looks only at
-// day 0 with traffic — one day of production logs, as in the paper.
-type figure4Agg struct {
-	w     *sim.World
-	geoDB *geo.DB
-	pts   []geo.Point
-	// Weighted and unweighted builders over the same samples: distance to
-	// the serving front-end and distance past the closest one. Client
-	// positions come from the geolocation database, as in the paper's
-	// pipeline — its footnote notes that a fraction of very long distances
-	// may be geolocation error, and the same is true here.
-	wToFE, uToFE, wPast, uPast stats.ECDFBuilder[units.Kilometers]
-}
-
-func newFigure4Agg(cfg sim.Config, w *sim.World) *figure4Agg {
-	fes := w.Deployment.FrontEnds
-	pts := make([]geo.Point, len(fes))
-	for i, fe := range fes {
-		pts[i] = w.Deployment.Backbone.Site(fe.Site).Metro.Point
+// Figure4 reports the client-to-front-end distance analysis (§5) from day
+// 0's served rows. The ECDFs are built at report time from the rows'
+// columns in client order; the unweighted lines weigh every row 1.
+func (s *StreamSuite) Figure4() Report {
+	n := len(s.served)
+	toFE, past := make([]units.Kilometers, n), make([]units.Kilometers, n)
+	volume, ones := make([]float64, n), make([]float64, n)
+	for i, r := range s.served {
+		toFE[i], past[i], volume[i], ones[i] = r.toFE, r.past, r.volume, 1
 	}
-	return &figure4Agg{
-		w:     w,
-		geoDB: geo.NewDB(cfg.Seed, cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm),
-		pts:   pts,
-	}
-}
-
-func (a *figure4Agg) observe(r logs.DayRecord) {
-	if r.Day != 0 || r.Queries == 0 {
-		return
-	}
-	c := a.w.Population.Client(r.ClientID)
-	loc := a.geoDB.Locate(c.ID, c.Point)
-	fePt := a.w.Deployment.Backbone.Site(r.FrontEnd).Metro.Point
-	d := geo.DistanceKm(loc, fePt)
-	_, closest := geo.NearestIndex(loc, a.pts)
-	a.wPast.AddWeighted(d-closest, c.Volume)
-	a.uPast.Add(d - closest)
-	a.wToFE.AddWeighted(d, c.Volume)
-	a.uToFE.Add(d)
-}
-
-func (a *figure4Agg) report() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 4: distance between clients and their anycast front-end",
 		XLabel: "distance (km, log)",
@@ -311,18 +275,18 @@ func (a *figure4Agg) report() Report {
 	}
 	grid := stats.LogGrid[units.Kilometers](64, 8192, 14)
 	var lines []Headline
-	add := func(name string, b *stats.ECDFBuilder[units.Kilometers]) *stats.ECDF[units.Kilometers] {
-		e, err := b.ECDF()
+	add := func(name string, xs []units.Kilometers, ws []float64) *stats.ECDF[units.Kilometers] {
+		e, err := stats.NewWeightedECDF(xs, ws)
 		if err != nil {
 			return nil
 		}
 		fig.Series = append(fig.Series, e.SampleCDF(name, grid))
 		return e
 	}
-	wPast := add("weighted past closest", &a.wPast)
-	uPast := add("clients past closest", &a.uPast)
-	wTo := add("weighted to front-end", &a.wToFE)
-	uTo := add("clients to front-end", &a.uToFE)
+	wPast := add("weighted past closest", past, volume)
+	uPast := add("clients past closest", past, ones)
+	wTo := add("weighted to front-end", toFE, volume)
+	uTo := add("clients to front-end", toFE, ones)
 	if uPast != nil && uTo != nil && wTo != nil && wPast != nil {
 		lines = []Headline{
 			{Name: "clients directed to their closest front-end", Paper: "~55%",

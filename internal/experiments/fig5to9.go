@@ -5,10 +5,7 @@ import (
 	"time"
 
 	"anycastcdn/internal/core"
-	"anycastcdn/internal/geo"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/stats"
-	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 )
 
@@ -137,71 +134,28 @@ const figure7Week = 7
 // per weekday, <0.5% on weekend days, 21% by week's end.
 func (s *Suite) Figure7() Report { return s.stream().Figure7() }
 
-// switchAgg accumulates Figure 7's cumulative-switch analysis one passive
-// record at a time for StreamSuite. It mirrors logs.CumulativeSwitched
-// exactly — integer counting in dense arrays indexed by client ID, so the
-// result is independent of observation order: clients with no traffic on a day don't count as active (the
-// paper can only observe clients that appear in logs), and a client's
-// first visible front-end change marks every later day of the window.
-// The dense layout is also the distributed merge's entry point: shard
-// deltas arrive as per-day ID lists and bump these arrays directly.
-type switchAgg struct {
-	days int
-	// firstChange[c] is the first in-window day client c visibly changed
-	// front-ends, -1 if never.
-	firstChange []int32
-	active      []bool
-}
-
-func newSwitchAgg(days, n int) *switchAgg {
-	fc := make([]int32, n)
-	for i := range fc {
-		fc[i] = -1
-	}
-	return &switchAgg{days: days, firstChange: fc, active: make([]bool, n)}
-}
-
-func (a *switchAgg) observe(r logs.DayRecord) {
-	if r.Day < 0 || r.Day >= a.days || r.Queries == 0 {
-		return
-	}
-	a.active[r.ClientID] = true
-	if r.FrontEndChanged() {
-		if d := a.firstChange[r.ClientID]; d < 0 || int32(r.Day) < d {
-			a.firstChange[r.ClientID] = int32(r.Day)
+// Figure7 reports the cumulative-switch analysis from the per-client
+// window states. It mirrors logs.CumulativeSwitched exactly, with integer
+// counts over the clients seen in the window: a client without traffic
+// on a day is not observable that day (the paper can only observe
+// clients that appear in logs), and a client's first visible front-end
+// change marks every later day of the week.
+func (s *StreamSuite) Figure7() Report {
+	cum := make([]float64, figure7Week)
+	perDay := make([]int, figure7Week)
+	nSeen := 0
+	for _, st := range s.window {
+		if st != unseen {
+			nSeen++
+		}
+		if st >= 0 {
+			perDay[st]++
 		}
 	}
-}
-
-// cumulative computes the per-day cumulative switched fraction — the same
-// output as logs.CumulativeSwitched over the records observed.
-func (a *switchAgg) cumulative() []float64 {
-	out := make([]float64, a.days)
-	nActive := 0
-	for _, on := range a.active {
-		if on {
-			nActive++
-		}
+	for d, n := 0, 0; nSeen > 0 && d < figure7Week; d++ {
+		n += perDay[d]
+		cum[d] = float64(n) / float64(nSeen)
 	}
-	if nActive == 0 {
-		return out
-	}
-	perDay := make([]int, a.days)
-	for _, d := range a.firstChange {
-		if d >= 0 {
-			perDay[d]++
-		}
-	}
-	cum := 0
-	for d := 0; d < a.days; d++ {
-		cum += perDay[d]
-		out[d] = float64(cum) / float64(nActive)
-	}
-	return out
-}
-
-func (a *switchAgg) report(weekday func(day int) time.Weekday) Report {
-	cum := a.cumulative()
 	fig := &stats.Figure{
 		Title:  "Figure 7: cumulative fraction of clients that changed front-end during a week",
 		XLabel: "day of week (0 = Wednesday)",
@@ -213,8 +167,8 @@ func (a *switchAgg) report(weekday func(day int) time.Weekday) Report {
 	}
 	fig.Series = []stats.Series{series}
 	var weekendDelta float64
-	for d := 1; d < a.days; d++ {
-		if weekday(d) == time.Saturday || weekday(d) == time.Sunday {
+	for d := 1; d < figure7Week; d++ {
+		if wd := s.World.Router.Weekday(d); wd == time.Saturday || wd == time.Sunday {
 			weekendDelta += cum[d] - cum[d-1]
 		}
 	}
@@ -223,7 +177,7 @@ func (a *switchAgg) report(weekday func(day int) time.Weekday) Report {
 		Figure: fig,
 		Lines: []Headline{
 			{Name: "clients on multiple front-ends within first day", Paper: "7%", Measured: pct(cum[0])},
-			{Name: "clients switched within the week", Paper: "21%", Measured: pct(cum[a.days-1])},
+			{Name: "clients switched within the week", Paper: "21%", Measured: pct(cum[figure7Week-1])},
 			{Name: "weekend churn (sum of Sat+Sun additions)", Paper: "<1% (<0.5%/day)", Measured: pct(weekendDelta)},
 		},
 	}
@@ -243,34 +197,10 @@ const (
 // Paper: median 483 km, 83% within 2000 km.
 func (s *Suite) Figure8() Report { return s.stream().Figure8() }
 
-// fig8Agg accumulates switch distances into a constant-memory quantile
-// sketch for StreamSuite. Unweighted samples make the
-// sketch bit-identical regardless of observation order. The observability
-// filter matches logs.SwitchDistancesKm: a switch on a zero-query day has
-// no log row in a real passive log, so it is invisible to the figure —
-// the same rule Figure 7 applies.
-type fig8Agg struct {
-	bb     *topology.Backbone
-	sketch *stats.QuantileSketch[units.Kilometers]
-}
-
-func newFig8Agg(bb *topology.Backbone) *fig8Agg {
-	// The layout is constant and valid, so the error path is unreachable;
-	// if it were ever hit, the nil sketch degrades to an empty figure.
-	sk, _ := stats.NewLogQuantileSketch(fig8SketchLo, fig8SketchHi, fig8SketchBins)
-	return &fig8Agg{bb: bb, sketch: sk}
-}
-
-func (a *fig8Agg) observe(r logs.DayRecord) {
-	if a.sketch == nil || r.Queries == 0 || !r.FrontEndChanged() {
-		return
-	}
-	from := a.bb.Site(r.PrevFrontEnd).Metro.Point
-	to := a.bb.Site(r.FrontEnd).Metro.Point
-	a.sketch.Add(geo.DistanceKm(from, to))
-}
-
-func (a *fig8Agg) report() Report {
+// Figure8 reports the switch-distance analysis from the suite's sketch.
+// Its unweighted samples make the sketch bit-identical regardless of
+// observation or merge order.
+func (s *StreamSuite) Figure8() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 8: distance between old and new front-end on a switch",
 		XLabel: "distance (km, log)",
@@ -278,10 +208,10 @@ func (a *fig8Agg) report() Report {
 	}
 	var med units.Kilometers
 	var within2000 float64
-	if a.sketch != nil && a.sketch.N() > 0 {
-		fig.Series = append(fig.Series, a.sketch.SampleCDF("front-end changes", stats.LogGrid[units.Kilometers](64, 8192, 14)))
-		med = a.sketch.Quantile(0.5)
-		within2000 = a.sketch.P(2000)
+	if s.sketch.N() > 0 {
+		fig.Series = append(fig.Series, s.sketch.SampleCDF("front-end changes", stats.LogGrid[units.Kilometers](64, 8192, 14)))
+		med = s.sketch.Quantile(0.5)
+		within2000 = s.sketch.P(2000)
 	}
 	return Report{
 		ID:     "fig8",

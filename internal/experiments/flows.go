@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/stats"
 )
 
@@ -21,29 +20,10 @@ import (
 // average of that overlap.
 func (s *Suite) TCPDisruption() Report { return s.stream().TCPDisruption() }
 
-// tcpAgg accumulates per-client switch-day and total-day counts one
-// passive record at a time for StreamSuite. Dense arrays indexed by
-// client ID (IDs are population indices): integer counters make the
-// report independent of observation order, and the fixed index order is
-// what lets the distributed merge bump counters from per-shard ID lists
-// without ever reconciling map key sets.
-type tcpAgg struct {
-	switchDays []int32
-	totalDays  []int32
-}
-
-func newTCPAgg(n int) *tcpAgg {
-	return &tcpAgg{switchDays: make([]int32, n), totalDays: make([]int32, n)}
-}
-
-func (a *tcpAgg) observe(r logs.DayRecord) {
-	a.totalDays[r.ClientID]++
-	if r.FrontEndChanged() {
-		a.switchDays[r.ClientID]++
-	}
-}
-
-func (a *tcpAgg) report() Report {
+// TCPDisruption reports the §2 flow-breakage claim check from the
+// per-client switch-day counts. Every client has one record a day, so
+// each client's rate divides by the suite's day count.
+func (s *StreamSuite) TCPDisruption() Report {
 	durations := []time.Duration{
 		time.Second, 10 * time.Second, time.Minute,
 		10 * time.Minute, time.Hour, 12 * time.Hour, 24 * time.Hour,
@@ -60,24 +40,18 @@ func (a *tcpAgg) report() Report {
 		if overlap > 1 {
 			overlap = 1
 		}
-		var sum float64
-		var n int
+		if s.days == 0 || len(s.switchDays) == 0 {
+			continue
+		}
 		// Ascending client order (the array index): float accumulation in
 		// any other order would make the reported probabilities differ in
 		// the last bits between runs.
-		for client := range a.totalDays {
-			total := a.totalDays[client]
-			if total == 0 {
-				continue
-			}
-			rate := float64(a.switchDays[client]) / float64(total)
+		var sum float64
+		for _, n := range s.switchDays {
+			rate := float64(n) / float64(s.days)
 			sum += rate * overlap
-			n++
 		}
-		if n == 0 {
-			continue
-		}
-		probs[i] = sum / float64(n)
+		probs[i] = sum / float64(len(s.switchDays))
 		tb.Rows = append(tb.Rows, []string{
 			d.String(),
 			fmt.Sprintf("%.6f", probs[i]),

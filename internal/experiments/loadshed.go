@@ -5,7 +5,6 @@ import (
 	"sort"
 
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/topology"
@@ -19,36 +18,21 @@ import (
 // scales the hot front-end's demand.
 func (s *Suite) LoadShedding(crowdFactor float64) Report { return s.stream().LoadShedding(crowdFactor) }
 
-// loadShedAgg accumulates day-0 per-ingress query demand one passive
-// record at a time for StreamSuite. The caller supplies each record's
-// effective day-0 ingress alongside the record (the log itself doesn't
-// store ingresses).
-type loadShedAgg struct {
-	demand map[topology.SiteID]float64
-}
-
-func newLoadShedAgg() *loadShedAgg {
-	return &loadShedAgg{demand: map[topology.SiteID]float64{}}
-}
-
-func (a *loadShedAgg) observe(r logs.DayRecord, ingress topology.SiteID) {
-	if r.Day != 0 || r.Queries == 0 {
-		return
-	}
-	a.demand[ingress] += float64(r.Queries)
-}
-
-func (a *loadShedAgg) report(w *sim.World, crowdFactor float64) Report {
+// LoadShedding reports the flash-crowd experiment over day 0's demand.
+func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	if crowdFactor <= 1 {
 		crowdFactor = 4
 	}
+	w := s.World
 	bb := w.Deployment.Backbone
-	demand := a.demand
-	// Baseline per-front-end load under plain anycast.
+	// Day-0 demand by ingress, and the baseline per-front-end load under
+	// plain anycast, summed straight from the served rows in client order.
+	demand := map[topology.SiteID]float64{}
 	base := map[topology.SiteID]float64{}
-	for ing, q := range demand {
-		fe, _ := bb.HotPotatoFrontEnd(ing)
-		base[fe] += q
+	for _, r := range s.served {
+		demand[r.ingress] += float64(r.queries)
+		fe, _ := bb.HotPotatoFrontEnd(r.ingress)
+		base[fe] += float64(r.queries)
 	}
 	// Hot front-end: the busiest one. Iterate the deterministic front-end
 	// list, not the map, so load ties resolve identically on every run.

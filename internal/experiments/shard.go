@@ -4,54 +4,40 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
-	"anycastcdn/internal/geo"
 	"anycastcdn/internal/sim"
-	"anycastcdn/internal/stats"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 )
 
-// This file is the experiment layer's distribution seam. A worker runs
-// sim.StreamShard over its client range and folds each day through a
-// ShardObserver, which emits one compact encoded delta per day; the
-// coordinator folds the deltas — in shard order within each day — into
-// its own StreamSuite with MergeShardDay. The encoding is chosen so the
-// merged suite is BYTE-IDENTICAL to one that observed the whole stream
-// in a single process:
-//
-//   - order-sensitive float state (Figure 4's sample runs, the catchment
-//     volume sums) travels as the raw per-record values in client order
-//     and is replayed through the same accumulation code;
-//   - integer-exact state (switch/total day counters, day-0 demand,
-//     Figure 8's unweighted sketch bins) travels as partial sums or ID
-//     lists, which reduce exactly in any association order.
-//
-// Everything here observes only day-local state, so a worker needs no
-// cross-day buffers beyond the aggregate deltas themselves.
+// This file is the experiment layer's distribution seam. A worker folds
+// its client range through a ShardObserver — a StreamSuite over [lo, hi)
+// — and the coordinator merges each shard's state, in shard order, into
+// its own StreamSuite with MergeShardDay. The state merges by
+// construction, so the merged suite is BYTE-IDENTICAL to one that
+// observed the whole stream in a single process: the served rows and the
+// per-client arrays concatenate in client order, so every order-sensitive
+// float sum the reports compute from them runs in the same order, and
+// Figure 8's sketch holds integer-valued bins, which add exactly in any
+// order. The state is complete only after the last day, so that day's
+// frame carries it; every earlier frame is a bare header.
 
-// shardDayMagic versions the per-day delta layout. Bump on any change so
-// a coordinator never misreads a frame from a mismatched worker binary.
-const shardDayMagic = 0xD7
+// shardDayMagic versions the frame layout. Bump on any change so a
+// coordinator never misreads a frame from a mismatched worker binary.
+const shardDayMagic = 0xD8
 
-// ShardObserver turns one shard's streamed days into encoded deltas.
-type ShardObserver struct {
-	cfg    sim.Config
-	w      *sim.World
-	lo, hi int
+// Encoded sizes: a served row is seven 8-byte words (front-end, ingress,
+// queries, then volume and the three distances as float64 bits); a client
+// is its switch-day count (4 bytes) and window state (1 byte).
+const (
+	rowBytes    = 7 * 8
+	clientBytes = 4 + 1
+)
 
-	// fig4 accumulates the shard's day-0 distance samples; its builders
-	// are encoded into the day-0 delta and dropped afterwards.
-	fig4 *figure4Agg
-	// sketch is the per-day Figure 8 delta, reset every day.
-	sketch *stats.QuantileSketch[units.Kilometers]
-	// Reused per-day scratch.
-	switched []uint64
-	fig7sw   []uint64
-	zeroQ    []uint64
-	shed     map[topology.SiteID]float64
-}
+// ShardObserver is a worker's StreamSuite over its client range [lo, hi):
+// it observes every streamed day and frames it for the coordinator.
+type ShardObserver struct{ s *StreamSuite }
 
 // NewShardObserver prepares a worker-side observer for clients [lo, hi).
 // The world's population must cover the range (the observer resolves
@@ -64,217 +50,51 @@ func NewShardObserver(cfg sim.Config, w *sim.World, lo, hi int) (*ShardObserver,
 		return nil, fmt.Errorf("experiments: shard range [%d, %d) outside population [%d, %d)",
 			lo, hi, base, base+len(w.Population.Clients))
 	}
-	sk, err := stats.NewLogQuantileSketch(fig8SketchLo, fig8SketchHi, fig8SketchBins)
-	if err != nil {
-		return nil, err
-	}
-	return &ShardObserver{
-		cfg:    cfg,
-		w:      w,
-		lo:     lo,
-		hi:     hi,
-		fig4:   newFigure4Agg(cfg, w),
-		sketch: sk,
-		shed:   map[topology.SiteID]float64{},
-	}, nil
+	return &ShardObserver{newStreamSuite(cfg, w, lo, hi)}, nil
 }
 
-// AppendDay consumes one streamed day (the sim.StreamShard callback's
-// DayResult, local indices, global client IDs) and appends its encoded
-// delta to dst, returning the extended slice. Steady-state calls reuse
-// the observer's scratch and dst's capacity; only day 0 allocates (its
-// delta carries the per-record day-0 sections).
+// AppendDay observes one streamed day (the sim.StreamShard callback's
+// DayResult, local indices, global client IDs) and appends its frame to
+// dst, returning the extended slice: a header, followed on the
+// configured last day by the observer's state. Only that day's frame
+// grows with the shard.
 func (o *ShardObserver) AppendDay(d sim.DayResult, dst []byte) []byte {
-	bb := o.w.Deployment.Backbone
-	o.switched = o.switched[:0]
-	o.fig7sw = o.fig7sw[:0]
-	o.zeroQ = o.zeroQ[:0]
-	o.sketch.Reset()
-
+	_ = o.s.Observe(d) // Observe retains nothing and never fails
 	dst = append(dst, shardDayMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Day))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(o.lo))
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(o.hi))
-
-	if d.Day == 0 {
-		// Figure 4 sample runs: observe in client order, then ship the
-		// four builders verbatim.
-		for _, r := range d.Passive {
-			o.fig4.observe(r)
-		}
-		dst = o.fig4.wToFE.Encode(dst)
-		dst = o.fig4.uToFE.Encode(dst)
-		dst = o.fig4.wPast.Encode(dst)
-		dst = o.fig4.uPast.Encode(dst)
-		o.fig4 = nil // day 0 is done; free the sample runs
-
-		// Catchment tuples, one per served day-0 record, in client order.
-		var count uint64
-		lenPos := len(dst)
-		dst = binary.LittleEndian.AppendUint64(dst, 0)
-		for _, r := range d.Passive {
-			if r.Queries == 0 {
-				continue
-			}
-			c := o.w.Population.Client(r.ClientID)
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(r.FrontEnd))
-			dst = putFloat(dst, c.Volume)
-			dst = putFloat(dst, float64(geo.DistanceKm(c.Point, bb.Site(r.FrontEnd).Metro.Point)))
-			count++
-		}
-		binary.LittleEndian.PutUint64(dst[lenPos:], count)
-
-		// Day-0 demand by ingress (integer-valued partial sums), sorted by
-		// site so the frame bytes are deterministic.
-		clear(o.shed)
-		for i, r := range d.Passive {
-			if r.Queries == 0 {
-				continue
-			}
-			o.shed[d.Assignments[i].Ingress] += float64(r.Queries)
-		}
-		sites := make([]topology.SiteID, 0, len(o.shed))
-		//replay:commutative keys only; sorted immediately below, so collection order is discarded
-		for s := range o.shed {
-			sites = append(sites, s)
-		}
-		sort.Slice(sites, func(i, j int) bool { return sites[i] < sites[j] })
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(len(sites)))
-		for _, s := range sites {
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
-			dst = putFloat(dst, o.shed[s])
-		}
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(o.s.lo))
+	dst = binary.LittleEndian.AppendUint64(dst, uint64(o.s.hi))
+	if d.Day == o.s.Cfg.Days-1 {
+		dst = o.s.appendState(dst)
 	}
-
-	// Switch and activity ID lists (ascending client order by
-	// construction) plus the day's sketch delta.
-	for _, r := range d.Passive {
-		if r.FrontEndChanged() {
-			o.switched = append(o.switched, r.ClientID)
-			if d.Day < figure7Week && r.Queries > 0 {
-				o.fig7sw = append(o.fig7sw, r.ClientID)
-			}
-			if r.Queries > 0 {
-				from := bb.Site(r.PrevFrontEnd).Metro.Point
-				to := bb.Site(r.FrontEnd).Metro.Point
-				o.sketch.Add(geo.DistanceKm(from, to))
-			}
-		}
-		if d.Day < figure7Week && r.Queries == 0 {
-			o.zeroQ = append(o.zeroQ, r.ClientID)
-		}
-	}
-	dst = appendIDList(dst, o.switched)
-	if d.Day < figure7Week {
-		dst = appendIDList(dst, o.zeroQ)
-		dst = appendIDList(dst, o.fig7sw)
-	}
-	return o.sketch.Encode(dst)
+	return dst
 }
 
-// MergeShardDay folds one shard's encoded day delta into the suite. The
+// MergeShardDay folds one shard's frame for day into the suite. The
 // caller must merge each day's shards in ascending shard order, and days
-// in ascending day order — the orders under which the replayed float
-// operations coincide exactly with a single-process run. The frame must
-// be consumed exactly; day, lo and hi must match the frame header.
+// in ascending day order: the last day's frames then append the shards'
+// rows and per-client sections in client order. The frame must be
+// consumed exactly; day, lo and hi must match the frame header.
 func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 	if len(data) < 1+3*8 || data[0] != shardDayMagic {
 		return fmt.Errorf("experiments: bad shard-day frame header")
 	}
-	data = data[1:]
-	gotDay := binary.LittleEndian.Uint64(data)
-	gotLo := binary.LittleEndian.Uint64(data[8:])
-	gotHi := binary.LittleEndian.Uint64(data[16:])
-	data = data[24:]
+	gotDay := binary.LittleEndian.Uint64(data[1:])
+	gotLo := binary.LittleEndian.Uint64(data[9:])
+	gotHi := binary.LittleEndian.Uint64(data[17:])
+	data = data[25:]
 	if int(gotDay) != day || int(gotLo) != lo || int(gotHi) != hi {
 		return fmt.Errorf("experiments: shard-day frame is (day %d, [%d, %d)), want (day %d, [%d, %d))",
 			gotDay, gotLo, gotHi, day, lo, hi)
 	}
-	if lo < 0 || hi < lo || hi > len(s.tcp.totalDays) {
-		return fmt.Errorf("experiments: shard range [%d, %d) outside %d clients", lo, hi, len(s.tcp.totalDays))
+	if lo < s.lo || hi < lo || hi > s.hi {
+		return fmt.Errorf("experiments: shard range [%d, %d) outside [%d, %d)", lo, hi, s.lo, s.hi)
 	}
-
 	var err error
-	if day == 0 {
-		for _, b := range []*stats.ECDFBuilder[units.Kilometers]{
-			&s.fig4.wToFE, &s.fig4.uToFE, &s.fig4.wPast, &s.fig4.uPast,
-		} {
-			if data, err = b.MergeEncoded(data); err != nil {
-				return err
-			}
-		}
-		var count uint64
-		if count, data, err = getU64(data); err != nil {
+	if day == s.Cfg.Days-1 {
+		if data, err = s.mergeState(lo, hi, data); err != nil {
 			return err
 		}
-		if count > uint64(len(data))/24 {
-			return fmt.Errorf("experiments: truncated catchment tuples")
-		}
-		for i := uint64(0); i < count; i++ {
-			fe, err := s.site(data)
-			if err != nil {
-				return err
-			}
-			vol := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-			dist := math.Float64frombits(binary.LittleEndian.Uint64(data[16:]))
-			data = data[24:]
-			s.cat.apply(fe, vol, units.Kilometers(dist))
-		}
-		if count, data, err = getU64(data); err != nil {
-			return err
-		}
-		if count > uint64(len(data))/16 {
-			return fmt.Errorf("experiments: truncated demand pairs")
-		}
-		for i := uint64(0); i < count; i++ {
-			site, err := s.site(data)
-			if err != nil {
-				return err
-			}
-			s.shed.demand[site] += math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-			data = data[16:]
-		}
-	}
-
-	switched, data, err := idList(data, lo, hi)
-	if err != nil {
-		return err
-	}
-	for ; len(switched) > 0; switched = switched[8:] {
-		s.tcp.switchDays[binary.LittleEndian.Uint64(switched)]++
-	}
-	for i := lo; i < hi; i++ {
-		s.tcp.totalDays[i]++
-	}
-	if day < s.fig7.days {
-		zeroQ, rest, err := idList(data, lo, hi)
-		if err != nil {
-			return err
-		}
-		// Active = every client in range with traffic today; walk the
-		// (ascending) zero-query list alongside the range so clients made
-		// active by an earlier day are never cleared.
-		for i := lo; i < hi; i++ {
-			if len(zeroQ) > 0 && binary.LittleEndian.Uint64(zeroQ) == uint64(i) {
-				zeroQ = zeroQ[8:]
-				continue
-			}
-			s.fig7.active[i] = true
-		}
-		fig7sw, rest, err := idList(rest, lo, hi)
-		if err != nil {
-			return err
-		}
-		for ; len(fig7sw) > 0; fig7sw = fig7sw[8:] {
-			id := binary.LittleEndian.Uint64(fig7sw)
-			if d := s.fig7.firstChange[id]; d < 0 || int32(day) < d {
-				s.fig7.firstChange[id] = int32(day)
-			}
-		}
-		data = rest
-	}
-	if data, err = s.fig8.sketch.MergeEncoded(data); err != nil {
-		return err
 	}
 	if len(data) != 0 {
 		return fmt.Errorf("experiments: %d trailing bytes in shard-day frame", len(data))
@@ -282,47 +102,100 @@ func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 	return nil
 }
 
-// site decodes a site ID from the front of data. IDs outside the backbone
-// are rejected here because the reports index the backbone with them.
-func (s *StreamSuite) site(data []byte) (topology.SiteID, error) {
-	id := binary.LittleEndian.Uint64(data)
-	if n := s.World.Deployment.Backbone.NumSites(); id >= uint64(n) {
-		return 0, fmt.Errorf("experiments: site %d outside the %d-site backbone", id, n)
-	}
-	return topology.SiteID(id), nil
-}
-
-func putFloat(dst []byte, v float64) []byte {
-	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
-}
-
-func appendIDList(dst []byte, ids []uint64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(ids)))
-	for _, id := range ids {
-		dst = binary.LittleEndian.AppendUint64(dst, id)
-	}
-	return dst
-}
-
-// idList slices one encoded ID list off the front of data without
-// copying: it returns the raw 8-byte-per-ID payload (bounds-validated)
-// and the remainder — the merge loop walks the payload in place, keeping
-// steady-state merging allocation-free.
-func idList(data []byte, lo, hi int) (payload, rest []byte, err error) {
-	count, data, err := getU64(data)
-	if err != nil {
-		return nil, nil, err
-	}
-	if count > uint64(len(data))/8 {
-		return nil, nil, fmt.Errorf("experiments: truncated ID list")
-	}
-	payload, rest = data[:8*count], data[8*count:]
-	for p := payload; len(p) > 0; p = p[8:] {
-		if id := binary.LittleEndian.Uint64(p); id < uint64(lo) || id >= uint64(hi) {
-			return nil, nil, fmt.Errorf("experiments: client ID %d outside shard [%d, %d)", id, lo, hi)
+// appendState appends the suite's state to dst: the day count, the
+// served rows, the per-client section, then Figure 8's sketch.
+func (s *StreamSuite) appendState(dst []byte) []byte {
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, uint64(s.days))
+	dst = le.AppendUint64(dst, uint64(len(s.served)))
+	for _, r := range s.served {
+		dst = le.AppendUint64(dst, uint64(r.fe))
+		dst = le.AppendUint64(dst, uint64(r.ingress))
+		dst = le.AppendUint64(dst, uint64(r.queries))
+		for _, f := range [...]float64{r.volume, float64(r.dist), float64(r.toFE), float64(r.past)} {
+			dst = le.AppendUint64(dst, math.Float64bits(f))
 		}
 	}
-	return payload, rest, nil
+	dst = le.AppendUint64(dst, uint64(len(s.window)))
+	for i, st := range s.window {
+		dst = le.AppendUint32(dst, uint32(s.switchDays[i]))
+		dst = append(dst, byte(st))
+	}
+	return s.sketch.Encode(dst)
+}
+
+// mergeState folds one shard's encoded state for clients [lo, hi) into
+// the suite and returns the unread remainder. The bytes come from another
+// process, so anything a worker could not have produced is an error.
+func (s *StreamSuite) mergeState(lo, hi int, data []byte) ([]byte, error) {
+	le := binary.LittleEndian
+	days, data, err := getU64(data)
+	if err != nil {
+		return nil, err
+	}
+	if days == 0 || days > uint64(s.Cfg.Days) {
+		return nil, fmt.Errorf("experiments: shard state day count %d outside (0, %d]", days, s.Cfg.Days)
+	}
+	if s.days != 0 && uint64(s.days) != days {
+		return nil, fmt.Errorf("experiments: shard state day count %d, earlier shards %d", days, s.days)
+	}
+	s.days = int(days)
+
+	n, data, err := getU64(data)
+	if err != nil {
+		return nil, err
+	}
+	if n > uint64(len(data))/rowBytes {
+		return nil, fmt.Errorf("experiments: %d served rows overrun the frame", n)
+	}
+	sites := uint64(s.World.Deployment.Backbone.NumSites())
+	s.served = slices.Grow(s.served, int(n))
+	for ; n > 0; n-- {
+		var w [rowBytes / 8]uint64
+		for k := range w {
+			w[k] = le.Uint64(data[8*k:])
+		}
+		data = data[rowBytes:]
+		if w[0] >= sites || w[1] >= sites {
+			return nil, fmt.Errorf("experiments: served row site %d or %d outside the %d-site backbone", w[0], w[1], sites)
+		}
+		if w[2] == 0 || w[2] > math.MaxInt {
+			return nil, fmt.Errorf("experiments: served row with %d queries", w[2])
+		}
+		s.served = append(s.served, servedRow{
+			fe:      topology.SiteID(w[0]),
+			ingress: topology.SiteID(w[1]),
+			queries: int(w[2]),
+			volume:  math.Float64frombits(w[3]),
+			dist:    units.Kilometers(math.Float64frombits(w[4])),
+			toFE:    units.Kilometers(math.Float64frombits(w[5])),
+			past:    units.Kilometers(math.Float64frombits(w[6])),
+		})
+	}
+
+	if n, data, err = getU64(data); err != nil {
+		return nil, err
+	}
+	if n != uint64(hi-lo) {
+		return nil, fmt.Errorf("experiments: per-client section holds %d clients, shard [%d, %d) has %d", n, lo, hi, hi-lo)
+	}
+	if n > uint64(len(data))/clientBytes {
+		return nil, fmt.Errorf("experiments: per-client section overruns the frame")
+	}
+	week := int8(min(figure7Week, s.days))
+	switchDays, window := s.switchDays[lo-s.lo:hi-s.lo], s.window[lo-s.lo:hi-s.lo]
+	for i := range window {
+		k, st := le.Uint32(data), int8(data[4])
+		if uint64(k) > days {
+			return nil, fmt.Errorf("experiments: client %d switched on %d of %d days", lo+i, k, days)
+		}
+		if st < unseen || st >= week {
+			return nil, fmt.Errorf("experiments: client %d window state %d outside [%d, %d)", lo+i, st, unseen, week)
+		}
+		switchDays[i], window[i] = int32(k), st
+		data = data[clientBytes:]
+	}
+	return s.sketch.MergeEncoded(data)
 }
 
 func getU64(data []byte) (uint64, []byte, error) {

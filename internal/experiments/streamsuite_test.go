@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"anycastcdn/internal/logs"
+	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
 
@@ -38,11 +39,12 @@ func TestStreamSuiteMatchesSuite(t *testing.T) {
 }
 
 // TestZeroQuerySwitchExcludedFromSwitchFigures pins the observability rule
-// at the aggregator level: a front-end change on a day the client sent no
+// at the suite level: a front-end change on a day the client sent no
 // queries is invisible to the log, so neither the affinity figure (7) nor
-// the switch-distance figure (8) may count it. The same rule already holds
-// for the logs-level helpers (TestZeroQuerySwitchInvisibleToBothFigures in
-// internal/logs); this test keeps the streaming aggregators honest too.
+// the switch-distance figure (8) may count it — only the TCP-disruption
+// counts, which read every record, do. The same rule already holds for
+// the logs-level helpers (TestZeroQuerySwitchInvisibleToBothFigures in
+// internal/logs); this test keeps Observe honest too.
 func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	res := testutil.SmallResult(t)
 	bb := res.World.Deployment.Backbone
@@ -58,20 +60,20 @@ func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	invisible.ClientID = 2
 	invisible.Queries = 0
 
-	fig7 := newSwitchAgg(figure7Week, 8)
-	fig7.observe(visible)
-	fig7.observe(invisible)
-	cum := fig7.cumulative()
-	// Only client 1 is active and switched; client 2's zero-query day puts
-	// it outside the observable population entirely.
-	if len(cum) != figure7Week || cum[1] != 1 {
-		t.Fatalf("fig7 cumulative = %v; want exactly the one observable switch", cum)
+	ss := NewStreamSuite(res.Cfg, res.World)
+	if err := ss.Observe(sim.DayResult{Day: 1, Passive: []logs.DayRecord{visible, invisible}}); err != nil {
+		t.Fatal(err)
 	}
-
-	fig8 := newFig8Agg(bb)
-	fig8.observe(visible)
-	fig8.observe(invisible)
-	if n := fig8.sketch.N(); n != 1 {
+	// Only client 1 is seen and switched; client 2's zero-query day puts
+	// it outside the observable population entirely.
+	pts := ss.Figure7().Figure.Series[0].Points
+	if len(pts) != figure7Week || pts[0].Y != 0 || pts[1].Y != 1 {
+		t.Fatalf("fig7 cumulative = %v; want exactly the one observable switch", pts)
+	}
+	if n := ss.sketch.N(); n != 1 {
 		t.Fatalf("fig8 sketch holds %d switches, want 1 (zero-query switch must be excluded)", n)
+	}
+	if ss.switchDays[1] != 1 || ss.switchDays[2] != 1 {
+		t.Fatalf("switch days = %v; the TCP counts see both switches", ss.switchDays[:3])
 	}
 }

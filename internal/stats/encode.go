@@ -7,11 +7,12 @@ import (
 	"math"
 )
 
-// This file is the wire layer of the streaming accumulators: the
-// distributed simulation serializes per-shard partial aggregates
-// (ECDFBuilder sample runs, QuantileSketch bin vectors) into length-free
-// append-style buffers, ships them over a socket, and folds them into the
-// coordinator's accumulators. The encoding is little-endian, versioned by
+// This file is the wire layer of the streaming accumulators: partial
+// aggregates (ECDFBuilder sample runs, QuantileSketch bin vectors) are
+// serialized into length-free append-style buffers, shipped over a
+// socket, and folded into another process's accumulators — the
+// distributed simulation ships each shard's Figure 8 sketch this way to
+// its coordinator. The encoding is little-endian, versioned by
 // a per-type magic byte, and deliberately raw: float64 bits are copied
 // verbatim, so a decode(encode(x)) round trip is bit-identical and a
 // merge of encoded partials reproduces the exact float operations an
@@ -71,8 +72,7 @@ func (b *ECDFBuilder[T]) Encode(dst []byte) []byte {
 // from the front of data, reusing existing capacity, and returns the
 // unread remainder.
 func (b *ECDFBuilder[T]) Decode(data []byte) ([]byte, error) {
-	b.xs = b.xs[:0]
-	b.ws = b.ws[:0]
+	b.Reset()
 	return b.MergeEncoded(data)
 }
 
@@ -102,8 +102,7 @@ func (b *ECDFBuilder[T]) MergeEncoded(data []byte) ([]byte, error) {
 
 // Encode appends the sketch — layout header plus bin vector — to dst and
 // returns the extended slice. The encoded size is constant for a given
-// layout (34 bytes of header plus 8 per bin), so per-day delta frames
-// stay fixed-width.
+// layout: 34 bytes of header plus 8 per bin.
 func (s *QuantileSketch[T]) Encode(dst []byte) []byte {
 	dst = append(dst, sketchMagic)
 	if s.log {
@@ -128,11 +127,7 @@ func (s *QuantileSketch[T]) Encode(dst []byte) []byte {
 // otherwise — the same rule Merge enforces, surfaced before any state is
 // modified.
 func (s *QuantileSketch[T]) Decode(data []byte) ([]byte, error) {
-	for i := range s.bins {
-		s.bins[i] = 0
-	}
-	s.total = 0
-	s.n = 0
+	s.Reset()
 	return s.MergeEncoded(data)
 }
 
@@ -169,8 +164,7 @@ func (s *QuantileSketch[T]) MergeEncoded(data []byte) ([]byte, error) {
 	return data, nil
 }
 
-// Reset zeroes the sketch's contents in place, keeping its layout — how
-// the distributed workers reuse one sketch as a per-day delta buffer.
+// Reset zeroes the sketch's contents in place, keeping its layout.
 func (s *QuantileSketch[T]) Reset() {
 	for i := range s.bins {
 		s.bins[i] = 0
