@@ -120,7 +120,8 @@ var AnycastTarget = core.AnycastTarget
 
 // Experiment layer.
 type (
-	// Suite regenerates the paper's tables and figures from a run.
+	// Suite regenerates the paper's tables and figures from a completed
+	// run: a StreamSuite fed from a Result.
 	Suite = experiments.Suite
 	// Report is one regenerated table or figure with paper-vs-measured
 	// headlines.
@@ -296,11 +297,12 @@ func StreamWorld(cfg Config, w *World, fn func(DayResult) error) error {
 	return sim.StreamWorld(cfg, w, fn)
 }
 
-// NewSuite wraps a run for experiment regeneration.
+// NewSuite folds a completed run for experiment regeneration.
 func NewSuite(res *Result) *Suite { return experiments.NewSuite(res) }
 
-// StreamSuite computes the passive-log experiments online over a
-// streaming run, rendering byte-identical reports to the batch Suite.
+// StreamSuite computes every experiment online over a streaming run,
+// keeping only the state the reports read; a Suite is a StreamSuite fed
+// from a Result, so both render byte-identical reports.
 type StreamSuite = experiments.StreamSuite
 
 // NewStreamSuite prepares the streaming analysis over a built world; feed

@@ -4,7 +4,9 @@ package anycastcdn
 // (one Benchmark per experiment; see DESIGN.md's per-experiment index) and
 // measures the ablations DESIGN.md calls out. Figure benches report the
 // headline quantity of their figure via b.ReportMetric so `go test
-// -bench=.` doubles as a compact reproduction readout.
+// -bench=.` doubles as a compact reproduction readout. NewSuite folds the
+// shared run once, so the figure and extension benches time rendering
+// from the folded state; BenchmarkNewSuite times the fold itself.
 
 import (
 	"strconv"
@@ -160,6 +162,15 @@ func BenchmarkFigure9(b *testing.B) {
 	b.ReportMetric(headline(b, r, "EDNS-0 Median: weighted /24s improved"), "pct-weighted-improved")
 }
 
+// BenchmarkNewSuite times the analysis of the shared run: every day's
+// passive log and beacons folded into the suite's state.
+func BenchmarkNewSuite(b *testing.B) {
+	res := benchSetup(b).Res
+	for i := 0; i < b.N; i++ {
+		experiments.NewSuite(res)
+	}
+}
+
 // --- Ablations from DESIGN.md §5 ---
 
 // ablationFigure9 runs Figure 9 under a predictor config and reports the
@@ -262,7 +273,7 @@ func BenchmarkMetricStability(b *testing.B) {
 func BenchmarkHybridDeployment(b *testing.B) {
 	s := benchSetup(b)
 	for i := 0; i < b.N; i++ {
-		if r := s.HybridDeployment(10); r.Table == nil {
+		if r := s.HybridDeployment(); r.Table == nil {
 			b.Fatal("no table")
 		}
 	}

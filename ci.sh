@@ -22,7 +22,10 @@
 #      as named steps so a failure is attributable in the CI log: the full
 #      experiment suites, the 1M-prefix x 30-day streaming smoke that
 #      proves paper-scale runs stay inside their wall-clock and 2 GiB
-#      memory budgets, the distributed-vs-single byte-identity gate (the
+#      memory budgets, the reference-run smoke that streams the
+#      EXPERIMENTS.md run (8k prefixes x 30 days) through a StreamSuite,
+#      renders every paper report and both §6 extensions, and holds the
+#      heap to 512 MiB, the distributed-vs-single byte-identity gate (the
 #      sharded worker fleet must merge to the exact reports — and, with a
 #      load policy, the exact utilization table — the single process
 #      writes), and the 4M-prefix x 30-day x 4-worker distributed smoke
@@ -30,11 +33,11 @@
 #      module's own tests (perfbench is a nested module, so go test ./...
 #      skips it; they pin the three workloads' golden report digests)
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, and the three decoders of bytes
-#      that cross the worker/coordinator process boundary (ECDF builder
-#      frames, quantile sketches, and shard-day frames, whose last day
-#      carries each shard's analysis state), enough to replay the corpus
-#      and shake out shallow panics
+#      parser, the fault-scenario parser, and the two decoders of bytes
+#      that cross the worker/coordinator process boundary (quantile
+#      sketches, and shard-day frames, whose last day carries each
+#      shard's analysis state), enough to replay the corpus and shake out
+#      shallow panics
 #   6. race detector over the concurrent packages: the dnswire servers,
 #      the parallel simulation core, the fault-injection layer, the
 #      loopback testbed, the HTTP front-ends, the client population
@@ -102,6 +105,9 @@ go test -run 'TestAllRuns|TestDeploymentDensity' ./internal/experiments/
 echo '== 1M-prefix x 30-day streaming smoke (bounded memory + wall clock)'
 go test -run TestStreamWorldMillionPrefixSmoke -v ./internal/sim/
 
+echo '== reference-run (8k-prefix x 30-day) StreamSuite smoke (every report, heap <= 512 MiB)'
+go test -run TestReferenceRunMemorySmoke -v ./internal/experiments/
+
 echo '== distributed-vs-single byte-identity (reports must match exactly, with and without a load policy)'
 go build -o anycastsim.ci ./cmd/anycastsim
 rm -rf ci_dist_out
@@ -140,7 +146,6 @@ echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
-go test -run '^$' -fuzz FuzzECDFMergeEncoded -fuzztime 5s ./internal/stats/
 # Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing
 # one new input at the default -fuzzminimizetime (60s) would stall the
 # whole 5s budget.

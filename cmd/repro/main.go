@@ -13,6 +13,10 @@
 //
 // -export DIR additionally writes each figure as CSV plus a gnuplot
 // script.
+//
+// The simulation streams into an experiments.StreamSuite, which folds
+// each day as it is produced, so memory grows with one day's beacons and
+// the per-client state of the reports, not with the month.
 package main
 
 import (
@@ -60,16 +64,24 @@ func run(seed uint64, prefixes, days int, quiet, asJSON bool, export string, wan
 			needsSim = true
 		}
 	}
-	var suite *experiments.Suite
+	var suite *experiments.StreamSuite
 	if needsSim {
 		start := time.Now()
-		res, err := sim.Run(cfg)
+		w, err := sim.BuildWorld(cfg)
+		if err != nil {
+			return err
+		}
+		suite = experiments.NewStreamSuite(cfg, w)
+		beacons := 0
+		err = sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
+			beacons += len(d.Beacons)
+			return suite.Observe(d)
+		})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("simulated %d client /24s over %d days: %d beacon executions in %v\n\n",
-			cfg.Prefixes, cfg.Days, res.TotalBeacons(), time.Since(start).Round(time.Millisecond))
-		suite = experiments.NewSuite(res)
+			cfg.Prefixes, cfg.Days, beacons, time.Since(start).Round(time.Millisecond))
 	}
 
 	reports, err := collect(suite, cfg, wanted)
@@ -113,7 +125,7 @@ func run(seed uint64, prefixes, days int, quiet, asJSON bool, export string, wan
 	return nil
 }
 
-func collect(s *experiments.Suite, cfg sim.Config, wanted []string) ([]experiments.Report, error) {
+func collect(s *experiments.StreamSuite, cfg sim.Config, wanted []string) ([]experiments.Report, error) {
 	var out []experiments.Report
 	for _, w := range wanted {
 		switch w {
@@ -142,7 +154,7 @@ func collect(s *experiments.Suite, cfg sim.Config, wanted []string) ([]experimen
 		case "stability":
 			out = append(out, s.MetricStability())
 		case "hybrid":
-			out = append(out, s.HybridDeployment(10))
+			out = append(out, s.HybridDeployment())
 		case "tcp":
 			out = append(out, s.TCPDisruption())
 		case "loadshed":
@@ -158,7 +170,7 @@ func collect(s *experiments.Suite, cfg sim.Config, wanted []string) ([]experimen
 		case "ext":
 			out = append(out,
 				s.MetricStability(),
-				s.HybridDeployment(10),
+				s.HybridDeployment(),
 				s.TCPDisruption(),
 				s.LoadShedding(4),
 				s.Catchments(15))

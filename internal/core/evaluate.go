@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/stats"
@@ -37,58 +38,143 @@ type Evaluator struct {
 	MinSamples int
 }
 
+// TargetSamples is one target's latency samples within a group.
+type TargetSamples struct {
+	Target Target
+	RTTs   []units.Millis
+}
+
+// ClientSamples is one client's observations of an interval, grouped per
+// target.
+type ClientSamples struct {
+	ClientID uint64
+	// LDNS is the resolver of the client's last observation.
+	LDNS dns.LDNSID
+	// Closest is the target of the client's last slot-1 observation (the
+	// front-end closest to its LDNS), or AnycastTarget if it has none.
+	Closest Target
+	// Targets holds anycast first, then front-ends by ascending site;
+	// each target's RTTs are sorted ascending.
+	Targets []TargetSamples
+}
+
+// samples returns the client's sorted samples to t, nil if unmeasured.
+func (c *ClientSamples) samples(t Target) []units.Millis {
+	for i := range c.Targets {
+		if c.Targets[i].Target == t {
+			return c.Targets[i].RTTs
+		}
+	}
+	return nil
+}
+
+// bucket returns the bucket for t in ts, appending an empty one on first
+// sight. A client or group sees a handful of targets (anycast plus its
+// LDNS's candidate front-ends), so a linear scan beats hashing a
+// composite (group, target) key per observation. Creation order is
+// irrelevant to every outcome: GroupSamples and pickTarget sort the
+// buckets.
+//
+//perf:hotpath
+func bucket(ts *[]TargetSamples, t Target) *TargetSamples {
+	for i := range *ts {
+		if (*ts)[i].Target == t {
+			return &(*ts)[i]
+		}
+	}
+	*ts = append(*ts, TargetSamples{Target: t})
+	return &(*ts)[len(*ts)-1]
+}
+
+// compareTargets orders anycast first, then front-ends by site.
+func compareTargets(a, b Target) int {
+	if a.Anycast != b.Anycast {
+		if a.Anycast {
+			return -1
+		}
+		return 1
+	}
+	return cmp.Compare(a.Site, b.Site)
+}
+
+// GroupSamples groups one interval's observations per client, then per
+// target, sorting each target's RTTs once: the one per-(client, target)
+// grouping every latency analysis reads. Clients come out in ascending
+// ID order; the input may be in any order.
+func GroupSamples(obs []Observation) []ClientSamples {
+	var day []ClientSamples
+	index := make(map[uint64]int)
+	// A beacon expands to four consecutive observations of one client, so
+	// the previous client is usually the next one's too.
+	cur := -1
+	for _, o := range obs {
+		if cur < 0 || day[cur].ClientID != o.ClientID {
+			i, ok := index[o.ClientID]
+			if !ok {
+				i = len(day)
+				index[o.ClientID] = i
+				day = append(day, ClientSamples{ClientID: o.ClientID, Closest: AnycastTarget})
+			}
+			cur = i
+		}
+		c := &day[cur]
+		c.LDNS = o.LDNS
+		if o.Slot == 1 {
+			c.Closest = o.Target
+		}
+		b := bucket(&c.Targets, o.Target)
+		b.RTTs = append(b.RTTs, o.RTTms)
+	}
+	slices.SortFunc(day, func(a, b ClientSamples) int { return cmp.Compare(a.ClientID, b.ClientID) })
+	for i := range day {
+		ts := day[i].Targets
+		slices.SortFunc(ts, func(a, b TargetSamples) int { return compareTargets(a.Target, b.Target) })
+		for j := range ts {
+			slices.Sort(ts[j].RTTs)
+		}
+	}
+	return day
+}
+
 // Evaluate computes per-client evaluations of pred over the next
 // interval's observations. volumes maps client→query volume; clients
 // missing from it get weight 1.
 func (ev Evaluator) Evaluate(pred *Predictions, next []Observation, volumes map[uint64]float64) []Evaluation {
+	return ev.EvaluateSamples(pred, GroupSamples(next), func(client uint64) float64 {
+		if v, ok := volumes[client]; ok {
+			return v
+		}
+		return 1
+	})
+}
+
+// EvaluateSamples is Evaluate over an interval already grouped by
+// GroupSamples, so one grouping serves every prediction and percentile
+// scored against it. weight gives each client's weight; evaluations come
+// out in the day's client order.
+func (ev Evaluator) EvaluateSamples(pred *Predictions, day []ClientSamples, weight func(client uint64) float64) []Evaluation {
 	if ev.Percentile <= 0 || ev.Percentile > 1 {
 		ev.Percentile = 0.5
 	}
 	if ev.MinSamples < 1 {
 		ev.MinSamples = 1
 	}
-	// Index next-interval samples by (client, target).
-	type ckey struct {
-		client uint64
-		target Target
-	}
-	samples := map[ckey][]units.Millis{}
-	ldnsOf := map[uint64]dns.LDNSID{}
-	for _, o := range next {
-		samples[ckey{o.ClientID, o.Target}] = append(samples[ckey{o.ClientID, o.Target}], o.RTTms)
-		ldnsOf[o.ClientID] = o.LDNS
-	}
-	// Collect distinct clients in stable order.
-	clientSet := map[uint64]bool{}
-	for k := range samples {
-		clientSet[k.client] = true
-	}
-	ids := make([]uint64, 0, len(clientSet))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for id := range clientSet {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	var out []Evaluation
-	for _, client := range ids {
-		target := pred.For(client, ldnsOf[client])
-		weight := 1.0
-		if v, ok := volumes[client]; ok {
-			weight = v
-		}
-		e := Evaluation{ClientID: client, Predicted: target, Weight: weight}
+	for i := range day {
+		c := &day[i]
+		target := pred.For(c.ClientID, c.LDNS)
+		e := Evaluation{ClientID: c.ClientID, Predicted: target, Weight: weight(c.ClientID)}
 		if target.Anycast {
 			// The scheme kept the client on anycast: no change either way.
 			out = append(out, e)
 			continue
 		}
-		anySamples := samples[ckey{client, AnycastTarget}]
-		predSamples := samples[ckey{client, target}]
+		anySamples, predSamples := c.samples(AnycastTarget), c.samples(target)
 		if len(anySamples) < ev.MinSamples || len(predSamples) < ev.MinSamples {
 			continue // cannot evaluate this client
 		}
-		anyQ, err1 := stats.Quantile(anySamples, ev.Percentile)
-		predQ, err2 := stats.Quantile(predSamples, ev.Percentile)
+		anyQ, err1 := stats.QuantileSorted(anySamples, ev.Percentile)
+		predQ, err2 := stats.QuantileSorted(predSamples, ev.Percentile)
 		if err1 != nil || err2 != nil {
 			continue
 		}

@@ -24,6 +24,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"anycastcdn/internal/beacon"
@@ -171,34 +172,10 @@ type Predictions struct {
 	scores map[uint64]units.Millis
 }
 
-// targetSamples is one (target, latency samples) bucket inside a group.
-type targetSamples struct {
-	target Target
-	rtts   []units.Millis
-}
-
 // trainGroup accumulates one group's per-target samples during training.
-// A group sees a handful of targets (anycast plus the LDNS's candidate
-// front-ends), so a linear scan of the bucket list beats hashing a
-// composite (group, target) key per observation.
 type trainGroup struct {
 	id      uint64
-	targets []targetSamples
-}
-
-// bucket returns the group's sample bucket for t, creating it on first
-// sight. Creation order is irrelevant to the outcome: pickTarget sorts
-// the buckets before scoring.
-//
-//perf:hotpath
-func (tg *trainGroup) bucket(t Target) *targetSamples {
-	for i := range tg.targets {
-		if tg.targets[i].target == t {
-			return &tg.targets[i]
-		}
-	}
-	tg.targets = append(tg.targets, targetSamples{target: t})
-	return &tg.targets[len(tg.targets)-1]
+	targets []TargetSamples
 }
 
 // Train builds predictions from one interval's observations.
@@ -232,8 +209,8 @@ func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 			idx = i
 			lastIdx = i
 		}
-		b := groups[idx].bucket(o.Target)
-		b.rtts = append(b.rtts, o.RTTms)
+		b := bucket(&groups[idx].targets, o.Target)
+		b.RTTs = append(b.RTTs, o.RTTms)
 	}
 	pr := &Predictions{
 		Grouping: g,
@@ -265,12 +242,12 @@ func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 // pickTarget scores the group's qualifying sample buckets and returns the
 // best target. anycastScore is the anycast target's score (inf if
 // unmeasured).
-func (p *Predictor) pickTarget(cand []targetSamples) (best Target, bestScore, anycastScore units.Millis, ok bool) {
+func (p *Predictor) pickTarget(cand []TargetSamples) (best Target, bestScore, anycastScore units.Millis, ok bool) {
 	// Keep qualifying buckets and order them deterministically: anycast
 	// first, then unicast by site id.
 	targets := cand[:0:0]
 	for _, ts := range cand {
-		if len(ts.rtts) < p.cfg.MinMeasurements {
+		if len(ts.RTTs) < p.cfg.MinMeasurements {
 			continue
 		}
 		targets = append(targets, ts)
@@ -278,24 +255,19 @@ func (p *Predictor) pickTarget(cand []targetSamples) (best Target, bestScore, an
 	if len(targets) == 0 {
 		return Target{}, 0, 0, false
 	}
-	sort.Slice(targets, func(i, j int) bool {
-		if targets[i].target.Anycast != targets[j].target.Anycast {
-			return targets[i].target.Anycast
-		}
-		return targets[i].target.Site < targets[j].target.Site
-	})
+	slices.SortFunc(targets, func(a, b TargetSamples) int { return compareTargets(a.Target, b.Target) })
 	bestScore = -1
 	anycastScore = 1e18
 	for _, ts := range targets {
-		score, err := stats.Quantile(ts.rtts, float64(p.cfg.Metric))
+		score, err := stats.Quantile(ts.RTTs, float64(p.cfg.Metric))
 		if err != nil {
 			continue
 		}
-		if ts.target.Anycast {
+		if ts.Target.Anycast {
 			anycastScore = score
 		}
 		if bestScore < 0 || score < bestScore {
-			best, bestScore = ts.target, score
+			best, bestScore = ts.Target, score
 		}
 	}
 	return best, bestScore, anycastScore, bestScore >= 0

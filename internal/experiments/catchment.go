@@ -9,21 +9,18 @@ import (
 	"anycastcdn/internal/units"
 )
 
-// Catchments characterizes each front-end's anycast catchment on day 0 of
-// the passive logs: how many clients and how much query volume BGP
-// delivers to it, and how geographically tight that catchment is. This is
-// the operator-facing companion to Figure 4 — the same data viewed from
-// the server side — and quantifies the load imbalance §2 says anycast
-// cannot control ("anycast is unaware of server load").
-func (s *Suite) Catchments(topN int) Report { return s.stream().Catchments(topN) }
-
 type catchmentFE struct {
 	clients int
 	volume  float64
 	dists   []units.Kilometers
 }
 
-// Catchments reports the per-front-end catchment table from day 0's
+// Catchments characterizes each front-end's anycast catchment on day 0 of
+// the passive logs: how many clients and how much query volume BGP
+// delivers to it, and how geographically tight that catchment is. This is
+// the operator-facing companion to Figure 4 — the same data viewed from
+// the server side — and quantifies the load imbalance §2 says anycast
+// cannot control ("anycast is unaware of server load"). It reads day 0's
 // served rows. Volumes are arbitrary floats, so the per-front-end and
 // total sums are order-sensitive in their last bits: they run over the
 // rows in client order, however the run was sharded.

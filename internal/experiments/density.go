@@ -2,11 +2,11 @@ package experiments
 
 import (
 	"fmt"
-	"strings"
 
 	"anycastcdn/internal/cdn"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
+	"anycastcdn/internal/units"
 )
 
 // DeploymentDensity runs the extension §4 of the paper leaves as future
@@ -35,29 +35,22 @@ func DeploymentDensity(baseCfg sim.Config) (Report, error) {
 			"requests >=25ms slower", "requests >=100ms slower",
 		},
 	}
-	type row struct {
-		medianKm, atClosest, p25, p100 float64
-	}
-	var rows []row
+	var rows []densityRow
 	for _, preset := range []cdn.Preset{cdn.PresetDefault, cdn.PresetMedium, cdn.PresetSparse} {
 		cfg.Deployment = preset
-		res, err := sim.Run(cfg)
+		w, err := sim.BuildWorld(cfg)
 		if err != nil {
 			return Report{}, fmt.Errorf("experiments: density preset %q: %w", preset, err)
 		}
-		suite := NewSuite(res)
-		f4 := suite.Figure4()
-		f3 := suite.Figure3()
-		r := row{
-			medianKm:  seriesQuantile(f4, "clients to front-end", 0.5),
-			atClosest: headlineFraction(f4, "closest front-end"),
-			p25:       headlineFraction(f3, ">= 25 ms"),
-			p100:      headlineFraction(f3, ">= 100 ms"),
+		suite := NewStreamSuite(cfg, w)
+		if err := suite.Run(); err != nil {
+			return Report{}, fmt.Errorf("experiments: density preset %q: %w", preset, err)
 		}
+		r := suite.densityRow()
 		rows = append(rows, r)
 		tb.Rows = append(tb.Rows, []string{
 			string(preset),
-			fmt.Sprintf("%d", res.World.Deployment.NumFrontEnds()),
+			fmt.Sprintf("%d", w.Deployment.NumFrontEnds()),
 			fmt.Sprintf("%.0f", r.medianKm),
 			pct(r.atClosest),
 			pct(r.p25),
@@ -75,39 +68,40 @@ func DeploymentDensity(baseCfg sim.Config) (Report, error) {
 	return Report{ID: "deployment-density", Table: tb, Lines: lines}, nil
 }
 
-// seriesQuantile inverts a sampled CDF series: the first grid x whose CDF
-// value reaches q.
-func seriesQuantile(r Report, seriesName string, q float64) float64 {
-	if r.Figure == nil {
-		return 0
-	}
-	for _, s := range r.Figure.Series {
-		if s.Name != seriesName {
-			continue
-		}
-		for _, p := range s.Points {
-			if p.Y >= q {
-				return p.X
-			}
-		}
-		if n := len(s.Points); n > 0 {
-			return s.Points[n-1].X
-		}
-	}
-	return 0
+// densityRow is one deployment's key metrics.
+type densityRow struct {
+	medianKm             units.Kilometers
+	atClosest, p25, p100 float64
 }
 
-// headlineFraction parses the measured percentage of the first headline
-// whose name contains key, returning a fraction.
-func headlineFraction(r Report, key string) float64 {
-	for _, h := range r.Lines {
-		if !strings.Contains(h.Name, key) {
-			continue
-		}
-		var v float64
-		if _, err := fmt.Sscanf(h.Measured, "%f%%", &v); err == nil {
-			return v / 100
+// densityRow reads the suite's key metrics as Figures 3 and 4 compute
+// them: the median client distance to the anycast front-end on Figure
+// 4's grid (its first point with half the clients within it), the share
+// of clients within 1 km of their closest front-end, and the shares of
+// requests at least 25 and 100 ms slower over anycast.
+func (s *StreamSuite) densityRow() densityRow {
+	var r densityRow
+	toFE := make([]units.Kilometers, len(s.served))
+	closest := 0
+	for i, row := range s.served {
+		toFE[i] = row.toFE
+		if row.past <= 1 {
+			closest++
 		}
 	}
-	return 0
+	if e, err := stats.NewECDF(toFE); err == nil {
+		r.atClosest = float64(closest) / float64(len(toFE))
+		grid := stats.LogGrid[units.Kilometers](64, 8192, 14)
+		r.medianKm = grid[len(grid)-1]
+		for _, x := range grid {
+			if e.P(x) >= 0.5 {
+				r.medianKm = x
+				break
+			}
+		}
+	}
+	if e, err := stats.NewECDF(s.beacons.world); err == nil {
+		r.p25, r.p100 = e.CCDF(25), e.CCDF(100)
+	}
+	return r
 }

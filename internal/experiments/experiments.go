@@ -7,14 +7,12 @@ package experiments
 
 import (
 	"fmt"
-	"sort"
 
-	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
+	"anycastcdn/internal/core"
 	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
-	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 )
 
@@ -51,31 +49,18 @@ func (r Report) Render() string {
 	return out
 }
 
-// Suite runs experiments over one simulation result, caching shared
-// derived datasets. The passive-log reports (Figures 4, 7 and 8,
-// Catchments, TCPDisruption, LoadShedding) are computed by a StreamSuite
-// fed the Result's days once, in stream order, so the batch and
-// streaming analyses are one code path.
+// Suite is a StreamSuite fed from a materialized Result: NewSuite replays
+// the Result's days into it once, in stream order, so a batch run and a
+// streaming run are one analysis by construction.
 type Suite struct {
+	*StreamSuite
 	Res *sim.Result
-
-	dailyOnce bool
-	daily     [][]Comparison
-	passive   *StreamSuite
 }
 
-// NewSuite wraps a simulation result.
-func NewSuite(res *sim.Result) *Suite { return &Suite{Res: res} }
-
-// stream returns the StreamSuite over the Result's passive log, replaying
-// the Result's days into it on first use.
-func (s *Suite) stream() *StreamSuite {
-	if s.passive != nil {
-		return s.passive
-	}
-	res := s.Res
-	days := res.Cfg.Days
+// NewSuite folds a simulation result into a Suite.
+func NewSuite(res *sim.Result) *Suite {
 	ss := NewStreamSuite(res.Cfg, res.World)
+	days := res.Cfg.Days
 	d := sim.DayResult{
 		Passive:     make([]logs.DayRecord, len(res.Assignments)),
 		Assignments: make([]bgp.Assignment, len(res.Assignments)),
@@ -85,108 +70,24 @@ func (s *Suite) stream() *StreamSuite {
 			d.Passive[i] = res.Passive.At(i*days + d.Day)
 			d.Assignments[i] = res.Assignments[i][d.Day]
 		}
+		d.Beacons = res.Beacons[d.Day]
 		// Observe retains nothing and never fails.
 		_ = ss.Observe(d)
 	}
-	s.passive = ss
-	return ss
+	return &Suite{StreamSuite: ss, Res: res}
 }
 
-// Comparison is a per-(client, day) anycast-vs-best-unicast summary used
-// by Figures 5 and 6: the difference between the day's median anycast
-// latency and the best per-front-end median unicast latency.
-type Comparison struct {
-	ClientID uint64
-	Day      int
-	// ImprovementMs > 0 means some unicast front-end's median beat the
-	// anycast median by that much.
-	ImprovementMs units.Millis
-	BestSite      topology.SiteID
-	Volume        float64
-}
-
-// minSamplesPerTarget is the per-day floor for a (client, front-end) median
-// to count in the daily comparison.
-const minSamplesPerTarget = 5
-
-// DailyComparisons computes (and caches) the per-day medians analysis.
-func (s *Suite) DailyComparisons() [][]Comparison {
-	if s.dailyOnce {
-		return s.daily
+// Figure9WithConfig is Figure 9 under a custom predictor configuration
+// (used by the ablation benches): the Result's beacons replayed through
+// a fresh Figure 9 fold.
+func (s *Suite) Figure9WithConfig(cfg core.Config) Report {
+	f := newPredictionFold(cfg, false)
+	var obs []core.Observation
+	for _, ms := range s.Res.Beacons {
+		obs = appendObservations(obs[:0], ms)
+		f.observe(obs, core.GroupSamples(obs), s.volume)
 	}
-	vols := s.Res.Volumes()
-	out := make([][]Comparison, len(s.Res.Beacons))
-	for day, ms := range s.Res.Beacons {
-		out[day] = dailyComparison(ms, day, vols)
-	}
-	s.daily = out
-	s.dailyOnce = true
-	return out
-}
-
-func dailyComparison(ms []beacon.Measurement, day int, vols map[uint64]float64) []Comparison {
-	type key struct {
-		client uint64
-		site   topology.SiteID
-	}
-	anycast := map[uint64][]units.Millis{}
-	unicast := map[key][]units.Millis{}
-	for _, m := range ms {
-		anycast[m.ClientID] = append(anycast[m.ClientID], m.Anycast.RTTms)
-		for _, u := range m.Unicast {
-			k := key{m.ClientID, u.Site}
-			unicast[k] = append(unicast[k], u.RTTms)
-		}
-	}
-	perClientSites := map[uint64][]key{}
-	for k := range unicast {
-		perClientSites[k.client] = append(perClientSites[k.client], k)
-	}
-	var out []Comparison
-	clientIDs := make([]uint64, 0, len(anycast))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for id := range anycast {
-		clientIDs = append(clientIDs, id)
-	}
-	sort.Slice(clientIDs, func(i, j int) bool { return clientIDs[i] < clientIDs[j] })
-	for _, id := range clientIDs {
-		as := anycast[id]
-		if len(as) < minSamplesPerTarget {
-			continue
-		}
-		anyMed, err := stats.Median(as)
-		if err != nil {
-			continue
-		}
-		bestMed := units.Millis(-1)
-		var bestSite topology.SiteID = topology.InvalidSite
-		sites := perClientSites[id]
-		sort.Slice(sites, func(i, j int) bool { return sites[i].site < sites[j].site })
-		for _, k := range sites {
-			us := unicast[k]
-			if len(us) < minSamplesPerTarget {
-				continue
-			}
-			med, err := stats.Median(us)
-			if err != nil {
-				continue
-			}
-			if bestMed < 0 || med < bestMed {
-				bestMed, bestSite = med, k.site
-			}
-		}
-		if bestMed < 0 {
-			continue
-		}
-		out = append(out, Comparison{
-			ClientID:      id,
-			Day:           day,
-			ImprovementMs: anyMed - bestMed,
-			BestSite:      bestSite,
-			Volume:        vols[id],
-		})
-	}
-	return out
+	return f.figure9()
 }
 
 // pct formats a fraction as a percentage string.

@@ -280,22 +280,3 @@ func TestFigure9Ablation(t *testing.T) {
 		t.Fatalf("hybrid worse-mass %v exceeds plain %v", hLine[15], pLine[15])
 	}
 }
-
-func TestDailyComparisonsCache(t *testing.T) {
-	s := testSuite(t)
-	a := s.DailyComparisons()
-	b := s.DailyComparisons()
-	if &a[0] != &b[0] {
-		t.Fatal("daily comparisons not cached")
-	}
-	for day, comps := range a {
-		for _, c := range comps {
-			if c.Day != day {
-				t.Fatalf("comparison filed under wrong day: %+v", c)
-			}
-			if c.Volume <= 0 {
-				t.Fatalf("comparison without volume: %+v", c)
-			}
-		}
-	}
-}

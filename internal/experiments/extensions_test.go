@@ -40,7 +40,7 @@ func TestMetricStability(t *testing.T) {
 
 func TestHybridDeployment(t *testing.T) {
 	s := testSuite(t)
-	r := s.HybridDeployment(10)
+	r := s.HybridDeployment()
 	if r.Table == nil || len(r.Table.Rows) != 4 {
 		t.Fatalf("hybrid table rows = %d, want 4 policies", len(r.Table.Rows))
 	}

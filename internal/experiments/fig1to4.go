@@ -16,12 +16,12 @@ import (
 // over client /24s of the minimum latency observed when measuring to the
 // nearest N candidate front-ends (N = 1, 3, 5, 7, 9). The paper uses it to
 // argue ten candidates suffice; the lines for N >= 5 should nearly overlap.
-func (s *Suite) Figure1() Report {
+func (s *StreamSuite) Figure1() Report {
 	const (
 		repetitions = 4
 		maxClients  = 4000
 	)
-	w := s.Res.World
+	w := s.World
 	ns := []int{1, 3, 5, 7, 9}
 	mins := make(map[int][]units.Millis, len(ns)) // N -> per-client min latency
 	clientsToUse := w.Population.Clients
@@ -34,7 +34,7 @@ func (s *Suite) Figure1() Report {
 		// Latency per candidate rank, min over repetitions.
 		var perRank []units.Millis
 		for rep := 0; rep < repetitions; rep++ {
-			qid := xrand.DeriveSeed(s.Res.Cfg.Seed, "fig1", c.ID, uint64(rep))
+			qid := xrand.DeriveSeed(s.Cfg.Seed, "fig1", c.ID, uint64(rep))
 			_, samples := w.Executor.MeasureCandidates(c, 0, assign, qid)
 			if perRank == nil {
 				perRank = make([]units.Millis, len(samples))
@@ -96,8 +96,8 @@ func (s *Suite) Figure1() Report {
 // by client query volume, of the distance from clients to their 1st-4th
 // closest front-end. Paper medians: ~280 km (1st), ~700 km (2nd),
 // ~1300 km (4th).
-func (s *Suite) Figure2() Report {
-	w := s.Res.World
+func (s *StreamSuite) Figure2() Report {
+	w := s.World
 	fes := w.Deployment.FrontEnds
 	pts := make([]geo.Point, len(fes))
 	for i, fe := range fes {
@@ -196,30 +196,7 @@ func CDNSizeTable() Report {
 // three measured unicast front-ends, split by region (Europe / World /
 // United States). Paper: anycast >= 25 ms slower for ~20% of requests,
 // >= 100 ms slower for just under 10%.
-func (s *Suite) Figure3() Report {
-	const maxDays = 4 // "collected over a period of a few days"
-	w := s.Res.World
-	countryOf := make(map[uint64]string, len(w.Population.Clients))
-	for _, c := range w.Population.Clients {
-		countryOf[c.ID] = c.Country
-	}
-	var europe, world, us []units.Millis
-	days := len(s.Res.Beacons)
-	if days > maxDays {
-		days = maxDays
-	}
-	for day := 0; day < days; day++ {
-		for _, m := range s.Res.Beacons[day] {
-			p := m.AnycastPenaltyMs()
-			world = append(world, p)
-			if m.Region == geo.RegionEurope {
-				europe = append(europe, p)
-			}
-			if countryOf[m.ClientID] == "US" {
-				us = append(us, p)
-			}
-		}
-	}
+func (s *StreamSuite) Figure3() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 3: CCDF of requests by anycast latency penalty vs best of 3 unicast",
 		XLabel: "anycast - best unicast (ms)",
@@ -230,7 +207,7 @@ func (s *Suite) Figure3() Report {
 	for _, line := range []struct {
 		name string
 		data []units.Millis
-	}{{"Europe", europe}, {"World", world}, {"United States", us}} {
+	}{{"Europe", s.beacons.europe}, {"World", s.beacons.world}, {"United States", s.beacons.us}} {
 		e, err := stats.NewECDF(line.data)
 		if err != nil {
 			continue
@@ -255,10 +232,7 @@ func (s *Suite) Figure3() Report {
 // the distance between clients and their anycast front-end, and of the
 // distance *past* the closest front-end, weighted and unweighted. Paper:
 // ~55% of clients go to the closest front-end; 75% within ~400 km of
-// closest; ~82% of clients (87% of volume) within 2000 km.
-func (s *Suite) Figure4() Report { return s.stream().Figure4() }
-
-// Figure4 reports the client-to-front-end distance analysis (§5) from day
+// closest; ~82% of clients (87% of volume) within 2000 km. It reads day
 // 0's served rows. The ECDFs are built at report time from the rows'
 // columns in client order; the unweighted lines weigh every row 1.
 func (s *StreamSuite) Figure4() Report {

@@ -13,45 +13,31 @@ import (
 // each day, the fraction of client /24s for which some unicast front-end's
 // median latency beats the anycast median by more than each threshold.
 // Paper averages: 19% see any improvement, 12% see >= 10 ms, 4% >= 50 ms.
-func (s *Suite) Figure5() Report {
-	thresholds := []units.Millis{0, 10, 25, 50, 100}
-	daily := s.DailyComparisons()
+func (s *StreamSuite) Figure5() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 5: daily fraction of /24s improvable over anycast by threshold",
 		XLabel: "day",
 		YLabel: "fraction of client /24s",
 	}
-	series := make([]stats.Series, len(thresholds))
-	for i, th := range thresholds {
+	series := make([]stats.Series, len(fig5Thresholds))
+	for i, th := range fig5Thresholds {
 		name := "all"
 		if th > 0 {
 			name = fmt.Sprintf("> %.0fms", th)
 		}
 		series[i] = stats.Series{Name: name}
 	}
-	avg := make([]float64, len(thresholds))
-	daysCounted := 0
-	for day, comps := range daily {
-		if len(comps) == 0 {
-			continue
-		}
-		daysCounted++
-		for i, th := range thresholds {
-			n := 0
-			for _, c := range comps {
-				if c.ImprovementMs > th {
-					n++
-				}
-			}
-			frac := float64(n) / float64(len(comps))
-			series[i].Points = append(series[i].Points, stats.SeriesPoint{X: float64(day), Y: frac})
+	var avg [len(fig5Thresholds)]float64
+	days := s.beacons.fig5
+	for _, d := range days {
+		for i, n := range d.over {
+			frac := float64(n) / float64(d.n)
+			series[i].Points = append(series[i].Points, stats.SeriesPoint{X: float64(d.day), Y: frac})
 			avg[i] += frac
 		}
 	}
-	if daysCounted > 0 {
-		for i := range avg {
-			avg[i] /= float64(daysCounted)
-		}
+	for i := range avg {
+		avg[i] /= float64(max(len(days), 1))
 	}
 	fig.Series = series
 	return Report{
@@ -70,33 +56,13 @@ func (s *Suite) Figure5() Report {
 // how many days they were poor, and of their maximum consecutive poor-day
 // streak. Paper: ~60% poor on only one day; ~10% poor on 5+ days; ~5%
 // continuously poor for 5+ days.
-func (s *Suite) Figure6() Report {
-	daily := s.DailyComparisons()
-	poorDays := map[uint64][]int{}
-	for day, comps := range daily {
-		for _, c := range comps {
-			if c.ImprovementMs > 0 {
-				poorDays[c.ClientID] = append(poorDays[c.ClientID], day)
-			}
-		}
-	}
+func (s *StreamSuite) Figure6() Report {
 	var counts, streaks []float64
-	//replay:commutative counts and streaks feed ECDFs, which sort their samples; the output is independent of collection order
-	for _, days := range poorDays {
-		counts = append(counts, float64(len(days)))
-		// days are appended in ascending day order.
-		maxStreak, cur := 1, 1
-		for i := 1; i < len(days); i++ {
-			if days[i] == days[i-1]+1 {
-				cur++
-			} else {
-				cur = 1
-			}
-			if cur > maxStreak {
-				maxStreak = cur
-			}
+	for _, cb := range s.beacons.clients {
+		if cb.poorDays > 0 {
+			counts = append(counts, float64(cb.poorDays))
+			streaks = append(streaks, float64(cb.longest))
 		}
-		streaks = append(streaks, float64(maxStreak))
 	}
 	fig := &stats.Figure{
 		Title:  "Figure 6: duration of poor anycast performance across the month",
@@ -131,15 +97,12 @@ const figure7Week = 7
 // Figure7 reproduces the front-end affinity analysis (§5): the cumulative
 // fraction of clients that have changed front-ends at least once by each
 // day of a week starting Wednesday. Paper: 7% after the first day, +2-4%
-// per weekday, <0.5% on weekend days, 21% by week's end.
-func (s *Suite) Figure7() Report { return s.stream().Figure7() }
-
-// Figure7 reports the cumulative-switch analysis from the per-client
-// window states. It mirrors logs.CumulativeSwitched exactly, with integer
-// counts over the clients seen in the window: a client without traffic
-// on a day is not observable that day (the paper can only observe
-// clients that appear in logs), and a client's first visible front-end
-// change marks every later day of the week.
+// per weekday, <0.5% on weekend days, 21% by week's end. It reads the
+// per-client window states and mirrors logs.CumulativeSwitched exactly,
+// with integer counts over the clients seen in the window: a client
+// without traffic on a day is not observable that day (the paper can
+// only observe clients that appear in logs), and a client's first
+// visible front-end change marks every later day of the week.
 func (s *StreamSuite) Figure7() Report {
 	cum := make([]float64, figure7Week)
 	perDay := make([]int, figure7Week)
@@ -194,11 +157,8 @@ const (
 
 // Figure8 reproduces the switch-distance analysis (§5): the CDF of the
 // change in client-to-front-end distance when the front-end changes.
-// Paper: median 483 km, 83% within 2000 km.
-func (s *Suite) Figure8() Report { return s.stream().Figure8() }
-
-// Figure8 reports the switch-distance analysis from the suite's sketch.
-// Its unweighted samples make the sketch bit-identical regardless of
+// Paper: median 483 km, 83% within 2000 km. It reads the suite's sketch,
+// whose unweighted samples make the sketch bit-identical regardless of
 // observation or merge order.
 func (s *StreamSuite) Figure8() Report {
 	fig := &stats.Figure{
@@ -229,37 +189,9 @@ func (s *StreamSuite) Figure8() Report {
 // for ECS-prefix grouping and LDNS grouping at the 50th and 75th
 // evaluation percentiles. Paper: with ECS, ~30% of weighted prefixes
 // improve and ~10% get worse; with LDNS, ~27% improve and ~17% get worse.
-func (s *Suite) Figure9() Report {
-	return s.figure9(core.DefaultConfig())
-}
+func (s *StreamSuite) Figure9() Report { return s.beacons.pred.figure9() }
 
-// Figure9WithConfig is Figure9 under a custom predictor configuration
-// (used by the ablation benches).
-func (s *Suite) Figure9WithConfig(cfg core.Config) Report { return s.figure9(cfg) }
-
-func (s *Suite) figure9(cfg core.Config) Report {
-	pred := core.NewPredictor(cfg)
-	vols := s.Res.Volumes()
-	// Convert each day's beacons to observations once.
-	days := len(s.Res.Beacons)
-	obs := make([][]core.Observation, days)
-	for d := 0; d < days; d++ {
-		obs[d] = make([]core.Observation, 0, 4*len(s.Res.Beacons[d]))
-		for _, m := range s.Res.Beacons[d] {
-			obs[d] = append(obs[d], core.FromMeasurement(m)...)
-		}
-	}
-	type lineSpec struct {
-		name     string
-		grouping core.Grouping
-		pctile   float64
-	}
-	specs := []lineSpec{
-		{"EDNS-0 Median", core.ByPrefix, 0.50},
-		{"EDNS-0 75th", core.ByPrefix, 0.75},
-		{"LDNS Median", core.ByLDNS, 0.50},
-		{"LDNS 75th", core.ByLDNS, 0.75},
-	}
+func (f *predictionFold) figure9() Report {
 	fig := &stats.Figure{
 		Title:  "Figure 9: improvement over anycast from prediction (25th-pct metric)",
 		XLabel: "improvement (ms)",
@@ -267,19 +199,8 @@ func (s *Suite) figure9(cfg core.Config) Report {
 	}
 	grid := stats.LinearGrid[units.Millis](-400, 400, 32)
 	var lines []Headline
-	for _, spec := range specs {
-		var improvements []units.Millis
-		var weights []float64
-		for d := 0; d+1 < days; d++ {
-			trained := pred.Train(obs[d], spec.grouping)
-			evals := core.Evaluator{Percentile: spec.pctile, MinSamples: 2}.
-				Evaluate(trained, obs[d+1], vols)
-			for _, e := range evals {
-				improvements = append(improvements, e.ImprovementMs)
-				weights = append(weights, e.Weight)
-			}
-		}
-		e, err := stats.NewWeightedECDF(improvements, weights)
+	for i, spec := range fig9Lines {
+		e, err := stats.NewWeightedECDF(f.lines[i].xs, f.lines[i].ws)
 		if err != nil {
 			continue
 		}
@@ -301,7 +222,7 @@ func (s *Suite) figure9(cfg core.Config) Report {
 }
 
 // All runs every experiment in paper order.
-func (s *Suite) All() []Report {
+func (s *StreamSuite) All() []Report {
 	return []Report{
 		s.Figure1(),
 		CDNSizeTable(),

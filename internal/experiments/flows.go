@@ -17,12 +17,9 @@ import (
 // A switch event lands at a uniformly random instant of its day, so a flow
 // of duration d overlaps it with probability min(1, d/86400) on a
 // switch day. The per-duration disruption probability is the client-day
-// average of that overlap.
-func (s *Suite) TCPDisruption() Report { return s.stream().TCPDisruption() }
-
-// TCPDisruption reports the §2 flow-breakage claim check from the
-// per-client switch-day counts. Every client has one record a day, so
-// each client's rate divides by the suite's day count.
+// average of that overlap, read from the per-client switch-day counts.
+// Every client has one record a day, so each client's rate divides by the
+// suite's day count.
 func (s *StreamSuite) TCPDisruption() Report {
 	durations := []time.Duration{
 		time.Second, 10 * time.Second, time.Minute,

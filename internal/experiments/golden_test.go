@@ -37,11 +37,30 @@ func checkGolden(t *testing.T, name, got string) {
 	}
 }
 
+// TestReportRenderGolden pins every paper report and the two §6
+// extensions on the SuiteConfig fixture.
 func TestReportRenderGolden(t *testing.T) {
 	s := testSuite(t)
-	checkGolden(t, "catchments", s.Catchments(10).Render())
-	checkGolden(t, "figure7", s.Figure7().Render())
-	checkGolden(t, "figure3", s.Figure3().Render())
+	for _, tc := range []struct {
+		name string
+		r    Report
+	}{
+		{"figure1", s.Figure1()},
+		{"cdn-table", CDNSizeTable()},
+		{"figure2", s.Figure2()},
+		{"figure3", s.Figure3()},
+		{"figure4", s.Figure4()},
+		{"figure5", s.Figure5()},
+		{"figure6", s.Figure6()},
+		{"figure7", s.Figure7()},
+		{"figure8", s.Figure8()},
+		{"figure9", s.Figure9()},
+		{"catchments", s.Catchments(10)},
+		{"metric-stability", s.MetricStability()},
+		{"hybrid-deployment", s.HybridDeployment()},
+	} {
+		checkGolden(t, tc.name, tc.r.Render())
+	}
 }
 
 // goldenScenario uses fixed targets from the default deployment so the

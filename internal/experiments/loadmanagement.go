@@ -145,7 +145,7 @@ type loadMgmtAgg struct {
 	shed              int64
 	total             int64
 	redirected        int
-	deltas            stats.ECDFBuilder[units.Millis]
+	deltas            []units.Millis
 }
 
 func newLoadMgmtAgg(w *sim.World, days int) *loadMgmtAgg {
@@ -190,7 +190,7 @@ func (a *loadMgmtAgg) observeRecord(r logs.DayRecord, asg bgp.Assignment, day in
 	}
 	red := orig
 	red.BackboneKm = a.w.Deployment.Backbone.IGPDistanceKm(asg.Ingress, r.FrontEnd)
-	a.deltas.Add(a.w.Latency.DayRTTms(red, day) - a.w.Latency.DayRTTms(orig, day))
+	a.deltas = append(a.deltas, a.w.Latency.DayRTTms(red, day)-a.w.Latency.DayRTTms(orig, day))
 }
 
 func (a *loadMgmtAgg) observeUtil(day int, utils []sim.SiteUtil) {
@@ -229,7 +229,7 @@ func (a *loadMgmtAgg) arm(p load.Policy) LoadArm {
 			arm.PeakUtil = u
 		}
 	}
-	if ecdf, err := a.deltas.ECDF(); err == nil {
+	if ecdf, err := stats.NewECDF(a.deltas); err == nil {
 		arm.DeltaECDF = ecdf
 	}
 	return arm

@@ -15,10 +15,7 @@ import (
 // deployment: a flash crowd hits the busiest front-end, and the layered
 // balancer sheds fractions of its query load to the next anycast ring
 // while a naive route withdrawal cascades (§2's warning). crowdFactor
-// scales the hot front-end's demand.
-func (s *Suite) LoadShedding(crowdFactor float64) Report { return s.stream().LoadShedding(crowdFactor) }
-
-// LoadShedding reports the flash-crowd experiment over day 0's demand.
+// scales the hot front-end's demand of day 0.
 func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	if crowdFactor <= 1 {
 		crowdFactor = 4

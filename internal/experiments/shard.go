@@ -59,7 +59,7 @@ func NewShardObserver(cfg sim.Config, w *sim.World, lo, hi int) (*ShardObserver,
 // configured last day by the observer's state. Only that day's frame
 // grows with the shard.
 func (o *ShardObserver) AppendDay(d sim.DayResult, dst []byte) []byte {
-	_ = o.s.Observe(d) // Observe retains nothing and never fails
+	o.s.observePassive(d)
 	dst = append(dst, shardDayMagic)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(d.Day))
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(o.s.lo))

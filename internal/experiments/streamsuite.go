@@ -3,6 +3,7 @@ package experiments
 import (
 	"slices"
 
+	"anycastcdn/internal/core"
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
@@ -10,22 +11,20 @@ import (
 	"anycastcdn/internal/units"
 )
 
-// StreamSuite computes the passive-log experiments online over a streaming
+// StreamSuite computes every experiment online over a streaming
 // simulation: feed every sim.DayResult to Observe (or call Run) and read
-// the reports after the stream ends. It retains only the state the six
+// the reports after the stream ends. It retains only the state the
 // reports read, never a day of raw output, which makes it the analysis
 // path for paper-scale runs (millions of client /24s over a month) whose
-// full measurement set would not fit in memory. It is also the only
-// passive-log analysis: the batch Suite replays its Result's days into a
-// StreamSuite and delegates these reports to it.
+// full measurement set would not fit in memory. A Suite is a StreamSuite
+// fed from a materialized Result.
 //
-// The state merges by construction: suites over adjacent client ranges
-// concatenate their served rows and per-client arrays in range order and
-// add their sketches (shard.go), so every report reads the same numbers,
-// summed in the same order, however the clients were split.
-//
-// The beacon-driven figures (5, 6, 9) need cross-day latency samples per
-// client and are not part of the streaming suite.
+// The passive-log state merges by construction: suites over adjacent
+// client ranges concatenate their served rows and per-client arrays in
+// range order and add their sketches (shard.go), so every passive-log
+// report reads the same numbers, summed in the same order, however the
+// clients were split. The beacon state (beacons.go) stays in-process:
+// Figure 9's LDNS groups span client ranges.
 type StreamSuite struct {
 	Cfg   sim.Config
 	World *sim.World
@@ -48,6 +47,8 @@ type StreamSuite struct {
 	window []int8
 	// sketch holds Figure 8's switch distances.
 	sketch *stats.QuantileSketch[units.Kilometers]
+	// beacons is the beacon fold's state (beacons.go).
+	beacons beaconState
 }
 
 // Figure 7 window states other than a first-change day (0 to 6).
@@ -102,6 +103,7 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 		switchDays: make([]int32, hi-lo),
 		window:     window,
 		sketch:     sk,
+		beacons:    beaconState{pred: newPredictionFold(core.DefaultConfig(), true)},
 	}
 }
 
@@ -111,10 +113,17 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 //	ss := experiments.NewStreamSuite(cfg, w)
 //	err := sim.StreamWorld(cfg, w, ss.Observe)
 //
-// It copies nothing out of the DayResult: every record lands in the
-// state before the callback returns, respecting the stream's buffer-reuse
-// contract.
+// It copies nothing out of the DayResult: every record and beacon lands
+// in the state before the callback returns, respecting the stream's
+// buffer-reuse contract.
 func (s *StreamSuite) Observe(d sim.DayResult) error {
+	s.observePassive(d)
+	s.observeBeacons(d.Day, d.Beacons)
+	return nil
+}
+
+// observePassive folds one day's passive log into the suite.
+func (s *StreamSuite) observePassive(d sim.DayResult) {
 	bb := s.World.Deployment.Backbone
 	if d.Day == 0 {
 		s.served = slices.Grow(s.served, len(d.Passive))
@@ -156,7 +165,6 @@ func (s *StreamSuite) Observe(d sim.DayResult) error {
 		}
 	}
 	s.days++
-	return nil
 }
 
 // Run streams the configured simulation over the world, feeding every day

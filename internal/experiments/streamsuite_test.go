@@ -11,8 +11,8 @@ import (
 // TestStreamSuiteMatchesSuite pins the batch Suite's replay of its Result
 // against the live stream: a StreamSuite fed day by day from StreamWorld
 // renders byte-identical reports to the Suite, which replays the
-// materialized Result's days into its own StreamSuite. Every passive-log
-// experiment is covered.
+// materialized Result's days into its own StreamSuite. Every paper
+// report, both §6 extensions and the passive-log extensions are covered.
 func TestStreamSuiteMatchesSuite(t *testing.T) {
 	res := testutil.SuiteResult(t)
 	batch := testSuite(t)
@@ -20,20 +20,19 @@ func TestStreamSuiteMatchesSuite(t *testing.T) {
 	if err := ss.Run(); err != nil {
 		t.Fatal(err)
 	}
-	for _, tc := range []struct {
-		name        string
-		batch, strm Report
-	}{
-		{"figure4", batch.Figure4(), ss.Figure4()},
-		{"catchments", batch.Catchments(10), ss.Catchments(10)},
-		{"tcp-disruption", batch.TCPDisruption(), ss.TCPDisruption()},
-		{"load-shedding", batch.LoadShedding(4), ss.LoadShedding(4)},
-		{"figure7", batch.Figure7(), ss.Figure7()},
-		{"figure8", batch.Figure8(), ss.Figure8()},
-	} {
-		b, s := tc.batch.Render(), tc.strm.Render()
+	reports := func(s *StreamSuite) []Report {
+		return append(s.All(),
+			s.MetricStability(),
+			s.HybridDeployment(),
+			s.Catchments(10),
+			s.TCPDisruption(),
+			s.LoadShedding(4))
+	}
+	want, got := reports(batch.StreamSuite), reports(ss)
+	for i := range want {
+		b, s := want[i].Render(), got[i].Render()
 		if b != s {
-			t.Errorf("%s: stream report differs from batch report:\n--- batch ---\n%s\n--- stream ---\n%s", tc.name, b, s)
+			t.Errorf("%s: stream report differs from batch report:\n--- batch ---\n%s\n--- stream ---\n%s", want[i].ID, b, s)
 		}
 	}
 }
@@ -75,5 +74,27 @@ func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	}
 	if ss.switchDays[1] != 1 || ss.switchDays[2] != 1 {
 		t.Fatalf("switch days = %v; the TCP counts see both switches", ss.switchDays[:3])
+	}
+}
+
+// TestBeaconFreeStreamKeepsNoBeaconState pins the beacon fold's lazy
+// allocation: a suite that never sees a beacon holds no per-client
+// beacon state, so passive-only runs pay nothing for it.
+func TestBeaconFreeStreamKeepsNoBeaconState(t *testing.T) {
+	cfg := testutil.TinyConfig(3)
+	cfg.Days = 3
+	cfg.BeaconSampleRate = 0
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss := NewStreamSuite(cfg, w)
+	if err := ss.Run(); err != nil {
+		t.Fatal(err)
+	}
+	b := &ss.beacons
+	if b.clients != nil || len(b.world) != 0 || len(b.fig5) != 0 {
+		t.Fatalf("beacon-free stream kept beacon state: %d clients, %d penalties, %d Figure 5 days",
+			len(b.clients), len(b.world), len(b.fig5))
 	}
 }

@@ -7,24 +7,20 @@ import (
 	"math"
 )
 
-// This file is the wire layer of the streaming accumulators: partial
-// aggregates (ECDFBuilder sample runs, QuantileSketch bin vectors) are
-// serialized into length-free append-style buffers, shipped over a
-// socket, and folded into another process's accumulators — the
-// distributed simulation ships each shard's Figure 8 sketch this way to
-// its coordinator. The encoding is little-endian, versioned by
-// a per-type magic byte, and deliberately raw: float64 bits are copied
-// verbatim, so a decode(encode(x)) round trip is bit-identical and a
-// merge of encoded partials reproduces the exact float operations an
-// in-process Merge would have performed.
+// This file is the wire layer of the streaming accumulator: a
+// QuantileSketch bin vector is serialized into a length-free
+// append-style buffer, shipped over a socket, and folded into another
+// process's sketch — the distributed simulation ships each shard's
+// Figure 8 sketch this way to its coordinator. The encoding is
+// little-endian, versioned by a magic byte, and deliberately raw: float64
+// bits are copied verbatim, so a decode(encode(x)) round trip is
+// bit-identical and a merge of encoded partials reproduces the exact
+// float operations an in-process Merge would have performed.
 
-// Encoding magic bytes, doubling as a one-byte format version. Bump on
-// any layout change so a coordinator never silently misreads a frame
-// from a mismatched worker binary.
-const (
-	ecdfMagic   = 0xE1
-	sketchMagic = 0xA5
-)
+// sketchMagic doubles as a one-byte format version. Bump on any layout
+// change so a coordinator never silently misreads a frame from a
+// mismatched worker binary.
+const sketchMagic = 0xA5
 
 // ErrEncoding reports a malformed or truncated accumulator encoding.
 var ErrEncoding = errors.New("stats: malformed accumulator encoding")
@@ -51,53 +47,6 @@ func putF64(dst []byte, v float64) []byte {
 func getF64(data []byte) (float64, []byte, error) {
 	u, rest, err := getU64(data)
 	return math.Float64frombits(u), rest, err
-}
-
-// Encode appends the builder's samples to dst and returns the extended
-// slice. The samples travel in insertion order, so a receiver that
-// decodes (or MergeEncoded-s) partial builders in a fixed order
-// reproduces exactly the insertion order a sequential pass would have
-// produced — the property the distributed merge's byte-identity rests on.
-func (b *ECDFBuilder[T]) Encode(dst []byte) []byte {
-	dst = append(dst, ecdfMagic)
-	dst = putU64(dst, uint64(len(b.xs)))
-	for i := range b.xs {
-		dst = putF64(dst, float64(b.xs[i]))
-		dst = putF64(dst, b.ws[i])
-	}
-	return dst
-}
-
-// Decode replaces the builder's contents with one encoded builder read
-// from the front of data, reusing existing capacity, and returns the
-// unread remainder.
-func (b *ECDFBuilder[T]) Decode(data []byte) ([]byte, error) {
-	b.Reset()
-	return b.MergeEncoded(data)
-}
-
-// MergeEncoded appends one encoded builder's samples from the front of
-// data — the wire form of Merge — and returns the unread remainder.
-func (b *ECDFBuilder[T]) MergeEncoded(data []byte) ([]byte, error) {
-	if len(data) < 1 || data[0] != ecdfMagic {
-		return nil, fmt.Errorf("%w: bad ECDF builder magic", ErrEncoding)
-	}
-	n, data, err := getU64(data[1:])
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(data))/16 {
-		return nil, fmt.Errorf("%w: truncated ECDF builder payload", ErrEncoding)
-	}
-	b.Grow(int(n))
-	for i := uint64(0); i < n; i++ {
-		x := math.Float64frombits(binary.LittleEndian.Uint64(data))
-		w := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-		data = data[16:]
-		b.xs = append(b.xs, T(x))
-		b.ws = append(b.ws, w)
-	}
-	return data, nil
 }
 
 // Encode appends the sketch — layout header plus bin vector — to dst and
@@ -171,10 +120,4 @@ func (s *QuantileSketch[T]) Reset() {
 	}
 	s.total = 0
 	s.n = 0
-}
-
-// Reset drops the builder's samples, keeping capacity for reuse.
-func (b *ECDFBuilder[T]) Reset() {
-	b.xs = b.xs[:0]
-	b.ws = b.ws[:0]
 }

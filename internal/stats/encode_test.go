@@ -7,141 +7,6 @@ import (
 	"anycastcdn/internal/xrand"
 )
 
-// randBuilder fills a builder with n samples drawn from an xrand
-// substream: mixed magnitudes, duplicates, and occasional zero weights —
-// the shapes the experiment aggregators actually produce.
-func randBuilder(rs *xrand.Stream, n int) *ECDFBuilder[float64] {
-	var b ECDFBuilder[float64]
-	for i := 0; i < n; i++ {
-		x := math.Exp(10 * (rs.Float64() - 0.5))
-		if rs.Float64() < 0.2 {
-			x = float64(rs.Intn(8)) // force duplicate sample values
-		}
-		b.AddWeighted(x, rs.Float64()*3)
-	}
-	return &b
-}
-
-func buildersEqual(t *testing.T, a, b *ECDFBuilder[float64]) {
-	t.Helper()
-	if a.Len() != b.Len() {
-		t.Fatalf("lengths differ: %d vs %d", a.Len(), b.Len())
-	}
-	for i := range a.xs {
-		if math.Float64bits(float64(a.xs[i])) != math.Float64bits(float64(b.xs[i])) ||
-			math.Float64bits(a.ws[i]) != math.Float64bits(b.ws[i]) {
-			t.Fatalf("sample %d differs: (%v, %v) vs (%v, %v)", i, a.xs[i], a.ws[i], b.xs[i], b.ws[i])
-		}
-	}
-}
-
-// TestECDFBuilderEncodeRoundTrip pins bit-exact decode(encode(b)) == b,
-// including the empty builder, and that Decode consumes exactly the
-// encoded bytes (so encodings concatenate into frames).
-func TestECDFBuilderEncodeRoundTrip(t *testing.T) {
-	rs := xrand.New(101)
-	for _, n := range []int{0, 1, 7, 1000} {
-		b := randBuilder(rs, n)
-		enc := b.Encode(nil)
-		enc = append(enc, 0xFF, 0xFE) // trailing bytes must survive untouched
-		var got ECDFBuilder[float64]
-		rest, err := got.Decode(enc)
-		if err != nil {
-			t.Fatalf("n=%d: %v", n, err)
-		}
-		if len(rest) != 2 || rest[0] != 0xFF {
-			t.Fatalf("n=%d: Decode consumed the wrong byte count (rest %d)", n, len(rest))
-		}
-		buildersEqual(t, b, &got)
-	}
-}
-
-// TestECDFBuilderMergeEncodedMatchesMerge pins the wire merge against the
-// in-process one: folding encoded partials in a fixed order must leave
-// the builder byte-identical to Merge in the same order, and the
-// finalized ECDF quantiles must agree bitwise.
-func TestECDFBuilderMergeEncodedMatchesMerge(t *testing.T) {
-	rs := xrand.New(202)
-	parts := []*ECDFBuilder[float64]{
-		randBuilder(rs, 100), randBuilder(rs, 0), randBuilder(rs, 333), randBuilder(rs, 50),
-	}
-	var direct, wired ECDFBuilder[float64]
-	for _, p := range parts {
-		direct.Merge(p)
-		rest, err := wired.MergeEncoded(p.Encode(nil))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(rest) != 0 {
-			t.Fatalf("%d bytes left over", len(rest))
-		}
-	}
-	buildersEqual(t, &direct, &wired)
-	de, err := direct.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	we, err := wired.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []float64{0, 0.25, 0.5, 0.9, 1} {
-		if math.Float64bits(de.Quantile(q)) != math.Float64bits(we.Quantile(q)) {
-			t.Fatalf("quantile %v differs: %v vs %v", q, de.Quantile(q), we.Quantile(q))
-		}
-	}
-}
-
-// TestECDFBuilderMergeAssociative is the property the shard-order merge
-// depends on: (a ⊕ b) ⊕ c and a ⊕ (b ⊕ c) leave identical builders —
-// Merge is concatenation, so association cannot matter as long as the
-// left-to-right order of the parts is fixed.
-func TestECDFBuilderMergeAssociative(t *testing.T) {
-	rs := xrand.New(303)
-	for trial := 0; trial < 20; trial++ {
-		a1 := randBuilder(rs, rs.Intn(200))
-		b1 := randBuilder(rs, rs.Intn(200))
-		c1 := randBuilder(rs, rs.Intn(200))
-		a2 := &ECDFBuilder[float64]{}
-		a2.Merge(a1)
-		b2 := &ECDFBuilder[float64]{}
-		b2.Merge(b1)
-
-		// left: ((a+b)+c) into a fresh accumulator.
-		var left ECDFBuilder[float64]
-		left.Merge(a1)
-		left.Merge(b1)
-		left.Merge(c1)
-		// right: a + (b+c).
-		var bc ECDFBuilder[float64]
-		bc.Merge(b2)
-		bc.Merge(c1)
-		var right ECDFBuilder[float64]
-		right.Merge(a2)
-		right.Merge(&bc)
-		buildersEqual(t, &left, &right)
-	}
-}
-
-// TestECDFBuilderDecodeErrors covers the malformed-input paths: bad
-// magic, truncated header, truncated payload, and a sample count whose
-// payload size overflows uint64.
-func TestECDFBuilderDecodeErrors(t *testing.T) {
-	var b ECDFBuilder[float64]
-	cases := map[string][]byte{
-		"empty":             {},
-		"bad magic":         {0x00, 1, 2, 3},
-		"truncated header":  {ecdfMagic, 1, 2},
-		"truncated payload": append((&ECDFBuilder[float64]{xs: []float64{1}, ws: []float64{1}}).Encode(nil)[:12], 0),
-		"wrapped count":     {ecdfMagic, 0, 0, 0, 0, 0, 0, 0, 0x10}, // 1<<60 samples: 16*n wraps to 0
-	}
-	for name, data := range cases {
-		if _, err := b.Decode(data); err == nil {
-			t.Errorf("%s: Decode accepted malformed input", name)
-		}
-	}
-}
-
 func randSketch(t *testing.T, rs *xrand.Stream, n int) *QuantileSketch[float64] {
 	t.Helper()
 	s, err := NewLogQuantileSketch[float64](0.5, 4096, 64)

@@ -5,67 +5,11 @@ import (
 	"math"
 )
 
-// This file holds the streaming accumulators the online experiment
-// pipeline aggregates with: an exact mergeable ECDF builder and a
-// fixed-bin quantile sketch. Both are deterministic under the rules
-// documented on each type, so a day-at-a-time streaming run and a
-// whole-log batch scan produce byte-identical figures.
-
-// ECDFBuilder accumulates weighted samples incrementally and finalizes
-// them into an exact ECDF. It is the streaming front door to
-// NewWeightedECDF: consumers that used to materialize a whole dataset and
-// hand it over in one call instead Add samples as the simulation streams
-// days past them.
-//
-// Determinism: the finalized ECDF sorts its samples, so two builders fed
-// the same multiset of (sample, weight) pairs agree on every query —
-// byte-identically when weights are equal-valued (cumulative sums of a
-// constant are exact), and otherwise whenever the insertion order of
-// equal-valued samples matches. Merge appends the other builder's samples
-// in their insertion order; merging partial builders in a fixed order
-// (e.g. day order) therefore reproduces the order a sequential pass would
-// have produced.
-type ECDFBuilder[T ~float64] struct {
-	xs []T
-	ws []float64
-}
-
-// Add records a sample with weight 1.
-func (b *ECDFBuilder[T]) Add(x T) { b.AddWeighted(x, 1) }
-
-// AddWeighted records a sample with an arbitrary non-negative weight.
-func (b *ECDFBuilder[T]) AddWeighted(x T, w float64) {
-	b.xs = append(b.xs, x)
-	b.ws = append(b.ws, w)
-}
-
-// Grow reserves capacity for n additional samples.
-func (b *ECDFBuilder[T]) Grow(n int) {
-	if n <= 0 {
-		return
-	}
-	if free := cap(b.xs) - len(b.xs); free < n {
-		b.xs = append(make([]T, 0, len(b.xs)+n), b.xs...)
-		b.ws = append(make([]float64, 0, len(b.ws)+n), b.ws...)
-	}
-}
-
-// Merge appends all of o's samples, in o's insertion order. o is
-// unchanged.
-func (b *ECDFBuilder[T]) Merge(o *ECDFBuilder[T]) {
-	b.Grow(len(o.xs))
-	b.xs = append(b.xs, o.xs...)
-	b.ws = append(b.ws, o.ws...)
-}
-
-// Len returns the number of accumulated samples.
-func (b *ECDFBuilder[T]) Len() int { return len(b.xs) }
-
-// ECDF finalizes the accumulated samples. The builder remains usable;
-// later Adds are reflected in later ECDF calls.
-func (b *ECDFBuilder[T]) ECDF() (*ECDF[T], error) {
-	return NewWeightedECDF(b.xs, b.ws)
-}
+// This file holds the streaming accumulator the online experiment
+// pipeline aggregates Figure 8 with: a fixed-bin quantile sketch,
+// deterministic under the rules documented on the type, so a
+// day-at-a-time streaming run and a whole-log batch scan produce
+// byte-identical figures.
 
 // QuantileSketch is a fixed-bin streaming distribution sketch: constant
 // memory however many samples it sees, at the cost of quantile resolution

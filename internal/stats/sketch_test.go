@@ -18,72 +18,6 @@ func sketchSamples() []float64 {
 	return xs
 }
 
-func TestECDFBuilderMatchesDirect(t *testing.T) {
-	xs := sketchSamples()
-	var b ECDFBuilder[float64]
-	for _, x := range xs {
-		b.Add(x)
-	}
-	if b.Len() != len(xs) {
-		t.Fatalf("Len = %d, want %d", b.Len(), len(xs))
-	}
-	got, err := b.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := NewECDF(xs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []float64{0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1} {
-		if got.Quantile(q) != want.Quantile(q) {
-			t.Fatalf("quantile %v: builder %v != direct %v", q, got.Quantile(q), want.Quantile(q))
-		}
-	}
-	for _, x := range []float64{1, 100, 5000, 25000} {
-		if got.P(x) != want.P(x) {
-			t.Fatalf("P(%v): builder %v != direct %v", x, got.P(x), want.P(x))
-		}
-	}
-}
-
-func TestECDFBuilderWeightedMergePreservesOrder(t *testing.T) {
-	xs := sketchSamples()
-	ws := make([]float64, len(xs))
-	for i := range ws {
-		ws[i] = 0.5 + float64(i%7)/3
-	}
-	var whole ECDFBuilder[float64]
-	var partA, partB ECDFBuilder[float64]
-	for i, x := range xs {
-		whole.AddWeighted(x, ws[i])
-		if i < len(xs)/2 {
-			partA.AddWeighted(x, ws[i])
-		} else {
-			partB.AddWeighted(x, ws[i])
-		}
-	}
-	partA.Merge(&partB)
-	got, err := partA.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := whole.ECDF()
-	if err != nil {
-		t.Fatal(err)
-	}
-	direct, err := NewWeightedECDF(xs, ws)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, x := range []float64{10, 500, 2000, 10000} {
-		if got.P(x) != want.P(x) || want.P(x) != direct.P(x) {
-			t.Fatalf("P(%v): merged %v, whole %v, direct %v — all must match exactly",
-				x, got.P(x), want.P(x), direct.P(x))
-		}
-	}
-}
-
 func TestQuantileSketchQuantileWithinOneBin(t *testing.T) {
 	xs := sketchSamples()
 	sk, err := NewLogQuantileSketch(1.0, 32768.0, 256)

@@ -30,29 +30,31 @@ func less[T ~float64](a, b T) bool {
 // xs need not be sorted. It returns an error for empty input or q outside
 // [0, 1].
 func Quantile[T ~float64](xs []T, q float64) (T, error) {
-	if len(xs) == 0 {
+	s := append([]T(nil), xs...)
+	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
+	return QuantileSorted(s, q)
+}
+
+// QuantileSorted is Quantile over samples already sorted ascending (NaNs
+// first, as slices.Sort orders them), without Quantile's copy and sort.
+func QuantileSorted[T ~float64](s []T, q float64) (T, error) {
+	if len(s) == 0 {
 		return 0, ErrEmpty
 	}
 	if q < 0 || q > 1 || math.IsNaN(q) {
 		return 0, errors.New("stats: quantile out of range")
 	}
-	s := append([]T(nil), xs...)
-	sort.Slice(s, func(i, j int) bool { return less(s[i], s[j]) })
-	return quantileSorted(s, q), nil
-}
-
-func quantileSorted[T ~float64](s []T, q float64) T {
 	if len(s) == 1 {
-		return s[0]
+		return s[0], nil
 	}
 	pos := q * float64(len(s)-1)
 	lo := int(math.Floor(pos))
 	hi := int(math.Ceil(pos))
 	if lo == hi {
-		return s[lo]
+		return s[lo], nil
 	}
 	frac := pos - float64(lo)
-	return T(float64(s[lo])*(1-frac) + float64(s[hi])*frac)
+	return T(float64(s[lo])*(1-frac) + float64(s[hi])*frac), nil
 }
 
 // Median is Quantile(xs, 0.5).
