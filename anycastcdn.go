@@ -26,9 +26,6 @@
 package anycastcdn
 
 import (
-	"context"
-	"time"
-
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/cdn"
@@ -37,13 +34,11 @@ import (
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/experiments"
 	"anycastcdn/internal/faults"
-	"anycastcdn/internal/frontend"
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/latency"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
-	"anycastcdn/internal/testbed"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/trace"
 	"anycastcdn/internal/units"
@@ -220,58 +215,6 @@ func ParseScenario(text string) (Scenario, error) { return faults.ParseScenario(
 func Resilience(cfg Config, sc Scenario) (*ResilienceReport, error) {
 	return experiments.Resilience(cfg, sc)
 }
-
-// Live loopback testbed layer.
-type (
-	// Testbed is a running loopback CDN miniature: real HTTP front-ends,
-	// a real authoritative DNS server with EDNS Client Subnet, and
-	// injected path latency.
-	Testbed = testbed.Testbed
-	// TestbedConfig wires a testbed to routing and latency callbacks.
-	TestbedConfig = testbed.Config
-	// FrontEndSpec declares one testbed front-end.
-	FrontEndSpec = testbed.FrontEndSpec
-	// BeaconClient performs the §3.2.2 measurement sequence against a
-	// testbed.
-	BeaconClient = testbed.BeaconClient
-	// BeaconResult is one live beacon execution.
-	BeaconResult = testbed.BeaconResult
-)
-
-// Data-path layer (the intro's split-TCP architecture).
-type (
-	// OriginBackend is the "data center" HTTP server front-ends relay to.
-	OriginBackend = frontend.Backend
-	// FrontEndProxy terminates client TCP connections and relays to the
-	// backend over warm persistent connections.
-	FrontEndProxy = frontend.Proxy
-	// FetchResult is one timed client fetch through the data path.
-	FetchResult = frontend.FetchResult
-)
-
-// NewOriginBackend starts a loopback origin server.
-func NewOriginBackend() (*OriginBackend, error) { return frontend.NewBackend() }
-
-// NewFrontEndProxy starts a front-end relaying to backendAddr across a
-// path with the given RTT.
-func NewFrontEndProxy(backendAddr string, backendRTT time.Duration) (*FrontEndProxy, error) {
-	return frontend.NewProxy(backendAddr, backendRTT)
-}
-
-// ColdFetch performs one request over a fresh TCP connection across a
-// path with the given emulated RTT.
-func ColdFetch(ctx context.Context, addr string, rtt time.Duration, query string) (FetchResult, error) {
-	return frontend.ColdFetch(ctx, addr, rtt, query)
-}
-
-// TestbedDomain is the testbed's DNS zone (cdn.test).
-const TestbedDomain = testbed.Domain
-
-// StartTestbed brings up a loopback testbed.
-func StartTestbed(cfg TestbedConfig) (*Testbed, error) { return testbed.Start(cfg) }
-
-// NewBeaconClient builds a beacon client against a running testbed.
-func NewBeaconClient(tb *Testbed) *BeaconClient { return testbed.NewBeaconClient(tb) }
 
 // DefaultConfig returns the experiment-scale configuration for a seed.
 func DefaultConfig(seed uint64) Config { return sim.DefaultConfig(seed) }

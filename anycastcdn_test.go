@@ -1,10 +1,6 @@
 package anycastcdn
 
 import (
-	"context"
-	"net/netip"
-	"time"
-
 	"testing"
 
 	"anycastcdn/internal/testutil"
@@ -76,62 +72,7 @@ func TestPublicCatalogAndTable(t *testing.T) {
 	}
 }
 
-func TestPublicTestbedAndDataPath(t *testing.T) {
-	// Exercise the testbed wrappers through the facade.
-	tb, err := StartTestbed(TestbedConfig{
-		FrontEnds:  []FrontEndSpec{{Site: 0, Name: "solo"}},
-		AnycastFor: func(uint64) SiteID { return 0 },
-		RTT: func(uint64, SiteID, bool) timeDurationAlias {
-			return 2 * millisecond
-		},
-		ClientAddr: func(c uint64) netipAddrAlias { return addr4(10, 0, byte(c), 1) },
-		ClientOf: func(p netipAddrAlias) (uint64, bool) {
-			a4 := p.As4()
-			return uint64(a4[2]), a4[0] == 10
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer tb.Close()
-	bc := NewBeaconClient(tb)
-	ctx, cancel := contextWithTimeout()
-	defer cancel()
-	res, err := bc.RunBeacon(ctx, 1, []string{"solo"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Anycast.Site != 0 || len(res.Unicast) != 1 {
-		t.Fatalf("beacon result %+v", res)
-	}
-
-	// And the split-TCP data-path wrappers.
-	backend, err := NewOriginBackend()
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer backend.Close()
-	fe, err := NewFrontEndProxy(backend.Addr(), 10*millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fe.Close()
-	if err := fe.Warm(ctx); err != nil {
-		t.Fatal(err)
-	}
-	got, err := ColdFetch(ctx, fe.Addr(), millisecond, "facade")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ServedBy != "front-end" || got.Elapsed <= 0 {
-		t.Fatalf("fetch result %+v", got)
-	}
-}
-
 func TestPublicConstants(t *testing.T) {
-	if TestbedDomain != "cdn.test" {
-		t.Fatalf("domain = %q", TestbedDomain)
-	}
 	if AnycastTarget.String() != "anycast" {
 		t.Fatal("anycast target")
 	}
@@ -141,19 +82,6 @@ func TestPublicConstants(t *testing.T) {
 	if MetricP25 >= MetricMedian {
 		t.Fatal("metric ordering")
 	}
-}
-
-// Small helpers keeping the facade tests free of extra imports noise.
-type timeDurationAlias = time.Duration
-
-type netipAddrAlias = netip.Addr
-
-const millisecond = time.Millisecond
-
-func addr4(a, b, c, d byte) netip.Addr { return netip.AddrFrom4([4]byte{a, b, c, d}) }
-
-func contextWithTimeout() (context.Context, context.CancelFunc) {
-	return context.WithTimeout(context.Background(), 30*time.Second)
 }
 
 func TestPublicFaultInjectionFlow(t *testing.T) {

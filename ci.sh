@@ -6,7 +6,7 @@
 #      `gofmt -l .` must print nothing
 #   3. anycastvet (this repo's invariant suite: unchecked errors,
 #      lock/unlock pairing, no panics in library code, goroutine
-#      join/cancel paths, ctx propagation in dnswire, dimensional safety
+#      join/cancel paths, ctx propagation in distsim, dimensional safety
 #      for ms/km quantities, documented locking contracts, replay safety
 #      — order-dependent map iteration, wall clocks and global math/rand
 #      in replay-critical code — and allocation-free hot paths), run
@@ -33,16 +33,16 @@
 #      module's own tests (perfbench is a nested module, so go test ./...
 #      skips it; they pin the three workloads' golden report digests)
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, and the two decoders of bytes
-#      that cross the worker/coordinator process boundary (quantile
+#      parser, the fault-scenario parser, and the three readers of bytes
+#      that cross the worker/coordinator process boundary (the distsim
+#      frame reader with its matrix and site-map decoders, quantile
 #      sketches, and shard-day frames, whose last day carries each
 #      shard's analysis state), enough to replay the corpus and shake out
 #      shallow panics
-#   6. race detector over the concurrent packages: the dnswire servers,
-#      the parallel simulation core, the fault-injection layer, the
-#      loopback testbed, the HTTP front-ends, the client population
-#      generator, the load manager, the columnar log, the stats
-#      kernels, and the distributed coordinator/worker layer
+#   6. race detector over the concurrent packages: the parallel
+#      simulation core, the fault-injection layer, the client population
+#      generator, the load manager, the columnar log, the stats kernels,
+#      and the distributed coordinator/worker layer
 #   7. coverage floor: the scenario engine, the simulation core, the
 #      analysis engine, and the load-management layer together must keep
 #      >= 80% statement coverage (artifact: cover_repro.out)
@@ -146,6 +146,7 @@ echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
+go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing
 # one new input at the default -fuzzminimizetime (60s) would stall the
 # whole 5s budget.
@@ -153,7 +154,7 @@ go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimiz
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
 
 echo '== go test -race (concurrent packages)'
-go test -race ./internal/dnswire/ ./internal/sim/ ./internal/faults/ ./internal/testbed/ ./internal/frontend/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/
+go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'
 go test -coverpkg=anycastcdn/internal/faults,anycastcdn/internal/sim,anycastcdn/internal/analysis,anycastcdn/internal/load \

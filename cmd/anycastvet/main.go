@@ -2,7 +2,7 @@
 // (internal/analysis) over the module and reports invariant violations:
 // dropped errors on the network paths, Lock() calls with no matching
 // Unlock, panics in library code, goroutines with no join/cancel path,
-// dnswire net I/O that ignores the caller's ctx, bare-float64
+// distsim net I/O that ignores the caller's ctx, bare-float64
 // latency/distance quantities that bypass internal/units, exported
 // mutex-holding types with no documented locking contract, replay
 // hazards (order-dependent map iteration, wall-clock reads and global

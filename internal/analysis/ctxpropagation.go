@@ -6,18 +6,15 @@ import (
 	"strings"
 )
 
-// RestrictedCtxPropagation lists the packages whose client-side network
-// code must honor caller contexts: the DNS exchange layer is on the
-// beacon's measurement path, where a read that ignores cancellation and
-// rides out a private fallback deadline dominates tail latency; the
-// distributed-simulation layer holds socket pairs to a worker fleet,
-// where an I/O wait that ignores cancellation strands the whole run.
+// RestrictedCtxPropagation lists the packages whose network code must
+// honor caller contexts: the distributed-simulation layer holds socket
+// pairs to a worker fleet, where an I/O wait that ignores cancellation
+// strands the whole run.
 var RestrictedCtxPropagation = []string{
-	"anycastcdn/internal/dnswire",
 	"anycastcdn/internal/distsim",
 }
 
-// CtxPropagation enforces the dnswire ctx contract: a function that takes
+// CtxPropagation enforces the distsim ctx contract: a function that takes
 // a context.Context and performs blocking net I/O (conn.Read/ReadFrom/
 // Write/WriteTo) must consult that ctx — reference ctx.Done(),
 // ctx.Deadline(), or ctx.Err() directly, or hand the ctx to a
@@ -27,7 +24,7 @@ var RestrictedCtxPropagation = []string{
 // net.Dialer.DialContext so the caller's ctx bounds connection setup.
 var CtxPropagation = &Analyzer{
 	Name: "ctxpropagation",
-	Doc:  "blocking net I/O in dnswire must derive deadlines and cancellation from the caller's ctx",
+	Doc:  "blocking net I/O in distsim must derive deadlines and cancellation from the caller's ctx",
 	Run:  runCtxPropagation,
 }
 

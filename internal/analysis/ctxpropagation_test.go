@@ -11,8 +11,8 @@ func TestCtxPropagation(t *testing.T) {
 	}{
 		{
 			name: "blocking read ignoring ctx",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a.go": `package distsim
 
 import (
 	"context"
@@ -33,8 +33,8 @@ func f(ctx context.Context, conn net.Conn) error {
 		},
 		{
 			name: "ctx deadline consulted directly",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a.go": `package distsim
 
 import (
 	"context"
@@ -59,8 +59,8 @@ func f(ctx context.Context, conn net.Conn) error {
 		},
 		{
 			name: "ctx handed to a same-package watcher",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a.go": `package distsim
 
 import (
 	"context"
@@ -91,8 +91,8 @@ func f(ctx context.Context, conn net.Conn) error {
 		},
 		{
 			name: "ctx-less net.Dial",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a.go": `package distsim
 
 import "net"
 
@@ -104,8 +104,8 @@ func f(addr string) (net.Conn, error) {
 		},
 		{
 			name: "functions without ctx params are out of scope",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a.go": `package distsim
 
 import "net"
 
@@ -137,8 +137,8 @@ func f(ctx context.Context, conn net.Conn) error {
 		},
 		{
 			name: "test files are exempt",
-			path: "anycastcdn/internal/dnswire",
-			files: map[string]string{"a_test.go": `package dnswire
+			path: "anycastcdn/internal/distsim",
+			files: map[string]string{"a_test.go": `package distsim
 
 import "net"
 

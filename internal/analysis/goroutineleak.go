@@ -10,8 +10,7 @@ import (
 // GoroutineLeak requires every goroutine spawned in internal library code
 // to have a visible join or cancellation path. A long-running server that
 // leaks one goroutine per query or per Close eventually dies of scheduler
-// pressure, and a leaked handler can touch caller state after shutdown —
-// the exact class of bug the dnswire drain-on-Close work fixes.
+// pressure, and a leaked handler can touch caller state after shutdown.
 //
 // A `go` statement is accepted when the spawned body (a func literal, or
 // the declaration of a same-package function) shows one of:

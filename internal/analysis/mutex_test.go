@@ -38,7 +38,7 @@ func (s *S) Good() {
 			want: nil,
 		},
 		{
-			name: "conditional early unlock balances (dnswire Close pattern)",
+			name: "conditional early unlock in Close balances",
 			src: `package x
 
 import "sync"

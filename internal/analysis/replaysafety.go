@@ -257,7 +257,7 @@ func clockOrGlobalRand(pass *Pass, n ast.Node) (what, fix string) {
 	case *ast.CallExpr:
 		if sel, ok := n.Fun.(*ast.SelectorExpr); ok {
 			if pn := pass.PkgNameOf(sel); pn != nil && pn.Imported().Path() == "time" && sel.Sel.Name == "Now" {
-				return "time.Now()", "inject a clock (now func() time.Time) like dnswire.CachingResolver.Now"
+				return "time.Now()", "inject a clock (a now func() time.Time field or parameter)"
 			}
 		}
 	case *ast.SelectorExpr:

@@ -64,16 +64,6 @@ func (d *Deployment) FrontEndAt(site topology.SiteID) (FrontEnd, bool) {
 	return d.FrontEnds[i], true
 }
 
-// ByUnicast returns the front-end owning a unicast prefix.
-func (d *Deployment) ByUnicast(p netaddr.Prefix24) (FrontEnd, bool) {
-	for _, fe := range d.FrontEnds {
-		if fe.Unicast == p {
-			return fe, true
-		}
-	}
-	return FrontEnd{}, false
-}
-
 // NumFrontEnds returns the number of front-end locations.
 func (d *Deployment) NumFrontEnds() int { return len(d.FrontEnds) }
 

@@ -71,10 +71,6 @@ func TestFrontEndLookups(t *testing.T) {
 		if !ok || got.Unicast != fe.Unicast {
 			t.Fatalf("FrontEndAt(%d) = %+v, %v", fe.Site, got, ok)
 		}
-		got, ok = d.ByUnicast(fe.Unicast)
-		if !ok || got.Site != fe.Site {
-			t.Fatalf("ByUnicast(%v) = %+v, %v", fe.Unicast, got, ok)
-		}
 	}
 	// Peering-only sites have no front-end.
 	for _, s := range d.Backbone.Sites {
@@ -83,9 +79,6 @@ func TestFrontEndLookups(t *testing.T) {
 				t.Fatalf("peering-only site %s reported a front-end", s.Metro.Name)
 			}
 		}
-	}
-	if _, ok := d.ByUnicast(netaddr.FromOctets(1, 2, 3)); ok {
-		t.Fatal("ByUnicast found an unallocated prefix")
 	}
 }
 

@@ -6,8 +6,8 @@ import (
 )
 
 // FuzzMessageUnpack throws arbitrary bytes at the wire decoder. The
-// invariants: Unpack never panics (it parses packets straight off a UDP
-// socket), and any message it accepts survives a Pack/Unpack round trip.
+// invariants: Unpack never panics (its input is untrusted wire bytes),
+// and any message it accepts survives a Pack/Unpack round trip.
 // Pack is allowed to reject an accepted message — wire labels may contain
 // bytes (embedded dots, empty runs) that the name validator refuses on
 // the way back out — but it must not panic either.

@@ -1,11 +1,10 @@
 // Package dnswire implements a from-scratch DNS wire codec (RFC 1035)
-// with EDNS0 (RFC 6891) and the Client Subnet option (RFC 7871), plus a
-// UDP authoritative server and a caching stub resolver.
+// with EDNS0 (RFC 6891) and the Client Subnet option (RFC 7871).
 //
-// It is the protocol substrate of the live loopback testbed
-// (internal/testbed): the testbed's authoritative nameserver speaks this
-// codec to return either the anycast VIP or a predictor-chosen unicast
-// front-end, exactly the redirection machinery §6 of the paper proposes.
+// It is a standalone codec: the simulator models DNS redirection in
+// internal/dns without putting messages on the wire, and no server or
+// resolver is built on it. It keeps the OPT/ECS wire layout that a study
+// of ECS on the wire would start from.
 //
 // Scope: queries with one question; A/AAAA/CNAME/TXT answers; name
 // compression is decoded but never emitted.

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -14,8 +15,10 @@ import (
 // both §6 extensions. The fold keeps per-client and per-client-day
 // scalars, never the month's beacons, so the heap stays under 512 MiB;
 // materializing the run in a Result and folding it through NewSuite
-// exceeds 1 GiB. Skipped under -short; ci.sh runs it as a named smoke
-// step.
+// exceeds 1 GiB. The rendered reports are pinned in
+// testdata/reference-run.golden, so every EXPERIMENTS.md headline is
+// checked at the scale it is quoted at. Skipped under -short; ci.sh runs
+// it as a named smoke step.
 func TestReferenceRunMemorySmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("reference-run smoke skipped in short mode")
@@ -37,11 +40,14 @@ func TestReferenceRunMemorySmoke(t *testing.T) {
 	}
 	reports := append(ss.All(), ss.MetricStability(), ss.HybridDeployment())
 	elapsed := time.Since(start)
+	var text strings.Builder
 	for _, r := range reports {
 		if len(r.Lines) == 0 {
 			t.Errorf("%s rendered no headlines", r.ID)
 		}
+		text.WriteString(r.Render())
 	}
+	checkGolden(t, "reference-run", text.String())
 	if beacons == 0 {
 		t.Fatal("reference run executed no beacons")
 	}

@@ -99,7 +99,7 @@ type Pool int
 // million client /24s in total. The ranges are chained in that fixed
 // order, so growing the pool never changes which prefix an existing
 // client index receives. FrontEndPool allocates from 198.18.0.0/15
-// (benchmarking); AnycastPool is the single well-known VIP prefix
+// (benchmarking); AnycastPrefix is the single well-known anycast /24
 // 192.0.2.0/24. All pools are disjoint.
 const (
 	ClientPool Pool = iota

@@ -6,9 +6,9 @@ import (
 )
 
 // Table is a longest-prefix-match routing table for IPv4 prefixes,
-// implemented as a binary trie on the address bits. It is what a router's
-// FIB does conceptually, and what the testbed's DNS handler uses to map
-// an EDNS Client Subnet back to a simulated client /24.
+// implemented as a binary trie on the address bits: the lookup a router's
+// FIB does conceptually, e.g. mapping an EDNS Client Subnet back to a
+// simulated client /24.
 //
 // The zero value is an empty table. Table is not safe for concurrent
 // mutation; concurrent lookups are safe after all inserts complete.
