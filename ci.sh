@@ -33,12 +33,13 @@
 #      module's own tests (perfbench is a nested module, so go test ./...
 #      skips it; they pin the three workloads' golden report digests)
 #   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, and the three readers of bytes
+#      parser, the fault-scenario parser, the three readers of bytes
 #      that cross the worker/coordinator process boundary (the distsim
 #      frame reader with its matrix and site-map decoders, quantile
 #      sketches, and shard-day frames, whose last day carries each
-#      shard's analysis state), enough to replay the corpus and shake out
-#      shallow panics
+#      shard's analysis state), and the dot-product site search against
+#      its brute-force DistanceKm oracle, enough to replay the corpus and
+#      shake out shallow panics and inexact answers
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core, the fault-injection layer, the client population
 #      generator, the load manager, the columnar log, the stats kernels,
@@ -46,18 +47,22 @@
 #   7. coverage floor: the scenario engine, the simulation core, the
 #      analysis engine, and the load-management layer together must keep
 #      >= 80% statement coverage (artifact: cover_repro.out)
-#   8. benchmarks at -benchtime=1x, summarized by cmd/benchjson into the
-#      machine-readable artifact BENCH_repro.json and gated against the
-#      checked-in BENCH_baseline.json: the baseline's benchmarks may not
-#      regress past 15%, BenchmarkAblationFloor50 must stay >= 3x faster
-#      than its pre-optimization baseline, the xrand substream and
-#      latency sampling benchmarks must report 0 allocs/op, and the
-#      simulation cores must stay at least 3x below their pre-columnar
-#      B/op (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
-#      74 MB/op), and the whole-fleet distributed run must stay under
-#      65 MB/op (frame buffers are reused, so the bill is dominated by
-#      the two worker world builds); a failure names the benchmark and
-#      both the baseline and current values
+#   8. benchmarks at -benchtime=1x, five samples each (-count 5) and one
+#      package at a time (-p 1, so no gated timing shares the CPUs with
+#      another package's benchmarks); cmd/benchjson reduces the samples
+#      to their medians in the machine-readable artifact BENCH_repro.json
+#      and gates them against the checked-in BENCH_baseline.json (itself
+#      medians): the baseline's benchmarks may not regress past 15%,
+#      BenchmarkAblationFloor50 must stay >= 3x faster than its
+#      pre-optimization baseline, the xrand substream, latency sampling,
+#      peering-ranking and nearest-site benchmarks must report 0
+#      allocs/op, and the simulation cores must stay at least 3x below
+#      their pre-columnar B/op (RunWorld/StreamWorld baseline was
+#      ~223 MB/op; the ceiling is 74 MB/op), and the whole-fleet
+#      distributed run must stay under 55 MB/op (frame buffers are
+#      reused, so the bill is dominated by the two worker world builds);
+#      a failure names the benchmark and both the baseline and current
+#      values
 #
 # Usage: ./ci.sh
 set -eu
@@ -152,6 +157,7 @@ go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # whole 5s budget.
 go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimizetime 200x ./internal/stats/
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
+go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/
@@ -165,12 +171,12 @@ awk -v t="$total" 'BEGIN {
 	printf "faults+sim+analysis+load coverage: %.1f%% (floor 80%%)\n", t
 }'
 
-echo '== benchmarks at -benchtime=1x, gated against BENCH_baseline.json (artifact: BENCH_repro.json)'
-go test -run '^$' -bench . -benchtime 1x -json ./... | go run ./cmd/benchjson \
+echo '== benchmarks at -benchtime=1x -count 5 -p 1, medians gated against BENCH_baseline.json (artifact: BENCH_repro.json)'
+go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cmd/benchjson \
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkPointSetNearest=0 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

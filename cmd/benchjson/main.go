@@ -4,7 +4,11 @@
 // ..."), and writes them as sorted JSON, so CI can archive one stable
 // artifact (BENCH_repro.json) per run instead of scraping logs:
 //
-//	go test -bench=. -benchtime=1x -run '^$' -json ./... | benchjson -o BENCH_repro.json
+//	go test -bench=. -benchtime=1x -count=5 -run '^$' -json ./... | benchjson -o BENCH_repro.json
+//
+// Repeated samples of one benchmark (go test -count) reduce to one entry
+// holding the median ns/op, the median of each metric, and the sample
+// count, so a gate reads a median rather than one noisy sample.
 //
 // With -compare, benchjson additionally gates the run against a
 // checked-in baseline (BENCH_baseline.json) and exits non-zero naming the
@@ -40,17 +44,18 @@ import (
 type event struct {
 	Action  string `json:"Action"`
 	Package string `json:"Package"`
-	Test    string `json:"Test"`
 	Output  string `json:"Output"`
 }
 
-// result is one benchmark measurement.
+// result is one benchmark measurement: one sample as parsed, or the
+// per-field medians of Samples samples once reduced.
 type result struct {
 	Package    string             `json:"package"`
 	Name       string             `json:"name"`
 	Iterations int64              `json:"iterations"`
 	NsPerOp    float64            `json:"ns_per_op"`
 	Metrics    map[string]float64 `json:"metrics,omitempty"`
+	Samples    int                `json:"samples,omitempty"`
 }
 
 func main() {
@@ -95,6 +100,12 @@ func run(in io.Reader, outPath string) ([]result, error) {
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<20)
 	var results []result
+	// The testing package prints a benchmark's name, runs it, then prints
+	// the measurements, so test2json often splits one result line over
+	// two output events — and under -count the repeated samples' events
+	// carry no Test field. Reassemble each package's output into lines
+	// before parsing.
+	pending := map[string]string{}
 	for sc.Scan() {
 		var ev event
 		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
@@ -103,17 +114,10 @@ func run(in io.Reader, outPath string) ([]result, error) {
 		if ev.Action != "output" {
 			continue
 		}
-		if r, ok := parseBenchLine(ev.Package, ev.Output); ok {
-			results = append(results, r)
-			continue
-		}
-		// The testing package prints the benchmark name, runs the
-		// benchmark, then prints the measurements, so test2json usually
-		// delivers the name as its own partial-line event and the
-		// "       1\t123 ns/op\t..." line separately — with the benchmark
-		// name in the event's Test field. Rejoin them.
-		if strings.HasPrefix(ev.Test, "Benchmark") && strings.Contains(ev.Output, "ns/op") {
-			if r, ok := parseBenchLine(ev.Package, ev.Test+"\t"+ev.Output); ok {
+		lines := strings.Split(pending[ev.Package]+ev.Output, "\n")
+		pending[ev.Package] = lines[len(lines)-1]
+		for _, line := range lines[:len(lines)-1] {
+			if r, ok := parseBenchLine(ev.Package, line); ok {
 				results = append(results, r)
 			}
 		}
@@ -121,12 +125,7 @@ func run(in io.Reader, outPath string) ([]result, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Package != results[j].Package {
-			return results[i].Package < results[j].Package
-		}
-		return results[i].Name < results[j].Name
-	})
+	results = medians(results)
 	b, err := json.MarshalIndent(results, "", "  ")
 	if err != nil {
 		return nil, err
@@ -136,6 +135,63 @@ func run(in io.Reader, outPath string) ([]result, error) {
 	}
 	fmt.Printf("benchjson: wrote %d benchmark results to %s\n", len(results), outPath)
 	return results, nil
+}
+
+// medians reduces the samples of each (package, name) to one result whose
+// iterations, ns/op and every metric are the medians over the samples that
+// report them, sorted by package then name.
+func medians(samples []result) []result {
+	type benchKey struct{ pkg, name string }
+	groups := map[benchKey][]result{}
+	var keys []benchKey
+	for _, r := range samples {
+		k := benchKey{r.Package, r.Name}
+		if _, ok := groups[k]; !ok {
+			keys = append(keys, k)
+		}
+		groups[k] = append(groups[k], r)
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i].pkg != keys[j].pkg {
+			return keys[i].pkg < keys[j].pkg
+		}
+		return keys[i].name < keys[j].name
+	})
+	out := make([]result, 0, len(keys))
+	for _, k := range keys {
+		g := groups[k]
+		r := result{Package: k.pkg, Name: k.name, Samples: len(g)}
+		var iters, ns []float64
+		metrics := map[string][]float64{}
+		for _, s := range g {
+			iters = append(iters, float64(s.Iterations))
+			ns = append(ns, s.NsPerOp)
+			for unit, v := range s.Metrics {
+				metrics[unit] = append(metrics[unit], v)
+			}
+		}
+		r.Iterations = int64(median(iters))
+		r.NsPerOp = median(ns)
+		for unit, vs := range metrics {
+			if r.Metrics == nil {
+				r.Metrics = map[string]float64{}
+			}
+			r.Metrics[unit] = median(vs)
+		}
+		out = append(out, r)
+	}
+	return out
+}
+
+// median returns the middle value of xs, or the mean of the two middle
+// values when len(xs) is even. It sorts xs in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // parseBenchLine parses one benchmark result line of `go test -bench`

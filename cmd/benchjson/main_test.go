@@ -70,6 +70,49 @@ func TestRunRejoinsSplitEvents(t *testing.T) {
 	}
 }
 
+// TestRunReducesSamplesToMedians feeds run the output of `go test
+// -count`: repeated samples of one benchmark — one of them split over two
+// events without a Test field, as test2json emits them — reduce to one
+// entry with the median ns/op, per-metric medians and the sample count;
+// an even count takes the mean of the middle pair, and a same-named
+// benchmark in another package stays its own entry.
+func TestRunReducesSamplesToMedians(t *testing.T) {
+	line := func(pkg, bench, measured string) string {
+		return `{"Action":"output","Package":"` + pkg + `","Output":"` + bench + `\t` + measured + `\n"}`
+	}
+	stream := strings.Join([]string{
+		line("p", "BenchmarkA-2", `1\t500 ns/op\t50 B/op\t5 allocs/op`),
+		line("p", "BenchmarkA-2", `1\t100 ns/op\t10 B/op\t1 allocs/op`),
+		`{"Action":"output","Package":"p","Output":"BenchmarkA-2   \t"}`,
+		`{"Action":"output","Package":"p","Output":"       1\t300 ns/op\t30 B/op\t3 allocs/op\n"}`,
+		line("q", "BenchmarkA-2", `7\t1 ns/op`),
+		line("p", "BenchmarkA-2", `1\t900 ns/op\t90 B/op\t9 allocs/op`),
+		line("p", "BenchmarkA-2", `1\t200 ns/op\t20 B/op\t2 allocs/op`),
+		line("p", "BenchmarkB-2", `4\t10 ns/op`),
+		line("p", "BenchmarkB-2", `2\t40 ns/op`),
+	}, "\n")
+	results, err := run(strings.NewReader(stream), t.TempDir()+"/out.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(results) != 3 {
+		t.Fatalf("got %d results, want 3: %+v", len(results), results)
+	}
+	a, b, q := results[0], results[1], results[2]
+	if a.Package != "p" || a.Name != "BenchmarkA-2" || a.Samples != 5 || a.NsPerOp != 300 || a.Iterations != 1 {
+		t.Errorf("five samples reduced to %+v, want p BenchmarkA-2 at 300 ns/op over 5 samples", a)
+	}
+	if a.Metrics["B/op"] != 30 || a.Metrics["allocs/op"] != 3 {
+		t.Errorf("per-metric medians = %v, want 30 B/op and 3 allocs/op", a.Metrics)
+	}
+	if b.Name != "BenchmarkB-2" || b.Samples != 2 || b.NsPerOp != 25 || b.Iterations != 3 {
+		t.Errorf("two samples reduced to %+v, want 25 ns/op and 3 iterations over 2 samples", b)
+	}
+	if q.Package != "q" || q.Samples != 1 || q.NsPerOp != 1 || q.Iterations != 7 {
+		t.Errorf("the other package's sample reduced to %+v, want it kept alone", q)
+	}
+}
+
 func TestBenchName(t *testing.T) {
 	cases := map[string]string{
 		"BenchmarkSampleRTT-8":   "BenchmarkSampleRTT",

@@ -245,25 +245,29 @@ func (r *Router) IngressSchedule(c Client, days int) []topology.SiteID {
 // IngressScheduleInto fills out[d] with the client's ingress on day d, for
 // d in [0, len(out)) — IngressSchedule without the allocation, for callers
 // (the streaming simulation) that pack all clients' schedules into one
-// flat array instead of holding a slice per client. The peering ranking is
-// computed once here and reused for the base choice and every switch day,
-// so extra simulated days cost no extra ranking work (and no allocations).
-func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) {
+// flat array instead of holding a slice per client — and returns the
+// client's base ingress, BaseIngress's answer, which the schedule starts
+// from. The peering ranking is computed once here and reused for the base
+// choice and every switch day, so extra simulated days cost no extra
+// ranking work (and no allocations).
+func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) topology.SiteID {
 	isp := r.isps.ISP(c.ISP)
 	var rbuf [rankBufSites]topology.SiteID
 	ranked := r.backbone.RankPeeringByAirInto(c.Point, rbuf[:0])
-	var cur topology.SiteID
+	var base topology.SiteID
 	if isp.Policy == topology.Centralized {
-		cur = r.nearestHub(c, isp)
+		base = r.nearestHub(c, isp)
 	} else {
-		cur = r.baseIngressRanked(c, isp, ranked)
+		base = r.baseIngressRanked(c, isp, ranked)
 	}
+	cur := base
 	for d := range out {
 		if r.SwitchedOnDay(c, d) {
 			cur = r.alternativeIngress(ranked, c, d, cur)
 		}
 		out[d] = cur
 	}
+	return base
 }
 
 // Assign resolves a full assignment from an ingress.

@@ -244,6 +244,24 @@ func TestIngressScheduleConsistency(t *testing.T) {
 	}
 }
 
+// TestIngressScheduleReturnsBaseIngress pins the base ingress the
+// schedule builder returns (the streaming simulation seeds each client's
+// pre-day-0 front-end from it) to BaseIngress, for every egress policy.
+func TestIngressScheduleReturnsBaseIngress(t *testing.T) {
+	b, isps := buildWorld(t)
+	r := NewRouter(b, isps, 42, DefaultConfig())
+	sched := make([]topology.SiteID, 30)
+	for _, p := range []topology.EgressPolicy{topology.TieBreak, topology.HotPotato, topology.Centralized} {
+		ispID := anyISP(t, isps, "US", p)
+		for i, m := range geo.World() {
+			c := Client{PrefixID: uint64(i), Point: m.Point, ISP: ispID}
+			if got, want := r.IngressScheduleInto(c, sched), r.BaseIngress(c); got != want {
+				t.Fatalf("%v client at %s: IngressScheduleInto returned base %d, BaseIngress %d", p, m.Name, got, want)
+			}
+		}
+	}
+}
+
 func TestSwitchChangesIngress(t *testing.T) {
 	b, isps := buildWorld(t)
 	r := NewRouter(b, isps, 42, DefaultConfig())

@@ -156,6 +156,7 @@ type RangeMapper struct {
 	metros      []geo.Metro
 	metroByName map[string]geo.Metro
 	publicPts   []geo.Point
+	publicSet   *geo.PointSet
 	lo, hi      uint64
 	mp          *Mapping
 	index       map[string]LDNSID
@@ -185,6 +186,7 @@ func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfi
 		metros:      metros,
 		metroByName: metroByName,
 		publicPts:   publicPts,
+		publicSet:   geo.NewPointSet(publicPts),
 		lo:          lo,
 		hi:          hi,
 		mp:          &Mapping{ClientLDNS: make([]LDNSID, hi-lo), Base: lo},
@@ -201,7 +203,7 @@ func (rm *RangeMapper) Observe(c clients.Client) {
 	var id LDNSID
 	switch {
 	case rs.Bool(rm.cfg.PublicFrac):
-		pi, _ := geo.NearestIndex(c.Point, rm.publicPts)
+		pi, _ := rm.publicSet.Nearest(c.Point)
 		name := "public-" + publicResolverMetros[pi]
 		id = rm.intern(name, Public, rm.publicPts[pi])
 	case rs.Bool(rm.cfg.HubFrac):
@@ -258,13 +260,15 @@ func (m *Mapping) Resolver(clientID uint64) LDNS {
 // candidate plus two distance-weighted random picks.
 //
 // Safe for concurrent use: the per-LDNS candidate cache is guarded by mu;
-// the deployment, geo database, and candidate count are read-only after
-// construction. mu is a leaf lock — never held across the geolocation
-// or distance computations, or while acquiring any other mutex — so it
-// imposes no acquisition order.
+// the deployment, geo database, front-end set and candidate count are
+// read-only after construction. mu is a leaf lock — never held across the
+// geolocation or distance computations, or while acquiring any other
+// mutex — so it imposes no acquisition order.
 type Authority struct {
 	dep   *cdn.Deployment
 	geoDB *geo.DB
+	// feSet holds the front-end metros in dep.FrontEnds order.
+	feSet *geo.PointSet
 	// CandidateCount is the candidate set size (10 in the paper).
 	CandidateCount int
 
@@ -278,9 +282,14 @@ func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB, candidates int) *Authority
 	if candidates < 1 {
 		candidates = 10
 	}
+	pts := make([]geo.Point, len(dep.FrontEnds))
+	for i, fe := range dep.FrontEnds {
+		pts[i] = dep.Backbone.Site(fe.Site).Metro.Point
+	}
 	return &Authority{
 		dep:            dep,
 		geoDB:          geoDB,
+		feSet:          geo.NewPointSet(pts),
 		CandidateCount: candidates,
 		cache:          map[LDNSID][]topology.SiteID{},
 	}
@@ -298,11 +307,7 @@ func (a *Authority) Candidates(l LDNS) []topology.SiteID {
 	}
 	believed := a.geoDB.Locate(ldnsGeoKey(l.ID), l.Point)
 	fes := a.dep.FrontEnds
-	pts := make([]geo.Point, len(fes))
-	for i, fe := range fes {
-		pts[i] = a.dep.Backbone.Site(fe.Site).Metro.Point
-	}
-	order := geo.RankByDistance(believed, pts)
+	order := a.feSet.RankInto(believed, nil)
 	n := a.CandidateCount
 	if n > len(order) {
 		n = len(order)

@@ -105,8 +105,9 @@ func (s *StreamSuite) Figure2() Report {
 	}
 	dists := make([][]units.Kilometers, 4) // rank -> per-client distance
 	var weights []float64
+	order := make([]int, len(pts))
 	for _, c := range w.Population.Clients {
-		order := geo.RankByDistance(c.Point, pts)
+		order = s.feSet.RankInto(c.Point, order)
 		for r := 0; r < 4 && r < len(order); r++ {
 			dists[r] = append(dists[r], geo.DistanceKm(c.Point, pts[order[r]]))
 		}

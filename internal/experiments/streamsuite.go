@@ -33,7 +33,7 @@ type StreamSuite struct {
 	// NewStreamSuite, one worker's shard for a ShardObserver.
 	lo, hi int
 	geoDB  *geo.DB
-	fePts  []geo.Point // front-end metros, for Figure 4's closest search
+	feSet  *geo.PointSet // front-end metros, for Figures 2 and 4's nearest searches
 
 	// days counts the observed days. Every client has one passive record
 	// a day, so it is also every client's day count.
@@ -99,7 +99,7 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 		lo:         lo,
 		hi:         hi,
 		geoDB:      geo.NewDB(cfg.Seed, cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm),
-		fePts:      pts,
+		feSet:      geo.NewPointSet(pts),
 		switchDays: make([]int32, hi-lo),
 		window:     window,
 		sketch:     sk,
@@ -146,7 +146,7 @@ func (s *StreamSuite) observePassive(d sim.DayResult) {
 			fePt := bb.Site(r.FrontEnd).Metro.Point
 			loc := s.geoDB.Locate(cl.ID, cl.Point)
 			toFE := geo.DistanceKm(loc, fePt)
-			_, closest := geo.NearestIndex(loc, s.fePts)
+			_, closest := s.feSet.Nearest(loc)
 			s.served = append(s.served, servedRow{
 				fe: r.FrontEnd, ingress: d.Assignments[i].Ingress, queries: r.Queries, volume: cl.Volume,
 				dist: geo.DistanceKm(cl.Point, fePt), toFE: toFE, past: toFE - closest,

@@ -137,13 +137,14 @@ func (inj *Injector) compileLDNSFallback(mapping *dns.Mapping, metros []geo.Metr
 	for i, m := range metros {
 		metroPts[i] = m.Point
 	}
+	publicSet, metroSet := geo.NewPointSet(pts), geo.NewPointSet(metroPts)
 	inj.ldnsFallback = make(map[dns.LDNSID]fallback)
 	for _, l := range mapping.Resolvers {
 		if l.Kind == dns.Public {
 			continue // public resolvers are the fallback, not the casualty
 		}
-		mi, _ := geo.NearestIndex(l.Point, metroPts)
-		pi, _ := geo.NearestIndex(l.Point, pts)
+		mi, _ := metroSet.Nearest(l.Point)
+		pi, _ := publicSet.Nearest(l.Point)
 		inj.ldnsFallback[l.ID] = fallback{region: metros[mi].Region, ldns: publics[pi]}
 	}
 	return nil

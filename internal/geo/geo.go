@@ -12,7 +12,6 @@ package geo
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"anycastcdn/internal/units"
 )
@@ -94,41 +93,4 @@ func (m Metro) Offset(dKm units.Kilometers, bearingDeg float64) Point {
 	// Normalize longitude into [-180, 180].
 	lonDeg := math.Mod(lon2/degToRad+540, 360) - 180
 	return Point{Lat: lat2 / degToRad, Lon: lonDeg}
-}
-
-// NearestIndex returns the index of the point in pts nearest to p, and the
-// distance. It returns (-1, +Inf) for an empty slice.
-func NearestIndex(p Point, pts []Point) (int, units.Kilometers) {
-	best := -1
-	bestD := units.Kilometers(math.Inf(1))
-	for i, q := range pts {
-		if d := DistanceKm(p, q); d < bestD {
-			best, bestD = i, d
-		}
-	}
-	return best, bestD
-}
-
-// RankByDistance returns the indices of pts sorted by increasing distance
-// from p. Ties are broken by index for determinism.
-func RankByDistance(p Point, pts []Point) []int {
-	type entry struct {
-		idx int
-		d   units.Kilometers
-	}
-	es := make([]entry, len(pts))
-	for i, q := range pts {
-		es[i] = entry{i, DistanceKm(p, q)}
-	}
-	sort.Slice(es, func(a, b int) bool {
-		if es[a].d != es[b].d {
-			return es[a].d < es[b].d
-		}
-		return es[a].idx < es[b].idx
-	})
-	out := make([]int, len(es))
-	for i, e := range es {
-		out[i] = e.idx
-	}
-	return out
 }

@@ -107,51 +107,6 @@ func TestOffsetCrossesAntimeridian(t *testing.T) {
 	}
 }
 
-func TestNearestIndex(t *testing.T) {
-	ny, _ := FindMetro("new-york")
-	pts := []Point{}
-	for _, name := range []string{"los-angeles", "chicago", "boston", "london"} {
-		m, _ := FindMetro(name)
-		pts = append(pts, m.Point)
-	}
-	idx, d := NearestIndex(ny.Point, pts)
-	if idx != 2 {
-		t.Fatalf("nearest to new-york = index %d, want 2 (boston)", idx)
-	}
-	if d < 100 || d > 500 {
-		t.Fatalf("new-york to boston distance %.0f out of expected range", d)
-	}
-	if idx, d := NearestIndex(ny.Point, nil); idx != -1 || !math.IsInf(d.Float(), 1) {
-		t.Fatal("NearestIndex on empty slice should be (-1, +Inf)")
-	}
-}
-
-func TestRankByDistance(t *testing.T) {
-	ny, _ := FindMetro("new-york")
-	names := []string{"london", "boston", "chicago", "los-angeles"}
-	pts := make([]Point, len(names))
-	for i, n := range names {
-		m, _ := FindMetro(n)
-		pts[i] = m.Point
-	}
-	order := RankByDistance(ny.Point, pts)
-	want := []int{1, 2, 3, 0} // boston, chicago, LA, london
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("rank order = %v, want %v", order, want)
-		}
-	}
-	// Property: distances are non-decreasing along the ranking.
-	prev := units.Kilometers(-1)
-	for _, idx := range order {
-		d := DistanceKm(ny.Point, pts[idx])
-		if d < prev {
-			t.Fatal("RankByDistance output not sorted")
-		}
-		prev = d
-	}
-}
-
 func TestWorldCatalog(t *testing.T) {
 	ms := World()
 	if len(ms) < 150 {
@@ -258,19 +213,5 @@ func BenchmarkDistanceKm(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = DistanceKm(p1, p2)
-	}
-}
-
-func BenchmarkRankByDistance(b *testing.B) {
-	ms := World()
-	pts := make([]Point, len(ms))
-	for i, m := range ms {
-		pts[i] = m.Point
-	}
-	p := Point{40.71, -74.01}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = RankByDistance(p, pts)
 	}
 }

@@ -139,11 +139,12 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	// day (the base assignment before day 0), carried across days for the
 	// passive log's switch records.
 	prevFE := make([]topology.SiteID, n)
+	bb := w.Deployment.Backbone
 	parallelFor(n, cfg.Workers, func(i int) {
 		c := cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
-		prevFE[i] = w.Router.Assign(rc, w.Router.BaseIngress(rc)).FrontEnd
+		baseIngress := w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
+		prevFE[i], _ = bb.HotPotatoFrontEnd(baseIngress)
 	})
 
 	// Per-day output buffers, reused across days. Unless keepBeacons is

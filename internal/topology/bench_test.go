@@ -1,0 +1,32 @@
+package topology_test
+
+import (
+	"testing"
+
+	"anycastcdn/internal/cdn"
+	"anycastcdn/internal/geo"
+	"anycastcdn/internal/topology"
+)
+
+var rankSink []topology.SiteID
+
+// BenchmarkRankPeeringByAir ranks the default deployment's 70 peering
+// sites for catalog-metro clients, into a reused buffer as the schedule
+// pass does.
+func BenchmarkRankPeeringByAir(b *testing.B) {
+	dep, err := cdn.BuildDefault()
+	if err != nil {
+		b.Fatal(err)
+	}
+	bb := dep.Backbone
+	var queries []geo.Point
+	for _, m := range geo.World() {
+		queries = append(queries, m.Offset(25, 45))
+	}
+	buf := make([]topology.SiteID, 0, len(bb.PeeringSites()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rankSink = bb.RankPeeringByAirInto(queries[i%len(queries)], buf)
+	}
+}

@@ -65,6 +65,9 @@ type Backbone struct {
 
 	frontEnds []SiteID
 	peerings  []SiteID
+	// peeringSet holds the peering sites' metros in peerings order, for
+	// RankPeeringByAirInto.
+	peeringSet *geo.PointSet
 }
 
 type edge struct {
@@ -110,6 +113,11 @@ func Build(specs []SiteSpec, degree int) (*Backbone, error) {
 	if len(b.peerings) == 0 {
 		return nil, fmt.Errorf("topology: deployment has no peering sites")
 	}
+	peeringPts := make([]geo.Point, len(b.peerings))
+	for i, id := range b.peerings {
+		peeringPts[i] = b.Sites[id].Metro.Point
+	}
+	b.peeringSet = geo.NewPointSet(peeringPts)
 	adj := b.buildLinks(degree)
 	b.computeRouting(adj)
 	return b, nil
@@ -138,8 +146,10 @@ func (b *Backbone) buildLinks(degree int) [][]edge {
 	for i, s := range b.Sites {
 		pts[i] = s.Metro.Point
 	}
+	set := geo.NewPointSet(pts)
+	order := make([]int, n)
 	for i := range b.Sites {
-		order := geo.RankByDistance(pts[i], pts)
+		order = set.RankInto(pts[i], order)
 		added := 0
 		for _, j := range order {
 			if SiteID(j) == SiteID(i) {
@@ -381,7 +391,7 @@ func (b *Backbone) RankPeeringByAir(p geo.Point) []SiteID {
 	return b.RankPeeringByAirInto(p, nil)
 }
 
-// rankStackSites bounds the distance scratch RankPeeringByAirInto keeps on
+// rankStackSites bounds the index scratch RankPeeringByAirInto keeps on
 // the stack; deployments are at most a couple hundred sites.
 const rankStackSites = 256
 
@@ -399,27 +409,11 @@ func (b *Backbone) RankPeeringByAirInto(p geo.Point, buf []SiteID) []SiteID {
 	} else {
 		out = make([]SiteID, n)
 	}
-	var dbuf [rankStackSites]units.Kilometers
-	var ds []units.Kilometers
-	if n <= len(dbuf) {
-		ds = dbuf[:n]
-	} else {
-		ds = make([]units.Kilometers, n)
-	}
-	for i, id := range b.peerings {
-		out[i] = id
-		ds[i] = geo.DistanceKm(p, b.Sites[id].Metro.Point)
-	}
-	// Insertion sort in tandem over (distance, id): allocation-free, and
-	// fast at deployment scale (tens of sites).
-	for i := 1; i < n; i++ {
-		id, d := out[i], ds[i]
-		j := i - 1
-		for j >= 0 && (ds[j] > d || (ds[j] == d && out[j] > id)) {
-			out[j+1], ds[j+1] = out[j], ds[j]
-			j--
-		}
-		out[j+1], ds[j+1] = id, d
+	// peerings is in ascending site-ID order, so the set's (distance,
+	// index) order is the (distance, site ID) order.
+	var ibuf [rankStackSites]int
+	for i, k := range b.peeringSet.RankInto(p, ibuf[:0]) {
+		out[i] = b.peerings[k]
 	}
 	return out
 }
