@@ -89,10 +89,11 @@ func DefaultConfig() Config {
 	}
 }
 
-// Per-router substream labels, hashed once. SwitchedOnDay and churnClass
-// run once per client-day; the schedule builders run once per client. All
-// use value-type streams reseeded from these labels so the routing layer
-// contributes no steady-state allocations to a simulated month.
+// Per-router substream labels, hashed once. The schedule builder runs once
+// per client and draws every day's switch event; SwitchedOnDay re-draws
+// one on demand. All use value-type streams reseeded from these labels so
+// the routing layer contributes no steady-state allocations to a simulated
+// month.
 var (
 	labelTieBreak    = xrand.NewLabel("tiebreak")
 	labelHPMiss      = xrand.NewLabel("hp-miss")
@@ -188,14 +189,20 @@ func (r *Router) churnClass(prefixID uint64) float64 {
 }
 
 // SwitchedOnDay reports whether the client's route changed during the
-// given day (a BGP path change event).
+// given day (a BGP path change event). The schedule builder draws the
+// same event for every day and records it in each entry's switch bit.
 func (r *Router) SwitchedOnDay(c Client, day int) bool {
-	rate := r.churnClass(c.PrefixID)
+	return r.switchedOnDay(r.churnClass(c.PrefixID), c.PrefixID, day)
+}
+
+// switchedOnDay draws the day's switch event at the client's churn-class
+// rate, which the schedule builder derives once per client.
+func (r *Router) switchedOnDay(rate float64, prefixID uint64, day int) bool {
 	if r.IsWeekend(day) {
 		rate *= r.cfg.WeekendFactor
 	}
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL2(r.seed, labelChurnEvent, c.PrefixID, uint64(day)))
+	rs.Reseed(xrand.DeriveSeedL2(r.seed, labelChurnEvent, prefixID, uint64(day)))
 	return rs.Bool(rate)
 }
 
@@ -234,23 +241,46 @@ func (r *Router) alternativeIngress(ranked []topology.SiteID, c Client, day int,
 	return ranked[idx]
 }
 
-// IngressSchedule returns the client's ingress for each of days [0, days).
-// Day d's ingress reflects any switch events up to and including day d.
-func (r *Router) IngressSchedule(c Client, days int) []topology.SiteID {
-	out := make([]topology.SiteID, days)
+// ScheduleEntry is one client-day of an ingress schedule in 16 bits: the
+// low 15 hold the day's ingress site and the top bit holds the day's
+// SwitchedOnDay. The streaming simulation keeps one entry per client-day
+// for the whole run, so the packing sets its steady-state memory at 2
+// bytes per client-day.
+//
+// The 15-bit field holds sites [0, scheduleSites). topology.Build rejects
+// duplicate metros, so the geo catalog bounds a deployment's NumSites far
+// below that (TestScheduleEntryFitsCatalog fails if the catalog outgrows
+// the field).
+type ScheduleEntry uint16
+
+const (
+	scheduleSites               = 1 << 15
+	entrySwitched ScheduleEntry = scheduleSites
+)
+
+// Ingress returns the day's ingress peering site.
+func (e ScheduleEntry) Ingress() topology.SiteID { return topology.SiteID(e &^ entrySwitched) }
+
+// Switched reports whether the client's route changed during the day.
+func (e ScheduleEntry) Switched() bool { return e&entrySwitched != 0 }
+
+// IngressSchedule returns the client's schedule for days [0, days). Day
+// d's ingress reflects any switch events up to and including day d.
+func (r *Router) IngressSchedule(c Client, days int) []ScheduleEntry {
+	out := make([]ScheduleEntry, days)
 	r.IngressScheduleInto(c, out)
 	return out
 }
 
-// IngressScheduleInto fills out[d] with the client's ingress on day d, for
-// d in [0, len(out)) — IngressSchedule without the allocation, for callers
-// (the streaming simulation) that pack all clients' schedules into one
-// flat array instead of holding a slice per client — and returns the
-// client's base ingress, BaseIngress's answer, which the schedule starts
-// from. The peering ranking is computed once here and reused for the base
-// choice and every switch day, so extra simulated days cost no extra
-// ranking work (and no allocations).
-func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) topology.SiteID {
+// IngressScheduleInto fills out[d] with the client's schedule entry for
+// day d, for d in [0, len(out)) — IngressSchedule without the allocation,
+// for callers (the streaming simulation) that pack all clients' schedules
+// into one flat array instead of holding a slice per client — and returns
+// the client's base ingress, BaseIngress's answer, which the schedule
+// starts from. The peering ranking and the churn class are computed once
+// here and reused for the base choice and every day, so extra simulated
+// days cost no extra ranking work (and no allocations).
+func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.SiteID {
 	isp := r.isps.ISP(c.ISP)
 	var rbuf [rankBufSites]topology.SiteID
 	ranked := r.backbone.RankPeeringByAirInto(c.Point, rbuf[:0])
@@ -260,23 +290,39 @@ func (r *Router) IngressScheduleInto(c Client, out []topology.SiteID) topology.S
 	} else {
 		base = r.baseIngressRanked(c, isp, ranked)
 	}
+	rate := r.churnClass(c.PrefixID)
 	cur := base
 	for d := range out {
-		if r.SwitchedOnDay(c, d) {
+		e := ScheduleEntry(0)
+		if r.switchedOnDay(rate, c.PrefixID, d) {
 			cur = r.alternativeIngress(ranked, c, d, cur)
+			e = entrySwitched
 		}
-		out[d] = cur
+		out[d] = e | ScheduleEntry(cur)
 	}
 	return base
 }
 
 // Assign resolves a full assignment from an ingress.
 func (r *Router) Assign(c Client, ingress topology.SiteID) Assignment {
+	return r.AssignAir(ingress, r.AirKm(c, ingress))
+}
+
+// AirKm returns the great-circle distance from the client to a site: the
+// AirKm of an assignment that ingresses there.
+func (r *Router) AirKm(c Client, site topology.SiteID) units.Kilometers {
+	return geo.DistanceKm(c.Point, r.site(site))
+}
+
+// AssignAir is Assign with the client-to-ingress distance supplied by a
+// caller that already holds AirKm(c, ingress) — the streaming simulation
+// reuses it across the days a client's ingress stays put.
+func (r *Router) AssignAir(ingress topology.SiteID, airKm units.Kilometers) Assignment {
 	fe, backboneKm := r.backbone.HotPotatoFrontEnd(ingress)
 	return Assignment{
 		Ingress:    ingress,
 		FrontEnd:   fe,
-		AirKm:      geo.DistanceKm(c.Point, r.site(ingress)),
+		AirKm:      airKm,
 		BackboneKm: backboneKm,
 	}
 }
@@ -294,7 +340,7 @@ func (r *Router) AssignExcluding(c Client, ingress topology.SiteID, excludedFE f
 	return Assignment{
 		Ingress:    ingress,
 		FrontEnd:   fe,
-		AirKm:      geo.DistanceKm(c.Point, r.site(ingress)),
+		AirKm:      r.AirKm(c, ingress),
 		BackboneKm: backboneKm,
 	}
 }

@@ -238,8 +238,62 @@ func TestIngressScheduleConsistency(t *testing.T) {
 	}
 	// The schedule only changes on switch days.
 	for d := 1; d < 30; d++ {
-		if s1[d] != s1[d-1] && !r.SwitchedOnDay(c, d) {
+		if s1[d].Ingress() != s1[d-1].Ingress() && !r.SwitchedOnDay(c, d) {
 			t.Fatalf("ingress changed on day %d without a switch event", d)
+		}
+	}
+	// Across clients of every policy: each entry's switch bit is
+	// SwitchedOnDay's answer, and IngressScheduleInto writes every entry
+	// of a dirty buffer with IngressSchedule's answer for any length —
+	// the tracer's IngressSchedule(c, day+1) relies on shorter schedules
+	// being prefixes of the month's.
+	buf := make([]ScheduleEntry, 30)
+	switches := 0
+	for p := uint64(0); p < 300; p++ {
+		c := Client{PrefixID: p, Point: boston.Point, ISP: topology.ISPID(p % uint64(isps.Len()))}
+		month := r.IngressSchedule(c, 30)
+		for d, e := range month {
+			if e.Switched() != r.SwitchedOnDay(c, d) {
+				t.Fatalf("prefix %d day %d: switch bit %v, SwitchedOnDay %v", p, d, e.Switched(), r.SwitchedOnDay(c, d))
+			}
+			if e.Switched() {
+				switches++
+			}
+		}
+		for _, days := range []int{1, 7, 30} {
+			for d := range buf {
+				buf[d] = ^ScheduleEntry(0)
+			}
+			r.IngressScheduleInto(c, buf[:days])
+			for d := 0; d < days; d++ {
+				if buf[d] != month[d] {
+					t.Fatalf("prefix %d day %d of %d: IngressScheduleInto wrote %#x, IngressSchedule answers %#x", p, d, days, buf[d], month[d])
+				}
+			}
+		}
+	}
+	if switches == 0 {
+		t.Fatal("no switch bits set across 300 client-months")
+	}
+}
+
+// TestScheduleEntryFitsCatalog guards the entry's 15-bit ingress field:
+// topology.Build rejects duplicate metros, so no deployment has more
+// sites than the geo catalog has metros, and a catalog grown past the
+// field must fail here rather than corrupt schedules.
+func TestScheduleEntryFitsCatalog(t *testing.T) {
+	if n := len(geo.World()); n > scheduleSites {
+		t.Fatalf("geo catalog has %d metros; a schedule entry holds %d sites", n, scheduleSites)
+	}
+	for _, site := range []topology.SiteID{0, 1, scheduleSites - 1} {
+		for _, sw := range []bool{false, true} {
+			e := ScheduleEntry(site)
+			if sw {
+				e |= entrySwitched
+			}
+			if e.Ingress() != site || e.Switched() != sw {
+				t.Fatalf("entry %#x decodes to (%d, %v), want (%d, %v)", e, e.Ingress(), e.Switched(), site, sw)
+			}
 		}
 	}
 }
@@ -250,7 +304,7 @@ func TestIngressScheduleConsistency(t *testing.T) {
 func TestIngressScheduleReturnsBaseIngress(t *testing.T) {
 	b, isps := buildWorld(t)
 	r := NewRouter(b, isps, 42, DefaultConfig())
-	sched := make([]topology.SiteID, 30)
+	sched := make([]ScheduleEntry, 30)
 	for _, p := range []topology.EgressPolicy{topology.TieBreak, topology.HotPotato, topology.Centralized} {
 		ispID := anyISP(t, isps, "US", p)
 		for i, m := range geo.World() {
@@ -274,7 +328,7 @@ func TestSwitchChangesIngress(t *testing.T) {
 		sched := r.IngressSchedule(c, 14)
 		for d := 1; d < 14; d++ {
 			if r.SwitchedOnDay(c, d) {
-				if sched[d] == sched[d-1] {
+				if sched[d].Ingress() == sched[d-1].Ingress() {
 					t.Fatalf("prefix %d day %d: switch event but same ingress", p, d)
 				}
 				checked++
@@ -296,7 +350,7 @@ func TestSwitchTargetsMostlyNearby(t *testing.T) {
 		c := Client{PrefixID: p, Point: boston.Point, ISP: 0}
 		ingress := r.IngressSchedule(c, 14)
 		for d := 1; d < 14; d++ {
-			from, to := r.Assign(c, ingress[d-1]).FrontEnd, r.Assign(c, ingress[d]).FrontEnd
+			from, to := r.Assign(c, ingress[d-1].Ingress()).FrontEnd, r.Assign(c, ingress[d].Ingress()).FrontEnd
 			if to != from {
 				a := b.Site(from).Metro.Point
 				bb := b.Site(to).Metro.Point
@@ -343,8 +397,8 @@ func BenchmarkAssignmentSchedule(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := Client{PrefixID: uint64(i), Point: boston.Point, ISP: 0}
-		for _, ing := range r.IngressSchedule(c, 30) {
-			_ = r.Assign(c, ing)
+		for _, e := range r.IngressSchedule(c, 30) {
+			_ = r.Assign(c, e.Ingress())
 		}
 	}
 }

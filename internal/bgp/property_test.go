@@ -104,12 +104,27 @@ func TestScheduleSitesValidProperty(t *testing.T) {
 		if !c.Point.Valid() {
 			return true
 		}
-		for _, ing := range r.IngressSchedule(c, 10) {
-			a := r.Assign(c, ing)
+		// The reference schedule is the unpacked builder: the base
+		// ingress, then on every SwitchedOnDay an alternative chosen from
+		// a fresh peering ranking.
+		ranked := b.RankPeeringByAir(c.Point)
+		want := r.BaseIngress(c)
+		for d, e := range r.IngressSchedule(c, 10) {
+			switched := r.SwitchedOnDay(c, d)
+			if switched {
+				want = r.alternativeIngress(ranked, c, d, want)
+			}
+			if e.Switched() != switched || e.Ingress() != want {
+				return false
+			}
+			a := r.Assign(c, e.Ingress())
 			if !b.Site(a.Ingress).Peering || !b.Site(a.FrontEnd).FrontEnd {
 				return false
 			}
 			if a.AirKm < 0 || a.BackboneKm < 0 {
+				return false
+			}
+			if a != r.AssignAir(e.Ingress(), r.AirKm(c, e.Ingress())) {
 				return false
 			}
 		}

@@ -151,7 +151,9 @@ var labelQueries = xrand.NewLabel("queries")
 // QueriesOnDay returns the number of search queries the prefix issues on a
 // simulation day: volume scaled by a weekday/weekend activity factor and
 // per-day noise. perVolumeQueries converts relative volume into queries.
-func (c Client) QueriesOnDay(seed uint64, day int, weekend bool, perVolumeQueries float64) int {
+// The pointer receiver spares the per-client-day callers a copy of the
+// whole Client.
+func (c *Client) QueriesOnDay(seed uint64, day int, weekend bool, perVolumeQueries float64) int {
 	factor := 1.0
 	if weekend {
 		factor = 0.8 // search traffic dips on weekends

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/geo"
@@ -194,6 +195,70 @@ func TestFlapScenario(t *testing.T) {
 	}
 	if feShifted == 0 {
 		t.Fatalf("withdrawing the busiest ingress %s moved no client to a different front-end", ing)
+	}
+}
+
+// TestDayPassMatchesRoutingOracle checks the simulated day pass against
+// the routing layer asked one client-day at a time. Every effective
+// assignment must equal the fault rewrite of a fresh Assign on the
+// scheduled ingress, AirKm included, and every passive record's switch
+// flag must be SwitchedOnDay's. The stream reuses each client's distance
+// until its scheduled ingress changes, so the scenarios flap the busiest
+// ingress: with an overlapping drain of the busiest front-end the
+// rewrites compose, and with the flap alone the day after the window
+// serves the scheduled ingress unrewritten, so a distance taken from the
+// moved assignment the day before would reach the output.
+func TestDayPassMatchesRoutingOracle(t *testing.T) {
+	base := testutil.SmallResult(t)
+	ing, _ := busiestSite(t, base, 3, true)
+	fe, _ := busiestSite(t, base, 4, false)
+	reusedAfterMove := 0
+	for _, text := range []string{
+		fmt.Sprintf("flap %s day=3 for=2; drain %s day=4 for=2", ing, fe),
+		fmt.Sprintf("flap %s day=3 for=2", ing),
+	} {
+		res := runScenario(t, text)
+		w, days := res.World, res.Cfg.Days
+		clients := make(map[uint64]bgp.Client, len(w.Population.Clients))
+		for c := range w.Population.Clients {
+			cl := &w.Population.Clients[c]
+			rc := bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}
+			clients[cl.ID] = rc
+			sched := w.Router.IngressSchedule(rc, days)
+			for d := 0; d < days; d++ {
+				plain := w.Router.Assign(rc, sched[d].Ingress())
+				want := w.Faults.Rewrite(rc, d, plain, w.Router)
+				if got := res.Assignments[c][d]; got != want {
+					t.Fatalf("%s: client %d day %d: day pass assigned %+v, oracle %+v", text, cl.ID, d, got, want)
+				}
+				if d > 0 && res.Assignments[c][d-1].Ingress != sched[d-1].Ingress() && sched[d] == sched[d-1] && want == plain {
+					reusedAfterMove++
+				}
+			}
+		}
+		if got, want := res.Passive.Len(), len(clients)*days; got != want {
+			t.Fatalf("%s: %d passive records, want %d", text, got, want)
+		}
+		switched := 0
+		for i := 0; i < res.Passive.Len(); i++ {
+			r := res.Passive.At(i)
+			rc, ok := clients[r.ClientID]
+			if !ok {
+				t.Fatalf("%s: passive record %d names unknown client %d", text, i, r.ClientID)
+			}
+			if want := w.Router.SwitchedOnDay(rc, r.Day); r.Switched != want {
+				t.Fatalf("%s: client %d day %d: passive Switched %v, SwitchedOnDay %v", text, r.ClientID, r.Day, r.Switched, want)
+			}
+			if r.Switched {
+				switched++
+			}
+		}
+		if switched == 0 {
+			t.Fatalf("%s: no passive record carries a switch; the check pins nothing", text)
+		}
+	}
+	if reusedAfterMove == 0 {
+		t.Fatal("no unrewritten client-day follows a day whose rewrite moved the same scheduled ingress; the scenarios pin no distance reuse")
 	}
 }
 

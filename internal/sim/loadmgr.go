@@ -90,18 +90,18 @@ func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 		weekend[d] = w.Router.IsWeekend(d)
 	}
 	m := make([]float64, cfg.Days*len(fes))
-	sched := make([]topology.SiteID, cfg.Days)
+	sched := make([]bgp.ScheduleEntry, cfg.Days)
 	trafficSeed := xrand.DeriveSeedL(cfg.Seed, labelTraffic)
 	// Serial, in client order: per matrix cell the additions run in
 	// ascending client order, the same per-cell sequence the pre-matrix
 	// serial derivation produced — and integer-valued besides, so the
 	// reduction over shards is exact.
 	for i := lo; i < hi; i++ {
-		cl := w.Population.Clients[i-base]
+		cl := &w.Population.Clients[i-base]
 		rc := bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}
 		w.Router.IngressScheduleInto(rc, sched)
-		for d, ing := range sched {
-			fe, _ := bb.HotPotatoFrontEnd(ing)
+		for d, e := range sched {
+			fe, _ := bb.HotPotatoFrontEnd(e.Ingress())
 			f := feIdx[fe]
 			m[d*len(fes)+f] += float64(cl.QueriesOnDay(trafficSeed, d, weekend[d], cfg.QueriesPerVolume))
 		}

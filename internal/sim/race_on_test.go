@@ -4,8 +4,11 @@ package sim_test
 
 // raceEnabled reports whether the race detector is instrumenting this
 // build. The million-prefix smoke skips under race: its wall-clock
-// budget assumes uninstrumented code (race slows the day loop ~3x,
-// pushing a ~70s run against the 210s budget), and the race coverage of
-// the streaming path comes from TestRunVsStreamEquivalence10k, which
-// does run race-enabled.
+// budget assumes uninstrumented code, and race instrumentation slows the
+// day loop several-fold. The streaming path's race coverage comes from
+// the smaller tests that stream on a multi-worker pool and do run
+// race-enabled: TestWorkersRuleUnifiedAcrossPaths, TestParallelMatchesSerial,
+// TestStreamShardConcatenationMatchesStreamWorld,
+// TestManagedWorkersInvariance and TestStreamErrorJoinsWorkers, with
+// TestParallelForClaimsEachIndexOnce on the pool itself.
 const raceEnabled = true

@@ -7,6 +7,7 @@ import (
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/logs"
 	"anycastcdn/internal/topology"
+	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
 )
 
@@ -52,12 +53,13 @@ func Stream(cfg Config, fn func(DayResult) error) error {
 
 // StreamWorld streams over an already-built world.
 //
-// Steady-state memory is one flat ingress-schedule array (one SiteID per
-// client-day — the only cross-day state the simulation needs, since the
-// rest of an assignment is a pure function of the ingress) plus per-day
-// output buffers that are allocated once and reused for every day. A
-// million-prefix 30-day run therefore holds a few hundred MB, not the
-// tens of GB the batch Result would occupy. After the schedule pass,
+// Steady-state memory is one flat schedule array (one 2-byte
+// bgp.ScheduleEntry per client-day, holding the day's ingress and switch
+// bit — the only cross-day state the simulation needs, since the rest of
+// an assignment is a pure function of the ingress) plus per-client state
+// and per-day output buffers that are allocated once and reused for every
+// day. A million-prefix 30-day run therefore holds a few hundred MB, not
+// the tens of GB the batch Result would occupy. After the schedule pass,
 // steady-state day iterations allocate nothing (enforced by
 // TestStreamWorldSteadyStateAllocs).
 //
@@ -130,18 +132,26 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	n := opts.Hi - opts.Lo
 	days := cfg.Days
 
-	// Per-client-day ingress sites, packed flat (client-major). A full
-	// assignment is ~48 bytes per client-day — gigabytes at paper scale —
-	// while the ingress alone is one SiteID, and Router.Assign plus the
-	// fault rewrite recompute the rest of each day's assignment.
-	scheds := make([]topology.SiteID, n*days)
+	// Per-client-day schedule entries, packed flat (client-major): the
+	// day's ingress and switch bit in 2 bytes. A full assignment is ~48
+	// bytes per client-day — gigabytes at paper scale — while the ingress
+	// alone determines the rest of each day's assignment, which
+	// Router.AssignAir plus the fault rewrite recompute.
+	scheds := make([]bgp.ScheduleEntry, n*days)
 	// prevFE[i] is client i's serving front-end at the end of the previous
 	// day (the base assignment before day 0), carried across days for the
 	// passive log's switch records.
 	prevFE := make([]topology.SiteID, n)
+	// airKm[i] is client i's distance to its scheduled ingress. It depends
+	// only on the client's point and that ingress, so logDay computes it
+	// on day 0 and on the days the scheduled ingress changes, and reuses
+	// it on every other day. It is stream-private: a fault rewrite can
+	// move the Assignments consumers see to another ingress and distance,
+	// so it is never read back from there.
+	airKm := make([]units.Kilometers, n)
 	bb := w.Deployment.Backbone
 	parallelFor(n, cfg.Workers, func(i int) {
-		c := cl[i]
+		c := &cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
 		baseIngress := w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
 		prevFE[i], _ = bb.HotPotatoFrontEnd(baseIngress)
@@ -162,9 +172,14 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	var day int
 	var weekend bool
 	logDay := func(i int) {
-		c := cl[i]
+		c := &cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		a := w.Router.Assign(rc, scheds[i*days+day])
+		e := scheds[i*days+day]
+		ingress := e.Ingress()
+		if day == 0 || ingress != scheds[i*days+day-1].Ingress() {
+			airKm[i] = w.Router.AirKm(rc, ingress)
+		}
+		a := w.Router.AssignAir(ingress, airKm[i])
 		if !w.Faults.Empty() {
 			a = w.Faults.Rewrite(rc, day, a, w.Router)
 		}
@@ -177,7 +192,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 			ClientID:     c.ID,
 			Day:          day,
 			FrontEnd:     a.FrontEnd,
-			Switched:     w.Router.SwitchedOnDay(rc, day),
+			Switched:     e.Switched(),
 			PrevFrontEnd: prevFE[i],
 			Queries:      q,
 		}
@@ -212,11 +227,11 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		if nb == 0 {
 			return
 		}
-		c := cl[i]
+		c := &cl[i]
 		out := beacons[offs[i] : int(offs[i])+nb]
 		for k := 0; k < nb; k++ {
 			qid := xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k))
-			out[k] = w.Executor.Run(c, day, assigns[i], qid)
+			out[k] = w.Executor.Run(*c, day, assigns[i], qid)
 		}
 	}
 	for day = 0; day < days; day++ {

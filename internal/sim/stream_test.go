@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"errors"
+	"runtime"
 	"testing"
 
 	"anycastcdn/internal/sim"
@@ -61,13 +62,33 @@ func BenchmarkStreamWorld(b *testing.B) {
 	}
 }
 
+// BenchmarkStreamDay measures the passive day pass — the schedule pass
+// and the per-client-day logging of a beacons-off month, on every core —
+// with the world built before the timer starts. The other simulation
+// benchmarks are dominated by beacon execution; this is the one that
+// moves with the per-client-day work.
 func BenchmarkStreamDay(b *testing.B) {
-	cfg := testutil.SmallConfig(25)
-	cfg.Days = 2
+	cfg := sim.DefaultConfig(25)
+	cfg.Prefixes = 50_000
+	cfg.BeaconSampleRate = 0
+	cfg.Workers = runtime.GOMAXPROCS(0)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := sim.Stream(cfg, func(sim.DayResult) error { return nil }); err != nil {
+		records := 0
+		err := sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
+			records += len(d.Passive)
+			return nil
+		})
+		if err != nil {
 			b.Fatal(err)
+		}
+		if records != cfg.Prefixes*cfg.Days {
+			b.Fatalf("streamed %d records, want %d", records, cfg.Prefixes*cfg.Days)
 		}
 	}
 }

@@ -96,7 +96,7 @@ type Tracer struct {
 // TraceAnycast reconstructs the anycast path of a client on a given day.
 func (tr *Tracer) TraceAnycast(c bgp.Client, day int) Trace {
 	sched := tr.Router.IngressSchedule(c, day+1)
-	assign := tr.Router.Assign(c, sched[day])
+	assign := tr.Router.Assign(c, sched[day].Ingress())
 	bb := tr.Router.Backbone()
 	t := Trace{Anycast: true}
 	t.Hops = append(t.Hops, Hop{Name: "client", Kind: HopClient})
