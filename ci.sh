@@ -37,9 +37,10 @@
 #      that cross the worker/coordinator process boundary (the distsim
 #      frame reader with its matrix and site-map decoders, quantile
 #      sketches, and shard-day frames, whose last day carries each
-#      shard's analysis state), and the dot-product site search against
-#      its brute-force DistanceKm oracle, enough to replay the corpus and
-#      shake out shallow panics and inexact answers
+#      shard's analysis state), the gob-encoded Config and Done payloads,
+#      and the dot-product site search against its brute-force
+#      DistanceKm oracle, enough to replay the corpus and shake out
+#      shallow panics and inexact answers
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core, the fault-injection layer, the client population
 #      generator, the load manager, the columnar log, the stats kernels,
@@ -55,10 +56,11 @@
 #      medians): the baseline's benchmarks may not regress past 15%,
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
-#      peering-ranking and nearest-site benchmarks must report 0
-#      allocs/op, and the simulation cores must stay at least 3x below
-#      their pre-columnar B/op (RunWorld/StreamWorld baseline was
-#      ~223 MB/op; the ceiling is 74 MB/op), and the whole-fleet
+#      peering-ranking, nearest-site and client-day beacon batch
+#      benchmarks must report 0 allocs/op, and the simulation cores must
+#      stay at least 3x below their pre-columnar B/op
+#      (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
+#      74 MB/op), and the whole-fleet
 #      distributed run must stay under 55 MB/op (frame buffers are
 #      reused, so the bill is dominated by the two worker world builds);
 #      a failure names the benchmark and both the baseline and current
@@ -157,6 +159,7 @@ go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # whole 5s budget.
 go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimizetime 200x ./internal/stats/
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
+go test -run '^$' -fuzz FuzzGobFrames -fuzztime 5s -fuzzminimizetime 200x ./internal/distsim/
 go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 
 echo '== go test -race (concurrent packages)'
@@ -176,7 +179,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkPointSetNearest=0 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

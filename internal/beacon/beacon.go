@@ -87,34 +87,14 @@ type Executor struct {
 // Run executes one beacon for the given client on the given day using the
 // precomputed anycast assignment for that day. queryID must be globally
 // unique; it seeds the randomized DNS target selection and sample noise.
+// It is a one-beacon Batch: a client-day's beacons run through one Batch
+// give the same measurements and share its memo.
 //
 //perf:hotpath
 func (e *Executor) Run(c clients.Client, day int, assign bgp.Assignment, queryID uint64) Measurement {
-	ldns := e.Faults.Resolver(e.Mapping.Resolver(c.ID), day)
-	// One stack-allocated stream serves the whole execution: first as the
-	// DNS target-selection stream, then (reseeded per sample) as scratch
-	// for all four latency samples.
-	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL1(e.Seed, labelBeacon, queryID))
-	targets := e.Authority.SelectBeaconTargets(ldns, &rs)
-
-	m := Measurement{
-		QueryID:  queryID,
-		ClientID: c.ID,
-		Day:      day,
-		Region:   c.Region,
-		LDNS:     ldns.ID,
-	}
-	rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-	extra := e.Faults.InflationMs(c.Region, day)
-
-	m.Anycast = e.sample(&rs, rc, day, assign, queryID, 0, extra)
-	sites := [3]topology.SiteID{targets.Closest, targets.Random[0], targets.Random[1]}
-	for i, site := range sites {
-		ua := e.Router.UnicastAssignment(rc, site)
-		m.Unicast[i] = e.sample(&rs, rc, day, ua, queryID, uint64(i+1), extra)
-	}
-	return m
+	var b Batch
+	b.Start(e, c, day, assign)
+	return b.Run(queryID)
 }
 
 // MeasureCandidates measures the client against every candidate front-end
@@ -123,50 +103,156 @@ func (e *Executor) Run(c clients.Client, day int, assign bgp.Assignment, queryID
 // overhead") but uses the near-equivalent union over time for Figure 1's
 // diminishing-returns analysis; the simulator can do it directly.
 func (e *Executor) MeasureCandidates(c clients.Client, day int, assign bgp.Assignment, queryID uint64) (Measurement, []TargetSample) {
-	ldns := e.Faults.Resolver(e.Mapping.Resolver(c.ID), day)
-	m := Measurement{
-		QueryID:  queryID,
-		ClientID: c.ID,
-		Day:      day,
-		Region:   c.Region,
-		LDNS:     ldns.ID,
-	}
-	rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-	extra := e.Faults.InflationMs(c.Region, day)
+	var b Batch
+	b.Start(e, c, day, assign)
+	m := b.measurement(queryID)
 	var rs xrand.Stream
-	m.Anycast = e.sample(&rs, rc, day, assign, queryID, 0, extra)
-	cands := e.Authority.Candidates(ldns)
-	out := make([]TargetSample, len(cands))
-	for i, site := range cands {
-		ua := e.Router.UnicastAssignment(rc, site)
-		out[i] = e.sample(&rs, rc, day, ua, queryID, uint64(i+1), extra)
+	m.Anycast = b.sample(&rs, 0, queryID, 0)
+	out := make([]TargetSample, len(b.cands))
+	for i := range out {
+		out[i] = b.sample(&rs, 1+i, queryID, uint64(i+1))
 	}
 	return m, out
 }
 
-// sample produces one measured RTT over a path. extraMs is regional fault
-// inflation added to the true RTT before browser-timing distortion, since
-// real congestion delays the path, not the clock. rs is stream scratch,
-// reseeded before each draw, shared across a measurement's targets.
+// householdsPerPrefix is how many end hosts of a /24 run beacons. Each
+// execution runs in household queryID % householdsPerPrefix, and all four
+// samples of the execution share it.
+const householdsPerPrefix = 6
+
+// memoCols is how many paths a Batch memoizes: the anycast path, then the
+// unicast paths to the LDNS's candidates by rank, up to the paper's
+// candidate count. Under the default configuration the memo therefore
+// covers every path a client-day can touch, householdsPerPrefix ×
+// memoCols = 6 × (1 + 10) = 66; with a larger CandidateCount, a
+// candidate ranked past the memo has its path terms computed afresh for
+// every sample.
+const memoCols = 1 + dns.DefaultCandidates
+
+// Batch executes one client-day's beacons, doing each piece of the
+// client-day's work once. Start resolves the day's LDNS, its candidate
+// list and the prefix's last mile. Each path's household-independent
+// day-RTT terms (latency.PathDay) are memoized by column, where column 0
+// is the day's anycast path and column 1+r the unicast path to the
+// candidate of rank r, and each household's last mile by household.
+// Within one (client, day, assignment) a column fixes the path, so a day
+// RTT is the sum of two memo entries: a hit skips the unicast distance
+// and every day-RTT draw, and only the per-sample jitter and
+// timing-model draws run — from the same substreams in the same order as
+// a fresh Batch, which keeps the memo invisible in every output.
+//
+// A Batch is not safe for concurrent use. Its zero value is not usable
+// before Start, and Start empties the memo, so one Batch can serve many
+// client-days in turn.
+type Batch struct {
+	e      *Executor
+	rc     bgp.Client
+	region geo.Region
+	day    int
+	assign bgp.Assignment
+	ldns   dns.LDNSID
+	cands  []topology.SiteID
+	extra  units.Millis
+	// lastMile is the prefix's latency.Model.LastMileMs; hh[h] holds
+	// household h's HouseholdLastMileMs once hhSet[h].
+	lastMile units.Millis
+	hhSet    [householdsPerPrefix]bool
+	hh       [householdsPerPrefix]units.Millis
+	// paths[c] holds column c's terms once pathSet[c].
+	pathSet [memoCols]bool
+	paths   [memoCols]latency.PathDay
+}
+
+// Start points b at client c's beacons on day, with assign the day's
+// anycast assignment, and empties the memo.
 //
 //perf:hotpath
-func (e *Executor) sample(rs *xrand.Stream, rc bgp.Client, day int, a bgp.Assignment, queryID, slot uint64, extraMs units.Millis) TargetSample {
-	// Each beacon execution runs in one household of the /24; all four
-	// samples of the execution share it.
-	const householdsPerPrefix = 6
-	p := latency.Path{
-		PrefixID:   rc.PrefixID,
-		EntryKey:   uint64(a.Ingress),
-		AirKm:      a.AirKm,
-		BackboneKm: a.BackboneKm,
-		Household:  queryID % householdsPerPrefix,
-		Unicast:    a.Unicast,
+func (b *Batch) Start(e *Executor, c clients.Client, day int, assign bgp.Assignment) {
+	ldns := e.Faults.Resolver(e.Mapping.Resolver(c.ID), day)
+	*b = Batch{
+		e:      e,
+		rc:     bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP},
+		region: c.Region,
+		day:    day,
+		assign: assign,
+		ldns:   ldns.ID,
+		cands:  e.Authority.Candidates(ldns),
+		// An inflate event adds latency to every sample of the region.
+		extra:    e.Faults.InflationMs(c.Region, day),
+		lastMile: e.Latency.LastMileMs(c.ID),
+	}
+}
+
+// Run executes one beacon of the batch; see Executor.Run.
+//
+//perf:hotpath
+func (b *Batch) Run(queryID uint64) Measurement {
+	// One stack-allocated stream serves the whole execution: first as the
+	// DNS target-selection stream, then (reseeded per sample) as scratch
+	// for all four latency samples.
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL1(b.e.Seed, labelBeacon, queryID))
+	ranks := dns.TargetRanks(len(b.cands), &rs)
+	m := b.measurement(queryID)
+	m.Anycast = b.sample(&rs, 0, queryID, 0)
+	for i, r := range ranks {
+		m.Unicast[i] = b.sample(&rs, 1+r, queryID, uint64(i+1))
+	}
+	return m
+}
+
+// measurement returns query queryID's measurement with its samples unset.
+func (b *Batch) measurement(queryID uint64) Measurement {
+	return Measurement{
+		QueryID:  queryID,
+		ClientID: b.rc.PrefixID,
+		Day:      b.day,
+		Region:   b.region,
+		LDNS:     b.ldns,
+	}
+}
+
+// sample produces one measured RTT over the path of memo column col. The
+// batch's regional fault inflation is added to the true RTT before
+// browser-timing distortion, since real congestion delays the path, not
+// the clock. rs is stream scratch, reseeded before each draw, shared
+// across a measurement's targets.
+//
+//perf:hotpath
+func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSample {
+	a := b.assign
+	if col > 0 {
+		// A unicast path ingresses at its front-end's own peering point.
+		site := b.cands[col-1]
+		a = bgp.Assignment{Ingress: site, FrontEnd: site, Unicast: true}
+	}
+	var pd latency.PathDay
+	if col < memoCols && b.pathSet[col] {
+		pd = b.paths[col]
+	} else {
+		if col > 0 {
+			a = b.e.Router.UnicastAssignment(b.rc, a.FrontEnd)
+		}
+		pd = b.e.Latency.PathDayOf(latency.Path{
+			PrefixID:   b.rc.PrefixID,
+			EntryKey:   uint64(a.Ingress),
+			AirKm:      a.AirKm,
+			BackboneKm: a.BackboneKm,
+			Unicast:    a.Unicast,
+		}, b.day)
+		if col < memoCols {
+			b.paths[col], b.pathSet[col] = pd, true
+		}
+	}
+	h := queryID % householdsPerPrefix
+	if !b.hhSet[h] {
+		b.hh[h], b.hhSet[h] = b.e.Latency.HouseholdLastMileMs(b.lastMile, b.rc.PrefixID, h), true
 	}
 	sampleKey := queryID*8 + slot
-	trueRTT := e.Latency.SampleRTTmsInto(rs, p, day, sampleKey) + extraMs
+	trueRTT := b.e.Latency.SampleFromDayRTTInto(rs, pd.DayRTTms(b.hh[h]), b.rc.PrefixID, uint64(a.Ingress), b.day, sampleKey) + b.extra
 	// Browser timing fidelity is a property of the client, keyed by the
 	// client prefix (households keep their browser for the study window).
-	measured := e.Latency.MeasuredRTTmsInto(rs, trueRTT, rc.PrefixID, sampleKey)
+	measured := b.e.Latency.MeasuredRTTmsInto(rs, trueRTT, b.rc.PrefixID, sampleKey)
 	// Browser timings are reported at millisecond granularity; the
 	// analysis in §5-6 sees integer-ms latencies.
 	return TargetSample{

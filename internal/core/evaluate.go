@@ -102,22 +102,35 @@ func compareTargets(a, b Target) int {
 // grouping every latency analysis reads. Clients come out in ascending
 // ID order; the input may be in any order.
 func GroupSamples(obs []Observation) []ClientSamples {
-	var day []ClientSamples
+	return group(obs, ByPrefix, 0)
+}
+
+// group groups observations under g, then per target: groups in
+// ascending key order, each group's targets in compareTargets order, and
+// every bucket of at least sortMin samples sorted ascending (the others
+// keep input order). Under ByLDNS each entry is one resolver's group and
+// its ClientID holds the resolver ID.
+//
+//perf:hotpath
+func group(obs []Observation, g Grouping, sortMin int) []ClientSamples {
+	var groups []ClientSamples
 	index := make(map[uint64]int)
 	// A beacon expands to four consecutive observations of one client, so
-	// the previous client is usually the next one's too.
+	// the previous group is usually the next one's too.
 	cur := -1
 	for _, o := range obs {
-		if cur < 0 || day[cur].ClientID != o.ClientID {
-			i, ok := index[o.ClientID]
+		k := groupKey(o, g)
+		if cur < 0 || groups[cur].ClientID != k {
+			i, ok := index[k]
 			if !ok {
-				i = len(day)
-				index[o.ClientID] = i
-				day = append(day, ClientSamples{ClientID: o.ClientID, Closest: AnycastTarget})
+				i = len(groups)
+				index[k] = i
+				//lint:ignore hotpathalloc one append per group, amortized over its observations; the group count is unknown up front and far below the observation count under ByLDNS
+				groups = append(groups, ClientSamples{ClientID: k, Closest: AnycastTarget})
 			}
 			cur = i
 		}
-		c := &day[cur]
+		c := &groups[cur]
 		c.LDNS = o.LDNS
 		if o.Slot == 1 {
 			c.Closest = o.Target
@@ -125,15 +138,17 @@ func GroupSamples(obs []Observation) []ClientSamples {
 		b := bucket(&c.Targets, o.Target)
 		b.RTTs = append(b.RTTs, o.RTTms)
 	}
-	slices.SortFunc(day, func(a, b ClientSamples) int { return cmp.Compare(a.ClientID, b.ClientID) })
-	for i := range day {
-		ts := day[i].Targets
+	slices.SortFunc(groups, func(a, b ClientSamples) int { return cmp.Compare(a.ClientID, b.ClientID) })
+	for i := range groups {
+		ts := groups[i].Targets
 		slices.SortFunc(ts, func(a, b TargetSamples) int { return compareTargets(a.Target, b.Target) })
 		for j := range ts {
-			slices.Sort(ts[j].RTTs)
+			if len(ts[j].RTTs) >= sortMin {
+				slices.Sort(ts[j].RTTs)
+			}
 		}
 	}
-	return day
+	return groups
 }
 
 // Evaluate computes per-client evaluations of pred over the next

@@ -24,8 +24,6 @@ package core
 
 import (
 	"fmt"
-	"slices"
-	"sort"
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/dns"
@@ -64,8 +62,15 @@ type Observation struct {
 
 // FromMeasurement expands a beacon measurement into its four observations.
 func FromMeasurement(m beacon.Measurement) []Observation {
-	obs := make([]Observation, 0, 4)
-	obs = append(obs, Observation{
+	return AppendObservations(make([]Observation, 0, 4), m)
+}
+
+// AppendObservations appends a beacon measurement's four observations to
+// dst: anycast (slot 0), then the three unicast samples (slots 1-3).
+//
+//perf:hotpath
+func AppendObservations(dst []Observation, m beacon.Measurement) []Observation {
+	dst = append(dst, Observation{
 		ClientID: m.ClientID,
 		LDNS:     m.LDNS,
 		Target:   AnycastTarget,
@@ -73,7 +78,7 @@ func FromMeasurement(m beacon.Measurement) []Observation {
 		Slot:     0,
 	})
 	for i, u := range m.Unicast {
-		obs = append(obs, Observation{
+		dst = append(dst, Observation{
 			ClientID: m.ClientID,
 			LDNS:     m.LDNS,
 			Target:   Target{Site: u.Site},
@@ -81,7 +86,7 @@ func FromMeasurement(m beacon.Measurement) []Observation {
 			Slot:     uint8(i + 1),
 		})
 	}
-	return obs
+	return dst
 }
 
 // Grouping selects the client aggregation a DNS-based redirector can act
@@ -172,56 +177,34 @@ type Predictions struct {
 	scores map[uint64]units.Millis
 }
 
-// trainGroup accumulates one group's per-target samples during training.
-type trainGroup struct {
-	id      uint64
-	targets []TargetSamples
-}
-
-// Train builds predictions from one interval's observations.
-//
-// Observations are bucketed per group in a single pass, so scoring a
-// group touches only its own handful of targets. (The original
-// implementation rescanned a flat (group, target)→samples map for every
-// group, which made training quadratic in the group count and dominated
-// the ablation benchmarks' CPU profile.)
+// Train builds predictions from one interval's observations: it groups
+// them under g, sorting only the buckets that can qualify, and scores
+// each group's qualifying targets.
 //
 //perf:hotpath
 func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
-	byGroup := make(map[uint64]int)
-	// A beacon expands to four observations per client, so distinct
-	// groups rarely exceed a quarter of the observation count.
-	groups := make([]trainGroup, 0, len(obs)/4+1)
-	// A beacon measurement expands to four consecutive observations of
-	// one client, so the previous group's index is usually the next one's
-	// too; memoizing it skips three of every four map lookups.
-	lastIdx := -1
-	for _, o := range obs {
-		gid := groupKey(o, g)
-		idx := lastIdx
-		if idx < 0 || groups[idx].id != gid {
-			i, ok := byGroup[gid]
-			if !ok {
-				i = len(groups)
-				byGroup[gid] = i
-				groups = append(groups, trainGroup{id: gid})
-			}
-			idx = i
-			lastIdx = i
-		}
-		b := bucket(&groups[idx].targets, o.Target)
-		b.RTTs = append(b.RTTs, o.RTTms)
-	}
+	return p.train(group(obs, g, p.cfg.MinMeasurements), g)
+}
+
+// TrainSamples builds ByPrefix predictions from an interval already
+// grouped by GroupSamples, so one grouping serves every predictor and
+// evaluation of the interval. It equals Train(obs, ByPrefix) over the
+// observations the grouping came from.
+func (p *Predictor) TrainSamples(day []ClientSamples) *Predictions {
+	return p.train(day, ByPrefix)
+}
+
+// train scores groups in the order given (ascending key), each holding
+// its targets in compareTargets order with every bucket of at least
+// MinMeasurements samples sorted.
+func (p *Predictor) train(groups []ClientSamples, g Grouping) *Predictions {
 	pr := &Predictions{
 		Grouping: g,
 		byGroup:  make(map[uint64]Target, len(groups)),
 		scores:   make(map[uint64]units.Millis, len(groups)),
 	}
-	// Deterministic iteration: sort groups by id.
-	//lint:ignore hotpathalloc one-time sort after the per-observation loop; the closure is amortized over the whole interval
-	sort.Slice(groups, func(i, j int) bool { return groups[i].id < groups[j].id })
 	for i := range groups {
-		best, bestScore, anycastScore, ok := p.pickTarget(groups[i].targets)
+		best, bestScore, anycastScore, ok := p.pickTarget(groups[i].Targets)
 		if !ok {
 			continue // no qualifying target: group stays on anycast implicitly
 		}
@@ -233,33 +216,24 @@ func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 				bestScore = anycastScore
 			}
 		}
-		pr.byGroup[groups[i].id] = best
-		pr.scores[groups[i].id] = bestScore
+		pr.byGroup[groups[i].ClientID] = best
+		pr.scores[groups[i].ClientID] = bestScore
 	}
 	return pr
 }
 
-// pickTarget scores the group's qualifying sample buckets and returns the
-// best target. anycastScore is the anycast target's score (inf if
-// unmeasured).
-func (p *Predictor) pickTarget(cand []TargetSamples) (best Target, bestScore, anycastScore units.Millis, ok bool) {
-	// Keep qualifying buckets and order them deterministically: anycast
-	// first, then unicast by site id.
-	targets := cand[:0:0]
-	for _, ts := range cand {
-		if len(ts.RTTs) < p.cfg.MinMeasurements {
-			continue
-		}
-		targets = append(targets, ts)
-	}
-	if len(targets) == 0 {
-		return Target{}, 0, 0, false
-	}
-	slices.SortFunc(targets, func(a, b TargetSamples) int { return compareTargets(a.Target, b.Target) })
+// pickTarget scores the group's qualifying sample buckets, which come
+// sorted, in target order (anycast first, then unicast by site id), and
+// returns the best target; the first of equal scores wins. anycastScore
+// is the anycast target's score (inf if unmeasured).
+func (p *Predictor) pickTarget(targets []TargetSamples) (best Target, bestScore, anycastScore units.Millis, ok bool) {
 	bestScore = -1
 	anycastScore = 1e18
 	for _, ts := range targets {
-		score, err := stats.Quantile(ts.RTTs, float64(p.cfg.Metric))
+		if len(ts.RTTs) < p.cfg.MinMeasurements {
+			continue
+		}
+		score, err := stats.QuantileSorted(ts.RTTs, float64(p.cfg.Metric))
 		if err != nil {
 			continue
 		}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -197,6 +198,26 @@ func TestFromMeasurement(t *testing.T) {
 	}
 }
 
+// TestAppendObservationsZeroAlloc pins the fold's expansion at zero
+// allocations once the destination has room, and at FromMeasurement's
+// observations.
+func TestAppendObservationsZeroAlloc(t *testing.T) {
+	m := beacon.Measurement{
+		ClientID: 42,
+		LDNS:     7,
+		Anycast:  beacon.TargetSample{Site: 3, RTTms: 33},
+		Unicast:  [3]beacon.TargetSample{{Site: 1, RTTms: 11}, {Site: 2, RTTms: 22}, {Site: 4, RTTms: 44}},
+	}
+	dst := make([]Observation, 0, 8)
+	allocs := testing.AllocsPerRun(100, func() { dst = AppendObservations(dst[:0], m) })
+	if allocs != 0 {
+		t.Fatalf("AppendObservations allocates %.1f times per run, want 0", allocs)
+	}
+	if !slices.Equal(dst, FromMeasurement(m)) {
+		t.Fatalf("AppendObservations gave %+v, FromMeasurement %+v", dst, FromMeasurement(m))
+	}
+}
+
 func TestTargetString(t *testing.T) {
 	if AnycastTarget.String() != "anycast" {
 		t.Fatal("anycast target name")
@@ -290,10 +311,10 @@ func TestEvaluateDefaultsClamped(t *testing.T) {
 
 // trainReference is the pre-optimization Train written the obvious O(G×K)
 // way: for every group, rescan the whole samples map for its qualifying
-// targets. The production Train indexes targets per group in one pass; the
+// targets and score each with a copying, sorting stats.Quantile. The
+// production Train groups once and scores buckets it sorted in place; the
 // two must agree exactly on every prediction and score (same target sort,
-// same tie-breaks), which TestTrainMatchesReference pins over a dense and
-// a sparse workload.
+// same tie-breaks), which TestTrainMatchesReference pins.
 func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 	type sampleKey struct {
 		group  uint64
@@ -356,11 +377,18 @@ func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 }
 
 // synthObs builds a deterministic mixed workload: some groups dense enough
-// to qualify several targets, some below the floor, ties included.
+// to qualify several targets, some below the floor, ties included. Each
+// (client, target) pair gets perTarget-4 to perTarget+4 samples in
+// unsorted order. Every fourth client has a resolver of its own, so LDNS
+// buckets straddle the floor too; the rest share twenty resolvers.
 func synthObs(clients int, perTarget int) []Observation {
 	var obs []Observation
 	for c := uint64(0); c < uint64(clients); c++ {
 		n := perTarget + int(c%9) - 4 // straddle the MinMeasurements floor
+		ldns := dns.LDNSID(c % 20)
+		if c%4 == 3 {
+			ldns = dns.LDNSID(1000 + c)
+		}
 		for fe := 0; fe < 4; fe++ {
 			t := Target{Site: topology.SiteID(fe)}
 			if fe == 0 {
@@ -369,7 +397,7 @@ func synthObs(clients int, perTarget int) []Observation {
 			for k := 0; k < n; k++ {
 				obs = append(obs, Observation{
 					ClientID: c,
-					LDNS:     dns.LDNSID(c % 20),
+					LDNS:     ldns,
 					Target:   t,
 					RTTms:    units.Millis(20 + (fe+k)%11),
 					Slot:     uint8(fe),
@@ -380,32 +408,49 @@ func synthObs(clients int, perTarget int) []Observation {
 	return obs
 }
 
+// TestTrainMatchesReference pins Train under both groupings, and
+// TrainSamples over GroupSamples' output, to the reference on every
+// prediction and score, with and without a hybrid margin. The workload
+// has buckets just below, at and just above the 20-sample floor under
+// both groupings.
 func TestTrainMatchesReference(t *testing.T) {
+	obs := synthObs(120, 22)
+	for _, g := range []Grouping{ByPrefix, ByLDNS} {
+		sizes := map[int]bool{}
+		for _, c := range group(obs, g, 0) {
+			for _, ts := range c.Targets {
+				sizes[len(ts.RTTs)] = true
+			}
+		}
+		if !sizes[19] || !sizes[20] || !sizes[21] {
+			t.Fatalf("grouping %v: workload lacks a bucket of 19, 20 or 21 samples", g)
+		}
+	}
 	for _, cfg := range []Config{
 		DefaultConfig(),
 		{Metric: MetricP25, MinMeasurements: 5},
+		{Metric: MetricP25, MinMeasurements: 20, HybridMarginMs: 10},
 		{Metric: MetricMedian, MinMeasurements: 20, HybridMarginMs: 10},
 	} {
 		p := NewPredictor(cfg)
-		obs := synthObs(120, 22)
-		for _, g := range []Grouping{ByPrefix, ByLDNS} {
-			got := p.Train(obs, g)
-			want := trainReference(p, obs, g)
+		check := func(name string, got, want *Predictions) {
+			t.Helper()
 			if len(got.byGroup) != len(want.byGroup) {
-				t.Fatalf("cfg %+v grouping %v: %d predictions, reference has %d",
-					cfg, g, len(got.byGroup), len(want.byGroup))
+				t.Fatalf("cfg %+v %s: %d predictions, reference has %d", cfg, name, len(got.byGroup), len(want.byGroup))
 			}
 			for id, wt := range want.byGroup {
 				if got.byGroup[id] != wt {
-					t.Fatalf("cfg %+v grouping %v group %d: predicted %v, reference %v",
-						cfg, g, id, got.byGroup[id], wt)
+					t.Fatalf("cfg %+v %s group %d: predicted %v, reference %v", cfg, name, id, got.byGroup[id], wt)
 				}
 				if got.scores[id] != want.scores[id] {
-					t.Fatalf("cfg %+v grouping %v group %d: score %v, reference %v",
-						cfg, g, id, got.scores[id], want.scores[id])
+					t.Fatalf("cfg %+v %s group %d: score %v, reference %v", cfg, name, id, got.scores[id], want.scores[id])
 				}
 			}
 		}
+		for _, g := range []Grouping{ByPrefix, ByLDNS} {
+			check(g.String(), p.Train(obs, g), trainReference(p, obs, g))
+		}
+		check("TrainSamples", p.TrainSamples(GroupSamples(obs)), trainReference(p, obs, ByPrefix))
 	}
 }
 

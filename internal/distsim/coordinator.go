@@ -333,6 +333,9 @@ func (c *coordinator) run() (*Result, error) {
 		if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&res.Workers[i]); err != nil {
 			return nil, fmt.Errorf("distsim: worker %d stats: %w", i, err)
 		}
+		if err := res.Workers[i].check(i, c.bounds[i][0], c.bounds[i][1], c.cfg.Days); err != nil {
+			return nil, fmt.Errorf("distsim: worker %d stats: %w", i, err)
+		}
 		res.Records += res.Workers[i].Records
 		res.Beacons += res.Workers[i].Beacons
 	}

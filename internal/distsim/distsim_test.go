@@ -376,3 +376,28 @@ func TestMergeDayValidatesUtilization(t *testing.T) {
 		}
 	}
 }
+
+func TestWorkerStatsCheck(t *testing.T) {
+	good := WorkerStats{Shard: 1, Lo: 100, Hi: 250, Days: 9, Records: 150 * 9, Beacons: 40}
+	if err := good.check(1, 100, 250, 9); err != nil {
+		t.Fatalf("faithful stats rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		mut  func(*WorkerStats)
+	}{
+		{"other shard", func(s *WorkerStats) { s.Shard = 2 }},
+		{"moved lo", func(s *WorkerStats) { s.Lo = 99 }},
+		{"moved hi", func(s *WorkerStats) { s.Hi = 251 }},
+		{"short run", func(s *WorkerStats) { s.Days = 8; s.Records = 150 * 8 }},
+		{"records off by one", func(s *WorkerStats) { s.Records++ }},
+		{"negative records", func(s *WorkerStats) { s.Records = -1 }},
+		{"negative beacons", func(s *WorkerStats) { s.Beacons = -1 }},
+	} {
+		s := good
+		tc.mut(&s)
+		if err := s.check(1, 100, 250, 9); err == nil {
+			t.Errorf("%s: stats %+v accepted", tc.name, s)
+		}
+	}
+}

@@ -1,11 +1,16 @@
 package distsim
 
 import (
+	"bytes"
 	"encoding/binary"
+	"encoding/gob"
 	"net"
 	"testing"
 	"time"
 
+	"anycastcdn/internal/faults"
+	"anycastcdn/internal/load"
+	"anycastcdn/internal/testutil"
 	"anycastcdn/internal/topology"
 )
 
@@ -47,6 +52,38 @@ func FuzzFrameRead(f *testing.F) {
 			}
 			_, _ = decodeMatrix(nil, payload)
 			_ = decodeSiteMap(sites, payload, false)
+		}
+	})
+}
+
+// FuzzGobFrames decodes arbitrary bytes from a peer process as each of
+// the protocol's two gob payloads: the Config frame a worker decodes and
+// the Done frame's stats the coordinator decodes and checks. Neither may
+// panic, and a decoded config goes through the validation a worker's
+// world build applies.
+func FuzzGobFrames(f *testing.F) {
+	cfg := testutil.TinyConfig(1)
+	cfg.Scenario = &faults.Scenario{Events: []faults.Event{{Kind: faults.Inflate, Target: "europe", Day: 1, Days: 2, ExtraMs: 25}}}
+	cfg.LoadManager = &load.ManagerConfig{Policy: load.FastRoute}
+	for _, v := range []any{
+		wireConfig{Cfg: cfg, Shard: 1, Lo: 250, Hi: 500, HeartbeatEvery: time.Second, StallTimeout: time.Minute},
+		WorkerStats{Shard: 1, Lo: 250, Hi: 500, Days: 5, Records: 1250, Beacons: 3000, PeakRSSBytes: 64 << 20},
+	} {
+		var b bytes.Buffer
+		if err := gob.NewEncoder(&b).Encode(v); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b.Bytes())
+		f.Add(b.Bytes()[:b.Len()/2])
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var wc wireConfig
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&wc) == nil {
+			_ = wc.Cfg.Validate()
+		}
+		var ws WorkerStats
+		if gob.NewDecoder(bytes.NewReader(data)).Decode(&ws) == nil {
+			_ = ws.check(1, 250, 500, 5)
 		}
 	})
 }

@@ -45,6 +45,23 @@ type WorkerStats struct {
 	PeakRSSBytes int64
 }
 
+// check reports whether a Done frame's stats describe the assignment the
+// coordinator made: shard's range [lo, hi) simulated for days days, one
+// passive record per client-day, and a non-negative beacon count.
+func (s WorkerStats) check(shard, lo, hi, days int) error {
+	if s.Shard != shard || s.Lo != lo || s.Hi != hi || s.Days != days {
+		return fmt.Errorf("report for shard %d [%d, %d) over %d days, assigned shard %d [%d, %d) over %d days",
+			s.Shard, s.Lo, s.Hi, s.Days, shard, lo, hi, days)
+	}
+	if want := int64(hi-lo) * int64(days); s.Records != want {
+		return fmt.Errorf("%d records reported, want %d", s.Records, want)
+	}
+	if s.Beacons < 0 {
+		return fmt.Errorf("negative beacon count %d", s.Beacons)
+	}
+	return nil
+}
+
 // ServeFD runs the worker side of the protocol on the coordinator
 // connection inherited at fd 3 — the entry point behind the binary's
 // -worker flag.

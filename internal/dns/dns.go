@@ -276,11 +276,16 @@ type Authority struct {
 	cache map[LDNSID][]topology.SiteID
 }
 
+// DefaultCandidates is the paper's candidate set size: the authority
+// considers the ten front-ends closest to an LDNS (§3.3).
+const DefaultCandidates = 10
+
 // NewAuthority builds an authority over a deployment using the given
-// geolocation database to locate resolvers.
+// geolocation database to locate resolvers; candidates below 1 mean
+// DefaultCandidates.
 func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB, candidates int) *Authority {
 	if candidates < 1 {
-		candidates = 10
+		candidates = DefaultCandidates
 	}
 	pts := make([]geo.Point, len(dep.FrontEnds))
 	for i, fe := range dep.FrontEnds {
@@ -340,38 +345,41 @@ type BeaconTargets struct {
 // with higher probability than the 4th closest").
 func (a *Authority) SelectBeaconTargets(l LDNS, rs *xrand.Stream) BeaconTargets {
 	cands := a.Candidates(l)
-	t := BeaconTargets{Closest: cands[0]}
-	rest := cands[1:]
-	if len(rest) == 0 {
-		t.Random = [2]topology.SiteID{cands[0], cands[0]}
-		return t
+	r := TargetRanks(len(cands), rs)
+	return BeaconTargets{Closest: cands[r[0]], Random: [2]topology.SiteID{cands[r[1]], cands[r[2]]}}
+}
+
+// TargetRanks is SelectBeaconTargets' choice over a candidate list of n
+// (at least one) sites, as ranks into the list: the closest (rank 0),
+// then the two weighted-random alternates. A caller that already holds
+// the list gets the same targets from the same draws.
+//
+//perf:hotpath
+func TargetRanks(n int, rs *xrand.Stream) [3]int {
+	if n == 1 {
+		return [3]int{0, 0, 0}
 	}
-	// Inverse-rank weights over the remaining candidates. Candidate sets
-	// are small (Config.CandidateCount, default 10), so the weights live
-	// in a stack buffer: this runs once per beacon execution and was a
-	// top-five allocation site of a simulated month.
+	// Inverse-rank weights over the candidates after the closest.
+	// Candidate sets are small (Config.CandidateCount, default 10), so
+	// the weights live in a stack buffer: this runs once per beacon
+	// execution and was a top-five allocation site of a simulated month.
 	var wbuf [16]float64
 	var weights []float64
-	if len(rest) <= len(wbuf) {
-		weights = wbuf[:len(rest)]
+	if n-1 <= len(wbuf) {
+		weights = wbuf[:n-1]
 	} else {
-		weights = make([]float64, len(rest))
+		weights = make([]float64, n-1)
 	}
-	for i := range rest {
-		weights[i] = 1 / float64(i+2) // candidate i is the (i+2)-th closest
+	for i := range weights {
+		weights[i] = 1 / float64(i+2) // rank i+1 is the (i+2)-th closest
 	}
 	first := rs.WeightedChoice(weights)
-	t.Random[0] = rest[first]
-	if len(rest) == 1 {
-		t.Random[1] = rest[0]
-		return t
+	if n == 2 {
+		return [3]int{0, first + 1, 1}
 	}
-	saved := weights[first]
 	weights[first] = 0
 	second := rs.WeightedChoice(weights)
-	weights[first] = saved
-	t.Random[1] = rest[second]
-	return t
+	return [3]int{0, first + 1, second + 1}
 }
 
 // QueryRecord is one authoritative DNS log entry; the backend joins these

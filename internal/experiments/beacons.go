@@ -88,7 +88,7 @@ func (l *weighted) add(x units.Millis, w float64) {
 
 func appendObservations(dst []core.Observation, ms []beacon.Measurement) []core.Observation {
 	for _, m := range ms {
-		dst = append(dst, core.FromMeasurement(m)...)
+		dst = core.AppendObservations(dst, m)
 	}
 	return dst
 }
@@ -239,7 +239,8 @@ func newPredictionFold(cfg core.Config, hybrid bool) predictionFold {
 }
 
 // observe scores the previous day's predictions on the grouped day, then
-// trains each grouping once on it.
+// trains each grouping once on it: the ByPrefix predictors straight from
+// the grouped day, ByLDNS from the day's resolver grouping.
 func (f *predictionFold) observe(obs []core.Observation, day []core.ClientSamples, volume func(uint64) float64) {
 	if f.prev[core.ByPrefix] != nil {
 		for i, l := range fig9Lines {
@@ -252,9 +253,9 @@ func (f *predictionFold) observe(obs []core.Observation, day []core.ClientSample
 			f.serve(day, volume)
 		}
 	}
-	f.prev[core.ByPrefix], f.prev[core.ByLDNS] = f.pred.Train(obs, core.ByPrefix), f.pred.Train(obs, core.ByLDNS)
+	f.prev[core.ByPrefix], f.prev[core.ByLDNS] = f.pred.TrainSamples(day), f.pred.Train(obs, core.ByLDNS)
 	if f.margin != nil {
-		f.marginPrev = f.margin.Train(obs, core.ByPrefix)
+		f.marginPrev = f.margin.TrainSamples(day)
 	}
 }
 

@@ -22,6 +22,9 @@
 package latency
 
 import (
+	"fmt"
+	"math"
+
 	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
 )
@@ -123,6 +126,63 @@ func DefaultConfig() Config {
 	}
 }
 
+// Validate rejects a configuration that would put a non-finite,
+// negative or meaningless value into every RTT: non-finite fields, a
+// non-positive propagation speed or backbone inflation, an empty or
+// non-positive inflation range, negative medians, means and sigmas, and
+// probabilities outside [0, 1].
+func (c Config) Validate() error {
+	fields := []struct {
+		name string
+		v    float64
+	}{
+		{"FiberKmPerMs", c.FiberKmPerMs},
+		{"InflationMin", c.InflationMin},
+		{"InflationMax", c.InflationMax},
+		{"BackboneInflation", c.BackboneInflation},
+		{"LastMileMedianMs", c.LastMileMedianMs.Float()},
+		{"LastMileSigma", c.LastMileSigma},
+		{"HouseholdSigma", c.HouseholdSigma},
+		{"CongestionDailyRate", c.CongestionDailyRate},
+		{"CongestionMeanMs", c.CongestionMeanMs.Float()},
+		{"JitterMeanMs", c.JitterMeanMs.Float()},
+		{"JitterBurstProb", c.JitterBurstProb},
+		{"JitterBurstMeanMs", c.JitterBurstMeanMs.Float()},
+		{"UnicastDetourMedianMs", c.UnicastDetourMedianMs.Float()},
+		{"UnicastDetourSigma", c.UnicastDetourSigma},
+		{"PrimitiveTimingBiasMs", c.PrimitiveTimingBiasMs.Float()},
+		{"ResourceTimingSupportRate", c.ResourceTimingSupportRate},
+	}
+	// Every comparison below is false for NaN, so non-finite values are
+	// rejected first; after this loop the remaining fields are all
+	// non-negative.
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
+			return fmt.Errorf("latency: %s must be finite and non-negative, got %v", f.name, f.v)
+		}
+	}
+	if c.FiberKmPerMs == 0 || c.BackboneInflation == 0 {
+		return fmt.Errorf("latency: FiberKmPerMs (%v) and BackboneInflation (%v) must be positive",
+			c.FiberKmPerMs, c.BackboneInflation)
+	}
+	if c.InflationMin == 0 || c.InflationMin > c.InflationMax {
+		return fmt.Errorf("latency: inflation range [%v, %v] must be positive and ordered", c.InflationMin, c.InflationMax)
+	}
+	for _, p := range []struct {
+		name string
+		v    float64
+	}{
+		{"CongestionDailyRate", c.CongestionDailyRate},
+		{"JitterBurstProb", c.JitterBurstProb},
+		{"ResourceTimingSupportRate", c.ResourceTimingSupportRate},
+	} {
+		if p.v > 1 {
+			return fmt.Errorf("latency: %s %v outside [0, 1]", p.name, p.v)
+		}
+	}
+	return nil
+}
+
 // Package-level label hashes: every per-sample substream derivation pays
 // only integer mixing, not a byte loop over the label string (the seeds
 // are identical to the string-label derivations; see xrand.Label).
@@ -137,18 +197,17 @@ var (
 	labelTimingBias = xrand.NewLabel("timing-bias")
 )
 
-// Model produces latency samples. It is safe for concurrent use: the only
-// mutable state is the sharded day-RTT memo cache, whose shard locks guard
-// their maps (see dayCache); everything else is read-only after NewModel.
+// Model produces latency samples. It holds no mutable state, so it is
+// safe for concurrent use without locks: every value is a pure function
+// of the seed, the configuration and the call's arguments.
 type Model struct {
-	cfg   Config
-	seed  uint64
-	cache *dayCache
+	cfg  Config
+	seed uint64
 }
 
 // NewModel returns a model rooted at seed.
 func NewModel(seed uint64, cfg Config) *Model {
-	return &Model{cfg: cfg, seed: seed, cache: newDayCache()}
+	return &Model{cfg: cfg, seed: seed}
 }
 
 // Config returns the model's configuration.
@@ -171,21 +230,66 @@ func (m *Model) inflation(p Path) float64 {
 // BaseRTTms returns the stable (no congestion, no jitter) round-trip time
 // of a path in milliseconds.
 func (m *Model) BaseRTTms(p Path) units.Millis {
-	prop := 2 * p.AirKm.Float() * m.inflation(p) / m.cfg.FiberKmPerMs
-	backbone := 2 * p.BackboneKm.Float() * m.cfg.BackboneInflation / m.cfg.FiberKmPerMs
-	lastMile := m.LastMileMs(p.PrefixID).Float() * m.householdFactor(p)
-	return units.Millis(lastMile + prop + backbone + m.unicastDetourMs(p).Float())
+	return m.pathDay(p).baseRTTms(m.HouseholdLastMileMs(m.LastMileMs(p.PrefixID), p.PrefixID, p.Household))
+}
+
+// HouseholdLastMileMs returns a household's stable access-network delay:
+// prefixLastMile, the prefix's LastMileMs, scaled by the household's
+// stable factor (see Path.Household).
+func (m *Model) HouseholdLastMileMs(prefixLastMile units.Millis, prefixID, household uint64) units.Millis {
+	return units.Millis(prefixLastMile.Float() * m.householdFactor(prefixID, household))
 }
 
 // householdFactor returns the stable multiplicative last-mile variation of
-// the path's household.
-func (m *Model) householdFactor(p Path) float64 {
+// a household of the prefix.
+func (m *Model) householdFactor(prefixID, household uint64) float64 {
 	if m.cfg.HouseholdSigma <= 0 {
 		return 1
 	}
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL2(m.seed, labelHousehold, p.PrefixID, p.Household))
+	rs.Reseed(xrand.DeriveSeedL2(m.seed, labelHousehold, prefixID, household))
 	return rs.LogNormal(0, m.cfg.HouseholdSigma)
+}
+
+// PathDay holds the terms of a path's day RTT that every household of
+// the prefix shares: the public-Internet and backbone legs, the unicast
+// detour and the day's congestion. A caller measuring one path from
+// several households on one day draws them once (PathDayOf) and adds
+// each household's last mile (PathDay.DayRTTms).
+type PathDay struct {
+	prop, backbone, detour, congestion units.Millis
+}
+
+// PathDayOf returns the household-independent terms of p's day RTT on
+// day; p.Household is ignored.
+func (m *Model) PathDayOf(p Path, day int) PathDay {
+	d := m.pathDay(p)
+	d.congestion = m.CongestionMs(p, day)
+	return d
+}
+
+// pathDay returns p's stable terms, congestion left zero.
+func (m *Model) pathDay(p Path) PathDay {
+	return PathDay{
+		prop:     units.Millis(2 * p.AirKm.Float() * m.inflation(p) / m.cfg.FiberKmPerMs),
+		backbone: units.Millis(2 * p.BackboneKm.Float() * m.cfg.BackboneInflation / m.cfg.FiberKmPerMs),
+		detour:   m.unicastDetourMs(p),
+	}
+}
+
+// baseRTTms is the base RTT of the path from a household whose last mile
+// is lastMile.
+func (d PathDay) baseRTTms(lastMile units.Millis) units.Millis {
+	return lastMile + d.prop + d.backbone + d.detour
+}
+
+// DayRTTms returns the day RTT of the path from a household whose
+// HouseholdLastMileMs is lastMile. With the household's own last mile it
+// is Model.DayRTTms, bit for bit.
+//
+//perf:hotpath
+func (d PathDay) DayRTTms(lastMile units.Millis) units.Millis {
+	return d.baseRTTms(lastMile) + d.congestion
 }
 
 // unicastDetourMs returns the stable haul penalty of a unicast beacon path
@@ -212,22 +316,12 @@ func (m *Model) CongestionMs(p Path, day int) units.Millis {
 }
 
 // DayRTTms returns the path RTT for a given day including any congestion
-// event but no per-sample jitter.
-//
-// The value is memoized per (path, day): it is a pure function of the
-// model seed, drawn from substreams that no other derivation touches, so
-// caching skips recomputation without changing any stream's draw order —
-// a replay with or without cache hits is byte-identical. Every sample of
-// a path-day shares this value, which turns the three lognormal draws of
-// BaseRTTms from a per-sample cost into a per-path-day cost.
+// event but no per-sample jitter. Every sample of a path-day shares this
+// value, so a caller that takes several samples of one path on one day
+// computes it once (or assembles it from a memoized PathDay and last mile)
+// and draws each sample with SampleFromDayRTTInto.
 func (m *Model) DayRTTms(p Path, day int) units.Millis {
-	k := dayKey{p: p, day: int32(day)}
-	if v, ok := m.cache.get(k); ok {
-		return v
-	}
-	v := m.BaseRTTms(p) + m.CongestionMs(p, day)
-	m.cache.put(k, v)
-	return v
+	return m.PathDayOf(p, day).DayRTTms(m.HouseholdLastMileMs(m.LastMileMs(p.PrefixID), p.PrefixID, p.Household))
 }
 
 // SampleRTTms returns one measured RTT sample: day RTT plus per-sample
@@ -239,14 +333,24 @@ func (m *Model) SampleRTTms(p Path, day int, sampleKey uint64) units.Millis {
 
 // SampleRTTmsInto is SampleRTTms with caller-provided stream scratch: rs
 // is reseeded to the sample's jitter substream before use, so one
-// stack-allocated Stream can serve every sample of a measurement (the
-// beacon executor reuses one across its four targets). Results are
-// identical to SampleRTTms.
+// stack-allocated Stream can serve every sample of a measurement. Results
+// are identical to SampleRTTms.
 //
 //perf:hotpath
 func (m *Model) SampleRTTmsInto(rs *xrand.Stream, p Path, day int, sampleKey uint64) units.Millis {
-	rs.Reseed(xrand.DeriveSeedL4(m.seed, labelJitter, p.PrefixID, p.EntryKey, uint64(day), sampleKey))
-	rtt := m.DayRTTms(p, day).Float() + rs.Exp(m.cfg.JitterMeanMs.Float())
+	return m.SampleFromDayRTTInto(rs, m.DayRTTms(p, day), p.PrefixID, p.EntryKey, day, sampleKey)
+}
+
+// SampleFromDayRTTInto is the per-sample step of SampleRTTmsInto: it adds
+// one sample's jitter to dayRTT, the path's DayRTTms on day. The jitter
+// substream is keyed by the path's PrefixID and EntryKey, the day and
+// sampleKey alone, so a caller holding the day RTT passes only those; rs
+// is reseeded before use.
+//
+//perf:hotpath
+func (m *Model) SampleFromDayRTTInto(rs *xrand.Stream, dayRTT units.Millis, prefixID, entryKey uint64, day int, sampleKey uint64) units.Millis {
+	rs.Reseed(xrand.DeriveSeedL4(m.seed, labelJitter, prefixID, entryKey, uint64(day), sampleKey))
+	rtt := dayRTT.Float() + rs.Exp(m.cfg.JitterMeanMs.Float())
 	if m.cfg.JitterBurstProb > 0 && rs.Bool(m.cfg.JitterBurstProb) {
 		rtt += rs.Exp(m.cfg.JitterBurstMeanMs.Float())
 	}

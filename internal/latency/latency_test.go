@@ -202,9 +202,8 @@ func medianOf(xs []float64) float64 {
 }
 
 func TestDayRTTCacheTransparent(t *testing.T) {
-	// The memo cache must be invisible: a fresh model (cold cache) and a
-	// heavily exercised model (warm cache, including evictions) agree on
-	// every value.
+	// The model keeps no day-RTT cache or other state: a fresh model and a
+	// heavily exercised one agree on every value.
 	warm := model()
 	for i := uint64(0); i < 3000; i++ {
 		p := Path{PrefixID: i, EntryKey: i % 7, AirKm: 500}
@@ -215,26 +214,44 @@ func TestDayRTTCacheTransparent(t *testing.T) {
 		p := Path{PrefixID: i, EntryKey: i % 7, AirKm: 500, BackboneKm: 100, Household: i % 6}
 		for day := 0; day < 5; day++ {
 			if warm.DayRTTms(p, day) != cold.DayRTTms(p, day) {
-				t.Fatalf("cached DayRTTms diverged from cold model at prefix %d day %d", i, day)
+				t.Fatalf("DayRTTms diverged from a fresh model at prefix %d day %d", i, day)
 			}
 			if warm.SampleRTTms(p, day, i) != cold.SampleRTTms(p, day, i) {
-				t.Fatalf("SampleRTTms diverged across cache states at prefix %d day %d", i, day)
+				t.Fatalf("SampleRTTms diverged from a fresh model at prefix %d day %d", i, day)
 			}
 		}
 	}
 }
 
-func TestDayRTTCacheEvictionKeepsValues(t *testing.T) {
+// TestDayRTTMatchesFormula pins the split of a day RTT into shared path
+// terms and a household's last mile to the single expression it replaced,
+// bit for bit: PathDayOf ignores the household, and the household enters
+// only through HouseholdLastMileMs.
+func TestDayRTTMatchesFormula(t *testing.T) {
 	m := model()
-	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 800}
-	want := m.DayRTTms(p, 0)
-	// Overflow every shard several times over.
-	for i := uint64(0); i < dayCacheShards*dayShardMaxEntries/4; i++ {
-		q := Path{PrefixID: i + 100, EntryKey: i % 13, AirKm: 300}
-		_ = m.DayRTTms(q, int(i%30))
-	}
-	if got := m.DayRTTms(p, 0); got != want {
-		t.Fatalf("DayRTTms changed after shard evictions: %v vs %v", got, want)
+	for i := uint64(0); i < 2000; i++ {
+		p := Path{
+			PrefixID:   i,
+			EntryKey:   i % 13,
+			AirKm:      units.Kilometers(10 + float64(i%97)*61.3),
+			BackboneKm: units.Kilometers(float64(i%5) * 377.1),
+			Household:  i % 6,
+			Unicast:    i%3 == 0,
+		}
+		day := int(i % 30)
+		prop := 2 * p.AirKm.Float() * m.inflation(p) / m.cfg.FiberKmPerMs
+		backbone := 2 * p.BackboneKm.Float() * m.cfg.BackboneInflation / m.cfg.FiberKmPerMs
+		lastMile := m.LastMileMs(p.PrefixID).Float() * m.householdFactor(p.PrefixID, p.Household)
+		want := units.Millis(lastMile+prop+backbone+m.unicastDetourMs(p).Float()) + m.CongestionMs(p, day)
+		if got := m.DayRTTms(p, day); got != want {
+			t.Fatalf("path %+v day %d: DayRTTms %v, formula %v", p, day, got, want)
+		}
+		other := p
+		other.Household = p.Household + 1
+		lm := m.HouseholdLastMileMs(m.LastMileMs(p.PrefixID), p.PrefixID, p.Household)
+		if got := m.PathDayOf(other, day).DayRTTms(lm); got != want {
+			t.Fatalf("path %+v day %d: PathDay of another household gives %v, formula %v", p, day, got, want)
+		}
 	}
 }
 
@@ -244,8 +261,12 @@ func TestSampleRTTIntoMatchesSampleRTT(t *testing.T) {
 	for i := uint64(0); i < 500; i++ {
 		p := Path{PrefixID: i, EntryKey: 3, AirKm: 900, Unicast: i%2 == 0}
 		day := int(i % 30)
-		if m.SampleRTTmsInto(&rs, p, day, i) != m.SampleRTTms(p, day, i) {
+		want := m.SampleRTTms(p, day, i)
+		if m.SampleRTTmsInto(&rs, p, day, i) != want {
 			t.Fatalf("SampleRTTmsInto diverged at prefix %d", i)
+		}
+		if m.SampleFromDayRTTInto(&rs, m.DayRTTms(p, day), p.PrefixID, p.EntryKey, day, i) != want {
+			t.Fatalf("SampleFromDayRTTInto diverged at prefix %d", i)
 		}
 		if m.MeasuredRTTmsInto(&rs, 50, i, 1) != m.MeasuredRTTms(50, i, 1) {
 			t.Fatalf("MeasuredRTTmsInto diverged at browser %d", i)
@@ -253,14 +274,11 @@ func TestSampleRTTIntoMatchesSampleRTT(t *testing.T) {
 	}
 }
 
-// TestSampleRTTZeroAlloc pins the warm-cache sampling path at zero heap
-// allocations per sample (DESIGN.md §11).
+// TestSampleRTTZeroAlloc pins the sampling path at zero heap allocations
+// per sample (DESIGN.md §11).
 func TestSampleRTTZeroAlloc(t *testing.T) {
 	m := model()
 	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 1200, BackboneKm: 300}
-	for day := 0; day < 30; day++ {
-		_ = m.SampleRTTms(p, day, 0) // warm the day cache
-	}
 	var rs xrand.Stream
 	var k uint64
 	allocs := testing.AllocsPerRun(200, func() {
@@ -268,7 +286,7 @@ func TestSampleRTTZeroAlloc(t *testing.T) {
 		k++
 	})
 	if allocs != 0 {
-		t.Fatalf("warm SampleRTTmsInto allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("SampleRTTmsInto allocates %.1f times per run, want 0", allocs)
 	}
 }
 
@@ -277,7 +295,7 @@ func BenchmarkSampleRTT(b *testing.B) {
 	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 1200, BackboneKm: 300}
 	var rs xrand.Stream
 	for day := 0; day < 30; day++ {
-		_ = m.SampleRTTms(p, day, 0) // warm the day cache so 1-iteration CI runs measure the steady state
+		_ = m.SampleRTTms(p, day, 0) // fault in the code and data a 1-iteration CI run would otherwise time
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -292,5 +310,43 @@ func BenchmarkDayRTTCold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := Path{PrefixID: uint64(i), EntryKey: 2, AirKm: 1200, BackboneKm: 300}
 		_ = m.DayRTTms(p, i%30)
+	}
+}
+
+// TestConfigValidate sets one bad value per field of the default
+// calibration, which itself must pass.
+func TestConfigValidate(t *testing.T) {
+	if err := DefaultConfig().Validate(); err != nil {
+		t.Fatalf("default config rejected: %v", err)
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"NaN FiberKmPerMs", func(c *Config) { c.FiberKmPerMs = nan }},
+		{"zero FiberKmPerMs", func(c *Config) { c.FiberKmPerMs = 0 }},
+		{"zero InflationMin", func(c *Config) { c.InflationMin = 0 }},
+		{"InflationMin above InflationMax", func(c *Config) { c.InflationMin = 2.5 }},
+		{"infinite InflationMax", func(c *Config) { c.InflationMax = inf }},
+		{"zero BackboneInflation", func(c *Config) { c.BackboneInflation = 0 }},
+		{"negative LastMileMedianMs", func(c *Config) { c.LastMileMedianMs = -1 }},
+		{"negative LastMileSigma", func(c *Config) { c.LastMileSigma = -0.1 }},
+		{"NaN HouseholdSigma", func(c *Config) { c.HouseholdSigma = nan }},
+		{"CongestionDailyRate above one", func(c *Config) { c.CongestionDailyRate = 1.5 }},
+		{"negative CongestionMeanMs", func(c *Config) { c.CongestionMeanMs = -5 }},
+		{"infinite JitterMeanMs", func(c *Config) { c.JitterMeanMs = units.Millis(inf) }},
+		{"NaN JitterBurstProb", func(c *Config) { c.JitterBurstProb = nan }},
+		{"negative JitterBurstMeanMs", func(c *Config) { c.JitterBurstMeanMs = -70 }},
+		{"negative UnicastDetourMedianMs", func(c *Config) { c.UnicastDetourMedianMs = -3 }},
+		{"negative UnicastDetourSigma", func(c *Config) { c.UnicastDetourSigma = -0.6 }},
+		{"negative PrimitiveTimingBiasMs", func(c *Config) { c.PrimitiveTimingBiasMs = -12 }},
+		{"ResourceTimingSupportRate below zero", func(c *Config) { c.ResourceTimingSupportRate = -0.1 }},
+	} {
+		c := DefaultConfig()
+		tc.mut(&c)
+		if err := c.Validate(); err == nil {
+			t.Errorf("%s: accepted", tc.name)
+		}
 	}
 }

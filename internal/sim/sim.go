@@ -131,6 +131,16 @@ func (cfg Config) Validate() error {
 			}
 		}
 	}
+	if cfg.Routing != nil {
+		if err := cfg.Routing.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.Latency != nil {
+		if err := cfg.Latency.Validate(); err != nil {
+			return err
+		}
+	}
 	if cfg.LoadManager != nil {
 		if err := cfg.LoadManager.Validate(); err != nil {
 			return err
@@ -149,7 +159,7 @@ func DefaultConfig(seed uint64) Config {
 		QueriesPerVolume:       22,
 		BeaconSampleRate:       0.10,
 		MaxBeaconsPerClientDay: 100,
-		CandidateCount:         10,
+		CandidateCount:         dns.DefaultCandidates,
 		GeoMedianErrKm:         25,
 		GeoGrossRate:           0.01,
 		GeoGrossKm:             4000,

@@ -222,6 +222,9 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		}
 		prevFE[i] = fe
 	}
+	// runBeacons runs client i's beacons for the day as one batch, which
+	// resolves the client-day's LDNS once and shares one path memo across
+	// its executions.
 	runBeacons := func(i int) {
 		nb := int(counts[i])
 		if nb == 0 {
@@ -229,9 +232,10 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		}
 		c := &cl[i]
 		out := beacons[offs[i] : int(offs[i])+nb]
-		for k := 0; k < nb; k++ {
-			qid := xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k))
-			out[k] = w.Executor.Run(*c, day, assigns[i], qid)
+		var b beacon.Batch
+		b.Start(w.Executor, *c, day, assigns[i])
+		for k := range out {
+			out[k] = b.Run(xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k)))
 		}
 	}
 	for day = 0; day < days; day++ {
