@@ -56,9 +56,9 @@
 #      medians): the baseline's benchmarks may not regress past 15%,
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
-#      peering-ranking, nearest-site and client-day beacon batch
-#      benchmarks must report 0 allocs/op, and the simulation cores must
-#      stay at least 3x below their pre-columnar B/op
+#      peering-ranking, per-client schedule, nearest-site and client-day
+#      beacon batch benchmarks must report 0 allocs/op, and the simulation
+#      cores must stay at least 3x below their pre-columnar B/op
 #      (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
 #      74 MB/op), and the whole-fleet
 #      distributed run must stay under 55 MB/op (frame buffers are
@@ -179,7 +179,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

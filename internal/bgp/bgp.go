@@ -144,6 +144,12 @@ type Router struct {
 	isps     *topology.ISPModel
 	cfg      Config
 	seed     uint64
+	// switchWeights[j] is the weight alternativeIngress gives the j-th
+	// rank it does not skip, one per peering site, and switchSums[j] is
+	// the in-order sum of the first j: the totals xrand.WeightedChoice
+	// forms, which prefixIngress reads instead of ranking every site.
+	switchWeights []float64
+	switchSums    []float64
 }
 
 // NewRouter builds a router over the given backbone and ISP model.
@@ -151,7 +157,16 @@ func NewRouter(b *topology.Backbone, isps *topology.ISPModel, seed uint64, cfg C
 	if cfg.TieBreakTopK < 1 {
 		cfg.TieBreakTopK = 1
 	}
-	return &Router{backbone: b, isps: isps, cfg: cfg, seed: seed}
+	n := len(b.PeeringSites())
+	r := &Router{backbone: b, isps: isps, cfg: cfg, seed: seed,
+		switchWeights: make([]float64, n), switchSums: make([]float64, n+1)}
+	w := 1.0
+	for j := range r.switchWeights {
+		r.switchWeights[j] = w
+		r.switchSums[j+1] = r.switchSums[j] + w
+		w *= 0.30
+	}
+	return r
 }
 
 // Weekday returns the day of week of a simulation day.
@@ -169,6 +184,12 @@ func (r *Router) IsWeekend(day int) bool {
 // RankPeeringByAirInto; larger peering sets fall back to the heap.
 const rankBufSites = 128
 
+// scheduleDepth is how many nearest peering sites the schedule builder
+// ranks for its switch draws. The geometric weights put all but ~0.02% of
+// draws on the first eight ranks; a draw that lands deeper ranks every
+// site (prefixIngress).
+const scheduleDepth = 8
+
 // BaseIngress returns the steady-state ingress peering site for a client,
 // applying its ISP's egress policy.
 func (r *Router) BaseIngress(c Client) topology.SiteID {
@@ -180,12 +201,25 @@ func (r *Router) BaseIngress(c Client) topology.SiteID {
 		return r.nearestHub(c, isp)
 	}
 	var rbuf [rankBufSites]topology.SiteID
-	return r.baseIngressRanked(c, isp, r.backbone.RankPeeringByAirInto(c.Point, rbuf[:0]))
+	return r.baseIngressRanked(c, isp, r.backbone.RankPeeringByAirInto(c.Point, r.baseDepth(isp), rbuf[:0]))
 }
 
-// baseIngressRanked resolves the TieBreak and HotPotato policies given the
-// client's precomputed peering ranking. The schedule builder ranks once per
-// client and shares the result with every switch day.
+// baseDepth is how many nearest peering sites baseIngressRanked reads
+// under the ISP's policy; a Centralized ISP reads none.
+func (r *Router) baseDepth(isp topology.ISP) int {
+	switch isp.Policy {
+	case topology.TieBreak:
+		return r.cfg.TieBreakTopK
+	case topology.Centralized:
+		return 0
+	}
+	return 2
+}
+
+// baseIngressRanked resolves the TieBreak and HotPotato policies given at
+// least the first baseDepth entries of the client's peering ranking. The
+// schedule builder ranks once per client and shares the result with every
+// switch day.
 func (r *Router) baseIngressRanked(c Client, isp topology.ISP, ranked []topology.SiteID) topology.SiteID {
 	if isp.Policy == topology.TieBreak {
 		k := r.cfg.TieBreakTopK
@@ -244,7 +278,7 @@ func (r *Router) switchedOnDay(rate float64, prefixID uint64, day int) bool {
 
 // alternativeIngress picks the ingress a route change lands on: usually a
 // nearby alternative (rank 2–4 by distance), occasionally back to rank 1.
-// ranked is the client's peering ranking from RankPeeringByAir.
+// ranked is the client's full peering ranking from RankPeeringByAir.
 func (r *Router) alternativeIngress(ranked []topology.SiteID, c Client, day int, current topology.SiteID) topology.SiteID {
 	if len(ranked) == 1 {
 		return ranked[0]
@@ -275,6 +309,41 @@ func (r *Router) alternativeIngress(ranked []topology.SiteID, c Client, day int,
 		return current
 	}
 	return ranked[idx]
+}
+
+// prefixIngress is alternativeIngress drawn from prefix, the first
+// entries of the client's peering ranking: it returns the same site, or
+// ok = false when the draw lands at or past the prefix's end, where the
+// caller redraws over the full ranking.
+//
+// No rank past the prefix is needed because xrand.WeightedChoice sums
+// the weights in order and walks the running sum. The weight of each
+// rank before a position is the same geometric term wherever the current
+// ingress's 0 sits, and adding +0 leaves every partial sum unchanged. So
+// the total is the sum of the first n-1 terms over n peering sites (all
+// n when the current ingress is not a peering site, and weighs nothing),
+// and the walk up to the prefix's end is the full walk's.
+func (r *Router) prefixIngress(prefix []topology.SiteID, c Client, day int, current topology.SiteID) (topology.SiteID, bool) {
+	terms := len(r.switchWeights)
+	if r.backbone.Site(current).Peering {
+		terms--
+	}
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL2(r.seed, labelChurnTarget, c.PrefixID, uint64(day)))
+	target := rs.Float64() * r.switchSums[terms]
+	var acc float64
+	j := 0
+	for _, s := range prefix {
+		if s == current {
+			continue
+		}
+		acc += r.switchWeights[j]
+		j++
+		if target < acc {
+			return s, true
+		}
+	}
+	return topology.InvalidSite, false
 }
 
 // ScheduleEntry is one client-day of an ingress schedule in 16 bits: the
@@ -315,11 +384,13 @@ func (r *Router) IngressSchedule(c Client, days int) []ScheduleEntry {
 // the client's base ingress, BaseIngress's answer, which the schedule
 // starts from. The peering ranking and the churn class are computed once
 // here and reused for the base choice and every day, so extra simulated
-// days cost no extra ranking work (and no allocations).
+// days cost no extra ranking work (and no allocations). The ranking is
+// only scheduleDepth deep (deeper when the base choice reads more) until
+// a switch draw lands past it.
 func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.SiteID {
 	isp := r.isps.ISP(c.ISP)
 	var rbuf [rankBufSites]topology.SiteID
-	ranked := r.backbone.RankPeeringByAirInto(c.Point, rbuf[:0])
+	ranked := r.backbone.RankPeeringByAirInto(c.Point, max(scheduleDepth, r.baseDepth(isp)), rbuf[:0])
 	var base topology.SiteID
 	if isp.Policy == topology.Centralized {
 		base = r.nearestHub(c, isp)
@@ -331,7 +402,14 @@ func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.Sit
 	for d := range out {
 		e := ScheduleEntry(0)
 		if r.switchedOnDay(rate, c.PrefixID, d) {
-			cur = r.alternativeIngress(ranked, c, d, cur)
+			next, ok := r.prefixIngress(ranked, c, d, cur)
+			if !ok {
+				// Past the prefix: rank every peering site (one weight
+				// each) and redraw from the same substream.
+				ranked = r.backbone.RankPeeringByAirInto(c.Point, len(r.switchWeights), rbuf[:0])
+				next = r.alternativeIngress(ranked, c, d, cur)
+			}
+			cur = next
 			e = entrySwitched
 		}
 		out[d] = e | ScheduleEntry(cur)

@@ -164,7 +164,8 @@ func socketPair() (coord net.Conn, workerConn net.Conn, workerFile *os.File, err
 }
 
 // start launches the fleet and completes the handshake: config out,
-// Hello back, and for managed runs the capacity pre-phase.
+// Hello back, and for managed runs with derived capacities the capacity
+// exchange.
 func (c *coordinator) start(ctx context.Context) error {
 	c.done = make(chan struct{})
 	n := c.cfg.Prefixes
@@ -251,7 +252,9 @@ func (c *coordinator) start(ctx context.Context) error {
 			return fmt.Errorf("distsim: worker %d: %w", i, err)
 		}
 	}
-	if c.cfg.LoadManager != nil {
+	// Pinned capacities need no exchange: every worker's stream uses the
+	// config's map as the single process does.
+	if lm := c.cfg.LoadManager; lm != nil && lm.Capacity == nil {
 		if err := c.capsPhase(); err != nil {
 			return err
 		}
@@ -262,9 +265,10 @@ func (c *coordinator) start(ctx context.Context) error {
 // deadline is the stall bound on the next protocol step.
 func (c *coordinator) deadline() time.Time { return time.Now().Add(c.opts.StallTimeout) }
 
-// capsPhase reduces the shards' offered-load matrices and broadcasts the
-// derived per-site capacities, so every worker's policy replica starts
-// from the same numbers the single-process run derives.
+// capsPhase reduces the load matrices the shards' schedule passes
+// accumulate and broadcasts the derived per-site capacities, so every
+// worker's policy replica starts from the same numbers the single-process
+// run derives.
 func (c *coordinator) capsPhase() error {
 	var matrix []float64
 	for i, fc := range c.conns {

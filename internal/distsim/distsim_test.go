@@ -167,7 +167,7 @@ func TestDistributedMatchesSingleProcess(t *testing.T) {
 }
 
 // TestDistributedLoadManagedMatchesSingleProcess pins the managed path:
-// the capacity pre-phase plus the per-day demand barrier must keep every
+// the capacity exchange plus the per-day demand barrier must keep every
 // policy replica bitwise in step, for both the FastRoute spillover and
 // the naive withdrawal strategy.
 func TestDistributedLoadManagedMatchesSingleProcess(t *testing.T) {
@@ -183,6 +183,35 @@ func TestDistributedLoadManagedMatchesSingleProcess(t *testing.T) {
 			compareUtilization(t, refUtil, res.Utilization)
 		})
 	}
+}
+
+// TestDistributedPinnedCapacitiesMatchSingleProcess: with every
+// front-end's capacity pinned in the config, the fleet must run on the
+// pinned map as the single process does — no capacity exchange, and no
+// derived capacities overriding the pin.
+func TestDistributedPinnedCapacitiesMatchSingleProcess(t *testing.T) {
+	cfg := surgeConfig(t, 23, nil)
+	aw, err := sim.BuildAnalysisWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[topology.SiteID]float64{}
+	for _, fe := range aw.Deployment.Backbone.FrontEnds() {
+		pinned[fe] = 12345
+	}
+	cfg.LoadManager = &load.ManagerConfig{Policy: load.FastRoute, Capacity: pinned}
+	ref, refUtil := singleProcess(t, cfg)
+	// Ring derivation raises the deep-ring sites' capacities; the rest
+	// keep the pin.
+	if !slices.ContainsFunc(refUtil[0], func(u sim.SiteUtil) bool { return u.Capacity == 12345 }) {
+		t.Fatalf("no single-process day-0 capacity is the pinned 12345: %+v", refUtil[0])
+	}
+	res, err := Run(context.Background(), cfg, Options{Shards: 3, InProcess: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareSuites(t, ref, res.Suite)
+	compareUtilization(t, refUtil, res.Utilization)
 }
 
 // TestDistributedSubprocess runs the real process fleet: forked workers

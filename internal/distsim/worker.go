@@ -179,11 +179,7 @@ func serve(ctx context.Context, fc *frameConn) error {
 
 	opts := sim.ShardOpts{Lo: w.wc.Lo, Hi: w.wc.Hi}
 	if w.wc.Cfg.LoadManager != nil {
-		caps, err := w.capsPhase(w.wc.Cfg, world)
-		if err != nil {
-			return err
-		}
-		opts.Caps = caps
+		opts.ExchangeLoad = w.exchangeLoad
 		opts.ExchangeDemand = w.exchangeDemand
 		w.global = make(map[topology.SiteID]float64)
 	}
@@ -207,14 +203,11 @@ func serve(ctx context.Context, fc *frameConn) error {
 // deadline is the stall bound on the next protocol step.
 func (w *worker) deadline() time.Time { return time.Now().Add(w.wc.StallTimeout) }
 
-// capsPhase runs the managed pre-phase: compute this shard's offered
-// load matrix, send it, and receive the fleet-derived capacities every
-// replica will share.
-func (w *worker) capsPhase(cfg sim.Config, world *sim.World) (map[topology.SiteID]float64, error) {
-	m, err := sim.ShardLoadMatrix(cfg, world, w.wc.Lo, w.wc.Hi)
-	if err != nil {
-		return nil, err
-	}
+// exchangeLoad is the capacity exchange, run once after the shard's
+// schedule pass: send the shard's fault-free load matrix, and receive
+// the fleet-derived capacities every replica will share. The stream
+// skips it when the config pins capacities, and so does the coordinator.
+func (w *worker) exchangeLoad(m []float64) (map[topology.SiteID]float64, error) {
 	w.sendBuf = appendMatrix(w.sendBuf[:0], m)
 	if err := w.fc.write(frameCapsPart, w.sendBuf, w.deadline()); err != nil {
 		return nil, err

@@ -79,6 +79,18 @@ func DefaultMapperConfig(seed uint64) MapperConfig {
 	return MapperConfig{Seed: seed, PublicFrac: 0.08, HubFrac: 0.12}
 }
 
+// Validate rejects a PublicFrac or HubFrac that is not a probability:
+// non-finite or outside [0, 1].
+func (c MapperConfig) Validate() error {
+	if !(c.PublicFrac >= 0 && c.PublicFrac <= 1) {
+		return fmt.Errorf("dns: PublicFrac %v outside [0, 1]", c.PublicFrac)
+	}
+	if !(c.HubFrac >= 0 && c.HubFrac <= 1) {
+		return fmt.Errorf("dns: HubFrac %v outside [0, 1]", c.HubFrac)
+	}
+	return nil
+}
+
 // publicResolverMetros hosts the public resolver deployment: a handful of
 // global sites; each client uses the nearest.
 var publicResolverMetros = []string{
@@ -312,14 +324,10 @@ func (a *Authority) Candidates(l LDNS) []topology.SiteID {
 	}
 	believed := a.geoDB.Locate(ldnsGeoKey(l.ID), l.Point)
 	fes := a.dep.FrontEnds
-	order := a.feSet.RankInto(believed, nil)
-	n := a.CandidateCount
-	if n > len(order) {
-		n = len(order)
-	}
-	sites = make([]topology.SiteID, n)
-	for i := 0; i < n; i++ {
-		sites[i] = fes[order[i]].Site
+	order := a.feSet.RankInto(believed, a.CandidateCount, nil)
+	sites = make([]topology.SiteID, len(order))
+	for i, k := range order {
+		sites[i] = fes[k].Site
 	}
 	a.mu.Lock()
 	a.cache[l.ID] = sites

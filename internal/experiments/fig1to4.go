@@ -105,11 +105,11 @@ func (s *StreamSuite) Figure2() Report {
 	}
 	dists := make([][]units.Kilometers, 4) // rank -> per-client distance
 	var weights []float64
-	order := make([]int, len(pts))
+	order := make([]int, 4)
 	for _, c := range w.Population.Clients {
-		order = s.feSet.RankInto(c.Point, order)
-		for r := 0; r < 4 && r < len(order); r++ {
-			dists[r] = append(dists[r], geo.DistanceKm(c.Point, pts[order[r]]))
+		order = s.feSet.RankInto(c.Point, 4, order)
+		for r, k := range order {
+			dists[r] = append(dists[r], geo.DistanceKm(c.Point, pts[k]))
 		}
 		weights = append(weights, c.Volume)
 	}

@@ -280,14 +280,20 @@ func (inj *Injector) Rewrite(c bgp.Client, day int, a bgp.Assignment, r *bgp.Rou
 		return a
 	}
 	if inj.Withdrawn(a.Ingress, day) {
-		for _, cand := range r.Backbone().RankPeeringByAir(c.Point) {
-			if !inj.Withdrawn(cand, day) {
-				a = r.Assign(c, cand)
-				break
-			}
+		// A short prefix of the ranking almost always holds a standing
+		// site; the full ranking is needed only when all of it is
+		// withdrawn.
+		var buf [rerouteDepth]topology.SiteID
+		ranked := r.Backbone().RankPeeringByAirInto(c.Point, rerouteDepth, buf[:0])
+		cand, ok := inj.firstStanding(ranked, day)
+		if !ok && len(ranked) == rerouteDepth {
+			cand, ok = inj.firstStanding(r.Backbone().RankPeeringByAir(c.Point), day)
 		}
 		// All peering withdrawn: the scenario black-holed the whole AS;
 		// keep the original assignment rather than invent connectivity.
+		if ok {
+			a = r.Assign(c, cand)
+		}
 	}
 	if inj.Drained(a.FrontEnd, day) {
 		a = r.AssignExcluding(c, a.Ingress, func(fe topology.SiteID) bool {
@@ -295,4 +301,19 @@ func (inj *Injector) Rewrite(c bgp.Client, day int, a bgp.Assignment, r *bgp.Rou
 		})
 	}
 	return a
+}
+
+// rerouteDepth is how many nearest peering sites Rewrite ranks to find a
+// withdrawn ingress's replacement before it ranks them all.
+const rerouteDepth = 4
+
+// firstStanding returns the first site of ranked whose route is not
+// withdrawn on day.
+func (inj *Injector) firstStanding(ranked []topology.SiteID, day int) (topology.SiteID, bool) {
+	for _, s := range ranked {
+		if !inj.Withdrawn(s, day) {
+			return s, true
+		}
+	}
+	return topology.InvalidSite, false
 }

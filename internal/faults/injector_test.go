@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/geo"
@@ -174,6 +175,42 @@ func TestInjectorDayWindows(t *testing.T) {
 		}
 		if inj.Withdrawn(site, day) {
 			t.Errorf("drain event must not withdraw the route (day %d)", day)
+		}
+	}
+}
+
+// TestRewriteReroutesToNearestStanding: a client whose ingress is
+// withdrawn re-routes to its nearest peering site that still announces
+// the prefix, however many of its nearest sites are withdrawn — more than
+// the short prefix Rewrite ranks first, too — and only inside the flap
+// window.
+func TestRewriteReroutesToNearestStanding(t *testing.T) {
+	w := testutil.SmallWorld(t)
+	bb := w.Deployment.Backbone
+	for i := 0; i < 12; i++ {
+		cl := &w.Population.Clients[i*97%len(w.Population.Clients)]
+		c := bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}
+		ranked := bb.RankPeeringByAir(c.Point)
+		plain := w.Router.Assign(c, ranked[0])
+		for k := 1; k <= 6; k++ {
+			events := make([]string, k)
+			for j, s := range ranked[:k] {
+				events[j] = "flap " + bb.Site(s).Metro.Name + " day=2 for=1"
+			}
+			sc, err := faults.ParseScenario(strings.Join(events, "; "))
+			if err != nil {
+				t.Fatal(err)
+			}
+			inj, err := faults.NewInjector(sc, w.Deployment, w.Mapping, w.Metros)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := inj.Rewrite(c, 2, plain, w.Router), w.Router.Assign(c, ranked[k]); got != want {
+				t.Fatalf("client %d with its %d nearest sites withdrawn: rerouted to %+v, want the next nearest %+v", c.PrefixID, k, got, want)
+			}
+			if got := inj.Rewrite(c, 3, plain, w.Router); got != plain {
+				t.Fatalf("client %d rerouted after the flap window: %+v", c.PrefixID, got)
+			}
 		}
 	}
 }

@@ -102,53 +102,113 @@ func (s *PointSet) Nearest(p Point) (int, units.Kilometers) {
 	return best, bestKm
 }
 
-// RankInto returns the indices of every point ordered by increasing
-// DistanceKm from p, ties broken by index — exactly a stable sort by
-// distance. The ranking goes into buf when cap(buf) covers the set, and
-// then nothing is allocated for sets of up to 256 points; otherwise a
-// fresh slice is returned.
+// RankInto returns the indices of the min(k, n) points nearest to p,
+// ordered by increasing DistanceKm, ties broken by index: exactly the
+// first min(k, n) entries of a stable sort of all n points by distance. A
+// k of at least n ranks the whole set; a k below 1 returns an empty
+// ranking. The ranking goes into buf when cap(buf) covers it, and then
+// nothing is allocated for sets of up to 256 points; otherwise a fresh
+// slice is returned.
+//
+// Only the k largest dot products are kept, so a caller that reads a
+// short prefix pays for a short insertion. The exact pass below orders
+// every near-tie run among them; when such a run straddles position k,
+// which of its points fall inside the prefix takes the distances of the
+// whole run, and RankInto ranks the full set instead.
 //
 //perf:hotpath
-func (s *PointSet) RankInto(p Point, buf []int) []int {
+func (s *PointSet) RankInto(p Point, k int, buf []int) []int {
 	n := len(s.vecs)
+	k = min(max(k, 0), n)
 	var out []int
-	if cap(buf) >= n {
-		out = buf[:n]
+	if cap(buf) >= k {
+		out = buf[:k]
 	} else {
-		out = make([]int, n)
+		out = make([]int, k)
+	}
+	if k == 0 {
+		return out
 	}
 	var kbuf [rankStack]float64
 	var keys []float64
-	if n <= len(kbuf) {
-		keys = kbuf[:n]
+	if k <= len(kbuf) {
+		keys = kbuf[:k]
 	} else {
-		keys = make([]float64, n)
+		keys = make([]float64, k)
 	}
-	// Insertion sort by decreasing dot product, equal dot products in
-	// index order: fast at deployment scale (tens of sites).
 	u := queryVector(p)
+	if s.topByDot(u, out, keys) <= tieEps {
+		s.rankPrefixOfAll(p, u, out)
+		return out
+	}
+	s.resolveTies(p, out, keys)
+	return out
+}
+
+// topByDot fills idx with the indices of the len(idx) largest dot
+// products with u, in decreasing order with equal dot products in index
+// order, and keys with those dot products: a bounded insertion sort, fast
+// at deployment scale (tens of sites). It returns the gap between the
+// last kept dot product and the largest one left out, +Inf when none is.
+func (s *PointSet) topByDot(u vec3, idx []int, keys []float64) float64 {
+	k := len(idx)
+	next := math.Inf(-1)
+	m := 0
 	for i, v := range s.vecs {
 		d := u.dot(v)
-		j := i
+		if m == k {
+			// The prefix is full: d enters only by beating its last
+			// entry, and an equal one sorts after it by index.
+			if d <= keys[k-1] {
+				next = max(next, d)
+				continue
+			}
+			next = max(next, keys[k-1])
+			m--
+		}
+		j := m
 		for j > 0 && keys[j-1] < d {
-			keys[j], out[j] = keys[j-1], out[j-1]
+			keys[j], idx[j] = keys[j-1], idx[j-1]
 			j--
 		}
-		keys[j], out[j] = d, i
+		keys[j], idx[j] = d, i
+		m++
 	}
-	// Re-order each run of dot products within tieEps of its neighbour by
-	// exact (distance, index).
+	return keys[k-1] - next
+}
+
+// resolveTies re-orders each run of dot products within tieEps of its
+// neighbour by exact (distance, index), overwriting the run's keys.
+func (s *PointSet) resolveTies(p Point, idx []int, keys []float64) {
+	n := len(idx)
 	for lo := 0; lo < n; {
 		hi := lo + 1
 		for hi < n && keys[hi-1]-keys[hi] <= tieEps {
 			hi++
 		}
 		if hi-lo > 1 {
-			s.sortByKm(p, out[lo:hi], keys[lo:hi])
+			s.sortByKm(p, idx[lo:hi], keys[lo:hi])
 		}
 		lo = hi
 	}
-	return out
+}
+
+// rankPrefixOfAll ranks every point and copies the first len(out) into
+// out: RankInto's answer when a near-tie run straddles the prefix's end.
+func (s *PointSet) rankPrefixOfAll(p Point, u vec3, out []int) {
+	n := len(s.vecs)
+	var ibuf [rankStack]int
+	var kbuf [rankStack]float64
+	var idx []int
+	var keys []float64
+	if n <= rankStack {
+		idx, keys = ibuf[:n], kbuf[:n]
+	} else {
+		idx, keys = make([]int, n), make([]float64, n)
+	}
+	s.topByDot(u, idx, keys)
+	s.resolveTies(p, idx, keys)
+	copy(out, idx)
 }
 
 // sortByKm insertion-sorts idx by (DistanceKm from p, index), overwriting

@@ -47,6 +47,6 @@ func BenchmarkPointSetRank(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rankSink = s.RankInto(queries[i%len(queries)], buf)
+		rankSink = s.RankInto(queries[i%len(queries)], 64, buf)
 	}
 }

@@ -40,15 +40,29 @@ func rankOracle(p Point, pts []Point) []int {
 }
 
 // checkPointSet compares both PointSet queries at p with the oracles over
-// pts, the points s was built from.
+// pts, the points s was built from, at every ranking depth in [0, n+1].
 func checkPointSet(t testing.TB, s *PointSet, pts []Point, p Point, buf []int) {
+	t.Helper()
+	depths := make([]int, len(pts)+2)
+	for k := range depths {
+		depths[k] = k
+	}
+	checkDepths(t, s, pts, p, buf, depths)
+}
+
+// checkDepths compares Nearest at p with its oracle, and RankInto at each
+// depth k with the first min(k, n) entries of the oracle's ranking.
+func checkDepths(t testing.TB, s *PointSet, pts []Point, p Point, buf []int, depths []int) {
 	t.Helper()
 	wantIdx, wantKm := nearestOracle(p, pts)
 	if idx, km := s.Nearest(p); idx != wantIdx || km != wantKm {
 		t.Fatalf("Nearest(%v) = (%d, %v), oracle (%d, %v)", p, idx, km, wantIdx, wantKm)
 	}
-	if got, want := s.RankInto(p, buf), rankOracle(p, pts); !slices.Equal(got, want) {
-		t.Fatalf("RankInto(%v) = %v, oracle %v", p, got, want)
+	want := rankOracle(p, pts)
+	for _, k := range depths {
+		if got := s.RankInto(p, k, buf); !slices.Equal(got, want[:min(k, len(want))]) {
+			t.Fatalf("RankInto(%v, %d) = %v, oracle prefix %v", p, k, got, want[:min(k, len(want))])
+		}
 	}
 }
 
@@ -70,9 +84,10 @@ func antipode(p Point) Point {
 }
 
 // TestPointSetMatchesDistanceOracle pins PointSet's exactness against the
-// DistanceKm oracles: seeded random points over the whole sphere, every
-// site, each site's antipode and a point 1e-7° off each site, a set with
-// two sites 1e-9° apart, and NaN, infinite and out-of-range queries.
+// DistanceKm oracles, at every ranking depth: seeded random points over
+// the whole sphere, every site, each site's antipode and a point 1e-7°
+// off each site, a set with two sites 1e-9° apart, and NaN, infinite and
+// out-of-range queries.
 func TestPointSetMatchesDistanceOracle(t *testing.T) {
 	pts := catalogPoints()
 	s := NewPointSet(pts)
@@ -86,9 +101,16 @@ func TestPointSetMatchesDistanceOracle(t *testing.T) {
 	ss := NewPointSet(third)
 	var rs xrand.Stream
 	label := xrand.NewLabel("pointset")
+	n := len(third)
 	for i := uint64(0); i < 100_000; i++ {
 		xrand.SubstreamInto(&rs, 7, label, i)
-		checkPointSet(t, ss, third, randPoint(&rs), buf)
+		// Every depth on one query in 32; the full ranking and one depth
+		// cycling through [0, n+1] on the rest.
+		if i%32 == 0 {
+			checkPointSet(t, ss, third, randPoint(&rs), buf)
+		} else {
+			checkDepths(t, ss, third, randPoint(&rs), buf, []int{n, int(i % uint64(n+2))})
+		}
 	}
 	for _, q := range pts {
 		checkPointSet(t, s, pts, q, buf)
@@ -96,7 +118,9 @@ func TestPointSetMatchesDistanceOracle(t *testing.T) {
 		checkPointSet(t, s, pts, Point{Lat: q.Lat + 1e-7, Lon: q.Lon - 1e-7}, buf)
 	}
 	// Two sites 1e-9° apart: their dot products tie, so the exact pass
-	// orders them.
+	// orders them. Placed at both ends of the set around new-york, the
+	// tied run straddles the prefix's end at the shallow depths for
+	// queries near new-york and at the deep ones for its antipode.
 	ny, _ := FindMetro("new-york")
 	twin := Point{Lat: ny.Point.Lat + 1e-9, Lon: ny.Point.Lon}
 	tight := append(append([]Point{twin}, pts...), twin)
@@ -119,7 +143,7 @@ func TestPointSetMatchesDistanceOracle(t *testing.T) {
 	for i := range identity {
 		identity[i] = i
 	}
-	if got := s.RankInto(Point{nan, 0}, nil); !slices.Equal(got, identity) {
+	if got := s.RankInto(Point{nan, 0}, len(pts), nil); !slices.Equal(got, identity) {
 		t.Fatalf("RankInto(NaN) = %v, want index order", got)
 	}
 }
@@ -172,7 +196,7 @@ func TestPointSetRank(t *testing.T) {
 		pts[i] = m.Point
 	}
 	buf := make([]int, 0, len(pts))
-	order := NewPointSet(pts).RankInto(ny.Point, buf)
+	order := NewPointSet(pts).RankInto(ny.Point, len(pts), buf)
 	want := []int{1, 2, 3, 0} // boston, chicago, LA, london
 	if !slices.Equal(order, want) {
 		t.Fatalf("rank order = %v, want %v", order, want)

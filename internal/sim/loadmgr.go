@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"anycastcdn/internal/bgp"
+	"anycastcdn/internal/clients"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/logs"
 	"anycastcdn/internal/topology"
@@ -37,6 +38,7 @@ func (u SiteUtil) Utilization() float64 { return u.Queries / u.Capacity }
 type loadManager struct {
 	cfg    load.ManagerConfig // defaulted
 	bb     *topology.Backbone
+	fes    []topology.SiteID // bb.FrontEnds(), the order of each day's utilization
 	caps   map[topology.SiteID]float64
 	layers []load.Layer
 	// bal is the layered balancer; non-nil only for the FastRoute
@@ -67,10 +69,10 @@ type loadManager struct {
 // plain addition into exactly the full-population matrix, regardless of
 // how the population was sharded. CapsFromLoadMatrix is the other half.
 //
-// Memory is one Days x front-ends matrix plus a Days-length scratch
-// schedule, independent of the shard size — this is also what the
-// single-process derivation runs, replacing the clients x days schedule
-// array it used to materialize.
+// A managed stream accumulates the same matrix inside its own schedule
+// pass (loadAccum); this standalone form repeats the schedule pass
+// serially, holding one Days x front-ends matrix plus a Days-length
+// scratch schedule.
 func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 	if cfg.LoadManager == nil {
 		return nil, fmt.Errorf("sim: load matrix requested without a load-manager config")
@@ -79,34 +81,69 @@ func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 	if lo < base || hi < lo || hi > base+len(w.Population.Clients) {
 		return nil, fmt.Errorf("sim: load-matrix shard [%d, %d) outside population [%d, %d)", lo, hi, base, base+len(w.Population.Clients))
 	}
-	bb := w.Deployment.Backbone
-	fes := bb.FrontEnds()
-	feIdx := make(map[topology.SiteID]int, len(fes))
-	for i, fe := range fes {
-		feIdx[fe] = i
-	}
-	weekend := make([]bool, cfg.Days)
-	for d := range weekend {
-		weekend[d] = w.Router.IsWeekend(d)
-	}
-	m := make([]float64, cfg.Days*len(fes))
+	acc := newLoadAccum(cfg, w)
+	m := acc.matrix()
 	sched := make([]bgp.ScheduleEntry, cfg.Days)
-	trafficSeed := xrand.DeriveSeedL(cfg.Seed, labelTraffic)
-	// Serial, in client order: per matrix cell the additions run in
-	// ascending client order, the same per-cell sequence the pre-matrix
-	// serial derivation produced — and integer-valued besides, so the
-	// reduction over shards is exact.
 	for i := lo; i < hi; i++ {
 		cl := &w.Population.Clients[i-base]
-		rc := bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}
-		w.Router.IngressScheduleInto(rc, sched)
-		for d, e := range sched {
-			fe, _ := bb.HotPotatoFrontEnd(e.Ingress())
-			f := feIdx[fe]
-			m[d*len(fes)+f] += float64(cl.QueriesOnDay(trafficSeed, d, weekend[d], cfg.QueriesPerVolume))
-		}
+		w.Router.IngressScheduleInto(bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}, sched)
+		acc.add(m, cl, sched)
 	}
 	return m, nil
+}
+
+// loadAccum adds clients' fault-free scheduled load to a ShardLoadMatrix
+// layout. Every addend is an integer query count and every cell stays far
+// below 2^53, so the cells are exact integers whatever the order of the
+// additions: partial matrices over any split of the clients sum to the
+// same matrix bit for bit.
+type loadAccum struct {
+	cols int
+	// col[s] is the matrix column of the hot-potato front-end of traffic
+	// ingressing at site s.
+	col         []int
+	weekend     []bool
+	trafficSeed uint64
+	perVolume   float64
+}
+
+// newLoadAccum prepares the accumulation of cfg's days over w's
+// deployment.
+func newLoadAccum(cfg Config, w *World) *loadAccum {
+	bb := w.Deployment.Backbone
+	fes := bb.FrontEnds()
+	feCol := make([]int, bb.NumSites())
+	for i, fe := range fes {
+		feCol[fe] = i
+	}
+	a := &loadAccum{
+		cols:        len(fes),
+		col:         make([]int, bb.NumSites()),
+		weekend:     make([]bool, cfg.Days),
+		trafficSeed: xrand.DeriveSeedL(cfg.Seed, labelTraffic),
+		perVolume:   cfg.QueriesPerVolume,
+	}
+	for s := range a.col {
+		fe, _ := bb.HotPotatoFrontEnd(topology.SiteID(s))
+		a.col[s] = feCol[fe]
+	}
+	for d := range a.weekend {
+		a.weekend[d] = w.Router.IsWeekend(d)
+	}
+	return a
+}
+
+// matrix returns a zero matrix in the accumulator's layout.
+func (a *loadAccum) matrix() []float64 { return make([]float64, len(a.weekend)*a.cols) }
+
+// add adds client c's fault-free queries on each day of its schedule to
+// that day's cell of its scheduled catchment.
+//
+//perf:hotpath
+func (a *loadAccum) add(m []float64, c *clients.Client, sched []bgp.ScheduleEntry) {
+	for d, e := range sched {
+		m[d*a.cols+a.col[e.Ingress()]] += float64(c.QueriesOnDay(a.trafficSeed, d, a.weekend[d], a.perVolume))
+	}
 }
 
 // CapsFromLoadMatrix derives per-front-end capacities from a full
@@ -158,61 +195,41 @@ func CapsFromLoadMatrix(cfg Config, w *World, m []float64) (map[topology.SiteID]
 	return caps, nil
 }
 
-// newLoadManager compiles cfg.LoadManager against a built world; it
-// returns (nil, nil) when the subsystem is inactive. Capacity derivation
-// is a pure serial function of the world (client order, fault-free base
-// catchment), so every policy arm of an experiment sees identical
-// capacities and rings. explicitCaps overrides the config's capacity map
-// when non-nil (the distributed stream injects coordinator-reduced
-// capacities this way).
-func newLoadManager(cfg Config, w *World, explicitCaps map[topology.SiteID]float64) (*loadManager, error) {
+// newLoadManager compiles cfg.LoadManager against a built world and the
+// per-front-end capacities caps — the config's pinned Capacity map, or
+// the ones derived from the fault-free load matrix — so every policy arm
+// of an experiment sees identical capacities and rings. It returns (nil,
+// nil) when the subsystem is inactive; cfg.LoadManager must already be
+// validated.
+func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*loadManager, error) {
 	if cfg.LoadManager == nil {
 		return nil, nil
 	}
-	if err := cfg.LoadManager.Validate(); err != nil {
-		return nil, err
-	}
 	c := cfg.LoadManager.WithDefaults()
-	if explicitCaps != nil {
-		c.Capacity = explicitCaps
-	}
 	bb := w.Deployment.Backbone
-	caps := make(map[topology.SiteID]float64, len(bb.FrontEnds()))
-	if c.Capacity != nil {
-		// Copy: DeriveRings raises deep-ring capacities in place and the
-		// caller's map must stay untouched.
-		for _, fe := range bb.FrontEnds() {
-			caps[fe] = c.Capacity[fe]
-		}
-	} else {
-		base := int(w.Population.Base)
-		m, err := ShardLoadMatrix(cfg, w, base, base+len(w.Population.Clients))
-		if err != nil {
-			return nil, err
-		}
-		derived, err := CapsFromLoadMatrix(cfg, w, m)
-		if err != nil {
-			return nil, err
-		}
-		for _, fe := range bb.FrontEnds() {
-			caps[fe] = derived[fe]
-		}
+	fes := bb.FrontEnds()
+	// Copy: DeriveRings raises deep-ring capacities in place and the
+	// caller's map must stay untouched.
+	own := make(map[topology.SiteID]float64, len(fes))
+	for _, fe := range fes {
+		own[fe] = caps[fe]
 	}
-	layers := load.DeriveRings(bb, caps, c.DeepRingShare, c.MegaShare)
+	layers := load.DeriveRings(bb, own, c.DeepRingShare, c.MegaShare)
 	m := &loadManager{
 		cfg:            c,
 		bb:             bb,
-		caps:           caps,
+		fes:            fes,
+		caps:           own,
 		layers:         layers,
 		withdrawn:      map[topology.SiteID]bool{},
 		routeWithdrawn: map[topology.SiteID]bool{},
 		demand:         make(map[topology.SiteID]float64, bb.NumSites()),
 		served:         make(map[topology.SiteID]float64, bb.NumSites()),
-		utils:          make([]SiteUtil, 0, len(bb.FrontEnds())),
+		utils:          make([]SiteUtil, 0, len(fes)),
 		rehome:         make([]topology.SiteID, bb.NumSites()),
 	}
 	if c.Policy == load.FastRoute {
-		bal, err := load.NewBalancer(bb, layers, caps)
+		bal, err := load.NewBalancer(bb, layers, own)
 		if err != nil {
 			return nil, err
 		}
@@ -303,7 +320,7 @@ func (m *loadManager) observeServed(passive []logs.DayRecord) []SiteUtil {
 		m.served[passive[i].FrontEnd] += float64(passive[i].Queries)
 	}
 	m.utils = m.utils[:0]
-	for _, fe := range m.bb.FrontEnds() {
+	for _, fe := range m.fes {
 		su := SiteUtil{
 			Site:      fe,
 			Queries:   m.served[fe],

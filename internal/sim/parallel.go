@@ -6,16 +6,14 @@ import (
 	"sync/atomic"
 )
 
-// parallelFor runs fn(i) for i in [0, n). It is the single worker-pool
-// helper of the simulation core — the day loop dispatches every parallel
-// phase through it — so there is exactly one clamping rule for
-// Config.Workers: workers <= 0 means GOMAXPROCS. (Validate rejects
-// negative counts at the config boundary; a negative value reaching this
-// level through a direct RunWorld/StreamWorld call behaves like the zero
-// value rather than silently serializing.) The worker count is additionally
-// clamped to n, and a single worker runs inline: no goroutines, no
-// scheduling allocations — the serial path replay tests compare against
-// parallel runs byte for byte.
+// parallelFor runs fn(worker, i) for i in [0, n), where worker in [0,
+// poolSize(n, workers)) names the goroutine running the call, so a phase
+// can keep one partial result per worker without locking. It is the
+// single worker-pool helper of the simulation core — the day loop
+// dispatches every parallel phase through it — so there is exactly one
+// clamping rule for Config.Workers (poolSize). A single worker runs
+// inline: no goroutines, no scheduling allocations — the serial path
+// replay tests compare against parallel runs byte for byte.
 //
 // Work is claimed from a shared atomic counter in blocks of claimBlock
 // consecutive indices, not handed out in one contiguous chunk per worker:
@@ -29,16 +27,11 @@ import (
 // adjacent per-client output slots that share cache lines. The schedule
 // has no effect on results: every output index is written by whichever
 // worker claims it, and all randomness is per-entity substreams.
-func parallelFor(n, workers int, fn func(i int)) {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
+func parallelFor(n, workers int, fn func(worker, i int)) {
+	workers = poolSize(n, workers)
+	if workers == 1 {
 		for i := 0; i < n; i++ {
-			fn(i)
+			fn(0, i)
 		}
 		return
 	}
@@ -56,12 +49,24 @@ func parallelFor(n, workers int, fn func(i int)) {
 				}
 				hi = min(hi, n)
 				for i := lo; i < hi; i++ {
-					fn(i)
+					fn(w, i)
 				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// poolSize is how many workers parallelFor runs n indices on: workers <=
+// 0 means GOMAXPROCS (Validate rejects negative counts at the config
+// boundary; a negative value reaching this level through a direct
+// RunWorld/StreamWorld call behaves like the zero value rather than
+// silently serializing), clamped to [1, n].
+func poolSize(n, workers int) int {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	return max(1, min(workers, n))
 }
 
 // claimBlock is how many consecutive indices one parallelFor claim takes.

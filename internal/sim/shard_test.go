@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"errors"
 	"sync"
 	"testing"
 
@@ -168,10 +169,54 @@ func (b *demandBarrier) exchange(day int, shard map[topology.SiteID]float64) (ma
 	return b.global, nil
 }
 
+// loadBarrier is an in-process stand-in for the coordinator's one-shot
+// capacity exchange: every shard hands in the load matrix its schedule
+// pass accumulated, the last arrival sums them (integer-valued cells, so
+// exact in any arrival order) and derives the capacities, and every shard
+// proceeds with the same map.
+type loadBarrier struct {
+	cfg     sim.Config
+	w       *sim.World
+	mu      sync.Mutex
+	cond    *sync.Cond
+	shards  int
+	arrived int
+	sum     []float64
+	caps    map[topology.SiteID]float64
+	err     error
+}
+
+func newLoadBarrier(cfg sim.Config, w *sim.World, shards int) *loadBarrier {
+	b := &loadBarrier{cfg: cfg, w: w, shards: shards}
+	b.cond = sync.NewCond(&b.mu)
+	return b
+}
+
+func (b *loadBarrier) exchange(m []float64) (map[topology.SiteID]float64, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.sum == nil {
+		b.sum = make([]float64, len(m))
+	}
+	for i, v := range m {
+		b.sum[i] += v
+	}
+	b.arrived++
+	if b.arrived == b.shards {
+		b.caps, b.err = sim.CapsFromLoadMatrix(b.cfg, b.w, b.sum)
+		b.cond.Broadcast()
+	}
+	for b.arrived < b.shards {
+		b.cond.Wait()
+	}
+	return b.caps, b.err
+}
+
 // TestStreamShardLoadManagedMatchesStreamWorld runs the full distributed
-// load-management protocol in-process: capacities reduced from per-shard
-// load matrices, concurrent shard streams synchronized by a per-day
-// demand exchange, policy replicas stepping on the same global demand.
+// load-management protocol in-process: capacities derived from the sum
+// of the load matrices the shards' schedule passes accumulate,
+// concurrent shard streams synchronized by a per-day demand exchange,
+// policy replicas stepping on the same global demand.
 // The concatenated outputs must be byte-identical to single-process
 // StreamWorld under the same surge, and the per-shard utilization
 // snapshots must reduce (served volumes summed, control state identical
@@ -190,26 +235,7 @@ func TestStreamShardLoadManagedMatchesStreamWorld(t *testing.T) {
 
 		n := len(w.Population.Clients)
 		bounds := shardBounds(n)
-		// Coordinator pre-phase: reduce shard load matrices, derive caps.
-		var reduced []float64
-		for _, b := range bounds {
-			m, err := sim.ShardLoadMatrix(cfg, w, b[0], b[1])
-			if err != nil {
-				t.Fatal(err)
-			}
-			if reduced == nil {
-				reduced = m
-			} else {
-				for i := range reduced {
-					reduced[i] += m[i]
-				}
-			}
-		}
-		caps, err := sim.CapsFromLoadMatrix(cfg, w, reduced)
-		if err != nil {
-			t.Fatal(err)
-		}
-
+		loads := newLoadBarrier(cfg, w, len(bounds))
 		barrier := newDemandBarrier(len(bounds))
 		shards := make([]*dayCapture, len(bounds))
 		errs := make([]error, len(bounds))
@@ -221,7 +247,7 @@ func TestStreamShardLoadManagedMatchesStreamWorld(t *testing.T) {
 				defer wg.Done()
 				errs[si] = sim.StreamShard(cfg, w, sim.ShardOpts{
 					Lo: lo, Hi: hi,
-					Caps:           caps,
+					ExchangeLoad:   loads.exchange,
 					ExchangeDemand: barrier.exchange,
 				}, shards[si].observe)
 			}(si, b[0], b[1])
@@ -276,10 +302,7 @@ func TestStreamShardLoadManagedMatchesStreamWorld(t *testing.T) {
 }
 
 // TestShardLoadMatrixReducesToFull: the elementwise sum of shard matrices
-// equals the full-population matrix bit for bit (integer-valued cells),
-// and the derived capacities match the ones newLoadManager derives
-// internally — pinned indirectly by the managed shard test above, and
-// directly here.
+// equals the full-population matrix bit for bit (integer-valued cells).
 func TestShardLoadMatrixReducesToFull(t *testing.T) {
 	cfg := managedConfig(t, 5, load.FastRoute)
 	w, err := sim.BuildWorld(cfg)
@@ -320,5 +343,80 @@ func TestShardLoadMatrixReducesToFull(t *testing.T) {
 	}
 	if _, err := sim.CapsFromLoadMatrix(cfg, w, full[:3]); err == nil {
 		t.Error("short matrix accepted by CapsFromLoadMatrix")
+	}
+}
+
+// errStopStream ends a stream after its first day.
+var errStopStream = errors.New("stop after day 0")
+
+// TestStreamLoadMatrixMatchesShardLoadMatrix: the load matrix a managed
+// stream accumulates in its schedule pass, one partial matrix per pool
+// worker, equals the serial ShardLoadMatrix over the same range bit for
+// bit at Workers 1, 2 and 3, and a stream that derives its capacities
+// locally uses the ones CapsFromLoadMatrix derives from that matrix.
+func TestStreamLoadMatrixMatchesShardLoadMatrix(t *testing.T) {
+	cfg := managedConfig(t, 5, load.FastRoute)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := len(w.Population.Clients)
+	full, err := sim.ShardLoadMatrix(cfg, w, 0, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fullCaps, err := sim.CapsFromLoadMatrix(cfg, w, full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstDay := func(cfg sim.Config, opts sim.ShardOpts) []sim.SiteUtil {
+		t.Helper()
+		var util []sim.SiteUtil
+		err := sim.StreamShard(cfg, w, opts, func(d sim.DayResult) error {
+			util = append(util, d.Utilization...)
+			return errStopStream
+		})
+		if !errors.Is(err, errStopStream) {
+			t.Fatalf("stream over [%d, %d): %v", opts.Lo, opts.Hi, err)
+		}
+		return util
+	}
+	for _, workers := range []int{1, 2, 3} {
+		cfg := cfg
+		cfg.Workers = workers
+		for _, b := range append(shardBounds(n), [2]int{0, n}) {
+			want, err := sim.ShardLoadMatrix(cfg, w, b[0], b[1])
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []float64
+			exchanged := firstDay(cfg, sim.ShardOpts{Lo: b[0], Hi: b[1],
+				ExchangeLoad: func(m []float64) (map[topology.SiteID]float64, error) {
+					got = append([]float64(nil), m...)
+					return fullCaps, nil
+				}})
+			if len(got) != len(want) {
+				t.Fatalf("workers=%d [%d, %d): stream matrix has %d cells, ShardLoadMatrix %d", workers, b[0], b[1], len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("workers=%d [%d, %d): cell %d is %v in the stream, %v in ShardLoadMatrix", workers, b[0], b[1], i, got[i], want[i])
+				}
+			}
+			if b[0] != 0 || b[1] != n {
+				continue
+			}
+			local := firstDay(cfg, sim.ShardOpts{Lo: 0, Hi: n})
+			for i := range exchanged {
+				if local[i] != exchanged[i] {
+					t.Fatalf("workers=%d: locally derived day-0 utilization %+v, from ShardLoadMatrix's capacities %+v", workers, local[i], exchanged[i])
+				}
+			}
+		}
+	}
+	// A managed stream over part of the population cannot derive
+	// capacities without the exchange.
+	if err := sim.StreamShard(cfg, w, sim.ShardOpts{Lo: 0, Hi: n / 2}, func(sim.DayResult) error { return nil }); err == nil {
+		t.Error("managed partial-range stream without ExchangeLoad accepted")
 	}
 }

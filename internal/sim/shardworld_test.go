@@ -6,6 +6,7 @@ import (
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/topology"
 )
 
 // TestBuildShardWorldStreamsIdentically is the memory-scaling contract of
@@ -58,7 +59,8 @@ func TestBuildShardWorldStreamsIdentically(t *testing.T) {
 		t.Fatalf("shard world interned %d resolvers, full build %d", lr, lf)
 	}
 
-	opts := sim.ShardOpts{Lo: lo, Hi: hi, Caps: caps}
+	opts := sim.ShardOpts{Lo: lo, Hi: hi,
+		ExchangeLoad: func([]float64) (map[topology.SiteID]float64, error) { return caps, nil }}
 	ref := capture(cfg.Days)
 	if err := sim.StreamShard(cfg, full, opts, ref.observe); err != nil {
 		t.Fatal(err)

@@ -141,6 +141,16 @@ func (cfg Config) Validate() error {
 			return err
 		}
 	}
+	if cfg.ISPs != nil {
+		if err := cfg.ISPs.Validate(); err != nil {
+			return err
+		}
+	}
+	if cfg.Mapper != nil {
+		if err := cfg.Mapper.Validate(); err != nil {
+			return err
+		}
+	}
 	if cfg.LoadManager != nil {
 		if err := cfg.LoadManager.Validate(); err != nil {
 			return err

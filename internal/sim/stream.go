@@ -80,13 +80,17 @@ type ShardOpts struct {
 	// it. The shard restricts which clients' days are simulated and
 	// logged.
 	Lo, Hi int
-	// Caps overrides load-manager capacity derivation with explicit
-	// per-front-end capacities. A sharded worker must receive the
-	// capacities derived from the FULL population (reduced from
-	// ShardLoadMatrix partials); deriving locally would also be correct
-	// but repeats the full-population schedule pass in every worker.
-	// Ignored when Config.LoadManager is nil.
-	Caps map[topology.SiteID]float64
+	// ExchangeLoad, when set on a load-managed run whose capacities are
+	// derived (Config.LoadManager.Capacity is nil), is called once, right
+	// after the schedule pass: it receives the range's fault-free load
+	// matrix (ShardLoadMatrix over [Lo, Hi), which the pass accumulates)
+	// and must return the capacities CapsFromLoadMatrix derives from the
+	// FULL population's matrix — in a distributed run, by reducing every
+	// shard's matrix on the coordinator and broadcasting the derivation.
+	// Without it a managed stream derives capacities from its own range,
+	// which must then be the world's whole population. Pinned capacities
+	// skip the exchange. Ignored when Config.LoadManager is nil.
+	ExchangeLoad func(shard []float64) (map[topology.SiteID]float64, error)
 	// ExchangeDemand, when set on a load-managed run, is called once per
 	// day between demand aggregation and the policy step: it receives the
 	// shard's offered load by ingress (the manager's scratch map, valid
@@ -121,16 +125,34 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		return fmt.Errorf("sim: shard range [%d, %d) outside population [%d, %d)",
 			opts.Lo, opts.Hi, base, base+len(w.Population.Clients))
 	}
-	mgr, err := newLoadManager(cfg, w, opts.Caps)
-	if err != nil {
-		return err
-	}
 	// cl[i] is the client with global ID opts.Lo+i: the range's clients,
 	// positioned relative to whatever slice of the population this world
 	// materialized.
 	cl := w.Population.Clients[opts.Lo-base:]
 	n := opts.Hi - opts.Lo
 	days := cfg.Days
+
+	// Derived capacities come from the fault-free load matrix, which the
+	// schedule pass accumulates: one partial matrix per pool worker,
+	// summed once the pass is done.
+	var acc *loadAccum
+	var parts [][]float64
+	if lm := cfg.LoadManager; lm != nil {
+		if err := lm.Validate(); err != nil {
+			return err
+		}
+		if lm.Capacity == nil {
+			if opts.ExchangeLoad == nil && n != len(w.Population.Clients) {
+				return fmt.Errorf("sim: load-managed stream over [%d, %d), part of the population [%d, %d), needs ShardOpts.ExchangeLoad to derive capacities",
+					opts.Lo, opts.Hi, base, base+len(w.Population.Clients))
+			}
+			acc = newLoadAccum(cfg, w)
+			parts = make([][]float64, poolSize(n, cfg.Workers))
+			for p := range parts {
+				parts[p] = acc.matrix()
+			}
+		}
+	}
 
 	// Per-client-day schedule entries, packed flat (client-major): the
 	// day's ingress and switch bit in 2 bytes. A full assignment is ~48
@@ -150,12 +172,24 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	// so it is never read back from there.
 	airKm := make([]units.Kilometers, n)
 	bb := w.Deployment.Backbone
-	parallelFor(n, cfg.Workers, func(i int) {
+	parallelFor(n, cfg.Workers, func(wk, i int) {
 		c := &cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		baseIngress := w.Router.IngressScheduleInto(rc, scheds[i*days:(i+1)*days])
+		sched := scheds[i*days : (i+1)*days]
+		baseIngress := w.Router.IngressScheduleInto(rc, sched)
 		prevFE[i], _ = bb.HotPotatoFrontEnd(baseIngress)
+		if acc != nil {
+			acc.add(parts[wk], c, sched)
+		}
 	})
+	caps, err := rangeCapacities(cfg, w, opts, parts)
+	if err != nil {
+		return err
+	}
+	mgr, err := newLoadManager(cfg, w, caps)
+	if err != nil {
+		return err
+	}
 
 	// Per-day output buffers, reused across days. Unless keepBeacons is
 	// set, the beacon buffer grows to the busiest day seen and stays there.
@@ -171,7 +205,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	// contract forbids.
 	var day int
 	var weekend bool
-	logDay := func(i int) {
+	logDay := func(_, i int) {
 		c := &cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
 		e := scheds[i*days+day]
@@ -214,7 +248,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	// assigns keeps the anycast path (beacons measure anycast and the
 	// per-front-end unicast targets regardless of which front-end served
 	// the page that carried them). Allocated once, outside the day loop.
-	applyLoad := func(i int) {
+	applyLoad := func(_, i int) {
 		a := assigns[i]
 		fe := mgr.route(cfg.Seed, cl[i].ID, day, a, passive[i].Queries)
 		if fe != a.FrontEnd {
@@ -225,7 +259,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	// runBeacons runs client i's beacons for the day as one batch, which
 	// resolves the client-day's LDNS once and shares one path memo across
 	// its executions.
-	runBeacons := func(i int) {
+	runBeacons := func(_, i int) {
 		nb := int(counts[i])
 		if nb == 0 {
 			return
@@ -279,4 +313,27 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		}
 	}
 	return nil
+}
+
+// rangeCapacities returns a managed stream's per-front-end capacities:
+// the pinned Capacity map, or the ones derived from parts, the range's
+// partial load matrices — through opts.ExchangeLoad when set, locally
+// otherwise. It returns nil for an unmanaged run.
+func rangeCapacities(cfg Config, w *World, opts ShardOpts, parts [][]float64) (map[topology.SiteID]float64, error) {
+	if cfg.LoadManager == nil {
+		return nil, nil
+	}
+	if parts == nil {
+		return cfg.LoadManager.Capacity, nil
+	}
+	m := parts[0]
+	for _, p := range parts[1:] {
+		for j, v := range p {
+			m[j] += v
+		}
+	}
+	if opts.ExchangeLoad != nil {
+		return opts.ExchangeLoad(m)
+	}
+	return CapsFromLoadMatrix(cfg, w, m)
 }

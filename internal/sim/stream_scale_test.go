@@ -7,8 +7,12 @@ import (
 	"testing"
 	"time"
 
+	"anycastcdn/internal/bgp"
+	"anycastcdn/internal/faults"
+	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/topology"
 )
 
 // TestWorkersRuleUnifiedAcrossPaths pins the worker-pool bugfix: every
@@ -58,7 +62,9 @@ func TestWorkersRuleUnifiedAcrossPaths(t *testing.T) {
 // the per-day output buffers exist, additional simulated days allocate
 // nothing. Doubling the day count must not change the per-run allocation
 // count (beacons are disabled so no day ever outgrows the shared beacon
-// buffer; Workers=1 keeps the pool inline and goroutine-free).
+// buffer; Workers=1 keeps the pool inline and goroutine-free) — neither
+// when the extra days re-route the clients of a withdrawn ingress, nor
+// when a load manager observes every day.
 func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 	cfg := testutil.TinyConfig(66)
 	cfg.Prefixes = 300
@@ -68,7 +74,7 @@ func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(days int) float64 {
+	measure := func(cfg sim.Config, w *sim.World, days int) float64 {
 		c := cfg
 		c.Days = days
 		return testing.AllocsPerRun(3, func() {
@@ -77,20 +83,54 @@ func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 			}
 		})
 	}
-	short, long := measure(4), measure(8)
-	// The fixed setup cost (schedule array, day buffers) is identical; the
-	// four extra days must add zero allocations.
-	if long > short+0.5 {
-		t.Fatalf("per-day steady-state allocations: %d days = %.0f allocs, %d days = %.0f allocs; extra days must not allocate",
-			4, short, 8, long)
+	check := func(t *testing.T, cfg sim.Config, w *sim.World) {
+		short, long := measure(cfg, w, 4), measure(cfg, w, 8)
+		// The fixed setup cost (schedule array, day buffers) is identical; the
+		// four extra days must add zero allocations.
+		if long > short+0.5 {
+			t.Fatalf("per-day steady-state allocations: %d days = %.0f allocs, %d days = %.0f allocs; extra days must not allocate",
+				4, short, 8, long)
+		}
 	}
+	t.Run("plain", func(t *testing.T) { check(t, cfg, w) })
+	t.Run("flap", func(t *testing.T) {
+		// Withdraw the busiest base ingress from day 1 on: the 8-day run
+		// re-routes its clients on four more days than the 4-day run.
+		count := map[topology.SiteID]int{}
+		for i := range w.Population.Clients {
+			c := &w.Population.Clients[i]
+			count[w.Router.BaseIngress(bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP})]++
+		}
+		busiest := topology.InvalidSite
+		for _, s := range w.Deployment.Backbone.PeeringSites() {
+			if busiest == topology.InvalidSite || count[s] > count[busiest] {
+				busiest = s
+			}
+		}
+		sc, err := faults.ParseScenario(fmt.Sprintf("flap %s day=1 for=7", w.Deployment.Backbone.Site(busiest).Metro.Name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Scenario = &sc
+		fw, err := sim.BuildWorld(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		check(t, c, fw)
+	})
+	t.Run("managed-static", func(t *testing.T) {
+		c := cfg
+		c.LoadManager = &load.ManagerConfig{Policy: load.Static}
+		check(t, c, w)
+	})
 }
 
 // TestStreamWorldMillionPrefixSmoke runs the paper-scale configuration the
 // streaming path exists for: one million client /24s over a 30-day month,
 // beacons disabled (a passive-log analysis run). It pins three things: the
 // run completes, it stays inside a generous wall-clock budget (it streams
-// in 7–8 s at a heap under 300 MiB on 2 Xeon vCPUs with Workers =
+// in 5–6 s at a heap under 300 MiB on 2 Xeon vCPUs with Workers =
 // GOMAXPROCS; the budget leaves room for one slow core), and the process
 // heap stays bounded — the batch Result for this run would exceed 2 GiB
 // on its own, so staying under that bound proves the day-buffer reuse

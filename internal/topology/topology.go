@@ -147,9 +147,11 @@ func (b *Backbone) buildLinks(degree int) [][]edge {
 		pts[i] = s.Metro.Point
 	}
 	set := geo.NewPointSet(pts)
-	order := make([]int, n)
+	// Site i itself takes at most one rank, so the degree nearest other
+	// sites lie within the first degree+1.
+	order := make([]int, degree+1)
 	for i := range b.Sites {
-		order = set.RankInto(pts[i], order)
+		order = set.RankInto(pts[i], degree+1, order)
 		added := 0
 		for _, j := range order {
 			if SiteID(j) == SiteID(i) {
@@ -385,35 +387,40 @@ func (b *Backbone) NearestSiteByAir(p geo.Point, onlyPeering bool) (SiteID, unit
 	return best, bestD
 }
 
-// RankPeeringByAir returns peering site IDs ordered by increasing air
-// distance from p.
+// RankPeeringByAir returns every peering site ID ordered by increasing
+// air distance from p.
 func (b *Backbone) RankPeeringByAir(p geo.Point) []SiteID {
-	return b.RankPeeringByAirInto(p, nil)
+	return b.RankPeeringByAirInto(p, len(b.peerings), nil)
 }
 
 // rankStackSites bounds the index scratch RankPeeringByAirInto keeps on
 // the stack; deployments are at most a couple hundred sites.
 const rankStackSites = 256
 
-// RankPeeringByAirInto is RankPeeringByAir into a caller-provided buffer:
-// when cap(buf) covers the peering count the ranking is written there and
-// no allocation occurs, otherwise a fresh slice is returned. The order is
-// identical either way — distance is tie-broken by site ID, a total order,
-// so the sort has exactly one answer. Callers on the simulation's schedule
-// path rank once per client and reuse the result across every switch day.
-func (b *Backbone) RankPeeringByAirInto(p geo.Point, buf []SiteID) []SiteID {
-	n := len(b.peerings)
+// RankPeeringByAirInto returns the min(k, peering count) peering sites
+// nearest to p by air, nearest first: exactly the first entries of
+// RankPeeringByAir, so callers pass the depth they read. When cap(buf)
+// covers the answer it is written there and no allocation occurs,
+// otherwise a fresh slice is returned. Distance is tie-broken by site ID,
+// a total order, so the answer is unique.
+func (b *Backbone) RankPeeringByAirInto(p geo.Point, k int, buf []SiteID) []SiteID {
+	if k > len(b.peerings) {
+		k = len(b.peerings)
+	}
+	if k < 0 {
+		k = 0
+	}
 	var out []SiteID
-	if cap(buf) >= n {
-		out = buf[:n]
+	if cap(buf) >= k {
+		out = buf[:k]
 	} else {
-		out = make([]SiteID, n)
+		out = make([]SiteID, k)
 	}
 	// peerings is in ascending site-ID order, so the set's (distance,
 	// index) order is the (distance, site ID) order.
 	var ibuf [rankStackSites]int
-	for i, k := range b.peeringSet.RankInto(p, ibuf[:0]) {
-		out[i] = b.peerings[k]
+	for i, idx := range b.peeringSet.RankInto(p, k, ibuf[:0]) {
+		out[i] = b.peerings[idx]
 	}
 	return out
 }
