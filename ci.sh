@@ -44,7 +44,10 @@
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core, the fault-injection layer, the client population
 #      generator, the load manager, the columnar log, the stats kernels,
-#      and the distributed coordinator/worker layer
+#      the prediction core, and the distributed coordinator/worker layer,
+#      then the beacon-fold tests of the experiments package (its fold
+#      trains the LDNS predictor on a goroutine of its own; the whole
+#      package under -race is too slow for this gate)
 #   7. coverage floor: the scenario engine, the simulation core, the
 #      analysis engine, and the load-management layer together must keep
 #      >= 80% statement coverage (artifact: cover_repro.out)
@@ -56,8 +59,9 @@
 #      medians): the baseline's benchmarks may not regress past 15%,
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
-#      peering-ranking, per-client schedule, nearest-site and client-day
-#      beacon batch benchmarks must report 0 allocs/op, and the simulation
+#      peering-ranking, per-client schedule, nearest-site, client-day
+#      beacon batch and warmed-Grouper regrouping benchmarks must report
+#      0 allocs/op, and the simulation
 #      cores must stay at least 3x below their pre-columnar B/op
 #      (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
 #      74 MB/op), and the whole-fleet
@@ -163,7 +167,8 @@ go test -run '^$' -fuzz FuzzGobFrames -fuzztime 5s -fuzzminimizetime 200x ./inte
 go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 
 echo '== go test -race (concurrent packages)'
-go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/distsim/
+go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/core/ ./internal/distsim/
+go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability' ./internal/experiments/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'
 go test -coverpkg=anycastcdn/internal/faults,anycastcdn/internal/sim,anycastcdn/internal/analysis,anycastcdn/internal/load \
@@ -179,7 +184,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

@@ -2,7 +2,6 @@ package core
 
 import (
 	"cmp"
-	"slices"
 
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/stats"
@@ -68,24 +67,6 @@ func (c *ClientSamples) samples(t Target) []units.Millis {
 	return nil
 }
 
-// bucket returns the bucket for t in ts, appending an empty one on first
-// sight. A client or group sees a handful of targets (anycast plus its
-// LDNS's candidate front-ends), so a linear scan beats hashing a
-// composite (group, target) key per observation. Creation order is
-// irrelevant to every outcome: GroupSamples and pickTarget sort the
-// buckets.
-//
-//perf:hotpath
-func bucket(ts *[]TargetSamples, t Target) *TargetSamples {
-	for i := range *ts {
-		if (*ts)[i].Target == t {
-			return &(*ts)[i]
-		}
-	}
-	*ts = append(*ts, TargetSamples{Target: t})
-	return &(*ts)[len(*ts)-1]
-}
-
 // compareTargets orders anycast first, then front-ends by site.
 func compareTargets(a, b Target) int {
 	if a.Anycast != b.Anycast {
@@ -102,53 +83,7 @@ func compareTargets(a, b Target) int {
 // grouping every latency analysis reads. Clients come out in ascending
 // ID order; the input may be in any order.
 func GroupSamples(obs []Observation) []ClientSamples {
-	return group(obs, ByPrefix, 0)
-}
-
-// group groups observations under g, then per target: groups in
-// ascending key order, each group's targets in compareTargets order, and
-// every bucket of at least sortMin samples sorted ascending (the others
-// keep input order). Under ByLDNS each entry is one resolver's group and
-// its ClientID holds the resolver ID.
-//
-//perf:hotpath
-func group(obs []Observation, g Grouping, sortMin int) []ClientSamples {
-	var groups []ClientSamples
-	index := make(map[uint64]int)
-	// A beacon expands to four consecutive observations of one client, so
-	// the previous group is usually the next one's too.
-	cur := -1
-	for _, o := range obs {
-		k := groupKey(o, g)
-		if cur < 0 || groups[cur].ClientID != k {
-			i, ok := index[k]
-			if !ok {
-				i = len(groups)
-				index[k] = i
-				//lint:ignore hotpathalloc one append per group, amortized over its observations; the group count is unknown up front and far below the observation count under ByLDNS
-				groups = append(groups, ClientSamples{ClientID: k, Closest: AnycastTarget})
-			}
-			cur = i
-		}
-		c := &groups[cur]
-		c.LDNS = o.LDNS
-		if o.Slot == 1 {
-			c.Closest = o.Target
-		}
-		b := bucket(&c.Targets, o.Target)
-		b.RTTs = append(b.RTTs, o.RTTms)
-	}
-	slices.SortFunc(groups, func(a, b ClientSamples) int { return cmp.Compare(a.ClientID, b.ClientID) })
-	for i := range groups {
-		ts := groups[i].Targets
-		slices.SortFunc(ts, func(a, b TargetSamples) int { return compareTargets(a.Target, b.Target) })
-		for j := range ts {
-			if len(ts[j].RTTs) >= sortMin {
-				slices.Sort(ts[j].RTTs)
-			}
-		}
-	}
-	return groups
+	return new(Grouper).Group(obs, ByPrefix, 0)
 }
 
 // Evaluate computes per-client evaluations of pred over the next

@@ -180,10 +180,14 @@ type Predictions struct {
 // Train builds predictions from one interval's observations: it groups
 // them under g, sorting only the buckets that can qualify, and scores
 // each group's qualifying targets.
-//
-//perf:hotpath
 func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
-	return p.train(group(obs, g, p.cfg.MinMeasurements), g)
+	return p.TrainWith(new(Grouper), obs, g)
+}
+
+// TrainWith is Train grouping in gr's storage, so a caller that trains
+// every interval reuses one Grouper. It overwrites gr's last grouping.
+func (p *Predictor) TrainWith(gr *Grouper, obs []Observation, g Grouping) *Predictions {
+	return p.train(gr.Group(obs, g, p.cfg.MinMeasurements), g)
 }
 
 // TrainSamples builds ByPrefix predictions from an interval already

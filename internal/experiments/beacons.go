@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"slices"
+	"sync"
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/core"
@@ -12,7 +13,7 @@ import (
 )
 
 // This file is the StreamSuite's beacon fold. Each day's measurements
-// expand to observations that core.GroupSamples groups once per (client,
+// expand to observations that a core.Grouper groups once per (client,
 // target); the latency reports fold the grouped day into per-day counts,
 // per-client scalars and per-client-day values, and the predictors carry
 // only the previous day's predictions. No beacon or observation outlives
@@ -87,6 +88,7 @@ func (l *weighted) add(x units.Millis, w float64) {
 }
 
 func appendObservations(dst []core.Observation, ms []beacon.Measurement) []core.Observation {
+	dst = slices.Grow(dst, 4*len(ms))
 	for _, m := range ms {
 		dst = core.AppendObservations(dst, m)
 	}
@@ -112,8 +114,14 @@ func (s *StreamSuite) observeBeacons(day int, ms []beacon.Measurement) {
 		}
 	}
 	b.obs = appendObservations(b.obs[:0], ms)
-	grouped := core.GroupSamples(b.obs)
-	if len(grouped) > 0 && b.clients == nil {
+	b.pred.observe(b.obs, s.volume, func(grouped []core.ClientSamples) { s.foldClients(day, grouped) })
+}
+
+// foldClients folds the day's per-client grouping into Figures 5 and 6
+// and MetricStability.
+func (s *StreamSuite) foldClients(day int, grouped []core.ClientSamples) {
+	b := &s.beacons
+	if b.clients == nil {
 		b.clients = make([]clientBeacons, s.hi-s.lo)
 	}
 	f := fig5Day{day: day}
@@ -138,7 +146,6 @@ func (s *StreamSuite) observeBeacons(day int, ms []beacon.Measurement) {
 	if f.n > 0 {
 		b.fig5 = append(b.fig5, f)
 	}
-	b.pred.observe(b.obs, grouped, s.volume)
 }
 
 // improvement is the client's comparison for the day (§5): its median
@@ -217,15 +224,21 @@ var hybridPolicies = [...]string{
 // previous day's predictions, Figure 9's lines and the hybrid's rows in
 // (day, client) order, and each row's total and redirected weight. The
 // hybrid's plain policy steers by the ByPrefix predictions: it and
-// Figure 9 both use the paper's configuration.
+// Figure 9 both use the paper's configuration. byClient and byLDNS hold
+// the day's two groupings, in storage reused every day.
 type predictionFold struct {
-	pred, margin *core.Predictor      // margin is nil in a Figure 9 fold
-	prev         [2]*core.Predictions // indexed by core.Grouping
-	marginPrev   *core.Predictions
-	lines        [len(fig9Lines)]weighted
-	rows         [len(hybridPolicies)]weighted
-	redirW, totW [len(hybridPolicies)]float64
+	pred, margin     *core.Predictor      // margin is nil in a Figure 9 fold
+	prev             [2]*core.Predictions // indexed by core.Grouping
+	marginPrev       *core.Predictions
+	lines            [len(fig9Lines)]weighted
+	rows             [len(hybridPolicies)]weighted
+	redirW, totW     [len(hybridPolicies)]float64
+	byClient, byLDNS core.Grouper
 }
+
+// noPredictions are what a day without beacons leaves the next day to
+// steer by: no group has a prediction, so every client keeps anycast.
+var noPredictions = [...]core.Predictions{core.ByPrefix: {Grouping: core.ByPrefix}, core.ByLDNS: {Grouping: core.ByLDNS}}
 
 // newPredictionFold folds Figure 9 under cfg and, with hybrid, the
 // hybrid deployment too.
@@ -238,10 +251,32 @@ func newPredictionFold(cfg core.Config, hybrid bool) predictionFold {
 	return f
 }
 
-// observe scores the previous day's predictions on the grouped day, then
-// trains each grouping once on it: the ByPrefix predictors straight from
-// the grouped day, ByLDNS from the day's resolver grouping.
-func (f *predictionFold) observe(obs []core.Observation, day []core.ClientSamples, volume func(uint64) float64) {
+// observe folds one day's observations. It groups them per client, hands
+// the grouping to perClient (nil in a Figure 9 fold), scores the previous
+// day's predictions on it, and trains the ByPrefix and hybrid-margin
+// predictors from it. ByLDNS trains from the day's resolver grouping on
+// a goroutine of its own, which overlaps all of that and is joined
+// before observe returns. Training is a pure function of obs, which both
+// goroutines only read; the evaluation reads the previous day's ByLDNS
+// predictions, so the new ones are installed only after the join. A day
+// without observations starts nothing and leaves no predictions.
+func (f *predictionFold) observe(obs []core.Observation, volume func(uint64) float64, perClient func([]core.ClientSamples)) {
+	if len(obs) == 0 {
+		f.prev = [2]*core.Predictions{&noPredictions[core.ByPrefix], &noPredictions[core.ByLDNS]}
+		f.marginPrev = f.prev[core.ByPrefix]
+		return
+	}
+	var ldns *core.Predictions
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		ldns = f.pred.TrainWith(&f.byLDNS, obs, core.ByLDNS)
+	}()
+	day := f.byClient.Group(obs, core.ByPrefix, 0)
+	if perClient != nil {
+		perClient(day)
+	}
 	if f.prev[core.ByPrefix] != nil {
 		for i, l := range fig9Lines {
 			ev := core.Evaluator{Percentile: l.pctile, MinSamples: 2}
@@ -253,10 +288,12 @@ func (f *predictionFold) observe(obs []core.Observation, day []core.ClientSample
 			f.serve(day, volume)
 		}
 	}
-	f.prev[core.ByPrefix], f.prev[core.ByLDNS] = f.pred.TrainSamples(day), f.pred.Train(obs, core.ByLDNS)
+	f.prev[core.ByPrefix] = f.pred.TrainSamples(day)
 	if f.margin != nil {
 		f.marginPrev = f.margin.TrainSamples(day)
 	}
+	wg.Wait()
+	f.prev[core.ByLDNS] = ldns
 }
 
 // serve serves the grouped day under each hybrid policy. A client's

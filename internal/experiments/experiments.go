@@ -85,7 +85,7 @@ func (s *Suite) Figure9WithConfig(cfg core.Config) Report {
 	var obs []core.Observation
 	for _, ms := range s.Res.Beacons {
 		obs = appendObservations(obs[:0], ms)
-		f.observe(obs, core.GroupSamples(obs), s.volume)
+		f.observe(obs, s.volume, nil)
 	}
 	return f.figure9()
 }

@@ -79,7 +79,8 @@ func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 
 // TestBeaconFreeStreamKeepsNoBeaconState pins the beacon fold's lazy
 // allocation: a suite that never sees a beacon holds no per-client
-// beacon state, so passive-only runs pay nothing for it.
+// beacon state, and a day without beacons allocates nothing, so
+// passive-only runs pay nothing for the fold.
 func TestBeaconFreeStreamKeepsNoBeaconState(t *testing.T) {
 	cfg := testutil.TinyConfig(3)
 	cfg.Days = 3
@@ -96,5 +97,8 @@ func TestBeaconFreeStreamKeepsNoBeaconState(t *testing.T) {
 	if b.clients != nil || len(b.world) != 0 || len(b.fig5) != 0 {
 		t.Fatalf("beacon-free stream kept beacon state: %d clients, %d penalties, %d Figure 5 days",
 			len(b.clients), len(b.world), len(b.fig5))
+	}
+	if n := testing.AllocsPerRun(10, func() { ss.observeBeacons(cfg.Days, nil) }); n != 0 {
+		t.Fatalf("a beacon-free day allocates %.0f times, want 0", n)
 	}
 }

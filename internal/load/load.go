@@ -26,8 +26,10 @@
 package load
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"anycastcdn/internal/topology"
@@ -68,6 +70,18 @@ type Balancer struct {
 	// comparable to a site's whole capacity — whichever way its coin
 	// lands moves the site by more than the watermark band.
 	HeavyShare float64
+
+	// loads and the two flow buffers are Offered's, reused by every call.
+	loads       []map[topology.SiteID]float64
+	flows, next []flow
+}
+
+// flow is demand entering at ingress on its way down the layer stack;
+// exclude is the site that shed it from the layer above.
+type flow struct {
+	ingress topology.SiteID
+	qty     float64
+	exclude topology.SiteID
 }
 
 // NewBalancer builds a balancer over the given layers. Layer 0 must
@@ -184,40 +198,42 @@ func (bal *Balancer) RouteFrom(ingress, fe topology.SiteID, u float64, load floa
 // demand (queries entering the CDN at each ingress site) under the
 // current shed fractions. It is the analytic expectation of Route over
 // the demand: probability mass flows down the layer stack exactly where
-// RouteFrom's walk would send it.
+// RouteFrom's walk would send it. The returned maps are the balancer's
+// own, valid until the next call.
 func (bal *Balancer) Offered(demand map[topology.SiteID]float64) []map[topology.SiteID]float64 {
-	loads := make([]map[topology.SiteID]float64, len(bal.layers))
-	for i := range loads {
-		loads[i] = map[topology.SiteID]float64{}
+	if bal.loads == nil {
+		bal.loads = make([]map[topology.SiteID]float64, len(bal.layers))
+		for i := range bal.loads {
+			bal.loads[i] = map[topology.SiteID]float64{}
+		}
+	}
+	for _, l := range bal.loads {
+		clear(l)
 	}
 	// Demand flows down the layer stack analytically.
-	type flow struct {
-		ingress topology.SiteID
-		qty     float64
-		exclude topology.SiteID
-	}
-	flows := make([]flow, 0, len(demand))
+	flows, next := bal.flows[:0], bal.next[:0]
 	//replay:commutative keys only; sorted immediately below, so collection order is discarded
 	for ing, q := range demand {
 		flows = append(flows, flow{ing, q, topology.InvalidSite})
 	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].ingress < flows[j].ingress })
+	slices.SortFunc(flows, func(a, b flow) int { return cmp.Compare(a.ingress, b.ingress) })
 	for layer := 0; layer < len(bal.layers); layer++ {
-		var next []flow
+		next = next[:0]
 		for _, f := range flows {
 			fe := bal.frontEndAtLayer(f.ingress, layer, f.exclude)
 			shed := 0.0
 			if layer < len(bal.layers)-1 {
 				shed = bal.shed[layer][fe]
 			}
-			loads[layer][fe] += f.qty * (1 - shed)
+			bal.loads[layer][fe] += f.qty * (1 - shed)
 			if shed > 0 {
 				next = append(next, flow{f.ingress, f.qty * shed, fe})
 			}
 		}
-		flows = next
+		flows, next = next, flows
 	}
-	return loads
+	bal.flows, bal.next = flows, next
+	return bal.loads
 }
 
 // SiteLoad sums a site's load across layers.

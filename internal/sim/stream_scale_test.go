@@ -64,7 +64,8 @@ func TestWorkersRuleUnifiedAcrossPaths(t *testing.T) {
 // count (beacons are disabled so no day ever outgrows the shared beacon
 // buffer; Workers=1 keeps the pool inline and goroutine-free) — neither
 // when the extra days re-route the clients of a withdrawn ingress, nor
-// when a load manager observes every day.
+// when a load manager observes every day or runs FastRoute's control
+// rounds on it.
 func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 	cfg := testutil.TinyConfig(66)
 	cfg.Prefixes = 300
@@ -122,6 +123,12 @@ func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 	t.Run("managed-static", func(t *testing.T) {
 		c := cfg
 		c.LoadManager = &load.ManagerConfig{Policy: load.Static}
+		check(t, c, w)
+	})
+	t.Run("managed-fastroute", func(t *testing.T) {
+		// Every day runs the balancer's control rounds.
+		c := cfg
+		c.LoadManager = &load.ManagerConfig{Policy: load.FastRoute}
 		check(t, c, w)
 	})
 }
