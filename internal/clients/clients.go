@@ -103,20 +103,25 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 	for i, m := range metros {
 		weights[i] = m.Weight
 	}
+	// The picker is WeightedChoice over the fixed metro weights, without
+	// re-summing all of them for every client.
+	pick, ok := xrand.NewPicker(weights)
+	if !ok {
+		return nil, fmt.Errorf("clients: no metro weights")
+	}
 	alloc := netaddr.NewAllocator(netaddr.ClientPool)
 	pop := &Population{Base: uint64(lo), Clients: make([]Client, 0, hi-lo)}
 	picker := xrand.Substream(cfg.Seed, "clients-metro")
+	// rs is each client's own substream, reseeded in place so the walk
+	// allocates nothing per client.
+	var rs xrand.Stream
 	for i := 0; i < cfg.N; i++ {
 		prefix, ok := alloc.Next()
 		if !ok {
 			return nil, fmt.Errorf("clients: address pool exhausted at %d clients", i)
 		}
-		mi := picker.WeightedChoice(weights)
-		if mi < 0 {
-			return nil, fmt.Errorf("clients: no metro weights")
-		}
-		m := metros[mi]
-		rs := xrand.Substream(cfg.Seed, "client", uint64(i))
+		m := &metros[pick.Pick(picker)]
+		rs.Reseed(xrand.DeriveSeedL1(cfg.Seed, labelClient, uint64(i)))
 		scatter := units.Kilometers(cfg.ScatterMedianKm.Float() * rs.LogNormal(0, 0.8))
 		point := m.Offset(scatter, rs.Float64()*360)
 		ispIDs := isps.ForCountry(m.Country)
@@ -143,6 +148,10 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 	}
 	return pop, nil
 }
+
+// labelClient is the precomputed label of each client's substream in
+// GenerateRange.
+var labelClient = xrand.NewLabel("client")
 
 // labelQueries is the precomputed substream label of QueriesOnDay, the one
 // clients entry point on the per-client-day hot path.

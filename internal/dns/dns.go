@@ -172,6 +172,21 @@ type RangeMapper struct {
 	lo, hi      uint64
 	mp          *Mapping
 	index       map[string]LDNSID
+	// byKey caches each resolver's ID by what its name is formatted
+	// from, so a client whose resolver was seen before costs one map
+	// lookup: no name formatting, hub search or name lookup.
+	byKey map[resolverKey]LDNSID
+}
+
+// resolverKey is what a resolver's name is formatted from: the kind, and
+// the ISP and client metro (ISPLocal), the ISP (ISPHub) or the public
+// site's index (Public). Distinct keys that format to the same name still
+// reach one resolver through the name index.
+type resolverKey struct {
+	kind  LDNSKind
+	isp   topology.ISPID
+	site  int
+	metro string
 }
 
 // NewRangeMapper prepares a mapper that records assignments for global
@@ -203,6 +218,7 @@ func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfi
 		hi:          hi,
 		mp:          &Mapping{ClientLDNS: make([]LDNSID, hi-lo), Base: lo},
 		index:       map[string]LDNSID{},
+		byKey:       map[resolverKey]LDNSID{},
 	}, nil
 }
 
@@ -211,30 +227,49 @@ func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfi
 // covering every ID the population defines. Assignments are stored only
 // for clients inside the mapper's range.
 func (rm *RangeMapper) Observe(c clients.Client) {
-	rs := xrand.Substream(rm.cfg.Seed, "ldns", c.ID)
-	var id LDNSID
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL1(rm.cfg.Seed, labelLDNS, c.ID))
+	var key resolverKey
 	switch {
 	case rs.Bool(rm.cfg.PublicFrac):
 		pi, _ := rm.publicSet.Nearest(c.Point)
-		name := "public-" + publicResolverMetros[pi]
-		id = rm.intern(name, Public, rm.publicPts[pi])
+		key = resolverKey{kind: Public, site: pi}
 	case rs.Bool(rm.cfg.HubFrac):
-		isp := rm.isps.ISP(c.ISP)
-		// The hub resolver sits at the ISP's primary hub peering
-		// metro; approximate by the heaviest metro of the country.
-		hub := heaviestMetroOfCountry(rm.metros, isp.Country)
-		name := fmt.Sprintf("%s-hub", isp.Name)
-		id = rm.intern(name, ISPHub, hub.Point)
+		key = resolverKey{kind: ISPHub, isp: c.ISP}
 	default:
-		m := rm.metroByName[c.Metro]
-		isp := rm.isps.ISP(c.ISP)
-		name := fmt.Sprintf("%s-%s", isp.Name, c.Metro)
-		id = rm.intern(name, ISPLocal, m.Point)
+		key = resolverKey{kind: ISPLocal, isp: c.ISP, metro: c.Metro}
+	}
+	id, ok := rm.byKey[key]
+	if !ok {
+		id = rm.internKey(key)
+		rm.byKey[key] = id
 	}
 	if c.ID >= rm.lo && c.ID < rm.hi {
 		rm.mp.ClientLDNS[c.ID-rm.lo] = id
 	}
 }
+
+// internKey formats the name of a key's resolver, places it, and interns
+// it by name. Observe calls it on a key's first encounter only.
+func (rm *RangeMapper) internKey(key resolverKey) LDNSID {
+	switch key.kind {
+	case Public:
+		return rm.intern("public-"+publicResolverMetros[key.site], Public, rm.publicPts[key.site])
+	case ISPHub:
+		isp := rm.isps.ISP(key.isp)
+		// The hub resolver sits at the ISP's primary hub peering
+		// metro; approximate by the heaviest metro of the country.
+		hub := heaviestMetroOfCountry(rm.metros, isp.Country)
+		return rm.intern(fmt.Sprintf("%s-hub", isp.Name), ISPHub, hub.Point)
+	default:
+		m := rm.metroByName[key.metro]
+		isp := rm.isps.ISP(key.isp)
+		return rm.intern(fmt.Sprintf("%s-%s", isp.Name, key.metro), ISPLocal, m.Point)
+	}
+}
+
+// labelLDNS is the precomputed label of each client's resolver draw.
+var labelLDNS = xrand.NewLabel("ldns")
 
 func (rm *RangeMapper) intern(name string, kind LDNSKind, pt geo.Point) LDNSID {
 	if id, ok := rm.index[name]; ok {

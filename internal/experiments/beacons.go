@@ -188,9 +188,13 @@ func (cb *clientBeacons) observeStability(c *core.ClientSamples) {
 		if len(ts.RTTs) < stabMinPerDay {
 			continue
 		}
-		k := slices.IndexFunc(cb.pairs, func(p stabPair) bool { return p.target == ts.Target })
-		if k < 0 {
-			k = len(cb.pairs)
+		// An index loop: IndexFunc would copy each 160-byte pair into
+		// its predicate.
+		k := 0
+		for k < len(cb.pairs) && cb.pairs[k].target != ts.Target {
+			k++
+		}
+		if k == len(cb.pairs) {
 			cb.pairs = append(cb.pairs, stabPair{target: ts.Target})
 		}
 		for i, q := range stabPercentiles {

@@ -234,14 +234,16 @@ func (s *StreamSuite) Figure3() Report {
 // distance *past* the closest front-end, weighted and unweighted. Paper:
 // ~55% of clients go to the closest front-end; 75% within ~400 km of
 // closest; ~82% of clients (87% of volume) within 2000 km. It reads day
-// 0's served rows. The ECDFs are built at report time from the rows'
-// columns in client order; the unweighted lines weigh every row 1.
+// 0's served rows. Each distance column, in client order, is sorted once
+// with its volume weights; the unweighted line counts over the same
+// sorted samples (stats.ECDF.Unweighted), which is the ECDF an all-ones
+// weighting would build.
 func (s *StreamSuite) Figure4() Report {
 	n := len(s.served)
 	toFE, past := make([]units.Kilometers, n), make([]units.Kilometers, n)
-	volume, ones := make([]float64, n), make([]float64, n)
+	volume := make([]float64, n)
 	for i, r := range s.served {
-		toFE[i], past[i], volume[i], ones[i] = r.toFE, r.past, r.volume, 1
+		toFE[i], past[i], volume[i] = r.toFE, r.past, r.volume
 	}
 	fig := &stats.Figure{
 		Title:  "Figure 4: distance between clients and their anycast front-end",
@@ -250,18 +252,17 @@ func (s *StreamSuite) Figure4() Report {
 	}
 	grid := stats.LogGrid[units.Kilometers](64, 8192, 14)
 	var lines []Headline
-	add := func(name string, xs []units.Kilometers, ws []float64) *stats.ECDF[units.Kilometers] {
-		e, err := stats.NewWeightedECDF(xs, ws)
-		if err != nil {
-			return nil
+	add := func(name string, e *stats.ECDF[units.Kilometers]) {
+		if e != nil {
+			fig.Series = append(fig.Series, e.SampleCDF(name, grid))
 		}
-		fig.Series = append(fig.Series, e.SampleCDF(name, grid))
-		return e
 	}
-	wPast := add("weighted past closest", past, volume)
-	uPast := add("clients past closest", past, ones)
-	wTo := add("weighted to front-end", toFE, volume)
-	uTo := add("clients to front-end", toFE, ones)
+	wPast, uPast := weightedAndCounted(past, volume)
+	add("weighted past closest", wPast)
+	add("clients past closest", uPast)
+	wTo, uTo := weightedAndCounted(toFE, volume)
+	add("weighted to front-end", wTo)
+	add("clients to front-end", uTo)
 	if uPast != nil && uTo != nil && wTo != nil && wPast != nil {
 		lines = []Headline{
 			{Name: "clients directed to their closest front-end", Paper: "~55%",
@@ -273,4 +274,17 @@ func (s *StreamSuite) Figure4() Report {
 		}
 	}
 	return Report{ID: "fig4", Figure: fig, Lines: lines}
+}
+
+// weightedAndCounted builds a column's weighted ECDF and its unweighted
+// twin from one sort; either is nil where it cannot be built. A weighting
+// that fails (say, zero total volume) still leaves the unweighted line.
+func weightedAndCounted(xs []units.Kilometers, ws []float64) (weighted, counted *stats.ECDF[units.Kilometers]) {
+	if e, err := stats.NewWeightedECDF(xs, ws); err == nil {
+		return e, e.Unweighted()
+	}
+	if e, err := stats.NewECDF(xs); err == nil {
+		return nil, e
+	}
+	return nil, nil
 }

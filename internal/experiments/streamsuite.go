@@ -1,7 +1,9 @@
 package experiments
 
 import (
+	"runtime"
 	"slices"
+	"sync"
 
 	"anycastcdn/internal/core"
 	"anycastcdn/internal/geo"
@@ -47,6 +49,10 @@ type StreamSuite struct {
 	window []int8
 	// sketch holds Figure 8's switch distances.
 	sketch *stats.QuantileSketch[units.Kilometers]
+	// siteKm[a*NumSites+b] is the air distance between sites a and b,
+	// the DistanceKm Figure 8 would otherwise compute per front-end
+	// change.
+	siteKm []units.Kilometers
 	// beacons is the beacon fold's state (beacons.go).
 	beacons beaconState
 }
@@ -93,6 +99,14 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 	}
 	// The layout is constant and valid, so the error path is unreachable.
 	sk, _ := stats.NewLogQuantileSketch(fig8SketchLo, fig8SketchHi, fig8SketchBins)
+	bb := w.Deployment.Backbone
+	sites := bb.NumSites()
+	siteKm := make([]units.Kilometers, sites*sites)
+	for a := range sites {
+		for b := range sites {
+			siteKm[a*sites+b] = geo.DistanceKm(bb.Site(topology.SiteID(a)).Metro.Point, bb.Site(topology.SiteID(b)).Metro.Point)
+		}
+	}
 	return &StreamSuite{
 		Cfg:        cfg,
 		World:      w,
@@ -103,6 +117,7 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 		switchDays: make([]int32, hi-lo),
 		window:     window,
 		sketch:     sk,
+		siteKm:     siteKm,
 		beacons:    beaconState{pred: newPredictionFold(core.DefaultConfig(), true)},
 	}
 }
@@ -124,11 +139,11 @@ func (s *StreamSuite) Observe(d sim.DayResult) error {
 
 // observePassive folds one day's passive log into the suite.
 func (s *StreamSuite) observePassive(d sim.DayResult) {
-	bb := s.World.Deployment.Backbone
 	if d.Day == 0 {
-		s.served = slices.Grow(s.served, len(d.Passive))
+		s.observeServed(d)
 	}
-	for i, r := range d.Passive {
+	sites := s.World.Deployment.Backbone.NumSites()
+	for _, r := range d.Passive {
 		c := r.ClientID - uint64(s.lo)
 		changed := r.FrontEndChanged()
 		if changed {
@@ -141,17 +156,6 @@ func (s *StreamSuite) observePassive(d sim.DayResult) {
 		if r.Queries == 0 {
 			continue
 		}
-		if d.Day == 0 {
-			cl := s.World.Population.Client(r.ClientID)
-			fePt := bb.Site(r.FrontEnd).Metro.Point
-			loc := s.geoDB.Locate(cl.ID, cl.Point)
-			toFE := geo.DistanceKm(loc, fePt)
-			_, closest := s.feSet.Nearest(loc)
-			s.served = append(s.served, servedRow{
-				fe: r.FrontEnd, ingress: d.Assignments[i].Ingress, queries: r.Queries, volume: cl.Volume,
-				dist: geo.DistanceKm(cl.Point, fePt), toFE: toFE, past: toFE - closest,
-			})
-		}
 		if d.Day < figure7Week {
 			if s.window[c] == unseen {
 				s.window[c] = seen
@@ -161,10 +165,74 @@ func (s *StreamSuite) observePassive(d sim.DayResult) {
 			}
 		}
 		if changed {
-			s.sketch.Add(geo.DistanceKm(bb.Site(r.PrevFrontEnd).Metro.Point, bb.Site(r.FrontEnd).Metro.Point))
+			s.sketch.Add(s.siteKm[int(r.PrevFrontEnd)*sites+int(r.FrontEnd)])
 		}
 	}
 	s.days++
+}
+
+// observeServed appends day 0's records with traffic to s.served as
+// resolved rows, in client order. A row costs a geolocation draw, two
+// haversines and a nearest-front-end search over state that is read-only
+// during the run, so the records are split into Cfg.Workers contiguous
+// ranges (0 means GOMAXPROCS), each range's rows are counted, and each
+// range resolves its rows into their serial positions on a goroutine of
+// its own, joined before this returns. A single worker resolves inline.
+func (s *StreamSuite) observeServed(d sim.DayResult) {
+	recs := d.Passive
+	workers := s.Cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, len(recs)))
+	// Range k covers records [k*n/workers, (k+1)*n/workers) and fills
+	// served rows [at[k], at[k+1]).
+	bound := func(k int) int { return k * len(recs) / workers }
+	at := make([]int, workers+1)
+	at[0] = len(s.served)
+	for k := range workers {
+		n := 0
+		for i := bound(k); i < bound(k+1); i++ {
+			if recs[i].Queries > 0 {
+				n++
+			}
+		}
+		at[k+1] = at[k] + n
+	}
+	s.served = slices.Grow(s.served, at[workers]-at[0])[:at[workers]]
+	var wg sync.WaitGroup
+	for k := 1; k < workers; k++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			s.resolveServed(d, bound(k), bound(k+1), s.served[at[k]:at[k+1]])
+		}()
+	}
+	s.resolveServed(d, bound(0), bound(1), s.served[at[0]:at[1]])
+	wg.Wait()
+}
+
+// resolveServed writes the served rows of day 0's records [lo, hi) with
+// traffic into dst, which holds exactly that many rows.
+func (s *StreamSuite) resolveServed(d sim.DayResult, lo, hi int, dst []servedRow) {
+	bb := s.World.Deployment.Backbone
+	j := 0
+	for i := lo; i < hi; i++ {
+		r := &d.Passive[i]
+		if r.Queries == 0 {
+			continue
+		}
+		cl := s.World.Population.Client(r.ClientID)
+		fePt := bb.Site(r.FrontEnd).Metro.Point
+		loc := s.geoDB.Locate(cl.ID, cl.Point)
+		toFE := geo.DistanceKm(loc, fePt)
+		_, closest := s.feSet.Nearest(loc)
+		dst[j] = servedRow{
+			fe: r.FrontEnd, ingress: d.Assignments[i].Ingress, queries: r.Queries, volume: cl.Volume,
+			dist: geo.DistanceKm(cl.Point, fePt), toFE: toFE, past: toFE - closest,
+		}
+		j++
+	}
 }
 
 // Run streams the configured simulation over the world, feeding every day

@@ -37,6 +37,9 @@ func NewDB(seed uint64, medianErrKm units.Kilometers, grossRate float64, grossKm
 	}
 }
 
+// labelGeoDB is the precomputed label of Locate's per-entity substream.
+var labelGeoDB = xrand.NewLabel("geodb")
+
 // PerfectDB returns a database that always reports true positions.
 func PerfectDB() *DB { return &DB{} }
 
@@ -47,7 +50,8 @@ func (db *DB) Locate(id uint64, truth Point) Point {
 	if db.MedianErrorKm <= 0 && db.GrossErrorRate <= 0 {
 		return truth
 	}
-	rs := xrand.Substream(db.seed, "geodb", id)
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL1(db.seed, labelGeoDB, id))
 	bearing := rs.Float64() * 360
 	var dist units.Kilometers
 	if rs.Bool(db.GrossErrorRate) {

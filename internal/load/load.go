@@ -452,81 +452,90 @@ func WithdrawnSet(bb *topology.Backbone, demand, caps map[topology.SiteID]float6
 	return withdrawn
 }
 
-// WithdrawStep runs ONE control interval of the reactive naive strategy:
-// observe the loads that the current withdrawn set produces (every
-// ingress re-homed to its nearest standing front-end), withdraw every
-// standing front-end now over capacity, and return the next withdrawn
-// set. When nothing is overloaded it returns the empty set — the naive
-// operator re-announces all routes as soon as the fleet looks healthy,
-// with no hysteresis, so a still-surging demand immediately re-overloads
-// and the whole cycle restarts. Driven once per day by the simulation,
-// this reproduces the paper's cascade as a rolling failure: the first
-// interval's withdrawals dump their whole catchments onto neighbours,
-// the next interval withdraws those, and so on. At least one front-end
-// always stays standing (overflow withdrawals are dropped worst-excess
-// first).
-func WithdrawStep(bb *topology.Backbone, demand, caps map[topology.SiteID]float64, withdrawn map[topology.SiteID]bool) map[topology.SiteID]bool {
-	fes := bb.FrontEnds()
-	ings := make([]topology.SiteID, 0, len(demand))
+// Withdrawer runs the reactive naive strategy over one backbone, one
+// control interval per Step, keeping its scratch across calls, so a
+// caller that steps once a day allocates nothing once the scratch has
+// grown.
+type Withdrawer struct {
+	bb    *topology.Backbone
+	fes   []topology.SiteID
+	ings  []topology.SiteID
+	loads map[topology.SiteID]float64
+	overs []overload
+}
+
+// overload is a standing front-end over capacity, by how much.
+type overload struct {
+	fe     topology.SiteID
+	excess float64
+}
+
+// NewWithdrawer prepares control intervals over bb.
+func NewWithdrawer(bb *topology.Backbone) *Withdrawer {
+	return &Withdrawer{bb: bb, fes: bb.FrontEnds(), loads: map[topology.SiteID]float64{}}
+}
+
+// Step runs ONE control interval: observe the loads that the current
+// withdrawn set produces (every ingress re-homed to its nearest standing
+// front-end), withdraw every standing front-end now over capacity, and
+// write the next withdrawn set into next, which it clears first; next
+// must be a different map from withdrawn. When nothing is overloaded the
+// next set is empty — the naive operator re-announces all routes as soon
+// as the fleet looks healthy, with no hysteresis, so a still-surging
+// demand immediately re-overloads and the whole cycle restarts. Driven
+// once per day by the simulation, this reproduces the paper's cascade as
+// a rolling failure: the first interval's withdrawals dump their whole
+// catchments onto neighbours, the next interval withdraws those, and so
+// on. At least one front-end always stays standing (overflow withdrawals
+// are dropped worst-excess first).
+func (w *Withdrawer) Step(demand, caps map[topology.SiteID]float64, withdrawn, next map[topology.SiteID]bool) {
+	w.ings = w.ings[:0]
 	//replay:commutative keys only; sorted immediately below, so collection order is discarded
 	for ing := range demand {
-		ings = append(ings, ing)
+		w.ings = append(w.ings, ing)
 	}
-	sort.Slice(ings, func(i, j int) bool { return ings[i] < ings[j] })
+	slices.Sort(w.ings)
 	// Loads under the current withdrawn set; sorted ingress order keeps
 	// the float sums bit-stable across runs.
-	loads := map[topology.SiteID]float64{}
-	for _, ing := range ings {
-		if fe := NearestStandingFE(bb, ing, withdrawn); fe != topology.InvalidSite {
-			loads[fe] += demand[ing]
+	clear(w.loads)
+	for _, ing := range w.ings {
+		if fe := NearestStandingFE(w.bb, ing, withdrawn); fe != topology.InvalidSite {
+			w.loads[fe] += demand[ing]
 		}
 	}
 	// Overloaded standing sites, worst excess first (deployment order
 	// breaks ties deterministically).
-	type over struct {
-		fe     topology.SiteID
-		excess float64
-	}
-	var overs []over
-	for _, fe := range fes {
+	w.overs = w.overs[:0]
+	for _, fe := range w.fes {
 		if withdrawn[fe] {
 			continue
 		}
-		if excess := loads[fe] - caps[fe]; excess > 0 {
-			overs = append(overs, over{fe, excess})
+		if excess := w.loads[fe] - caps[fe]; excess > 0 {
+			w.overs = append(w.overs, overload{fe, excess})
 		}
 	}
-	if len(overs) == 0 {
-		return map[topology.SiteID]bool{}
+	clear(next)
+	if len(w.overs) == 0 {
+		return
 	}
-	sort.SliceStable(overs, func(i, j int) bool { return overs[i].excess > overs[j].excess })
-	next := make(map[topology.SiteID]bool, len(withdrawn)+len(overs))
+	slices.SortStableFunc(w.overs, func(a, b overload) int { return cmp.Compare(b.excess, a.excess) })
 	//replay:commutative set copy; each key written once
 	for fe := range withdrawn {
 		next[fe] = true
 	}
-	for _, o := range overs {
-		if len(next) >= len(fes)-1 {
+	for _, o := range w.overs {
+		if len(next) >= len(w.fes)-1 {
 			break
 		}
 		next[o.fe] = true
 	}
-	return next
 }
 
 // NearestStandingFE returns the nearest front-end by IGP metric that is
 // not withdrawn — where anycast re-homes an ingress's traffic after a
 // withdrawal — or InvalidSite if every front-end is withdrawn.
+// It walks the backbone's front-ends in place.
 func NearestStandingFE(bb *topology.Backbone, ingress topology.SiteID, withdrawn map[topology.SiteID]bool) topology.SiteID {
-	best := topology.InvalidSite
-	bestD := units.Kilometers(math.Inf(1))
-	for _, fe := range bb.FrontEnds() {
-		if withdrawn[fe] {
-			continue
-		}
-		if d := bb.IGPDistanceKm(ingress, fe); d < bestD {
-			best, bestD = fe, d
-		}
-	}
-	return best
+	fe, _ := bb.HotPotatoFrontEndExcluding(ingress, func(fe topology.SiteID) bool { return withdrawn[fe] })
+	return fe
 }

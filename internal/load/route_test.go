@@ -123,6 +123,12 @@ func TestWithdrawStepRolls(t *testing.T) {
 	b := buildBackbone(t)
 	fes := b.FrontEnds()
 	caps := defaultCapacity(b) // 120 each
+	wd := NewWithdrawer(b)
+	step := func(demand map[topology.SiteID]float64, withdrawn map[topology.SiteID]bool) map[topology.SiteID]bool {
+		next := map[topology.SiteID]bool{}
+		wd.Step(demand, caps, withdrawn, next)
+		return next
+	}
 	demand := map[topology.SiteID]float64{}
 	for _, s := range fes {
 		demand[s] = 80
@@ -130,13 +136,13 @@ func TestWithdrawStepRolls(t *testing.T) {
 	demand[fes[1]] = 150 // washington over capacity
 
 	w0 := map[topology.SiteID]bool{}
-	w1 := WithdrawStep(b, demand, caps, w0)
+	w1 := step(demand, w0)
 	if len(w1) != 1 || !w1[fes[1]] {
 		t.Fatalf("first interval should withdraw exactly washington, got %v", w1)
 	}
 	// Washington's 150 re-homes to its nearest standing neighbour, which
 	// now carries 230 > 120: the next interval withdraws it too.
-	w2 := WithdrawStep(b, demand, caps, w1)
+	w2 := step(demand, w1)
 	if len(w2) <= len(w1) {
 		t.Fatalf("cascade did not roll: %v -> %v", w1, w2)
 	}
@@ -149,7 +155,7 @@ func TestWithdrawStepRolls(t *testing.T) {
 	// standing front-end.
 	w := w2
 	for i := 0; i < len(fes)+2; i++ {
-		w = WithdrawStep(b, demand, caps, w)
+		w = step(demand, w)
 		if len(w) >= len(fes) {
 			t.Fatalf("every front-end withdrawn: %v", w)
 		}
@@ -160,7 +166,7 @@ func TestWithdrawStepRolls(t *testing.T) {
 	for _, s := range fes {
 		calm[s] = 10
 	}
-	if got := WithdrawStep(b, calm, caps, w); len(got) != 0 {
+	if got := step(calm, w); len(got) != 0 {
 		t.Fatalf("healthy fleet should restore all routes, got %v", got)
 	}
 }

@@ -50,10 +50,13 @@ type loadManager struct {
 	// (yesterday's decision — route withdrawal reacts a control interval
 	// late, which is what makes the paper's cascade roll); and
 	// rehome[ingress] caches where anycast re-homes each ingress's
-	// traffic under routeWithdrawn.
+	// traffic under routeWithdrawn. The two sets are distinct maps for
+	// the manager's life: each day, withdrawer's step reads
+	// routeWithdrawn and rewrites withdrawn in place.
 	withdrawn      map[topology.SiteID]bool
 	routeWithdrawn map[topology.SiteID]bool
 	rehome         []topology.SiteID
+	withdrawer     *load.Withdrawer
 	// demand, served and utils are per-day scratch, reused.
 	demand map[topology.SiteID]float64
 	served map[topology.SiteID]float64
@@ -223,6 +226,7 @@ func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*lo
 		layers:         layers,
 		withdrawn:      map[topology.SiteID]bool{},
 		routeWithdrawn: map[topology.SiteID]bool{},
+		withdrawer:     load.NewWithdrawer(bb),
 		demand:         make(map[topology.SiteID]float64, bb.NumSites()),
 		served:         make(map[topology.SiteID]float64, bb.NumSites()),
 		utils:          make([]SiteUtil, 0, len(fes)),
@@ -286,7 +290,7 @@ func (m *loadManager) policyStep(demand map[topology.SiteID]float64) {
 		for id := range m.rehome {
 			m.rehome[id] = load.NearestStandingFE(m.bb, topology.SiteID(id), m.routeWithdrawn)
 		}
-		m.withdrawn = load.WithdrawStep(m.bb, demand, m.caps, m.routeWithdrawn)
+		m.withdrawer.Step(demand, m.caps, m.routeWithdrawn, m.withdrawn)
 	}
 }
 

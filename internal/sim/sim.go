@@ -419,10 +419,14 @@ func RunWorld(cfg Config, w *World) (*Result, error) {
 func beaconCount(cfg Config, clientID uint64, day, queries int) int {
 	expect := float64(queries) * cfg.BeaconSampleRate
 	nb := int(expect)
-	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL2(cfg.Seed, labelBeaconCount, clientID, uint64(day)))
-	if rs.Float64() < expect-float64(nb) {
-		nb++
+	// Float64 is never below 0, so a whole expectation rounds the same
+	// without the draw; a beacon-free run never makes it.
+	if frac := expect - float64(nb); frac != 0 {
+		var rs xrand.Stream
+		rs.Reseed(xrand.DeriveSeedL2(cfg.Seed, labelBeaconCount, clientID, uint64(day)))
+		if rs.Float64() < frac {
+			nb++
+		}
 	}
 	if cfg.MaxBeaconsPerClientDay > 0 && nb > cfg.MaxBeaconsPerClientDay {
 		nb = cfg.MaxBeaconsPerClientDay

@@ -64,8 +64,8 @@ func TestWorkersRuleUnifiedAcrossPaths(t *testing.T) {
 // count (beacons are disabled so no day ever outgrows the shared beacon
 // buffer; Workers=1 keeps the pool inline and goroutine-free) — neither
 // when the extra days re-route the clients of a withdrawn ingress, nor
-// when a load manager observes every day or runs FastRoute's control
-// rounds on it.
+// when a load manager observes every day, runs FastRoute's control
+// rounds on it or steps the Withdraw policy.
 func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 	cfg := testutil.TinyConfig(66)
 	cfg.Prefixes = 300
@@ -130,6 +130,37 @@ func TestStreamWorldSteadyStateAllocs(t *testing.T) {
 		c := cfg
 		c.LoadManager = &load.ManagerConfig{Policy: load.FastRoute}
 		check(t, c, w)
+	})
+	t.Run("managed-withdraw", func(t *testing.T) {
+		// Every day re-homes each ingress and steps the naive strategy;
+		// a surge from day 1 on keeps sites withdrawn on the extra days.
+		sc, err := faults.ParseScenario("surge europe day=1 for=7 qps=20")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cfg
+		c.Scenario = &sc
+		c.LoadManager = &load.ManagerConfig{Policy: load.Withdraw}
+		sw, err := sim.BuildWorld(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		withdrawn := 0
+		c.Days = 8
+		if err := sim.StreamWorld(c, sw, func(d sim.DayResult) error {
+			for _, u := range d.Utilization {
+				if u.Withdrawn {
+					withdrawn++
+				}
+			}
+			return nil
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if withdrawn == 0 {
+			t.Fatal("the surge withdrew no site: the subtest would not step a withdrawal")
+		}
+		check(t, c, sw)
 	})
 }
 

@@ -92,3 +92,23 @@ func BenchmarkStreamDay(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkBuildWorld measures the world build of a 50k-prefix
+// population: the fused client walk (metro pick, placement, volume and
+// ISP draws) and the LDNS mapping it feeds, plus the population-free
+// components. ci.sh gates its allocations, which scale with resolvers,
+// not clients.
+func BenchmarkBuildWorld(b *testing.B) {
+	cfg := sim.DefaultConfig(25)
+	cfg.Prefixes = 50_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := sim.BuildWorld(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(w.Population.Clients) != cfg.Prefixes {
+			b.Fatalf("built %d clients, want %d", len(w.Population.Clients), cfg.Prefixes)
+		}
+	}
+}

@@ -14,6 +14,7 @@ package stats
 import (
 	"errors"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -113,13 +114,33 @@ type ECDF[T ~float64] struct {
 	cw []float64 // cumulative weight, same length; cw[len-1] == total
 }
 
-// NewECDF builds an unweighted ECDF from samples.
+// NewECDF builds an unweighted ECDF from samples: every sample weighs 1.
+// It sorts a copy of the bare samples and counts, which equals
+// NewWeightedECDF over all-ones weights bit for bit. Both sorts are
+// pdqsort from one template, whose swaps depend only on the outcomes of
+// x < y, so they order the samples identically (±0 included), and a
+// running sum of ones is the exact integer i+1.
 func NewECDF[T ~float64](samples []T) (*ECDF[T], error) {
-	ws := make([]float64, len(samples))
-	for i := range ws {
-		ws[i] = 1
+	if len(samples) == 0 {
+		return nil, ErrEmpty
 	}
-	return NewWeightedECDF(samples, ws)
+	for _, x := range samples {
+		if math.IsNaN(float64(x)) {
+			return nil, errors.New("stats: negative or NaN weight/sample")
+		}
+	}
+	xs := slices.Clone(samples)
+	slices.Sort(xs)
+	return &ECDF[T]{xs: xs, cw: counts(len(xs))}, nil
+}
+
+// counts returns the cumulative weights 1, 2, …, n of n unit weights.
+func counts(n int) []float64 {
+	cw := make([]float64, n)
+	for i := range cw {
+		cw[i] = float64(i + 1)
+	}
+	return cw
 }
 
 // NewWeightedECDF builds an ECDF where samples[i] carries weights[i]. The
@@ -132,23 +153,19 @@ func NewWeightedECDF[T ~float64](samples []T, weights []float64) (*ECDF[T], erro
 	if len(samples) != len(weights) {
 		return nil, errors.New("stats: samples and weights length mismatch")
 	}
-	type pair struct {
-		x T
-		w float64
-	}
-	ps := make([]pair, len(samples))
+	ps := make([]weighted[T], len(samples))
 	var total float64
 	for i := range samples {
 		if weights[i] < 0 || math.IsNaN(weights[i]) || math.IsNaN(float64(samples[i])) {
 			return nil, errors.New("stats: negative or NaN weight/sample")
 		}
-		ps[i] = pair{samples[i], weights[i]}
+		ps[i] = weighted[T]{samples[i], weights[i]}
 		total += weights[i]
 	}
 	if total <= 0 {
 		return nil, errors.New("stats: zero total weight")
 	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].x < ps[j].x })
+	sortWeighted(ps)
 	e := &ECDF[T]{xs: make([]T, len(ps)), cw: make([]float64, len(ps))}
 	var acc float64
 	for i, p := range ps {
@@ -157,6 +174,33 @@ func NewWeightedECDF[T ~float64](samples []T, weights []float64) (*ECDF[T], erro
 		e.cw[i] = acc
 	}
 	return e, nil
+}
+
+// weighted is one sample of a weighted ECDF.
+type weighted[T ~float64] struct {
+	x T
+	w float64
+}
+
+// sortWeighted sorts samples by x alone. slices.SortFunc and sort.Slice
+// are pdqsort from one template whose swaps depend only on the outcomes
+// of x < y, so this applies the permutation sort.Slice would, and tied
+// samples sum their weights in the same order.
+func sortWeighted[T ~float64](ps []weighted[T]) {
+	slices.SortFunc(ps, func(a, b weighted[T]) int {
+		if a.x < b.x {
+			return -1
+		}
+		return 0
+	})
+}
+
+// Unweighted returns the unweighted ECDF of e's samples, sharing e's
+// sorted samples: NewECDF over the same samples, without sorting them
+// again. The sorts apply the same permutation, so the samples are
+// identical.
+func (e *ECDF[T]) Unweighted() *ECDF[T] {
+	return &ECDF[T]{xs: e.xs, cw: counts(len(e.xs))}
 }
 
 // P returns P[X <= x].

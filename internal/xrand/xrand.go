@@ -252,6 +252,58 @@ func (s *Stream) WeightedChoice(weights []float64) int {
 	return len(weights) - 1
 }
 
+// Picker is WeightedChoice over a weight vector fixed at construction.
+// WeightedChoice re-sums every weight and scans linearly on each call; a
+// Picker keeps the in-order running sums and binary-searches them. Each
+// sum is the same float WeightedChoice's loop accumulates, and the sums
+// never decrease, so the first one above the target is the index
+// WeightedChoice returns, from the same single Float64 draw.
+type Picker struct {
+	cum []float64 // cum[i] = weights[0] + … + weights[i], summed in order
+}
+
+// NewPicker precomputes the running sums of weights. It reports false
+// where WeightedChoice would return -1: a negative weight, or a sum that
+// is not positive.
+func NewPicker(weights []float64) (Picker, bool) {
+	cum := make([]float64, len(weights))
+	var total float64
+	for i, w := range weights {
+		if w < 0 {
+			return Picker{}, false
+		}
+		total += w
+		cum[i] = total
+	}
+	if total <= 0 {
+		return Picker{}, false
+	}
+	return Picker{cum: cum}, true
+}
+
+// Pick draws one Float64 from s and returns the index WeightedChoice
+// would return for the picker's weights from the same draw.
+func (p Picker) Pick(s *Stream) int { return p.index(s.Float64()) }
+
+// index is the first i with u*total < cum[i] — WeightedChoice's
+// `target < acc` — or the last index if there is none.
+func (p Picker) index(u float64) int {
+	target := u * p.cum[len(p.cum)-1]
+	lo, hi := 0, len(p.cum)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if target < p.cum[mid] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	if lo == len(p.cum) {
+		return lo - 1
+	}
+	return lo
+}
+
 // Zipf draws from a Zipf-like distribution over ranks [1, n] with exponent
 // alpha > 0 using inverse transform over the precomputed CDF in z.
 type Zipf struct {
