@@ -56,7 +56,10 @@
 #      another package's benchmarks); cmd/benchjson reduces the samples
 #      to their medians in the machine-readable artifact BENCH_repro.json
 #      and gates them against the checked-in BENCH_baseline.json (itself
-#      medians): the baseline's benchmarks may not regress past 15%,
+#      medians): the baseline's benchmarks may not regress past 15%
+#      (among them BenchmarkStreamDay, the passive day pass, and
+#      BenchmarkStreamManaged, one surge-fleet worker's FastRoute-managed
+#      stream of 50k prefixes x 30 days),
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
 #      peering-ranking, per-client schedule, nearest-site, client-day

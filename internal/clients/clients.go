@@ -88,8 +88,10 @@ func Generate(metros []geo.Metro, isps *topology.ISPModel, cfg Config) (*Populat
 // byte-identical to the one Generate would store, and observe — when
 // non-nil — is called with each of the N clients in ID order (the hook a
 // fused builder uses to derive full-population state, like the LDNS
-// mapping's resolver interning, without a second walk).
-func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int, observe func(Client)) (*Population, error) {
+// mapping's resolver interning, without a second walk). The pointer is
+// valid only during the call: a client outside the range is built in
+// one scratch value that the next client overwrites.
+func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int, observe func(*Client)) (*Population, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("clients: non-positive population size %d", cfg.N)
 	}
@@ -110,11 +112,13 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 		return nil, fmt.Errorf("clients: no metro weights")
 	}
 	alloc := netaddr.NewAllocator(netaddr.ClientPool)
-	pop := &Population{Base: uint64(lo), Clients: make([]Client, 0, hi-lo)}
+	pop := &Population{Base: uint64(lo), Clients: make([]Client, hi-lo)}
 	picker := xrand.Substream(cfg.Seed, "clients-metro")
 	// rs is each client's own substream, reseeded in place so the walk
-	// allocates nothing per client.
+	// allocates nothing per client. An in-range client is built in its
+	// slot of pop.Clients, every other one in scratch.
 	var rs xrand.Stream
+	var scratch Client
 	for i := 0; i < cfg.N; i++ {
 		prefix, ok := alloc.Next()
 		if !ok {
@@ -128,7 +132,11 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 		if len(ispIDs) == 0 {
 			return nil, fmt.Errorf("clients: country %q has no ISPs", m.Country)
 		}
-		c := Client{
+		c := &scratch
+		if i >= lo && i < hi {
+			c = &pop.Clients[i-lo]
+		}
+		*c = Client{
 			ID:      uint64(i),
 			Prefix:  prefix,
 			Point:   point,
@@ -140,9 +148,6 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 		}
 		if observe != nil {
 			observe(c)
-		}
-		if i >= lo && i < hi {
-			pop.Clients = append(pop.Clients, c)
 		}
 		pop.TotalVolume += c.Volume
 	}

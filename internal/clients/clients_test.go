@@ -229,9 +229,9 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := 1234, 3456
-	var seen []uint64
-	shard, err := GenerateRange(metros, isps, cfg, lo, hi, func(c Client) {
-		seen = append(seen, c.ID)
+	var seen []Client
+	shard, err := GenerateRange(metros, isps, cfg, lo, hi, func(c *Client) {
+		seen = append(seen, *c)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -256,9 +256,9 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 	if len(seen) != cfg.N {
 		t.Fatalf("observe saw %d clients, want all %d", len(seen), cfg.N)
 	}
-	for i, id := range seen {
-		if id != uint64(i) {
-			t.Fatalf("observe order broken at %d: saw ID %d", i, id)
+	for i, c := range seen {
+		if c != full.Clients[i] {
+			t.Fatalf("observe's client %d differs from full client %d:\n%+v\nvs\n%+v", i, i, c, full.Clients[i])
 		}
 	}
 

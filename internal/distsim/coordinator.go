@@ -393,7 +393,7 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 	}
 	n := binary.LittleEndian.Uint64(util)
 	util = util[8:]
-	if n != uint64(len(c.fes)) || len(util) != 33*len(c.fes) {
+	if n != uint64(len(c.fes)) || len(util) != utilBytes*len(c.fes) {
 		return nil, fmt.Errorf("distsim: utilization section lists %d sites in %d bytes, want %d", n, len(util), len(c.fes))
 	}
 	first := dayUtil == nil
@@ -405,7 +405,7 @@ func (c *coordinator) mergeDay(suite *experiments.StreamSuite, day, shard int, p
 			ShedFrac:  math.Float64frombits(binary.LittleEndian.Uint64(util[24:])),
 			Withdrawn: util[32] == 1,
 		}
-		util = util[33:]
+		util = util[utilBytes:]
 		if u.Site != fe {
 			return nil, fmt.Errorf("distsim: utilization entry %d is site %d, want front-end %d", i, u.Site, fe)
 		}

@@ -23,7 +23,10 @@ func wireFrame(t frameType, payload []byte) []byte {
 // FuzzFrameRead feeds arbitrary bytes from a peer process to the frame
 // reader and reads frames until it errors. It must never panic or hang,
 // never return a payload longer than the bytes sent, and every payload
-// must survive the matrix and site-map decoders.
+// must survive the matrix and site-map decoders. Its allocation is
+// bounded by the bytes that arrive, not by what a header claims: after
+// every read, failed ones included, the reader's buffer holds at most
+// one chunk or twice the input.
 func FuzzFrameRead(f *testing.F) {
 	demand, _ := appendSiteMap(nil, map[topology.SiteID]float64{0: 120, 3: 7}, nil)
 	f.Add(wireFrame(frameDemand, demand))
@@ -43,7 +46,12 @@ func FuzzFrameRead(f *testing.F) {
 		fc := newFrameConn(conn)
 		sites := map[topology.SiteID]float64{}
 		for {
+			// The buffer never shrinks, so checking it after each data
+			// frame covers the heartbeats readData skips.
 			_, payload, err := fc.readData(time.Now().Add(10 * time.Second))
+			if limit := max(frameChunk, 2*len(data)); cap(fc.rbuf) > limit {
+				t.Fatalf("reader holds a %d-byte buffer after %d bytes of input (limit %d)", cap(fc.rbuf), len(data), limit)
+			}
 			if err != nil {
 				return
 			}

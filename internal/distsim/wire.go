@@ -94,7 +94,8 @@ func (f *frameConn) write(t frameType, payload []byte, deadline time.Time) error
 
 // read returns the next frame. The deadline is absolute and applies to
 // the whole frame; the payload slice is owned by the frameConn and valid
-// until the next read.
+// until the next read. The frameConn keeps the buffer a read grew, even
+// one that failed, for the next read to reuse.
 func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 	if err := f.conn.SetReadDeadline(deadline); err != nil {
 		return 0, nil, err
@@ -120,6 +121,7 @@ func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 		}
 		m, err := io.ReadFull(f.conn, buf[len(buf):min(size, cap(buf))])
 		buf = buf[:len(buf)+m]
+		f.rbuf = buf
 		if err != nil {
 			if err == io.EOF && len(buf) > 0 {
 				err = io.ErrUnexpectedEOF
@@ -127,7 +129,6 @@ func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 			return 0, nil, fmt.Errorf("distsim: reading frame payload: %w", err)
 		}
 	}
-	f.rbuf = buf
 	return t, buf, nil
 }
 

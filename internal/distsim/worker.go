@@ -9,6 +9,7 @@ import (
 	"math"
 	"net"
 	"os"
+	"slices"
 	"sync"
 	"syscall"
 	"time"
@@ -252,14 +253,19 @@ func (w *worker) sendDay(obs *experiments.ShardObserver, d sim.DayResult) error 
 	return w.fc.write(frameDay, w.sendBuf, w.deadline())
 }
 
+// utilBytes is one utilization entry of a Day frame: site, queries,
+// capacity and shed fraction as 8-byte words, then the withdrawn flag.
+const utilBytes = 4*8 + 1
+
 // appendDayFrame appends a Day frame's payload to buf: the shard's
 // analysis frame (a bare header until the last day, which carries the
 // shard's state) behind its length word, then the utilization section,
 // which lists every front-end in a managed run and nothing otherwise.
 func appendDayFrame(buf []byte, obs *experiments.ShardObserver, d sim.DayResult) []byte {
-	// Reserve the length word, encode the frame in place, then back-patch
-	// — no second copy of the last day's frame, which carries the shard's
-	// per-client state.
+	// Size the payload once, then reserve the length word, encode the
+	// frame in place and back-patch it — no second copy of the last day's
+	// frame, which carries the shard's per-client state.
+	buf = slices.Grow(buf, 8+obs.FrameLen(d.Day)+8+len(d.Utilization)*utilBytes)
 	start := len(buf)
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0)
 	buf = obs.AppendDay(d, buf)

@@ -146,8 +146,8 @@ func BuildMapping(pop *clients.Population, isps *topology.ISPModel, metros []geo
 	if err != nil {
 		return nil, err
 	}
-	for _, c := range pop.Clients {
-		rm.Observe(c)
+	for i := range pop.Clients {
+		rm.Observe(&pop.Clients[i])
 	}
 	return rm.Mapping(), nil
 }
@@ -226,7 +226,7 @@ func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfi
 // encounter order; clients must arrive in ascending global-ID order,
 // covering every ID the population defines. Assignments are stored only
 // for clients inside the mapper's range.
-func (rm *RangeMapper) Observe(c clients.Client) {
+func (rm *RangeMapper) Observe(c *clients.Client) {
 	var rs xrand.Stream
 	rs.Reseed(xrand.DeriveSeedL1(rm.cfg.Seed, labelLDNS, c.ID))
 	var key resolverKey

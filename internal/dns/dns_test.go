@@ -313,8 +313,8 @@ func TestRangeMapperMatchesBuildMapping(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range f.pop.Clients {
-		rm.Observe(c)
+	for i := range f.pop.Clients {
+		rm.Observe(&f.pop.Clients[i])
 	}
 	mp := rm.Mapping()
 	if mp.Base != lo {

@@ -72,9 +72,9 @@ func TestRangeMapperMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, c := range pop.Clients {
-				got.Observe(c)
-				referenceMapper{ref}.observe(c)
+			for i := range pop.Clients {
+				got.Observe(&pop.Clients[i])
+				referenceMapper{ref}.observe(pop.Clients[i])
 			}
 			g, w := got.Mapping(), ref.Mapping()
 			if len(w.Resolvers) < 100 {

@@ -70,6 +70,18 @@ func (o *ShardObserver) AppendDay(d sim.DayResult, dst []byte) []byte {
 	return dst
 }
 
+// FrameLen returns the number of bytes AppendDay appends for day: the
+// header, plus the observer's state on the last day. The state's size is
+// set once day 0 is observed, so on any later day a caller that frames
+// more behind the frame can size its buffer before AppendDay runs.
+func (o *ShardObserver) FrameLen(day int) int {
+	n := 1 + 3*8
+	if day == o.s.Cfg.Days-1 {
+		n += o.s.stateLen()
+	}
+	return n
+}
+
 // MergeShardDay folds one shard's frame for day into the suite. The
 // caller must merge each day's shards in ascending shard order, and days
 // in ascending day order: the last day's frames then append the shards'
@@ -103,8 +115,12 @@ func (s *StreamSuite) MergeShardDay(day, lo, hi int, data []byte) error {
 }
 
 // appendState appends the suite's state to dst: the day count, the
-// served rows, the per-client section, then Figure 8's sketch.
+// served rows, the per-client section, then Figure 8's sketch. dst grows
+// once, to stateLen more bytes, before any of it is written: grown by
+// appends from a header-sized buffer, a multi-megabyte state would
+// allocate several times its own size on its way.
 func (s *StreamSuite) appendState(dst []byte) []byte {
+	dst = slices.Grow(dst, s.stateLen())
 	le := binary.LittleEndian
 	dst = le.AppendUint64(dst, uint64(s.days))
 	dst = le.AppendUint64(dst, uint64(len(s.served)))
@@ -122,6 +138,11 @@ func (s *StreamSuite) appendState(dst []byte) []byte {
 		dst = append(dst, byte(st))
 	}
 	return s.sketch.Encode(dst)
+}
+
+// stateLen is the number of bytes appendState appends.
+func (s *StreamSuite) stateLen() int {
+	return 8 + 8 + len(s.served)*rowBytes + 8 + len(s.window)*clientBytes + s.sketch.EncodedLen()
 }
 
 // mergeState folds one shard's encoded state for clients [lo, hi) into

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 )
 
 // shardFrames streams one shard's days through a ShardObserver and
-// returns the encoded per-day frames.
+// returns the encoded per-day frames, each as long as FrameLen said.
 func shardFrames(t testing.TB, cfg sim.Config, w *sim.World, lo, hi int) [][]byte {
 	t.Helper()
 	obs, err := NewShardObserver(cfg, w, lo, hi)
@@ -22,7 +23,11 @@ func shardFrames(t testing.TB, cfg sim.Config, w *sim.World, lo, hi int) [][]byt
 	}
 	frames := make([][]byte, 0, cfg.Days)
 	err = sim.StreamShard(cfg, w, sim.ShardOpts{Lo: lo, Hi: hi}, func(d sim.DayResult) error {
-		frames = append(frames, obs.AppendDay(d, nil))
+		frame := obs.AppendDay(d, nil)
+		if want := obs.FrameLen(d.Day); len(frame) != want {
+			t.Fatalf("day %d: %d-byte frame, FrameLen %d", d.Day, len(frame), want)
+		}
+		frames = append(frames, frame)
 		return nil
 	})
 	if err != nil {
@@ -98,6 +103,37 @@ func TestShardMergeMatchesStreamSuite(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestAppendStateAllocatesOnce: the last day's state is sized before any
+// of it is written, so encoding it into an empty buffer allocates once,
+// however many served rows and clients it holds.
+func TestAppendStateAllocatesOnce(t *testing.T) {
+	cfg := testutil.SmallConfig(17)
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	obs, err := NewShardObserver(cfg, w, 0, len(w.Population.Clients))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
+		obs.s.observePassive(d)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(obs.s.served) < 100 {
+		t.Fatalf("only %d served rows: the state is too small to grow more than once", len(obs.s.served))
+	}
+	var state []byte
+	if allocs := testing.AllocsPerRun(10, func() { state = obs.s.appendState(nil) }); allocs != 1 {
+		t.Fatalf("appendState into an empty buffer made %v allocations, want 1", allocs)
+	}
+	if len(state) != obs.s.stateLen() {
+		t.Fatalf("appendState wrote %d bytes, stateLen %d", len(state), obs.s.stateLen())
 	}
 }
 
@@ -219,6 +255,7 @@ func hostileFrames(t testing.TB, cfg sim.Config, sites int, valid []byte, lo, hi
 		{"zero days", "day count", setU64(valid, days, 0)},
 		{"more days than configured", "day count", setU64(valid, days, uint64(cfg.Days+1))},
 		{"row count past the bytes", "overrun", setU64(valid, rows, uint64((len(valid)-row0)/rowBytes+1))},
+		{"row count a million past the bytes", "overrun", setU64(valid, rows, 1<<20)},
 		{"row count whose size wraps to 40 bytes", "overrun", setU64(valid, rows, 1<<64/rowBytes+1)},
 		{"front-end past the backbone", "backbone", setU64(valid, row0, uint64(sites))},
 		{"ingress past the backbone", "backbone", setU64(valid, row0+8, 1<<40)},
@@ -233,10 +270,12 @@ func hostileFrames(t testing.TB, cfg sim.Config, sites int, valid []byte, lo, hi
 }
 
 // FuzzMergeShardDay checks the coordinator's decoder of worker frames —
-// untrusted bytes from another process — for two properties: neither the
-// merge nor rendering what it accepted panics, and every frame a
-// ShardObserver encodes is accepted. The day and shard range are the
-// coordinator's own (trusted) values.
+// untrusted bytes from another process — for three properties: neither
+// the merge nor rendering what it accepted panics, every frame a
+// ShardObserver encodes is accepted, and a merge, accepted or not, grows
+// the suite's served rows by no more than the rows its frame's bytes
+// could hold, up to Go's size-class rounding. The day and shard range are
+// the coordinator's own (trusted) values.
 func FuzzMergeShardDay(f *testing.F) {
 	cfg := testutil.TinyConfig(5)
 	w, err := sim.BuildWorld(cfg)
@@ -255,7 +294,12 @@ func FuzzMergeShardDay(f *testing.F) {
 	f.Fuzz(func(t *testing.T, day uint8, data []byte) {
 		d := int(day) % cfg.Days
 		ss := NewStreamSuite(cfg, w)
-		if err := ss.MergeShardDay(d, lo, hi, data); err != nil {
+		limit := cap(slices.Grow(ss.served, len(data)/rowBytes))
+		err := ss.MergeShardDay(d, lo, hi, data)
+		if cap(ss.served) > limit {
+			t.Fatalf("a %d-byte frame grew the served rows to %d (limit %d)", len(data), cap(ss.served), limit)
+		}
+		if err != nil {
 			if bytes.Equal(data, frames[d]) {
 				t.Fatalf("day %d: encoded frame rejected: %v", d, err)
 			}

@@ -11,6 +11,7 @@ import (
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 	"anycastcdn/internal/topology"
+	"anycastcdn/internal/xrand"
 )
 
 // The end-to-end suite runs full simulations under each event kind and
@@ -199,26 +200,32 @@ func TestFlapScenario(t *testing.T) {
 }
 
 // TestDayPassMatchesRoutingOracle checks the simulated day pass against
-// the routing layer asked one client-day at a time. Every effective
-// assignment must equal the fault rewrite of a fresh Assign on the
-// scheduled ingress, AirKm included, and every passive record's switch
-// flag must be SwitchedOnDay's. The stream reuses each client's distance
-// until its scheduled ingress changes, so the scenarios flap the busiest
+// the routing layer and the traffic model asked one client-day at a time.
+// Every effective assignment must equal the fault rewrite of a fresh
+// Assign on the scheduled ingress, AirKm included, every passive record's
+// switch flag must be SwitchedOnDay's, and its queries the surge scaling
+// of QueriesOnDay's draw. The stream reuses each client's distance until
+// its scheduled ingress changes, so the scenarios flap the busiest
 // ingress: with an overlapping drain of the busiest front-end the
 // rewrites compose, and with the flap alone the day after the window
 // serves the scheduled ingress unrewritten, so a distance taken from the
-// moved assignment the day before would reach the output.
+// moved assignment the day before would reach the output. The day pass
+// consults the injector only on days an event is in effect, so a
+// windowed surge pins that gate at both edges of its window.
 func TestDayPassMatchesRoutingOracle(t *testing.T) {
 	base := testutil.SmallResult(t)
 	ing, _ := busiestSite(t, base, 3, true)
 	fe, _ := busiestSite(t, base, 4, false)
-	reusedAfterMove := 0
+	reusedAfterMove, surged := 0, 0
 	for _, text := range []string{
 		fmt.Sprintf("flap %s day=3 for=2; drain %s day=4 for=2", ing, fe),
 		fmt.Sprintf("flap %s day=3 for=2", ing),
+		"surge europe day=3 for=3 qps=4",
 	} {
 		res := runScenario(t, text)
 		w, days := res.World, res.Cfg.Days
+		// The day pass's traffic substream.
+		trafficSeed := xrand.DeriveSeed(res.Cfg.Seed, "traffic")
 		clients := make(map[uint64]bgp.Client, len(w.Population.Clients))
 		for c := range w.Population.Clients {
 			cl := &w.Population.Clients[c]
@@ -249,6 +256,14 @@ func TestDayPassMatchesRoutingOracle(t *testing.T) {
 			if want := w.Router.SwitchedOnDay(rc, r.Day); r.Switched != want {
 				t.Fatalf("%s: client %d day %d: passive Switched %v, SwitchedOnDay %v", text, r.ClientID, r.Day, r.Switched, want)
 			}
+			c := w.Population.Client(r.ClientID)
+			q := c.QueriesOnDay(trafficSeed, r.Day, w.Router.IsWeekend(r.Day), res.Cfg.QueriesPerVolume)
+			if want := w.Faults.ScaleQueries(c.Region, r.Day, q); r.Queries != want {
+				t.Fatalf("%s: client %d day %d: %d passive queries, oracle %d", text, r.ClientID, r.Day, r.Queries, want)
+			}
+			if r.Queries != q {
+				surged++
+			}
 			if r.Switched {
 				switched++
 			}
@@ -259,6 +274,9 @@ func TestDayPassMatchesRoutingOracle(t *testing.T) {
 	}
 	if reusedAfterMove == 0 {
 		t.Fatal("no unrewritten client-day follows a day whose rewrite moved the same scheduled ingress; the scenarios pin no distance reuse")
+	}
+	if surged == 0 {
+		t.Fatal("no passive record's queries were scaled; the surge pins nothing")
 	}
 }
 

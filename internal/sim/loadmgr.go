@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/clients"
@@ -57,10 +58,14 @@ type loadManager struct {
 	routeWithdrawn map[topology.SiteID]bool
 	rehome         []topology.SiteID
 	withdrawer     *load.Withdrawer
-	// demand, served and utils are per-day scratch, reused.
-	demand map[topology.SiteID]float64
-	served map[topology.SiteID]float64
-	utils  []SiteUtil
+	// The rest is per-day scratch, reused. siteSum is a per-site sum
+	// indexed by SiteID: each day's demand by ingress, then its served
+	// volume by front-end. used marks the ingresses some record used
+	// today, whose keys demand carries.
+	demand  map[topology.SiteID]float64
+	siteSum []float64
+	used    []bool
+	utils   []SiteUtil
 }
 
 // ShardLoadMatrix accumulates the fault-free scheduled load of clients
@@ -75,7 +80,7 @@ type loadManager struct {
 // A managed stream accumulates the same matrix inside its own schedule
 // pass (loadAccum); this standalone form repeats the schedule pass
 // serially, holding one Days x front-ends matrix plus a Days-length
-// scratch schedule.
+// scratch schedule and queries column.
 func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 	if cfg.LoadManager == nil {
 		return nil, fmt.Errorf("sim: load matrix requested without a load-manager config")
@@ -87,10 +92,11 @@ func ShardLoadMatrix(cfg Config, w *World, lo, hi int) ([]float64, error) {
 	acc := newLoadAccum(cfg, w)
 	m := acc.matrix()
 	sched := make([]bgp.ScheduleEntry, cfg.Days)
+	qs := make([]uint16, cfg.Days)
 	for i := lo; i < hi; i++ {
 		cl := &w.Population.Clients[i-base]
 		w.Router.IngressScheduleInto(bgp.Client{PrefixID: cl.ID, Point: cl.Point, ISP: cl.ISP}, sched)
-		acc.add(m, cl, sched)
+		acc.add(m, cl, sched, qs)
 	}
 	return m, nil
 }
@@ -139,13 +145,23 @@ func newLoadAccum(cfg Config, w *World) *loadAccum {
 // matrix returns a zero matrix in the accumulator's layout.
 func (a *loadAccum) matrix() []float64 { return make([]float64, len(a.weekend)*a.cols) }
 
+// saturatedQueries is the queries column's ceiling. An entry holding it
+// stands for any count of at least that many, so the day pass redraws it.
+const saturatedQueries = math.MaxUint16
+
 // add adds client c's fault-free queries on each day of its schedule to
-// that day's cell of its scheduled catchment.
+// that day's cell of its scheduled catchment, and stores each day's count
+// in qs (one entry per schedule day), saturated at saturatedQueries. The
+// count is QueriesOnDay's, a pure function of the client and the day
+// before any fault scales it, so the day pass reads qs instead of drawing
+// it again.
 //
 //perf:hotpath
-func (a *loadAccum) add(m []float64, c *clients.Client, sched []bgp.ScheduleEntry) {
+func (a *loadAccum) add(m []float64, c *clients.Client, sched []bgp.ScheduleEntry, qs []uint16) {
 	for d, e := range sched {
-		m[d*a.cols+a.col[e.Ingress()]] += float64(c.QueriesOnDay(a.trafficSeed, d, a.weekend[d], a.perVolume))
+		q := c.QueriesOnDay(a.trafficSeed, d, a.weekend[d], a.perVolume)
+		qs[d] = uint16(min(q, saturatedQueries))
+		m[d*a.cols+a.col[e.Ingress()]] += float64(q)
 	}
 }
 
@@ -228,7 +244,8 @@ func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*lo
 		routeWithdrawn: map[topology.SiteID]bool{},
 		withdrawer:     load.NewWithdrawer(bb),
 		demand:         make(map[topology.SiteID]float64, bb.NumSites()),
-		served:         make(map[topology.SiteID]float64, bb.NumSites()),
+		siteSum:        make([]float64, bb.NumSites()),
+		used:           make([]bool, bb.NumSites()),
 		utils:          make([]SiteUtil, 0, len(fes)),
 		rehome:         make([]topology.SiteID, bb.NumSites()),
 	}
@@ -250,12 +267,23 @@ func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*lo
 // demandFrom aggregates the day's offered load by ingress over the given
 // records. Serial, in client order, so the demand sums are bit-stable
 // regardless of worker count — and integer-valued, so per-shard demand
-// maps reduce exactly into the full-population one. The returned map is
-// the manager's reusable scratch, valid until the next call.
+// maps reduce exactly into the full-population one. The sums run in a
+// per-site array, and the map gets one key per ingress any record used,
+// zero-query ones included. The returned map is the manager's reusable
+// scratch, valid until the next call.
 func (m *loadManager) demandFrom(passive []logs.DayRecord, assigns []bgp.Assignment) map[topology.SiteID]float64 {
-	clear(m.demand)
+	clear(m.siteSum)
+	clear(m.used)
 	for i := range passive {
-		m.demand[assigns[i].Ingress] += float64(passive[i].Queries)
+		ing := assigns[i].Ingress
+		m.siteSum[ing] += float64(passive[i].Queries)
+		m.used[ing] = true
+	}
+	clear(m.demand)
+	for s, ok := range m.used {
+		if ok {
+			m.demand[topology.SiteID(s)] = m.siteSum[s]
+		}
 	}
 	return m.demand
 }
@@ -298,10 +326,15 @@ func (m *loadManager) policyStep(demand map[topology.SiteID]float64) {
 // the policy's DNS-layer decision. FastRoute draws its uniform from a
 // dedicated (client, day)-keyed substream, so managed runs stay
 // schedule-independent and an inactive balancer leaves the assignment
-// untouched.
+// untouched. A front-end that sheds nothing at layer 0 serves the client
+// whatever the uniform (u ≥ 0 ≥ f, and the heavy-hitter rule needs
+// f > 0), so the draw is made only at a shedding front-end.
 func (m *loadManager) route(seed uint64, clientID uint64, day int, a bgp.Assignment, queries int) topology.SiteID {
 	switch m.cfg.Policy {
 	case load.FastRoute:
+		if m.bal.ShedFraction(0, a.FrontEnd) <= 0 {
+			return a.FrontEnd
+		}
 		var rs xrand.Stream
 		rs.Reseed(xrand.DeriveSeedL2(seed, labelLoadU, clientID, uint64(day)))
 		return m.bal.RouteFrom(a.Ingress, a.FrontEnd, rs.Float64(), float64(queries))
@@ -319,15 +352,15 @@ func (m *loadManager) route(seed uint64, clientID uint64, day int, a bgp.Assignm
 // and snapshots per-site utilization. Serial, in client order. The
 // returned slice is reused for the next day (DayResult ownership rules).
 func (m *loadManager) observeServed(passive []logs.DayRecord) []SiteUtil {
-	clear(m.served)
+	clear(m.siteSum)
 	for i := range passive {
-		m.served[passive[i].FrontEnd] += float64(passive[i].Queries)
+		m.siteSum[passive[i].FrontEnd] += float64(passive[i].Queries)
 	}
 	m.utils = m.utils[:0]
 	for _, fe := range m.fes {
 		su := SiteUtil{
 			Site:      fe,
-			Queries:   m.served[fe],
+			Queries:   m.siteSum[fe],
 			Capacity:  m.caps[fe],
 			Withdrawn: m.routeWithdrawn[fe],
 		}

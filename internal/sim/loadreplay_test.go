@@ -1,6 +1,8 @@
 package sim_test
 
 import (
+	"fmt"
+	"math"
 	"runtime"
 	"testing"
 
@@ -253,5 +255,64 @@ func TestFastRouteRedirectsOnlyFromSurge(t *testing.T) {
 	}
 	if redirectsDuring == 0 {
 		t.Error("no client-day redirected during or after the surge window")
+	}
+}
+
+// TestQueriesColumnMatchesDraw: a managed stream that derives its
+// capacities keeps each client-day's queries draw from its schedule pass
+// in a 16-bit column and reads it in the day pass; one whose capacities
+// are pinned has no column and draws in the day pass. Pinned to exactly
+// the capacities the first derives, the two must produce the same days
+// at Workers 1 and 4. The volume is raised until over 1% of client-days
+// saturate the column, so the test pins both the stored counts and the
+// redraw of a saturated entry.
+func TestQueriesColumnMatchesDraw(t *testing.T) {
+	cfg := managedConfig(t, 3, load.FastRoute)
+	cfg.QueriesPerVolume = 600
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := sim.ShardLoadMatrix(cfg, w, 0, cfg.Prefixes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	caps, err := sim.CapsFromLoadMatrix(cfg, w, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := cfg
+	lm := *cfg.LoadManager
+	lm.Capacity = caps
+	pinned.LoadManager = &lm
+	for _, workers := range []int{1, 4} {
+		cfg.Workers, pinned.Workers = workers, workers
+		column, err := sim.RunWorld(cfg, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		drawn, err := sim.RunWorld(pinned, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameResults(t, fmt.Sprintf("workers=%d: column vs draw", workers), column, drawn)
+		// Outside the surge a record's queries are the fault-free draw.
+		saturated, unsurged := 0, 0
+		for i := 0; i < column.Passive.Len(); i++ {
+			r := column.Passive.At(i)
+			if w.Faults.SurgeFactor(w.Population.Client(r.ClientID).Region, r.Day) != 1 {
+				continue
+			}
+			unsurged++
+			if r.Queries >= math.MaxUint16 {
+				saturated++
+			}
+		}
+		share := float64(saturated) / float64(unsurged)
+		t.Logf("workers=%d: %d of %d unsurged client-days (%.2f%%) saturate the column", workers, saturated, unsurged, 100*share)
+		if share < 0.01 {
+			t.Fatalf("workers=%d: %d of %d unsurged client-days (%.2f%%) reach 65,535 queries; the column's saturation is barely exercised",
+				workers, saturated, unsurged, 100*share)
+		}
 	}
 }

@@ -58,8 +58,10 @@ func Stream(cfg Config, fn func(DayResult) error) error {
 // bit — the only cross-day state the simulation needs, since the rest of
 // an assignment is a pure function of the ingress) plus per-client state
 // and per-day output buffers that are allocated once and reused for every
-// day. A million-prefix 30-day run therefore holds a few hundred MB, not
-// the tens of GB the batch Result would occupy. After the schedule pass,
+// day. A load-managed run that derives its capacities also keeps the
+// schedule pass's query draws, 2 bytes per client-day. A million-prefix
+// 30-day run therefore holds a few hundred MB, not the tens of GB the
+// batch Result would occupy. After the schedule pass,
 // steady-state day iterations allocate nothing (enforced by
 // TestStreamWorldSteadyStateAllocs).
 //
@@ -134,9 +136,11 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 
 	// Derived capacities come from the fault-free load matrix, which the
 	// schedule pass accumulates: one partial matrix per pool worker,
-	// summed once the pass is done.
+	// summed once the pass is done. The pass draws every client-day's
+	// queries for it, and keeps each draw in qs for the day pass.
 	var acc *loadAccum
 	var parts [][]float64
+	var qs []uint16
 	if lm := cfg.LoadManager; lm != nil {
 		if err := lm.Validate(); err != nil {
 			return err
@@ -147,6 +151,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 					opts.Lo, opts.Hi, base, base+len(w.Population.Clients))
 			}
 			acc = newLoadAccum(cfg, w)
+			qs = make([]uint16, n*days)
 			parts = make([][]float64, poolSize(n, cfg.Workers))
 			for p := range parts {
 				parts[p] = acc.matrix()
@@ -179,7 +184,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		baseIngress := w.Router.IngressScheduleInto(rc, sched)
 		prevFE[i], _ = bb.HotPotatoFrontEnd(baseIngress)
 		if acc != nil {
-			acc.add(parts[wk], c, sched)
+			acc.add(parts[wk], c, sched, qs[i*days:(i+1)*days])
 		}
 	})
 	caps, err := rangeCapacities(cfg, w, opts, parts)
@@ -200,11 +205,13 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	var beacons []beacon.Measurement
 	trafficSeed := xrand.DeriveSeedL(cfg.Seed, labelTraffic)
 	// The worker bodies are hoisted out of the day loop and capture the
-	// loop state (day, weekend, beacons) by reference: a closure literal
-	// inside the loop would allocate once per day, which the steady-state
-	// contract forbids.
+	// loop state (day, weekend, faulted, beacons) by reference: a closure
+	// literal inside the loop would allocate once per day, which the
+	// steady-state contract forbids. faulted is whether today lies in the
+	// injector's active window; its rewrite and scaling return their input
+	// unchanged on every other day, so logDay skips them there.
 	var day int
-	var weekend bool
+	var weekend, faulted bool
 	logDay := func(_, i int) {
 		c := &cl[i]
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
@@ -214,12 +221,17 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 			airKm[i] = w.Router.AirKm(rc, ingress)
 		}
 		a := w.Router.AssignAir(ingress, airKm[i])
-		if !w.Faults.Empty() {
+		if faulted {
 			a = w.Faults.Rewrite(rc, day, a, w.Router)
 		}
 		assigns[i] = a
-		q := c.QueriesOnDay(trafficSeed, day, weekend, cfg.QueriesPerVolume)
-		if !w.Faults.Empty() {
+		var q int
+		if qs != nil && qs[i*days+day] != saturatedQueries {
+			q = int(qs[i*days+day])
+		} else {
+			q = c.QueriesOnDay(trafficSeed, day, weekend, cfg.QueriesPerVolume)
+		}
+		if faulted {
 			q = w.Faults.ScaleQueries(c.Region, day, q)
 		}
 		passive[i] = logs.DayRecord{
@@ -274,6 +286,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	}
 	for day = 0; day < days; day++ {
 		weekend = w.Router.IsWeekend(day)
+		faulted = w.Faults.ActiveOn(day)
 		parallelFor(n, cfg.Workers, logDay)
 		var utils []SiteUtil
 		if mgr != nil {

@@ -5,6 +5,8 @@ import (
 	"runtime"
 	"testing"
 
+	"anycastcdn/internal/faults"
+	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
@@ -109,6 +111,46 @@ func BenchmarkBuildWorld(b *testing.B) {
 		}
 		if len(w.Population.Clients) != cfg.Prefixes {
 			b.Fatalf("built %d clients, want %d", len(w.Population.Clients), cfg.Prefixes)
+		}
+	}
+}
+
+// BenchmarkStreamManaged measures one surge-fleet worker's stream: a
+// 50k-prefix month under a South American flash crowd, FastRoute
+// managing load on one core, capacities derived in the stream's own
+// schedule pass, with the world built before the timer starts. Its cost
+// is the schedule pass's queries draw, the day pass and the per-day
+// load-manager step.
+func BenchmarkStreamManaged(b *testing.B) {
+	cfg := sim.DefaultConfig(25)
+	cfg.Prefixes = 50_000
+	cfg.BeaconSampleRate = 0
+	cfg.Workers = 1
+	sc, err := faults.ParseScenario("surge south-america day=2 for=5 qps=15")
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg.Scenario = &sc
+	cfg.LoadManager = &load.ManagerConfig{Policy: load.FastRoute}
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		var shed float64
+		err := sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
+			for _, u := range d.Utilization {
+				shed += u.ShedFrac
+			}
+			return nil
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if shed == 0 {
+			b.Fatal("no front-end shed load: the surge does not reach the controller")
 		}
 	}
 }

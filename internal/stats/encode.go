@@ -49,9 +49,17 @@ func getF64(data []byte) (float64, []byte, error) {
 	return math.Float64frombits(u), rest, err
 }
 
+// sketchHeaderBytes is the encoded header: magic, spacing flag, lo, hi,
+// bin count, sample count and total weight.
+const sketchHeaderBytes = 1 + 1 + 5*8
+
+// EncodedLen returns the number of bytes Encode appends. It is constant
+// for a given layout: the header plus 8 bytes per bin, the underflow and
+// overflow bins included.
+func (s *QuantileSketch[T]) EncodedLen() int { return sketchHeaderBytes + 8*len(s.bins) }
+
 // Encode appends the sketch — layout header plus bin vector — to dst and
-// returns the extended slice. The encoded size is constant for a given
-// layout: 34 bytes of header plus 8 per bin.
+// returns the extended slice, EncodedLen bytes longer.
 func (s *QuantileSketch[T]) Encode(dst []byte) []byte {
 	dst = append(dst, sketchMagic)
 	if s.log {
@@ -87,7 +95,7 @@ func (s *QuantileSketch[T]) MergeEncoded(data []byte) ([]byte, error) {
 	if len(data) < 1 || data[0] != sketchMagic {
 		return nil, fmt.Errorf("%w: bad sketch magic", ErrEncoding)
 	}
-	if len(data) < 2+8+8+8+8+8 {
+	if len(data) < sketchHeaderBytes {
 		return nil, fmt.Errorf("%w: truncated sketch header", ErrEncoding)
 	}
 	log := data[1] == 1

@@ -31,13 +31,16 @@ func sketchesEqual(t *testing.T, a, b *QuantileSketch[float64]) {
 	}
 }
 
-// TestSketchEncodeRoundTrip pins bit-exact decode(encode(s)) == s and
-// exact byte consumption.
+// TestSketchEncodeRoundTrip pins bit-exact decode(encode(s)) == s,
+// exact byte consumption, and an encoding EncodedLen bytes long.
 func TestSketchEncodeRoundTrip(t *testing.T) {
 	rs := xrand.New(404)
 	for _, n := range []int{0, 1, 5000} {
 		s := randSketch(t, rs, n)
 		enc := s.Encode(nil)
+		if len(enc) != s.EncodedLen() {
+			t.Fatalf("n=%d: encoded %d bytes, EncodedLen %d", n, len(enc), s.EncodedLen())
+		}
 		got, err := NewLogQuantileSketch[float64](0.5, 4096, 64)
 		if err != nil {
 			t.Fatal(err)
