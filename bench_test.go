@@ -253,8 +253,7 @@ func BenchmarkAblationNoWeekendChurn(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		cum := res.Passive.CumulativeSwitched(7)
-		weekly = cum[6]
+		weekly = experiments.NewSuite(res).Figure7().Figure.Series[0].Points[6].Y
 	}
 	b.ReportMetric(weekly*100, "pct-switched-weekly")
 }

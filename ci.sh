@@ -32,15 +32,14 @@
 #      with its 2 GiB per-worker peak-RSS budget, then the benchmark
 #      module's own tests (perfbench is a nested module, so go test ./...
 #      skips it; they pin the three workloads' golden report digests)
-#   5. fuzz smoke: 5 seconds each on the DNS wire decoder, the /24
-#      parser, the fault-scenario parser, the three readers of bytes
-#      that cross the worker/coordinator process boundary (the distsim
-#      frame reader with its matrix and site-map decoders, quantile
-#      sketches, and shard-day frames, whose last day carries each
-#      shard's analysis state), the gob-encoded Config and Done payloads,
-#      and the dot-product site search against its brute-force
-#      DistanceKm oracle, enough to replay the corpus and shake out
-#      shallow panics and inexact answers
+#   5. fuzz smoke: 5 seconds each on the /24 parser, the
+#      fault-scenario parser, the three readers of bytes that cross the
+#      worker/coordinator process boundary (the distsim frame reader
+#      with its matrix decoder, quantile sketches, and shard-day frames,
+#      whose last day carries each shard's analysis state), the
+#      gob-encoded Config and Done payloads, and the dot-product site
+#      search against its brute-force DistanceKm oracle, enough to replay
+#      the corpus and shake out shallow panics and inexact answers
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core, the fault-injection layer, the client population
 #      generator, the load manager, the columnar log, the stats kernels,
@@ -159,7 +158,6 @@ echo '== perfbench module tests (golden report digests of the benchmark workload
 (cd perfbench && go test .)
 
 echo '== fuzz smoke (5s per target)'
-go test -run '^$' -fuzz FuzzMessageUnpack -fuzztime 5s ./internal/dnswire/
 go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/

@@ -90,7 +90,7 @@ func checkUnitSignature(pass *Pass, fd *ast.FuncDecl) {
 			}
 		}
 	}
-	// A function named for the unit it returns (BaseRTTms, SwitchDistancesKm)
+	// A function named for the unit it returns (BaseRTTms, IGPDistanceKm)
 	// with unnamed bare-float64 results escapes the field check above.
 	if hint := unitHint(fd.Name.Name); hint != "" && fd.Type.Results != nil {
 		for _, field := range fd.Type.Results.List {

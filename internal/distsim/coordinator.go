@@ -118,10 +118,10 @@ type coordinator struct {
 	done    chan struct{}
 	closers []net.Conn
 
-	// demand and siteScratch are the reusable global-demand reduce state.
-	demand      map[topology.SiteID]float64
-	siteScratch []topology.SiteID
-	sendBuf     []byte
+	// demand is the reusable global-demand reduce state, one entry per
+	// backbone site.
+	demand  []float64
+	sendBuf []byte
 	// fes is the site order of every shard's utilization section: the
 	// backbone's front-ends in a managed run, empty otherwise.
 	fes []topology.SiteID
@@ -164,8 +164,7 @@ func socketPair() (coord net.Conn, workerConn net.Conn, workerFile *os.File, err
 }
 
 // start launches the fleet and completes the handshake: config out,
-// Hello back, and for managed runs with derived capacities the capacity
-// exchange.
+// Hello back, and for managed runs the capacity exchange.
 func (c *coordinator) start(ctx context.Context) error {
 	c.done = make(chan struct{})
 	n := c.cfg.Prefixes
@@ -252,12 +251,8 @@ func (c *coordinator) start(ctx context.Context) error {
 			return fmt.Errorf("distsim: worker %d: %w", i, err)
 		}
 	}
-	// Pinned capacities need no exchange: every worker's stream uses the
-	// config's map as the single process does.
-	if lm := c.cfg.LoadManager; lm != nil && lm.Capacity == nil {
-		if err := c.capsPhase(); err != nil {
-			return err
-		}
+	if c.cfg.LoadManager != nil {
+		return c.capsPhase()
 	}
 	return nil
 }
@@ -270,14 +265,13 @@ func (c *coordinator) deadline() time.Time { return time.Now().Add(c.opts.StallT
 // worker's policy replica starts from the same numbers the single-process
 // run derives.
 func (c *coordinator) capsPhase() error {
-	var matrix []float64
+	matrix := make([]float64, c.cfg.Days*len(c.world.Deployment.Backbone.FrontEnds()))
 	for i, fc := range c.conns {
 		payload, err := fc.expect(frameCapsPart, c.deadline())
 		if err != nil {
 			return fmt.Errorf("distsim: worker %d load matrix: %w", i, err)
 		}
-		matrix, err = decodeMatrix(matrix, payload)
-		if err != nil {
+		if err := decodeMatrix(matrix, payload); err != nil {
 			return fmt.Errorf("distsim: worker %d load matrix: %w", i, err)
 		}
 	}
@@ -285,7 +279,7 @@ func (c *coordinator) capsPhase() error {
 	if err != nil {
 		return err
 	}
-	c.sendBuf, c.siteScratch = appendSiteMap(c.sendBuf[:0], caps, c.siteScratch)
+	c.sendBuf = appendMatrix(c.sendBuf[:0], caps)
 	for i, fc := range c.conns {
 		if err := fc.write(frameCaps, c.sendBuf, c.deadline()); err != nil {
 			return fmt.Errorf("distsim: worker %d: %w", i, err)
@@ -301,7 +295,7 @@ func (c *coordinator) run() (*Result, error) {
 	res := &Result{Suite: experiments.NewStreamSuite(c.cfg, c.world)}
 	managed := c.cfg.LoadManager != nil
 	if managed {
-		c.demand = make(map[topology.SiteID]float64)
+		c.demand = make([]float64, c.world.Deployment.Backbone.NumSites())
 		c.fes = c.world.Deployment.Backbone.FrontEnds()
 		res.Utilization = make([][]sim.SiteUtil, 0, c.cfg.Days)
 	}
@@ -348,7 +342,7 @@ func (c *coordinator) run() (*Result, error) {
 
 // demandBarrier runs one day's two-phase exchange: collect every shard's
 // offered load, reduce (integer-valued sums — exact in any order), and
-// broadcast the global map back.
+// broadcast the global vector back.
 func (c *coordinator) demandBarrier(day int) error {
 	clear(c.demand)
 	for i, fc := range c.conns {
@@ -356,11 +350,11 @@ func (c *coordinator) demandBarrier(day int) error {
 		if err != nil {
 			return fmt.Errorf("distsim: worker %d day %d demand: %w", i, day, err)
 		}
-		if err := decodeSiteMap(c.demand, payload, true); err != nil {
+		if err := decodeMatrix(c.demand, payload); err != nil {
 			return fmt.Errorf("distsim: worker %d day %d demand: %w", i, day, err)
 		}
 	}
-	c.sendBuf, c.siteScratch = appendSiteMap(c.sendBuf[:0], c.demand, c.siteScratch)
+	c.sendBuf = appendMatrix(c.sendBuf[:0], c.demand)
 	for i, fc := range c.conns {
 		if err := fc.write(frameGlobal, c.sendBuf, c.deadline()); err != nil {
 			return fmt.Errorf("distsim: worker %d day %d: %w", i, day, err)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"math"
 	"net"
 	"testing"
 	"time"
@@ -11,7 +12,6 @@ import (
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/testutil"
-	"anycastcdn/internal/topology"
 )
 
 // wireFrame returns one frame as it crosses the socket.
@@ -23,13 +23,19 @@ func wireFrame(t frameType, payload []byte) []byte {
 // FuzzFrameRead feeds arbitrary bytes from a peer process to the frame
 // reader and reads frames until it errors. It must never panic or hang,
 // never return a payload longer than the bytes sent, and every payload
-// must survive the matrix and site-map decoders. Its allocation is
-// bounded by the bytes that arrive, not by what a header claims: after
+// must survive the matrix decoder, both as a 3-cell matrix and as a
+// per-site vector of the default backbone's 70 sites; a vector the
+// decoder accepts holds only finite, non-negative values. Its allocation
+// is bounded by the bytes that arrive, not by what a header claims: after
 // every read, failed ones included, the reader's buffer holds at most
 // one chunk or twice the input.
 func FuzzFrameRead(f *testing.F) {
-	demand, _ := appendSiteMap(nil, map[topology.SiteID]float64{0: 120, 3: 7}, nil)
-	f.Add(wireFrame(frameDemand, demand))
+	const sites = 70
+	demand := make([]float64, sites)
+	demand[0], demand[3] = 120, 7
+	f.Add(wireFrame(frameDemand, appendMatrix(nil, demand)))
+	demand[5] = math.NaN()
+	f.Add(wireFrame(frameGlobal, appendMatrix(nil, demand)))
 	f.Add(wireFrame(frameCapsPart, appendMatrix(nil, []float64{1.5, 0, 42})))
 	f.Add(append(wireFrame(frameHeartbeat, nil), wireFrame(frameError, []byte("worker 2: boom"))...))
 	f.Add(wireFrame(frameDay, nil)[:3])                                           // a header cut short
@@ -44,7 +50,7 @@ func FuzzFrameRead(f *testing.F) {
 		}()
 		defer func() { _ = conn.Close(); <-sent }()
 		fc := newFrameConn(conn)
-		sites := map[topology.SiteID]float64{}
+		small, vec := make([]float64, 3), make([]float64, sites)
 		for {
 			// The buffer never shrinks, so checking it after each data
 			// frame covers the heartbeats readData skips.
@@ -58,8 +64,16 @@ func FuzzFrameRead(f *testing.F) {
 			if len(payload) > len(data) {
 				t.Fatalf("read a %d-byte payload from %d bytes of input", len(payload), len(data))
 			}
-			_, _ = decodeMatrix(nil, payload)
-			_ = decodeSiteMap(sites, payload, false)
+			clear(small)
+			_ = decodeMatrix(small, payload)
+			clear(vec)
+			if decodeMatrix(vec, payload) == nil {
+				for s, v := range vec {
+					if v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
+						t.Fatalf("decoded vector holds %v at site %d", v, s)
+					}
+				}
+			}
 		}
 	})
 }

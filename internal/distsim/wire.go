@@ -9,9 +9,10 @@
 //
 // For load-managed runs the day loop adds a two-phase demand exchange:
 // every worker reports its shard's offered load, the coordinator reduces
-// the maps (integer-exact sums) and broadcasts the global demand, and
-// every worker steps its policy replica on the same numbers — keeping
-// the control state machines bitwise-identical across the fleet.
+// the per-site vectors (integer-exact sums) and broadcasts the global
+// demand, and every worker steps its policy replica on the same numbers
+// — keeping the control state machines bitwise-identical across the
+// fleet.
 package distsim
 
 import (
@@ -20,11 +21,8 @@ import (
 	"io"
 	"math"
 	"net"
-	"sort"
 	"sync"
 	"time"
-
-	"anycastcdn/internal/topology"
 )
 
 // Frame types. A frame on the wire is a 4-byte little-endian payload
@@ -35,9 +33,9 @@ const (
 	frameConfig    frameType = 1  // coordinator → worker: gob(wireConfig)
 	frameHello     frameType = 2  // worker → coordinator: world built, empty
 	frameCapsPart  frameType = 3  // worker → coordinator: shard load matrix
-	frameCaps      frameType = 4  // coordinator → worker: derived capacities
-	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day
-	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand
+	frameCaps      frameType = 4  // coordinator → worker: derived capacities, one per site
+	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day, one per site
+	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand, one per site
 	frameDay       frameType = 7  // worker → coordinator: one day's analysis frame + utilization
 	frameDone      frameType = 8  // worker → coordinator: gob(WorkerStats)
 	frameError     frameType = 9  // either direction: failure message, then hang up
@@ -166,7 +164,8 @@ func (f *frameConn) expect(want frameType, deadline time.Time) ([]byte, error) {
 	return payload, nil
 }
 
-// appendMatrix encodes a []float64 (the shard load matrix) verbatim.
+// appendMatrix encodes a []float64 verbatim: a shard load matrix, or a
+// per-site vector of capacities or demand.
 func appendMatrix(dst []byte, m []float64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(m)))
 	for _, v := range m {
@@ -175,70 +174,31 @@ func appendMatrix(dst []byte, m []float64) []byte {
 	return dst
 }
 
-// decodeMatrix decodes an encoded []float64, adding into dst when dst is
-// already sized (the coordinator's reduce) or allocating it otherwise.
-func decodeMatrix(dst []float64, data []byte) ([]float64, error) {
+// decodeMatrix adds an encoded []float64 into dst, whose length the
+// encoding must match: the coordinator's reduce adds every shard's
+// payload into one sum, and a decode adds into a cleared vector. Every
+// cell on the wire is a load, a demand or a capacity, so a cell that is
+// negative or not finite, or a sum that overflows, is an error.
+func decodeMatrix(dst []float64, data []byte) error {
 	if len(data) < 8 {
-		return nil, fmt.Errorf("distsim: truncated matrix")
+		return fmt.Errorf("distsim: truncated matrix")
 	}
 	n := binary.LittleEndian.Uint64(data)
 	data = data[8:]
 	if n != uint64(len(data))/8 || len(data)%8 != 0 {
-		return nil, fmt.Errorf("distsim: matrix payload is %d bytes for %d cells", len(data), n)
-	}
-	if dst == nil {
-		dst = make([]float64, n)
+		return fmt.Errorf("distsim: matrix payload is %d bytes for %d cells", len(data), n)
 	}
 	if uint64(len(dst)) != n {
-		return nil, fmt.Errorf("distsim: matrix has %d cells, want %d", n, len(dst))
+		return fmt.Errorf("distsim: matrix has %d cells, want %d", n, len(dst))
 	}
 	for i := range dst {
-		dst[i] += math.Float64frombits(binary.LittleEndian.Uint64(data))
+		v := math.Float64frombits(binary.LittleEndian.Uint64(data))
 		data = data[8:]
-	}
-	return dst, nil
-}
-
-// appendSiteMap encodes a site→value map as (site, value) pairs sorted
-// by site ID, so identical maps produce identical bytes.
-func appendSiteMap(dst []byte, m map[topology.SiteID]float64, scratch []topology.SiteID) ([]byte, []topology.SiteID) {
-	scratch = scratch[:0]
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for s := range m {
-		scratch = append(scratch, s)
-	}
-	sort.Slice(scratch, func(i, j int) bool { return scratch[i] < scratch[j] })
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(len(scratch)))
-	for _, s := range scratch {
-		dst = binary.LittleEndian.AppendUint64(dst, uint64(s))
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(m[s]))
-	}
-	return dst, scratch
-}
-
-// decodeSiteMap decodes (site, value) pairs. With add=false the map is
-// cleared first (decode); with add=true values accumulate (the demand
-// reduce — integer-valued, so the sums are exact in any arrival order).
-func decodeSiteMap(m map[topology.SiteID]float64, data []byte, add bool) error {
-	if len(data) < 8 {
-		return fmt.Errorf("distsim: truncated site map")
-	}
-	n := binary.LittleEndian.Uint64(data)
-	data = data[8:]
-	if n != uint64(len(data))/16 || len(data)%16 != 0 {
-		return fmt.Errorf("distsim: site map payload is %d bytes for %d pairs", len(data), n)
-	}
-	if !add {
-		clear(m)
-	}
-	for i := uint64(0); i < n; i++ {
-		s := topology.SiteID(binary.LittleEndian.Uint64(data))
-		v := math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))
-		data = data[16:]
-		if add {
-			m[s] += v
-		} else {
-			m[s] = v
+		if !(v >= 0) || math.IsInf(v, 1) {
+			return fmt.Errorf("distsim: matrix cell %d is %v, want a finite non-negative value", i, v)
+		}
+		if dst[i] += v; math.IsInf(dst[i], 1) {
+			return fmt.Errorf("distsim: matrix cell %d overflows", i)
 		}
 	}
 	return nil

@@ -16,7 +16,6 @@ import (
 
 	"anycastcdn/internal/experiments"
 	"anycastcdn/internal/sim"
-	"anycastcdn/internal/topology"
 )
 
 // workerFD is the file descriptor a forked worker inherits its
@@ -123,10 +122,10 @@ type worker struct {
 	// sendBuf accumulates each outbound payload; reused across days so
 	// the steady-state day loop does not allocate frame memory.
 	sendBuf []byte
-	// siteScratch backs the sorted-key encoding of demand maps.
-	siteScratch []topology.SiteID
-	// global is the reusable decoded global-demand map.
-	global map[topology.SiteID]float64
+	// sites is the backbone's site count, the length of every per-site
+	// vector; global is the reusable decoded global-demand vector.
+	sites  int
+	global []float64
 }
 
 func serve(ctx context.Context, fc *frameConn) error {
@@ -182,7 +181,8 @@ func serve(ctx context.Context, fc *frameConn) error {
 	if w.wc.Cfg.LoadManager != nil {
 		opts.ExchangeLoad = w.exchangeLoad
 		opts.ExchangeDemand = w.exchangeDemand
-		w.global = make(map[topology.SiteID]float64)
+		w.sites = world.Deployment.Backbone.NumSites()
+		w.global = make([]float64, w.sites)
 	}
 
 	obs, err := experiments.NewShardObserver(w.wc.Cfg, world, w.wc.Lo, w.wc.Hi)
@@ -206,9 +206,8 @@ func (w *worker) deadline() time.Time { return time.Now().Add(w.wc.StallTimeout)
 
 // exchangeLoad is the capacity exchange, run once after the shard's
 // schedule pass: send the shard's fault-free load matrix, and receive
-// the fleet-derived capacities every replica will share. The stream
-// skips it when the config pins capacities, and so does the coordinator.
-func (w *worker) exchangeLoad(m []float64) (map[topology.SiteID]float64, error) {
+// the fleet-derived capacities every replica will share, one per site.
+func (w *worker) exchangeLoad(m []float64) ([]float64, error) {
 	w.sendBuf = appendMatrix(w.sendBuf[:0], m)
 	if err := w.fc.write(frameCapsPart, w.sendBuf, w.deadline()); err != nil {
 		return nil, err
@@ -217,9 +216,9 @@ func (w *worker) exchangeLoad(m []float64) (map[topology.SiteID]float64, error) 
 	if err != nil {
 		return nil, err
 	}
-	caps := make(map[topology.SiteID]float64)
-	if err := decodeSiteMap(caps, payload, false); err != nil {
-		return nil, err
+	caps := make([]float64, w.sites)
+	if err := decodeMatrix(caps, payload); err != nil {
+		return nil, fmt.Errorf("distsim: worker %d capacities: %w", w.wc.Shard, err)
 	}
 	return caps, nil
 }
@@ -227,9 +226,10 @@ func (w *worker) exchangeLoad(m []float64) (map[topology.SiteID]float64, error) 
 // exchangeDemand is the two-phase demand barrier: publish this shard's
 // offered per-site load for the day, then block for the coordinator's
 // global reduction. Every worker steps its policy replica on the same
-// global map, keeping control state bitwise-identical across the fleet.
-func (w *worker) exchangeDemand(day int, shard map[topology.SiteID]float64) (map[topology.SiteID]float64, error) {
-	w.sendBuf, w.siteScratch = appendSiteMap(w.sendBuf[:0], shard, w.siteScratch)
+// global vector, keeping control state bitwise-identical across the
+// fleet.
+func (w *worker) exchangeDemand(day int, shard []float64) ([]float64, error) {
+	w.sendBuf = appendMatrix(w.sendBuf[:0], shard)
 	if err := w.fc.write(frameDemand, w.sendBuf, w.deadline()); err != nil {
 		return nil, err
 	}
@@ -237,8 +237,9 @@ func (w *worker) exchangeDemand(day int, shard map[topology.SiteID]float64) (map
 	if err != nil {
 		return nil, err
 	}
-	if err := decodeSiteMap(w.global, payload, false); err != nil {
-		return nil, err
+	clear(w.global)
+	if err := decodeMatrix(w.global, payload); err != nil {
+		return nil, fmt.Errorf("distsim: worker %d day %d global demand: %w", w.wc.Shard, day, err)
 	}
 	return w.global, nil
 }

@@ -98,11 +98,11 @@ const figure7Week = 7
 // fraction of clients that have changed front-ends at least once by each
 // day of a week starting Wednesday. Paper: 7% after the first day, +2-4%
 // per weekday, <0.5% on weekend days, 21% by week's end. It reads the
-// per-client window states and mirrors logs.CumulativeSwitched exactly,
-// with integer counts over the clients seen in the window: a client
-// without traffic on a day is not observable that day (the paper can
-// only observe clients that appear in logs), and a client's first
-// visible front-end change marks every later day of the week.
+// per-client window states, with integer counts over the clients seen in
+// the window: a client without traffic on a day is not observable that
+// day (the paper can only observe clients that appear in logs), and a
+// client's first visible front-end change marks every later day of the
+// week.
 func (s *StreamSuite) Figure7() Report {
 	cum := make([]float64, figure7Week)
 	perDay := make([]int, figure7Week)

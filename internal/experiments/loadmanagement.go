@@ -73,8 +73,8 @@ type LoadManagementReport struct {
 
 // LoadManagement runs the three-policy comparison, streaming each arm's
 // simulation and retaining only the aggregators' state, so it scales to
-// paper-size runs. Any LoadManager knobs already set on cfg are kept (the
-// Policy field is overridden per arm); cfg.Scenario is overridden by sc.
+// paper-size runs. Each arm sets its own cfg.LoadManager; cfg.Scenario is
+// overridden by sc.
 func LoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, error) {
 	rep := newLoadManagementReport(cfg, sc)
 	for _, p := range []load.Policy{load.Static, load.Withdraw, load.FastRoute} {
@@ -95,26 +95,17 @@ func LoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, 
 }
 
 func newLoadManagementReport(cfg sim.Config, sc faults.Scenario) *LoadManagementReport {
-	mc := load.ManagerConfig{}
-	if cfg.LoadManager != nil {
-		mc = *cfg.LoadManager
-	}
 	return &LoadManagementReport{
 		Scenario:      sc,
 		Days:          cfg.Days,
-		HighWatermark: mc.WithDefaults().HighWatermark,
+		HighWatermark: load.HighWatermark,
 	}
 }
 
-// armConfig derives one arm's simulation config: shared scenario, shared
-// manager knobs, the arm's policy.
+// armConfig derives one arm's simulation config: shared scenario, the
+// arm's policy.
 func armConfig(cfg sim.Config, sc faults.Scenario, p load.Policy) sim.Config {
-	mc := load.ManagerConfig{}
-	if cfg.LoadManager != nil {
-		mc = *cfg.LoadManager
-	}
-	mc.Policy = p
-	cfg.LoadManager = &mc
+	cfg.LoadManager = &load.ManagerConfig{Policy: p}
 	cfg.Scenario = &sc
 	return cfg
 }

@@ -24,15 +24,16 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	bb := w.Deployment.Backbone
 	// Day-0 demand by ingress, and the baseline per-front-end load under
 	// plain anycast, summed straight from the served rows in client order.
-	demand := map[topology.SiteID]float64{}
-	base := map[topology.SiteID]float64{}
+	// Every per-site quantity here is a vector indexed by SiteID.
+	demand := make([]float64, bb.NumSites())
+	base := make([]float64, bb.NumSites())
 	for _, r := range s.served {
 		demand[r.ingress] += float64(r.queries)
 		fe, _ := bb.HotPotatoFrontEnd(r.ingress)
 		base[fe] += float64(r.queries)
 	}
-	// Hot front-end: the busiest one. Iterate the deterministic front-end
-	// list, not the map, so load ties resolve identically on every run.
+	// Hot front-end: the busiest one, scanned in deployment order so load
+	// ties resolve identically on every run.
 	var hot topology.SiteID = topology.InvalidSite
 	for _, fe := range bb.FrontEnds() {
 		if hot == topology.InvalidSite || base[fe] > base[hot] {
@@ -41,7 +42,7 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	}
 	// Capacity: 1.4x each front-end's baseline (comfortable headroom),
 	// with a floor so idle sites can absorb spillover.
-	caps := map[topology.SiteID]float64{}
+	caps := make([]float64, bb.NumSites())
 	var mean float64
 	for _, fe := range bb.FrontEnds() {
 		mean += base[fe]
@@ -56,10 +57,9 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	}
 	// Flash crowd: scale demand at every ingress whose hot-potato FE is
 	// the hot site.
-	crowd := map[topology.SiteID]float64{}
+	crowd := make([]float64, bb.NumSites())
 	for ing, q := range demand {
-		fe, _ := bb.HotPotatoFrontEnd(ing)
-		if fe == hot {
+		if fe, _ := bb.HotPotatoFrontEnd(topology.SiteID(ing)); fe == hot {
 			q *= crowdFactor
 		}
 		crowd[ing] = q
@@ -71,8 +71,6 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	// backed by large data centers, so ring-1 members get DC-scale
 	// capacity.
 	ring1 := topCapacityPerRegion(w, caps, hot)
-	// Sum in deterministic front-end order: float accumulation in map
-	// order would shift the derived capacities' last bits between runs.
 	var total float64
 	for _, fe := range bb.FrontEnds() {
 		total += caps[fe]
@@ -104,7 +102,12 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	tb.Rows = append(tb.Rows, []string{"hot site shed fraction", fmt.Sprintf("%.2f", bal.ShedFraction(0, hot))})
 
 	// Naive withdrawal cascade length under the same crowd.
-	cascade := len(load.WithdrawnSet(bb, crowd, caps))
+	cascade := 0
+	for _, withdrawn := range load.WithdrawnSet(bb, crowd, caps) {
+		if withdrawn {
+			cascade++
+		}
+	}
 	tb.Rows = append(tb.Rows, []string{"route-withdrawal cascade length", fmt.Sprintf("%d front-ends", cascade)})
 
 	lines := []Headline{
@@ -117,19 +120,13 @@ func (s *StreamSuite) LoadShedding(crowdFactor float64) Report {
 	return Report{ID: "load-shedding", Table: tb, Lines: lines}
 }
 
-// crowdLoad is the plain-anycast load on one front-end under a demand map.
-func crowdLoad(bb *topology.Backbone, demand map[topology.SiteID]float64, fe topology.SiteID) float64 {
-	ings := make([]topology.SiteID, 0, len(demand))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for ing := range demand {
-		ings = append(ings, ing)
-	}
-	sort.Slice(ings, func(i, j int) bool { return ings[i] < ings[j] })
-	// Sorted ingress order keeps the float sum bit-stable across runs.
+// crowdLoad is the plain-anycast load on one front-end under per-ingress
+// demand.
+func crowdLoad(bb *topology.Backbone, demand []float64, fe topology.SiteID) float64 {
 	var total float64
-	for _, ing := range ings {
-		if f, _ := bb.HotPotatoFrontEnd(ing); f == fe {
-			total += demand[ing]
+	for ing, q := range demand {
+		if f, _ := bb.HotPotatoFrontEnd(topology.SiteID(ing)); f == fe {
+			total += q
 		}
 	}
 	return total
@@ -137,7 +134,7 @@ func crowdLoad(bb *topology.Backbone, demand map[topology.SiteID]float64, fe top
 
 // topCapacityPerRegion picks the highest-capacity front-end of each region
 // as the deeper anycast ring.
-func topCapacityPerRegion(w *sim.World, caps map[topology.SiteID]float64, exclude topology.SiteID) []topology.SiteID {
+func topCapacityPerRegion(w *sim.World, caps []float64, exclude topology.SiteID) []topology.SiteID {
 	best := map[string]topology.SiteID{}
 	for _, fe := range w.Deployment.Backbone.FrontEnds() {
 		if fe == exclude {

@@ -23,6 +23,12 @@
 // This package provides the layered balancer, the local watermark
 // controller, and the explicit naive route-withdrawal strategy that
 // reproduces the cascading failure the paper warns about.
+//
+// Every per-site quantity — capacity, demand, load, shed fraction,
+// withdrawal — is a dense vector indexed by topology.SiteID,
+// Backbone.NumSites() long. A site that is not a front-end, or that no
+// demand enters at, holds zero. Sums over sites run in ascending index
+// order, so they are bit-stable without sorting anything.
 package load
 
 import (
@@ -45,10 +51,10 @@ type Layer struct {
 type Balancer struct {
 	backbone *topology.Backbone
 	layers   []Layer
-	capacity map[topology.SiteID]float64
+	capacity []float64
 	// shed[l][site] is the fraction of layer-l queries at site currently
 	// redirected to layer l+1.
-	shed []map[topology.SiteID]float64
+	shed [][]float64
 	// HighWatermark is the utilization above which a site sheds more.
 	HighWatermark float64
 	// LowWatermark is the utilization below which a site reclaims shed
@@ -72,7 +78,7 @@ type Balancer struct {
 	HeavyShare float64
 
 	// loads and the two flow buffers are Offered's, reused by every call.
-	loads       []map[topology.SiteID]float64
+	loads       [][]float64
 	flows, next []flow
 }
 
@@ -86,10 +92,15 @@ type flow struct {
 
 // NewBalancer builds a balancer over the given layers. Layer 0 must
 // contain every front-end that serves by default; deeper layers typically
-// keep only high-capacity sites. capacity maps site→queries per interval.
-func NewBalancer(b *topology.Backbone, layers []Layer, capacity map[topology.SiteID]float64) (*Balancer, error) {
+// keep only high-capacity sites. capacity holds each site's queries per
+// interval. NewBalancer sets the controller fields to the values every
+// managed run uses.
+func NewBalancer(b *topology.Backbone, layers []Layer, capacity []float64) (*Balancer, error) {
 	if len(layers) == 0 {
 		return nil, fmt.Errorf("load: no layers")
+	}
+	if len(capacity) != b.NumSites() {
+		return nil, fmt.Errorf("load: %d capacities for %d sites", len(capacity), b.NumSites())
 	}
 	for li, l := range layers {
 		if len(l.Sites) == 0 {
@@ -108,24 +119,23 @@ func NewBalancer(b *topology.Backbone, layers []Layer, capacity map[topology.Sit
 		backbone:      b,
 		layers:        layers,
 		capacity:      capacity,
-		HighWatermark: 0.85,
-		LowWatermark:  0.765,
-		Gain:          0.25,
-		MaxStep:       0.2,
-		HeavyShare:    0.1,
+		HighWatermark: HighWatermark,
+		LowWatermark:  lowWatermark,
+		Gain:          gain,
+		MaxStep:       maxStep,
+		HeavyShare:    heavyShare,
+		shed:          make([][]float64, len(layers)),
+		loads:         make([][]float64, len(layers)),
 	}
-	bal.shed = make([]map[topology.SiteID]float64, len(layers))
 	for i := range bal.shed {
-		bal.shed[i] = map[topology.SiteID]float64{}
+		bal.shed[i] = make([]float64, b.NumSites())
+		bal.loads[i] = make([]float64, b.NumSites())
 	}
 	return bal, nil
 }
 
 // NumLayers returns the number of anycast rings.
 func (bal *Balancer) NumLayers() int { return len(bal.layers) }
-
-// Capacity returns a site's configured capacity (queries per interval).
-func (bal *Balancer) Capacity(site topology.SiteID) float64 { return bal.capacity[site] }
 
 // ShedFraction returns the current shed fraction of a site at a layer.
 func (bal *Balancer) ShedFraction(layer int, site topology.SiteID) float64 {
@@ -198,25 +208,20 @@ func (bal *Balancer) RouteFrom(ingress, fe topology.SiteID, u float64, load floa
 // demand (queries entering the CDN at each ingress site) under the
 // current shed fractions. It is the analytic expectation of Route over
 // the demand: probability mass flows down the layer stack exactly where
-// RouteFrom's walk would send it. The returned maps are the balancer's
-// own, valid until the next call.
-func (bal *Balancer) Offered(demand map[topology.SiteID]float64) []map[topology.SiteID]float64 {
-	if bal.loads == nil {
-		bal.loads = make([]map[topology.SiteID]float64, len(bal.layers))
-		for i := range bal.loads {
-			bal.loads[i] = map[topology.SiteID]float64{}
-		}
-	}
+// RouteFrom's walk would send it. The returned vectors are the
+// balancer's own, valid until the next call.
+func (bal *Balancer) Offered(demand []float64) [][]float64 {
 	for _, l := range bal.loads {
 		clear(l)
 	}
-	// Demand flows down the layer stack analytically.
+	// Demand flows down the layer stack analytically. An ingress without
+	// demand adds nothing at any layer, so it starts no flow.
 	flows, next := bal.flows[:0], bal.next[:0]
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
 	for ing, q := range demand {
-		flows = append(flows, flow{ing, q, topology.InvalidSite})
+		if q != 0 {
+			flows = append(flows, flow{topology.SiteID(ing), q, topology.InvalidSite})
+		}
 	}
-	slices.SortFunc(flows, func(a, b flow) int { return cmp.Compare(a.ingress, b.ingress) })
 	for layer := 0; layer < len(bal.layers); layer++ {
 		next = next[:0]
 		for _, f := range flows {
@@ -237,7 +242,7 @@ func (bal *Balancer) Offered(demand map[topology.SiteID]float64) []map[topology.
 }
 
 // SiteLoad sums a site's load across layers.
-func SiteLoad(loads []map[topology.SiteID]float64, site topology.SiteID) float64 {
+func SiteLoad(loads [][]float64, site topology.SiteID) float64 {
 	var total float64
 	for _, l := range loads {
 		total += l[site]
@@ -251,7 +256,7 @@ func SiteLoad(loads []map[topology.SiteID]float64, site topology.SiteID) float64
 // watermark, down when below the low watermark, not at all inside the
 // dead band. Each move is capped at MaxStep. It returns the largest
 // fraction change of the round, so callers can detect the fixpoint.
-func (bal *Balancer) StepLocal(loads []map[topology.SiteID]float64) float64 {
+func (bal *Balancer) StepLocal(loads [][]float64) float64 {
 	maxDelta := 0.0
 	for layer := 0; layer < len(bal.layers)-1; layer++ {
 		for _, site := range bal.layers[layer].Sites {
@@ -311,9 +316,9 @@ func (bal *Balancer) StepLocal(loads []map[topology.SiteID]float64) float64 {
 	return maxDelta
 }
 
-// MaxUtilization evaluates the current shed state against a demand map
-// and returns the worst site utilization across all layers.
-func (bal *Balancer) MaxUtilization(demand map[topology.SiteID]float64) float64 {
+// MaxUtilization evaluates the current shed state against per-ingress
+// demand and returns the worst site utilization across all layers.
+func (bal *Balancer) MaxUtilization(demand []float64) float64 {
 	loads := bal.Offered(demand)
 	maxUtil := 0.0
 	for _, l := range bal.layers {
@@ -329,13 +334,13 @@ func (bal *Balancer) MaxUtilization(demand map[topology.SiteID]float64) float64 
 // Adjust runs one control step — every site's local watermark rule over
 // the offered load — and returns the maximum utilization after the
 // step's load re-evaluation.
-func (bal *Balancer) Adjust(demand map[topology.SiteID]float64) float64 {
+func (bal *Balancer) Adjust(demand []float64) float64 {
 	delta, u := bal.adjust(demand)
 	_ = delta
 	return u
 }
 
-func (bal *Balancer) adjust(demand map[topology.SiteID]float64) (delta, maxUtil float64) {
+func (bal *Balancer) adjust(demand []float64) (delta, maxUtil float64) {
 	loads := bal.Offered(demand)
 	delta = bal.StepLocal(loads)
 	return delta, bal.MaxUtilization(demand)
@@ -347,7 +352,7 @@ func (bal *Balancer) adjust(demand map[topology.SiteID]float64) (delta, maxUtil 
 // dead band guarantees the fixpoint is stable: once every site sits
 // between its watermarks (or is pinned at 0 or 1), further steps change
 // nothing.
-func (bal *Balancer) Converge(demand map[topology.SiteID]float64, maxSteps int) (float64, int) {
+func (bal *Balancer) Converge(demand []float64, maxSteps int) (float64, int) {
 	u := bal.MaxUtilization(demand)
 	for step := 1; step <= maxSteps; step++ {
 		var delta float64
@@ -359,12 +364,12 @@ func (bal *Balancer) Converge(demand map[topology.SiteID]float64, maxSteps int) 
 	return u, maxSteps
 }
 
-// DeriveRings builds the default FastRoute layer stack over a capacity
-// map and raises the deeper rings to data-center scale in place:
+// DeriveRings builds the default FastRoute layer stack over per-site
+// capacities and raises the deeper rings to data-center scale in place:
 //
 //	ring 0 — every front-end (plain anycast);
 //	ring 1 — the highest-capacity front-end of each region, each raised
-//	         to deepShare × (fleet capacity) / |ring 1|;
+//	         to deepRingShare × (fleet capacity) / |ring 1|;
 //	ring 2 — the single highest-capacity site, raised to
 //	         megaShare × (fleet capacity).
 //
@@ -373,7 +378,7 @@ func (bal *Balancer) Converge(demand map[topology.SiteID]float64, maxSteps int) 
 // lands in a regional DC and the terminal ring in a mega-DC that can
 // absorb any plausible flash crowd. Candidates are scanned in deployment
 // order, so capacity ties resolve identically on every run.
-func DeriveRings(bb *topology.Backbone, caps map[topology.SiteID]float64, deepShare, megaShare float64) []Layer {
+func DeriveRings(bb *topology.Backbone, caps []float64) []Layer {
 	fes := bb.FrontEnds()
 	var total float64
 	for _, fe := range fes {
@@ -397,7 +402,7 @@ func DeriveRings(bb *topology.Backbone, caps map[topology.SiteID]float64, deepSh
 	}
 	sort.Slice(ring1, func(i, j int) bool { return ring1[i] < ring1[j] })
 	for _, fe := range ring1 {
-		if dc := deepShare * total / float64(len(ring1)); caps[fe] < dc {
+		if dc := deepRingShare * total / float64(len(ring1)); caps[fe] < dc {
 			caps[fe] = dc
 		}
 	}
@@ -412,25 +417,22 @@ func DeriveRings(bb *topology.Backbone, caps map[topology.SiteID]float64, deepSh
 // re-home every ingress to its nearest standing front-end, and repeat
 // until nothing is overloaded — usually tipping the neighbours over one
 // by one instead. demand is per-ingress query volume. The scan order is
-// deterministic (deployment order, ingresses sorted), excess ties always
-// withdraw the same site, and the last standing front-end is never
-// withdrawn, so the cascade cannot black-hole the whole CDN.
-func WithdrawnSet(bb *topology.Backbone, demand, caps map[topology.SiteID]float64) map[topology.SiteID]bool {
+// deterministic (deployment order, ingresses in index order), excess
+// ties always withdraw the same site, and the last standing front-end is
+// never withdrawn, so the cascade cannot black-hole the whole CDN.
+func WithdrawnSet(bb *topology.Backbone, demand, caps []float64) []bool {
 	fes := bb.FrontEnds()
-	ings := make([]topology.SiteID, 0, len(demand))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for ing := range demand {
-		ings = append(ings, ing)
-	}
-	sort.Slice(ings, func(i, j int) bool { return ings[i] < ings[j] })
-	withdrawn := map[topology.SiteID]bool{}
-	for len(withdrawn) < len(fes)-1 {
-		// Compute loads with withdrawn sites' traffic re-homed. Sorted
-		// ingress order keeps the float sums bit-stable across runs.
-		loads := map[topology.SiteID]float64{}
-		for _, ing := range ings {
-			if fe := NearestStandingFE(bb, ing, withdrawn); fe != topology.InvalidSite {
-				loads[fe] += demand[ing]
+	withdrawn := make([]bool, bb.NumSites())
+	loads := make([]float64, bb.NumSites())
+	for n := 0; n < len(fes)-1; n++ {
+		// Compute loads with withdrawn sites' traffic re-homed.
+		clear(loads)
+		for ing, q := range demand {
+			if q == 0 {
+				continue
+			}
+			if fe := NearestStandingFE(bb, topology.SiteID(ing), withdrawn); fe != topology.InvalidSite {
+				loads[fe] += q
 			}
 		}
 		// Withdraw the most-overloaded standing site, if any.
@@ -459,8 +461,7 @@ func WithdrawnSet(bb *topology.Backbone, demand, caps map[topology.SiteID]float6
 type Withdrawer struct {
 	bb    *topology.Backbone
 	fes   []topology.SiteID
-	ings  []topology.SiteID
-	loads map[topology.SiteID]float64
+	loads []float64
 	overs []overload
 }
 
@@ -472,35 +473,31 @@ type overload struct {
 
 // NewWithdrawer prepares control intervals over bb.
 func NewWithdrawer(bb *topology.Backbone) *Withdrawer {
-	return &Withdrawer{bb: bb, fes: bb.FrontEnds(), loads: map[topology.SiteID]float64{}}
+	return &Withdrawer{bb: bb, fes: bb.FrontEnds(), loads: make([]float64, bb.NumSites())}
 }
 
 // Step runs ONE control interval: observe the loads that the current
 // withdrawn set produces (every ingress re-homed to its nearest standing
 // front-end), withdraw every standing front-end now over capacity, and
-// write the next withdrawn set into next, which it clears first; next
-// must be a different map from withdrawn. When nothing is overloaded the
-// next set is empty — the naive operator re-announces all routes as soon
-// as the fleet looks healthy, with no hysteresis, so a still-surging
-// demand immediately re-overloads and the whole cycle restarts. Driven
-// once per day by the simulation, this reproduces the paper's cascade as
-// a rolling failure: the first interval's withdrawals dump their whole
-// catchments onto neighbours, the next interval withdraws those, and so
-// on. At least one front-end always stays standing (overflow withdrawals
-// are dropped worst-excess first).
-func (w *Withdrawer) Step(demand, caps map[topology.SiteID]float64, withdrawn, next map[topology.SiteID]bool) {
-	w.ings = w.ings[:0]
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for ing := range demand {
-		w.ings = append(w.ings, ing)
-	}
-	slices.Sort(w.ings)
-	// Loads under the current withdrawn set; sorted ingress order keeps
-	// the float sums bit-stable across runs.
+// write the next withdrawn set into next; next must be a different
+// vector from withdrawn. When nothing is overloaded the next set is
+// empty — the naive operator re-announces all routes as soon as the
+// fleet looks healthy, with no hysteresis, so a still-surging demand
+// immediately re-overloads and the whole cycle restarts. Driven once per
+// day by the simulation, this reproduces the paper's cascade as a rolling
+// failure: the first interval's withdrawals dump their whole catchments
+// onto neighbours, the next interval withdraws those, and so on. At
+// least one front-end always stays standing (overflow withdrawals are
+// dropped worst-excess first).
+func (w *Withdrawer) Step(demand, caps []float64, withdrawn, next []bool) {
+	// Loads under the current withdrawn set, summed in ingress order.
 	clear(w.loads)
-	for _, ing := range w.ings {
-		if fe := NearestStandingFE(w.bb, ing, withdrawn); fe != topology.InvalidSite {
-			w.loads[fe] += demand[ing]
+	for ing, q := range demand {
+		if q == 0 {
+			continue
+		}
+		if fe := NearestStandingFE(w.bb, topology.SiteID(ing), withdrawn); fe != topology.InvalidSite {
+			w.loads[fe] += q
 		}
 	}
 	// Overloaded standing sites, worst excess first (deployment order
@@ -519,15 +516,19 @@ func (w *Withdrawer) Step(demand, caps map[topology.SiteID]float64, withdrawn, n
 		return
 	}
 	slices.SortStableFunc(w.overs, func(a, b overload) int { return cmp.Compare(b.excess, a.excess) })
-	//replay:commutative set copy; each key written once
-	for fe := range withdrawn {
-		next[fe] = true
+	copy(next, withdrawn)
+	n := 0
+	for _, fe := range w.fes {
+		if next[fe] {
+			n++
+		}
 	}
 	for _, o := range w.overs {
-		if len(next) >= len(w.fes)-1 {
+		if n >= len(w.fes)-1 {
 			break
 		}
 		next[o.fe] = true
+		n++
 	}
 }
 
@@ -535,7 +536,7 @@ func (w *Withdrawer) Step(demand, caps map[topology.SiteID]float64, withdrawn, n
 // not withdrawn — where anycast re-homes an ingress's traffic after a
 // withdrawal — or InvalidSite if every front-end is withdrawn.
 // It walks the backbone's front-ends in place.
-func NearestStandingFE(bb *topology.Backbone, ingress topology.SiteID, withdrawn map[topology.SiteID]bool) topology.SiteID {
+func NearestStandingFE(bb *topology.Backbone, ingress topology.SiteID, withdrawn []bool) topology.SiteID {
 	fe, _ := bb.HotPotatoFrontEndExcluding(ingress, func(fe topology.SiteID) bool { return withdrawn[fe] })
 	return fe
 }

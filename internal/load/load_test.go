@@ -1,6 +1,7 @@
 package load
 
 import (
+	"slices"
 	"testing"
 
 	"anycastcdn/internal/topology"
@@ -33,8 +34,8 @@ func defaultLayers(b *topology.Backbone) []Layer {
 	}
 }
 
-func defaultCapacity(b *topology.Backbone) map[topology.SiteID]float64 {
-	caps := map[topology.SiteID]float64{}
+func defaultCapacity(b *topology.Backbone) []float64 {
+	caps := make([]float64, b.NumSites())
 	for _, s := range b.FrontEnds() {
 		caps[s] = 120
 	}
@@ -53,6 +54,9 @@ func TestNewBalancerValidation(t *testing.T) {
 	caps[b.FrontEnds()[0]] = 0
 	if _, err := NewBalancer(b, defaultLayers(b), caps); err == nil {
 		t.Fatal("zero capacity should fail")
+	}
+	if _, err := NewBalancer(b, defaultLayers(b), caps[:len(caps)-1]); err == nil {
+		t.Fatal("capacities shorter than the site count should fail")
 	}
 }
 
@@ -76,7 +80,7 @@ func TestOfferedConservesLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	demand := map[topology.SiteID]float64{}
+	demand := make([]float64, b.NumSites())
 	var total float64
 	for i, s := range b.FrontEnds() {
 		demand[s] = float64(20 + i*10)
@@ -105,7 +109,7 @@ func TestConvergeShedsOverload(t *testing.T) {
 	fes := b.FrontEnds()
 	// Flash crowd: washington (a layer-0-only site) exceeds its capacity
 	// while the system as a whole has headroom.
-	demand := map[topology.SiteID]float64{}
+	demand := make([]float64, b.NumSites())
 	for _, s := range fes {
 		demand[s] = 40
 	}
@@ -130,14 +134,16 @@ func TestShedFractionRecovers(t *testing.T) {
 		t.Fatal(err)
 	}
 	fes := b.FrontEnds()
-	hot := map[topology.SiteID]float64{fes[1]: 160}
+	hot := make([]float64, b.NumSites())
+	hot[fes[1]] = 160
 	bal.Converge(hot, 100)
 	before := bal.ShedFraction(0, fes[1])
 	if before <= 0 {
 		t.Fatal("expected shedding during the flash crowd")
 	}
 	// Crowd subsides: shedding should decay.
-	calm := map[topology.SiteID]float64{fes[1]: 30}
+	calm := make([]float64, b.NumSites())
+	calm[fes[1]] = 30
 	bal.Converge(calm, 200)
 	after := bal.ShedFraction(0, fes[1])
 	if after >= before {
@@ -182,10 +188,10 @@ func TestRouteLastLayerAlwaysServes(t *testing.T) {
 	for _, s := range fes {
 		bal.shed[0][s] = 1.0
 	}
-	layer1 := map[topology.SiteID]bool{fes[0]: true, fes[2]: true, fes[4]: true}
+	layer1 := []topology.SiteID{fes[0], fes[2], fes[4]}
 	for _, ingress := range fes {
 		fe := bal.Route(ingress, 0.99)
-		if !layer1[fe] {
+		if !slices.Contains(layer1, fe) {
 			t.Fatalf("fully shed ingress %d served by non-layer-1 site %d", ingress, fe)
 		}
 	}
@@ -199,7 +205,7 @@ func TestWithdrawalCascades(t *testing.T) {
 	b := buildBackbone(t)
 	fes := b.FrontEnds()
 	caps := defaultCapacity(b)
-	demand := map[topology.SiteID]float64{}
+	demand := make([]float64, b.NumSites())
 	for _, s := range fes {
 		demand[s] = 80 // everyone around 2/3 utilization already
 	}
@@ -208,7 +214,7 @@ func TestWithdrawalCascades(t *testing.T) {
 	// Naive strategy: withdraw washington. All its demand lands on the
 	// next nearest front-end, pushing it over capacity too; withdrawing
 	// that one cascades further — §2's failure mode.
-	withdrawn := map[topology.SiteID]bool{}
+	withdrawn := make([]bool, b.NumSites())
 	overloadedChain := 0
 	current := fes[1]
 	for i := 0; i < len(fes); i++ {
@@ -241,10 +247,10 @@ func TestWithdrawalCascades(t *testing.T) {
 
 // demandOn computes the load a site would carry if every withdrawn site's
 // demand re-homes to its nearest standing front-end.
-func demandOn(b *topology.Backbone, demand map[topology.SiteID]float64, withdrawn map[topology.SiteID]bool, site topology.SiteID) float64 {
+func demandOn(b *topology.Backbone, demand []float64, withdrawn []bool, site topology.SiteID) float64 {
 	total := 0.0
 	for ing, q := range demand {
-		cur := ing
+		cur := topology.SiteID(ing)
 		if withdrawn[cur] {
 			cur = nearestStanding(b, cur, b.FrontEnds(), withdrawn)
 		}
@@ -255,7 +261,7 @@ func demandOn(b *topology.Backbone, demand map[topology.SiteID]float64, withdraw
 	return total
 }
 
-func nearestStanding(b *topology.Backbone, from topology.SiteID, fes []topology.SiteID, withdrawn map[topology.SiteID]bool) topology.SiteID {
+func nearestStanding(b *topology.Backbone, from topology.SiteID, fes []topology.SiteID, withdrawn []bool) topology.SiteID {
 	best := topology.InvalidSite
 	bestD := units.Kilometers(1e18)
 	for _, s := range fes {
@@ -281,8 +287,8 @@ func BenchmarkConverge(b *testing.B) {
 		b.Fatal(err)
 	}
 	fes := bb.FrontEnds()
-	caps := map[topology.SiteID]float64{}
-	demand := map[topology.SiteID]float64{}
+	caps := make([]float64, bb.NumSites())
+	demand := make([]float64, bb.NumSites())
 	for _, s := range fes {
 		caps[s] = 100
 		demand[s] = 70

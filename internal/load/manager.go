@@ -1,11 +1,6 @@
 package load
 
-import (
-	"fmt"
-	"math"
-
-	"anycastcdn/internal/topology"
-)
+import "fmt"
 
 // Policy selects the overload response the simulator applies when a
 // ManagerConfig activates load management.
@@ -52,106 +47,48 @@ func ParsePolicy(s string) (Policy, error) {
 	return 0, fmt.Errorf("load: unknown policy %q (want static, fastroute or withdraw)", s)
 }
 
-// ManagerConfig activates load management inside the simulation day
-// loop. The zero value of every knob means "use the default"; a nil
-// *ManagerConfig on sim.Config deactivates the subsystem entirely and
-// leaves the simulator byte-identical to a build without it.
-type ManagerConfig struct {
-	// Policy is the overload response to simulate.
-	Policy Policy
+// The load manager's tuning. Every managed run uses these values:
+// capacity derivation reads Headroom, DeriveRings the two ring shares,
+// the day loop StepsPerDay, and NewBalancer starts every balancer's
+// controller at the watermarks, gain, step cap and heavy-hitter share
+// (see Balancer for what each does).
+const (
 	// Headroom scales each front-end's derived capacity over its
-	// fault-free PEAK daily load (default 1.4; a floor at the fleet mean
+	// fault-free PEAK daily load (a floor at half the fleet-mean peak
 	// keeps idle sites able to absorb spillover). Peak, not mean: daily
 	// per-prefix volume is lognormally bursty, so a mean-sized site would
 	// overload on ordinary fault-free days.
-	Headroom float64
-	// DeepRingShare sizes the regional ring-1 data centers: together
-	// they hold this fraction of fleet capacity (default 1).
-	DeepRingShare float64
-	// MegaShare sizes the terminal mega-DC ring as a multiple of fleet
-	// capacity (default 2).
-	MegaShare float64
-	// HighWatermark / LowWatermark / Gain / MaxStep / HeavyShare override
-	// the balancer's controller knobs when non-zero (see Balancer).
-	HighWatermark float64
-	LowWatermark  float64
-	Gain          float64
-	MaxStep       float64
-	HeavyShare    float64
+	Headroom = 1.4
+	// deepRingShare sizes the regional ring-1 data centers: together
+	// they hold this fraction of fleet capacity.
+	deepRingShare = 1.0
+	// megaShare sizes the terminal mega-DC ring as a multiple of fleet
+	// capacity.
+	megaShare = 2.0
+	// HighWatermark is the utilization above which a site sheds more.
+	HighWatermark = 0.85
+	lowWatermark  = 0.765
+	gain          = 0.25
+	maxStep       = 0.2
+	heavyShare    = 0.1
 	// StepsPerDay bounds the intra-day controller rounds the balancer
-	// runs before each day's shed fractions are frozen (default 60).
-	StepsPerDay int
-	// Capacity pins per-site capacity explicitly; nil derives it from
-	// the fault-free base catchment at world-build time.
-	Capacity map[topology.SiteID]float64
+	// runs before each day's shed fractions are frozen.
+	StepsPerDay = 60
+)
+
+// ManagerConfig activates load management inside the simulation day
+// loop; a nil *ManagerConfig on sim.Config deactivates the subsystem
+// entirely and leaves the simulator byte-identical to a build without
+// it. Capacities are always derived from the fault-free load matrix.
+type ManagerConfig struct {
+	// Policy is the overload response to simulate.
+	Policy Policy
 }
 
-// WithDefaults returns a copy with every zero knob replaced by its
-// default.
-func (c ManagerConfig) WithDefaults() ManagerConfig {
-	if c.Headroom == 0 {
-		c.Headroom = 1.4
-	}
-	if c.DeepRingShare == 0 {
-		c.DeepRingShare = 1
-	}
-	if c.MegaShare == 0 {
-		c.MegaShare = 2
-	}
-	if c.HighWatermark == 0 {
-		c.HighWatermark = 0.85
-	}
-	if c.LowWatermark == 0 {
-		c.LowWatermark = 0.765
-	}
-	if c.Gain == 0 {
-		c.Gain = 0.25
-	}
-	if c.MaxStep == 0 {
-		c.MaxStep = 0.2
-	}
-	if c.HeavyShare == 0 {
-		c.HeavyShare = 0.1
-	}
-	if c.StepsPerDay == 0 {
-		c.StepsPerDay = 60
-	}
-	return c
-}
-
-// Validate checks the knobs after defaulting.
+// Validate checks the policy.
 func (c ManagerConfig) Validate() error {
-	d := c.WithDefaults()
-	if d.Policy != Static && d.Policy != FastRoute && d.Policy != Withdraw {
-		return fmt.Errorf("load: unknown policy %d", int(d.Policy))
-	}
-	knobs := []struct {
-		name string
-		v    float64
-	}{
-		{"Headroom", d.Headroom}, {"DeepRingShare", d.DeepRingShare}, {"MegaShare", d.MegaShare},
-		{"HighWatermark", d.HighWatermark}, {"LowWatermark", d.LowWatermark},
-		{"Gain", d.Gain}, {"MaxStep", d.MaxStep}, {"HeavyShare", d.HeavyShare},
-	}
-	for _, k := range knobs {
-		if math.IsNaN(k.v) || math.IsInf(k.v, 0) || k.v <= 0 {
-			return fmt.Errorf("load: %s must be positive and finite, got %v", k.name, k.v)
-		}
-	}
-	if d.LowWatermark >= d.HighWatermark {
-		return fmt.Errorf("load: LowWatermark %v must be below HighWatermark %v", d.LowWatermark, d.HighWatermark)
-	}
-	if d.MaxStep > 1 {
-		return fmt.Errorf("load: MaxStep %v must be at most 1", d.MaxStep)
-	}
-	if d.StepsPerDay < 1 {
-		return fmt.Errorf("load: StepsPerDay must be >= 1, got %d", d.StepsPerDay)
-	}
-	//replay:commutative validation only; every entry is checked and the pass/fail outcome is order-independent
-	for site, capQ := range d.Capacity {
-		if math.IsNaN(capQ) || math.IsInf(capQ, 0) || capQ <= 0 {
-			return fmt.Errorf("load: capacity of site %d must be positive and finite, got %v", site, capQ)
-		}
+	if c.Policy != Static && c.Policy != FastRoute && c.Policy != Withdraw {
+		return fmt.Errorf("load: unknown policy %d", int(c.Policy))
 	}
 	return nil
 }

@@ -13,7 +13,7 @@ import (
 // real metro catalog, with xrand-seeded capacities and an offered demand
 // that is feasible by construction (total demand strictly below total
 // ring-0 capacity). Everything is a pure function of seed.
-func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, map[topology.SiteID]float64, map[topology.SiteID]float64) {
+func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, []float64, []float64) {
 	t.Helper()
 	var rs xrand.Stream
 	rs.Reseed(seed)
@@ -28,7 +28,7 @@ func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, map[to
 		t.Fatalf("seed %d: %v", seed, err)
 	}
 	fes := bb.FrontEnds()
-	caps := make(map[topology.SiteID]float64, len(fes))
+	caps := make([]float64, bb.NumSites())
 	var total float64
 	for _, fe := range fes {
 		caps[fe] = 50 + 1000*rs.Float64()
@@ -38,8 +38,8 @@ func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, map[to
 	// the terminal ring can absorb any demand the fleet could nominally
 	// carry — feasibility is by construction, matching how the simulation
 	// provisions FastRoute.
-	layers := DeriveRings(bb, caps, 1, 2)
-	demand := make(map[topology.SiteID]float64, len(fes))
+	layers := DeriveRings(bb, caps)
+	demand := make([]float64, bb.NumSites())
 	// Spread a total strictly under the ring-0 fleet capacity across
 	// random ingresses, deliberately lumpy so some sites start overloaded.
 	budget := total * (0.3 + 0.6*rs.Float64())
@@ -106,7 +106,7 @@ func TestShedFractionsStayBounded(t *testing.T) {
 		// Triple the demand so the controller spends many steps shedding
 		// hard; fractions must stay in [0, 1] after every single step.
 		for fe := range demand {
-			demand[fe] *= 3 //replay:commutative independent per-key scaling
+			demand[fe] *= 3
 		}
 		for step := 0; step < 60; step++ {
 			bal.Adjust(demand)

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/clients"
@@ -19,7 +20,7 @@ type SiteUtil struct {
 	Site topology.SiteID
 	// Queries is the effective served volume (post-redirection).
 	Queries float64
-	// Capacity is the site's derived or configured capacity.
+	// Capacity is the site's derived capacity.
 	Capacity float64
 	// ShedFrac is the site's ring-0 shed fraction at end of day (zero
 	// unless the FastRoute policy is active).
@@ -35,13 +36,13 @@ func (u SiteUtil) Utilization() float64 { return u.Queries / u.Capacity }
 // loadManager drives the load package inside the simulation day loop.
 // One instance exists per StreamWorld invocation when Config.LoadManager
 // is set; all of its state is deterministic functions of (config, world),
-// so managed runs replay byte-identically.
+// so managed runs replay byte-identically. Every per-site vector is
+// indexed by SiteID, one entry per backbone site.
 type loadManager struct {
-	cfg    load.ManagerConfig // defaulted
+	policy load.Policy
 	bb     *topology.Backbone
 	fes    []topology.SiteID // bb.FrontEnds(), the order of each day's utilization
-	caps   map[topology.SiteID]float64
-	layers []load.Layer
+	caps   []float64
 	// bal is the layered balancer; non-nil only for the FastRoute
 	// policy. Its shed fractions persist across days, which is what
 	// carries the controller's hysteresis through a multi-day surge.
@@ -51,21 +52,18 @@ type loadManager struct {
 	// (yesterday's decision — route withdrawal reacts a control interval
 	// late, which is what makes the paper's cascade roll); and
 	// rehome[ingress] caches where anycast re-homes each ingress's
-	// traffic under routeWithdrawn. The two sets are distinct maps for
-	// the manager's life: each day, withdrawer's step reads
+	// traffic under routeWithdrawn. The two sets are distinct vectors
+	// for the manager's life: each day, withdrawer's step reads
 	// routeWithdrawn and rewrites withdrawn in place.
-	withdrawn      map[topology.SiteID]bool
-	routeWithdrawn map[topology.SiteID]bool
+	withdrawn      []bool
+	routeWithdrawn []bool
 	rehome         []topology.SiteID
 	withdrawer     *load.Withdrawer
-	// The rest is per-day scratch, reused. siteSum is a per-site sum
-	// indexed by SiteID: each day's demand by ingress, then its served
-	// volume by front-end. used marks the ingresses some record used
-	// today, whose keys demand carries.
-	demand  map[topology.SiteID]float64
-	siteSum []float64
-	used    []bool
-	utils   []SiteUtil
+	// The rest is per-day scratch, reused: the day's demand by ingress
+	// and its served volume by front-end.
+	demand []float64
+	served []float64
+	utils  []SiteUtil
 }
 
 // ShardLoadMatrix accumulates the fault-free scheduled load of clients
@@ -172,7 +170,7 @@ func (a *loadAccum) add(m []float64, c *clients.Client, sched []bgp.ScheduleEntr
 // matrix, so every process that holds the same reduced matrix — the
 // coordinator and each worker replica of a distributed run — derives
 // bitwise-identical capacities.
-func CapsFromLoadMatrix(cfg Config, w *World, m []float64) (map[topology.SiteID]float64, error) {
+func CapsFromLoadMatrix(cfg Config, w *World, m []float64) ([]float64, error) {
 	if cfg.LoadManager == nil {
 		return nil, fmt.Errorf("sim: capacity derivation requested without a load-manager config")
 	}
@@ -181,7 +179,6 @@ func CapsFromLoadMatrix(cfg Config, w *World, m []float64) (map[topology.SiteID]
 	if len(m) != cfg.Days*len(fes) {
 		return nil, fmt.Errorf("sim: load matrix has %d cells, want %d days x %d front-ends", len(m), cfg.Days, len(fes))
 	}
-	c := cfg.LoadManager.WithDefaults()
 	// Capacity is headroom over each site's PEAK day at the SCHEDULED
 	// catchment (clients switch front-ends across days even without
 	// faults, so the base-day catchment would under-provision the sites
@@ -190,8 +187,8 @@ func CapsFromLoadMatrix(cfg Config, w *World, m []float64) (map[topology.SiteID]
 	// overload on ordinary fault-free days. The floor keeps idle sites
 	// some spillover slack without letting a regional flash crowd hide
 	// inside a floor that dwarfs small catchments. Deterministic
-	// front-end order for the sums.
-	caps := make(map[topology.SiteID]float64, len(fes))
+	// front-end order for the sums; every other site keeps capacity 0.
+	caps := make([]float64, bb.NumSites())
 	var mean float64
 	for f := range fes {
 		var peak float64
@@ -209,56 +206,47 @@ func CapsFromLoadMatrix(cfg Config, w *World, m []float64) (map[topology.SiteID]
 		if q < mean/2 {
 			q = mean / 2
 		}
-		caps[fe] = c.Headroom * q
+		caps[fe] = load.Headroom * q
 	}
 	return caps, nil
 }
 
 // newLoadManager compiles cfg.LoadManager against a built world and the
-// per-front-end capacities caps — the config's pinned Capacity map, or
-// the ones derived from the fault-free load matrix — so every policy arm
-// of an experiment sees identical capacities and rings. It returns (nil,
-// nil) when the subsystem is inactive; cfg.LoadManager must already be
-// validated.
-func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*loadManager, error) {
+// per-site capacities caps derived from the fault-free load matrix, so
+// every policy arm of an experiment sees identical capacities and rings.
+// It returns (nil, nil) when the subsystem is inactive; cfg.LoadManager
+// must already be validated.
+func newLoadManager(cfg Config, w *World, caps []float64) (*loadManager, error) {
 	if cfg.LoadManager == nil {
 		return nil, nil
 	}
-	c := cfg.LoadManager.WithDefaults()
 	bb := w.Deployment.Backbone
-	fes := bb.FrontEnds()
-	// Copy: DeriveRings raises deep-ring capacities in place and the
-	// caller's map must stay untouched.
-	own := make(map[topology.SiteID]float64, len(fes))
-	for _, fe := range fes {
-		own[fe] = caps[fe]
+	if len(caps) != bb.NumSites() {
+		return nil, fmt.Errorf("sim: %d capacities for %d sites", len(caps), bb.NumSites())
 	}
-	layers := load.DeriveRings(bb, own, c.DeepRingShare, c.MegaShare)
+	// Copy: DeriveRings raises deep-ring capacities in place and the
+	// caller's vector must stay untouched.
+	own := slices.Clone(caps)
+	layers := load.DeriveRings(bb, own)
+	fes := bb.FrontEnds()
 	m := &loadManager{
-		cfg:            c,
+		policy:         cfg.LoadManager.Policy,
 		bb:             bb,
 		fes:            fes,
 		caps:           own,
-		layers:         layers,
-		withdrawn:      map[topology.SiteID]bool{},
-		routeWithdrawn: map[topology.SiteID]bool{},
+		withdrawn:      make([]bool, bb.NumSites()),
+		routeWithdrawn: make([]bool, bb.NumSites()),
 		withdrawer:     load.NewWithdrawer(bb),
-		demand:         make(map[topology.SiteID]float64, bb.NumSites()),
-		siteSum:        make([]float64, bb.NumSites()),
-		used:           make([]bool, bb.NumSites()),
+		demand:         make([]float64, bb.NumSites()),
+		served:         make([]float64, bb.NumSites()),
 		utils:          make([]SiteUtil, 0, len(fes)),
 		rehome:         make([]topology.SiteID, bb.NumSites()),
 	}
-	if c.Policy == load.FastRoute {
+	if m.policy == load.FastRoute {
 		bal, err := load.NewBalancer(bb, layers, own)
 		if err != nil {
 			return nil, err
 		}
-		bal.HighWatermark = c.HighWatermark
-		bal.LowWatermark = c.LowWatermark
-		bal.Gain = c.Gain
-		bal.MaxStep = c.MaxStep
-		bal.HeavyShare = c.HeavyShare
 		m.bal = bal
 	}
 	return m, nil
@@ -267,34 +255,23 @@ func newLoadManager(cfg Config, w *World, caps map[topology.SiteID]float64) (*lo
 // demandFrom aggregates the day's offered load by ingress over the given
 // records. Serial, in client order, so the demand sums are bit-stable
 // regardless of worker count — and integer-valued, so per-shard demand
-// maps reduce exactly into the full-population one. The sums run in a
-// per-site array, and the map gets one key per ingress any record used,
-// zero-query ones included. The returned map is the manager's reusable
-// scratch, valid until the next call.
-func (m *loadManager) demandFrom(passive []logs.DayRecord, assigns []bgp.Assignment) map[topology.SiteID]float64 {
-	clear(m.siteSum)
-	clear(m.used)
-	for i := range passive {
-		ing := assigns[i].Ingress
-		m.siteSum[ing] += float64(passive[i].Queries)
-		m.used[ing] = true
-	}
+// vectors reduce exactly into the full-population one. The returned
+// vector is the manager's reusable scratch, valid until the next call.
+func (m *loadManager) demandFrom(passive []logs.DayRecord, assigns []bgp.Assignment) []float64 {
 	clear(m.demand)
-	for s, ok := range m.used {
-		if ok {
-			m.demand[topology.SiteID(s)] = m.siteSum[s]
-		}
+	for i := range passive {
+		m.demand[assigns[i].Ingress] += float64(passive[i].Queries)
 	}
 	return m.demand
 }
 
 // policyStep runs the policy's control decision against a day's offered
 // load. In a sharded run every worker calls this with the SAME
-// coordinator-reduced global demand map, so the policy state machines —
-// balancer shed fractions, withdrawal sets — stay bitwise-identical
+// coordinator-reduced global demand vector, so the policy state machines
+// — balancer shed fractions, withdrawal sets — stay bitwise-identical
 // replicas on every process.
-func (m *loadManager) policyStep(demand map[topology.SiteID]float64) {
-	switch m.cfg.Policy {
+func (m *loadManager) policyStep(demand []float64) {
+	switch m.policy {
 	case load.Static:
 		// Observe only.
 	case load.FastRoute:
@@ -303,18 +280,14 @@ func (m *loadManager) policyStep(demand map[topology.SiteID]float64) {
 		// rounds, so the day's shed fractions are the equilibrium the
 		// local rules reach (bounded by StepsPerDay). State persists to
 		// the next day — that is the hysteresis across the surge window.
-		m.bal.Converge(demand, m.cfg.StepsPerDay)
+		m.bal.Converge(demand, load.StepsPerDay)
 	case load.Withdraw:
 		// Today's routing applies yesterday's decision, then tonight's
 		// decision reacts to today's offered load under that routing: the
 		// naive operator only sees overload after it has happened, so the
 		// first interval's withdrawals dump their catchments onto
 		// neighbours that the next interval withdraws in turn.
-		clear(m.routeWithdrawn)
-		//replay:commutative set copy; each key written once
-		for fe := range m.withdrawn {
-			m.routeWithdrawn[fe] = true
-		}
+		copy(m.routeWithdrawn, m.withdrawn)
 		for id := range m.rehome {
 			m.rehome[id] = load.NearestStandingFE(m.bb, topology.SiteID(id), m.routeWithdrawn)
 		}
@@ -330,7 +303,7 @@ func (m *loadManager) policyStep(demand map[topology.SiteID]float64) {
 // whatever the uniform (u ≥ 0 ≥ f, and the heavy-hitter rule needs
 // f > 0), so the draw is made only at a shedding front-end.
 func (m *loadManager) route(seed uint64, clientID uint64, day int, a bgp.Assignment, queries int) topology.SiteID {
-	switch m.cfg.Policy {
+	switch m.policy {
 	case load.FastRoute:
 		if m.bal.ShedFraction(0, a.FrontEnd) <= 0 {
 			return a.FrontEnd
@@ -352,15 +325,15 @@ func (m *loadManager) route(seed uint64, clientID uint64, day int, a bgp.Assignm
 // and snapshots per-site utilization. Serial, in client order. The
 // returned slice is reused for the next day (DayResult ownership rules).
 func (m *loadManager) observeServed(passive []logs.DayRecord) []SiteUtil {
-	clear(m.siteSum)
+	clear(m.served)
 	for i := range passive {
-		m.siteSum[passive[i].FrontEnd] += float64(passive[i].Queries)
+		m.served[passive[i].FrontEnd] += float64(passive[i].Queries)
 	}
 	m.utils = m.utils[:0]
 	for _, fe := range m.fes {
 		su := SiteUtil{
 			Site:      fe,
-			Queries:   m.siteSum[fe],
+			Queries:   m.served[fe],
 			Capacity:  m.caps[fe],
 			Withdrawn: m.routeWithdrawn[fe],
 		}

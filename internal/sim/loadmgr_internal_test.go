@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"maps"
 	"testing"
 
 	"anycastcdn/internal/bgp"
@@ -12,13 +11,13 @@ import (
 )
 
 // managerFixture builds a small world and a load manager over it with
-// the given policy knobs and the capacities its fault-free load matrix
+// the given policy and the capacities its fault-free load matrix
 // derives.
-func managerFixture(t *testing.T, mc load.ManagerConfig) (*World, *loadManager) {
+func managerFixture(t *testing.T, p load.Policy) (*World, *loadManager) {
 	t.Helper()
 	cfg := DefaultConfig(11)
 	cfg.Prefixes, cfg.Days = 300, 5
-	cfg.LoadManager = &mc
+	cfg.LoadManager = &load.ManagerConfig{Policy: p}
 	w, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -49,17 +48,17 @@ func routeReference(m *loadManager, seed, clientID uint64, day int, a bgp.Assign
 // TestRouteMatchesAlwaysDrawing: route skips the uniform at a front-end
 // whose layer-0 shed fraction is 0, and must route every client-day where
 // the always-drawing walk does. The balancer is stepped on random demand,
-// under the default controller and an aggressive one (Gain 4, MaxStep 1)
-// that jumps straight to 0 or 1, so layer-0 fractions of exactly 0,
-// strictly between 0 and 1, and exactly 1 all occur, and the client-day
-// loads reach past the heavy-hitter threshold.
+// under the default controller and an aggressive one (Gain 4, MaxStep 1,
+// set on the balancer) that jumps straight to 0 or 1, so layer-0
+// fractions of exactly 0, strictly between 0 and 1, and exactly 1 all
+// occur, and the client-day loads reach past the heavy-hitter threshold.
 func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 	var zero, frac, full, heavy int
-	for _, mc := range []load.ManagerConfig{
-		{Policy: load.FastRoute},
-		{Policy: load.FastRoute, Gain: 4, MaxStep: 1},
-	} {
-		w, m := managerFixture(t, mc)
+	for _, aggressive := range []bool{false, true} {
+		w, m := managerFixture(t, load.FastRoute)
+		if aggressive {
+			m.bal.Gain, m.bal.MaxStep = 4, 1
+		}
 		bb := w.Deployment.Backbone
 		fes := bb.FrontEnds()
 		var maxCap float64
@@ -67,16 +66,16 @@ func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 			maxCap = max(maxCap, m.caps[fe])
 		}
 		rs := xrand.New(5)
-		demand := map[topology.SiteID]float64{}
+		demand := make([]float64, bb.NumSites())
 		for round := 0; round < 40; round++ {
 			clear(demand)
-			for s := 0; s < bb.NumSites(); s++ {
+			for s := range demand {
 				// Idle, ordinary and overloaded ingresses.
 				switch rs.Intn(3) {
 				case 1:
-					demand[topology.SiteID(s)] = rs.Float64() * maxCap
+					demand[s] = rs.Float64() * maxCap
 				case 2:
-					demand[topology.SiteID(s)] = (1 + 20*rs.Float64()) * maxCap
+					demand[s] = (1 + 20*rs.Float64()) * maxCap
 				}
 			}
 			m.policyStep(demand)
@@ -85,7 +84,7 @@ func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 				a := bgp.Assignment{Ingress: topology.SiteID(rs.Intn(bb.NumSites())), FrontEnd: fe}
 				queries := rs.Intn(100)
 				if rs.Bool(0.3) {
-					queries = int(rs.Float64() * 2 * m.cfg.HeavyShare * maxCap)
+					queries = int(rs.Float64() * 2 * m.bal.HeavyShare * maxCap)
 				}
 				f := m.bal.ShedFraction(0, fe)
 				switch {
@@ -96,13 +95,13 @@ func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 				default:
 					frac++
 				}
-				if f > 0 && float64(queries) > m.cfg.HeavyShare*m.caps[fe] {
+				if f > 0 && float64(queries) > m.bal.HeavyShare*m.caps[fe] {
 					heavy++
 				}
 				client, day := rs.Uint64(), rs.Intn(30)
 				if got, want := m.route(9, client, day, a, queries), routeReference(m, 9, client, day, a, queries); got != want {
 					t.Fatalf("gain %v round %d: client %d day %d %+v with %d queries at shed %v: routed to %d, always-drawing walk %d",
-						m.cfg.Gain, round, client, day, a, queries, f, got, want)
+						m.bal.Gain, round, client, day, a, queries, f, got, want)
 				}
 			}
 		}
@@ -112,8 +111,8 @@ func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 	}
 }
 
-// demandReference is demandFrom as it was before it summed per site: one
-// map assignment per record.
+// demandReference sums a day's demand by ingress with one map assignment
+// per record.
 func demandReference(passive []logs.DayRecord, assigns []bgp.Assignment) map[topology.SiteID]float64 {
 	demand := map[topology.SiteID]float64{}
 	for i := range passive {
@@ -122,12 +121,12 @@ func demandReference(passive []logs.DayRecord, assigns []bgp.Assignment) map[top
 	return demand
 }
 
-// TestDemandFromMatchesMap: demandFrom's per-site sums fill the same map
-// the per-record map assignments did, keys included — an ingress whose
-// clients all sent zero queries keeps its zero entry — and a reused
-// manager carries no key from one day into the next.
+// TestDemandFromMatchesMap: demandFrom's per-site sums equal the
+// per-record map assignments at every site, zero at an ingress no record
+// used or whose clients all sent zero queries, and a reused manager
+// carries nothing from one day into the next.
 func TestDemandFromMatchesMap(t *testing.T) {
-	w, m := managerFixture(t, load.ManagerConfig{Policy: load.Static})
+	w, m := managerFixture(t, load.Static)
 	sites := w.Deployment.Backbone.NumSites()
 	rs := xrand.New(8)
 	silent := 0
@@ -158,8 +157,14 @@ func TestDemandFromMatchesMap(t *testing.T) {
 		if v, ok := want[quiet]; ok && v == 0 {
 			silent++
 		}
-		if got := m.demandFrom(passive, assigns); !maps.Equal(got, want) {
-			t.Fatalf("day %d: demandFrom %v, map reference %v", day, got, want)
+		got := m.demandFrom(passive, assigns)
+		if len(got) != sites {
+			t.Fatalf("day %d: demandFrom has %d sites, want %d", day, len(got), sites)
+		}
+		for s, v := range got {
+			if v != want[topology.SiteID(s)] {
+				t.Fatalf("day %d: demandFrom %v, map reference %v", day, got, want)
+			}
 		}
 	}
 	if silent == 0 {

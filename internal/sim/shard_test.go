@@ -11,7 +11,6 @@ import (
 	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
-	"anycastcdn/internal/topology"
 )
 
 // dayCapture materializes one stream's per-day outputs (DayResult slices
@@ -120,47 +119,40 @@ func TestStreamShardRejectsBadRange(t *testing.T) {
 // demandBarrier is an in-process stand-in for the coordinator's per-day
 // two-phase demand exchange: every shard reports its offered load, the
 // last arrival reduces the sum, and all shards proceed with the same
-// global map. Query counts are integers, so the float sums are exact in
-// any arrival order.
+// global vector. Query counts are integers, so the float sums are exact
+// in any arrival order.
 type demandBarrier struct {
 	mu      sync.Mutex
 	cond    *sync.Cond
 	shards  int
 	arrived int
 	gen     int
-	sum     map[topology.SiteID]float64
-	global  map[topology.SiteID]float64
+	sum     []float64
+	global  []float64
 }
 
 func newDemandBarrier(shards int) *demandBarrier {
-	b := &demandBarrier{
-		shards: shards,
-		sum:    map[topology.SiteID]float64{},
-	}
+	b := &demandBarrier{shards: shards}
 	b.cond = sync.NewCond(&b.mu)
 	return b
 }
 
-func (b *demandBarrier) exchange(day int, shard map[topology.SiteID]float64) (map[topology.SiteID]float64, error) {
+func (b *demandBarrier) exchange(day int, shard []float64) ([]float64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.arrived == 0 {
-		clear(b.sum)
+		b.sum = make([]float64, len(shard))
 	}
 	for s, v := range shard {
 		b.sum[s] += v
 	}
 	b.arrived++
 	if b.arrived == b.shards {
-		global := make(map[topology.SiteID]float64, len(b.sum))
-		for s, v := range b.sum {
-			global[s] = v
-		}
-		b.global = global
+		b.global = b.sum
 		b.arrived = 0
 		b.gen++
 		b.cond.Broadcast()
-		return global, nil
+		return b.global, nil
 	}
 	gen := b.gen
 	for b.gen == gen {
@@ -173,7 +165,7 @@ func (b *demandBarrier) exchange(day int, shard map[topology.SiteID]float64) (ma
 // capacity exchange: every shard hands in the load matrix its schedule
 // pass accumulated, the last arrival sums them (integer-valued cells, so
 // exact in any arrival order) and derives the capacities, and every shard
-// proceeds with the same map.
+// proceeds with the same vector.
 type loadBarrier struct {
 	cfg     sim.Config
 	w       *sim.World
@@ -182,7 +174,7 @@ type loadBarrier struct {
 	shards  int
 	arrived int
 	sum     []float64
-	caps    map[topology.SiteID]float64
+	caps    []float64
 	err     error
 }
 
@@ -192,7 +184,7 @@ func newLoadBarrier(cfg sim.Config, w *sim.World, shards int) *loadBarrier {
 	return b
 }
 
-func (b *loadBarrier) exchange(m []float64) (map[topology.SiteID]float64, error) {
+func (b *loadBarrier) exchange(m []float64) ([]float64, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.sum == nil {
@@ -391,7 +383,7 @@ func TestStreamLoadMatrixMatchesShardLoadMatrix(t *testing.T) {
 			}
 			var got []float64
 			exchanged := firstDay(cfg, sim.ShardOpts{Lo: b[0], Hi: b[1],
-				ExchangeLoad: func(m []float64) (map[topology.SiteID]float64, error) {
+				ExchangeLoad: func(m []float64) ([]float64, error) {
 					got = append([]float64(nil), m...)
 					return fullCaps, nil
 				}})

@@ -6,7 +6,6 @@ import (
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
-	"anycastcdn/internal/topology"
 )
 
 // TestBuildShardWorldStreamsIdentically is the memory-scaling contract of
@@ -60,7 +59,7 @@ func TestBuildShardWorldStreamsIdentically(t *testing.T) {
 	}
 
 	opts := sim.ShardOpts{Lo: lo, Hi: hi,
-		ExchangeLoad: func([]float64) (map[topology.SiteID]float64, error) { return caps, nil }}
+		ExchangeLoad: func([]float64) ([]float64, error) { return caps, nil }}
 	ref := capture(cfg.Days)
 	if err := sim.StreamShard(cfg, full, opts, ref.observe); err != nil {
 		t.Fatal(err)

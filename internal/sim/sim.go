@@ -67,7 +67,8 @@ type Config struct {
 	Scenario *faults.Scenario
 	// LoadManager optionally activates load-aware anycast in the day
 	// loop: per-front-end capacities are derived from the fault-free
-	// base catchment, each day's offered load drives the configured
+	// scheduled load (headroom over each front-end's peak day), each
+	// day's offered load drives the configured
 	// overload policy (static observation, FastRoute spillover, or naive
 	// withdrawal), and per-site utilization surfaces in DayResult and
 	// Result. nil deactivates the subsystem entirely; see internal/load.

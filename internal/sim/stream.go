@@ -58,12 +58,11 @@ func Stream(cfg Config, fn func(DayResult) error) error {
 // bit — the only cross-day state the simulation needs, since the rest of
 // an assignment is a pure function of the ingress) plus per-client state
 // and per-day output buffers that are allocated once and reused for every
-// day. A load-managed run that derives its capacities also keeps the
-// schedule pass's query draws, 2 bytes per client-day. A million-prefix
-// 30-day run therefore holds a few hundred MB, not the tens of GB the
-// batch Result would occupy. After the schedule pass,
-// steady-state day iterations allocate nothing (enforced by
-// TestStreamWorldSteadyStateAllocs).
+// day. A load-managed run also keeps the schedule pass's query draws,
+// 2 bytes per client-day. A million-prefix 30-day run therefore holds a
+// few hundred MB, not the tens of GB the batch Result would occupy. After
+// the schedule pass, steady-state day iterations allocate nothing
+// (enforced by TestStreamWorldSteadyStateAllocs).
 //
 // On error from fn the stream stops immediately; all workers have already
 // joined (the pool runs per phase, never across fn), so nothing leaks and
@@ -82,26 +81,26 @@ type ShardOpts struct {
 	// it. The shard restricts which clients' days are simulated and
 	// logged.
 	Lo, Hi int
-	// ExchangeLoad, when set on a load-managed run whose capacities are
-	// derived (Config.LoadManager.Capacity is nil), is called once, right
+	// ExchangeLoad, when set on a load-managed run, is called once, right
 	// after the schedule pass: it receives the range's fault-free load
 	// matrix (ShardLoadMatrix over [Lo, Hi), which the pass accumulates)
 	// and must return the capacities CapsFromLoadMatrix derives from the
-	// FULL population's matrix — in a distributed run, by reducing every
-	// shard's matrix on the coordinator and broadcasting the derivation.
-	// Without it a managed stream derives capacities from its own range,
-	// which must then be the world's whole population. Pinned capacities
-	// skip the exchange. Ignored when Config.LoadManager is nil.
-	ExchangeLoad func(shard []float64) (map[topology.SiteID]float64, error)
+	// FULL population's matrix, one per backbone site — in a distributed
+	// run, by reducing every shard's matrix on the coordinator and
+	// broadcasting the derivation. Without it a managed stream derives
+	// capacities from its own range, which must then be the world's whole
+	// population. Ignored when Config.LoadManager is nil.
+	ExchangeLoad func(shard []float64) ([]float64, error)
 	// ExchangeDemand, when set on a load-managed run, is called once per
 	// day between demand aggregation and the policy step: it receives the
-	// shard's offered load by ingress (the manager's scratch map, valid
-	// only during the call) and must return the full-population demand —
-	// in a distributed run, by reducing every shard's map on the
+	// shard's offered load by ingress, one entry per backbone site (the
+	// manager's scratch vector, valid only during the call), and must
+	// return the full-population demand in the same layout — in a
+	// distributed run, by reducing every shard's vector on the
 	// coordinator and broadcasting the sum. The policy state machine then
 	// steps on global demand in every worker, keeping the replicas
 	// bitwise-identical. Ignored when Config.LoadManager is nil.
-	ExchangeDemand func(day int, shard map[topology.SiteID]float64) (map[topology.SiteID]float64, error)
+	ExchangeDemand func(day int, shard []float64) ([]float64, error)
 }
 
 // StreamShard streams days for the clients in opts' range only — one
@@ -134,10 +133,11 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	n := opts.Hi - opts.Lo
 	days := cfg.Days
 
-	// Derived capacities come from the fault-free load matrix, which the
-	// schedule pass accumulates: one partial matrix per pool worker,
-	// summed once the pass is done. The pass draws every client-day's
-	// queries for it, and keeps each draw in qs for the day pass.
+	// A managed stream derives its capacities from the fault-free load
+	// matrix, which the schedule pass accumulates: one partial matrix per
+	// pool worker, summed once the pass is done. The pass draws every
+	// client-day's queries for it, and keeps each draw in qs for the day
+	// pass.
 	var acc *loadAccum
 	var parts [][]float64
 	var qs []uint16
@@ -145,17 +145,15 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		if err := lm.Validate(); err != nil {
 			return err
 		}
-		if lm.Capacity == nil {
-			if opts.ExchangeLoad == nil && n != len(w.Population.Clients) {
-				return fmt.Errorf("sim: load-managed stream over [%d, %d), part of the population [%d, %d), needs ShardOpts.ExchangeLoad to derive capacities",
-					opts.Lo, opts.Hi, base, base+len(w.Population.Clients))
-			}
-			acc = newLoadAccum(cfg, w)
-			qs = make([]uint16, n*days)
-			parts = make([][]float64, poolSize(n, cfg.Workers))
-			for p := range parts {
-				parts[p] = acc.matrix()
-			}
+		if opts.ExchangeLoad == nil && n != len(w.Population.Clients) {
+			return fmt.Errorf("sim: load-managed stream over [%d, %d), part of the population [%d, %d), needs ShardOpts.ExchangeLoad to derive capacities",
+				opts.Lo, opts.Hi, base, base+len(w.Population.Clients))
+		}
+		acc = newLoadAccum(cfg, w)
+		qs = make([]uint16, n*days)
+		parts = make([][]float64, poolSize(n, cfg.Workers))
+		for p := range parts {
+			parts[p] = acc.matrix()
 		}
 	}
 
@@ -328,16 +326,13 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 	return nil
 }
 
-// rangeCapacities returns a managed stream's per-front-end capacities:
-// the pinned Capacity map, or the ones derived from parts, the range's
-// partial load matrices — through opts.ExchangeLoad when set, locally
-// otherwise. It returns nil for an unmanaged run.
-func rangeCapacities(cfg Config, w *World, opts ShardOpts, parts [][]float64) (map[topology.SiteID]float64, error) {
+// rangeCapacities returns a managed stream's per-site capacities,
+// derived from parts, the range's partial load matrices — through
+// opts.ExchangeLoad when set, locally otherwise. It returns nil for an
+// unmanaged run.
+func rangeCapacities(cfg Config, w *World, opts ShardOpts, parts [][]float64) ([]float64, error) {
 	if cfg.LoadManager == nil {
 		return nil, nil
-	}
-	if parts == nil {
-		return cfg.LoadManager.Capacity, nil
 	}
 	m := parts[0]
 	for _, p := range parts[1:] {
