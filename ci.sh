@@ -41,9 +41,11 @@
 #      search against its brute-force DistanceKm oracle, enough to replay
 #      the corpus and shake out shallow panics and inexact answers
 #   6. race detector over the concurrent packages: the parallel
-#      simulation core, the fault-injection layer, the client population
-#      generator, the load manager, the columnar log, the stats kernels,
-#      the prediction core, and the distributed coordinator/worker layer,
+#      simulation core (whose world build draws and keys each block of
+#      clients on the worker pool), the fault-injection layer, the client
+#      population generator, the LDNS mapper, the load manager, the
+#      columnar log, the stats kernels, the prediction core, and the
+#      distributed coordinator/worker layer,
 #      then the beacon-fold tests of the experiments package (its fold
 #      trains the LDNS predictor on a goroutine of its own; the whole
 #      package under -race is too slow for this gate)
@@ -63,9 +65,12 @@
 #      pre-optimization baseline, the xrand substream, latency sampling,
 #      peering-ranking, per-client schedule, nearest-site, client-day
 #      beacon batch and warmed-Grouper regrouping benchmarks must report
-#      0 allocs/op, the 50k-prefix world build must stay under 10,000
-#      allocs/op (its client walk allocates nothing per client; what is
-#      left scales with resolvers), and the simulation
+#      0 allocs/op, the world builds — BenchmarkBuildWorld, a 50k-prefix
+#      population on every core, and BenchmarkBuildShardWorld, one
+#      distributed worker's [100k, 200k) of a 400k-prefix population on
+#      one core — must each stay under 10,000 allocs/op (the block walk
+#      allocates nothing per client; what is left scales with resolvers
+#      and blocks), and the simulation
 #      cores must stay at least 3x below their pre-columnar B/op
 #      (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
 #      74 MB/op), and the whole-fleet
@@ -170,7 +175,7 @@ go test -run '^$' -fuzz FuzzGobFrames -fuzztime 5s -fuzzminimizetime 200x ./inte
 go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 
 echo '== go test -race (concurrent packages)'
-go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/core/ ./internal/distsim/
+go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/core/ ./internal/distsim/
 go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability' ./internal/experiments/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'
@@ -187,7 +192,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkBuildWorld=10000 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkBuildWorld=10000,BenchmarkBuildShardWorld=10000 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

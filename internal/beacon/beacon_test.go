@@ -12,6 +12,33 @@ import (
 	"anycastcdn/internal/topology"
 )
 
+// generate builds an n-client population and its LDNS mapping in one
+// walk, serially.
+func generate(tb testing.TB, isps *topology.ISPModel, metros []geo.Metro, n int) (*clients.Population, *dns.Mapping) {
+	tb.Helper()
+	g, err := clients.NewGenerator(metros, isps, clients.DefaultConfig(2, n), 0, n)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rm, err := dns.NewRangeMapper(isps, metros, dns.DefaultMapperConfig(3), 0, uint64(n))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for {
+		blk, err := g.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(blk) == 0 {
+			return g.Population(), rm.Mapping()
+		}
+		for j := range blk {
+			g.Draw(&blk[j])
+			rm.Intern(blk[j].ID, rm.Key(&blk[j]))
+		}
+	}
+}
+
 type fixture struct {
 	exec *Executor
 	pop  *clients.Population
@@ -25,14 +52,7 @@ func setup(t *testing.T) fixture {
 	}
 	metros := geo.World()
 	isps := topology.BuildISPs(dep.Backbone, metros, topology.DefaultISPModelConfig(1))
-	pop, err := clients.Generate(metros, isps, clients.DefaultConfig(2, 1000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	mp, err := dns.BuildMapping(pop, isps, metros, dns.DefaultMapperConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	pop, mp := generate(t, isps, metros, 1000)
 	router := bgp.NewRouter(dep.Backbone, isps, 4, bgp.DefaultConfig())
 	exec := &Executor{
 		Router:    router,
@@ -188,14 +208,7 @@ func benchExecutor(b *testing.B) (*Executor, *clients.Population) {
 	}
 	metros := geo.World()
 	isps := topology.BuildISPs(dep.Backbone, metros, topology.DefaultISPModelConfig(1))
-	pop, err := clients.Generate(metros, isps, clients.DefaultConfig(2, 100))
-	if err != nil {
-		b.Fatal(err)
-	}
-	mp, err := dns.BuildMapping(pop, isps, metros, dns.DefaultMapperConfig(3))
-	if err != nil {
-		b.Fatal(err)
-	}
+	pop, mp := generate(b, isps, metros, 100)
 	return &Executor{
 		Router:    bgp.NewRouter(dep.Backbone, isps, 4, bgp.DefaultConfig()),
 		Authority: dns.NewAuthority(dep, geo.PerfectDB(), 10),

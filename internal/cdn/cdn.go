@@ -26,8 +26,6 @@ type Deployment struct {
 	Backbone   *topology.Backbone
 	FrontEnds  []FrontEnd
 	AnycastVIP netaddr.Prefix24
-
-	bySite map[topology.SiteID]int
 }
 
 // NewDeployment assigns unicast prefixes to every front-end site of the
@@ -36,7 +34,6 @@ func NewDeployment(b *topology.Backbone) (*Deployment, error) {
 	d := &Deployment{
 		Backbone:   b,
 		AnycastVIP: netaddr.AnycastPrefix,
-		bySite:     map[topology.SiteID]int{},
 	}
 	alloc := netaddr.NewAllocator(netaddr.FrontEndPool)
 	for _, id := range b.FrontEnds() {
@@ -49,19 +46,9 @@ func NewDeployment(b *topology.Backbone) (*Deployment, error) {
 			Name:    b.Site(id).Metro.Name,
 			Unicast: p,
 		}
-		d.bySite[id] = len(d.FrontEnds)
 		d.FrontEnds = append(d.FrontEnds, fe)
 	}
 	return d, nil
-}
-
-// FrontEndAt returns the front-end hosted at the given site.
-func (d *Deployment) FrontEndAt(site topology.SiteID) (FrontEnd, bool) {
-	i, ok := d.bySite[site]
-	if !ok {
-		return FrontEnd{}, false
-	}
-	return d.FrontEnds[i], true
 }
 
 // NumFrontEnds returns the number of front-end locations.

@@ -61,27 +61,6 @@ func TestUnicastPrefixesUnique(t *testing.T) {
 	}
 }
 
-func TestFrontEndLookups(t *testing.T) {
-	d, err := BuildDefault()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, fe := range d.FrontEnds {
-		got, ok := d.FrontEndAt(fe.Site)
-		if !ok || got.Unicast != fe.Unicast {
-			t.Fatalf("FrontEndAt(%d) = %+v, %v", fe.Site, got, ok)
-		}
-	}
-	// Peering-only sites have no front-end.
-	for _, s := range d.Backbone.Sites {
-		if !s.FrontEnd {
-			if _, ok := d.FrontEndAt(s.ID); ok {
-				t.Fatalf("peering-only site %s reported a front-end", s.Metro.Name)
-			}
-		}
-	}
-}
-
 func TestNewDeploymentOnCustomBackbone(t *testing.T) {
 	b, err := topology.Build([]topology.SiteSpec{
 		{Metro: "london", FrontEnd: true, Peering: true},

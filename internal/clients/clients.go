@@ -61,10 +61,6 @@ type Population struct {
 	// Clients holds the materialized clients, in ID order; Clients[i] has
 	// global ID Base+i.
 	Clients []Client
-	// TotalVolume is the sum of ALL client volumes, including — for a
-	// shard — the clients outside the materialized range: generation
-	// walks the whole population either way.
-	TotalVolume float64
 }
 
 // Client returns the client with the given global ID. The ID must lie in
@@ -76,22 +72,94 @@ func (p *Population) Client(id uint64) *Client { return &p.Clients[id-p.Base] }
 // Prefix placement is metro-weighted; ISP assignment is uniform among the
 // ISPs of the metro's country.
 func Generate(metros []geo.Metro, isps *topology.ISPModel, cfg Config) (*Population, error) {
-	return GenerateRange(metros, isps, cfg, 0, cfg.N, nil)
+	return GenerateRange(metros, isps, cfg, 0, cfg.N)
 }
 
-// GenerateRange builds the population shard [lo, hi). The whole
-// population is still walked in ID order — the metro picker and the /24
-// allocator are single sequential streams, so skipping a client would
-// shift every later draw — but only the range is materialized, which is
-// what lets one worker of a multi-process run hold a million-client
-// shard of a many-million-client world. Every transient client is
-// byte-identical to the one Generate would store, and observe — when
-// non-nil — is called with each of the N clients in ID order (the hook a
-// fused builder uses to derive full-population state, like the LDNS
-// mapping's resolver interning, without a second walk). The pointer is
-// valid only during the call: a client outside the range is built in
-// one scratch value that the next client overwrites.
-func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int, observe func(*Client)) (*Population, error) {
+// GenerateRange builds the population shard [lo, hi) on one goroutine: it
+// drives a Generator over the whole population, block by block. Each
+// materialized client is byte-identical to the same client of the full
+// population. The world builder drives the same Generator with each
+// block's draws spread over its worker pool.
+func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int) (*Population, error) {
+	g, err := NewGenerator(metros, isps, cfg, lo, hi)
+	if err != nil {
+		return nil, err
+	}
+	for {
+		blk, err := g.Next()
+		if err != nil {
+			return nil, err
+		}
+		if len(blk) == 0 {
+			return g.Population(), nil
+		}
+		for j := range blk {
+			g.Draw(&blk[j])
+		}
+	}
+}
+
+// BlockSize is how many consecutive clients one Generator.Next places.
+// It bounds the walk's transient memory, whatever the population size.
+const BlockSize = 8192
+
+// Generator walks a population in ID order, one block of clients at a
+// time, and materializes the clients of [lo, hi). The whole population is
+// walked — the metro picker and the /24 allocator are single sequential
+// streams, so skipping a client would shift every later draw — but a
+// client outside the range is stored nowhere, drawn only as far as its
+// ISP and placed only if its position is read. That is what lets one
+// worker of a multi-process run hold a million-client shard of a
+// many-million-client world, and pay in full only for its own clients.
+//
+// Each block runs in two passes. Next is sequential: it advances the
+// allocator and the picker once per client. Draw makes every other draw,
+// from the client's own substream, so the Draw calls of one block may run
+// on any goroutines in any order.
+type Generator struct {
+	cfg    Config
+	metros []geo.Metro
+	// places[i] is what a client of metros[i] reads of its metro,
+	// computed once per metro.
+	places []place
+	pick   xrand.Picker
+	picker *xrand.Stream
+	alloc  *netaddr.Allocator
+	pop    *Population
+	lo, hi int
+	// next is the ID of the first client of the next block; block holds
+	// the current one.
+	next  int
+	block []Slot
+}
+
+// place is a catalog metro as its clients read it: the origin they are
+// scattered from and the ISPs of its country.
+type place struct {
+	origin geo.Origin
+	isps   []topology.ISPID
+}
+
+// Slot is one client of a Generator's current block. Next sets its ID and
+// Metro; Draw sets ISP and, for a client in the generator's range, stores
+// the whole Client.
+type Slot struct {
+	ID uint64
+	// Metro indexes the catalog the generator was built over.
+	Metro int
+	ISP   topology.ISPID
+
+	g      *Generator
+	prefix netaddr.Prefix24
+	// polar and bearing are the client's scatter draws, kept so that a
+	// client outside the range is placed only if its Point is read.
+	polar   xrand.Polar
+	bearing float64
+}
+
+// NewGenerator prepares the walk of cfg's population that materializes
+// the shard [lo, hi).
+func NewGenerator(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int) (*Generator, error) {
 	if cfg.N <= 0 {
 		return nil, fmt.Errorf("clients: non-positive population size %d", cfg.N)
 	}
@@ -102,8 +170,10 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 		return nil, fmt.Errorf("clients: empty metro catalog")
 	}
 	weights := make([]float64, len(metros))
+	places := make([]place, len(metros))
 	for i, m := range metros {
 		weights[i] = m.Weight
+		places[i] = place{origin: geo.NewOrigin(m.Point), isps: isps.ForCountry(m.Country)}
 	}
 	// The picker is WeightedChoice over the fixed metro weights, without
 	// re-summing all of them for every client.
@@ -111,51 +181,105 @@ func GenerateRange(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, 
 	if !ok {
 		return nil, fmt.Errorf("clients: no metro weights")
 	}
-	alloc := netaddr.NewAllocator(netaddr.ClientPool)
-	pop := &Population{Base: uint64(lo), Clients: make([]Client, hi-lo)}
-	picker := xrand.Substream(cfg.Seed, "clients-metro")
-	// rs is each client's own substream, reseeded in place so the walk
-	// allocates nothing per client. An in-range client is built in its
-	// slot of pop.Clients, every other one in scratch.
-	var rs xrand.Stream
-	var scratch Client
-	for i := 0; i < cfg.N; i++ {
-		prefix, ok := alloc.Next()
+	g := &Generator{
+		cfg:    cfg,
+		metros: metros,
+		places: places,
+		pick:   pick,
+		picker: xrand.Substream(cfg.Seed, "clients-metro"),
+		alloc:  netaddr.NewAllocator(netaddr.ClientPool),
+		pop:    &Population{Base: uint64(lo), Clients: make([]Client, hi-lo)},
+		lo:     lo,
+		hi:     hi,
+		block:  make([]Slot, min(BlockSize, cfg.N)),
+	}
+	for i := range g.block {
+		g.block[i].g = g
+	}
+	return g, nil
+}
+
+// Next is a block's sequential pass: it gives each of the next (at most
+// BlockSize) clients its /24 and its metro, in ID order, and returns
+// their slots, ready for Draw. It returns no slots once the population is
+// exhausted. The slots are reused by the following call.
+func (g *Generator) Next() ([]Slot, error) {
+	blk := g.block[:min(len(g.block), g.cfg.N-g.next)]
+	for j := range blk {
+		i := g.next + j
+		prefix, ok := g.alloc.Next()
 		if !ok {
 			return nil, fmt.Errorf("clients: address pool exhausted at %d clients", i)
 		}
-		m := &metros[pick.Pick(picker)]
-		rs.Reseed(xrand.DeriveSeedL1(cfg.Seed, labelClient, uint64(i)))
-		scatter := units.Kilometers(cfg.ScatterMedianKm.Float() * rs.LogNormal(0, 0.8))
-		point := m.Offset(scatter, rs.Float64()*360)
-		ispIDs := isps.ForCountry(m.Country)
-		if len(ispIDs) == 0 {
-			return nil, fmt.Errorf("clients: country %q has no ISPs", m.Country)
+		mi := g.pick.Pick(g.picker)
+		if len(g.places[mi].isps) == 0 {
+			return nil, fmt.Errorf("clients: country %q has no ISPs", g.metros[mi].Country)
 		}
-		c := &scratch
-		if i >= lo && i < hi {
-			c = &pop.Clients[i-lo]
-		}
-		*c = Client{
-			ID:      uint64(i),
-			Prefix:  prefix,
-			Point:   point,
-			Metro:   m.Name,
-			Region:  m.Region,
-			Country: m.Country,
-			ISP:     ispIDs[rs.Intn(len(ispIDs))],
-			Volume:  rs.LogNormal(0, cfg.VolumeSigma),
-		}
-		if observe != nil {
-			observe(c)
-		}
-		pop.TotalVolume += c.Volume
+		s := &blk[j]
+		s.ID, s.Metro, s.prefix = uint64(i), mi, prefix
 	}
-	return pop, nil
+	g.next += len(blk)
+	return blk, nil
 }
 
-// labelClient is the precomputed label of each client's substream in
-// GenerateRange.
+// Draw makes a slot's draws from the client's own substream: in full for
+// a client in the generator's range, which it stores in the population;
+// for any other client, only what the substream must advance past to
+// reach the ISP draw (the scatter normal's rejection loop, no Log, Sqrt
+// or Exp) and the ISP itself. The volume, the substream's last draw, is
+// drawn only for a stored client. Draw is safe to call concurrently for
+// distinct slots of the current block.
+//
+//perf:hotpath
+func (g *Generator) Draw(s *Slot) {
+	p := &g.places[s.Metro]
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL1(g.cfg.Seed, labelClient, s.ID))
+	s.polar = rs.Polar()
+	s.bearing = rs.Float64() * 360
+	s.ISP = p.isps[rs.Intn(len(p.isps))]
+	if !g.owns(s.ID) {
+		return
+	}
+	m := &g.metros[s.Metro]
+	*g.pop.Client(s.ID) = Client{
+		ID:      s.ID,
+		Prefix:  s.prefix,
+		Point:   g.point(s),
+		Metro:   m.Name,
+		Region:  m.Region,
+		Country: m.Country,
+		ISP:     s.ISP,
+		Volume:  rs.LogNormal(0, g.cfg.VolumeSigma),
+	}
+}
+
+// Point is the position of a drawn slot's client: the stored one for a
+// client in the generator's range, otherwise computed on each call from
+// the draws Draw kept, by the same expression.
+//
+//perf:hotpath
+func (s *Slot) Point() geo.Point {
+	if s.g.owns(s.ID) {
+		return s.g.pop.Client(s.ID).Point
+	}
+	return s.g.point(s)
+}
+
+// point places a client: its scatter distance, a lognormal around the
+// configured median, at its bearing from its metro.
+func (g *Generator) point(s *Slot) geo.Point {
+	scatter := units.Kilometers(g.cfg.ScatterMedianKm.Float() * s.polar.LogNormal(0, 0.8))
+	return g.places[s.Metro].origin.Offset(scatter, s.bearing)
+}
+
+func (g *Generator) owns(id uint64) bool { return id >= uint64(g.lo) && id < uint64(g.hi) }
+
+// Population returns the materialized shard. The generator must have
+// been walked to the end of the population, each block drawn in full.
+func (g *Generator) Population() *Population { return g.pop }
+
+// labelClient is the precomputed label of each client's substream.
 var labelClient = xrand.NewLabel("client")
 
 // labelQueries is the precomputed substream label of QueriesOnDay, the one

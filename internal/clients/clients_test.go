@@ -34,9 +34,6 @@ func TestGenerateBasics(t *testing.T) {
 	if len(pop.Clients) != 5000 {
 		t.Fatalf("got %d clients, want 5000", len(pop.Clients))
 	}
-	if pop.TotalVolume <= 0 {
-		t.Fatal("total volume must be positive")
-	}
 	prefixes := map[netaddr.Prefix24]bool{}
 	metroByName := map[string]geo.Metro{}
 	for _, m := range metros {
@@ -218,21 +215,19 @@ func BenchmarkGenerate(b *testing.B) {
 
 // TestGenerateRangeMatchesFull pins the sharding contract: a range build
 // walks the whole population, so its materialized slice is bit-identical
-// to the corresponding window of a full Generate, its TotalVolume is the
-// full-population sum, and the observe hook sees every client in ID
-// order.
+// to the corresponding window of a full Generate, and the slots of every
+// client — in the range or not — carry the full build's metro, ISP and
+// position.
 func TestGenerateRangeMatchesFull(t *testing.T) {
 	metros, isps := world(t)
-	cfg := DefaultConfig(42, 5000)
+	// The range crosses two block edges.
+	cfg := DefaultConfig(42, 2*BlockSize+3000)
 	full, err := Generate(metros, isps, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lo, hi := 1234, 3456
-	var seen []Client
-	shard, err := GenerateRange(metros, isps, cfg, lo, hi, func(c *Client) {
-		seen = append(seen, *c)
-	})
+	lo, hi := BlockSize-1234, 2*BlockSize+1000
+	shard, err := GenerateRange(metros, isps, cfg, lo, hi)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,20 +245,37 @@ func TestGenerateRangeMatchesFull(t *testing.T) {
 			t.Fatalf("Client(%d) returned %+v, want %+v", c.ID, *got, c)
 		}
 	}
-	if shard.TotalVolume != full.TotalVolume {
-		t.Fatalf("shard TotalVolume %v, want full-population %v", shard.TotalVolume, full.TotalVolume)
+
+	g, err := NewGenerator(metros, isps, cfg, lo, hi)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if len(seen) != cfg.N {
-		t.Fatalf("observe saw %d clients, want all %d", len(seen), cfg.N)
-	}
-	for i, c := range seen {
-		if c != full.Clients[i] {
-			t.Fatalf("observe's client %d differs from full client %d:\n%+v\nvs\n%+v", i, i, c, full.Clients[i])
+	seen := 0
+	for {
+		blk, err := g.Next()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if len(blk) == 0 {
+			break
+		}
+		for j := range blk {
+			s := &blk[j]
+			g.Draw(s)
+			want := full.Clients[s.ID]
+			if s.ID != uint64(seen) || metros[s.Metro].Name != want.Metro || s.ISP != want.ISP || s.Point() != want.Point {
+				t.Fatalf("slot %d (client %d: metro %s, ISP %d, point %v) differs from full client %+v",
+					seen, s.ID, metros[s.Metro].Name, s.ISP, s.Point(), want)
+			}
+			seen++
+		}
+	}
+	if seen != cfg.N {
+		t.Fatalf("the walk visited %d clients, want all %d", seen, cfg.N)
 	}
 
 	for _, b := range [][2]int{{-1, 5}, {5, 4}, {0, cfg.N + 1}} {
-		if _, err := GenerateRange(metros, isps, cfg, b[0], b[1], nil); err == nil {
+		if _, err := GenerateRange(metros, isps, cfg, b[0], b[1]); err == nil {
 			t.Errorf("range [%d, %d) accepted", b[0], b[1])
 		}
 	}

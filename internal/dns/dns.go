@@ -136,32 +136,23 @@ type Mapping struct {
 	Base uint64
 }
 
-// BuildMapping assigns every client in the population a resolver.
-// Resolver identity is shared: all clients of one (ISP, metro) share the
-// local resolver, all hub clients of an ISP share its hub resolver, and
-// public-resolver clients in a region share the nearest public site.
-func BuildMapping(pop *clients.Population, isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfig) (*Mapping, error) {
-	lo := pop.Base
-	rm, err := NewRangeMapper(isps, metros, cfg, lo, lo+uint64(len(pop.Clients)))
-	if err != nil {
-		return nil, err
-	}
-	for i := range pop.Clients {
-		rm.Observe(&pop.Clients[i])
-	}
-	return rm.Mapping(), nil
-}
-
-// RangeMapper builds a Mapping incrementally, one observed client at a
-// time, storing assignments only for clients in [lo, hi). A distributed
-// worker feeds it EVERY client of the population in ID order (the
-// transient walk clients.GenerateRange already makes) because resolver
-// IDs are interned in first-encounter order and the authoritative
-// nameserver keys its geolocation draws by resolver ID: a shard that
-// interned only its own clients' resolvers would geolocate the same
-// resolver differently than the single-process build and the beacon
-// candidate sets would diverge. Observing everything keeps Resolvers —
-// contents and IDs — identical on every process.
+// RangeMapper builds a Mapping one client at a time, storing assignments
+// only for clients in [lo, hi). Resolver identity is shared: all clients
+// of one (ISP, metro) share the local resolver, all hub clients of an ISP
+// share its hub resolver, and public-resolver clients share the nearest
+// public site.
+//
+// Each client is mapped in two steps. Key draws the client's resolver
+// from its own substream and is safe to call concurrently; Intern turns
+// the key into a resolver ID and must see every client of the population
+// in ID order. A distributed worker therefore keys and interns EVERY
+// client, not just its own: resolver IDs are interned in first-encounter
+// order, and the authoritative nameserver keys its geolocation draws by
+// resolver ID, so a shard that interned only its own clients' resolvers
+// would geolocate the same resolver differently than the single-process
+// build and the beacon candidate sets would diverge. Interning everything
+// in order keeps Resolvers — contents and IDs — identical on every
+// process.
 type RangeMapper struct {
 	cfg         MapperConfig
 	isps        *topology.ISPModel
@@ -172,25 +163,27 @@ type RangeMapper struct {
 	lo, hi      uint64
 	mp          *Mapping
 	index       map[string]LDNSID
-	// byKey caches each resolver's ID by what its name is formatted
-	// from, so a client whose resolver was seen before costs one map
-	// lookup: no name formatting, hub search or name lookup.
-	byKey map[resolverKey]LDNSID
+	// byKey caches each resolver's ID by its key, so a client whose
+	// resolver was seen before costs one map lookup: no name formatting,
+	// hub search or name lookup.
+	byKey map[ResolverKey]LDNSID
 }
 
-// resolverKey is what a resolver's name is formatted from: the kind, and
+// ResolverKey is what a client's resolver is derived from: the kind, and
 // the ISP and client metro (ISPLocal), the ISP (ISPHub) or the public
-// site's index (Public). Distinct keys that format to the same name still
-// reach one resolver through the name index.
-type resolverKey struct {
-	kind  LDNSKind
-	isp   topology.ISPID
-	site  int
-	metro string
+// site's index (Public). Distinct keys that format to the same resolver
+// name still reach one resolver through the name index.
+type ResolverKey struct {
+	kind LDNSKind
+	isp  topology.ISPID
+	// site is the public site's index; metro is the client metro's index
+	// in the mapper's catalog.
+	site, metro int
 }
 
 // NewRangeMapper prepares a mapper that records assignments for global
-// client IDs in [lo, hi).
+// client IDs in [lo, hi). The metros are the catalog the clients were
+// generated over: a client's Slot.Metro indexes it.
 func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfig, lo, hi uint64) (*RangeMapper, error) {
 	if hi < lo {
 		return nil, fmt.Errorf("dns: mapper range [%d, %d) is inverted", lo, hi)
@@ -218,40 +211,50 @@ func NewRangeMapper(isps *topology.ISPModel, metros []geo.Metro, cfg MapperConfi
 		hi:          hi,
 		mp:          &Mapping{ClientLDNS: make([]LDNSID, hi-lo), Base: lo},
 		index:       map[string]LDNSID{},
-		byKey:       map[resolverKey]LDNSID{},
+		byKey:       map[ResolverKey]LDNSID{},
 	}, nil
 }
 
-// Observe assigns one client its resolver, interning the resolver in
-// encounter order; clients must arrive in ascending global-ID order,
-// covering every ID the population defines. Assignments are stored only
-// for clients inside the mapper's range.
-func (rm *RangeMapper) Observe(c *clients.Client) {
+// Key is a client's first mapping step: it draws the client's resolver
+// kind from its "ldns" substream and returns its resolver's key. Only a
+// public-resolver client's key depends on where the client is, so only
+// then does Key read s.Point. s must have been drawn (clients.Generator
+// Draw). Safe for concurrent use.
+//
+//perf:hotpath
+func (rm *RangeMapper) Key(s *clients.Slot) ResolverKey {
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL1(rm.cfg.Seed, labelLDNS, c.ID))
-	var key resolverKey
+	rs.Reseed(xrand.DeriveSeedL1(rm.cfg.Seed, labelLDNS, s.ID))
 	switch {
 	case rs.Bool(rm.cfg.PublicFrac):
-		pi, _ := rm.publicSet.Nearest(c.Point)
-		key = resolverKey{kind: Public, site: pi}
+		pi, _ := rm.publicSet.Nearest(s.Point())
+		return ResolverKey{kind: Public, site: pi}
 	case rs.Bool(rm.cfg.HubFrac):
-		key = resolverKey{kind: ISPHub, isp: c.ISP}
+		return ResolverKey{kind: ISPHub, isp: s.ISP}
 	default:
-		key = resolverKey{kind: ISPLocal, isp: c.ISP, metro: c.Metro}
+		return ResolverKey{kind: ISPLocal, isp: s.ISP, metro: s.Metro}
 	}
-	id, ok := rm.byKey[key]
+}
+
+// Intern is a client's second mapping step: it assigns the client the
+// resolver of its key, interning the resolver on the key's first
+// encounter. Clients must arrive in ascending global-ID order, covering
+// every ID the population defines. Assignments are stored only for
+// clients inside the mapper's range.
+func (rm *RangeMapper) Intern(id uint64, key ResolverKey) {
+	rid, ok := rm.byKey[key]
 	if !ok {
-		id = rm.internKey(key)
-		rm.byKey[key] = id
+		rid = rm.internKey(key)
+		rm.byKey[key] = rid
 	}
-	if c.ID >= rm.lo && c.ID < rm.hi {
-		rm.mp.ClientLDNS[c.ID-rm.lo] = id
+	if id >= rm.lo && id < rm.hi {
+		rm.mp.ClientLDNS[id-rm.lo] = rid
 	}
 }
 
 // internKey formats the name of a key's resolver, places it, and interns
-// it by name. Observe calls it on a key's first encounter only.
-func (rm *RangeMapper) internKey(key resolverKey) LDNSID {
+// it by name. Intern calls it on a key's first encounter only.
+func (rm *RangeMapper) internKey(key ResolverKey) LDNSID {
 	switch key.kind {
 	case Public:
 		return rm.intern("public-"+publicResolverMetros[key.site], Public, rm.publicPts[key.site])
@@ -262,9 +265,9 @@ func (rm *RangeMapper) internKey(key resolverKey) LDNSID {
 		hub := heaviestMetroOfCountry(rm.metros, isp.Country)
 		return rm.intern(fmt.Sprintf("%s-hub", isp.Name), ISPHub, hub.Point)
 	default:
-		m := rm.metroByName[key.metro]
+		name := rm.metros[key.metro].Name
 		isp := rm.isps.ISP(key.isp)
-		return rm.intern(fmt.Sprintf("%s-%s", isp.Name, key.metro), ISPLocal, m.Point)
+		return rm.intern(fmt.Sprintf("%s-%s", isp.Name, name), ISPLocal, rm.metroByName[name].Point)
 	}
 }
 
@@ -281,8 +284,8 @@ func (rm *RangeMapper) intern(name string, kind LDNSKind, pt geo.Point) LDNSID {
 	return id
 }
 
-// Mapping returns the built mapping. The mapper must not be observed
-// further afterwards.
+// Mapping returns the built mapping. No client may be interned
+// afterwards.
 func (rm *RangeMapper) Mapping() *Mapping { return rm.mp }
 
 func heaviestMetroOfCountry(metros []geo.Metro, country string) geo.Metro {

@@ -1,6 +1,7 @@
 package dns
 
 import (
+	"sync"
 	"testing"
 
 	"anycastcdn/internal/cdn"
@@ -11,10 +12,11 @@ import (
 )
 
 type fixture struct {
-	dep   *cdn.Deployment
-	isps  *topology.ISPModel
-	pop   *clients.Population
-	metro []geo.Metro
+	dep    *cdn.Deployment
+	isps   *topology.ISPModel
+	popCfg clients.Config
+	pop    *clients.Population
+	metro  []geo.Metro
 }
 
 func setup(t *testing.T) fixture {
@@ -25,20 +27,66 @@ func setup(t *testing.T) fixture {
 	}
 	metros := geo.World()
 	isps := topology.BuildISPs(dep.Backbone, metros, topology.DefaultISPModelConfig(1))
-	pop, err := clients.Generate(metros, isps, clients.DefaultConfig(2, 4000))
+	popCfg := clients.DefaultConfig(2, 4000)
+	pop, err := clients.Generate(metros, isps, popCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return fixture{dep: dep, isps: isps, pop: pop, metro: metros}
+	return fixture{dep: dep, isps: isps, popCfg: popCfg, pop: pop, metro: metros}
+}
+
+// mapPopulation maps the population popCfg generates, storing the
+// assignments of [lo, hi), as the world builder walks it: block by block,
+// each block's clients drawn and keyed on several goroutines, then
+// interned in ID order.
+func mapPopulation(tb testing.TB, isps *topology.ISPModel, metros []geo.Metro, popCfg clients.Config, cfg MapperConfig, lo, hi uint64) *Mapping {
+	tb.Helper()
+	g, err := clients.NewGenerator(metros, isps, popCfg, int(lo), int(hi))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rm, err := NewRangeMapper(isps, metros, cfg, lo, hi)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	const workers = 3
+	keys := make([]ResolverKey, clients.BlockSize)
+	for {
+		blk, err := g.Next()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if len(blk) == 0 {
+			return rm.Mapping()
+		}
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := w; j < len(blk); j += workers {
+					g.Draw(&blk[j])
+					keys[j] = rm.Key(&blk[j])
+				}
+			}()
+		}
+		wg.Wait()
+		for j := range blk {
+			rm.Intern(blk[j].ID, keys[j])
+		}
+	}
+}
+
+// buildMapping maps the fixture's whole population.
+func buildMapping(t *testing.T, f fixture, cfg MapperConfig) *Mapping {
+	t.Helper()
+	return mapPopulation(t, f.isps, f.metro, f.popCfg, cfg, 0, uint64(f.popCfg.N))
 }
 
 func TestBuildMappingSplit(t *testing.T) {
 	f := setup(t)
 	cfg := DefaultMapperConfig(3)
-	mp, err := BuildMapping(f.pop, f.isps, f.metro, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	mp := buildMapping(t, f, cfg)
 	if len(mp.ClientLDNS) != len(f.pop.Clients) {
 		t.Fatalf("mapping covers %d clients, want %d", len(mp.ClientLDNS), len(f.pop.Clients))
 	}
@@ -64,10 +112,7 @@ func TestBuildMappingSplit(t *testing.T) {
 
 func TestMostClientsNearLDNS(t *testing.T) {
 	f := setup(t)
-	mp, err := BuildMapping(f.pop, f.isps, f.metro, DefaultMapperConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mp := buildMapping(t, f, DefaultMapperConfig(3))
 	near, nonPublic := 0, 0
 	for _, c := range f.pop.Clients {
 		l := mp.Resolver(c.ID)
@@ -91,10 +136,7 @@ func TestMostClientsNearLDNS(t *testing.T) {
 
 func TestResolversShared(t *testing.T) {
 	f := setup(t)
-	mp, err := BuildMapping(f.pop, f.isps, f.metro, DefaultMapperConfig(3))
-	if err != nil {
-		t.Fatal(err)
-	}
+	mp := buildMapping(t, f, DefaultMapperConfig(3))
 	if len(mp.Resolvers) >= len(f.pop.Clients) {
 		t.Fatalf("%d resolvers for %d clients; resolvers must be shared",
 			len(mp.Resolvers), len(f.pop.Clients))
@@ -124,14 +166,8 @@ func TestResolversShared(t *testing.T) {
 
 func TestBuildMappingDeterministic(t *testing.T) {
 	f := setup(t)
-	m1, err := BuildMapping(f.pop, f.isps, f.metro, DefaultMapperConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	m2, err := BuildMapping(f.pop, f.isps, f.metro, DefaultMapperConfig(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	m1 := buildMapping(t, f, DefaultMapperConfig(7))
+	m2 := buildMapping(t, f, DefaultMapperConfig(7))
 	for i := range m1.ClientLDNS {
 		if m1.ClientLDNS[i] != m2.ClientLDNS[i] {
 			t.Fatalf("client %d mapped differently across identical builds", i)
@@ -297,26 +333,16 @@ func BenchmarkSelectBeaconTargets(b *testing.B) {
 }
 
 // TestRangeMapperMatchesBuildMapping pins the distributed mapping
-// contract: a RangeMapper fed every client in ID order produces the same
-// resolver catalog — contents AND interned IDs, which key the
-// authority's geolocation draws — as the full BuildMapping, plus exactly
-// the range's window of assignments.
+// contract: a RangeMapper that keys and interns every client in ID order
+// produces the same resolver catalog — contents AND interned IDs, which
+// key the authority's geolocation draws — as the full mapping, plus
+// exactly the range's window of assignments.
 func TestRangeMapperMatchesBuildMapping(t *testing.T) {
 	f := setup(t)
 	cfg := DefaultMapperConfig(3)
-	full, err := BuildMapping(f.pop, f.isps, f.metro, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	full := buildMapping(t, f, cfg)
 	lo, hi := uint64(700), uint64(2900)
-	rm, err := NewRangeMapper(f.isps, f.metro, cfg, lo, hi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range f.pop.Clients {
-		rm.Observe(&f.pop.Clients[i])
-	}
-	mp := rm.Mapping()
+	mp := mapPopulation(t, f.isps, f.metro, f.popCfg, cfg, lo, hi)
 	if mp.Base != lo {
 		t.Fatalf("mapping base %d, want %d", mp.Base, lo)
 	}

@@ -13,8 +13,9 @@ import (
 )
 
 // referenceMapper is RangeMapper as it was before resolver IDs were
-// cached by key: every client formats its resolver's name, searches the
-// hub metro and interns by name, from a heap substream.
+// cached by key and keys were split from interning: every client, in ID
+// order, draws its resolver from a heap substream, formats the
+// resolver's name, searches the hub metro and interns by name.
 type referenceMapper struct {
 	rm *RangeMapper
 }
@@ -44,10 +45,11 @@ func (r referenceMapper) observe(c clients.Client) {
 	}
 }
 
-// TestRangeMapperMatchesReference feeds a 20k population through the
-// keyed mapper and the reference, over the full range and over a shard:
-// the resolver catalogs (names, kinds, points and IDs) and every stored
-// assignment must be identical.
+// TestRangeMapperMatchesReference maps a 20k population — three blocks
+// of the generator's walk — through the two-step mapper and the
+// reference, over the full range and over a shard: the resolver catalogs
+// (names, kinds, points and IDs) and every stored assignment must be
+// identical.
 func TestRangeMapperMatchesReference(t *testing.T) {
 	dep, err := cdn.BuildDefault()
 	if err != nil {
@@ -56,28 +58,27 @@ func TestRangeMapperMatchesReference(t *testing.T) {
 	metros := geo.World()
 	isps := topology.BuildISPs(dep.Backbone, metros, topology.DefaultISPModelConfig(5))
 	const n = 20_000
-	pop, err := clients.Generate(metros, isps, clients.DefaultConfig(6, n))
+	popCfg := clients.DefaultConfig(6, n)
+	pop, err := clients.Generate(metros, isps, popCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// A raised hub share makes hub resolvers common enough that many
-	// ISPs meet theirs late in the walk.
-	for _, cfg := range []MapperConfig{DefaultMapperConfig(7), {Seed: 8, PublicFrac: 0.2, HubFrac: 0.4}} {
+	// ISPs meet theirs late in the walk; an all-public mapping keys every
+	// client by its position, so every shard client outside the range is
+	// placed from its kept draws.
+	for _, cfg := range []MapperConfig{DefaultMapperConfig(7), {Seed: 8, PublicFrac: 0.2, HubFrac: 0.4}, {Seed: 9, PublicFrac: 1}} {
 		for _, r := range [][2]uint64{{0, n}, {6_000, 13_500}} {
-			got, err := NewRangeMapper(isps, metros, cfg, r[0], r[1])
-			if err != nil {
-				t.Fatal(err)
-			}
+			g := mapPopulation(t, isps, metros, popCfg, cfg, r[0], r[1])
 			ref, err := NewRangeMapper(isps, metros, cfg, r[0], r[1])
 			if err != nil {
 				t.Fatal(err)
 			}
 			for i := range pop.Clients {
-				got.Observe(&pop.Clients[i])
 				referenceMapper{ref}.observe(pop.Clients[i])
 			}
-			g, w := got.Mapping(), ref.Mapping()
-			if len(w.Resolvers) < 100 {
+			w := ref.Mapping()
+			if cfg.PublicFrac < 1 && len(w.Resolvers) < 100 {
 				t.Fatalf("only %d resolvers: the population is too small to test interning", len(w.Resolvers))
 			}
 			if !reflect.DeepEqual(g.Resolvers, w.Resolvers) {

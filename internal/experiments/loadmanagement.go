@@ -61,14 +61,11 @@ func (a LoadArm) ShedFrac() float64 {
 // All three arms share the seed, the world, the derived capacities and
 // the scenario, so every difference is attributable to the policy.
 type LoadManagementReport struct {
-	Scenario faults.Scenario
-	Days     int
-	// HighWatermark is the controller's shed threshold — the utilization
-	// the FastRoute arm aims to stay under.
-	HighWatermark float64
-	Static        LoadArm
-	Withdraw      LoadArm
-	FastRoute     LoadArm
+	Scenario  faults.Scenario
+	Days      int
+	Static    LoadArm
+	Withdraw  LoadArm
+	FastRoute LoadArm
 }
 
 // LoadManagement runs the three-policy comparison, streaming each arm's
@@ -95,11 +92,7 @@ func LoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, 
 }
 
 func newLoadManagementReport(cfg sim.Config, sc faults.Scenario) *LoadManagementReport {
-	return &LoadManagementReport{
-		Scenario:      sc,
-		Days:          cfg.Days,
-		HighWatermark: load.HighWatermark,
-	}
+	return &LoadManagementReport{Scenario: sc, Days: cfg.Days}
 }
 
 // armConfig derives one arm's simulation config: shared scenario, the

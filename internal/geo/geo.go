@@ -38,7 +38,6 @@ func (p Point) String() string {
 // DistanceKm returns the great-circle (haversine) distance between two
 // points in kilometers.
 func DistanceKm(a, b Point) units.Kilometers {
-	const degToRad = math.Pi / 180
 	lat1 := a.Lat * degToRad
 	lat2 := b.Lat * degToRad
 	dLat := (b.Lat - a.Lat) * degToRad
@@ -82,14 +81,41 @@ type Metro struct {
 // dKm kilometers at the given bearing in degrees. Used to scatter client
 // prefixes around their metro.
 func (m Metro) Offset(dKm units.Kilometers, bearingDeg float64) Point {
-	const degToRad = math.Pi / 180
+	o := NewOrigin(m.Point)
+	return o.Offset(dKm, bearingDeg)
+}
+
+// Origin is a point to offset other points from, with the sine and cosine
+// of its latitude computed once. A caller that offsets many points from
+// one center — the client generator scatters every client of a metro
+// from it — pays for them once per center instead of once per point.
+type Origin struct {
+	Point          Point
+	sinLat, cosLat float64
+}
+
+// NewOrigin precomputes p's latitude terms.
+func NewOrigin(p Point) Origin {
+	lat := p.Lat * degToRad
+	return Origin{Point: p, sinLat: math.Sin(lat), cosLat: math.Cos(lat)}
+}
+
+// degToRad converts degrees to radians.
+const degToRad = math.Pi / 180
+
+// Offset returns the point dKm kilometers from the origin at the given
+// bearing in degrees, on the great circle through both. It computes each
+// sine and cosine once, with every operand, order and grouping of the
+// textbook formula, so the same bits come out as from evaluating it term
+// by term.
+func (o *Origin) Offset(dKm units.Kilometers, bearingDeg float64) Point {
 	br := bearingDeg * degToRad
-	lat1 := m.Point.Lat * degToRad
-	lon1 := m.Point.Lon * degToRad
+	lon1 := o.Point.Lon * degToRad
 	ad := dKm.Float() / EarthRadiusKm.Float()
-	lat2 := math.Asin(math.Sin(lat1)*math.Cos(ad) + math.Cos(lat1)*math.Sin(ad)*math.Cos(br))
-	lon2 := lon1 + math.Atan2(math.Sin(br)*math.Sin(ad)*math.Cos(lat1),
-		math.Cos(ad)-math.Sin(lat1)*math.Sin(lat2))
+	sinAd, cosAd := math.Sin(ad), math.Cos(ad)
+	lat2 := math.Asin(o.sinLat*cosAd + o.cosLat*sinAd*math.Cos(br))
+	lon2 := lon1 + math.Atan2(math.Sin(br)*sinAd*o.cosLat,
+		cosAd-o.sinLat*math.Sin(lat2))
 	// Normalize longitude into [-180, 180].
 	lonDeg := math.Mod(lon2/degToRad+540, 360) - 180
 	return Point{Lat: lat2 / degToRad, Lon: lonDeg}

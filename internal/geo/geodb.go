@@ -60,6 +60,6 @@ func (db *DB) Locate(id uint64, truth Point) Point {
 		// Lognormal with median MedianErrorKm and moderate spread.
 		dist = units.Kilometers(db.MedianErrorKm.Float() * rs.LogNormal(0, 0.75))
 	}
-	m := Metro{Point: truth}
-	return m.Offset(dist, bearing)
+	o := NewOrigin(truth)
+	return o.Offset(dist, bearing)
 }

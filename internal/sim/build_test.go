@@ -8,9 +8,10 @@ import (
 )
 
 // TestBuildWorldAllocsScaleWithResolvers pins the world build's client
-// walk as allocation-free: quadrupling the population may add only what
-// the larger population's extra resolvers cost (their names and catalog
-// entries), not anything per client.
+// walk as allocation-free per client: quadrupling the population may add
+// only what the larger population's extra resolvers cost (their names and
+// catalog entries) and its extra blocks' worker-pool dispatch, not
+// anything per client.
 func TestBuildWorldAllocsScaleWithResolvers(t *testing.T) {
 	measure := func(n int) float64 {
 		cfg := testutil.TinyConfig(44)

@@ -9,11 +9,11 @@ import (
 // parallelFor runs fn(worker, i) for i in [0, n), where worker in [0,
 // poolSize(n, workers)) names the goroutine running the call, so a phase
 // can keep one partial result per worker without locking. It is the
-// single worker-pool helper of the simulation core — the day loop
-// dispatches every parallel phase through it — so there is exactly one
-// clamping rule for Config.Workers (poolSize). A single worker runs
-// inline: no goroutines, no scheduling allocations — the serial path
-// replay tests compare against parallel runs byte for byte.
+// single worker-pool helper of the simulation core — the world build and
+// the day loop dispatch every parallel phase through it — so there is
+// exactly one clamping rule for Config.Workers (poolSize). A single
+// worker runs inline: no goroutines, no scheduling allocations — the
+// serial path replay tests compare against parallel runs byte for byte.
 //
 // Work is claimed from a shared atomic counter in blocks of claimBlock
 // consecutive indices, not handed out in one contiguous chunk per worker:

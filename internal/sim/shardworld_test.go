@@ -45,10 +45,6 @@ func TestBuildShardWorldStreamsIdentically(t *testing.T) {
 	if got := len(shardW.Population.Clients); got != hi-lo {
 		t.Fatalf("shard world holds %d clients, want %d", got, hi-lo)
 	}
-	if shardW.Population.TotalVolume != full.Population.TotalVolume {
-		t.Fatalf("shard world TotalVolume %v, want %v",
-			shardW.Population.TotalVolume, full.Population.TotalVolume)
-	}
 	for i, c := range shardW.Population.Clients {
 		if c != full.Population.Clients[lo+i] {
 			t.Fatalf("shard client %d differs from full client %d", i, lo+i)

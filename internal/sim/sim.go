@@ -56,9 +56,10 @@ type Config struct {
 	ISPs    *topology.ISPModelConfig
 	Mapper  *dns.MapperConfig
 	// Workers bounds simulation parallelism. 0 means GOMAXPROCS; Validate
-	// rejects negative values. Every parallel phase of the day loop runs
-	// on one worker pool (parallelFor): any non-positive count that
-	// reaches the pool behaves like 0.
+	// rejects negative values. Every parallel phase — the world build's
+	// client walk and each phase of the day loop — runs on one worker
+	// pool (parallelFor): any non-positive count that reaches the pool
+	// behaves like 0.
 	Workers int
 	// Scenario optionally injects deterministic fault events (front-end
 	// drains, BGP flaps, LDNS outages, latency inflation) into the run;
@@ -213,13 +214,15 @@ func BuildWorld(cfg Config) (*World, error) {
 // distributed run: identical to BuildWorld in every shared component, but
 // holding only the clients (and client→LDNS assignments) of [lo, hi) —
 // the change that keeps a worker's resident set proportional to its shard
-// rather than the whole population. The full population is still walked
-// transiently: the generator's sequential streams must advance past every
-// client, the population's TotalVolume covers all of it, and the LDNS
-// resolver catalog is interned in full-population order so resolver IDs —
-// which key the authority's geolocation draws — match the single-process
-// build exactly. StreamShard over the result, with the same [lo, hi),
-// reproduces the corresponding slice of StreamWorld record for record.
+// rather than the whole population. The full population is still walked:
+// the generator's sequential streams must advance past every client, and
+// the LDNS resolver catalog is interned in full-population order so
+// resolver IDs — which key the authority's geolocation draws — match the
+// single-process build exactly. A client outside [lo, hi) costs only
+// those streams and the draws its resolver key reads: its ISP, and its
+// position only when a public resolver serves it. StreamShard over the
+// result, with the same [lo, hi), reproduces the corresponding slice of
+// StreamWorld record for record.
 func BuildShardWorld(cfg Config, lo, hi int) (*World, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
@@ -241,19 +244,38 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	if cfg.Mapper != nil {
 		mapCfg = *cfg.Mapper
 	}
-	// One fused walk builds both range-limited structures: the generator
-	// visits every client transiently and the mapper observes each one, so
-	// a shard build pays one pass of draws, not two, and materializes
-	// nothing outside [lo, hi).
+	gen, err := clients.NewGenerator(w.Metros, w.ISPs,
+		clients.DefaultConfig(xrand.DeriveSeed(cfg.Seed, "clients"), cfg.Prefixes), lo, hi)
+	if err != nil {
+		return nil, fmt.Errorf("sim: generating clients: %w", err)
+	}
 	rm, err := dns.NewRangeMapper(w.ISPs, w.Metros, mapCfg, uint64(lo), uint64(hi))
 	if err != nil {
 		return nil, fmt.Errorf("sim: mapping LDNS: %w", err)
 	}
-	w.Population, err = clients.GenerateRange(w.Metros, w.ISPs,
-		clients.DefaultConfig(xrand.DeriveSeed(cfg.Seed, "clients"), cfg.Prefixes), lo, hi, rm.Observe)
-	if err != nil {
-		return nil, fmt.Errorf("sim: generating clients: %w", err)
+	// One walk builds both range-limited structures, a block at a time:
+	// the generator's sequential pass, then every client's draws and
+	// resolver key on the worker pool, then the block's keys interned in
+	// ID order. Every draw of the parallel step comes from the client's
+	// own substream, so the schedule changes nothing.
+	keys := make([]dns.ResolverKey, min(clients.BlockSize, cfg.Prefixes))
+	for {
+		blk, err := gen.Next()
+		if err != nil {
+			return nil, fmt.Errorf("sim: generating clients: %w", err)
+		}
+		if len(blk) == 0 {
+			break
+		}
+		parallelFor(len(blk), cfg.Workers, func(_, j int) {
+			gen.Draw(&blk[j])
+			keys[j] = rm.Key(&blk[j])
+		})
+		for j := range blk {
+			rm.Intern(blk[j].ID, keys[j])
+		}
 	}
+	w.Population = gen.Population()
 	w.Mapping = rm.Mapping()
 	w.Executor = &beacon.Executor{
 		Router:    w.Router,

@@ -96,10 +96,10 @@ func BenchmarkStreamDay(b *testing.B) {
 }
 
 // BenchmarkBuildWorld measures the world build of a 50k-prefix
-// population: the fused client walk (metro pick, placement, volume and
-// ISP draws) and the LDNS mapping it feeds, plus the population-free
-// components. ci.sh gates its allocations, which scale with resolvers,
-// not clients.
+// population on every core: the block walk (metro pick, placement,
+// volume and ISP draws) and the LDNS mapping it feeds, plus the
+// population-free components. ci.sh gates its allocations, which scale
+// with resolvers and blocks, not clients.
 func BenchmarkBuildWorld(b *testing.B) {
 	cfg := sim.DefaultConfig(25)
 	cfg.Prefixes = 50_000
@@ -111,6 +111,28 @@ func BenchmarkBuildWorld(b *testing.B) {
 		}
 		if len(w.Population.Clients) != cfg.Prefixes {
 			b.Fatalf("built %d clients, want %d", len(w.Population.Clients), cfg.Prefixes)
+		}
+	}
+}
+
+// BenchmarkBuildShardWorld measures one distributed worker's world on
+// one core: clients [100k, 200k) of a 400k-prefix population. A quarter
+// of the walk is owned clients, drawn in full; the rest are drawn only as
+// far as their resolver keys read. ci.sh gates its allocations with
+// BenchmarkBuildWorld's.
+func BenchmarkBuildShardWorld(b *testing.B) {
+	cfg := sim.DefaultConfig(25)
+	cfg.Prefixes = 400_000
+	cfg.Workers = 1
+	const lo, hi = 100_000, 200_000
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		w, err := sim.BuildShardWorld(cfg, lo, hi)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if len(w.Population.Clients) != hi-lo {
+			b.Fatalf("built %d clients, want %d", len(w.Population.Clients), hi-lo)
 		}
 	}
 }

@@ -181,23 +181,41 @@ func (s *Stream) Bool(p float64) bool {
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller).
-func (s *Stream) NormFloat64() float64 {
-	// Marsaglia polar method; rejects ~21% of pairs.
+func (s *Stream) NormFloat64() float64 { return s.Polar().Norm() }
+
+// LogNormal returns a log-normal variate with the given location mu and
+// scale sigma of the underlying normal.
+func (s *Stream) LogNormal(mu, sigma float64) float64 { return s.Polar().LogNormal(mu, sigma) }
+
+// Polar is one accepted pair of the Marsaglia polar method behind
+// NormFloat64: what its rejection loop leaves once the stream has moved
+// past the variate's draws. Splitting the loop from the evaluation lets a
+// caller advance a stream past a normal it may never read, paying for
+// the uniform draws alone and for the Log and Sqrt only if it does.
+type Polar struct {
+	u, q float64
+}
+
+// Polar runs NormFloat64's rejection loop: it draws the same Float64
+// pairs and leaves the stream where NormFloat64 would.
+func (s *Stream) Polar() Polar {
+	// Rejects ~21% of pairs.
 	for {
 		u := 2*s.Float64() - 1
 		v := 2*s.Float64() - 1
 		q := u*u + v*v
 		if q > 0 && q < 1 {
-			return u * math.Sqrt(-2*math.Log(q)/q)
+			return Polar{u: u, q: q}
 		}
 	}
 }
 
-// LogNormal returns a log-normal variate with the given location mu and
-// scale sigma of the underlying normal.
-func (s *Stream) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(mu + sigma*s.NormFloat64())
-}
+// Norm is the standard normal variate of the pair: NormFloat64's result
+// from the same draws.
+func (p Polar) Norm() float64 { return p.u * math.Sqrt(-2*math.Log(p.q)/p.q) }
+
+// LogNormal is LogNormal's result from the same draws.
+func (p Polar) LogNormal(mu, sigma float64) float64 { return math.Exp(mu + sigma*p.Norm()) }
 
 // Exp returns an exponential variate with the given mean. Mean must be > 0.
 func (s *Stream) Exp(mean float64) float64 {

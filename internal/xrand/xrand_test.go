@@ -123,6 +123,44 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
+// referenceNormFloat64 is NormFloat64 as one loop, before the rejection
+// loop and the evaluation were split apart.
+func referenceNormFloat64(s *Stream) float64 {
+	for {
+		u := 2*s.Float64() - 1
+		v := 2*s.Float64() - 1
+		q := u*u + v*v
+		if q > 0 && q < 1 {
+			return u * math.Sqrt(-2*math.Log(q)/q)
+		}
+	}
+}
+
+// TestPolarMatchesNormFloat64 pins the split draw as exact: over a
+// million variates, Polar followed by Norm (and by LogNormal) returns the
+// one-loop NormFloat64's bits and leaves the stream in its state, so a
+// caller that keeps the pair and never evaluates it reaches its next
+// draw at the same position.
+func TestPolarMatchesNormFloat64(t *testing.T) {
+	ref, got, logs, pairs := New(11), New(11), New(11), New(11)
+	for i := 0; i < 1_000_000; i++ {
+		want := referenceNormFloat64(ref)
+		if v := got.NormFloat64(); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("draw %d: NormFloat64 %v, one-loop reference %v", i, v, want)
+		}
+		if v, w := logs.LogNormal(0.3, 1.7), math.Exp(0.3+1.7*want); math.Float64bits(v) != math.Float64bits(w) {
+			t.Fatalf("draw %d: LogNormal %v, from the reference %v", i, v, w)
+		}
+		p := pairs.Polar()
+		if v := p.Norm(); math.Float64bits(v) != math.Float64bits(want) {
+			t.Fatalf("draw %d: Polar().Norm() %v, one-loop reference %v", i, v, want)
+		}
+		if *got != *ref || *logs != *ref || *pairs != *ref {
+			t.Fatalf("draw %d: stream states diverged from the reference", i)
+		}
+	}
+}
+
 func TestLogNormalPositive(t *testing.T) {
 	s := New(8)
 	for i := 0; i < 10000; i++ {
