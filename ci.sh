@@ -37,9 +37,11 @@
 #      worker/coordinator process boundary (the distsim frame reader
 #      with its matrix decoder, quantile sketches, and shard-day frames,
 #      whose last day carries each shard's analysis state), the
-#      gob-encoded Config and Done payloads, and the dot-product site
-#      search against its brute-force DistanceKm oracle, enough to replay
-#      the corpus and shake out shallow panics and inexact answers
+#      gob-encoded Config and Done payloads, the dot-product site
+#      search against its brute-force DistanceKm oracle, and the count
+#      draw's table kernels (xrand.Polar.Count) against the exact
+#      expression they stand in for, enough to replay the corpus and
+#      shake out shallow panics and inexact answers
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core (whose world build draws and keys each block of
 #      clients on the worker pool), the fault-injection layer, the client
@@ -64,8 +66,8 @@
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
 #      peering-ranking, per-client schedule, nearest-site, client-day
-#      beacon batch and warmed-Grouper regrouping benchmarks must report
-#      0 allocs/op, the world builds — BenchmarkBuildWorld, a 50k-prefix
+#      beacon batch, warmed-Grouper regrouping and a client's month of
+#      query counts benchmarks must report 0 allocs/op, the world builds — BenchmarkBuildWorld, a 50k-prefix
 #      population on every core, and BenchmarkBuildShardWorld, one
 #      distributed worker's [100k, 200k) of a 400k-prefix population on
 #      one core — must each stay under 10,000 allocs/op (the block walk
@@ -173,6 +175,7 @@ go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimiz
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
 go test -run '^$' -fuzz FuzzGobFrames -fuzztime 5s -fuzzminimizetime 200x ./internal/distsim/
 go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
+go test -run '^$' -fuzz FuzzPolarCount -fuzztime 5s ./internal/xrand/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/core/ ./internal/distsim/
@@ -192,7 +195,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkBuildWorld=10000,BenchmarkBuildShardWorld=10000 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkQueriesMonth=0,BenchmarkBuildWorld=10000,BenchmarkBuildShardWorld=10000 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

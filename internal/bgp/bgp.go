@@ -262,17 +262,24 @@ func (r *Router) churnClass(prefixID uint64) float64 {
 // given day (a BGP path change event). The schedule builder draws the
 // same event for every day and records it in each entry's switch bit.
 func (r *Router) SwitchedOnDay(c Client, day int) bool {
-	return r.switchedOnDay(r.churnClass(c.PrefixID), c.PrefixID, day)
+	return r.switchedOnDay(r.churnClass(c.PrefixID), r.churnPrefix(c.PrefixID), day)
+}
+
+// churnPrefix is the part of a client's switch-event substream derivation
+// that every day shares.
+func (r *Router) churnPrefix(prefixID uint64) uint64 {
+	return xrand.DeriveSeedL1(r.seed, labelChurnEvent, prefixID)
 }
 
 // switchedOnDay draws the day's switch event at the client's churn-class
-// rate, which the schedule builder derives once per client.
-func (r *Router) switchedOnDay(rate float64, prefixID uint64, day int) bool {
+// rate from its churnPrefix, both of which the schedule builder derives
+// once per client.
+func (r *Router) switchedOnDay(rate float64, prefix uint64, day int) bool {
 	if r.IsWeekend(day) {
 		rate *= r.cfg.WeekendFactor
 	}
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL2(r.seed, labelChurnEvent, prefixID, uint64(day)))
+	rs.Reseed(xrand.Extend(prefix, uint64(day)))
 	return rs.Bool(rate)
 }
 
@@ -382,9 +389,10 @@ func (r *Router) IngressSchedule(c Client, days int) []ScheduleEntry {
 // for callers (the streaming simulation) that pack all clients' schedules
 // into one flat array instead of holding a slice per client — and returns
 // the client's base ingress, BaseIngress's answer, which the schedule
-// starts from. The peering ranking and the churn class are computed once
-// here and reused for the base choice and every day, so extra simulated
-// days cost no extra ranking work (and no allocations). The ranking is
+// starts from. The peering ranking, the churn class and the switch
+// events' derivation prefix are computed once here and reused for the
+// base choice and every day, so extra simulated days cost no extra
+// ranking work (and no allocations). The ranking is
 // only scheduleDepth deep (deeper when the base choice reads more) until
 // a switch draw lands past it.
 func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.SiteID {
@@ -397,11 +405,11 @@ func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.Sit
 	} else {
 		base = r.baseIngressRanked(c, isp, ranked)
 	}
-	rate := r.churnClass(c.PrefixID)
+	rate, churn := r.churnClass(c.PrefixID), r.churnPrefix(c.PrefixID)
 	cur := base
 	for d := range out {
 		e := ScheduleEntry(0)
-		if r.switchedOnDay(rate, c.PrefixID, d) {
+		if r.switchedOnDay(rate, churn, d) {
 			next, ok := r.prefixIngress(ranked, c, d, cur)
 			if !ok {
 				// Past the prefix: rank every peering site (one weight

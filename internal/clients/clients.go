@@ -12,6 +12,7 @@ package clients
 
 import (
 	"fmt"
+	"math"
 
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/netaddr"
@@ -286,12 +287,29 @@ var labelClient = xrand.NewLabel("client")
 // clients entry point on the per-client-day hot path.
 var labelQueries = xrand.NewLabel("queries")
 
+// dailySigma is the lognormal sigma of a prefix's per-day activity noise.
+const dailySigma = 1.1
+
 // QueriesOnDay returns the number of search queries the prefix issues on a
 // simulation day: volume scaled by a weekday/weekend activity factor and
 // per-day noise. perVolumeQueries converts relative volume into queries.
 // The pointer receiver spares the per-client-day callers a copy of the
 // whole Client.
 func (c *Client) QueriesOnDay(seed uint64, day int, weekend bool, perVolumeQueries float64) int {
+	return c.QueriesFrom(c.QueriesPrefix(seed), day, weekend, perVolumeQueries)
+}
+
+// QueriesPrefix is the part of the client's QueriesOnDay substream
+// derivation that every day shares. A loop over the client's days derives
+// it once and passes it to QueriesFrom.
+func (c *Client) QueriesPrefix(seed uint64) uint64 {
+	return xrand.DeriveSeedL1(seed, labelQueries, c.ID)
+}
+
+// QueriesFrom is QueriesOnDay from the client's QueriesPrefix(seed).
+//
+//perf:hotpath
+func (c *Client) QueriesFrom(prefix uint64, day int, weekend bool, perVolumeQueries float64) int {
 	factor := 1.0
 	if weekend {
 		factor = 0.8 // search traffic dips on weekends
@@ -302,14 +320,20 @@ func (c *Client) QueriesOnDay(seed uint64, day int, weekend bool, perVolumeQueri
 	// Value-type stream: this runs once per client-day, and a heap
 	// *Stream here dominates the streaming loop's steady-state allocs.
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL2(seed, labelQueries, c.ID, uint64(day)))
-	noise := rs.LogNormal(0, 1.1)
-	n := c.Volume * perVolumeQueries * factor * noise
-	q := int(n)
-	// Probabilistically round the fraction so small-volume prefixes still
-	// query occasionally.
-	if rs.Float64() < n-float64(q) {
-		q++
-	}
-	return q
+	rs.Reseed(xrand.Extend(prefix, uint64(day)))
+	noise := rs.Polar()
+	// The fraction of the day's rate rounds up with that probability, so
+	// small-volume prefixes still query occasionally. Count evaluates
+	// the noise after the rounding draw; the evaluation draws nothing.
+	return noise.Count(c.Volume*perVolumeQueries*factor, dailySigma, rs.Float64())
+}
+
+// MaxQueriesPerVolume is the largest perVolumeQueries at which every count
+// QueriesOnDay can return fits in an int, for a population generated at
+// volumeSigma. The largest count is the largest volume, on a weekday, at
+// the largest daily noise: perVolumeQueries·exp((volumeSigma +
+// dailySigma)·xrand.MaxNorm), ≈ 1.464e16·perVolumeQueries at the
+// default VolumeSigma 2.0, which puts the bound at ≈ 629.99.
+func MaxQueriesPerVolume(volumeSigma float64) float64 {
+	return math.MaxInt / math.Exp((volumeSigma+dailySigma)*xrand.MaxNorm)
 }

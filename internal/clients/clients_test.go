@@ -8,6 +8,7 @@ import (
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/netaddr"
 	"anycastcdn/internal/topology"
+	"anycastcdn/internal/xrand"
 )
 
 func world(t *testing.T) ([]geo.Metro, *topology.ISPModel) {
@@ -193,6 +194,97 @@ func TestQueriesOnDay(t *testing.T) {
 		t.Fatalf("weekend/weekday ratio %.2f, want near 0.8", we/wd)
 	}
 }
+
+// referenceQueriesOnDay is QueriesOnDay as written before its count went
+// through xrand.Polar.Count: the full substream derivation, the noise from
+// LogNormal, and the rounding draw after it.
+func referenceQueriesOnDay(c *Client, seed uint64, day int, weekend bool, perVolumeQueries float64) int {
+	factor := 1.0
+	if weekend {
+		factor = 0.8
+	}
+	var rs xrand.Stream
+	rs.Reseed(xrand.DeriveSeedL2(seed, labelQueries, c.ID, uint64(day)))
+	noise := rs.LogNormal(0, 1.1)
+	n := c.Volume * perVolumeQueries * factor * noise
+	q := int(n)
+	if rs.Float64() < n-float64(q) {
+		q++
+	}
+	return q
+}
+
+// TestQueriesOnDayMatchesReference pins both forms of the count draw, the
+// direct QueriesOnDay and the prefix form a loop over a client's month
+// uses, to the reference expression on every client-day of a generated
+// population.
+func TestQueriesOnDayMatchesReference(t *testing.T) {
+	metros, isps := world(t)
+	pop, err := Generate(metros, isps, DefaultConfig(8, 3000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, pv := range []float64{1, 22, 1000} {
+		for i := range pop.Clients {
+			c := &pop.Clients[i]
+			prefix := c.QueriesPrefix(5)
+			for d := 0; d < 30; d++ {
+				weekend := d%7 == 3 || d%7 == 4
+				want := referenceQueriesOnDay(c, 5, d, weekend, pv)
+				if got := c.QueriesOnDay(5, d, weekend, pv); got != want {
+					t.Fatalf("client %d day %d at %v queries/volume: QueriesOnDay %d, reference %d", c.ID, d, pv, got, want)
+				}
+				if got := c.QueriesFrom(prefix, d, weekend, pv); got != want {
+					t.Fatalf("client %d day %d at %v queries/volume: QueriesFrom %d, reference %d", c.ID, d, pv, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMaxQueriesPerVolume checks the bound against the largest count the
+// draw can make, from the largest normal a pair on Float64's grid gives
+// (u = 2⁻⁵², v = 0): at the bound that count stays below 2^63, and 0.1%
+// past the bound it does not.
+func TestMaxQueriesPerVolume(t *testing.T) {
+	sigma := DefaultConfig(0, 0).VolumeSigma
+	limit := MaxQueriesPerVolume(sigma)
+	norm := math.Sqrt(208 * math.Ln2)
+	largest := func(pv float64) float64 {
+		return math.Exp(sigma*norm) * pv * math.Exp(dailySigma*norm)
+	}
+	if n := largest(limit); n >= math.MaxInt {
+		t.Fatalf("largest count %v at the bound %v overflows int", n, limit)
+	}
+	if n := largest(limit * 1.001); n < math.MaxInt {
+		t.Fatalf("largest count %v just past the bound %v still fits an int", n, limit)
+	}
+}
+
+// BenchmarkQueriesMonth draws one client's 30 daily counts the way the
+// managed schedule pass does: the queries prefix once, then one substream
+// and one Polar.Count per day. ci.sh pins it at 0 allocs/op.
+func BenchmarkQueriesMonth(b *testing.B) {
+	cl := make([]Client, 1024)
+	vs := xrand.New(1)
+	for i := range cl {
+		cl[i] = Client{ID: uint64(i), Volume: vs.LogNormal(0, DefaultConfig(0, 0).VolumeSigma)}
+	}
+	var sink int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		c := &cl[i%len(cl)]
+		prefix := c.QueriesPrefix(1)
+		for d := 0; d < 30; d++ {
+			sink += c.QueriesFrom(prefix, d, d%7 == 3 || d%7 == 4, 22)
+		}
+	}
+	benchSink = sink
+}
+
+// benchSink keeps the benchmarks' results live.
+var benchSink int
 
 func BenchmarkGenerate(b *testing.B) {
 	bb, err := topology.Build([]topology.SiteSpec{

@@ -103,7 +103,7 @@ func TestPointSetMatchesDistanceOracle(t *testing.T) {
 	label := xrand.NewLabel("pointset")
 	n := len(third)
 	for i := uint64(0); i < 100_000; i++ {
-		xrand.SubstreamInto(&rs, 7, label, i)
+		rs.Reseed(xrand.DeriveSeedL1(7, label, i))
 		// Every depth on one query in 32; the full ranking and one depth
 		// cycling through [0, n+1] on the rest.
 		if i%32 == 0 {

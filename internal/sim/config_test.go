@@ -40,6 +40,12 @@ func TestConfigValidate(t *testing.T) {
 		{"NaN beacon rate", mut(func(c *sim.Config) { c.BeaconSampleRate = math.NaN() }), "sample rate"},
 		{"NaN query rate", mut(func(c *sim.Config) { c.QueriesPerVolume = math.NaN() }), "quer"},
 		{"infinite query rate", mut(func(c *sim.Config) { c.QueriesPerVolume = math.Inf(1) }), "quer"},
+		{"default query rate", mut(func(c *sim.Config) { c.QueriesPerVolume = sim.DefaultConfig(1).QueriesPerVolume }), ""},
+		{"query rate of the queries-column test", mut(func(c *sim.Config) { c.QueriesPerVolume = 600 }), ""},
+		{"query rate just inside the overflow bound", mut(func(c *sim.Config) { c.QueriesPerVolume = 629 }), ""},
+		{"query rate just past the overflow bound", mut(func(c *sim.Config) { c.QueriesPerVolume = 631 }), "above 629.99"},
+		{"query rate overflowing counts", mut(func(c *sim.Config) { c.QueriesPerVolume = 1e18 }), "overflows an int"},
+		{"query rate overflowing every count", mut(func(c *sim.Config) { c.QueriesPerVolume = 1e300 }), "overflows an int"},
 		{"zero candidates means default", mut(func(c *sim.Config) { c.CandidateCount = 0 }), ""},
 		{"negative candidates", mut(func(c *sim.Config) { c.CandidateCount = -3 }), "candidate"},
 		{"gross-error rate above one", mut(func(c *sim.Config) { c.GeoGrossRate = 2 }), "gross-error rate"},

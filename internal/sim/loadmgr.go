@@ -152,12 +152,13 @@ const saturatedQueries = math.MaxUint16
 // in qs (one entry per schedule day), saturated at saturatedQueries. The
 // count is QueriesOnDay's, a pure function of the client and the day
 // before any fault scales it, so the day pass reads qs instead of drawing
-// it again.
+// it again. The client's queries prefix is derived once for the month.
 //
 //perf:hotpath
 func (a *loadAccum) add(m []float64, c *clients.Client, sched []bgp.ScheduleEntry, qs []uint16) {
+	prefix := c.QueriesPrefix(a.trafficSeed)
 	for d, e := range sched {
-		q := c.QueriesOnDay(a.trafficSeed, d, a.weekend[d], a.perVolume)
+		q := c.QueriesFrom(prefix, d, a.weekend[d], a.perVolume)
 		qs[d] = uint16(min(q, saturatedQueries))
 		m[d*a.cols+a.col[e.Ingress()]] += float64(q)
 	}

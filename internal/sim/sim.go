@@ -107,6 +107,13 @@ func (cfg Config) Validate() error {
 	if cfg.QueriesPerVolume < 0 {
 		return fmt.Errorf("sim: negative queries-per-volume %v", cfg.QueriesPerVolume)
 	}
+	// Past this bound the largest count a client-day can draw no longer
+	// fits an int, and converting it gives an implementation-defined
+	// (on amd64, negative) count.
+	if limit := clients.MaxQueriesPerVolume(clients.DefaultConfig(0, 0).VolumeSigma); cfg.QueriesPerVolume > limit {
+		return fmt.Errorf("sim: queries-per-volume %v above %.2f, where the largest daily count a client can draw overflows an int",
+			cfg.QueriesPerVolume, limit)
+	}
 	if cfg.BeaconSampleRate < 0 || cfg.BeaconSampleRate > 1 {
 		return fmt.Errorf("sim: beacon sample rate %v outside [0, 1]", cfg.BeaconSampleRate)
 	}

@@ -16,7 +16,7 @@ import (
 
 // Stream is a deterministic pseudo-random stream. The zero value is a valid
 // stream seeded with 0. Stream is not safe for concurrent use; derive one
-// stream per goroutine with Derive.
+// stream per goroutine or per entity from DeriveSeed.
 type Stream struct {
 	state uint64
 	inc   uint64
@@ -62,14 +62,22 @@ func hashLabel(label string) uint64 {
 }
 
 // DeriveSeed combines a root seed, a label, and any number of integer keys
-// into a new seed. It is the basis for per-entity substreams.
+// into a new seed. It is the basis for per-entity substreams: the label
+// starts the derivation and each key extends it (Extend), in order.
 func DeriveSeed(root uint64, label string, keys ...uint64) uint64 {
 	h := mix64(root ^ hashLabel(label))
 	for _, k := range keys {
-		h = mix64(h ^ mix64(k))
+		h = Extend(h, k)
 	}
 	return h
 }
+
+// Extend is the package's one derivation step: it extends a derived seed
+// by one more key. Every derivation is its label's seed extended by each
+// key in turn, so DeriveSeedL2(root, l, a, b) == Extend(DeriveSeedL1(root,
+// l, a), b), and a loop over one entity's days can derive the entity's
+// prefix once and extend it by each day.
+func Extend(h, k uint64) uint64 { return mix64(h ^ mix64(k)) }
 
 // Label is a precomputed label hash for the non-variadic DeriveSeed fast
 // paths. Hashing a label string costs a byte loop per call; hot paths that
@@ -82,11 +90,6 @@ type Label uint64
 // NewLabel precomputes the hash of a label string.
 func NewLabel(label string) Label { return Label(hashLabel(label)) }
 
-// Mix64 exposes the SplitMix64 finalizer used throughout seed derivation;
-// callers use it to build cheap deterministic hashes (e.g. cache shard
-// selection) that must not depend on process-randomized map hashing.
-func Mix64(x uint64) uint64 { return mix64(x) }
-
 // DeriveSeedL is the zero-key fast path of DeriveSeed: identical output,
 // no variadic slice, label hashed ahead of time.
 func DeriveSeedL(root uint64, label Label) uint64 {
@@ -95,53 +98,28 @@ func DeriveSeedL(root uint64, label Label) uint64 {
 
 // DeriveSeedL1 derives a seed from one key without variadic overhead.
 func DeriveSeedL1(root uint64, label Label, k1 uint64) uint64 {
-	return mix64(mix64(root^uint64(label)) ^ mix64(k1))
+	return Extend(DeriveSeedL(root, label), k1)
 }
 
 // DeriveSeedL2 derives a seed from two keys without variadic overhead.
 func DeriveSeedL2(root uint64, label Label, k1, k2 uint64) uint64 {
-	h := mix64(mix64(root^uint64(label)) ^ mix64(k1))
-	return mix64(h ^ mix64(k2))
+	return Extend(Extend(DeriveSeedL(root, label), k1), k2)
 }
 
 // DeriveSeedL3 derives a seed from three keys without variadic overhead.
 func DeriveSeedL3(root uint64, label Label, k1, k2, k3 uint64) uint64 {
-	h := mix64(mix64(root^uint64(label)) ^ mix64(k1))
-	h = mix64(h ^ mix64(k2))
-	return mix64(h ^ mix64(k3))
+	return Extend(Extend(Extend(DeriveSeedL(root, label), k1), k2), k3)
 }
 
 // DeriveSeedL4 derives a seed from four keys without variadic overhead.
 func DeriveSeedL4(root uint64, label Label, k1, k2, k3, k4 uint64) uint64 {
-	h := mix64(mix64(root^uint64(label)) ^ mix64(k1))
-	h = mix64(h ^ mix64(k2))
-	h = mix64(h ^ mix64(k3))
-	return mix64(h ^ mix64(k4))
-}
-
-// Derive returns a new independent stream identified by label and keys.
-// Streams derived with the same arguments from equal parents are identical.
-func (s *Stream) Derive(label string, keys ...uint64) *Stream {
-	return New(DeriveSeed(s.inc^s.state, label, keys...))
+	return Extend(Extend(Extend(Extend(DeriveSeedL(root, label), k1), k2), k3), k4)
 }
 
 // Substream returns a stream for (label, keys) derived from a root seed
 // without constructing an intermediate stream.
 func Substream(root uint64, label string, keys ...uint64) *Stream {
 	return New(DeriveSeed(root, label, keys...))
-}
-
-// SubstreamInto reseeds s to the substream Substream(root, label, keys...)
-// would return, without allocating. The label is a precomputed Label; s is
-// typically a stack-allocated Stream reused across many derivations.
-//
-//perf:hotpath
-func SubstreamInto(s *Stream, root uint64, label Label, keys ...uint64) {
-	h := mix64(root ^ uint64(label))
-	for _, k := range keys {
-		h = mix64(h ^ mix64(k))
-	}
-	s.Reseed(h)
 }
 
 // Uint64 returns the next 64 random bits.
@@ -168,11 +146,6 @@ func (s *Stream) Intn(n int) int {
 		panic("xrand: Intn with non-positive n")
 	}
 	return int(s.Uint64() % uint64(n))
-}
-
-// Int63 returns a non-negative int64.
-func (s *Stream) Int63() int64 {
-	return int64(s.Uint64() >> 1)
 }
 
 // Bool returns true with probability p.
@@ -209,6 +182,13 @@ func (s *Stream) Polar() Polar {
 		}
 	}
 }
+
+// MaxNorm bounds |Norm| over every pair the rejection loop can accept.
+// Float64 returns multiples of 2⁻⁵³, so u and v are multiples of 2⁻⁵² and
+// a positive q = u²+v² is at least 2⁻¹⁰⁴. As u² ≤ q, |Norm| =
+// |u|·√(−2 ln q/q) ≤ √(−2 ln q) ≤ √(208·ln 2) = 12.0072734.... The
+// constant rounds that up past the few ulps of Norm's float evaluation.
+const MaxNorm = 12.00728
 
 // Norm is the standard normal variate of the pair: NormFloat64's result
 // from the same draws.
@@ -321,54 +301,3 @@ func (p Picker) index(u float64) int {
 	}
 	return lo
 }
-
-// Zipf draws from a Zipf-like distribution over ranks [1, n] with exponent
-// alpha > 0 using inverse transform over the precomputed CDF in z.
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf builds a Zipf sampler over n ranks with exponent alpha.
-func NewZipf(n int, alpha float64) *Zipf {
-	if n <= 0 {
-		//lint:ignore nopanic mirrors math/rand.NewZipf's documented contract for drop-in compatibility
-		panic("xrand: NewZipf with non-positive n")
-	}
-	cdf := make([]float64, n)
-	var total float64
-	for i := 0; i < n; i++ {
-		total += math.Pow(float64(i+1), -alpha)
-		cdf[i] = total
-	}
-	for i := range cdf {
-		cdf[i] /= total
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Rank draws a rank in [0, n).
-func (z *Zipf) Rank(s *Stream) int {
-	u := s.Float64()
-	// Binary search for the first cdf entry >= u.
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// Weight returns the probability mass of rank i.
-func (z *Zipf) Weight(i int) float64 {
-	if i == 0 {
-		return z.cdf[0]
-	}
-	return z.cdf[i] - z.cdf[i-1]
-}
-
-// N returns the number of ranks.
-func (z *Zipf) N() int { return len(z.cdf) }

@@ -30,23 +30,6 @@ func TestSeedsDiverge(t *testing.T) {
 	}
 }
 
-func TestDeriveStable(t *testing.T) {
-	root := New(7)
-	x := root.Derive("latency", 3, 12).Uint64()
-	y := New(7).Derive("latency", 3, 12).Uint64()
-	if x != y {
-		t.Fatal("Derive is not stable across identical parents")
-	}
-	z := New(7).Derive("latency", 3, 13).Uint64()
-	if x == z {
-		t.Fatal("Derive did not differentiate on key")
-	}
-	w := New(7).Derive("volume", 3, 12).Uint64()
-	if x == w {
-		t.Fatal("Derive did not differentiate on label")
-	}
-}
-
 func TestDeriveIndependentOfDrawCount(t *testing.T) {
 	a := New(9)
 	a.Uint64()
@@ -248,49 +231,6 @@ func TestWeightedChoiceDegenerate(t *testing.T) {
 	}
 }
 
-func TestZipfSkew(t *testing.T) {
-	z := NewZipf(1000, 1.0)
-	s := New(15)
-	counts := make([]int, 1000)
-	const n = 100000
-	for i := 0; i < n; i++ {
-		counts[z.Rank(s)]++
-	}
-	if counts[0] <= counts[10] {
-		t.Fatalf("Zipf rank 0 (%d) should dominate rank 10 (%d)", counts[0], counts[10])
-	}
-	if counts[0] < n/20 {
-		t.Fatalf("Zipf rank 0 drew %d, expected a heavy head", counts[0])
-	}
-}
-
-func TestZipfWeightsSumToOne(t *testing.T) {
-	z := NewZipf(100, 0.9)
-	var sum float64
-	for i := 0; i < z.N(); i++ {
-		w := z.Weight(i)
-		if w <= 0 {
-			t.Fatalf("Zipf weight %d is non-positive: %v", i, w)
-		}
-		sum += w
-	}
-	if math.Abs(sum-1) > 1e-9 {
-		t.Fatalf("Zipf weights sum to %v, want 1", sum)
-	}
-}
-
-func TestZipfRankInRangeProperty(t *testing.T) {
-	z := NewZipf(37, 1.1)
-	f := func(seed uint64) bool {
-		s := New(seed)
-		r := z.Rank(s)
-		return r >= 0 && r < 37
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDeriveSeedAvalancheProperty(t *testing.T) {
 	// Flipping a single key bit should change the derived seed.
 	f := func(root, key uint64) bool {
@@ -328,33 +268,15 @@ func TestDeriveSeedFastPathsMatchVariadic(t *testing.T) {
 			{DeriveSeedL2(root, l, k[0], k[1]), DeriveSeed(root, "fastpath", k[0], k[1])},
 			{DeriveSeedL3(root, l, k[0], k[1], k[2]), DeriveSeed(root, "fastpath", k[0], k[1], k[2])},
 			{DeriveSeedL4(root, l, k[0], k[1], k[2], k[3]), DeriveSeed(root, "fastpath", k[0], k[1], k[2], k[3])},
+			{Extend(DeriveSeedL(root, l), k[0]), DeriveSeed(root, "fastpath", k[0])},
+			{Extend(DeriveSeedL1(root, l, k[0]), k[1]), DeriveSeed(root, "fastpath", k[0], k[1])},
+			{Extend(DeriveSeedL2(root, l, k[0], k[1]), k[2]), DeriveSeed(root, "fastpath", k[0], k[1], k[2])},
+			{Extend(DeriveSeedL3(root, l, k[0], k[1], k[2]), k[3]), DeriveSeed(root, "fastpath", k[0], k[1], k[2], k[3])},
 		}
 		for i, c := range cases {
 			if c.got != c.want {
-				t.Fatalf("root %d: fast path with %d keys derived %d, variadic derived %d", root, i, c.got, c.want)
+				t.Fatalf("root %d: fast path %d derived %d, variadic derived %d", root, i, c.got, c.want)
 			}
-		}
-	}
-}
-
-func TestSubstreamIntoMatchesSubstream(t *testing.T) {
-	l := NewLabel("into")
-	var s Stream
-	for root := uint64(0); root < 50; root++ {
-		SubstreamInto(&s, root, l, root, root*2)
-		want := Substream(root, "into", root, root*2)
-		for i := 0; i < 10; i++ {
-			if got, exp := s.Uint64(), want.Uint64(); got != exp {
-				t.Fatalf("root %d draw %d: SubstreamInto %d, Substream %d", root, i, got, exp)
-			}
-		}
-	}
-}
-
-func TestMix64MatchesInternal(t *testing.T) {
-	for x := uint64(0); x < 100; x++ {
-		if Mix64(x) != mix64(x) {
-			t.Fatalf("Mix64(%d) diverged from internal mix64", x)
 		}
 	}
 }
@@ -381,14 +303,6 @@ func BenchmarkUint64(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = s.Uint64()
-	}
-}
-
-func BenchmarkDerive(b *testing.B) {
-	s := New(1)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		_ = s.Derive("bench", uint64(i))
 	}
 }
 
