@@ -31,9 +31,15 @@
 #      writes), and the 4M-prefix x 30-day x 4-worker distributed smoke
 #      with its 2 GiB per-worker peak-RSS budget, then the benchmark
 #      module's own tests (perfbench is a nested module, so go test ./...
-#      skips it; they pin the three workloads' golden report digests)
-#   5. fuzz smoke: 5 seconds each on the /24 parser, the
-#      fault-scenario parser, the three readers of bytes that cross the
+#      skips it; they pin the three workloads' golden report digests),
+#      then, on amd64 only, the FMA-off golden gate: the experiments and
+#      distsim goldens and the perfbench digests again under
+#      GODEBUG=cpu.fma=off. math.Exp picks an FMA or a non-FMA path at
+#      run time there, and the two can differ in the last bit, so the
+#      outputs are byte-identical across machines only while rounding
+#      absorbs that difference; this step checks that it does
+#   5. fuzz smoke: 5 seconds each on the fault-scenario parser, the
+#      three readers of bytes that cross the
 #      worker/coordinator process boundary (the distsim frame reader
 #      with its matrix decoder, quantile sketches, and shard-day frames,
 #      whose last day carries each shard's analysis state), the
@@ -164,8 +170,15 @@ rm -rf ci_dist_out anycastsim.ci
 echo '== perfbench module tests (golden report digests of the benchmark workloads)'
 (cd perfbench && go test .)
 
+echo '== FMA-off golden gate (amd64 only: goldens and perfbench digests under GODEBUG=cpu.fma=off)'
+if [ "$(go env GOARCH)" = amd64 ]; then
+	GODEBUG=cpu.fma=off go test -count=1 -run Golden ./internal/experiments/ ./internal/distsim/
+	(cd perfbench && GODEBUG=cpu.fma=off go test -count=1 .)
+else
+	echo "GOARCH $(go env GOARCH) has no run-time FMA switch in math.Exp; skipped"
+fi
+
 echo '== fuzz smoke (5s per target)'
-go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing

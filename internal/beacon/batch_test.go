@@ -20,9 +20,11 @@ import (
 )
 
 // reference is a memo-free beacon execution: the authority's target
-// selection, then for every sample the unicast distance, the day RTT,
-// jitter and the timing model, each computed afresh. Every Batch must
-// reproduce it exactly.
+// selection from a stream derived from the root, then for every sample
+// the unicast distance by geo.DistanceKm (UnicastAssignment), the day
+// RTT, the jitter prefix, the browser's timing model and the sample's
+// draws, each computed afresh from the root. Every Batch must reproduce
+// it exactly.
 func reference(e *beacon.Executor, c *clients.Client, day int, assign bgp.Assignment, qid uint64) beacon.Measurement {
 	ldns := e.Faults.Resolver(e.Mapping.Resolver(c.ID), day)
 	var rs xrand.Stream
@@ -40,8 +42,9 @@ func reference(e *beacon.Executor, c *clients.Client, day int, assign bgp.Assign
 			Unicast:    a.Unicast,
 		}
 		key := qid*8 + slot
-		trueRTT := e.Latency.SampleRTTms(p, day, key) + extra
-		measured := e.Latency.MeasuredRTTms(trueRTT, c.ID, key)
+		jitter := e.Latency.JitterPrefix(p.PrefixID, p.EntryKey, day)
+		trueRTT := e.Latency.SampleFromDayRTTInto(&rs, e.Latency.DayRTTms(p, day), jitter, key) + extra
+		measured := e.Latency.MeasuredRTTmsInto(&rs, trueRTT, e.Latency.Browser(c.ID), key)
 		return beacon.TargetSample{Site: a.FrontEnd, RTTms: units.Millis(math.Round(measured.Float()))}
 	}
 	m := beacon.Measurement{
@@ -61,9 +64,9 @@ func reference(e *beacon.Executor, c *clients.Client, day int, assign bgp.Assign
 // TestBatchMatchesReference streams a month under an LDNS outage, a
 // regional inflation and a front-end drain, and checks every measurement
 // the day loop's batches produced against the memo-free reference and
-// against one Batch reused across every client-day in turn. At 64
-// candidates most unicast targets rank past the memo and take the
-// overflow path.
+// against one Batch reused across every client-day in turn, and each
+// query ID against its derivation from the root. At 64 candidates most
+// unicast targets rank past the memo and take the overflow path.
 func TestBatchMatchesReference(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
@@ -97,14 +100,19 @@ func TestBatchMatchesReference(t *testing.T) {
 			clientDays, outages, inflated, drained, overflowed := 0, 0, 0, 0, 0
 			err = sim.StreamWorld(cfg, w, func(d sim.DayResult) error {
 				var cur *clients.Client
+				var k uint64
 				for _, m := range d.Beacons {
 					c := w.Population.Client(m.ClientID)
 					assign := d.Assignments[m.ClientID-w.Population.Base]
 					if c != cur {
-						cur = c
+						cur, k = c, 0
 						reused.Start(e, *c, d.Day, assign)
 						clientDays++
 					}
+					if want := xrand.DeriveSeed(cfg.Seed, "qid", c.ID, uint64(d.Day), k); m.QueryID != want {
+						t.Fatalf("day %d client %d beacon %d: query ID %d, derived from the root %d", d.Day, c.ID, k, m.QueryID, want)
+					}
+					k++
 					if want := reference(e, c, d.Day, assign, m.QueryID); m != want {
 						t.Fatalf("day %d query %d: batch measured %+v, reference %+v", d.Day, m.QueryID, m, want)
 					}

@@ -11,7 +11,7 @@
 //     (so samples reflect only the client↔front-end path);
 //   - browsers supporting the W3C Resource Timing API report accurate
 //     timings; others report positively biased primitive timings
-//     (latency.Model.MeasuredRTTms).
+//     (latency.Model.MeasuredRTTmsInto).
 package beacon
 
 import (
@@ -131,10 +131,12 @@ const memoCols = 1 + dns.DefaultCandidates
 
 // Batch executes one client-day's beacons, doing each piece of the
 // client-day's work once. Start resolves the day's LDNS, its candidate
-// list and the prefix's last mile. Each path's household-independent
-// day-RTT terms (latency.PathDay) are memoized by column, where column 0
-// is the day's anycast path and column 1+r the unicast path to the
-// candidate of rank r, and each household's last mile by household.
+// list, the prefix's last mile, the client's browser (latency.Browser),
+// the client's unicast terms (bgp.UnicastClient) and the beacon seed's
+// derivation prefix. Each path's household-independent day-RTT terms
+// (latency.PathDay) and jitter prefix are memoized by column, where
+// column 0 is the day's anycast path and column 1+r the unicast path to
+// the candidate of rank r, and each household's last mile by household.
 // Within one (client, day, assignment) a column fixes the path, so a day
 // RTT is the sum of two memo entries: a hit skips the unicast distance
 // and every day-RTT draw, and only the per-sample jitter and
@@ -147,20 +149,27 @@ const memoCols = 1 + dns.DefaultCandidates
 type Batch struct {
 	e      *Executor
 	rc     bgp.Client
+	uc     bgp.UnicastClient
 	region geo.Region
 	day    int
 	assign bgp.Assignment
 	ldns   dns.LDNSID
 	cands  []topology.SiteID
 	extra  units.Millis
+	// beacon is the derivation prefix of every execution's
+	// target-selection stream, which the query ID extends.
+	beacon  uint64
+	browser latency.Browser
 	// lastMile is the prefix's latency.Model.LastMileMs; hh[h] holds
 	// household h's HouseholdLastMileMs once hhSet[h].
 	lastMile units.Millis
 	hhSet    [householdsPerPrefix]bool
 	hh       [householdsPerPrefix]units.Millis
-	// paths[c] holds column c's terms once pathSet[c].
+	// paths[c] and jitter[c] hold column c's terms and its
+	// latency.Model.JitterPrefix once pathSet[c].
 	pathSet [memoCols]bool
 	paths   [memoCols]latency.PathDay
+	jitter  [memoCols]uint64
 }
 
 // Start points b at client c's beacons on day, with assign the day's
@@ -169,16 +178,23 @@ type Batch struct {
 //perf:hotpath
 func (b *Batch) Start(e *Executor, c clients.Client, day int, assign bgp.Assignment) {
 	ldns := e.Faults.Resolver(e.Mapping.Resolver(c.ID), day)
+	rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
 	*b = Batch{
 		e:      e,
-		rc:     bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP},
+		rc:     rc,
+		uc:     e.Router.UnicastClient(rc),
 		region: c.Region,
 		day:    day,
 		assign: assign,
 		ldns:   ldns.ID,
 		cands:  e.Authority.Candidates(ldns),
 		// An inflate event adds latency to every sample of the region.
-		extra:    e.Faults.InflationMs(c.Region, day),
+		extra:  e.Faults.InflationMs(c.Region, day),
+		beacon: xrand.DeriveSeedL(e.Seed, labelBeacon),
+		// Browser timing fidelity is a property of the client, keyed by
+		// the client prefix (households keep their browser for the study
+		// window).
+		browser:  e.Latency.Browser(c.ID),
 		lastMile: e.Latency.LastMileMs(c.ID),
 	}
 }
@@ -191,8 +207,8 @@ func (b *Batch) Run(queryID uint64) Measurement {
 	// DNS target-selection stream, then (reseeded per sample) as scratch
 	// for all four latency samples.
 	var rs xrand.Stream
-	rs.Reseed(xrand.DeriveSeedL1(b.e.Seed, labelBeacon, queryID))
-	ranks := dns.TargetRanks(len(b.cands), &rs)
+	rs.Reseed(xrand.Extend(b.beacon, queryID))
+	ranks := b.e.Authority.TargetRanks(&rs)
 	m := b.measurement(queryID)
 	m.Anycast = b.sample(&rs, 0, queryID, 0)
 	for i, r := range ranks {
@@ -227,11 +243,12 @@ func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSa
 		a = bgp.Assignment{Ingress: site, FrontEnd: site, Unicast: true}
 	}
 	var pd latency.PathDay
+	var jitter uint64
 	if col < memoCols && b.pathSet[col] {
-		pd = b.paths[col]
+		pd, jitter = b.paths[col], b.jitter[col]
 	} else {
 		if col > 0 {
-			a = b.e.Router.UnicastAssignment(b.rc, a.FrontEnd)
+			a = b.e.Router.UnicastAssignmentFrom(&b.uc, a.FrontEnd)
 		}
 		pd = b.e.Latency.PathDayOf(latency.Path{
 			PrefixID:   b.rc.PrefixID,
@@ -240,8 +257,9 @@ func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSa
 			BackboneKm: a.BackboneKm,
 			Unicast:    a.Unicast,
 		}, b.day)
+		jitter = b.e.Latency.JitterPrefix(b.rc.PrefixID, uint64(a.Ingress), b.day)
 		if col < memoCols {
-			b.paths[col], b.pathSet[col] = pd, true
+			b.paths[col], b.jitter[col], b.pathSet[col] = pd, jitter, true
 		}
 	}
 	h := queryID % householdsPerPrefix
@@ -249,10 +267,8 @@ func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSa
 		b.hh[h], b.hhSet[h] = b.e.Latency.HouseholdLastMileMs(b.lastMile, b.rc.PrefixID, h), true
 	}
 	sampleKey := queryID*8 + slot
-	trueRTT := b.e.Latency.SampleFromDayRTTInto(rs, pd.DayRTTms(b.hh[h]), b.rc.PrefixID, uint64(a.Ingress), b.day, sampleKey) + b.extra
-	// Browser timing fidelity is a property of the client, keyed by the
-	// client prefix (households keep their browser for the study window).
-	measured := b.e.Latency.MeasuredRTTmsInto(rs, trueRTT, b.rc.PrefixID, sampleKey)
+	trueRTT := b.e.Latency.SampleFromDayRTTInto(rs, pd.DayRTTms(b.hh[h]), jitter, sampleKey) + b.extra
+	measured := b.e.Latency.MeasuredRTTmsInto(rs, trueRTT, b.browser, sampleKey)
 	// Browser timings are reported at millisecond granularity; the
 	// analysis in §5-6 sees integer-ms latencies.
 	return TargetSample{

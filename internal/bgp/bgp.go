@@ -150,6 +150,9 @@ type Router struct {
 	// forms, which prefixIngress reads instead of ranking every site.
 	switchWeights []float64
 	switchSums    []float64
+	// origins[s] is site s's metro point with its latitude terms, which
+	// the unicast distances of UnicastAssignmentFrom read.
+	origins []geo.Origin
 }
 
 // NewRouter builds a router over the given backbone and ISP model.
@@ -159,7 +162,11 @@ func NewRouter(b *topology.Backbone, isps *topology.ISPModel, seed uint64, cfg C
 	}
 	n := len(b.PeeringSites())
 	r := &Router{backbone: b, isps: isps, cfg: cfg, seed: seed,
-		switchWeights: make([]float64, n), switchSums: make([]float64, n+1)}
+		switchWeights: make([]float64, n), switchSums: make([]float64, n+1),
+		origins: make([]geo.Origin, b.NumSites())}
+	for i := range r.origins {
+		r.origins[i] = geo.NewOrigin(b.Site(topology.SiteID(i)).Metro.Point)
+	}
 	w := 1.0
 	for j := range r.switchWeights {
 		r.switchWeights[j] = w
@@ -198,7 +205,8 @@ func (r *Router) BaseIngress(c Client) topology.SiteID {
 		// Nearest hub to the client among the ISP's hub set. With one hub
 		// this is the paper's Moscow→Stockholm pathology whenever the hub
 		// is far from the client.
-		return r.nearestHub(c, isp)
+		hub, _ := r.nearestHub(c, isp)
+		return hub
 	}
 	var rbuf [rankBufSites]topology.SiteID
 	return r.baseIngressRanked(c, isp, r.backbone.RankPeeringByAirInto(c.Point, r.baseDepth(isp), rbuf[:0]))
@@ -401,7 +409,7 @@ func (r *Router) IngressScheduleInto(c Client, out []ScheduleEntry) topology.Sit
 	ranked := r.backbone.RankPeeringByAirInto(c.Point, max(scheduleDepth, r.baseDepth(isp)), rbuf[:0])
 	var base topology.SiteID
 	if isp.Policy == topology.Centralized {
-		base = r.nearestHub(c, isp)
+		base, _ = r.nearestHub(c, isp)
 	} else {
 		base = r.baseIngressRanked(c, isp, ranked)
 	}
@@ -476,32 +484,75 @@ func (r *Router) AssignExcluding(c Client, ingress topology.SiteID, excludedFE f
 // through the hub too and shares anycast's fate.
 func (r *Router) UnicastAssignment(c Client, fe topology.SiteID) Assignment {
 	airKm := geo.DistanceKm(c.Point, r.site(fe))
-	if int(c.ISP) < r.isps.Len() {
-		isp := r.isps.ISP(c.ISP)
-		if isp.Policy == topology.Centralized && isp.SingleInterconnect {
-			hub := r.nearestHub(c, isp)
-			airKm = geo.DistanceKm(c.Point, r.site(hub)) +
-				geo.DistanceKm(r.site(hub), r.site(fe))
-		}
+	if r.hubbed(c) {
+		hub, _ := r.nearestHub(c, r.isps.ISP(c.ISP))
+		airKm = geo.DistanceKm(c.Point, r.site(hub)) +
+			geo.DistanceKm(r.site(hub), r.site(fe))
 	}
-	return Assignment{
-		Ingress:    fe,
-		FrontEnd:   fe,
-		AirKm:      airKm,
-		BackboneKm: 0,
-		Unicast:    true,
-	}
+	return unicast(fe, airKm)
 }
 
-// nearestHub returns the ISP hub nearest to the client.
-func (r *Router) nearestHub(c Client, isp topology.ISP) topology.SiteID {
+// hubbed reports whether the client's ISP hauls its unicast paths through
+// its hub: a centralized ISP with a single interconnect.
+func (r *Router) hubbed(c Client) bool {
+	if int(c.ISP) >= r.isps.Len() {
+		return false
+	}
+	isp := r.isps.ISP(c.ISP)
+	return isp.Policy == topology.Centralized && isp.SingleInterconnect
+}
+
+// unicast is the unicast assignment to fe over a path of airKm.
+func unicast(fe topology.SiteID, airKm units.Kilometers) Assignment {
+	return Assignment{Ingress: fe, FrontEnd: fe, AirKm: airKm, Unicast: true}
+}
+
+// UnicastClient is the part of UnicastAssignment that depends on the
+// client alone: its point's latitude terms and, for a client whose ISP
+// hauls unicast through its hub, that hub and the distance to it. A
+// caller measuring one client against several front-ends computes it once
+// (Router.UnicastClient) and resolves each front-end with
+// UnicastAssignmentFrom.
+type UnicastClient struct {
+	origin geo.Origin
+	// hub is InvalidSite unless the client's paths detour through it.
+	hub   topology.SiteID
+	hubKm units.Kilometers
+}
+
+// UnicastClient precomputes c's UnicastClient.
+//
+//perf:hotpath
+func (r *Router) UnicastClient(c Client) UnicastClient {
+	u := UnicastClient{origin: geo.NewOrigin(c.Point), hub: topology.InvalidSite}
+	if r.hubbed(c) {
+		u.hub, u.hubKm = r.nearestHub(c, r.isps.ISP(c.ISP))
+	}
+	return u
+}
+
+// UnicastAssignmentFrom is UnicastAssignment(c, fe) for the client whose
+// UnicastClient is u, bit for bit: the same hub, and each distance by
+// geo.Origin.DistanceKm, which returns geo.DistanceKm's bits.
+//
+//perf:hotpath
+func (r *Router) UnicastAssignmentFrom(u *UnicastClient, fe topology.SiteID) Assignment {
+	if u.hub == topology.InvalidSite {
+		return unicast(fe, u.origin.DistanceKm(&r.origins[fe]))
+	}
+	return unicast(fe, u.hubKm+r.origins[u.hub].DistanceKm(&r.origins[fe]))
+}
+
+// nearestHub returns the ISP hub nearest to the client and the client's
+// distance to it.
+func (r *Router) nearestHub(c Client, isp topology.ISP) (topology.SiteID, units.Kilometers) {
 	best, bestD := isp.Hubs[0], geo.DistanceKm(c.Point, r.site(isp.Hubs[0]))
 	for _, h := range isp.Hubs[1:] {
 		if d := geo.DistanceKm(c.Point, r.site(h)); d < bestD {
 			best, bestD = h, d
 		}
 	}
-	return best
+	return best, bestD
 }
 
 func (r *Router) site(id topology.SiteID) geo.Point {

@@ -5,8 +5,10 @@ import (
 	"testing"
 	"time"
 
+	"anycastcdn/internal/cdn"
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/topology"
+	"anycastcdn/internal/xrand"
 )
 
 func buildWorld(t *testing.T) (*topology.Backbone, *topology.ISPModel) {
@@ -179,6 +181,53 @@ func TestUnicastAssignment(t *testing.T) {
 	want := geo.DistanceKm(boston.Point, b.Site(fe).Metro.Point)
 	if math.Abs(a.AirKm.Float()-want.Float()) > 1e-9 {
 		t.Fatalf("unicast air distance %v, want %v", a.AirKm, want)
+	}
+}
+
+// TestUnicastAssignmentFromMatchesUnicastAssignment checks the
+// precomputed unicast path against UnicastAssignment, bit for bit, for
+// clients of every ISP of the default deployment's model (every policy,
+// single-interconnect centralized ISPs and multi-hub ones included) and
+// of an ISP outside the model, at every front-end.
+func TestUnicastAssignmentFromMatchesUnicastAssignment(t *testing.T) {
+	dep, err := cdn.BuildDefault()
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := dep.Backbone
+	isps := topology.BuildISPs(b, geo.World(), topology.DefaultISPModelConfig(1))
+	r := NewRouter(b, isps, 42, DefaultConfig())
+	fes := b.FrontEnds()
+	rs := xrand.New(5)
+	hubbedClients, multiHub := 0, 0
+	for id := 0; id <= isps.Len(); id++ {
+		if id < isps.Len() {
+			isp := isps.ISP(topology.ISPID(id))
+			if isp.Policy == topology.Centralized && isp.SingleInterconnect && len(isp.Hubs) > 1 {
+				multiHub++
+			}
+		}
+		for k := 0; k < 8; k++ {
+			c := Client{
+				PrefixID: uint64(id*8 + k),
+				Point:    geo.Point{Lat: rs.Float64()*140 - 60, Lon: rs.Float64()*360 - 180},
+				ISP:      topology.ISPID(id),
+			}
+			u := r.UnicastClient(c)
+			if u.hub != topology.InvalidSite {
+				hubbedClients++
+			}
+			for _, fe := range fes {
+				want := r.UnicastAssignment(c, fe)
+				got := r.UnicastAssignmentFrom(&u, fe)
+				if got != want || math.Float64bits(got.AirKm.Float()) != math.Float64bits(want.AirKm.Float()) {
+					t.Fatalf("ISP %d client %v front-end %d: precomputed %+v, UnicastAssignment %+v", id, c.Point, fe, got, want)
+				}
+			}
+		}
+	}
+	if hubbedClients == 0 || multiHub == 0 {
+		t.Fatalf("%d clients detoured through a hub, %d single-interconnect ISPs have several hubs; want both", hubbedClients, multiHub)
 	}
 }
 

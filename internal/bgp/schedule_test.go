@@ -139,7 +139,7 @@ func referenceSchedule(r *Router, c Client, days int) ([]ScheduleEntry, topology
 	ranked := r.backbone.RankPeeringByAir(c.Point)
 	var base topology.SiteID
 	if isp.Policy == topology.Centralized {
-		base = r.nearestHub(c, isp)
+		base, _ = r.nearestHub(c, isp)
 	} else {
 		base = r.baseIngressRanked(c, isp, ranked)
 	}

@@ -310,17 +310,18 @@ func (m *Mapping) Resolver(clientID uint64) LDNS {
 // candidate plus two distance-weighted random picks.
 //
 // Safe for concurrent use: the per-LDNS candidate cache is guarded by mu;
-// the deployment, geo database, front-end set and candidate count are
-// read-only after construction. mu is a leaf lock — never held across the
-// geolocation or distance computations, or while acquiring any other
-// mutex — so it imposes no acquisition order.
+// the deployment, geo database, front-end set, candidate count and rank
+// tables are read-only after construction. mu is a leaf lock — never held
+// across the geolocation or distance computations, or while acquiring any
+// other mutex — so it imposes no acquisition order.
 type Authority struct {
 	dep   *cdn.Deployment
 	geoDB *geo.DB
 	// feSet holds the front-end metros in dep.FrontEnds order.
 	feSet *geo.PointSet
-	// CandidateCount is the candidate set size (10 in the paper).
-	CandidateCount int
+	// candidates is the candidate set size (10 in the paper).
+	candidates int
+	ranks      rankTables
 
 	mu    sync.RWMutex
 	cache map[LDNSID][]topology.SiteID
@@ -342,11 +343,14 @@ func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB, candidates int) *Authority
 		pts[i] = dep.Backbone.Site(fe.Site).Metro.Point
 	}
 	return &Authority{
-		dep:            dep,
-		geoDB:          geoDB,
-		feSet:          geo.NewPointSet(pts),
-		CandidateCount: candidates,
-		cache:          map[LDNSID][]topology.SiteID{},
+		dep:        dep,
+		geoDB:      geoDB,
+		feSet:      geo.NewPointSet(pts),
+		candidates: candidates,
+		// RankInto returns min(candidates, front-ends) sites for every
+		// LDNS, so every candidate list has this length.
+		ranks: newRankTables(min(candidates, len(pts))),
+		cache: map[LDNSID][]topology.SiteID{},
 	}
 }
 
@@ -362,7 +366,7 @@ func (a *Authority) Candidates(l LDNS) []topology.SiteID {
 	}
 	believed := a.geoDB.Locate(ldnsGeoKey(l.ID), l.Point)
 	fes := a.dep.FrontEnds
-	order := a.feSet.RankInto(believed, a.CandidateCount, nil)
+	order := a.feSet.RankInto(believed, a.candidates, nil)
 	sites = make([]topology.SiteID, len(order))
 	for i, k := range order {
 		sites[i] = fes[k].Site
@@ -391,41 +395,79 @@ type BeaconTargets struct {
 // with higher probability than the 4th closest").
 func (a *Authority) SelectBeaconTargets(l LDNS, rs *xrand.Stream) BeaconTargets {
 	cands := a.Candidates(l)
-	r := TargetRanks(len(cands), rs)
+	r := a.TargetRanks(rs)
 	return BeaconTargets{Closest: cands[r[0]], Random: [2]topology.SiteID{cands[r[1]], cands[r[2]]}}
 }
 
-// TargetRanks is SelectBeaconTargets' choice over a candidate list of n
-// (at least one) sites, as ranks into the list: the closest (rank 0),
-// then the two weighted-random alternates. A caller that already holds
-// the list gets the same targets from the same draws.
+// TargetRanks is SelectBeaconTargets' choice as ranks into the LDNS's
+// candidate list, which has the same length for every LDNS: the closest
+// (rank 0), then the two weighted-random alternates. A caller that
+// already holds the list gets the same targets from the same draws.
 //
 //perf:hotpath
-func TargetRanks(n int, rs *xrand.Stream) [3]int {
-	if n == 1 {
+func (a *Authority) TargetRanks(rs *xrand.Stream) [3]int {
+	t := &a.ranks
+	if t.n <= 1 {
 		return [3]int{0, 0, 0}
 	}
-	// Inverse-rank weights over the candidates after the closest.
-	// Candidate sets are small (Config.CandidateCount, default 10), so
-	// the weights live in a stack buffer: this runs once per beacon
-	// execution and was a top-five allocation site of a simulated month.
-	var wbuf [16]float64
-	var weights []float64
-	if n-1 <= len(wbuf) {
-		weights = wbuf[:n-1]
-	} else {
-		weights = make([]float64, n-1)
+	u := rs.Float64()
+	var v float64
+	if t.n > 2 {
+		v = rs.Float64()
 	}
+	return t.at(u, v)
+}
+
+// rankTables hold the choice of a beacon's two alternates over an
+// n-candidate list, made once instead of per beacon. The alternates are
+// drawn by xrand.WeightedChoice over inverse-rank weights — rank r of
+// ranks 1..n-1 weighs 1/(r+1) — the second with the first's weight
+// zeroed. first is an xrand.Picker over those weights, and second[j] one
+// over them with weight j zeroed. A Picker returns WeightedChoice's
+// index from the same single Float64 draw, zero weights included, so
+// the tables draw what WeightedChoice would and answer the same ranks.
+type rankTables struct {
+	n      int
+	first  xrand.Picker
+	second []xrand.Picker
+}
+
+// newRankTables builds the tables for an n-candidate list. With n = 2 the
+// second alternate is rank 1 without a draw, and with n ≤ 1 neither is
+// drawn, so neither builds a table it would not read.
+func newRankTables(n int) rankTables {
+	t := rankTables{n: n}
+	if n < 2 {
+		return t
+	}
+	weights := make([]float64, n-1)
 	for i := range weights {
 		weights[i] = 1 / float64(i+2) // rank i+1 is the (i+2)-th closest
 	}
-	first := rs.WeightedChoice(weights)
+	t.first, _ = xrand.NewPicker(weights)
 	if n == 2 {
+		return t
+	}
+	t.second = make([]xrand.Picker, n-1)
+	for j := range t.second {
+		w := weights[j]
+		weights[j] = 0
+		t.second[j], _ = xrand.NewPicker(weights)
+		weights[j] = w
+	}
+	return t
+}
+
+// at returns the ranks of the closest candidate and the alternates drawn
+// at u and, with more than two candidates, v; n must be at least 2.
+//
+//perf:hotpath
+func (t *rankTables) at(u, v float64) [3]int {
+	first := t.first.Index(u)
+	if t.n == 2 {
 		return [3]int{0, first + 1, 1}
 	}
-	weights[first] = 0
-	second := rs.WeightedChoice(weights)
-	return [3]int{0, first + 1, second + 1}
+	return [3]int{0, first + 1, t.second[first].Index(v) + 1}
 }
 
 // QueryRecord is one authoritative DNS log entry; the backend joins these

@@ -38,13 +38,16 @@ func (p Point) String() string {
 // DistanceKm returns the great-circle (haversine) distance between two
 // points in kilometers.
 func DistanceKm(a, b Point) units.Kilometers {
-	lat1 := a.Lat * degToRad
-	lat2 := b.Lat * degToRad
+	return haversineKm(a, b, math.Cos(a.Lat*degToRad), math.Cos(b.Lat*degToRad))
+}
+
+// haversineKm is DistanceKm given the cosines of both latitudes.
+func haversineKm(a, b Point, cosLat1, cosLat2 float64) units.Kilometers {
 	dLat := (b.Lat - a.Lat) * degToRad
 	dLon := (b.Lon - a.Lon) * degToRad
 	sinLat := math.Sin(dLat / 2)
 	sinLon := math.Sin(dLon / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	h := sinLat*sinLat + cosLat1*cosLat2*sinLon*sinLon
 	if h > 1 {
 		h = 1
 	}
@@ -85,10 +88,11 @@ func (m Metro) Offset(dKm units.Kilometers, bearingDeg float64) Point {
 	return o.Offset(dKm, bearingDeg)
 }
 
-// Origin is a point to offset other points from, with the sine and cosine
-// of its latitude computed once. A caller that offsets many points from
-// one center — the client generator scatters every client of a metro
-// from it — pays for them once per center instead of once per point.
+// Origin is a point to offset other points from or measure distances to,
+// with the sine and cosine of its latitude computed once. A caller that
+// offsets many points from one center — the client generator scatters
+// every client of a metro from it — or measures one point against many
+// pays for them once per point instead of once per call.
 type Origin struct {
 	Point          Point
 	sinLat, cosLat float64
@@ -119,4 +123,11 @@ func (o *Origin) Offset(dKm units.Kilometers, bearingDeg float64) Point {
 	// Normalize longitude into [-180, 180].
 	lonDeg := math.Mod(lon2/degToRad+540, 360) - 180
 	return Point{Lat: lat2 / degToRad, Lon: lonDeg}
+}
+
+// DistanceKm returns the great-circle distance from o to p:
+// DistanceKm(o.Point, p.Point), bit for bit, with both latitude cosines
+// read from the origins instead of computed.
+func (o *Origin) DistanceKm(p *Origin) units.Kilometers {
+	return haversineKm(o.Point, p.Point, o.cosLat, p.cosLat)
 }

@@ -171,6 +171,72 @@ func TestOffsetMatchesReference(t *testing.T) {
 	}
 }
 
+// referenceDistanceKm is the textbook haversine, both latitude cosines
+// computed in the expression; clamped reports whether h rounded past 1.
+func referenceDistanceKm(a, b Point) (km units.Kilometers, clamped bool) {
+	const degToRad = math.Pi / 180
+	lat1 := a.Lat * degToRad
+	lat2 := b.Lat * degToRad
+	dLat := (b.Lat - a.Lat) * degToRad
+	dLon := (b.Lon - a.Lon) * degToRad
+	sinLat := math.Sin(dLat / 2)
+	sinLon := math.Sin(dLon / 2)
+	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLon*sinLon
+	if h > 1 {
+		h, clamped = 1, true
+	}
+	return units.Kilometers(2 * EarthRadiusKm.Float() * math.Asin(math.Sqrt(h))), clamped
+}
+
+// TestOriginDistanceMatchesReference pins Origin.DistanceKm and
+// DistanceKm to the textbook haversine's bits: on random pairs, on pairs
+// at the poles and across the antimeridian, on equal points, and on
+// antipodal pairs, some of which round h past 1 and take the clamp.
+func TestOriginDistanceMatchesReference(t *testing.T) {
+	check := func(a, b Point) bool {
+		t.Helper()
+		want, clamped := referenceDistanceKm(a, b)
+		oa, ob := NewOrigin(a), NewOrigin(b)
+		if got := oa.DistanceKm(&ob); math.Float64bits(got.Float()) != math.Float64bits(want.Float()) {
+			t.Fatalf("Origin%v.DistanceKm(%v) = %v, reference %v", a, b, got, want)
+		}
+		if got := DistanceKm(a, b); math.Float64bits(got.Float()) != math.Float64bits(want.Float()) {
+			t.Fatalf("DistanceKm(%v, %v) = %v, reference %v", a, b, got, want)
+		}
+		return clamped
+	}
+	edges := []Point{{90, 0}, {-90, 0}, {90, 180}, {-90, -180}, {0, 180}, {0, -180}, {45, 179.999}, {-45, -179.999}, {0, 0}, {51.5, -0.1}}
+	for _, a := range edges {
+		for _, b := range edges {
+			check(a, b)
+		}
+	}
+	rs := xrand.New(23)
+	clamps := 0
+	for i := 0; i < 200_000; i++ {
+		a := Point{Lat: rs.Float64()*180 - 90, Lon: rs.Float64()*360 - 180}
+		b := Point{Lat: rs.Float64()*180 - 90, Lon: rs.Float64()*360 - 180}
+		check(a, b)
+		check(a, a)
+		// The antipode, whose h is 1 in real arithmetic.
+		anti := Point{Lat: -a.Lat, Lon: a.Lon + 180}
+		if anti.Lon > 180 {
+			anti.Lon -= 360
+		}
+		if check(a, anti) {
+			clamps++
+		}
+	}
+	if clamps == 0 {
+		t.Fatal("no antipodal pair rounded h past 1; the clamp went untested")
+	}
+	for _, m := range World() {
+		for _, n := range World() {
+			check(m.Point, n.Point)
+		}
+	}
+}
+
 func TestWorldCatalog(t *testing.T) {
 	ms := World()
 	if len(ms) < 150 {

@@ -324,32 +324,27 @@ func (m *Model) DayRTTms(p Path, day int) units.Millis {
 	return m.PathDayOf(p, day).DayRTTms(m.HouseholdLastMileMs(m.LastMileMs(p.PrefixID), p.PrefixID, p.Household))
 }
 
-// SampleRTTms returns one measured RTT sample: day RTT plus per-sample
-// jitter. sampleKey must differ between samples of the same path and day.
-func (m *Model) SampleRTTms(p Path, day int, sampleKey uint64) units.Millis {
-	var rs xrand.Stream
-	return m.SampleRTTmsInto(&rs, p, day, sampleKey)
-}
-
-// SampleRTTmsInto is SampleRTTms with caller-provided stream scratch: rs
-// is reseeded to the sample's jitter substream before use, so one
-// stack-allocated Stream can serve every sample of a measurement. Results
-// are identical to SampleRTTms.
+// JitterPrefix returns the part of a path-day's jitter derivation that
+// every sample of it shares: the path's PrefixID and EntryKey and the
+// day. A sample's jitter substream is the prefix extended by its sample
+// key (xrand.Extend), so a caller taking several samples of one path-day
+// derives the prefix once.
 //
 //perf:hotpath
-func (m *Model) SampleRTTmsInto(rs *xrand.Stream, p Path, day int, sampleKey uint64) units.Millis {
-	return m.SampleFromDayRTTInto(rs, m.DayRTTms(p, day), p.PrefixID, p.EntryKey, day, sampleKey)
+func (m *Model) JitterPrefix(prefixID, entryKey uint64, day int) uint64 {
+	return xrand.DeriveSeedL3(m.seed, labelJitter, prefixID, entryKey, uint64(day))
 }
 
-// SampleFromDayRTTInto is the per-sample step of SampleRTTmsInto: it adds
-// one sample's jitter to dayRTT, the path's DayRTTms on day. The jitter
-// substream is keyed by the path's PrefixID and EntryKey, the day and
-// sampleKey alone, so a caller holding the day RTT passes only those; rs
-// is reseeded before use.
+// SampleFromDayRTTInto returns one RTT sample of a path-day: dayRTT, the
+// path's DayRTTms on the day, plus the jitter of the sample whose key is
+// sampleKey, drawn from jitter, the path-day's JitterPrefix. sampleKey
+// must differ between samples of the same path and day. rs is stream
+// scratch, reseeded before use, so one stack-allocated Stream can serve
+// every sample of a measurement.
 //
 //perf:hotpath
-func (m *Model) SampleFromDayRTTInto(rs *xrand.Stream, dayRTT units.Millis, prefixID, entryKey uint64, day int, sampleKey uint64) units.Millis {
-	rs.Reseed(xrand.DeriveSeedL4(m.seed, labelJitter, prefixID, entryKey, uint64(day), sampleKey))
+func (m *Model) SampleFromDayRTTInto(rs *xrand.Stream, dayRTT units.Millis, jitter, sampleKey uint64) units.Millis {
+	rs.Reseed(xrand.Extend(jitter, sampleKey))
 	rtt := dayRTT.Float() + rs.Exp(m.cfg.JitterMeanMs.Float())
 	if m.cfg.JitterBurstProb > 0 && rs.Bool(m.cfg.JitterBurstProb) {
 		rtt += rs.Exp(m.cfg.JitterBurstMeanMs.Float())
@@ -357,24 +352,39 @@ func (m *Model) SampleFromDayRTTInto(rs *xrand.Stream, dayRTT units.Millis, pref
 	return units.Millis(rtt)
 }
 
-// MeasuredRTTms applies the beacon's timing-API model to a true sample:
-// browsers without Resource Timing support report a positively biased
-// value from JavaScript primitive timings (§3.2.2 of the paper).
-// browserKey identifies the client browser so support is stable per client.
-func (m *Model) MeasuredRTTms(trueRTT units.Millis, browserKey uint64, sampleKey uint64) units.Millis {
-	var rs xrand.Stream
-	return m.MeasuredRTTmsInto(&rs, trueRTT, browserKey, sampleKey)
+// Browser is a client browser's timing model (§3.2.2 of the paper):
+// whether it supports the W3C Resource Timing API, and if not, the
+// derivation prefix of its timing-bias draws. Support is stable per
+// browser, so a caller measuring one browser many times draws it once
+// (Model.Browser).
+type Browser struct {
+	resourceTiming bool
+	bias           uint64
 }
 
-// MeasuredRTTmsInto is MeasuredRTTms with caller-provided stream scratch
-// (reseeded before each use; see SampleRTTmsInto).
+// Browser draws the timing model of the browser browserKey identifies.
 //
 //perf:hotpath
-func (m *Model) MeasuredRTTmsInto(rs *xrand.Stream, trueRTT units.Millis, browserKey uint64, sampleKey uint64) units.Millis {
+func (m *Model) Browser(browserKey uint64) Browser {
+	var rs xrand.Stream
 	rs.Reseed(xrand.DeriveSeedL1(m.seed, labelTiming, browserKey))
 	if rs.Bool(m.cfg.ResourceTimingSupportRate) {
+		return Browser{resourceTiming: true}
+	}
+	return Browser{bias: xrand.DeriveSeedL1(m.seed, labelTimingBias, browserKey)}
+}
+
+// MeasuredRTTmsInto applies the beacon's timing-API model to a true
+// sample: a browser with Resource Timing support reports it exactly, and
+// one without reports a positively biased value from JavaScript primitive
+// timings, drawn for the sample whose key is sampleKey. rs is stream
+// scratch, reseeded before use (see SampleFromDayRTTInto).
+//
+//perf:hotpath
+func (m *Model) MeasuredRTTmsInto(rs *xrand.Stream, trueRTT units.Millis, b Browser, sampleKey uint64) units.Millis {
+	if b.resourceTiming {
 		return trueRTT
 	}
-	rs.Reseed(xrand.DeriveSeedL2(m.seed, labelTimingBias, browserKey, sampleKey))
+	rs.Reseed(xrand.Extend(b.bias, sampleKey))
 	return trueRTT + units.Millis(rs.Exp(m.cfg.PrimitiveTimingBiasMs.Float()))
 }

@@ -143,18 +143,55 @@ func TestCongestionVariesAcrossDays(t *testing.T) {
 	}
 }
 
+// sampleRTTms is one sample composed from scratch: the day RTT, then the
+// jitter drawn from the sample's substream derived from the root under
+// the string label.
+func sampleRTTms(m *Model, p Path, day int, sampleKey uint64) units.Millis {
+	rs := xrand.Substream(m.seed, "jitter", p.PrefixID, p.EntryKey, uint64(day), sampleKey)
+	rtt := m.DayRTTms(p, day).Float() + rs.Exp(m.cfg.JitterMeanMs.Float())
+	if m.cfg.JitterBurstProb > 0 && rs.Bool(m.cfg.JitterBurstProb) {
+		rtt += rs.Exp(m.cfg.JitterBurstMeanMs.Float())
+	}
+	return units.Millis(rtt)
+}
+
+// measuredRTTms is the timing model composed from scratch: the browser's
+// Resource Timing support redrawn for every sample, and the bias drawn
+// from the sample's substream derived from the root.
+func measuredRTTms(m *Model, trueRTT units.Millis, browserKey, sampleKey uint64) units.Millis {
+	if xrand.Substream(m.seed, "timing", browserKey).Bool(m.cfg.ResourceTimingSupportRate) {
+		return trueRTT
+	}
+	rs := xrand.Substream(m.seed, "timing-bias", browserKey, sampleKey)
+	return trueRTT + units.Millis(rs.Exp(m.cfg.PrimitiveTimingBiasMs.Float()))
+}
+
+// sample is one RTT sample of p through the per-sample step, its jitter
+// prefix derived for the call.
+func sample(m *Model, p Path, day int, sampleKey uint64) units.Millis {
+	var rs xrand.Stream
+	return m.SampleFromDayRTTInto(&rs, m.DayRTTms(p, day), m.JitterPrefix(p.PrefixID, p.EntryKey, day), sampleKey)
+}
+
+// measured is trueRTT measured by browserKey's browser for sample
+// sampleKey, its Browser drawn for the call.
+func measured(m *Model, trueRTT units.Millis, browserKey, sampleKey uint64) units.Millis {
+	var rs xrand.Stream
+	return m.MeasuredRTTmsInto(&rs, trueRTT, m.Browser(browserKey), sampleKey)
+}
+
 func TestSampleJitterPositive(t *testing.T) {
 	m := model()
 	p := Path{PrefixID: 1, EntryKey: 1, AirKm: 800}
 	day := m.DayRTTms(p, 0)
 	for k := uint64(0); k < 200; k++ {
-		s := m.SampleRTTms(p, 0, k)
+		s := sample(m, p, 0, k)
 		if s < day {
 			t.Fatalf("sample %v below day RTT %v", s, day)
 		}
 	}
 	// Different sample keys must differ (jitter present).
-	if m.SampleRTTms(p, 0, 1) == m.SampleRTTms(p, 0, 2) {
+	if sample(m, p, 0, 1) == sample(m, p, 0, 2) {
 		t.Fatal("samples with different keys are identical")
 	}
 }
@@ -164,7 +201,7 @@ func TestMeasuredRTTBias(t *testing.T) {
 	const trueRTT = 50.0
 	biased, exact := 0, 0
 	for b := uint64(0); b < 5000; b++ {
-		v := m.MeasuredRTTms(trueRTT, b, 1)
+		v := measured(m, trueRTT, b, 1)
 		if v == trueRTT {
 			exact++
 		} else if v > trueRTT {
@@ -180,13 +217,21 @@ func TestMeasuredRTTBias(t *testing.T) {
 	}
 }
 
+// TestMeasuredRTTSupportStablePerBrowser checks that support is a
+// property of the browser: the from-scratch model, which redraws it for
+// every sample, agrees with itself across samples and with the Browser
+// value drawn once.
 func TestMeasuredRTTSupportStablePerBrowser(t *testing.T) {
 	m := model()
 	for b := uint64(0); b < 100; b++ {
-		a := m.MeasuredRTTms(10, b, 1) == 10
-		c := m.MeasuredRTTms(10, b, 2) == 10
+		br := m.Browser(b)
+		a := measuredRTTms(m, 10, b, 1) == 10
+		c := measuredRTTms(m, 10, b, 2) == 10
 		if a != c {
 			t.Fatal("resource timing support flapped within one browser")
+		}
+		if br.resourceTiming != a {
+			t.Fatalf("browser %d: Browser says support %v, the per-sample draw %v", b, br.resourceTiming, a)
 		}
 	}
 }
@@ -216,8 +261,8 @@ func TestDayRTTCacheTransparent(t *testing.T) {
 			if warm.DayRTTms(p, day) != cold.DayRTTms(p, day) {
 				t.Fatalf("DayRTTms diverged from a fresh model at prefix %d day %d", i, day)
 			}
-			if warm.SampleRTTms(p, day, i) != cold.SampleRTTms(p, day, i) {
-				t.Fatalf("SampleRTTms diverged from a fresh model at prefix %d day %d", i, day)
+			if sample(warm, p, day, i) != sample(cold, p, day, i) {
+				t.Fatalf("a sample diverged from a fresh model at prefix %d day %d", i, day)
 			}
 		}
 	}
@@ -255,52 +300,120 @@ func TestDayRTTMatchesFormula(t *testing.T) {
 	}
 }
 
+// TestSampleRTTIntoMatchesSampleRTT checks the per-sample step, scratch
+// stream reused, against the from-scratch composition on one path per
+// prefix, and the Browser-based timing model against the per-sample one.
 func TestSampleRTTIntoMatchesSampleRTT(t *testing.T) {
 	m := model()
 	var rs xrand.Stream
 	for i := uint64(0); i < 500; i++ {
 		p := Path{PrefixID: i, EntryKey: 3, AirKm: 900, Unicast: i%2 == 0}
 		day := int(i % 30)
-		want := m.SampleRTTms(p, day, i)
-		if m.SampleRTTmsInto(&rs, p, day, i) != want {
-			t.Fatalf("SampleRTTmsInto diverged at prefix %d", i)
-		}
-		if m.SampleFromDayRTTInto(&rs, m.DayRTTms(p, day), p.PrefixID, p.EntryKey, day, i) != want {
+		want := sampleRTTms(m, p, day, i)
+		if m.SampleFromDayRTTInto(&rs, m.DayRTTms(p, day), m.JitterPrefix(p.PrefixID, p.EntryKey, day), i) != want {
 			t.Fatalf("SampleFromDayRTTInto diverged at prefix %d", i)
 		}
-		if m.MeasuredRTTmsInto(&rs, 50, i, 1) != m.MeasuredRTTms(50, i, 1) {
+		if m.MeasuredRTTmsInto(&rs, 50, m.Browser(i), 1) != measuredRTTms(m, 50, i, 1) {
 			t.Fatalf("MeasuredRTTmsInto diverged at browser %d", i)
 		}
 	}
 }
 
-// TestSampleRTTZeroAlloc pins the sampling path at zero heap allocations
-// per sample (DESIGN.md §11).
-func TestSampleRTTZeroAlloc(t *testing.T) {
-	m := model()
-	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 1200, BackboneKm: 300}
-	var rs xrand.Stream
-	var k uint64
-	allocs := testing.AllocsPerRun(200, func() {
-		_ = m.SampleRTTmsInto(&rs, p, int(k%30), k)
-		k++
-	})
-	if allocs != 0 {
-		t.Fatalf("SampleRTTmsInto allocates %.1f times per run, want 0", allocs)
+// TestSampleStepMatchesFromScratch checks 10^6 samples of the per-sample
+// step — a path-day's day RTT and jitter prefix and a browser's Browser
+// computed once, then each sample's jitter and timing model — against
+// the from-scratch composition, which derives every substream from the
+// root for every sample. It covers both browser kinds, bursts off and at
+// the default rate, and Resource Timing support at 0 and 1.
+func TestSampleStepMatchesFromScratch(t *testing.T) {
+	const pathDays, perPathDay = 25_000, 10
+	for _, tc := range []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"default", func(*Config) {}},
+		{"no bursts", func(c *Config) { c.JitterBurstProb = 0 }},
+		{"no support", func(c *Config) { c.ResourceTimingSupportRate = 0 }},
+		{"full support", func(c *Config) { c.ResourceTimingSupportRate = 1 }},
+	} {
+		name := tc.name
+		cfg := DefaultConfig()
+		tc.mut(&cfg)
+		m := NewModel(42, cfg)
+		var rs xrand.Stream
+		kinds := [2]int{}
+		for i := uint64(0); i < pathDays; i++ {
+			p := Path{
+				PrefixID:   i / 3,
+				EntryKey:   i % 13,
+				AirKm:      units.Kilometers(10 + float64(i%97)*61.3),
+				BackboneKm: units.Kilometers(float64(i%5) * 377.1),
+				Household:  i % 6,
+				Unicast:    i%3 == 0,
+			}
+			day := int(i % 30)
+			dayRTT := m.DayRTTms(p, day)
+			jitter := m.JitterPrefix(p.PrefixID, p.EntryKey, day)
+			br := m.Browser(p.PrefixID)
+			if br.resourceTiming {
+				kinds[1]++
+			} else {
+				kinds[0]++
+			}
+			for k := uint64(0); k < perPathDay; k++ {
+				key := i*8 + k
+				trueRTT := m.SampleFromDayRTTInto(&rs, dayRTT, jitter, key)
+				if want := sampleRTTms(m, p, day, key); trueRTT != want {
+					t.Fatalf("%s: path %+v day %d sample %d: step %v, from scratch %v", name, p, day, key, trueRTT, want)
+				}
+				got := m.MeasuredRTTmsInto(&rs, trueRTT, br, key)
+				if want := measuredRTTms(m, trueRTT, p.PrefixID, key); got != want {
+					t.Fatalf("%s: browser %d sample %d: step %v, from scratch %v", name, p.PrefixID, key, got, want)
+				}
+			}
+		}
+		switch {
+		case name == "no support" && kinds[1] != 0, name == "full support" && kinds[0] != 0:
+			t.Fatalf("%s: %d browsers without and %d with support", name, kinds[0], kinds[1])
+		case name == "default" && (kinds[0] == 0 || kinds[1] == 0):
+			t.Fatalf("%s: %d browsers without and %d with support, want both kinds", name, kinds[0], kinds[1])
+		}
 	}
 }
 
+// TestSampleRTTZeroAlloc pins the per-sample step at zero heap
+// allocations per sample (DESIGN.md §11).
+func TestSampleRTTZeroAlloc(t *testing.T) {
+	m := model()
+	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 1200, BackboneKm: 300}
+	dayRTT := m.DayRTTms(p, 0)
+	jitter := m.JitterPrefix(p.PrefixID, p.EntryKey, 0)
+	var br Browser // no Resource Timing support: the biased branch draws
+	var rs xrand.Stream
+	var k uint64
+	allocs := testing.AllocsPerRun(200, func() {
+		_ = m.MeasuredRTTmsInto(&rs, m.SampleFromDayRTTInto(&rs, dayRTT, jitter, k), br, k)
+		k++
+	})
+	if allocs != 0 {
+		t.Fatalf("the per-sample step allocates %.1f times per run, want 0", allocs)
+	}
+}
+
+// BenchmarkSampleRTT times one latency sample computed from scratch, day
+// RTT and jitter prefix included.
 func BenchmarkSampleRTT(b *testing.B) {
 	m := model()
 	p := Path{PrefixID: 1, EntryKey: 2, AirKm: 1200, BackboneKm: 300}
 	var rs xrand.Stream
 	for day := 0; day < 30; day++ {
-		_ = m.SampleRTTms(p, day, 0) // fault in the code and data a 1-iteration CI run would otherwise time
+		_ = sample(m, p, day, 0) // fault in the code and data a 1-iteration CI run would otherwise time
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.SampleRTTmsInto(&rs, p, i%30, uint64(i))
+		day := i % 30
+		_ = m.SampleFromDayRTTInto(&rs, m.DayRTTms(p, day), m.JitterPrefix(p.PrefixID, p.EntryKey, day), uint64(i))
 	}
 }
 

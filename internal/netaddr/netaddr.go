@@ -7,66 +7,20 @@
 // are also /24s, mirroring §3.1 of the paper.
 package netaddr
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
 // Prefix24 identifies an IPv4 /24 by its 24 network bits. The zero value is
 // 0.0.0.0/24.
 type Prefix24 uint32
-
-// ParsePrefix24 parses a dotted string like "192.0.2.0/24" (the host octet
-// and mask are validated).
-func ParsePrefix24(s string) (Prefix24, error) {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		return 0, fmt.Errorf("netaddr: %w", err)
-	}
-	if !p.Addr().Is4() {
-		return 0, fmt.Errorf("netaddr: %v is not IPv4", p)
-	}
-	if p.Bits() != 24 {
-		return 0, fmt.Errorf("netaddr: %v is not a /24", p)
-	}
-	a4 := p.Addr().As4()
-	return FromOctets(a4[0], a4[1], a4[2]), nil
-}
 
 // FromOctets builds a Prefix24 from the three network octets.
 func FromOctets(a, b, c byte) Prefix24 {
 	return Prefix24(uint32(a)<<16 | uint32(b)<<8 | uint32(c))
 }
 
-// FromAddr returns the /24 containing the given IPv4 address.
-func FromAddr(addr netip.Addr) (Prefix24, bool) {
-	if !addr.Is4() && !addr.Is4In6() {
-		return 0, false
-	}
-	a4 := addr.Unmap().As4()
-	return FromOctets(a4[0], a4[1], a4[2]), true
-}
-
 // Octets returns the three network octets.
 func (p Prefix24) Octets() (a, b, c byte) {
 	return byte(p >> 16), byte(p >> 8), byte(p)
-}
-
-// Addr returns the host address p.a.b.c/24 with the given final octet.
-func (p Prefix24) Addr(host byte) netip.Addr {
-	a, b, c := p.Octets()
-	return netip.AddrFrom4([4]byte{a, b, c, host})
-}
-
-// Prefix returns the netip.Prefix form.
-func (p Prefix24) Prefix() netip.Prefix {
-	return netip.PrefixFrom(p.Addr(0), 24)
-}
-
-// Contains reports whether addr lies inside the /24.
-func (p Prefix24) Contains(addr netip.Addr) bool {
-	q, ok := FromAddr(addr)
-	return ok && q == p
 }
 
 func (p Prefix24) String() string {
@@ -148,9 +102,7 @@ func (al *Allocator) Remaining() int {
 	return int(n)
 }
 
-// AnycastVIP is the anycast service address announced from every front-end
-// location, mirroring the production anycast address of §3.1.
-var AnycastVIP = netip.AddrFrom4([4]byte{192, 0, 2, 1})
-
-// AnycastPrefix is the /24 containing AnycastVIP.
+// AnycastPrefix is the /24 the anycast service address is announced from
+// at every front-end location, mirroring the production anycast prefix of
+// §3.1.
 var AnycastPrefix = FromOctets(192, 0, 2)

@@ -1,25 +1,22 @@
 package netaddr
 
 import (
-	"net/netip"
 	"testing"
 	"testing/quick"
 )
 
-func TestParsePrefix24(t *testing.T) {
-	p, err := ParsePrefix24("192.0.2.0/24")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.String() != "192.0.2.0/24" {
-		t.Fatalf("round trip = %q", p.String())
-	}
-}
-
-func TestParsePrefix24Errors(t *testing.T) {
-	for _, s := range []string{"", "garbage", "192.0.2.0/23", "192.0.2.0", "2001:db8::/24"} {
-		if _, err := ParsePrefix24(s); err == nil {
-			t.Errorf("ParsePrefix24(%q) should fail", s)
+func TestString(t *testing.T) {
+	for _, tc := range []struct {
+		p    Prefix24
+		want string
+	}{
+		{FromOctets(198, 51, 100), "198.51.100.0/24"},
+		{0, "0.0.0.0/24"},
+		{FromOctets(255, 255, 255), "255.255.255.0/24"},
+		{AnycastPrefix, "192.0.2.0/24"},
+	} {
+		if got := tc.p.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
 		}
 	}
 }
@@ -32,47 +29,6 @@ func TestOctetsRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestAddrAndContains(t *testing.T) {
-	p := FromOctets(10, 1, 2)
-	addr := p.Addr(77)
-	if addr.String() != "10.1.2.77" {
-		t.Fatalf("Addr = %v", addr)
-	}
-	if !p.Contains(addr) {
-		t.Fatal("prefix should contain its own host address")
-	}
-	other := netip.AddrFrom4([4]byte{10, 1, 3, 77})
-	if p.Contains(other) {
-		t.Fatal("prefix should not contain 10.1.3.77")
-	}
-	if p.Contains(netip.MustParseAddr("2001:db8::1")) {
-		t.Fatal("IPv4 prefix should not contain an IPv6 address")
-	}
-}
-
-func TestFromAddr(t *testing.T) {
-	p, ok := FromAddr(netip.MustParseAddr("203.0.113.9"))
-	if !ok || p.String() != "203.0.113.0/24" {
-		t.Fatalf("FromAddr = %v, %v", p, ok)
-	}
-	// 4-in-6 mapped addresses should unmap.
-	p2, ok := FromAddr(netip.MustParseAddr("::ffff:203.0.113.9"))
-	if !ok || p2 != p {
-		t.Fatalf("FromAddr mapped = %v, %v", p2, ok)
-	}
-	if _, ok := FromAddr(netip.MustParseAddr("2001:db8::1")); ok {
-		t.Fatal("FromAddr should reject native IPv6")
-	}
-}
-
-func TestPrefixForm(t *testing.T) {
-	p := FromOctets(198, 51, 100)
-	np := p.Prefix()
-	if np.String() != "198.51.100.0/24" {
-		t.Fatalf("Prefix = %v", np)
 	}
 }
 
@@ -122,12 +78,6 @@ func TestAllocatorExhaustion(t *testing.T) {
 	}
 	if al.Remaining() != 0 {
 		t.Fatalf("Remaining = %d after exhaustion", al.Remaining())
-	}
-}
-
-func TestAnycastVIPInPrefix(t *testing.T) {
-	if !AnycastPrefix.Contains(AnycastVIP) {
-		t.Fatal("anycast VIP not inside anycast prefix")
 	}
 }
 

@@ -278,8 +278,9 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		out := beacons[offs[i] : int(offs[i])+nb]
 		var b beacon.Batch
 		b.Start(w.Executor, *c, day, assigns[i])
+		qids := xrand.DeriveSeedL2(cfg.Seed, labelQID, c.ID, uint64(day))
 		for k := range out {
-			out[k] = b.Run(xrand.DeriveSeedL3(cfg.Seed, labelQID, c.ID, uint64(day), uint64(k)))
+			out[k] = b.Run(xrand.Extend(qids, uint64(k)))
 		}
 	}
 	for day = 0; day < days; day++ {

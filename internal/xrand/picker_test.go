@@ -67,7 +67,7 @@ func TestPickerMatchesLinearChoiceAtEdges(t *testing.T) {
 			if u < 0 || u >= 1 {
 				continue
 			}
-			if got, want := p.index(u), linearChoice(ws, u); got != want {
+			if got, want := p.Index(u), linearChoice(ws, u); got != want {
 				t.Fatalf("weights %v, draw %v: picker %d, WeightedChoice %d", ws, u, got, want)
 			}
 		}

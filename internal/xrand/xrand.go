@@ -281,11 +281,12 @@ func NewPicker(weights []float64) (Picker, bool) {
 
 // Pick draws one Float64 from s and returns the index WeightedChoice
 // would return for the picker's weights from the same draw.
-func (p Picker) Pick(s *Stream) int { return p.index(s.Float64()) }
+func (p Picker) Pick(s *Stream) int { return p.Index(s.Float64()) }
 
-// index is the first i with u*total < cum[i] — WeightedChoice's
-// `target < acc` — or the last index if there is none.
-func (p Picker) index(u float64) int {
+// Index returns the index Pick returns when its Float64 draw is u: the
+// first i with u*total < cum[i] — WeightedChoice's `target < acc` — or
+// the last index if there is none.
+func (p Picker) Index(u float64) int {
 	target := u * p.cum[len(p.cum)-1]
 	lo, hi := 0, len(p.cum)
 	for lo < hi {
