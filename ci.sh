@@ -38,8 +38,8 @@
 #      run time there, and the two can differ in the last bit, so the
 #      outputs are byte-identical across machines only while rounding
 #      absorbs that difference; this step checks that it does
-#   5. fuzz smoke: 5 seconds each on the fault-scenario parser, the
-#      three readers of bytes that cross the
+#   5. fuzz smoke: 5 seconds each on the /24 parser, the
+#      fault-scenario parser, the three readers of bytes that cross the
 #      worker/coordinator process boundary (the distsim frame reader
 #      with its matrix decoder, quantile sketches, and shard-day frames,
 #      whose last day carries each shard's analysis state), the
@@ -179,6 +179,7 @@ else
 fi
 
 echo '== fuzz smoke (5s per target)'
+go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing

@@ -7,11 +7,31 @@
 // are also /24s, mirroring §3.1 of the paper.
 package netaddr
 
-import "fmt"
+import (
+	"fmt"
+	"net/netip"
+)
 
 // Prefix24 identifies an IPv4 /24 by its 24 network bits. The zero value is
 // 0.0.0.0/24.
 type Prefix24 uint32
+
+// ParsePrefix24 parses a dotted string like "192.0.2.0/24" (the host octet
+// and mask are validated).
+func ParsePrefix24(s string) (Prefix24, error) {
+	p, err := netip.ParsePrefix(s)
+	if err != nil {
+		return 0, fmt.Errorf("netaddr: %w", err)
+	}
+	if !p.Addr().Is4() {
+		return 0, fmt.Errorf("netaddr: %v is not IPv4", p)
+	}
+	if p.Bits() != 24 {
+		return 0, fmt.Errorf("netaddr: %v is not a /24", p)
+	}
+	a4 := p.Addr().As4()
+	return FromOctets(a4[0], a4[1], a4[2]), nil
+}
 
 // FromOctets builds a Prefix24 from the three network octets.
 func FromOctets(a, b, c byte) Prefix24 {

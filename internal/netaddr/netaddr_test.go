@@ -5,6 +5,24 @@ import (
 	"testing/quick"
 )
 
+func TestParsePrefix24(t *testing.T) {
+	p, err := ParsePrefix24("192.0.2.0/24")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p.String() != "192.0.2.0/24" {
+		t.Fatalf("round trip = %q", p.String())
+	}
+}
+
+func TestParsePrefix24Errors(t *testing.T) {
+	for _, s := range []string{"", "garbage", "192.0.2.0/23", "192.0.2.0", "2001:db8::/24"} {
+		if _, err := ParsePrefix24(s); err == nil {
+			t.Errorf("ParsePrefix24(%q) should fail", s)
+		}
+	}
+}
+
 func TestString(t *testing.T) {
 	for _, tc := range []struct {
 		p    Prefix24
