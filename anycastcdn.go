@@ -14,11 +14,14 @@
 //     drives DNS redirection for clients anycast underserves (§6), plus
 //     the experiment suite that regenerates every table and figure.
 //
-// Quick start:
+// Quick start: build the world, stream its days through the experiment
+// suite, then render a figure.
 //
-//	res, err := anycastcdn.Run(anycastcdn.DefaultConfig(1))
+//	cfg := anycastcdn.DefaultConfig(1)
+//	w, err := anycastcdn.BuildWorld(cfg)
 //	if err != nil { ... }
-//	suite := anycastcdn.NewSuite(res)
+//	suite := anycastcdn.NewStreamSuite(cfg, w)
+//	if err := anycastcdn.StreamWorld(cfg, w, suite.Observe); err != nil { ... }
 //	fmt.Println(suite.Figure3().Render())
 //
 // All randomness derives from Config.Seed; identical configurations
@@ -48,8 +51,6 @@ import (
 type (
 	// Config is the top-level simulation configuration.
 	Config = sim.Config
-	// Result is a completed simulation run.
-	Result = sim.Result
 	// World is the built simulation environment.
 	World = sim.World
 	// Measurement is one beacon execution (four latency samples).
@@ -115,9 +116,6 @@ var AnycastTarget = core.AnycastTarget
 
 // Experiment layer.
 type (
-	// Suite regenerates the paper's tables and figures from a completed
-	// run: a StreamSuite fed from a Result.
-	Suite = experiments.Suite
 	// Report is one regenerated table or figure with paper-vs-measured
 	// headlines.
 	Report = experiments.Report
@@ -222,17 +220,14 @@ func DefaultConfig(seed uint64) Config { return sim.DefaultConfig(seed) }
 // BuildWorld constructs the simulation environment without running it.
 func BuildWorld(cfg Config) (*World, error) { return sim.BuildWorld(cfg) }
 
-// Run builds the world and simulates cfg.Days days of traffic,
-// measurements and routing dynamics.
-func Run(cfg Config) (*Result, error) { return sim.Run(cfg) }
-
 // DayResult is one streamed simulation day; its buffers are reused for
 // the next day (see sim.DayResult for the ownership contract).
 type DayResult = sim.DayResult
 
-// Stream simulates day by day, invoking fn with each day's outputs and
-// retaining only one day in memory — the mode for paper-scale runs
-// (millions of client /24s) whose full Result would not fit.
+// Stream builds the world and simulates cfg.Days days of traffic,
+// measurements and routing dynamics, invoking fn with each day's outputs
+// and retaining only one day in memory, so paper-scale runs (millions of
+// client /24s) fit.
 func Stream(cfg Config, fn func(DayResult) error) error { return sim.Stream(cfg, fn) }
 
 // StreamWorld streams over an already-built world.
@@ -240,12 +235,8 @@ func StreamWorld(cfg Config, w *World, fn func(DayResult) error) error {
 	return sim.StreamWorld(cfg, w, fn)
 }
 
-// NewSuite folds a completed run for experiment regeneration.
-func NewSuite(res *Result) *Suite { return experiments.NewSuite(res) }
-
-// StreamSuite computes every experiment online over a streaming run,
-// keeping only the state the reports read; a Suite is a StreamSuite fed
-// from a Result, so both render byte-identical reports.
+// StreamSuite regenerates the paper's tables and figures online over a
+// streaming run, keeping only the state the reports read.
 type StreamSuite = experiments.StreamSuite
 
 // NewStreamSuite prepares the streaming analysis over a built world; feed

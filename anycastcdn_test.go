@@ -11,14 +11,23 @@ func smallConfig(seed uint64) Config {
 }
 
 func TestPublicAPIRoundTrip(t *testing.T) {
-	res, err := Run(smallConfig(1))
+	cfg := smallConfig(1)
+	w, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.TotalBeacons() == 0 {
+	suite := NewStreamSuite(cfg, w)
+	beacons := 0
+	err = StreamWorld(cfg, w, func(d DayResult) error {
+		beacons += len(d.Beacons)
+		return suite.Observe(d)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if beacons == 0 {
 		t.Fatal("no beacons")
 	}
-	suite := NewSuite(res)
 	r := suite.Figure3()
 	if r.Figure == nil || len(r.Figure.Series) == 0 {
 		t.Fatal("figure 3 empty")
@@ -26,20 +35,31 @@ func TestPublicAPIRoundTrip(t *testing.T) {
 }
 
 func TestPublicPredictorFlow(t *testing.T) {
-	res, err := Run(smallConfig(2))
+	cfg := smallConfig(2)
+	w, err := BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var train, next []Observation
-	for _, m := range res.Beacons[0] {
-		train = append(train, ObservationsFromMeasurement(m)...)
+	// Observations copy what they keep out of each day's reused buffers.
+	obs := make([][]Observation, 2)
+	err = StreamWorld(cfg, w, func(d DayResult) error {
+		if d.Day < len(obs) {
+			for _, m := range d.Beacons {
+				obs[d.Day] = append(obs[d.Day], ObservationsFromMeasurement(m)...)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for _, m := range res.Beacons[1] {
-		next = append(next, ObservationsFromMeasurement(m)...)
+	vols := make(map[uint64]float64, len(w.Population.Clients))
+	for _, c := range w.Population.Clients {
+		vols[c.ID] = c.Volume
 	}
 	p := NewPredictor(DefaultPredictorConfig())
-	pred := p.Train(train, ByPrefix)
-	evals := Evaluator{Percentile: 0.5, MinSamples: 2}.Evaluate(pred, next, res.Volumes())
+	pred := p.Train(obs[0], ByPrefix)
+	evals := Evaluator{Percentile: 0.5, MinSamples: 2}.Evaluate(pred, obs[1], vols)
 	if len(evals) == 0 {
 		t.Fatal("no evaluations")
 	}

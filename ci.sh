@@ -18,7 +18,8 @@
 #      second once the module is loaded; an order-of-magnitude
 #      regression means an analyzer went quadratic)
 #   4. unit tests in -short mode (which re-run anycastvet over the tree
-#      via internal/analysis/self_test.go), then the long-running targets
+#      via internal/analysis/self_test.go), then the three programs under
+#      examples/, each of which must exit 0, then the long-running targets
 #      as named steps so a failure is attributable in the CI log: the full
 #      experiment suites, the 1M-prefix x 30-day streaming smoke that
 #      proves paper-scale runs stay inside their wall-clock and 2 GiB
@@ -38,8 +39,8 @@
 #      run time there, and the two can differ in the last bit, so the
 #      outputs are byte-identical across machines only while rounding
 #      absorbs that difference; this step checks that it does
-#   5. fuzz smoke: 5 seconds each on the /24 parser, the
-#      fault-scenario parser, the three readers of bytes that cross the
+#   5. fuzz smoke: 5 seconds each on the fault-scenario parser, the
+#      three readers of bytes that cross the
 #      worker/coordinator process boundary (the distsim frame reader
 #      with its matrix decoder, quantile sketches, and shard-day frames,
 #      whose last day carries each shard's analysis state), the
@@ -127,6 +128,12 @@ awk '/^anycastvet:/ {
 echo '== go test ./... (short mode; the long-running targets get named steps below)'
 go test -short ./...
 
+echo '== examples (quickstart, prediction, pathology; each must exit 0)'
+for ex in quickstart prediction pathology; do
+	go run "./examples/$ex" > /dev/null || {
+		echo "ci.sh: example $ex failed" >&2; exit 1; }
+done
+
 echo '== long-running experiment suites (skipped above by -short)'
 go test -run 'TestAllRuns|TestDeploymentDensity' ./internal/experiments/
 
@@ -179,7 +186,6 @@ else
 fi
 
 echo '== fuzz smoke (5s per target)'
-go test -run '^$' -fuzz FuzzParsePrefix24 -fuzztime 5s ./internal/netaddr/
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
 # Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing

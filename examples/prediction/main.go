@@ -14,20 +14,33 @@ func main() {
 	cfg := anycastcdn.DefaultConfig(7)
 	cfg.Prefixes = 3000
 	cfg.Days = 4
-	res, err := anycastcdn.Run(cfg)
+	w, err := anycastcdn.BuildWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
 
-	// Convert two consecutive days of beacons into predictor observations.
+	// Convert two consecutive days of beacons into predictor observations,
+	// copies that outlive the day buffers the stream reuses.
 	var train, next []anycastcdn.Observation
-	for _, m := range res.Beacons[1] {
-		train = append(train, anycastcdn.ObservationsFromMeasurement(m)...)
+	err = anycastcdn.StreamWorld(cfg, w, func(d anycastcdn.DayResult) error {
+		for _, m := range d.Beacons {
+			switch d.Day {
+			case 1:
+				train = append(train, anycastcdn.ObservationsFromMeasurement(m)...)
+			case 2:
+				next = append(next, anycastcdn.ObservationsFromMeasurement(m)...)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, m := range res.Beacons[2] {
-		next = append(next, anycastcdn.ObservationsFromMeasurement(m)...)
+	// Evaluation weights each /24 by its query volume.
+	vols := make(map[uint64]float64, len(w.Population.Clients))
+	for _, c := range w.Population.Clients {
+		vols[c.ID] = c.Volume
 	}
-	vols := res.Volumes()
 
 	configs := []struct {
 		name string

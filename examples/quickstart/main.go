@@ -17,17 +17,17 @@ func main() {
 	cfg.Prefixes = 2000
 	cfg.Days = 7
 
-	res, err := anycastcdn.Run(cfg)
+	w, err := anycastcdn.BuildWorld(cfg)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("simulated %d client /24s, %d beacon executions over %d days\n\n",
-		cfg.Prefixes, res.TotalBeacons(), cfg.Days)
-
-	// Per-request anycast penalty, straight from the beacon measurements.
+	// One pass over the days: the suite folds each day for the figures,
+	// and the loop counts the per-request anycast penalty straight from
+	// the beacon measurements (the stream reuses each day's buffers).
+	suite := anycastcdn.NewStreamSuite(cfg, w)
 	var total, slower25, slower100 int
-	for _, day := range res.Beacons {
-		for _, m := range day {
+	err = anycastcdn.StreamWorld(cfg, w, func(d anycastcdn.DayResult) error {
+		for _, m := range d.Beacons {
 			total++
 			p := m.AnycastPenaltyMs()
 			if p >= 25 {
@@ -37,13 +37,18 @@ func main() {
 				slower100++
 			}
 		}
+		return suite.Observe(d)
+	})
+	if err != nil {
+		log.Fatal(err)
 	}
+	fmt.Printf("simulated %d client /24s, %d beacon executions over %d days\n\n",
+		cfg.Prefixes, total, cfg.Days)
 	fmt.Printf("requests where anycast was >=25ms slower than best unicast:  %5.1f%%\n",
 		100*float64(slower25)/float64(total))
 	fmt.Printf("requests where anycast was >=100ms slower than best unicast: %5.1f%%\n\n",
 		100*float64(slower100)/float64(total))
 
 	// The full Figure 3 (CCDF by region), rendered as a table.
-	suite := anycastcdn.NewSuite(res)
 	fmt.Println(suite.Figure3().Render())
 }

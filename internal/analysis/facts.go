@@ -35,13 +35,6 @@ type Module struct {
 // byte-identically for the fleet merge to equal the single-process run.
 var ReplayRootNames = []string{"RunWorld", "StreamWorld", "StreamShard", "MergeShardDay"}
 
-// HotPathDirective marks a function as allocation-free by contract; the
-// hotpathalloc analyzer enforces it. The directive goes in the doc
-// comment, on its own line:
-//
-//	//perf:hotpath
-func (m *Module) HotPathDirective() string { return "//perf:hotpath" }
-
 // NewModule derives the cross-package facts for pkgs: the static call
 // graph (direct calls and method calls resolved through go/types; calls
 // through interface values or stored function values are not followed —

@@ -43,8 +43,10 @@ func checkFixture(t *testing.T, an *Analyzer, path string, files map[string]stri
 		t.Fatalf("type-checking fixture: %v", err)
 	}
 	pkg := &Package{Path: path, Dir: ".", Fset: fset, Files: astFiles, Types: tpkg, Info: info}
+	pkgs := []*Package{pkg}
+	diags, _ := RunModule(NewModule(pkgs), pkgs, []*Analyzer{an})
 	var out []string
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{an}) {
+	for _, d := range diags {
 		out = append(out, fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Check))
 	}
 	return out
@@ -59,8 +61,9 @@ func checkFixture(t *testing.T, an *Analyzer, path string, files map[string]stri
 func checkModuleFixture(t *testing.T, an *Analyzer, pkgs map[string]map[string]string) []string {
 	t.Helper()
 	loaded := loadFixtureModule(t, pkgs)
+	diags, _ := RunModule(NewModule(loaded), loaded, []*Analyzer{an})
 	var out []string
-	for _, d := range Run(loaded, []*Analyzer{an}) {
+	for _, d := range diags {
 		out = append(out, fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Check))
 	}
 	return out

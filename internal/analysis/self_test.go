@@ -20,7 +20,7 @@ func TestRepoIsClean(t *testing.T) {
 	if len(pkgs) < 20 {
 		t.Fatalf("loaded only %d packages; the loader is missing most of the tree", len(pkgs))
 	}
-	diags := Run(pkgs, Analyzers())
+	diags, _ := RunModule(NewModule(pkgs), pkgs, Analyzers())
 	for _, d := range diags {
 		t.Errorf("%s", d)
 	}

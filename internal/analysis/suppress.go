@@ -112,15 +112,6 @@ type Timing struct {
 	Elapsed time.Duration
 }
 
-// Run derives cross-package facts for pkgs and applies analyzers,
-// returning the surviving diagnostics sorted by file, line, column, and
-// check. Callers that already hold a Module (to analyze a package subset
-// against whole-module facts) use RunModule directly.
-func Run(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := RunModule(NewModule(pkgs), pkgs, analyzers)
-	return diags
-}
-
 // RunModule applies analyzers to pkgs with facts drawn from mod, running
 // every (package, analyzer) pair as its own parallel task. pkgs may be a
 // subset of mod.Pkgs — facts still reflect the whole module, so a

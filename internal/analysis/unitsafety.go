@@ -32,7 +32,7 @@ var UnitSafety = &Analyzer{
 
 func runUnitSafety(pass *Pass) {
 	// internal/units is where the dimension types live; its own helpers
-	// (Float, Floats, FromFloats) legitimately traffic in bare float64.
+	// (Float) legitimately traffic in bare float64.
 	inUnits := strings.HasSuffix(pass.Pkg.Path, "internal/units")
 	for _, f := range pass.Pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {

@@ -68,8 +68,10 @@ func checkUnitsFixture(t *testing.T, path string, files map[string]string) []str
 		t.Fatalf("type-checking fixture: %v", err)
 	}
 	pkg := &Package{Path: path, Dir: ".", Fset: fset, Files: astFiles, Types: tpkg, Info: info}
+	pkgs := []*Package{pkg}
+	diags, _ := RunModule(NewModule(pkgs), pkgs, []*Analyzer{UnitSafety})
 	var out []string
-	for _, d := range Run([]*Package{pkg}, []*Analyzer{UnitSafety}) {
+	for _, d := range diags {
 		out = append(out, fmt.Sprintf("%s:%d:%s", d.File, d.Line, d.Check))
 	}
 	return out

@@ -561,6 +561,3 @@ func (r *Router) site(id topology.SiteID) geo.Point {
 
 // Backbone exposes the underlying backbone (read-only use).
 func (r *Router) Backbone() *topology.Backbone { return r.backbone }
-
-// ISPs exposes the ISP model (read-only use).
-func (r *Router) ISPs() *topology.ISPModel { return r.isps }

@@ -36,7 +36,7 @@ func clientAt(r *Router, prefix uint64, lat, lon float64) Client {
 		}
 		return v
 	}
-	isp := topology.ISPID(prefix % uint64(r.ISPs().Len()))
+	isp := topology.ISPID(prefix % uint64(r.isps.Len()))
 	return Client{
 		PrefixID: prefix,
 		Point:    geo.Point{Lat: clampLat(lat), Lon: clampLon(lon)},

@@ -35,10 +35,10 @@ func scatteredClient(i int, isp topology.ISPID) Client {
 	ms := geo.World()
 	var rs xrand.Stream
 	rs.Reseed(uint64(i) + 1)
-	m := ms[i%len(ms)]
+	o := geo.NewOrigin(ms[i%len(ms)].Point)
 	return Client{
 		PrefixID: uint64(i),
-		Point:    m.Offset(units.Kilometers(rs.Float64()*600), rs.Float64()*360),
+		Point:    o.Offset(units.Kilometers(rs.Float64()*600), rs.Float64()*360),
 		ISP:      isp,
 	}
 }

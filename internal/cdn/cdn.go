@@ -35,9 +35,8 @@ func NewDeployment(b *topology.Backbone) (*Deployment, error) {
 		Backbone:   b,
 		AnycastVIP: netaddr.AnycastPrefix,
 	}
-	alloc := netaddr.NewAllocator(netaddr.FrontEndPool)
-	for _, id := range b.FrontEnds() {
-		p, ok := alloc.Next()
+	for i, id := range b.FrontEnds() {
+		p, ok := netaddr.FrontEndPrefix(i)
 		if !ok {
 			return nil, fmt.Errorf("cdn: front-end address pool exhausted at site %d", id)
 		}

@@ -106,17 +106,18 @@ const BlockSize = 8192
 
 // Generator walks a population in ID order, one block of clients at a
 // time, and materializes the clients of [lo, hi). The whole population is
-// walked — the metro picker and the /24 allocator are single sequential
-// streams, so skipping a client would shift every later draw — but a
-// client outside the range is stored nowhere, drawn only as far as its
-// ISP and placed only if its position is read. That is what lets one
-// worker of a multi-process run hold a million-client shard of a
-// many-million-client world, and pay in full only for its own clients.
+// walked — the metro picker is a single sequential stream, so skipping a
+// client would shift every later draw — but a client outside the range is
+// stored nowhere, drawn only as far as its ISP and placed only if its
+// position is read. That is what lets one worker of a multi-process run
+// hold a million-client shard of a many-million-client world, and pay in
+// full only for its own clients.
 //
 // Each block runs in two passes. Next is sequential: it advances the
-// allocator and the picker once per client. Draw makes every other draw,
-// from the client's own substream, so the Draw calls of one block may run
-// on any goroutines in any order.
+// picker once per client. Draw makes every other draw, from the client's
+// own substream, so the Draw calls of one block may run on any goroutines
+// in any order. A client's /24 is arithmetic on its ID
+// (netaddr.ClientPrefix), so it takes no pass at all.
 type Generator struct {
 	cfg    Config
 	metros []geo.Metro
@@ -125,7 +126,6 @@ type Generator struct {
 	places []place
 	pick   xrand.Picker
 	picker *xrand.Stream
-	alloc  *netaddr.Allocator
 	pop    *Population
 	lo, hi int
 	// next is the ID of the first client of the next block; block holds
@@ -150,8 +150,7 @@ type Slot struct {
 	Metro int
 	ISP   topology.ISPID
 
-	g      *Generator
-	prefix netaddr.Prefix24
+	g *Generator
 	// polar and bearing are the client's scatter draws, kept so that a
 	// client outside the range is placed only if its Point is read.
 	polar   xrand.Polar
@@ -161,8 +160,9 @@ type Slot struct {
 // NewGenerator prepares the walk of cfg's population that materializes
 // the shard [lo, hi).
 func NewGenerator(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, hi int) (*Generator, error) {
-	if cfg.N <= 0 {
-		return nil, fmt.Errorf("clients: non-positive population size %d", cfg.N)
+	if cfg.N <= 0 || cfg.N > netaddr.ClientPrefixes {
+		return nil, fmt.Errorf("clients: population size %d outside [1, %d], the client /24s of the address pool",
+			cfg.N, netaddr.ClientPrefixes)
 	}
 	if lo < 0 || hi < lo || hi > cfg.N {
 		return nil, fmt.Errorf("clients: shard range [%d, %d) outside population of %d", lo, hi, cfg.N)
@@ -188,7 +188,6 @@ func NewGenerator(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, h
 		places: places,
 		pick:   pick,
 		picker: xrand.Substream(cfg.Seed, "clients-metro"),
-		alloc:  netaddr.NewAllocator(netaddr.ClientPool),
 		pop:    &Population{Base: uint64(lo), Clients: make([]Client, hi-lo)},
 		lo:     lo,
 		hi:     hi,
@@ -201,23 +200,18 @@ func NewGenerator(metros []geo.Metro, isps *topology.ISPModel, cfg Config, lo, h
 }
 
 // Next is a block's sequential pass: it gives each of the next (at most
-// BlockSize) clients its /24 and its metro, in ID order, and returns
-// their slots, ready for Draw. It returns no slots once the population is
-// exhausted. The slots are reused by the following call.
+// BlockSize) clients its metro, in ID order, and returns their slots,
+// ready for Draw. It returns no slots once the population is exhausted.
+// The slots are reused by the following call.
 func (g *Generator) Next() ([]Slot, error) {
 	blk := g.block[:min(len(g.block), g.cfg.N-g.next)]
 	for j := range blk {
-		i := g.next + j
-		prefix, ok := g.alloc.Next()
-		if !ok {
-			return nil, fmt.Errorf("clients: address pool exhausted at %d clients", i)
-		}
 		mi := g.pick.Pick(g.picker)
 		if len(g.places[mi].isps) == 0 {
 			return nil, fmt.Errorf("clients: country %q has no ISPs", g.metros[mi].Country)
 		}
 		s := &blk[j]
-		s.ID, s.Metro, s.prefix = uint64(i), mi, prefix
+		s.ID, s.Metro = uint64(g.next+j), mi
 	}
 	g.next += len(blk)
 	return blk, nil
@@ -243,9 +237,10 @@ func (g *Generator) Draw(s *Slot) {
 		return
 	}
 	m := &g.metros[s.Metro]
+	prefix, _ := netaddr.ClientPrefix(int(s.ID)) // NewGenerator bounds N by the pool
 	*g.pop.Client(s.ID) = Client{
 		ID:      s.ID,
-		Prefix:  s.prefix,
+		Prefix:  prefix,
 		Point:   g.point(s),
 		Metro:   m.Name,
 		Region:  m.Region,

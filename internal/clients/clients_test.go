@@ -72,6 +72,9 @@ func TestGenerateErrors(t *testing.T) {
 	if _, err := Generate(nil, isps, DefaultConfig(1, 10)); err == nil {
 		t.Error("empty catalog should fail")
 	}
+	if _, err := NewGenerator(metros, isps, DefaultConfig(1, netaddr.ClientPrefixes+1), 0, 0); err == nil {
+		t.Error("a population past the client /24 pool should fail")
+	}
 }
 
 func TestGenerateDeterministic(t *testing.T) {

@@ -158,9 +158,6 @@ func NewPredictor(cfg Config) *Predictor {
 	return &Predictor{cfg: cfg}
 }
 
-// Config returns the predictor's effective configuration.
-func (p *Predictor) Config() Config { return p.cfg }
-
 // groupKey maps an observation to its group under g.
 func groupKey(o Observation, g Grouping) uint64 {
 	if g == ByPrefix {
@@ -266,9 +263,6 @@ func (pr *Predictions) For(clientID uint64, ldns dns.LDNSID) Target {
 	}
 	return AnycastTarget
 }
-
-// Len returns how many groups have explicit predictions.
-func (pr *Predictions) Len() int { return len(pr.byGroup) }
 
 // RedirectedFraction returns the fraction of predicted groups steered away
 // from anycast.

@@ -43,8 +43,8 @@ func TestTrainPicksFastestTarget(t *testing.T) {
 	if got := pred.For(10, 5); got != fe1 {
 		t.Fatalf("predicted %v, want front-end(1)", got)
 	}
-	if pred.Len() != 1 {
-		t.Fatalf("predictions for %d groups, want 1", pred.Len())
+	if len(pred.byGroup) != 1 {
+		t.Fatalf("predictions for %d groups, want 1", len(pred.byGroup))
 	}
 }
 
@@ -94,8 +94,8 @@ func TestTrainNoQualifyingTargets(t *testing.T) {
 	p := NewPredictor(Config{Metric: MetricP25, MinMeasurements: 20})
 	obs := mkObs(10, 5, Target{Site: 1}, repeat(10, 3)...)
 	pred := p.Train(obs, ByPrefix)
-	if pred.Len() != 0 {
-		t.Fatalf("no group should qualify, got %d", pred.Len())
+	if len(pred.byGroup) != 0 {
+		t.Fatalf("no group should qualify, got %d", len(pred.byGroup))
 	}
 	if got := pred.For(10, 5); !got.Anycast {
 		t.Fatal("unknown groups must fall back to anycast")
@@ -165,7 +165,7 @@ func TestRedirectedFraction(t *testing.T) {
 
 func TestNewPredictorClampsConfig(t *testing.T) {
 	p := NewPredictor(Config{Metric: -1, MinMeasurements: 0, HybridMarginMs: -5})
-	cfg := p.Config()
+	cfg := p.cfg
 	if cfg.Metric != MetricP25 || cfg.MinMeasurements != 20 || cfg.HybridMarginMs != 0 {
 		t.Fatalf("config not clamped: %+v", cfg)
 	}
@@ -320,7 +320,7 @@ func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 		group  uint64
 		target Target
 	}
-	cfg := p.Config()
+	cfg := p.cfg
 	samples := map[sampleKey][]units.Millis{}
 	groups := map[uint64]bool{}
 	for _, o := range obs {

@@ -210,17 +210,18 @@ func (c *coordinator) start(ctx context.Context) error {
 		}
 	}
 
-	// The ctx watcher yanks every connection deadline on cancellation,
-	// unblocking any in-flight frame I/O.
+	// The ctx watcher closes every connection on cancellation, failing the
+	// in-flight and every later frame operation; a yanked deadline would
+	// be overwritten by the next operation's own.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		select {
 		case <-ctx.Done():
 			for _, conn := range c.closers {
-				// Teardown: a conn already closed by cleanup errors here,
-				// which is fine — there is nothing left to unblock.
-				_ = conn.SetDeadline(time.Unix(1, 0))
+				// Teardown closes the conns again; the second close
+				// errors, which is fine.
+				_ = conn.Close()
 			}
 		case <-c.done:
 		}

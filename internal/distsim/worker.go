@@ -83,9 +83,9 @@ func Serve(ctx context.Context, conn net.Conn) error {
 	defer conn.Close()
 	fc := newFrameConn(conn)
 
-	// Teardown joins every goroutine Serve starts. The watcher yanks the
-	// connection deadlines on ctx cancellation so no frame read or write
-	// can outlive the caller's intent.
+	// Teardown joins every goroutine Serve starts. The watcher closes the
+	// connection on ctx cancellation, failing every frame read and write
+	// (a yanked deadline would be overwritten by the next frame's own).
 	var wg sync.WaitGroup
 	done := make(chan struct{})
 	defer wg.Wait()
@@ -97,7 +97,7 @@ func Serve(ctx context.Context, conn net.Conn) error {
 		case <-ctx.Done():
 			// Teardown: unblocks any in-flight frame I/O; an error here
 			// means the conn is already closed and nothing is blocked.
-			_ = conn.SetDeadline(time.Unix(1, 0))
+			_ = conn.Close()
 		case <-done:
 		}
 	}()

@@ -469,13 +469,3 @@ func (t *rankTables) at(u, v float64) [3]int {
 	}
 	return [3]int{0, first + 1, t.second[first].Index(v) + 1}
 }
-
-// QueryRecord is one authoritative DNS log entry; the backend joins these
-// with client-side HTTP results by QueryID (§3.2.2).
-type QueryRecord struct {
-	QueryID uint64
-	Day     int
-	LDNS    LDNSID
-	// Targets are the unicast front-end sites returned.
-	Targets BeaconTargets
-}

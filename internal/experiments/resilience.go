@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 
+	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
@@ -19,10 +20,12 @@ type EventImpact struct {
 	// MeanShiftFrac averages the per-day shift fraction over the window.
 	MeanShiftFrac float64
 	// BeaconDiffFrac is the fraction of beacon executions in the window
-	// whose anycast sample differs from the baseline run's.
+	// that diverge from the baseline run's: a different anycast sample or
+	// resolver, or an execution only one run made.
 	BeaconDiffFrac float64
 	// MeanAnycastDeltaMs is the mean anycast latency change over the
-	// window's beacon executions (positive = the fault made things worse).
+	// window's paired beacon executions (positive = the fault made things
+	// worse).
 	MeanAnycastDeltaMs units.Millis
 	// RecoveryDays is how many days after the event's window the world
 	// took to match the baseline again, byte for byte: 0 means the first
@@ -42,12 +45,13 @@ type ResilienceReport struct {
 	// ShiftFrac[d] is the fraction of clients whose day-d front-end
 	// differs from baseline.
 	ShiftFrac []float64
-	// BeaconDiffFrac[d] is the fraction of day-d beacon executions whose
-	// anycast sample differs from baseline.
+	// BeaconDiffFrac[d] is the fraction of day-d beacon executions that
+	// diverge from baseline, as EventImpact.BeaconDiffFrac counts them.
 	BeaconDiffFrac []float64
-	// MeanAnycastDeltaMs[d] is the day's mean anycast latency change.
+	// MeanAnycastDeltaMs[d] is the day's mean anycast latency change over
+	// its paired executions.
 	MeanAnycastDeltaMs []units.Millis
-	// ActiveDeltasMs holds the anycast latency delta of every beacon
+	// ActiveDeltasMs holds the anycast latency delta of every paired beacon
 	// execution on fault-active days, for the delta CDF.
 	ActiveDeltasMs []units.Millis
 	Events         []EventImpact
@@ -76,7 +80,8 @@ func Resilience(cfg sim.Config, sc faults.Scenario) (*ResilienceReport, error) {
 
 // CompareRuns builds a ResilienceReport from an already-simulated
 // baseline and faulted run. The two must come from the same Config (same
-// seed, days and population); beacon executions then align one-to-one.
+// seed, days and population); beacon executions then pair by client and
+// query (pairBeacons), even when a surge changed how many there are.
 func CompareRuns(base, faulted *sim.Result, sc faults.Scenario) (*ResilienceReport, error) {
 	days := base.Cfg.Days
 	if faulted.Cfg.Days != days || len(base.Assignments) != len(faulted.Assignments) {
@@ -102,27 +107,13 @@ func CompareRuns(base, faulted *sim.Result, sc faults.Scenario) (*ResilienceRepo
 			r.ShiftFrac[d] = float64(shifted) / float64(n)
 		}
 
-		bb, fb := base.Beacons[d], faulted.Beacons[d]
-		if len(bb) != len(fb) {
-			return nil, fmt.Errorf("experiments: day %d beacon counts diverge (%d vs %d); runs are not seed-aligned", d, len(bb), len(fb))
+		var day beaconTally
+		var deltas *[]units.Millis
+		if len(sc.ActiveOn(d)) > 0 {
+			deltas = &r.ActiveDeltasMs
 		}
-		diff := 0
-		var deltaSum units.Millis
-		active := len(sc.ActiveOn(d)) > 0
-		for j := range bb {
-			delta := fb[j].Anycast.RTTms - bb[j].Anycast.RTTms
-			if delta != 0 || fb[j].Anycast.Site != bb[j].Anycast.Site || fb[j].LDNS != bb[j].LDNS {
-				diff++
-			}
-			deltaSum += delta
-			if active {
-				r.ActiveDeltasMs = append(r.ActiveDeltasMs, delta)
-			}
-		}
-		if len(bb) > 0 {
-			r.BeaconDiffFrac[d] = float64(diff) / float64(len(bb))
-			r.MeanAnycastDeltaMs[d] = deltaSum / units.Millis(len(bb))
-		}
+		day.pairBeacons(base.Beacons[d], faulted.Beacons[d], deltas)
+		r.BeaconDiffFrac[d], r.MeanAnycastDeltaMs[d] = day.result()
 	}
 
 	for _, e := range sc.Events {
@@ -136,31 +127,19 @@ func (r *ResilienceReport) eventImpact(e faults.Event, base, faulted *sim.Result
 	imp := EventImpact{Event: e, RecoveryDays: -1}
 	var shiftSum float64
 	winDays := 0
-	diffed, total := 0, 0
-	var deltaSum units.Millis
+	var window beaconTally
 	for d := e.Day; d < e.End() && d < r.Days; d++ {
 		if r.ShiftFrac[d] > imp.PeakShiftFrac {
 			imp.PeakShiftFrac = r.ShiftFrac[d]
 		}
 		shiftSum += r.ShiftFrac[d]
 		winDays++
-		bb, fb := base.Beacons[d], faulted.Beacons[d]
-		for j := range bb {
-			delta := fb[j].Anycast.RTTms - bb[j].Anycast.RTTms
-			if delta != 0 || fb[j].Anycast.Site != bb[j].Anycast.Site || fb[j].LDNS != bb[j].LDNS {
-				diffed++
-			}
-			deltaSum += delta
-			total++
-		}
+		window.pairBeacons(base.Beacons[d], faulted.Beacons[d], nil)
 	}
 	if winDays > 0 {
 		imp.MeanShiftFrac = shiftSum / float64(winDays)
 	}
-	if total > 0 {
-		imp.BeaconDiffFrac = float64(diffed) / float64(total)
-		imp.MeanAnycastDeltaMs = deltaSum / units.Millis(total)
-	}
+	imp.BeaconDiffFrac, imp.MeanAnycastDeltaMs = window.result()
 	for d := e.End(); d < r.Days; d++ {
 		if r.ShiftFrac[d] == 0 && r.BeaconDiffFrac[d] == 0 {
 			imp.RecoveryDays = d - e.End()
@@ -168,6 +147,60 @@ func (r *ResilienceReport) eventImpact(e faults.Event, base, faulted *sim.Result
 		}
 	}
 	return imp
+}
+
+// beaconTally compares the two runs' beacon executions over one or more
+// days: paired counts the executions both runs made, diverged those of
+// them whose anycast sample or resolver differs, and unpaired those only
+// one run made; deltaSum sums the paired ones' anycast latency change.
+type beaconTally struct {
+	paired, diverged, unpaired int
+	deltaSum                   units.Millis
+}
+
+// pairBeacons adds one day's executions to the tally. Both runs list a
+// day's executions in client order, each client's in query order, and a
+// client-day's k-th execution carries the same query ID in both runs; so
+// the walk pairs executions by client and position. A surge changes how
+// many executions a client makes, and one that only one run made has no
+// baseline: it counts as diverged, with no latency change. deltas, if not
+// nil, collects each paired execution's change.
+func (t *beaconTally) pairBeacons(base, faulted []beacon.Measurement, deltas *[]units.Millis) {
+	i, j := 0, 0
+	for i < len(base) && j < len(faulted) {
+		switch b, f := &base[i], &faulted[j]; {
+		case b.ClientID < f.ClientID:
+			t.unpaired++
+			i++
+		case f.ClientID < b.ClientID:
+			t.unpaired++
+			j++
+		default:
+			delta := f.Anycast.RTTms - b.Anycast.RTTms
+			if delta != 0 || f.Anycast.Site != b.Anycast.Site || f.LDNS != b.LDNS {
+				t.diverged++
+			}
+			t.deltaSum += delta
+			t.paired++
+			if deltas != nil {
+				*deltas = append(*deltas, delta)
+			}
+			i, j = i+1, j+1
+		}
+	}
+	t.unpaired += len(base) - i + len(faulted) - j
+}
+
+// result returns the fraction of executions, paired or not, that
+// diverge, and the mean latency change over the paired ones.
+func (t *beaconTally) result() (diffFrac float64, meanDelta units.Millis) {
+	if n := t.paired + t.unpaired; n > 0 {
+		diffFrac = float64(t.diverged+t.unpaired) / float64(n)
+	}
+	if t.paired > 0 {
+		meanDelta = t.deltaSum / units.Millis(t.paired)
+	}
+	return diffFrac, meanDelta
 }
 
 // Recovered reports whether the world matched the baseline again on some

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
@@ -135,5 +136,84 @@ func TestResilienceShapeMismatch(t *testing.T) {
 	}
 	if _, err := CompareRuns(base, other, faults.Scenario{}); err == nil {
 		t.Fatal("CompareRuns accepted runs of different shapes")
+	}
+}
+
+// TestResilienceSurge compares runs whose beacon counts differ: a surge
+// scales a region's query counts, and with them its clients' beacon
+// executions, up (qps=5) or to nothing (qps=0). Executions pair by client
+// and query, so each execution only one run made counts as diverged,
+// every paired one carries no latency change, and the world matches the
+// baseline again the day after the window.
+func TestResilienceSurge(t *testing.T) {
+	cfg := sim.DefaultConfig(1)
+	cfg.Prefixes, cfg.Days = 600, 6
+	base, err := sim.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perClient := func(ms []beacon.Measurement) map[uint64]int {
+		n := map[uint64]int{}
+		for _, m := range ms {
+			n[m.ClientID]++
+		}
+		return n
+	}
+	for _, qps := range []string{"5", "0"} {
+		t.Run("qps="+qps, func(t *testing.T) {
+			sc, err := faults.ParseScenario("surge europe day=2 for=2 qps=" + qps)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fcfg := cfg
+			fcfg.Scenario = &sc
+			faulted, err := sim.Run(fcfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r, err := Resilience(cfg, sc)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for d := 0; d < cfg.Days; d++ {
+				nb, nf := perClient(base.Beacons[d]), perClient(faulted.Beacons[d])
+				unpaired, total := 0, 0
+				for c, b := range nb {
+					f := nf[c]
+					unpaired += max(b, f) - min(b, f)
+					total += max(b, f)
+				}
+				for c, f := range nf {
+					if _, ok := nb[c]; !ok {
+						unpaired += f
+						total += f
+					}
+				}
+				if surged := d == 2 || d == 3; surged != (unpaired > 0) {
+					t.Fatalf("day %d: %d unpaired executions, surge active %v", d, unpaired, surged)
+				}
+				want := 0.0
+				if total > 0 {
+					want = float64(unpaired) / float64(total)
+				}
+				if r.BeaconDiffFrac[d] != want {
+					t.Fatalf("day %d: BeaconDiffFrac %v, want %d unpaired of %d = %v", d, r.BeaconDiffFrac[d], unpaired, total, want)
+				}
+				if r.MeanAnycastDeltaMs[d] != 0 || r.ShiftFrac[d] != 0 {
+					t.Fatalf("day %d: mean Δ %v, shift %v; a surge without load management moves neither", d, r.MeanAnycastDeltaMs[d], r.ShiftFrac[d])
+				}
+			}
+			if len(r.ActiveDeltasMs) == 0 {
+				t.Fatal("no paired executions on the surge days")
+			}
+			for _, delta := range r.ActiveDeltasMs {
+				if delta != 0 {
+					t.Fatalf("paired execution changed by %v ms", delta)
+				}
+			}
+			if imp := r.Events[0]; imp.BeaconDiffFrac <= 0 || imp.MeanAnycastDeltaMs != 0 || imp.RecoveryDays != 0 {
+				t.Fatalf("event impact %+v, want diverged executions, Δ 0 and recovery +0d", imp)
+			}
+		})
 	}
 }

@@ -25,7 +25,7 @@ import (
 
 // shardDayMagic versions the frame layout. Bump on any change so a
 // coordinator never misreads a frame from a mismatched worker binary.
-const shardDayMagic = 0xD8
+const shardDayMagic = 0xD9
 
 // Encoded sizes: a served row is seven 8-byte words (front-end, ingress,
 // queries, then volume and the three distances as float64 bits); a client

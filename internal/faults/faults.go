@@ -37,7 +37,6 @@ package faults
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 
@@ -345,20 +344,4 @@ func (s Scenario) Summary() string {
 		parts[i] = fmt.Sprintf("%s %s d%d+%d", e.Kind, e.Target, e.Day, e.Days)
 	}
 	return strings.Join(parts, "; ")
-}
-
-// Kinds returns the distinct event kinds of the scenario, sorted, for
-// report summaries.
-func (s Scenario) Kinds() []Kind {
-	set := map[Kind]bool{}
-	for _, e := range s.Events {
-		set[e.Kind] = true
-	}
-	out := make([]Kind, 0, len(set))
-	//replay:commutative keys only; sorted immediately below, so collection order is discarded
-	for k := range set {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }

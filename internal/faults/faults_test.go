@@ -142,10 +142,6 @@ func TestScenarioHelpers(t *testing.T) {
 	if got := (Scenario{}).Summary(); got != "no faults" {
 		t.Fatalf("empty Summary() = %q", got)
 	}
-	kinds := sc.Kinds()
-	if len(kinds) != 2 || kinds[0] != Drain || kinds[1] != Inflate {
-		t.Fatalf("Kinds() = %v", kinds)
-	}
 	if (Scenario{}).MaxDay() != -1 {
 		t.Fatal("empty MaxDay should be -1")
 	}

@@ -23,8 +23,6 @@ import (
 // Injector is immutable after construction and safe for concurrent use
 // by the simulation workers.
 type Injector struct {
-	scenario Scenario
-
 	// siteEvents holds Drain and Flap events with their resolved site.
 	siteEvents []siteEvent
 	// regionEvents holds LDNSOutage, Inflate and Surge events.
@@ -63,7 +61,7 @@ func NewInjector(sc Scenario, dep *cdn.Deployment, mapping *dns.Mapping, metros 
 	if err := sc.Validate(); err != nil {
 		return nil, err
 	}
-	inj := &Injector{scenario: sc, firstDay: int(^uint(0) >> 1), lastDay: -1}
+	inj := &Injector{firstDay: int(^uint(0) >> 1), lastDay: -1}
 
 	bb := dep.Backbone
 	siteByMetro := map[string]topology.SiteID{}
@@ -149,18 +147,6 @@ func (inj *Injector) compileLDNSFallback(mapping *dns.Mapping, metros []geo.Metr
 	}
 	return nil
 }
-
-// Scenario returns the compiled scenario.
-func (inj *Injector) Scenario() Scenario {
-	if inj == nil {
-		return Scenario{}
-	}
-	return inj.scenario
-}
-
-// Empty reports whether the injector never injects anything; true for a
-// nil injector.
-func (inj *Injector) Empty() bool { return inj == nil || inj.scenario.Empty() }
 
 // ActiveOn reports whether any event is in effect on the given day.
 func (inj *Injector) ActiveOn(day int) bool {

@@ -80,14 +80,6 @@ type Metro struct {
 	Weight float64
 }
 
-// Offset returns a point displaced from the metro center by approximately
-// dKm kilometers at the given bearing in degrees. Used to scatter client
-// prefixes around their metro.
-func (m Metro) Offset(dKm units.Kilometers, bearingDeg float64) Point {
-	o := NewOrigin(m.Point)
-	return o.Offset(dKm, bearingDeg)
-}
-
 // Origin is a point to offset other points from or measure distances to,
 // with the sine and cosine of its latitude computed once. A caller that
 // offsets many points from one center — the client generator scatters

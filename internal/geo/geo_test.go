@@ -83,9 +83,10 @@ func TestPointValid(t *testing.T) {
 
 func TestOffsetDistance(t *testing.T) {
 	m, _ := FindMetro("chicago")
+	o := NewOrigin(m.Point)
 	for _, d := range []units.Kilometers{1, 50, 500, 3000} {
 		for _, brg := range []float64{0, 45, 90, 180, 270} {
-			p := m.Offset(d, brg)
+			p := o.Offset(d, brg)
 			if !p.Valid() {
 				t.Fatalf("Offset(%v,%v) produced invalid point %v", d, brg, p)
 			}
@@ -99,7 +100,8 @@ func TestOffsetDistance(t *testing.T) {
 
 func TestOffsetCrossesAntimeridian(t *testing.T) {
 	m := Metro{Point: Point{Lat: 0, Lon: 179.5}}
-	p := m.Offset(200, 90)
+	o := NewOrigin(m.Point)
+	p := o.Offset(200, 90)
 	if !p.Valid() {
 		t.Fatalf("offset across antimeridian produced invalid point %v", p)
 	}
@@ -108,13 +110,13 @@ func TestOffsetCrossesAntimeridian(t *testing.T) {
 	}
 }
 
-// referenceOffset is Metro.Offset as the textbook formula, evaluating
+// referenceOffset is Origin.Offset as the textbook formula, evaluating
 // every sine and cosine where it appears.
-func referenceOffset(m Metro, dKm units.Kilometers, bearingDeg float64) Point {
+func referenceOffset(center Point, dKm units.Kilometers, bearingDeg float64) Point {
 	const degToRad = math.Pi / 180
 	br := bearingDeg * degToRad
-	lat1 := m.Point.Lat * degToRad
-	lon1 := m.Point.Lon * degToRad
+	lat1 := center.Lat * degToRad
+	lon1 := center.Lon * degToRad
 	ad := dKm.Float() / EarthRadiusKm.Float()
 	lat2 := math.Asin(math.Sin(lat1)*math.Cos(ad) + math.Cos(lat1)*math.Sin(ad)*math.Cos(br))
 	lon2 := lon1 + math.Atan2(math.Sin(br)*math.Sin(ad)*math.Cos(lat1),
@@ -124,49 +126,43 @@ func referenceOffset(m Metro, dKm units.Kilometers, bearingDeg float64) Point {
 }
 
 // TestOffsetMatchesReference pins Offset's once-per-term evaluation as
-// exact: Metro.Offset, and an Origin built once and reused, return the
-// textbook formula's bits for random centers (the poles, the
-// antimeridian and zero distance among them) and for offsets around every
-// catalog metro.
+// exact: an Origin built once and reused returns the textbook formula's
+// bits for random centers (the poles, the antimeridian and zero distance
+// among them) and for offsets around every catalog metro.
 func TestOffsetMatchesReference(t *testing.T) {
 	same := func(a, b Point) bool {
 		return math.Float64bits(a.Lat) == math.Float64bits(b.Lat) && math.Float64bits(a.Lon) == math.Float64bits(b.Lon)
 	}
-	check := func(m Metro, o *Origin, d units.Kilometers, brg float64) {
+	check := func(center Point, o *Origin, d units.Kilometers, brg float64) {
 		t.Helper()
-		want := referenceOffset(m, d, brg)
-		if got := m.Offset(d, brg); !same(got, want) {
-			t.Fatalf("Metro%v.Offset(%v, %v) = %v, reference %v", m.Point, d, brg, got, want)
-		}
+		want := referenceOffset(center, d, brg)
 		if got := o.Offset(d, brg); !same(got, want) {
-			t.Fatalf("Origin%v.Offset(%v, %v) = %v, reference %v", m.Point, d, brg, got, want)
+			t.Fatalf("Origin%v.Offset(%v, %v) = %v, reference %v", center, d, brg, got, want)
 		}
 	}
 	rs := xrand.New(17)
 	edges := []Point{{90, 0}, {-90, 0}, {90, 180}, {-90, -180}, {0, 180}, {0, -180}, {45, 179.999}, {-45, -179.999}, {0, 0}}
 	for _, p := range edges {
-		m := Metro{Point: p}
 		o := NewOrigin(p)
 		for _, d := range []units.Kilometers{0, 1e-9, 1, 140, 5000, 20015, 40000} {
 			for _, brg := range []float64{0, 45, 90, 180, 270, 359.999} {
-				check(m, &o, d, brg)
+				check(p, &o, d, brg)
 			}
 		}
 	}
 	for i := 0; i < 200_000; i++ {
 		p := Point{Lat: rs.Float64()*180 - 90, Lon: rs.Float64()*360 - 180}
-		m := Metro{Point: p}
 		o := NewOrigin(p)
 		d := units.Kilometers(rs.Float64() * 20000)
 		if i%8 == 0 {
 			d = 0
 		}
-		check(m, &o, d, rs.Float64()*360)
+		check(p, &o, d, rs.Float64()*360)
 	}
 	for _, m := range World() {
 		o := NewOrigin(m.Point)
 		for i := 0; i < 2_000; i++ {
-			check(m, &o, units.Kilometers(140*rs.LogNormal(0, 0.8)), rs.Float64()*360)
+			check(m.Point, &o, units.Kilometers(140*rs.LogNormal(0, 0.8)), rs.Float64()*360)
 		}
 	}
 }

@@ -22,7 +22,8 @@ func frontEndSet(b *testing.B) (*geo.PointSet, []geo.Point) {
 	}
 	var queries []geo.Point
 	for _, m := range geo.World() {
-		queries = append(queries, m.Offset(25, 45))
+		o := geo.NewOrigin(m.Point)
+		queries = append(queries, o.Offset(25, 45))
 	}
 	return geo.NewPointSet(fes), queries
 }

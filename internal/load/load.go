@@ -134,9 +134,6 @@ func NewBalancer(b *topology.Backbone, layers []Layer, capacity []float64) (*Bal
 	return bal, nil
 }
 
-// NumLayers returns the number of anycast rings.
-func (bal *Balancer) NumLayers() int { return len(bal.layers) }
-
 // ShedFraction returns the current shed fraction of a site at a layer.
 func (bal *Balancer) ShedFraction(layer int, site topology.SiteID) float64 {
 	if layer < 0 || layer >= len(bal.shed) {
@@ -164,21 +161,16 @@ func (bal *Balancer) frontEndAtLayer(ingress topology.SiteID, layer int, exclude
 	return best
 }
 
-// Route resolves where a query entering at ingress is served, walking the
-// layer stack: at each layer the nearest ring member either serves the
-// query or (with its shed probability) forwards the client to the next
-// layer's VIP. u in [0,1) supplies the randomness deterministically.
-func (bal *Balancer) Route(ingress topology.SiteID, u float64) topology.SiteID {
-	return bal.RouteFrom(ingress, bal.frontEndAtLayer(ingress, 0, topology.InvalidSite), u, 0)
-}
-
-// RouteFrom walks the layer stack starting from an already-resolved
-// layer-0 front-end (the client's effective anycast assignment, which
-// fault rewrites may have moved off the nearest ring member). ingress
-// still decides which deeper-ring member anycast would deliver the
-// re-queried client to. load is the size of the demand atom being
-// routed (one client-day's queries); pass 0 to disable the heavy-hitter
-// rule.
+// RouteFrom resolves where a query entering at ingress is served, walking
+// the layer stack: at each layer the ring member either serves the query
+// or (with its shed probability) forwards the client to the next layer's
+// VIP. u in [0,1) supplies the randomness deterministically. The walk
+// starts from an already-resolved layer-0 front-end fe (the client's
+// effective anycast assignment, which fault rewrites may have moved off
+// the nearest ring member). ingress still decides which deeper-ring
+// member anycast would deliver the re-queried client to. load is the
+// size of the demand atom being routed (one client-day's queries); pass
+// 0 to disable the heavy-hitter rule.
 //
 // The walk keeps the conditional-probability semantics exact: u continues
 // past a layer only when u < f, so the rescale u/f that turns the
@@ -331,22 +323,16 @@ func (bal *Balancer) MaxUtilization(demand []float64) float64 {
 	return maxUtil
 }
 
-// Adjust runs one control step — every site's local watermark rule over
-// the offered load — and returns the maximum utilization after the
-// step's load re-evaluation.
-func (bal *Balancer) Adjust(demand []float64) float64 {
-	delta, u := bal.adjust(demand)
-	_ = delta
-	return u
-}
-
+// adjust runs one control step — every site's local watermark rule over
+// the offered load — and returns the step's largest shed-fraction move
+// and the maximum utilization after the step's load re-evaluation.
 func (bal *Balancer) adjust(demand []float64) (delta, maxUtil float64) {
 	loads := bal.Offered(demand)
 	delta = bal.StepLocal(loads)
 	return delta, bal.MaxUtilization(demand)
 }
 
-// Converge runs Adjust until the shed fractions reach a fixpoint (no
+// Converge runs adjust until the shed fractions reach a fixpoint (no
 // fraction moved) or the iteration budget is exhausted, returning the
 // final max utilization and the number of steps taken. The watermark
 // dead band guarantees the fixpoint is stable: once every site sits

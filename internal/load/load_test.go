@@ -60,6 +60,12 @@ func TestNewBalancerValidation(t *testing.T) {
 	}
 }
 
+// route walks the layer stack from the ring-0 member nearest ingress,
+// with the heavy-hitter rule off.
+func route(bal *Balancer, ingress topology.SiteID, u float64) topology.SiteID {
+	return bal.RouteFrom(ingress, bal.frontEndAtLayer(ingress, 0, topology.InvalidSite), u, 0)
+}
+
 func TestRouteNoOverloadServesNearest(t *testing.T) {
 	b := buildBackbone(t)
 	bal, err := NewBalancer(b, defaultLayers(b), defaultCapacity(b))
@@ -67,7 +73,7 @@ func TestRouteNoOverloadServesNearest(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, ingress := range b.FrontEnds() {
-		fe := bal.Route(ingress, 0.5)
+		fe := route(bal, ingress, 0.5)
 		if fe != ingress {
 			t.Fatalf("with no shedding, ingress %d should be served locally, got %d", ingress, fe)
 		}
@@ -163,7 +169,7 @@ func TestRouteDistributionMatchesShedFraction(t *testing.T) {
 	local, shedded := 0, 0
 	const n = 50000
 	for i := 0; i < n; i++ {
-		fe := bal.Route(fes[1], rs.Float64())
+		fe := route(bal, fes[1], rs.Float64())
 		if fe == fes[1] {
 			local++
 		} else {
@@ -190,7 +196,7 @@ func TestRouteLastLayerAlwaysServes(t *testing.T) {
 	}
 	layer1 := []topology.SiteID{fes[0], fes[2], fes[4]}
 	for _, ingress := range fes {
-		fe := bal.Route(ingress, 0.99)
+		fe := route(bal, ingress, 0.99)
 		if !slices.Contains(layer1, fe) {
 			t.Fatalf("fully shed ingress %d served by non-layer-1 site %d", ingress, fe)
 		}

@@ -9,6 +9,17 @@ import (
 	"anycastcdn/internal/xrand"
 )
 
+// perm returns a random permutation of [0, n) drawn from rs (the
+// inside-out Fisher–Yates shuffle).
+func perm(rs *xrand.Stream, n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		j := rs.Intn(i + 1)
+		p[i], p[j] = p[j], i
+	}
+	return p
+}
+
 // randomFleet builds a random front-end fleet over a random subset of the
 // real metro catalog, with xrand-seeded capacities and an offered demand
 // that is feasible by construction (total demand strictly below total
@@ -20,7 +31,7 @@ func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, []floa
 	metros := geo.World()
 	n := 4 + rs.Intn(len(metros)-4)
 	specs := make([]topology.SiteSpec, 0, n)
-	for _, idx := range rs.Perm(len(metros))[:n] {
+	for _, idx := range perm(&rs, len(metros))[:n] {
 		specs = append(specs, topology.SiteSpec{Metro: metros[idx].Name, FrontEnd: true, Peering: true})
 	}
 	bb, err := topology.Build(specs, 2+rs.Intn(3))
@@ -60,7 +71,7 @@ func randomFleet(t *testing.T, seed uint64) (*topology.Backbone, []Layer, []floa
 
 func shedSnapshot(bal *Balancer) []uint64 {
 	var snap []uint64
-	for l := 0; l < bal.NumLayers(); l++ {
+	for l := 0; l < len(bal.layers); l++ {
 		for _, fe := range bal.layers[l].Sites {
 			snap = append(snap, math.Float64bits(bal.shed[l][fe]))
 		}
@@ -109,8 +120,8 @@ func TestShedFractionsStayBounded(t *testing.T) {
 			demand[fe] *= 3
 		}
 		for step := 0; step < 60; step++ {
-			bal.Adjust(demand)
-			for l := 0; l < bal.NumLayers(); l++ {
+			bal.adjust(demand)
+			for l := 0; l < len(bal.layers); l++ {
 				for _, fe := range bal.layers[l].Sites {
 					f := bal.ShedFraction(l, fe)
 					if f < 0 || f > 1 || math.IsNaN(f) {
@@ -120,7 +131,7 @@ func TestShedFractionsStayBounded(t *testing.T) {
 			}
 		}
 		// The terminal ring never sheds — there is nowhere deeper to go.
-		last := bal.NumLayers() - 1
+		last := len(bal.layers) - 1
 		for _, fe := range bal.layers[last].Sites {
 			if f := bal.ShedFraction(last, fe); f != 0 {
 				t.Errorf("seed %d: terminal ring site %d sheds %v", seed, fe, f)
@@ -176,7 +187,7 @@ func TestConvergedStateIsStable(t *testing.T) {
 		}
 		before := shedSnapshot(bal)
 		for i := 0; i < 10; i++ {
-			bal.Adjust(demand)
+			bal.adjust(demand)
 		}
 		after := shedSnapshot(bal)
 		for i := range before {

@@ -11,8 +11,8 @@
 // prev-front-end column's sign bit instead of its own padded byte), keeps
 // each reader touching only the columns it reads, and lets the parallel
 // simulation reduce write disjoint indices of shared columns with no
-// per-client row buffers. Rows materialize only at the API edge: Append
-// and Set take a DayRecord, At returns one.
+// per-client row buffers. Rows materialize only at the API edge: Set
+// takes a DayRecord, At returns one.
 package logs
 
 import "anycastcdn/internal/topology"
@@ -44,7 +44,8 @@ func (r DayRecord) FrontEndChanged() bool {
 // Site IDs are small non-negative integers, so the top bit is free.
 const switchedBit = uint32(1) << 31
 
-// Log is an append-only columnar collection of day records.
+// Log is a columnar collection of day records, grown with Extend and
+// filled with Set.
 type Log struct {
 	clientIDs []uint64
 	days      []int32
@@ -53,23 +54,6 @@ type Log struct {
 	// the top bit.
 	prevPacked []uint32
 	queries    []int32
-}
-
-// Append adds a record.
-func (l *Log) Append(r DayRecord) {
-	l.clientIDs = append(l.clientIDs, r.ClientID)
-	l.days = append(l.days, int32(r.Day))
-	l.frontEnds = append(l.frontEnds, r.FrontEnd)
-	l.prevPacked = append(l.prevPacked, packPrev(r))
-	l.queries = append(l.queries, int32(r.Queries))
-}
-
-func packPrev(r DayRecord) uint32 {
-	p := uint32(r.PrevFrontEnd)
-	if r.Switched {
-		p |= switchedBit
-	}
-	return p
 }
 
 // Grow reserves capacity for n additional records, so bulk loaders (the
@@ -113,7 +97,10 @@ func (l *Log) Set(i int, r DayRecord) {
 	l.clientIDs[i] = r.ClientID
 	l.days[i] = int32(r.Day)
 	l.frontEnds[i] = r.FrontEnd
-	l.prevPacked[i] = packPrev(r)
+	l.prevPacked[i] = uint32(r.PrevFrontEnd)
+	if r.Switched {
+		l.prevPacked[i] |= switchedBit
+	}
 	l.queries[i] = int32(r.Queries)
 }
 

@@ -24,8 +24,9 @@ func TestAppendAtRoundTrip(t *testing.T) {
 		{ClientID: 1, Day: 29, FrontEnd: 5, Switched: true, PrevFrontEnd: 5, Queries: 1},
 	}
 	var l Log
-	for _, r := range recs {
-		l.Append(r)
+	base := l.Extend(len(recs))
+	for i, r := range recs {
+		l.Set(base+i, r)
 	}
 	if l.Len() != len(recs) {
 		t.Fatalf("Len = %d, want %d", l.Len(), len(recs))
@@ -39,7 +40,7 @@ func TestAppendAtRoundTrip(t *testing.T) {
 
 func TestExtendSetAndAt(t *testing.T) {
 	var l Log
-	l.Append(DayRecord{ClientID: 1, Day: 0, Queries: 1})
+	l.Set(l.Extend(1), DayRecord{ClientID: 1, Day: 0, Queries: 1})
 	base := l.Extend(2)
 	if base != 1 {
 		t.Fatalf("Extend base = %d, want 1", base)
@@ -65,7 +66,7 @@ func TestExtendSetAndAt(t *testing.T) {
 func TestGrowPreservesRecords(t *testing.T) {
 	var l Log
 	r0 := DayRecord{ClientID: 5, Day: 1, FrontEnd: 1, Switched: true, PrevFrontEnd: 0, Queries: 2}
-	l.Append(r0)
+	l.Set(l.Extend(1), r0)
 	l.Grow(1000)
 	if l.Len() != 1 {
 		t.Fatalf("Grow changed Len to %d", l.Len())
@@ -74,7 +75,7 @@ func TestGrowPreservesRecords(t *testing.T) {
 		t.Fatalf("Grow corrupted record: %+v", got)
 	}
 	l.Grow(-5) // no-op
-	l.Append(DayRecord{ClientID: 6, Day: 2, Queries: 3})
+	l.Set(l.Extend(1), DayRecord{ClientID: 6, Day: 2, Queries: 3})
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())
 	}

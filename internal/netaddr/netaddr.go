@@ -7,31 +7,11 @@
 // are also /24s, mirroring §3.1 of the paper.
 package netaddr
 
-import (
-	"fmt"
-	"net/netip"
-)
+import "fmt"
 
 // Prefix24 identifies an IPv4 /24 by its 24 network bits. The zero value is
 // 0.0.0.0/24.
 type Prefix24 uint32
-
-// ParsePrefix24 parses a dotted string like "192.0.2.0/24" (the host octet
-// and mask are validated).
-func ParsePrefix24(s string) (Prefix24, error) {
-	p, err := netip.ParsePrefix(s)
-	if err != nil {
-		return 0, fmt.Errorf("netaddr: %w", err)
-	}
-	if !p.Addr().Is4() {
-		return 0, fmt.Errorf("netaddr: %v is not IPv4", p)
-	}
-	if p.Bits() != 24 {
-		return 0, fmt.Errorf("netaddr: %v is not a /24", p)
-	}
-	a4 := p.Addr().As4()
-	return FromOctets(a4[0], a4[1], a4[2]), nil
-}
 
 // FromOctets builds a Prefix24 from the three network octets.
 func FromOctets(a, b, c byte) Prefix24 {
@@ -48,78 +28,47 @@ func (p Prefix24) String() string {
 	return fmt.Sprintf("%d.%d.%d.0/24", a, b, c)
 }
 
-// Allocator hands out non-overlapping synthetic /24s from a chain of
-// ranges, so generated "client" and "front-end" prefixes can never collide
-// with each other. The addresses are simulation-only labels — nothing is
-// ever bound or routed — so the ranges only need to be mutually disjoint.
-type Allocator struct {
-	next   uint32 // offset within ranges[ri]
-	ri     int
-	ranges []addrRange
-}
-
-type addrRange struct {
-	base uint32 // /24 index of the range start (addr >> 8)
-	size uint32
-}
-
-// Pool identifies an address pool for an Allocator.
-type Pool int
-
-// Address pools. ClientPool starts in 10.0.0.0/8 (65,536 /24s), continues
-// into 16.0.0.0/4 (1,048,576 more) for paper-scale populations, and then
-// into 64.0.0.0/2 (4,194,304 more) for the distributed multi-process runs
-// that shard a world several times the single-process ceiling — over five
-// million client /24s in total. The ranges are chained in that fixed
-// order, so growing the pool never changes which prefix an existing
-// client index receives. FrontEndPool allocates from 198.18.0.0/15
-// (benchmarking); AnycastPrefix is the single well-known anycast /24
-// 192.0.2.0/24. All pools are disjoint.
+// The synthetic address pools. The addresses are simulation-only labels —
+// nothing is ever bound or routed — so the pools need only be disjoint,
+// and a /24 is arithmetic on its index: any client's prefix is known
+// without walking the clients before it.
+//
+// The client pool starts in 10.0.0.0/8 (65,536 /24s), continues into
+// 16.0.0.0/4 (1,048,576 more) for paper-scale populations, and then into
+// 64.0.0.0/2 (4,194,304 more) for the distributed multi-process runs that
+// shard a world several times the single-process ceiling. The ranges are
+// chained in that fixed order, so growing the pool never changes which
+// prefix an existing client index receives. The front-end pool is
+// 198.18.0.0/15 (benchmarking), and AnycastPrefix is the single
+// well-known anycast /24 192.0.2.0/24.
 const (
-	ClientPool Pool = iota
-	FrontEndPool
+	// ClientPrefixes is the number of client /24s: 5,308,416.
+	ClientPrefixes = 1<<16 + 1<<20 + 4<<20
+	// FrontEndPrefixes is the number of front-end /24s.
+	FrontEndPrefixes = 512
 )
 
-// NewAllocator returns an allocator over the given pool.
-func NewAllocator(pool Pool) *Allocator {
-	switch pool {
-	case FrontEndPool:
-		// 198.18.0.0/15 => 512 /24s, plenty for front-ends.
-		return &Allocator{ranges: []addrRange{{base: uint32(198)<<16 | uint32(18)<<8, size: 512}}}
-	default:
-		return &Allocator{ranges: []addrRange{
-			{base: uint32(10) << 16, size: 65536},   // 10.0.0.0/8
-			{base: uint32(16) << 16, size: 1048576}, // 16.0.0.0/4
-			{base: uint32(64) << 16, size: 4 << 20}, // 64.0.0.0/2
-		}}
+// ClientPrefix returns the /24 of client index i. ok is false outside
+// [0, ClientPrefixes).
+func ClientPrefix(i int) (p Prefix24, ok bool) {
+	switch {
+	case i < 0 || i >= ClientPrefixes:
+		return 0, false
+	case i < 1<<16: // 10.0.0.0/8
+		return Prefix24(10<<16 + i), true
+	case i < 1<<16+1<<20: // 16.0.0.0/4
+		return Prefix24(16<<16 + i - 1<<16), true
 	}
+	return Prefix24(64<<16 + i - 1<<16 - 1<<20), true // 64.0.0.0/2
 }
 
-// Next returns the next unallocated /24. ok is false when the pool is
-// exhausted.
-func (al *Allocator) Next() (Prefix24, bool) {
-	for al.ri < len(al.ranges) && al.next >= al.ranges[al.ri].size {
-		al.ri++
-		al.next = 0
-	}
-	if al.ri >= len(al.ranges) {
+// FrontEndPrefix returns the unicast /24 of front-end index i. ok is false
+// outside [0, FrontEndPrefixes).
+func FrontEndPrefix(i int) (p Prefix24, ok bool) {
+	if i < 0 || i >= FrontEndPrefixes {
 		return 0, false
 	}
-	p := Prefix24(al.ranges[al.ri].base + al.next)
-	al.next++
-	return p, true
-}
-
-// Remaining returns how many /24s are left in the pool.
-func (al *Allocator) Remaining() int {
-	var n uint32
-	for i := al.ri; i < len(al.ranges); i++ {
-		n += al.ranges[i].size
-		if i == al.ri {
-			n -= al.next
-		}
-	}
-	return int(n)
+	return Prefix24(198<<16 + 18<<8 + i), true // 198.18.0.0/15
 }
 
 // AnycastPrefix is the /24 the anycast service address is announced from

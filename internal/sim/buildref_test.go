@@ -34,19 +34,19 @@ func referenceGenerate(metros []geo.Metro, isps *topology.ISPModel, cfg clients.
 	if !ok {
 		return nil, fmt.Errorf("no metro weights")
 	}
-	alloc := netaddr.NewAllocator(netaddr.ClientPool)
 	picker := xrand.Substream(cfg.Seed, "clients-metro")
 	out := make([]clients.Client, 0, hi-lo)
 	var rs xrand.Stream
 	for i := 0; i < cfg.N; i++ {
-		prefix, ok := alloc.Next()
+		prefix, ok := netaddr.ClientPrefix(i)
 		if !ok {
 			return nil, fmt.Errorf("address pool exhausted at %d clients", i)
 		}
 		m := &metros[pick.Pick(picker)]
 		rs.Reseed(xrand.DeriveSeedL1(cfg.Seed, referenceLabelClient, uint64(i)))
 		scatter := units.Kilometers(cfg.ScatterMedianKm.Float() * rs.LogNormal(0, 0.8))
-		point := m.Offset(scatter, rs.Float64()*360)
+		o := geo.NewOrigin(m.Point)
+		point := o.Offset(scatter, rs.Float64()*360)
 		ispIDs := isps.ForCountry(m.Country)
 		if len(ispIDs) == 0 {
 			return nil, fmt.Errorf("country %q has no ISPs", m.Country)

@@ -30,6 +30,8 @@ func TestConfigValidate(t *testing.T) {
 		{"zero workers means GOMAXPROCS", mut(func(c *sim.Config) { c.Workers = 0 }), ""},
 		{"zero prefixes", mut(func(c *sim.Config) { c.Prefixes = 0 }), "prefix"},
 		{"negative prefixes", mut(func(c *sim.Config) { c.Prefixes = -4 }), "prefix"},
+		{"prefixes filling the /24 pool", mut(func(c *sim.Config) { c.Prefixes = 5_308_416 }), ""},
+		{"prefixes one past the /24 pool", mut(func(c *sim.Config) { c.Prefixes = 5_308_417 }), "above 5308416"},
 		{"zero days", mut(func(c *sim.Config) { c.Days = 0 }), "day"},
 		{"negative days", mut(func(c *sim.Config) { c.Days = -1 }), "day"},
 		{"negative workers", mut(func(c *sim.Config) { c.Workers = -2 }), "worker"},

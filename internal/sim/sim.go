@@ -19,6 +19,7 @@ import (
 	"anycastcdn/internal/latency"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/logs"
+	"anycastcdn/internal/netaddr"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
@@ -97,6 +98,10 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.Prefixes <= 0 {
 		return fmt.Errorf("sim: non-positive prefix count %d", cfg.Prefixes)
+	}
+	if cfg.Prefixes > netaddr.ClientPrefixes {
+		return fmt.Errorf("sim: prefix count %d above %d, the client /24s of the address pool",
+			cfg.Prefixes, netaddr.ClientPrefixes)
 	}
 	if cfg.Days <= 0 {
 		return fmt.Errorf("sim: non-positive day count %d", cfg.Days)

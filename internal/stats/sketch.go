@@ -13,23 +13,20 @@ import (
 
 // QuantileSketch is a fixed-bin streaming distribution sketch: constant
 // memory however many samples it sees, at the cost of quantile resolution
-// equal to the bin width. Bins may be linearly or logarithmically spaced;
-// samples below the range land in an underflow bin (reported as lo) and
-// samples at or above hi land in an overflow bin (reported as hi).
+// equal to the bin width. Bins are logarithmically spaced; samples below
+// the range land in an underflow bin (reported as lo) and samples at or
+// above hi land in an overflow bin (reported as hi).
 //
-// Determinism: a sample's bin is a pure function of its value, and
-// unweighted Adds accumulate integer-valued bin counts, whose float64
-// sums are exact in any accumulation order — so two sketches fed the same
-// multiset of samples are identical regardless of order, and Merge is
-// exactly commutative. With fractional weights, merge partial sketches in
-// a fixed order to keep runs reproducible.
+// Determinism: a sample's bin is a pure function of its value, and Adds
+// accumulate integer-valued bin counts, whose float64 sums are exact in
+// any accumulation order — so two sketches fed the same multiset of
+// samples are identical regardless of order, and MergeEncoded is exactly
+// commutative and associative.
 type QuantileSketch[T ~float64] struct {
 	lo, hi float64
-	log    bool
-	scale  float64   // bins per unit of (transformed) x
+	scale  float64   // bins per unit of log(x)
 	bins   []float64 // [underflow, bin 0 .. bin n-1, overflow]
-	total  float64
-	n      uint64
+	n      uint64    // samples recorded: the bins' total
 }
 
 // ErrRange reports an invalid sketch range.
@@ -45,22 +42,7 @@ func NewLogQuantileSketch[T ~float64](lo, hi T, nbins int) (*QuantileSketch[T], 
 	return &QuantileSketch[T]{
 		lo:    float64(lo),
 		hi:    float64(hi),
-		log:   true,
 		scale: float64(nbins) / (math.Log(float64(hi)) - math.Log(float64(lo))),
-		bins:  make([]float64, nbins+2),
-	}, nil
-}
-
-// NewLinearQuantileSketch builds a sketch with nbins evenly spaced bins
-// covering [lo, hi).
-func NewLinearQuantileSketch[T ~float64](lo, hi T, nbins int) (*QuantileSketch[T], error) {
-	if !(float64(hi) > float64(lo)) || nbins < 1 {
-		return nil, ErrRange
-	}
-	return &QuantileSketch[T]{
-		lo:    float64(lo),
-		hi:    float64(hi),
-		scale: float64(nbins) / (float64(hi) - float64(lo)),
 		bins:  make([]float64, nbins+2),
 	}, nil
 }
@@ -75,41 +57,17 @@ func (s *QuantileSketch[T]) binOf(x T) int {
 	if v >= s.hi {
 		return len(s.bins) - 1
 	}
-	var pos float64
-	if s.log {
-		pos = (math.Log(v) - math.Log(s.lo)) * s.scale
-	} else {
-		pos = (v - s.lo) * s.scale
-	}
-	i := int(pos) + 1
+	i := int((math.Log(v)-math.Log(s.lo))*s.scale) + 1
 	if i > len(s.bins)-2 { // float edge: Log(v) rounding at the top bound
 		i = len(s.bins) - 2
 	}
 	return i
 }
 
-// Add records a sample with weight 1.
-func (s *QuantileSketch[T]) Add(x T) { s.AddWeighted(x, 1) }
-
-// AddWeighted records a sample with an arbitrary non-negative weight.
-func (s *QuantileSketch[T]) AddWeighted(x T, w float64) {
-	s.bins[s.binOf(x)] += w
-	s.total += w
+// Add records a sample.
+func (s *QuantileSketch[T]) Add(x T) {
+	s.bins[s.binOf(x)]++
 	s.n++
-}
-
-// Merge adds o's bins into s. The two sketches must have identical
-// layouts (same constructor arguments).
-func (s *QuantileSketch[T]) Merge(o *QuantileSketch[T]) error {
-	if len(s.bins) != len(o.bins) || s.lo != o.lo || s.hi != o.hi || s.log != o.log {
-		return errors.New("stats: merging sketches with different layouts")
-	}
-	for i, w := range o.bins {
-		s.bins[i] += w
-	}
-	s.total += o.total
-	s.n += o.n
-	return nil
 }
 
 // N returns the number of samples recorded.
@@ -125,18 +83,15 @@ func (s *QuantileSketch[T]) upperEdge(i int) T {
 		return T(s.hi)
 	}
 	nbins := len(s.bins) - 2
-	if s.log {
-		llo, lhi := math.Log(s.lo), math.Log(s.hi)
-		return T(math.Exp(llo + float64(i)*(lhi-llo)/float64(nbins)))
-	}
-	return T(s.lo + float64(i)*(s.hi-s.lo)/float64(nbins))
+	llo, lhi := math.Log(s.lo), math.Log(s.hi)
+	return T(math.Exp(llo + float64(i)*(lhi-llo)/float64(nbins)))
 }
 
 // Quantile returns the upper edge of the bin holding the q-quantile: the
 // smallest bin boundary x with P[X <= x] >= q, i.e. the true quantile
 // rounded up to bin resolution. It returns lo on an empty sketch.
 func (s *QuantileSketch[T]) Quantile(q float64) T {
-	if s.total <= 0 {
+	if s.n == 0 {
 		return T(s.lo)
 	}
 	if q < 0 {
@@ -145,7 +100,7 @@ func (s *QuantileSketch[T]) Quantile(q float64) T {
 	if q > 1 {
 		q = 1
 	}
-	target := q * s.total
+	target := q * float64(s.n)
 	var acc float64
 	for i, w := range s.bins {
 		acc += w
@@ -160,7 +115,7 @@ func (s *QuantileSketch[T]) Quantile(q float64) T {
 // <= x — the CDF at bin resolution, exact at bin boundaries. An empty
 // sketch reports 0.
 func (s *QuantileSketch[T]) P(x T) float64 {
-	if s.total <= 0 {
+	if s.n == 0 {
 		return 0
 	}
 	var acc float64
@@ -170,7 +125,7 @@ func (s *QuantileSketch[T]) P(x T) float64 {
 		}
 		acc += w
 	}
-	return acc / s.total
+	return acc / float64(s.n)
 }
 
 // SampleCDF evaluates the sketch CDF at each x in grid, producing a

@@ -63,11 +63,11 @@ func TestQuantileSketchOrderAndMergeInvariance(t *testing.T) {
 	bwd := build(rev)
 	// Merge two halves in both orders.
 	a1, a2 := build(xs[:100]), build(xs[100:])
-	if err := a1.Merge(a2); err != nil {
+	if _, err := a1.MergeEncoded(a2.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	b2, b1 := build(xs[100:]), build(xs[:100])
-	if err := b2.Merge(b1); err != nil {
+	if _, err := b2.MergeEncoded(b1.Encode(nil)); err != nil {
 		t.Fatal(err)
 	}
 	grid := LogGrid[float64](1, 32768, 30)
@@ -88,7 +88,7 @@ func TestQuantileSketchBoundsAndErrors(t *testing.T) {
 	if _, err := NewLogQuantileSketch(10.0, 10.0, 4); err == nil {
 		t.Fatal("empty range should fail")
 	}
-	if _, err := NewLinearQuantileSketch(0.0, 10.0, 0); err == nil {
+	if _, err := NewLogQuantileSketch(1.0, 10.0, 0); err == nil {
 		t.Fatal("zero bins should fail")
 	}
 	a, err := NewLogQuantileSketch(1.0, 100.0, 8)
@@ -99,30 +99,31 @@ func TestQuantileSketchBoundsAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := a.Merge(b); err == nil {
+	if _, err := a.MergeEncoded(b.Encode(nil)); err == nil {
 		t.Fatal("merging different layouts should fail")
 	}
 
-	// Out-of-range samples land in the clamping bins.
-	sk, err := NewLinearQuantileSketch(0.0, 100.0, 10)
+	// Out-of-range samples land in the clamping bins. (The top bin's upper
+	// edge, exp(log(hi)), rounds back to hi exactly for hi = 1024.)
+	sk, err := NewLogQuantileSketch(1.0, 1024.0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if sk.P(50) != 0 {
 		t.Fatal("empty sketch should report P = 0")
 	}
-	sk.Add(-5)
-	sk.Add(500)
-	if got := sk.Quantile(0.25); got != 0 {
-		t.Fatalf("underflow quantile = %v, want lo (0)", got)
+	sk.Add(0.5)
+	sk.Add(2000)
+	if got := sk.Quantile(0.25); got != 1 {
+		t.Fatalf("underflow quantile = %v, want lo (1)", got)
 	}
-	if got := sk.Quantile(1); got != 100 {
-		t.Fatalf("overflow quantile = %v, want hi (100)", got)
+	if got := sk.Quantile(1); got != 1024 {
+		t.Fatalf("overflow quantile = %v, want hi (1024)", got)
 	}
-	if got := sk.P(100); got != 1 {
+	if got := sk.P(1024); got != 1 {
 		t.Fatalf("P(hi) = %v, want 1", got)
 	}
-	s := sk.SampleCDF("line", []float64{0, 50, 100})
+	s := sk.SampleCDF("line", []float64{1, 50, 1024})
 	if len(s.Points) != 3 || s.Points[0].Y != 0.5 || s.Points[2].Y != 1 {
 		t.Fatalf("SampleCDF = %+v", s.Points)
 	}

@@ -239,12 +239,6 @@ func (e *ECDF[T]) Quantile(q float64) T {
 // N returns the number of samples.
 func (e *ECDF[T]) N() int { return len(e.xs) }
 
-// Min and Max return the sample extremes.
-func (e *ECDF[T]) Min() T { return e.xs[0] }
-
-// Max returns the largest sample.
-func (e *ECDF[T]) Max() T { return e.xs[len(e.xs)-1] }
-
 // SeriesPoint is one (x, y) pair of a rendered figure series.
 type SeriesPoint struct {
 	X float64

@@ -187,12 +187,12 @@ func TestECDFProperties(t *testing.T) {
 			return false
 		}
 		// P is 0 below min, 1 at max, monotone along sorted xs.
-		below := math.Nextafter(e.Min(), math.Inf(-1))
-		if e.P(below) != 0 || e.P(e.Max()) != 1 {
-			return false
-		}
 		sorted := append([]float64(nil), xs...)
 		sort.Float64s(sorted)
+		below := math.Nextafter(sorted[0], math.Inf(-1))
+		if e.P(below) != 0 || e.P(sorted[len(sorted)-1]) != 1 {
+			return false
+		}
 		prev := 0.0
 		for _, x := range sorted {
 			p := e.P(x)

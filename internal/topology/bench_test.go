@@ -21,7 +21,8 @@ func BenchmarkRankPeeringByAir(b *testing.B) {
 	bb := dep.Backbone
 	var queries []geo.Point
 	for _, m := range geo.World() {
-		queries = append(queries, m.Offset(25, 45))
+		o := geo.NewOrigin(m.Point)
+		queries = append(queries, o.Offset(25, 45))
 	}
 	n := len(bb.PeeringSites())
 	buf := make([]topology.SiteID, 0, n)

@@ -10,8 +10,6 @@
 // Stringer would change %v output and break replay identity.
 package units
 
-import "time"
-
 // Millis is a latency or latency difference in milliseconds.
 type Millis float64
 
@@ -26,34 +24,3 @@ func (m Millis) Float() float64 { return float64(m) }
 
 // Float returns the raw float64 value.
 func (k Kilometers) Float() float64 { return float64(k) }
-
-// Duration converts to a time.Duration with nanosecond precision.
-func (m Millis) Duration() time.Duration {
-	return time.Duration(m.Float() * float64(time.Millisecond))
-}
-
-// MillisOf converts a time.Duration to Millis.
-func MillisOf(d time.Duration) Millis {
-	return Millis(float64(d) / float64(time.Millisecond))
-}
-
-// Floats unwraps a slice of unit-typed values to bare float64, e.g. for
-// CSV export. The stats package is generic over ~float64, so quantiles
-// and CDFs do not need this.
-func Floats[T ~float64](xs []T) []float64 {
-	out := make([]float64, len(xs))
-	for i, x := range xs {
-		out[i] = float64(x)
-	}
-	return out
-}
-
-// FromFloats wraps a bare float64 slice in a unit type, e.g. when
-// ingesting external measurements that are known to be in that unit.
-func FromFloats[T ~float64](xs []float64) []T {
-	out := make([]T, len(xs))
-	for i, x := range xs {
-		out[i] = T(x)
-	}
-	return out
-}

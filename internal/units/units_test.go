@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"testing"
-	"time"
 )
 
 func TestFloatRoundTrip(t *testing.T) {
@@ -14,27 +13,6 @@ func TestFloatRoundTrip(t *testing.T) {
 		}
 		if got := Kilometers(v).Float(); got != v {
 			t.Errorf("Kilometers(%v).Float() = %v", v, got)
-		}
-	}
-}
-
-func TestDurationRoundTrip(t *testing.T) {
-	cases := []struct {
-		ms Millis
-		d  time.Duration
-	}{
-		{0, 0},
-		{1, time.Millisecond},
-		{25, 25 * time.Millisecond},
-		{0.5, 500 * time.Microsecond},
-		{1500, 1500 * time.Millisecond},
-	}
-	for _, c := range cases {
-		if got := c.ms.Duration(); got != c.d {
-			t.Errorf("Millis(%v).Duration() = %v, want %v", c.ms, got, c.d)
-		}
-		if got := MillisOf(c.d); got != c.ms {
-			t.Errorf("MillisOf(%v) = %v, want %v", c.d, got, c.ms)
 		}
 	}
 }
@@ -56,27 +34,5 @@ func TestFormattingMatchesFloat64(t *testing.T) {
 				t.Errorf("Sprintf(%q, Kilometers(%v)) = %q, want %q", verb, v, got, want)
 			}
 		}
-	}
-}
-
-func TestFloatsRoundTrip(t *testing.T) {
-	in := []Millis{1, 2.5, 483}
-	raw := Floats(in)
-	if len(raw) != len(in) {
-		t.Fatalf("Floats length %d, want %d", len(raw), len(in))
-	}
-	for i := range in {
-		if raw[i] != float64(in[i]) {
-			t.Errorf("Floats[%d] = %v, want %v", i, raw[i], float64(in[i]))
-		}
-	}
-	back := FromFloats[Millis](raw)
-	for i := range in {
-		if back[i] != in[i] {
-			t.Errorf("FromFloats[%d] = %v, want %v", i, back[i], in[i])
-		}
-	}
-	if got := Floats([]Kilometers(nil)); len(got) != 0 {
-		t.Errorf("Floats(nil) length %d, want 0", len(got))
 	}
 }

@@ -111,11 +111,6 @@ func DeriveSeedL3(root uint64, label Label, k1, k2, k3 uint64) uint64 {
 	return Extend(Extend(Extend(DeriveSeedL(root, label), k1), k2), k3)
 }
 
-// DeriveSeedL4 derives a seed from four keys without variadic overhead.
-func DeriveSeedL4(root uint64, label Label, k1, k2, k3, k4 uint64) uint64 {
-	return Extend(Extend(Extend(Extend(DeriveSeedL(root, label), k1), k2), k3), k4)
-}
-
 // Substream returns a stream for (label, keys) derived from a root seed
 // without constructing an intermediate stream.
 func Substream(root uint64, label string, keys ...uint64) *Stream {
@@ -153,24 +148,21 @@ func (s *Stream) Bool(p float64) bool {
 	return s.Float64() < p
 }
 
-// NormFloat64 returns a standard normal variate (Box–Muller).
-func (s *Stream) NormFloat64() float64 { return s.Polar().Norm() }
-
 // LogNormal returns a log-normal variate with the given location mu and
 // scale sigma of the underlying normal.
 func (s *Stream) LogNormal(mu, sigma float64) float64 { return s.Polar().LogNormal(mu, sigma) }
 
-// Polar is one accepted pair of the Marsaglia polar method behind
-// NormFloat64: what its rejection loop leaves once the stream has moved
-// past the variate's draws. Splitting the loop from the evaluation lets a
-// caller advance a stream past a normal it may never read, paying for
-// the uniform draws alone and for the Log and Sqrt only if it does.
+// Polar is one accepted pair of the Marsaglia polar method: what its
+// rejection loop leaves once the stream has moved past a standard
+// normal's draws. Splitting the loop from the evaluation lets a caller
+// advance a stream past a normal it may never read, paying for the
+// uniform draws alone and for the Log and Sqrt only if it does.
 type Polar struct {
 	u, q float64
 }
 
-// Polar runs NormFloat64's rejection loop: it draws the same Float64
-// pairs and leaves the stream where NormFloat64 would.
+// Polar runs the polar method's rejection loop, drawing Float64 pairs
+// until one falls inside the unit disc.
 func (s *Stream) Polar() Polar {
 	// Rejects ~21% of pairs.
 	for {
@@ -190,8 +182,7 @@ func (s *Stream) Polar() Polar {
 // constant rounds that up past the few ulps of Norm's float evaluation.
 const MaxNorm = 12.00728
 
-// Norm is the standard normal variate of the pair: NormFloat64's result
-// from the same draws.
+// Norm is the standard normal variate of the pair.
 func (p Polar) Norm() float64 { return p.u * math.Sqrt(-2*math.Log(p.q)/p.q) }
 
 // LogNormal is LogNormal's result from the same draws.
@@ -204,25 +195,6 @@ func (s *Stream) Exp(mean float64) float64 {
 		u = math.Nextafter(1, 0)
 	}
 	return -mean * math.Log(1-u)
-}
-
-// Perm returns a random permutation of [0, n).
-func (s *Stream) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
-// Shuffle permutes the first n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
 }
 
 // WeightedChoice returns an index in [0, len(weights)) with probability
