@@ -45,10 +45,12 @@
 #      with its matrix decoder, quantile sketches, and shard-day frames,
 #      whose last day carries each shard's analysis state), the
 #      gob-encoded Config and Done payloads, the dot-product site
-#      search against its brute-force DistanceKm oracle, and the count
+#      search against its brute-force DistanceKm oracle, the count
 #      draw's table kernels (xrand.Polar.Count) against the exact
-#      expression they stand in for, enough to replay the corpus and
-#      shake out shallow panics and inexact answers
+#      expression they stand in for, and the Grouper's memo and radix
+#      sort against the append-and-sort grouping over raw RTT bits,
+#      enough to replay the corpus and shake out shallow panics and
+#      inexact answers
 #   6. race detector over the concurrent packages: the parallel
 #      simulation core (whose world build draws and keys each block of
 #      clients on the worker pool), the fault-injection layer, the client
@@ -73,7 +75,8 @@
 #      BenchmarkAblationFloor50 must stay >= 3x faster than its
 #      pre-optimization baseline, the xrand substream, latency sampling,
 #      peering-ranking, per-client schedule, nearest-site, client-day
-#      beacon batch, warmed-Grouper regrouping and a client's month of
+#      beacon batch, warmed-Grouper regrouping (of a random-order day and
+#      of a day in the fold's client order) and a client's month of
 #      query counts benchmarks must report 0 allocs/op, the world builds — BenchmarkBuildWorld, a 50k-prefix
 #      population on every core, and BenchmarkBuildShardWorld, one
 #      distributed worker's [100k, 200k) of a 400k-prefix population on
@@ -188,12 +191,13 @@ fi
 echo '== fuzz smoke (5s per target)'
 go test -run '^$' -fuzz FuzzParseScenario -fuzztime 5s ./internal/faults/
 go test -run '^$' -fuzz FuzzFrameRead -fuzztime 5s ./internal/distsim/
-# Sketch frames run to ~1 KB and shard-day frames to ~2 KB, and minimizing
-# one new input at the default -fuzzminimizetime (60s) would stall the
-# whole 5s budget.
+# Sketch frames run to ~1 KB, shard-day frames to ~2 KB and Grouper days
+# to ~1.3 KB, and minimizing one new input at the default
+# -fuzzminimizetime (60s) would stall the whole 5s budget.
 go test -run '^$' -fuzz FuzzQuantileSketchMergeEncoded -fuzztime 5s -fuzzminimizetime 200x ./internal/stats/
 go test -run '^$' -fuzz FuzzMergeShardDay -fuzztime 5s -fuzzminimizetime 200x ./internal/experiments/
 go test -run '^$' -fuzz FuzzGobFrames -fuzztime 5s -fuzzminimizetime 200x ./internal/distsim/
+go test -run '^$' -fuzz FuzzGrouper -fuzztime 5s -fuzzminimizetime 200x ./internal/core/
 go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 go test -run '^$' -fuzz FuzzPolarCount -fuzztime 5s ./internal/xrand/
 
@@ -215,7 +219,7 @@ go test -p 1 -run '^$' -bench . -benchtime 1x -count 5 -json ./... | go run ./cm
 	-o BENCH_repro.json \
 	-compare BENCH_baseline.json -tolerance 0.15 \
 	-minspeedup BenchmarkAblationFloor50=3 \
-	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkQueriesMonth=0,BenchmarkBuildWorld=10000,BenchmarkBuildShardWorld=10000 \
+	-maxallocs BenchmarkSubstream=0,BenchmarkSampleRTT=0,BenchmarkRankPeeringByAir=0,BenchmarkIngressSchedule=0,BenchmarkPointSetNearest=0,BenchmarkBeaconBatch=0,BenchmarkGrouper=0,BenchmarkGrouperClientOrder=0,BenchmarkQueriesMonth=0,BenchmarkBuildWorld=10000,BenchmarkBuildShardWorld=10000 \
 	-maxbytes BenchmarkRunWorld=74000000,BenchmarkStreamWorld=74000000,BenchmarkDistWorld=55000000
 
 echo '== ci.sh: all gates passed'

@@ -83,7 +83,7 @@ func compareTargets(a, b Target) int {
 // grouping every latency analysis reads. Clients come out in ascending
 // ID order; the input may be in any order.
 func GroupSamples(obs []Observation) []ClientSamples {
-	return new(Grouper).Group(obs, ByPrefix, 0)
+	return new(Grouper).Group(obs, ByPrefix)
 }
 
 // Evaluate computes per-client evaluations of pred over the next

@@ -175,8 +175,7 @@ type Predictions struct {
 }
 
 // Train builds predictions from one interval's observations: it groups
-// them under g, sorting only the buckets that can qualify, and scores
-// each group's qualifying targets.
+// them under g and scores each group's qualifying targets.
 func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 	return p.TrainWith(new(Grouper), obs, g)
 }
@@ -184,7 +183,7 @@ func (p *Predictor) Train(obs []Observation, g Grouping) *Predictions {
 // TrainWith is Train grouping in gr's storage, so a caller that trains
 // every interval reuses one Grouper. It overwrites gr's last grouping.
 func (p *Predictor) TrainWith(gr *Grouper, obs []Observation, g Grouping) *Predictions {
-	return p.train(gr.Group(obs, g, p.cfg.MinMeasurements), g)
+	return p.train(gr.Group(obs, g), g)
 }
 
 // TrainSamples builds ByPrefix predictions from an interval already
@@ -196,8 +195,7 @@ func (p *Predictor) TrainSamples(day []ClientSamples) *Predictions {
 }
 
 // train scores groups in the order given (ascending key), each holding
-// its targets in compareTargets order with every bucket of at least
-// MinMeasurements samples sorted.
+// its targets in compareTargets order with every bucket sorted.
 func (p *Predictor) train(groups []ClientSamples, g Grouping) *Predictions {
 	pr := &Predictions{
 		Grouping: g,

@@ -417,7 +417,7 @@ func TestTrainMatchesReference(t *testing.T) {
 	obs := synthObs(120, 22)
 	for _, g := range []Grouping{ByPrefix, ByLDNS} {
 		sizes := map[int]bool{}
-		for _, c := range groupReference(obs, g, 0) {
+		for _, c := range groupReference(obs, g) {
 			for _, ts := range c.Targets {
 				sizes[len(ts.RTTs)] = true
 			}

@@ -277,7 +277,7 @@ func (f *predictionFold) observe(obs []core.Observation, volume func(uint64) flo
 		defer wg.Done()
 		ldns = f.pred.TrainWith(&f.byLDNS, obs, core.ByLDNS)
 	}()
-	day := f.byClient.Group(obs, core.ByPrefix, 0)
+	day := f.byClient.Group(obs, core.ByPrefix)
 	if perClient != nil {
 		perClient(day)
 	}

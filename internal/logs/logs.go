@@ -56,10 +56,10 @@ type Log struct {
 	queries    []int32
 }
 
-// Grow reserves capacity for n additional records, so bulk loaders (the
+// grow reserves capacity for n additional records, so bulk loaders (the
 // simulation reduce knows its exact row count up front) avoid incremental
 // reallocation.
-func (l *Log) Grow(n int) {
+func (l *Log) grow(n int) {
 	if n <= 0 {
 		return
 	}
@@ -83,7 +83,7 @@ func (l *Log) Extend(n int) int {
 	if n <= 0 {
 		return base
 	}
-	l.Grow(n)
+	l.grow(n)
 	l.clientIDs = l.clientIDs[: base+n : base+n]
 	l.days = l.days[: base+n : base+n]
 	l.frontEnds = l.frontEnds[: base+n : base+n]

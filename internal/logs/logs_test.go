@@ -67,14 +67,14 @@ func TestGrowPreservesRecords(t *testing.T) {
 	var l Log
 	r0 := DayRecord{ClientID: 5, Day: 1, FrontEnd: 1, Switched: true, PrevFrontEnd: 0, Queries: 2}
 	l.Set(l.Extend(1), r0)
-	l.Grow(1000)
+	l.grow(1000)
 	if l.Len() != 1 {
-		t.Fatalf("Grow changed Len to %d", l.Len())
+		t.Fatalf("grow changed Len to %d", l.Len())
 	}
 	if got := l.At(0); got != r0 {
-		t.Fatalf("Grow corrupted record: %+v", got)
+		t.Fatalf("grow corrupted record: %+v", got)
 	}
-	l.Grow(-5) // no-op
+	l.grow(-5) // no-op
 	l.Set(l.Extend(1), DayRecord{ClientID: 6, Day: 2, Queries: 3})
 	if l.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", l.Len())

@@ -74,12 +74,14 @@ func (s *QuantileSketch[T]) Add(x T) {
 func (s *QuantileSketch[T]) N() uint64 { return s.n }
 
 // upperEdge returns the inclusive upper value of bin i: lo for the
-// underflow bin, hi for the overflow bin.
+// underflow bin, hi for the last regular bin and the overflow bin. The
+// last regular bin's edge is hi exactly, not exp(log hi), which can round
+// above hi and would stop P(hi) short of the overflow bin.
 func (s *QuantileSketch[T]) upperEdge(i int) T {
 	switch {
 	case i <= 0:
 		return T(s.lo)
-	case i >= len(s.bins)-1:
+	case i >= len(s.bins)-2:
 		return T(s.hi)
 	}
 	nbins := len(s.bins) - 2

@@ -103,8 +103,7 @@ func TestQuantileSketchBoundsAndErrors(t *testing.T) {
 		t.Fatal("merging different layouts should fail")
 	}
 
-	// Out-of-range samples land in the clamping bins. (The top bin's upper
-	// edge, exp(log(hi)), rounds back to hi exactly for hi = 1024.)
+	// Out-of-range samples land in the clamping bins.
 	sk, err := NewLogQuantileSketch(1.0, 1024.0, 10)
 	if err != nil {
 		t.Fatal(err)
@@ -126,5 +125,36 @@ func TestQuantileSketchBoundsAndErrors(t *testing.T) {
 	s := sk.SampleCDF("line", []float64{1, 50, 1024})
 	if len(s.Points) != 3 || s.Points[0].Y != 0.5 || s.Points[2].Y != 1 {
 		t.Fatalf("SampleCDF = %+v", s.Points)
+	}
+}
+
+// TestQuantileSketchPAtHiCountsOverflow pins P(hi) = 1 and Quantile(1) =
+// hi, with a sample in the underflow, the last regular and the overflow
+// bin, over log layouts that include every [1, 100) layout of 1 to 256
+// bins and Figure 8's own (62.5, 16000, 128 bins). In those the computed
+// top edge, exp(log lo + n·(log hi − log lo)/n), rounds above hi.
+func TestQuantileSketchPAtHiCountsOverflow(t *testing.T) {
+	type layout struct {
+		lo, hi float64
+		nbins  int
+	}
+	layouts := []layout{{62.5, 16000, 128}, {1, 1024, 10}, {1, 32768, 256}}
+	for n := 1; n <= 256; n++ {
+		layouts = append(layouts, layout{1, 100, n})
+	}
+	for _, l := range layouts {
+		sk, err := NewLogQuantileSketch(l.lo, l.hi, l.nbins)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sk.Add(l.lo / 2)                // underflow
+		sk.Add(math.Nextafter(l.hi, 0)) // the last regular bin
+		sk.Add(l.hi)                    // overflow
+		if got := sk.P(l.hi); got != 1 {
+			t.Fatalf("%+v: P(hi) = %v, want 1 (the overflow bin counted)", l, got)
+		}
+		if got := sk.Quantile(1); got != l.hi {
+			t.Fatalf("%+v: Quantile(1) = %v, want hi", l, got)
+		}
 	}
 }
