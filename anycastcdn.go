@@ -38,7 +38,6 @@ import (
 	"anycastcdn/internal/experiments"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/geo"
-	"anycastcdn/internal/latency"
 	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
@@ -69,8 +68,6 @@ type (
 	Point = geo.Point
 	// SiteID identifies a CDN site.
 	SiteID = topology.SiteID
-	// LatencyConfig parameterizes the RTT model.
-	LatencyConfig = latency.Config
 	// LDNS is a resolver of the DNS substrate.
 	LDNS = dns.LDNS
 	// Millis is a latency in milliseconds (see internal/units).

@@ -32,12 +32,10 @@ type Options struct {
 	// Argv is the worker command line; defaults to re-execing the
 	// current binary with a single "-worker" argument.
 	Argv []string
-	// HeartbeatEvery is the worker liveness interval (default 1s).
-	HeartbeatEvery time.Duration
 	// StallTimeout bounds every protocol step: how long the coordinator
 	// waits for an expected frame and how long any frame write may
-	// block. Heartbeats do not extend it — a worker that stays alive but
-	// stops making progress is a stall, not a slow day. Default 2m.
+	// block. A worker that stays alive but sends nothing trips it.
+	// Default 2m.
 	StallTimeout time.Duration
 }
 
@@ -65,9 +63,6 @@ type Result struct {
 func Run(ctx context.Context, cfg sim.Config, opts Options) (*Result, error) {
 	if opts.Shards < 1 {
 		return nil, fmt.Errorf("distsim: Shards must be ≥ 1, got %d", opts.Shards)
-	}
-	if opts.HeartbeatEvery <= 0 {
-		opts.HeartbeatEvery = time.Second
 	}
 	if opts.StallTimeout <= 0 {
 		opts.StallTimeout = 2 * time.Minute
@@ -230,12 +225,11 @@ func (c *coordinator) start(ctx context.Context) error {
 	// Configs out.
 	for i, fc := range c.conns {
 		wc := wireConfig{
-			Cfg:            c.cfg,
-			Shard:          i,
-			Lo:             c.bounds[i][0],
-			Hi:             c.bounds[i][1],
-			HeartbeatEvery: c.opts.HeartbeatEvery,
-			StallTimeout:   c.opts.StallTimeout,
+			Cfg:          c.cfg,
+			Shard:        i,
+			Lo:           c.bounds[i][0],
+			Hi:           c.bounds[i][1],
+			StallTimeout: c.opts.StallTimeout,
 		}
 		var b bytes.Buffer
 		if err := gob.NewEncoder(&b).Encode(wc); err != nil {
@@ -246,7 +240,7 @@ func (c *coordinator) start(ctx context.Context) error {
 		}
 	}
 	// Hellos back — the world builds happen here, under one stall bound
-	// each (heartbeats flow while they build).
+	// each.
 	for i, fc := range c.conns {
 		if _, err := fc.expect(frameHello, c.deadline()); err != nil {
 			return fmt.Errorf("distsim: worker %d: %w", i, err)

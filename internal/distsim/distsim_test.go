@@ -46,8 +46,8 @@ func TestMain(m *testing.M) {
 		fc.write(frameHello, nil, time.Now().Add(time.Minute))
 		os.Exit(2)
 	case "stall":
-		// Heartbeat forever without making progress: liveness without
-		// progress must still trip the coordinator's stall deadline.
+		// Take the config, then say nothing: a worker that stays alive
+		// but silent must trip the coordinator's stall bound.
 		f := os.NewFile(workerFD, "coordinator")
 		conn, err := net.FileConn(f)
 		_ = f.Close()
@@ -58,12 +58,9 @@ func TestMain(m *testing.M) {
 		if _, err := fc.expect(frameConfig, time.Now().Add(time.Minute)); err != nil {
 			os.Exit(1)
 		}
-		for {
-			if err := fc.write(frameHeartbeat, nil, time.Now().Add(time.Minute)); err != nil {
-				os.Exit(0) // coordinator hung up: the expected end
-			}
-			time.Sleep(10 * time.Millisecond)
-		}
+		// Blocks until the coordinator hangs up: the expected end.
+		fc.read(time.Now().Add(time.Minute))
+		os.Exit(0)
 	default:
 		os.Exit(1)
 	}
@@ -240,9 +237,10 @@ func TestWorkerCrashSurfacesError(t *testing.T) {
 	}
 }
 
-// TestStalledWorkerTripsDeadline pins the liveness/progress distinction:
-// heartbeats prove the process is alive but must not reset the stall
-// bound on the frame the coordinator is actually waiting for.
+// TestStalledWorkerTripsDeadline pins that a silent worker trips the
+// stall bound: a worker process that stays alive but never sends the
+// frame the coordinator is waiting for fails the run within StallTimeout
+// instead of hanging it.
 func TestStalledWorkerTripsDeadline(t *testing.T) {
 	if testing.Short() {
 		t.Skip("forks a worker fleet")
@@ -255,8 +253,7 @@ func TestStalledWorkerTripsDeadline(t *testing.T) {
 	cfg := testutil.TinyConfig(5)
 	start := time.Now()
 	_, err = Run(context.Background(), cfg, Options{
-		Shards: 1, Argv: []string{exe},
-		HeartbeatEvery: 20 * time.Millisecond, StallTimeout: 500 * time.Millisecond,
+		Shards: 1, Argv: []string{exe}, StallTimeout: 500 * time.Millisecond,
 	})
 	if err == nil {
 		t.Fatal("run with a stalled worker succeeded")

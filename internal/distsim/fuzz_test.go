@@ -37,7 +37,7 @@ func FuzzFrameRead(f *testing.F) {
 	demand[5] = math.NaN()
 	f.Add(wireFrame(frameGlobal, appendMatrix(nil, demand)))
 	f.Add(wireFrame(frameCapsPart, appendMatrix(nil, []float64{1.5, 0, 42})))
-	f.Add(append(wireFrame(frameHeartbeat, nil), wireFrame(frameError, []byte("worker 2: boom"))...))
+	f.Add(append(wireFrame(frameHello, nil), wireFrame(frameError, []byte("worker 2: boom"))...))
 	f.Add(wireFrame(frameDay, nil)[:3])                                           // a header cut short
 	f.Add(append(binary.LittleEndian.AppendUint32(nil, 256<<20), byte(frameDay))) // claims 256 MiB
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -52,8 +52,6 @@ func FuzzFrameRead(f *testing.F) {
 		fc := newFrameConn(conn)
 		small, vec := make([]float64, 3), make([]float64, sites)
 		for {
-			// The buffer never shrinks, so checking it after each data
-			// frame covers the heartbeats readData skips.
 			_, payload, err := fc.readData(time.Now().Add(10 * time.Second))
 			if limit := max(frameChunk, 2*len(data)); cap(fc.rbuf) > limit {
 				t.Fatalf("reader holds a %d-byte buffer after %d bytes of input (limit %d)", cap(fc.rbuf), len(data), limit)
@@ -88,7 +86,7 @@ func FuzzGobFrames(f *testing.F) {
 	cfg.Scenario = &faults.Scenario{Events: []faults.Event{{Kind: faults.Inflate, Target: "europe", Day: 1, Days: 2, ExtraMs: 25}}}
 	cfg.LoadManager = &load.ManagerConfig{Policy: load.FastRoute}
 	for _, v := range []any{
-		wireConfig{Cfg: cfg, Shard: 1, Lo: 250, Hi: 500, HeartbeatEvery: time.Second, StallTimeout: time.Minute},
+		wireConfig{Cfg: cfg, Shard: 1, Lo: 250, Hi: 500, StallTimeout: time.Minute},
 		WorkerStats{Shard: 1, Lo: 250, Hi: 500, Days: 5, Records: 1250, Beacons: 3000, PeakRSSBytes: 64 << 20},
 	} {
 		var b bytes.Buffer

@@ -21,7 +21,6 @@ import (
 	"io"
 	"math"
 	"net"
-	"sync"
 	"time"
 )
 
@@ -30,16 +29,15 @@ import (
 type frameType byte
 
 const (
-	frameConfig    frameType = 1  // coordinator → worker: gob(wireConfig)
-	frameHello     frameType = 2  // worker → coordinator: world built, empty
-	frameCapsPart  frameType = 3  // worker → coordinator: shard load matrix
-	frameCaps      frameType = 4  // coordinator → worker: derived capacities, one per site
-	frameDemand    frameType = 5  // worker → coordinator: shard demand for one day, one per site
-	frameGlobal    frameType = 6  // coordinator → worker: reduced global demand, one per site
-	frameDay       frameType = 7  // worker → coordinator: one day's analysis frame + utilization
-	frameDone      frameType = 8  // worker → coordinator: gob(WorkerStats)
-	frameError     frameType = 9  // either direction: failure message, then hang up
-	frameHeartbeat frameType = 10 // worker → coordinator: liveness, empty
+	frameConfig   frameType = 1 // coordinator → worker: gob(wireConfig)
+	frameHello    frameType = 2 // worker → coordinator: world built, empty
+	frameCapsPart frameType = 3 // worker → coordinator: shard load matrix
+	frameCaps     frameType = 4 // coordinator → worker: derived capacities, one per site
+	frameDemand   frameType = 5 // worker → coordinator: shard demand for one day, one per site
+	frameGlobal   frameType = 6 // coordinator → worker: reduced global demand, one per site
+	frameDay      frameType = 7 // worker → coordinator: one day's analysis frame + utilization
+	frameDone     frameType = 8 // worker → coordinator: gob(WorkerStats)
+	frameError    frameType = 9 // either direction: failure message, then hang up
 )
 
 // maxFramePayload bounds a single frame. The last day's frame carries the
@@ -56,12 +54,10 @@ const maxFramePayload = 2 << 30
 const frameChunk = 1 << 20
 
 // frameConn frames a stream connection. Reads reuse one buffer (the
-// returned payload is valid until the next read); writes are serialized
-// by a mutex so the heartbeat goroutine can interleave with the
-// protocol's own sends.
+// returned payload is valid until the next read). Each end of a
+// connection has one writing goroutine, so writes need no lock.
 type frameConn struct {
 	conn net.Conn
-	wmu  sync.Mutex
 	hdr  [5]byte
 	rbuf []byte
 }
@@ -73,8 +69,6 @@ func (f *frameConn) write(t frameType, payload []byte, deadline time.Time) error
 	if len(payload) > maxFramePayload {
 		return fmt.Errorf("distsim: frame payload %d exceeds protocol cap", len(payload))
 	}
-	f.wmu.Lock()
-	defer f.wmu.Unlock()
 	if err := f.conn.SetWriteDeadline(deadline); err != nil {
 		return err
 	}
@@ -130,26 +124,17 @@ func (f *frameConn) read(deadline time.Time) (frameType, []byte, error) {
 	return t, buf, nil
 }
 
-// readData returns the next non-heartbeat frame. Heartbeats prove the
-// peer process is alive but deliberately do NOT extend the deadline: the
-// deadline is the stall bound on the EXPECTED frame, so a worker that
-// keeps heartbeating while its day loop is wedged still surfaces as a
-// stall instead of hanging the coordinator forever. A frameError payload
-// is surfaced as an error.
+// readData returns the next frame, surfacing a frameError payload as an
+// error.
 func (f *frameConn) readData(deadline time.Time) (frameType, []byte, error) {
-	for {
-		t, payload, err := f.read(deadline)
-		if err != nil {
-			return 0, nil, err
-		}
-		if t == frameHeartbeat {
-			continue
-		}
-		if t == frameError {
-			return 0, nil, fmt.Errorf("distsim: peer failed: %s", payload)
-		}
-		return t, payload, nil
+	t, payload, err := f.read(deadline)
+	if err != nil {
+		return 0, nil, err
 	}
+	if t == frameError {
+		return 0, nil, fmt.Errorf("distsim: peer failed: %s", payload)
+	}
+	return t, payload, nil
 }
 
 // expect reads the next data frame and requires it to be of type want.

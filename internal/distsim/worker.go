@@ -24,13 +24,12 @@ const workerFD = 3
 
 // wireConfig is the coordinator's opening frame: the full simulation
 // configuration plus this worker's shard assignment and the fleet's
-// liveness parameters.
+// stall bound.
 type wireConfig struct {
-	Cfg            sim.Config
-	Shard          int
-	Lo, Hi         int
-	HeartbeatEvery time.Duration
-	StallTimeout   time.Duration
+	Cfg          sim.Config
+	Shard        int
+	Lo, Hi       int
+	StallTimeout time.Duration
 }
 
 // WorkerStats is a worker's closing report, carried on the Done frame.
@@ -138,33 +137,10 @@ func serve(ctx context.Context, fc *frameConn) error {
 	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(&w.wc); err != nil {
 		return fmt.Errorf("distsim: decoding config: %w", err)
 	}
-	if w.wc.StallTimeout <= 0 || w.wc.HeartbeatEvery <= 0 {
-		return fmt.Errorf("distsim: config carries no liveness parameters")
+	if w.wc.StallTimeout <= 0 {
+		return fmt.Errorf("distsim: config carries no stall bound")
 	}
 	w.stats.Shard, w.stats.Lo, w.stats.Hi = w.wc.Shard, w.wc.Lo, w.wc.Hi
-
-	// The world build is the longest silent stretch a worker has, so the
-	// heartbeat goroutine starts before it, not after.
-	wg := sync.WaitGroup{}
-	hbDone := make(chan struct{})
-	defer wg.Wait()
-	defer close(hbDone)
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		tick := time.NewTicker(w.wc.HeartbeatEvery)
-		defer tick.Stop()
-		for {
-			select {
-			case <-hbDone:
-				return
-			case <-tick.C:
-				// A failed heartbeat is not fatal here: the protocol
-				// write that is actually stuck will surface the error.
-				w.fc.write(frameHeartbeat, nil, time.Now().Add(w.wc.StallTimeout))
-			}
-		}
-	}()
 
 	// A shard world: only [Lo, Hi) is materialized, so a worker's resident
 	// set scales with its shard, not the whole population — the full build

@@ -79,18 +79,6 @@ func DefaultMapperConfig(seed uint64) MapperConfig {
 	return MapperConfig{Seed: seed, PublicFrac: 0.08, HubFrac: 0.12}
 }
 
-// Validate rejects a PublicFrac or HubFrac that is not a probability:
-// non-finite or outside [0, 1].
-func (c MapperConfig) Validate() error {
-	if !(c.PublicFrac >= 0 && c.PublicFrac <= 1) {
-		return fmt.Errorf("dns: PublicFrac %v outside [0, 1]", c.PublicFrac)
-	}
-	if !(c.HubFrac >= 0 && c.HubFrac <= 1) {
-		return fmt.Errorf("dns: HubFrac %v outside [0, 1]", c.HubFrac)
-	}
-	return nil
-}
-
 // publicResolverMetros hosts the public resolver deployment: a handful of
 // global sites; each client uses the nearest.
 var publicResolverMetros = []string{

@@ -22,9 +22,6 @@
 package latency
 
 import (
-	"fmt"
-	"math"
-
 	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
 )
@@ -124,63 +121,6 @@ func DefaultConfig() Config {
 		PrimitiveTimingBiasMs:     12,
 		ResourceTimingSupportRate: 0.85,
 	}
-}
-
-// Validate rejects a configuration that would put a non-finite,
-// negative or meaningless value into every RTT: non-finite fields, a
-// non-positive propagation speed or backbone inflation, an empty or
-// non-positive inflation range, negative medians, means and sigmas, and
-// probabilities outside [0, 1].
-func (c Config) Validate() error {
-	fields := []struct {
-		name string
-		v    float64
-	}{
-		{"FiberKmPerMs", c.FiberKmPerMs},
-		{"InflationMin", c.InflationMin},
-		{"InflationMax", c.InflationMax},
-		{"BackboneInflation", c.BackboneInflation},
-		{"LastMileMedianMs", c.LastMileMedianMs.Float()},
-		{"LastMileSigma", c.LastMileSigma},
-		{"HouseholdSigma", c.HouseholdSigma},
-		{"CongestionDailyRate", c.CongestionDailyRate},
-		{"CongestionMeanMs", c.CongestionMeanMs.Float()},
-		{"JitterMeanMs", c.JitterMeanMs.Float()},
-		{"JitterBurstProb", c.JitterBurstProb},
-		{"JitterBurstMeanMs", c.JitterBurstMeanMs.Float()},
-		{"UnicastDetourMedianMs", c.UnicastDetourMedianMs.Float()},
-		{"UnicastDetourSigma", c.UnicastDetourSigma},
-		{"PrimitiveTimingBiasMs", c.PrimitiveTimingBiasMs.Float()},
-		{"ResourceTimingSupportRate", c.ResourceTimingSupportRate},
-	}
-	// Every comparison below is false for NaN, so non-finite values are
-	// rejected first; after this loop the remaining fields are all
-	// non-negative.
-	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) || f.v < 0 {
-			return fmt.Errorf("latency: %s must be finite and non-negative, got %v", f.name, f.v)
-		}
-	}
-	if c.FiberKmPerMs == 0 || c.BackboneInflation == 0 {
-		return fmt.Errorf("latency: FiberKmPerMs (%v) and BackboneInflation (%v) must be positive",
-			c.FiberKmPerMs, c.BackboneInflation)
-	}
-	if c.InflationMin == 0 || c.InflationMin > c.InflationMax {
-		return fmt.Errorf("latency: inflation range [%v, %v] must be positive and ordered", c.InflationMin, c.InflationMax)
-	}
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"CongestionDailyRate", c.CongestionDailyRate},
-		{"JitterBurstProb", c.JitterBurstProb},
-		{"ResourceTimingSupportRate", c.ResourceTimingSupportRate},
-	} {
-		if p.v > 1 {
-			return fmt.Errorf("latency: %s %v outside [0, 1]", p.name, p.v)
-		}
-	}
-	return nil
 }
 
 // Package-level label hashes: every per-sample substream derivation pays

@@ -425,41 +425,3 @@ func BenchmarkDayRTTCold(b *testing.B) {
 		_ = m.DayRTTms(p, i%30)
 	}
 }
-
-// TestConfigValidate sets one bad value per field of the default
-// calibration, which itself must pass.
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-	nan, inf := math.NaN(), math.Inf(1)
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"NaN FiberKmPerMs", func(c *Config) { c.FiberKmPerMs = nan }},
-		{"zero FiberKmPerMs", func(c *Config) { c.FiberKmPerMs = 0 }},
-		{"zero InflationMin", func(c *Config) { c.InflationMin = 0 }},
-		{"InflationMin above InflationMax", func(c *Config) { c.InflationMin = 2.5 }},
-		{"infinite InflationMax", func(c *Config) { c.InflationMax = inf }},
-		{"zero BackboneInflation", func(c *Config) { c.BackboneInflation = 0 }},
-		{"negative LastMileMedianMs", func(c *Config) { c.LastMileMedianMs = -1 }},
-		{"negative LastMileSigma", func(c *Config) { c.LastMileSigma = -0.1 }},
-		{"NaN HouseholdSigma", func(c *Config) { c.HouseholdSigma = nan }},
-		{"CongestionDailyRate above one", func(c *Config) { c.CongestionDailyRate = 1.5 }},
-		{"negative CongestionMeanMs", func(c *Config) { c.CongestionMeanMs = -5 }},
-		{"infinite JitterMeanMs", func(c *Config) { c.JitterMeanMs = units.Millis(inf) }},
-		{"NaN JitterBurstProb", func(c *Config) { c.JitterBurstProb = nan }},
-		{"negative JitterBurstMeanMs", func(c *Config) { c.JitterBurstMeanMs = -70 }},
-		{"negative UnicastDetourMedianMs", func(c *Config) { c.UnicastDetourMedianMs = -3 }},
-		{"negative UnicastDetourSigma", func(c *Config) { c.UnicastDetourSigma = -0.6 }},
-		{"negative PrimitiveTimingBiasMs", func(c *Config) { c.PrimitiveTimingBiasMs = -12 }},
-		{"ResourceTimingSupportRate below zero", func(c *Config) { c.ResourceTimingSupportRate = -0.1 }},
-	} {
-		c := DefaultConfig()
-		tc.mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}

@@ -138,11 +138,12 @@ func (r *referenceMapping) observe(c clients.Client) {
 }
 
 // TestBuildMatchesReferenceWalk pins the block walk as exact: for two
-// seeds, an all-ISP and an all-public mapping, and 1, 2, 3 and 8
-// workers, BuildWorld and BuildShardWorld over ranges that start at 0,
-// lie inside one block, cross two block edges and end at the population
-// size hold the clients, resolver catalog and assignments of the serial
-// reference walk.
+// seeds, the world's own resolver mix, and 1, 2, 3 and 8 workers,
+// BuildWorld and BuildShardWorld over ranges that start at 0, lie inside
+// one block, cross two block edges and end at the population size hold
+// the clients, resolver catalog and assignments of the serial reference
+// walk. The reference catalog must hold a resolver of every kind, so the
+// walk reaches each branch of the resolver key.
 func TestBuildMatchesReferenceWalk(t *testing.T) {
 	const n = 3*clients.BlockSize + 1234
 	ranges := [][2]int{
@@ -159,43 +160,49 @@ func TestBuildMatchesReferenceWalk(t *testing.T) {
 		workers = []int{1, 3}
 	}
 	for _, seed := range []uint64{1, 23} {
-		for _, mcfg := range []dns.MapperConfig{{Seed: seed + 100, HubFrac: 0.3}, {Seed: seed + 200, PublicFrac: 1}} {
-			cfg := testutil.TinyConfig(seed)
-			cfg.Prefixes = n
-			cfg.Mapper = &mcfg
-			comps, err := sim.BuildAnalysisWorld(cfg)
-			if err != nil {
-				t.Fatal(err)
+		cfg := testutil.TinyConfig(seed)
+		cfg.Prefixes = n
+		comps, err := sim.BuildAnalysisWorld(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref := newReferenceMapping(t, comps.ISPs, comps.Metros, dns.DefaultMapperConfig(xrand.DeriveSeed(seed, "ldns")))
+		all, err := referenceGenerate(comps.Metros, comps.ISPs,
+			clients.DefaultConfig(xrand.DeriveSeed(seed, "clients"), n), 0, n, ref.observe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		kinds := map[dns.LDNSKind]int{}
+		for _, l := range ref.resolvers {
+			kinds[l.Kind]++
+		}
+		for _, k := range []dns.LDNSKind{dns.Public, dns.ISPHub, dns.ISPLocal} {
+			if kinds[k] == 0 {
+				t.Fatalf("seed %d: the reference catalog holds no %s resolver (%v)", seed, k, kinds)
 			}
-			ref := newReferenceMapping(t, comps.ISPs, comps.Metros, mcfg)
-			all, err := referenceGenerate(comps.Metros, comps.ISPs,
-				clients.DefaultConfig(xrand.DeriveSeed(seed, "clients"), n), 0, n, ref.observe)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, wk := range workers {
-				cfg.Workers = wk
-				for _, r := range ranges {
-					lo, hi := r[0], r[1]
-					var w *sim.World
-					if lo == 0 && hi == n {
-						w, err = sim.BuildWorld(cfg)
-					} else {
-						w, err = sim.BuildShardWorld(cfg, lo, hi)
-					}
-					if err != nil {
-						t.Fatal(err)
-					}
-					at := fmt.Sprintf("seed %d, mapper %+v, %d workers, range [%d, %d)", seed, mcfg, wk, lo, hi)
-					if p := w.Population; p.Base != uint64(lo) || !reflect.DeepEqual(p.Clients, all[lo:hi]) {
-						t.Fatalf("%s: clients differ from the reference walk's", at)
-					}
-					if m := w.Mapping; !reflect.DeepEqual(m.Resolvers, ref.resolvers) {
-						t.Fatalf("%s: resolver catalog differs from the reference's (%d vs %d resolvers)", at, len(m.Resolvers), len(ref.resolvers))
-					}
-					if m := w.Mapping; m.Base != uint64(lo) || !reflect.DeepEqual(m.ClientLDNS, ref.assign[lo:hi]) {
-						t.Fatalf("%s: client assignments differ from the reference's", at)
-					}
+		}
+		for _, wk := range workers {
+			cfg.Workers = wk
+			for _, r := range ranges {
+				lo, hi := r[0], r[1]
+				var w *sim.World
+				if lo == 0 && hi == n {
+					w, err = sim.BuildWorld(cfg)
+				} else {
+					w, err = sim.BuildShardWorld(cfg, lo, hi)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				at := fmt.Sprintf("seed %d, %d workers, range [%d, %d)", seed, wk, lo, hi)
+				if p := w.Population; p.Base != uint64(lo) || !reflect.DeepEqual(p.Clients, all[lo:hi]) {
+					t.Fatalf("%s: clients differ from the reference walk's", at)
+				}
+				if m := w.Mapping; !reflect.DeepEqual(m.Resolvers, ref.resolvers) {
+					t.Fatalf("%s: resolver catalog differs from the reference's (%d vs %d resolvers)", at, len(m.Resolvers), len(ref.resolvers))
+				}
+				if m := w.Mapping; m.Base != uint64(lo) || !reflect.DeepEqual(m.ClientLDNS, ref.assign[lo:hi]) {
+					t.Fatalf("%s: client assignments differ from the reference's", at)
 				}
 			}
 		}

@@ -6,12 +6,9 @@ import (
 	"testing"
 
 	"anycastcdn/internal/bgp"
-	"anycastcdn/internal/dns"
 	"anycastcdn/internal/faults"
-	"anycastcdn/internal/latency"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
-	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 )
 
@@ -67,61 +64,6 @@ func TestConfigValidate(t *testing.T) {
 			r.StableFrac = 0.9
 			c.Routing = &r
 		}), "StableFrac"},
-		{"invalid latency config", mut(func(c *sim.Config) {
-			l := latency.DefaultConfig()
-			l.FiberKmPerMs = 0
-			c.Latency = &l
-		}), "FiberKmPerMs"},
-		{"valid ISP model config", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.CentralizedFrac, i.TieBreakFrac = 0.6, 0.4
-			c.ISPs = &i
-		}), ""},
-		{"ISP policy fractions above one", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.CentralizedFrac, i.TieBreakFrac = 0.7, 0.4
-			c.ISPs = &i
-		}), "TieBreakFrac"},
-		{"NaN ISP transit fraction", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.TransitAbroadFrac = math.NaN()
-			c.ISPs = &i
-		}), "TransitAbroadFrac"},
-		{"negative ISP single-interconnect fraction", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.SingleInterconnectFrac = -0.1
-			c.ISPs = &i
-		}), "SingleInterconnectFrac"},
-		{"infinite ISP centralized fraction", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.CentralizedFrac = math.Inf(1)
-			c.ISPs = &i
-		}), "CentralizedFrac"},
-		{"ISP tie-break fraction above one", mut(func(c *sim.Config) {
-			i := topology.DefaultISPModelConfig(1)
-			i.CentralizedFrac, i.TieBreakFrac = 0, 1.5
-			c.ISPs = &i
-		}), "TieBreakFrac"},
-		{"valid mapper config", mut(func(c *sim.Config) {
-			m := dns.DefaultMapperConfig(1)
-			m.PublicFrac, m.HubFrac = 1, 0
-			c.Mapper = &m
-		}), ""},
-		{"mapper public fraction above one", mut(func(c *sim.Config) {
-			m := dns.DefaultMapperConfig(1)
-			m.PublicFrac = 1.2
-			c.Mapper = &m
-		}), "PublicFrac"},
-		{"NaN mapper hub fraction", mut(func(c *sim.Config) {
-			m := dns.DefaultMapperConfig(1)
-			m.HubFrac = math.NaN()
-			c.Mapper = &m
-		}), "HubFrac"},
-		{"negative mapper hub fraction", mut(func(c *sim.Config) {
-			m := dns.DefaultMapperConfig(1)
-			m.HubFrac = -0.01
-			c.Mapper = &m
-		}), "HubFrac"},
 		{"invalid scenario event", mut(func(c *sim.Config) {
 			c.Scenario = &faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Drain, Target: "paris", Day: 1, Days: 0},

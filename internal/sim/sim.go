@@ -50,12 +50,9 @@ type Config struct {
 	GeoMedianErrKm units.Kilometers
 	GeoGrossRate   float64
 	GeoGrossKm     units.Kilometers
-	// Routing, Latency, ISP, DNS and client sub-configurations. Zero
-	// values are replaced by defaults derived from Seed.
+	// Routing overrides the BGP model's calibration; nil means
+	// bgp.DefaultConfig.
 	Routing *bgp.Config
-	Latency *latency.Config
-	ISPs    *topology.ISPModelConfig
-	Mapper  *dns.MapperConfig
 	// Workers bounds simulation parallelism. 0 means GOMAXPROCS; Validate
 	// rejects negative values. Every parallel phase — the world build's
 	// client walk and each phase of the day loop — runs on one worker
@@ -150,21 +147,6 @@ func (cfg Config) Validate() error {
 			return err
 		}
 	}
-	if cfg.Latency != nil {
-		if err := cfg.Latency.Validate(); err != nil {
-			return err
-		}
-	}
-	if cfg.ISPs != nil {
-		if err := cfg.ISPs.Validate(); err != nil {
-			return err
-		}
-	}
-	if cfg.Mapper != nil {
-		if err := cfg.Mapper.Validate(); err != nil {
-			return err
-		}
-	}
 	if cfg.LoadManager != nil {
 		if err := cfg.LoadManager.Validate(); err != nil {
 			return err
@@ -201,17 +183,9 @@ type World struct {
 	Authority  *dns.Authority
 	Latency    *latency.Model
 	Executor   *beacon.Executor
-	// Faults is the compiled fault injector (nil when Config.Scenario is
-	// nil). Install a custom one with InstallFaults.
+	// Faults is the injector compiled from Config.Scenario (nil when the
+	// scenario is nil); Executor holds the same injector.
 	Faults *faults.Injector
-}
-
-// InstallFaults wires a fault injector into the world and its beacon
-// executor; pass nil to remove injection. Replaces any injector compiled
-// from Config.Scenario by BuildWorld.
-func (w *World) InstallFaults(inj *faults.Injector) {
-	w.Faults = inj
-	w.Executor.Faults = inj
 }
 
 // BuildWorld constructs the environment for a config.
@@ -252,16 +226,13 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	if err != nil {
 		return nil, err
 	}
-	mapCfg := dns.DefaultMapperConfig(xrand.DeriveSeed(cfg.Seed, "ldns"))
-	if cfg.Mapper != nil {
-		mapCfg = *cfg.Mapper
-	}
 	gen, err := clients.NewGenerator(w.Metros, w.ISPs,
 		clients.DefaultConfig(xrand.DeriveSeed(cfg.Seed, "clients"), cfg.Prefixes), lo, hi)
 	if err != nil {
 		return nil, fmt.Errorf("sim: generating clients: %w", err)
 	}
-	rm, err := dns.NewRangeMapper(w.ISPs, w.Metros, mapCfg, uint64(lo), uint64(hi))
+	rm, err := dns.NewRangeMapper(w.ISPs, w.Metros,
+		dns.DefaultMapperConfig(xrand.DeriveSeed(cfg.Seed, "ldns")), uint64(lo), uint64(hi))
 	if err != nil {
 		return nil, fmt.Errorf("sim: mapping LDNS: %w", err)
 	}
@@ -289,19 +260,18 @@ func buildWorldRange(cfg Config, lo, hi int) (*World, error) {
 	}
 	w.Population = gen.Population()
 	w.Mapping = rm.Mapping()
+	if cfg.Scenario != nil {
+		if w.Faults, err = faults.NewInjector(*cfg.Scenario, w.Deployment, w.Mapping, w.Metros); err != nil {
+			return nil, fmt.Errorf("sim: compiling fault scenario: %w", err)
+		}
+	}
 	w.Executor = &beacon.Executor{
 		Router:    w.Router,
 		Authority: w.Authority,
 		Latency:   w.Latency,
 		Mapping:   w.Mapping,
+		Faults:    w.Faults,
 		Seed:      xrand.DeriveSeed(cfg.Seed, "beacon"),
-	}
-	if cfg.Scenario != nil {
-		inj, err := faults.NewInjector(*cfg.Scenario, w.Deployment, w.Mapping, w.Metros)
-		if err != nil {
-			return nil, fmt.Errorf("sim: compiling fault scenario: %w", err)
-		}
-		w.InstallFaults(inj)
 	}
 	return w, nil
 }
@@ -332,11 +302,8 @@ func buildComponents(cfg Config) (*World, error) {
 	}
 	metros := geo.World()
 
-	ispCfg := topology.DefaultISPModelConfig(xrand.DeriveSeed(cfg.Seed, "isps"))
-	if cfg.ISPs != nil {
-		ispCfg = *cfg.ISPs
-	}
-	isps := topology.BuildISPs(dep.Backbone, metros, ispCfg)
+	isps := topology.BuildISPs(dep.Backbone, metros,
+		topology.DefaultISPModelConfig(xrand.DeriveSeed(cfg.Seed, "isps")))
 
 	routeCfg := bgp.DefaultConfig()
 	if cfg.Routing != nil {
@@ -344,11 +311,7 @@ func buildComponents(cfg Config) (*World, error) {
 	}
 	router := bgp.NewRouter(dep.Backbone, isps, xrand.DeriveSeed(cfg.Seed, "bgp"), routeCfg)
 
-	latCfg := latency.DefaultConfig()
-	if cfg.Latency != nil {
-		latCfg = *cfg.Latency
-	}
-	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latCfg)
+	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latency.DefaultConfig())
 
 	geoDB := geo.NewDB(xrand.DeriveSeed(cfg.Seed, "geodb"),
 		cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm)

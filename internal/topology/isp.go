@@ -101,30 +101,6 @@ func DefaultISPModelConfig(seed uint64) ISPModelConfig {
 	}
 }
 
-// Validate rejects fractions that are not probabilities: non-finite
-// values and values outside [0, 1], and a CentralizedFrac plus
-// TieBreakFrac above 1, which would leave HotPotato a negative share. A
-// PerCountry below 1 is not an error: BuildISPs raises it to 1.
-func (c ISPModelConfig) Validate() error {
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{
-		{"CentralizedFrac", c.CentralizedFrac},
-		{"TieBreakFrac", c.TieBreakFrac},
-		{"TransitAbroadFrac", c.TransitAbroadFrac},
-		{"SingleInterconnectFrac", c.SingleInterconnectFrac},
-	} {
-		if !(f.v >= 0 && f.v <= 1) {
-			return fmt.Errorf("topology: %s %v outside [0, 1]", f.name, f.v)
-		}
-	}
-	if c.CentralizedFrac+c.TieBreakFrac > 1 {
-		return fmt.Errorf("topology: CentralizedFrac %v + TieBreakFrac %v exceeds 1", c.CentralizedFrac, c.TieBreakFrac)
-	}
-	return nil
-}
-
 // transitHubMetros are the global exchanges where international transit
 // providers interconnect with the CDN.
 var transitHubMetros = []string{
