@@ -217,25 +217,6 @@ func BenchmarkAblationHybridMargin25(b *testing.B) {
 	ablationFigure9(b, core.Config{Metric: core.MetricP25, MinMeasurements: 20, HybridMarginMs: 25})
 }
 
-// BenchmarkAblationCandidates measures Figure 1's justification for ten
-// candidates: the simulation rerun with a smaller candidate set.
-func BenchmarkAblationCandidates5(b *testing.B) {
-	cfg := sim.DefaultConfig(5)
-	cfg.Prefixes = 800
-	cfg.Days = 2
-	cfg.CandidateCount = 5
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if res.TotalBeacons() == 0 {
-			b.Fatal("no beacons")
-		}
-	}
-}
-
 // BenchmarkAblationNoWeekendChurn turns the weekday/weekend churn
 // asymmetry off and reports the weekly switched fraction (Figure 7's
 // plateau disappears).

@@ -18,13 +18,15 @@ var RestrictedCtxPropagation = []string{
 // a context.Context and performs blocking net I/O (conn.Read/ReadFrom/
 // Write/WriteTo) must consult that ctx — reference ctx.Done(),
 // ctx.Deadline(), or ctx.Err() directly, or hand the ctx to a
-// same-package helper that does (e.g. a cancellation watcher that yanks
-// the conn deadline). Separately, ctx-less dialing (net.Dial and
+// same-package helper that does (e.g. a cancellation watcher that closes
+// the conn on ctx.Done, which fails the in-flight and every later frame
+// operation; a yanked deadline would be overwritten by the next
+// operation's own). Separately, ctx-less dialing (net.Dial and
 // friends) is flagged anywhere in the restricted packages: use
 // net.Dialer.DialContext so the caller's ctx bounds connection setup.
 var CtxPropagation = &Analyzer{
 	Name: "ctxpropagation",
-	Doc:  "blocking net I/O in distsim must derive deadlines and cancellation from the caller's ctx",
+	Doc:  "blocking net I/O in distsim must stop when the caller's ctx is canceled",
 	Run:  runCtxPropagation,
 }
 
@@ -77,7 +79,7 @@ func runCtxPropagation(pass *Pass) {
 			}
 			for _, call := range blocking {
 				pass.Reportf(call.Pos(),
-					"blocking net call ignores the caller's ctx; derive the conn deadline from ctx.Deadline and watch ctx.Done for cancellation")
+					"blocking net call ignores the caller's ctx; watch ctx.Done and close the conn on cancellation")
 			}
 		}
 	}

@@ -65,7 +65,6 @@ func f(ctx context.Context, conn net.Conn) error {
 import (
 	"context"
 	"net"
-	"time"
 )
 
 func watch(ctx context.Context, conn net.Conn) func() {
@@ -73,7 +72,7 @@ func watch(ctx context.Context, conn net.Conn) func() {
 	go func() {
 		select {
 		case <-ctx.Done():
-			_ = conn.SetDeadline(time.Unix(1, 0))
+			_ = conn.Close()
 		case <-stop:
 		}
 	}()

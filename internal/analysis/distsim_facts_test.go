@@ -58,7 +58,8 @@ func Unreached() int64 { return time.Now().UnixNano() }
 
 // TestCtxPropagationDistsimRestricted seeds ctx-blind blocking I/O in a
 // distsim-path fixture: the restricted-package gate must now catch it,
-// and the cancellation-watcher shape the real package uses must pass.
+// and the cancellation watcher the real package uses, which closes the
+// conn on ctx.Done, must pass.
 func TestCtxPropagationDistsimRestricted(t *testing.T) {
 	bad := `package distsim
 
@@ -83,7 +84,6 @@ func ReadFrame(ctx context.Context, conn net.Conn) error {
 import (
 	"context"
 	"net"
-	"time"
 )
 
 func ReadFrame(ctx context.Context, conn net.Conn) error {
@@ -92,7 +92,7 @@ func ReadFrame(ctx context.Context, conn net.Conn) error {
 	go func() {
 		select {
 		case <-ctx.Done():
-			conn.SetDeadline(time.Unix(1, 0))
+			_ = conn.Close()
 		case <-done:
 		}
 	}()

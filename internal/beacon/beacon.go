@@ -121,12 +121,10 @@ func (e *Executor) MeasureCandidates(c clients.Client, day int, assign bgp.Assig
 const householdsPerPrefix = 6
 
 // memoCols is how many paths a Batch memoizes: the anycast path, then the
-// unicast paths to the LDNS's candidates by rank, up to the paper's
-// candidate count. Under the default configuration the memo therefore
-// covers every path a client-day can touch, householdsPerPrefix ×
-// memoCols = 6 × (1 + 10) = 66; with a larger CandidateCount, a
-// candidate ranked past the memo has its path terms computed afresh for
-// every sample.
+// unicast paths to the LDNS's candidates by rank. A candidate list holds
+// at most dns.DefaultCandidates sites, so the memo covers every path a
+// client-day can touch, householdsPerPrefix × memoCols = 6 × (1 + 10) =
+// 66.
 const memoCols = 1 + dns.DefaultCandidates
 
 // Batch executes one client-day's beacons, doing each piece of the
@@ -244,7 +242,7 @@ func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSa
 	}
 	var pd latency.PathDay
 	var jitter uint64
-	if col < memoCols && b.pathSet[col] {
+	if b.pathSet[col] {
 		pd, jitter = b.paths[col], b.jitter[col]
 	} else {
 		if col > 0 {
@@ -258,9 +256,7 @@ func (b *Batch) sample(rs *xrand.Stream, col int, queryID, slot uint64) TargetSa
 			Unicast:    a.Unicast,
 		}, b.day)
 		jitter = b.e.Latency.JitterPrefix(b.rc.PrefixID, uint64(a.Ingress), b.day)
-		if col < memoCols {
-			b.paths[col], b.jitter[col], b.pathSet[col] = pd, jitter, true
-		}
+		b.paths[col], b.jitter[col], b.pathSet[col] = pd, jitter, true
 	}
 	h := queryID % householdsPerPrefix
 	if !b.hhSet[h] {

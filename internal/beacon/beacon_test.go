@@ -56,7 +56,7 @@ func setup(t *testing.T) fixture {
 	router := bgp.NewRouter(dep.Backbone, isps, 4, bgp.DefaultConfig())
 	exec := &Executor{
 		Router:    router,
-		Authority: dns.NewAuthority(dep, geo.PerfectDB(), 10),
+		Authority: dns.NewAuthority(dep, geo.PerfectDB()),
 		Latency:   latency.NewModel(5, latency.DefaultConfig()),
 		Mapping:   mp,
 		Seed:      6,
@@ -211,7 +211,7 @@ func benchExecutor(b *testing.B) (*Executor, *clients.Population) {
 	pop, mp := generate(b, isps, metros, 100)
 	return &Executor{
 		Router:    bgp.NewRouter(dep.Backbone, isps, 4, bgp.DefaultConfig()),
-		Authority: dns.NewAuthority(dep, geo.PerfectDB(), 10),
+		Authority: dns.NewAuthority(dep, geo.PerfectDB()),
 		Latency:   latency.NewModel(5, latency.DefaultConfig()),
 		Mapping:   mp,
 		Seed:      6,

@@ -123,7 +123,7 @@ type coordinator struct {
 }
 
 // annotate prefers the context's verdict when the run was canceled: the
-// proximate error is then just a yanked deadline.
+// proximate error is then just a connection the ctx watcher closed.
 func (c *coordinator) annotate(ctx context.Context, err error) error {
 	if ctx.Err() != nil {
 		return fmt.Errorf("distsim: run canceled: %w", ctx.Err())

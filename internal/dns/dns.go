@@ -298,46 +298,40 @@ func (m *Mapping) Resolver(clientID uint64) LDNS {
 // candidate plus two distance-weighted random picks.
 //
 // Safe for concurrent use: the per-LDNS candidate cache is guarded by mu;
-// the deployment, geo database, front-end set, candidate count and rank
-// tables are read-only after construction. mu is a leaf lock — never held
-// across the geolocation or distance computations, or while acquiring any
-// other mutex — so it imposes no acquisition order.
+// the deployment, geo database, front-end set and rank tables are
+// read-only after construction. mu is a leaf lock — never held across the
+// geolocation or distance computations, or while acquiring any other
+// mutex — so it imposes no acquisition order.
 type Authority struct {
 	dep   *cdn.Deployment
 	geoDB *geo.DB
 	// feSet holds the front-end metros in dep.FrontEnds order.
 	feSet *geo.PointSet
-	// candidates is the candidate set size (10 in the paper).
-	candidates int
-	ranks      rankTables
+	ranks rankTables
 
 	mu    sync.RWMutex
 	cache map[LDNSID][]topology.SiteID
 }
 
-// DefaultCandidates is the paper's candidate set size: the authority
-// considers the ten front-ends closest to an LDNS (§3.3).
+// DefaultCandidates is the one candidate set size: the authority
+// considers the ten front-ends closest to an LDNS (§3.3), and Figure 1
+// shows that measuring more would add little.
 const DefaultCandidates = 10
 
 // NewAuthority builds an authority over a deployment using the given
-// geolocation database to locate resolvers; candidates below 1 mean
-// DefaultCandidates.
-func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB, candidates int) *Authority {
-	if candidates < 1 {
-		candidates = DefaultCandidates
-	}
+// geolocation database to locate resolvers.
+func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB) *Authority {
 	pts := make([]geo.Point, len(dep.FrontEnds))
 	for i, fe := range dep.FrontEnds {
 		pts[i] = dep.Backbone.Site(fe.Site).Metro.Point
 	}
 	return &Authority{
-		dep:        dep,
-		geoDB:      geoDB,
-		feSet:      geo.NewPointSet(pts),
-		candidates: candidates,
-		// RankInto returns min(candidates, front-ends) sites for every
-		// LDNS, so every candidate list has this length.
-		ranks: newRankTables(min(candidates, len(pts))),
+		dep:   dep,
+		geoDB: geoDB,
+		feSet: geo.NewPointSet(pts),
+		// RankInto returns min(DefaultCandidates, front-ends) sites for
+		// every LDNS, so every candidate list has this length.
+		ranks: newRankTables(min(DefaultCandidates, len(pts))),
 		cache: map[LDNSID][]topology.SiteID{},
 	}
 }
@@ -354,7 +348,7 @@ func (a *Authority) Candidates(l LDNS) []topology.SiteID {
 	}
 	believed := a.geoDB.Locate(ldnsGeoKey(l.ID), l.Point)
 	fes := a.dep.FrontEnds
-	order := a.feSet.RankInto(believed, a.candidates, nil)
+	order := a.feSet.RankInto(believed, DefaultCandidates, nil)
 	sites = make([]topology.SiteID, len(order))
 	for i, k := range order {
 		sites[i] = fes[k].Site

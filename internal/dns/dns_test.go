@@ -177,7 +177,7 @@ func TestBuildMappingDeterministic(t *testing.T) {
 
 func TestAuthorityCandidates(t *testing.T) {
 	f := setup(t)
-	auth := NewAuthority(f.dep, geo.PerfectDB(), 10)
+	auth := NewAuthority(f.dep, geo.PerfectDB())
 	boston, _ := geo.FindMetro("boston")
 	l := LDNS{ID: 1, Name: "test", Kind: ISPLocal, Point: boston.Point}
 	cands := auth.Candidates(l)
@@ -210,7 +210,7 @@ func TestAuthorityCandidates(t *testing.T) {
 
 func TestAuthorityCandidateCacheStable(t *testing.T) {
 	f := setup(t)
-	auth := NewAuthority(f.dep, geo.PerfectDB(), 10)
+	auth := NewAuthority(f.dep, geo.PerfectDB())
 	l := LDNS{ID: 5, Point: geo.Point{Lat: 50, Lon: 10}}
 	a := auth.Candidates(l)
 	b := auth.Candidates(l)
@@ -223,7 +223,7 @@ func TestAuthorityCandidateCacheStable(t *testing.T) {
 
 func TestSelectBeaconTargets(t *testing.T) {
 	f := setup(t)
-	auth := NewAuthority(f.dep, geo.PerfectDB(), 10)
+	auth := NewAuthority(f.dep, geo.PerfectDB())
 	paris, _ := geo.FindMetro("paris")
 	l := LDNS{ID: 2, Point: paris.Point}
 	cands := auth.Candidates(l)
@@ -277,7 +277,7 @@ func TestSelectBeaconTargetsTinyDeployments(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	auth := NewAuthority(dep, geo.PerfectDB(), 10)
+	auth := NewAuthority(dep, geo.PerfectDB())
 	l := LDNS{ID: 1, Point: geo.Point{Lat: 51, Lon: 0}}
 	rs := xrand.New(1)
 	tg := auth.SelectBeaconTargets(l, rs)
@@ -288,8 +288,8 @@ func TestSelectBeaconTargetsTinyDeployments(t *testing.T) {
 
 func TestGeolocationErrorPerturbsCandidates(t *testing.T) {
 	f := setup(t)
-	perfect := NewAuthority(f.dep, geo.PerfectDB(), 10)
-	noisy := NewAuthority(f.dep, geo.NewDB(1, 200, 0.1, 8000), 10)
+	perfect := NewAuthority(f.dep, geo.PerfectDB())
+	noisy := NewAuthority(f.dep, geo.NewDB(1, 200, 0.1, 8000))
 	diff := 0
 	for i := 0; i < 200; i++ {
 		pt := geo.Point{Lat: 30 + float64(i%40), Lon: -100 + float64(i)}
@@ -322,7 +322,7 @@ func BenchmarkSelectBeaconTargets(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	auth := NewAuthority(dep, geo.PerfectDB(), 10)
+	auth := NewAuthority(dep, geo.PerfectDB())
 	l := LDNS{ID: 1, Point: geo.Point{Lat: 40, Lon: -80}}
 	rs := xrand.New(1)
 	b.ReportAllocs()

@@ -6,6 +6,7 @@ import (
 
 	"anycastcdn/internal/cdn"
 	"anycastcdn/internal/geo"
+	"anycastcdn/internal/topology"
 	"anycastcdn/internal/xrand"
 )
 
@@ -129,19 +130,42 @@ func TestTargetRanksMatchWeightedChoice(t *testing.T) {
 
 // TestAuthorityRankTablesFitCandidates pins the premise of the tables:
 // every LDNS's candidate list has the one length the tables were built
-// for, min(candidate count, front-ends), whatever the count.
+// for, min(DefaultCandidates, front-ends), on deployments with fewer,
+// more and many more front-ends than that.
 func TestAuthorityRankTablesFitCandidates(t *testing.T) {
+	var deps []*cdn.Deployment
+	metros := geo.World()
+	for _, k := range []int{1, 2, 3, 11} {
+		specs := make([]topology.SiteSpec, k)
+		for i := range specs {
+			specs[i] = topology.SiteSpec{Metro: metros[i].Name, FrontEnd: true, Peering: true}
+		}
+		b, err := topology.Build(specs, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dep, err := cdn.NewDeployment(b)
+		if err != nil {
+			t.Fatal(err)
+		}
+		deps = append(deps, dep)
+	}
 	dep, err := cdn.BuildDefault()
 	if err != nil {
 		t.Fatal(err)
 	}
+	deps = append(deps, dep)
 	rs := xrand.New(3)
-	for _, k := range []int{0, 1, 2, 3, 10, 11, 64, 1000} {
-		a := NewAuthority(dep, geo.NewDB(1, 200, 0.1, 8000), k)
+	for _, dep := range deps {
+		a := NewAuthority(dep, geo.NewDB(1, 200, 0.1, 8000))
+		fes := len(dep.FrontEnds)
+		if want := min(DefaultCandidates, fes); a.ranks.n != want {
+			t.Fatalf("%d front-ends: tables built for %d candidates, want %d", fes, a.ranks.n, want)
+		}
 		for i := 0; i < 200; i++ {
 			l := LDNS{ID: LDNSID(i), Point: geo.Point{Lat: rs.Float64()*180 - 90, Lon: rs.Float64()*360 - 180}}
 			if got := len(a.Candidates(l)); got != a.ranks.n {
-				t.Fatalf("candidates %d: LDNS %d has %d candidates, tables built for %d", k, i, got, a.ranks.n)
+				t.Fatalf("%d front-ends: LDNS %d has %d candidates, tables built for %d", fes, i, got, a.ranks.n)
 			}
 		}
 	}

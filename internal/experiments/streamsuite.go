@@ -112,7 +112,7 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 		World:      w,
 		lo:         lo,
 		hi:         hi,
-		geoDB:      geo.NewDB(cfg.Seed, cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm),
+		geoDB:      geo.NewDB(cfg.Seed, geo.MedianErrorKm, geo.GrossErrorRate, geo.GrossErrorKm),
 		feSet:      geo.NewPointSet(pts),
 		switchDays: make([]int32, hi-lo),
 		window:     window,

@@ -14,26 +14,35 @@ import (
 // that: looking up an entity returns its true position displaced by a
 // lognormal error, and a small fraction of lookups are grossly wrong.
 type DB struct {
-	// MedianErrorKm is the median displacement of a normal lookup.
-	// Commercial databases at city granularity are typically tens of km off.
-	MedianErrorKm units.Kilometers
-	// GrossErrorRate is the probability that a lookup is wildly wrong
-	// (e.g. geolocated to a registrant address on another continent).
-	GrossErrorRate float64
-	// GrossErrorKm is the scale of a gross error displacement.
-	GrossErrorKm units.Kilometers
+	// The error model, as the constants below describe it.
+	medianErrKm units.Kilometers
+	grossRate   float64
+	grossKm     units.Kilometers
 
 	seed uint64
 }
 
+// The error model of every database the simulation builds: the
+// authority's LDNS lookups and the experiment suite's client lookups.
+const (
+	// MedianErrorKm is the median displacement of a normal lookup.
+	// Commercial databases at city granularity are typically tens of km off.
+	MedianErrorKm units.Kilometers = 25
+	// GrossErrorRate is the probability that a lookup is wildly wrong
+	// (e.g. geolocated to a registrant address on another continent).
+	GrossErrorRate = 0.01
+	// GrossErrorKm is the scale of a gross error displacement.
+	GrossErrorKm units.Kilometers = 4000
+)
+
 // NewDB returns a database with the given error model rooted at seed.
-// A zero MedianErrorKm produces perfect lookups.
+// A zero median error and gross-error rate produce perfect lookups.
 func NewDB(seed uint64, medianErrKm units.Kilometers, grossRate float64, grossKm units.Kilometers) *DB {
 	return &DB{
-		MedianErrorKm:  medianErrKm,
-		GrossErrorRate: grossRate,
-		GrossErrorKm:   grossKm,
-		seed:           seed,
+		medianErrKm: medianErrKm,
+		grossRate:   grossRate,
+		grossKm:     grossKm,
+		seed:        seed,
 	}
 }
 
@@ -47,18 +56,18 @@ func PerfectDB() *DB { return &DB{} }
 // with the given stable id whose true position is truth. The same id always
 // produces the same answer (databases are wrong consistently, not noisily).
 func (db *DB) Locate(id uint64, truth Point) Point {
-	if db.MedianErrorKm <= 0 && db.GrossErrorRate <= 0 {
+	if db.medianErrKm <= 0 && db.grossRate <= 0 {
 		return truth
 	}
 	var rs xrand.Stream
 	rs.Reseed(xrand.DeriveSeedL1(db.seed, labelGeoDB, id))
 	bearing := rs.Float64() * 360
 	var dist units.Kilometers
-	if rs.Bool(db.GrossErrorRate) {
-		dist = units.Kilometers(rs.Exp(db.GrossErrorKm.Float()))
+	if rs.Bool(db.grossRate) {
+		dist = units.Kilometers(rs.Exp(db.grossKm.Float()))
 	} else {
-		// Lognormal with median MedianErrorKm and moderate spread.
-		dist = units.Kilometers(db.MedianErrorKm.Float() * rs.LogNormal(0, 0.75))
+		// Lognormal with median medianErrKm and moderate spread.
+		dist = units.Kilometers(db.medianErrKm.Float() * rs.LogNormal(0, 0.75))
 	}
 	o := NewOrigin(truth)
 	return o.Offset(dist, bearing)

@@ -9,7 +9,6 @@ import (
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
-	"anycastcdn/internal/units"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -45,15 +44,6 @@ func TestConfigValidate(t *testing.T) {
 		{"query rate just past the overflow bound", mut(func(c *sim.Config) { c.QueriesPerVolume = 631 }), "above 629.99"},
 		{"query rate overflowing counts", mut(func(c *sim.Config) { c.QueriesPerVolume = 1e18 }), "overflows an int"},
 		{"query rate overflowing every count", mut(func(c *sim.Config) { c.QueriesPerVolume = 1e300 }), "overflows an int"},
-		{"zero candidates means default", mut(func(c *sim.Config) { c.CandidateCount = 0 }), ""},
-		{"negative candidates", mut(func(c *sim.Config) { c.CandidateCount = -3 }), "candidate"},
-		{"gross-error rate above one", mut(func(c *sim.Config) { c.GeoGrossRate = 2 }), "gross-error rate"},
-		{"gross-error rate below zero", mut(func(c *sim.Config) { c.GeoGrossRate = -0.5 }), "gross-error rate"},
-		{"NaN gross-error rate", mut(func(c *sim.Config) { c.GeoGrossRate = math.NaN() }), "gross-error rate"},
-		{"negative geo median error", mut(func(c *sim.Config) { c.GeoMedianErrKm = -25 }), "geolocation error"},
-		{"NaN geo median error", mut(func(c *sim.Config) { c.GeoMedianErrKm = units.Kilometers(math.NaN()) }), "median error"},
-		{"negative geo gross error", mut(func(c *sim.Config) { c.GeoGrossKm = -1 }), "geolocation error"},
-		{"infinite geo gross error", mut(func(c *sim.Config) { c.GeoGrossKm = units.Kilometers(math.Inf(1)) }), "gross error"},
 		{"scenario event past end", mut(func(c *sim.Config) {
 			c.Scenario = &faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Drain, Target: "paris", Day: c.Days + 3, Days: 1},

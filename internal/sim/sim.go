@@ -21,7 +21,6 @@ import (
 	"anycastcdn/internal/logs"
 	"anycastcdn/internal/netaddr"
 	"anycastcdn/internal/topology"
-	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
 )
 
@@ -40,16 +39,9 @@ type Config struct {
 	BeaconSampleRate float64
 	// MaxBeaconsPerClientDay caps beacon executions per client-day.
 	MaxBeaconsPerClientDay int
-	// CandidateCount is the authoritative DNS candidate set size.
-	CandidateCount int
 	// Deployment selects a front-end density preset (cdn.Preset); empty
 	// means the default 64-site deployment.
 	Deployment cdn.Preset
-	// GeoMedianErrKm / GeoGrossRate / GeoGrossKm configure the
-	// geolocation database error model used by the authority.
-	GeoMedianErrKm units.Kilometers
-	GeoGrossRate   float64
-	GeoGrossKm     units.Kilometers
 	// Routing overrides the BGP model's calibration; nil means
 	// bgp.DefaultConfig.
 	Routing *bgp.Config
@@ -85,9 +77,6 @@ func (cfg Config) Validate() error {
 	}{
 		{"queries-per-volume", cfg.QueriesPerVolume},
 		{"beacon sample rate", cfg.BeaconSampleRate},
-		{"geolocation median error", cfg.GeoMedianErrKm.Float()},
-		{"geolocation gross-error rate", cfg.GeoGrossRate},
-		{"geolocation gross error", cfg.GeoGrossKm.Float()},
 	} {
 		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
 			return fmt.Errorf("sim: non-finite %s %v", f.name, f.v)
@@ -121,15 +110,6 @@ func (cfg Config) Validate() error {
 	}
 	if cfg.MaxBeaconsPerClientDay < 0 {
 		return fmt.Errorf("sim: negative beacon cap %d", cfg.MaxBeaconsPerClientDay)
-	}
-	if cfg.CandidateCount < 0 {
-		return fmt.Errorf("sim: negative candidate count %d (use 0 for the default)", cfg.CandidateCount)
-	}
-	if cfg.GeoMedianErrKm < 0 || cfg.GeoGrossKm < 0 {
-		return fmt.Errorf("sim: negative geolocation error (median %v km, gross %v km)", cfg.GeoMedianErrKm, cfg.GeoGrossKm)
-	}
-	if cfg.GeoGrossRate < 0 || cfg.GeoGrossRate > 1 {
-		return fmt.Errorf("sim: geolocation gross-error rate %v outside [0, 1]", cfg.GeoGrossRate)
 	}
 	if cfg.Scenario != nil {
 		if err := cfg.Scenario.Validate(); err != nil {
@@ -165,10 +145,6 @@ func DefaultConfig(seed uint64) Config {
 		QueriesPerVolume:       22,
 		BeaconSampleRate:       0.10,
 		MaxBeaconsPerClientDay: 100,
-		CandidateCount:         dns.DefaultCandidates,
-		GeoMedianErrKm:         25,
-		GeoGrossRate:           0.01,
-		GeoGrossKm:             4000,
 	}
 }
 
@@ -314,8 +290,8 @@ func buildComponents(cfg Config) (*World, error) {
 	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latency.DefaultConfig())
 
 	geoDB := geo.NewDB(xrand.DeriveSeed(cfg.Seed, "geodb"),
-		cfg.GeoMedianErrKm, cfg.GeoGrossRate, cfg.GeoGrossKm)
-	auth := dns.NewAuthority(dep, geoDB, cfg.CandidateCount)
+		geo.MedianErrorKm, geo.GrossErrorRate, geo.GrossErrorKm)
+	auth := dns.NewAuthority(dep, geoDB)
 
 	return &World{
 		Metros:     metros,
