@@ -55,7 +55,7 @@
 #      simulation core (whose world build draws and keys each block of
 #      clients on the worker pool), the fault-injection layer, the client
 #      population generator, the LDNS mapper, the load manager, the
-#      columnar log, the stats kernels, the prediction core, and the
+#      stats kernels, the prediction core, and the
 #      distributed coordinator/worker layer,
 #      then the beacon-fold tests of the experiments package (its fold
 #      trains the LDNS predictor on a goroutine of its own; the whole
@@ -83,7 +83,8 @@
 #      one core — must each stay under 10,000 allocs/op (the block walk
 #      allocates nothing per client; what is left scales with resolvers
 #      and blocks), and the simulation
-#      cores must stay at least 3x below their pre-columnar B/op
+#      cores must stay at least 3x below their B/op before the
+#      streaming rewrite
 #      (RunWorld/StreamWorld baseline was ~223 MB/op; the ceiling is
 #      74 MB/op), and the whole-fleet
 #      distributed run must stay under 55 MB/op (frame buffers are
@@ -205,7 +206,7 @@ go test -run '^$' -fuzz FuzzPointSet -fuzztime 5s ./internal/geo/
 go test -run '^$' -fuzz FuzzPolarCount -fuzztime 5s ./internal/xrand/
 
 echo '== go test -race (concurrent packages)'
-go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/logs/ ./internal/stats/ ./internal/core/ ./internal/distsim/
+go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/stats/ ./internal/core/ ./internal/distsim/
 go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability' ./internal/experiments/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'

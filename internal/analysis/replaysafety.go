@@ -8,14 +8,13 @@ import (
 )
 
 // ReplaySensitive lists the packages (and their subpackages) where map
-// iteration order must not leak into output: the simulation core, the
-// experiment harness, the measurement log, the fault engine, the
+// iteration order must not leak into output: the simulation core with
+// its passive log records, the experiment harness, the fault engine, the
 // prediction pipeline, and the statistics kernels. Everything a figure's
 // bytes flow through.
 var ReplaySensitive = []string{
 	"anycastcdn/internal/sim",
 	"anycastcdn/internal/experiments",
-	"anycastcdn/internal/logs",
 	"anycastcdn/internal/faults",
 	"anycastcdn/internal/core",
 	"anycastcdn/internal/stats",

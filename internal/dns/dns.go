@@ -298,15 +298,13 @@ func (m *Mapping) Resolver(clientID uint64) LDNS {
 // candidate plus two distance-weighted random picks.
 //
 // Safe for concurrent use: the per-LDNS candidate cache is guarded by mu;
-// the deployment, geo database, front-end set and rank tables are
-// read-only after construction. mu is a leaf lock — never held across the
-// geolocation or distance computations, or while acquiring any other
-// mutex — so it imposes no acquisition order.
+// the deployment (with its backbone's front-end set), geo database and
+// rank tables are read-only after construction. mu is a leaf lock —
+// never held across the geolocation or distance computations, or while
+// acquiring any other mutex — so it imposes no acquisition order.
 type Authority struct {
 	dep   *cdn.Deployment
 	geoDB *geo.DB
-	// feSet holds the front-end metros in dep.FrontEnds order.
-	feSet *geo.PointSet
 	ranks rankTables
 
 	mu    sync.RWMutex
@@ -321,17 +319,12 @@ const DefaultCandidates = 10
 // NewAuthority builds an authority over a deployment using the given
 // geolocation database to locate resolvers.
 func NewAuthority(dep *cdn.Deployment, geoDB *geo.DB) *Authority {
-	pts := make([]geo.Point, len(dep.FrontEnds))
-	for i, fe := range dep.FrontEnds {
-		pts[i] = dep.Backbone.Site(fe.Site).Metro.Point
-	}
 	return &Authority{
 		dep:   dep,
 		geoDB: geoDB,
-		feSet: geo.NewPointSet(pts),
 		// RankInto returns min(DefaultCandidates, front-ends) sites for
 		// every LDNS, so every candidate list has this length.
-		ranks: newRankTables(min(DefaultCandidates, len(pts))),
+		ranks: newRankTables(min(DefaultCandidates, len(dep.FrontEnds))),
 		cache: map[LDNSID][]topology.SiteID{},
 	}
 }
@@ -348,7 +341,7 @@ func (a *Authority) Candidates(l LDNS) []topology.SiteID {
 	}
 	believed := a.geoDB.Locate(ldnsGeoKey(l.ID), l.Point)
 	fes := a.dep.FrontEnds
-	order := a.feSet.RankInto(believed, DefaultCandidates, nil)
+	order := a.dep.Backbone.FrontEndSet().RankInto(believed, DefaultCandidates, nil)
 	sites = make([]topology.SiteID, len(order))
 	for i, k := range order {
 		sites[i] = fes[k].Site

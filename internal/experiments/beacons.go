@@ -408,34 +408,35 @@ func (s *StreamSuite) HybridDeployment() Report {
 		Title:   "§6 extension: month-long deployment comparison (query-weighted)",
 		Columns: []string{"policy", "median ms", "p75 ms", "p95 ms", "redirected share"},
 	}
-	var medians []units.Millis
 	for p, name := range hybridPolicies {
 		e, err := stats.NewWeightedECDF(h.rows[p].xs, h.rows[p].ws)
 		if err != nil {
 			continue
 		}
-		med := e.Quantile(0.5)
-		medians = append(medians, med)
 		tb.Rows = append(tb.Rows, []string{
 			name,
-			fmt.Sprintf("%.1f", med),
+			fmt.Sprintf("%.1f", e.Quantile(0.5)),
 			fmt.Sprintf("%.1f", e.Quantile(0.75)),
 			fmt.Sprintf("%.1f", e.Quantile(0.95)),
 			pct(h.redirW[p] / h.totW[p]),
 		})
 	}
 	lines := []Headline{}
-	if len(medians) == len(hybridPolicies) {
+	// The headlines quote the table's cells. The hybrid acts on the few
+	// clients it redirects, so it shows in the tail and in how much
+	// volume it moves, not in the median.
+	if rows := tb.Rows; len(rows) == len(hybridPolicies) {
+		anycast, geoDNS, plain, hybrid := rows[0], rows[1], rows[2], rows[3]
 		lines = append(lines,
 			Headline{
-				Name:     "hybrid vs anycast-only median latency",
+				Name:     "hybrid vs plain prediction: p95, redirected share",
 				Paper:    "hybrid 'may outperform' plain DNS redirection (§6, proposed)",
-				Measured: fmt.Sprintf("anycast %.1f ms → hybrid %.1f ms", medians[0], medians[3]),
+				Measured: fmt.Sprintf("p95 %s vs %s ms, with %s vs %s of volume redirected", hybrid[3], plain[3], hybrid[4], plain[4]),
 			},
 			Headline{
 				Name:     "anycast vs traditional geo-DNS",
 				Paper:    "anycast delivers optimal performance for most clients (§8)",
-				Measured: fmt.Sprintf("anycast %.1f ms vs geo-DNS %.1f ms median", medians[0], medians[1]),
+				Measured: fmt.Sprintf("anycast %s ms vs geo-DNS %s ms median", anycast[1], geoDNS[1]),
 			})
 	}
 	return Report{ID: "hybrid-deployment", Table: tb, Lines: lines}

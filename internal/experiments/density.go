@@ -62,7 +62,7 @@ func DeploymentDensity(baseCfg sim.Config) (Report, error) {
 		lines = append(lines, Headline{
 			Name:     "sparser deployments push clients farther",
 			Paper:    "open question in §4 (future work)",
-			Measured: fmt.Sprintf("median km %d → %d → %d as sites thin", int(rows[0].medianKm), int(rows[1].medianKm), int(rows[2].medianKm)),
+			Measured: fmt.Sprintf("median km %.0f → %.0f → %.0f as sites thin", rows[0].medianKm, rows[1].medianKm, rows[2].medianKm),
 		})
 	}
 	return Report{ID: "deployment-density", Table: tb, Lines: lines}, nil

@@ -10,7 +10,6 @@ import (
 
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/core"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/units"
@@ -61,15 +60,12 @@ type Suite struct {
 func NewSuite(res *sim.Result) *Suite {
 	ss := NewStreamSuite(res.Cfg, res.World)
 	days := res.Cfg.Days
-	d := sim.DayResult{
-		Passive:     make([]logs.DayRecord, len(res.Assignments)),
-		Assignments: make([]bgp.Assignment, len(res.Assignments)),
-	}
+	d := sim.DayResult{Assignments: make([]bgp.Assignment, len(res.Assignments))}
 	for d.Day = 0; d.Day < days; d.Day++ {
-		for i := range d.Passive {
-			d.Passive[i] = res.Passive.At(i*days + d.Day)
+		for i := range d.Assignments {
 			d.Assignments[i] = res.Assignments[i][d.Day]
 		}
+		d.Passive = res.Passive[d.Day]
 		d.Beacons = res.Beacons[d.Day]
 		// Observe retains nothing and never fails.
 		_ = ss.Observe(d)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
@@ -76,6 +78,19 @@ func TestHybridDeployment(t *testing.T) {
 	if hybridShare > plainShare {
 		t.Fatalf("hybrid redirects %.1f%% > plain %.1f%%", hybridShare, plainShare)
 	}
+	// The first headline quotes the hybrid's and the plain scheme's p95
+	// and redirected share as the table prints them.
+	want := []string{r.Table.Rows[3][3], r.Table.Rows[2][3], redir(3), redir(2)}
+	if got := headlineNumbers(r.Lines[0].Measured); !slices.Equal(got, want) {
+		t.Fatalf("hybrid headline %q quotes %q, want the table's %q", r.Lines[0].Measured, got, want)
+	}
+}
+
+// headlineNumbers returns the numbers a headline quotes, in order, each
+// with its percent sign when it has one. Digits inside a word, such as
+// the 95 of "p95", are a label, not a number.
+func headlineNumbers(s string) []string {
+	return regexp.MustCompile(`\b[0-9]+(\.[0-9]+)?%?`).FindAllString(s, -1)
 }
 
 func TestTCPDisruption(t *testing.T) {
@@ -236,6 +251,17 @@ func TestDeploymentDensity(t *testing.T) {
 	}
 	if !(fes[0] > fes[1] && fes[1] > fes[2]) {
 		t.Fatalf("front-end counts not decreasing: %v", fes)
+	}
+	// The headline quotes the median column as the table prints it.
+	var want []string
+	for _, row := range r.Table.Rows {
+		want = append(want, row[2])
+	}
+	if len(r.Lines) != 1 {
+		t.Fatalf("density headlines = %d, want 1", len(r.Lines))
+	}
+	if got := headlineNumbers(r.Lines[0].Measured); !slices.Equal(got, want) {
+		t.Fatalf("density headline %q quotes %q, want the table's %q", r.Lines[0].Measured, got, want)
 	}
 }
 

@@ -98,18 +98,15 @@ func (s *StreamSuite) Figure1() Report {
 // ~1300 km (4th).
 func (s *StreamSuite) Figure2() Report {
 	w := s.World
-	fes := w.Deployment.FrontEnds
-	pts := make([]geo.Point, len(fes))
-	for i, fe := range fes {
-		pts[i] = w.Deployment.Backbone.Site(fe.Site).Metro.Point
-	}
+	fes, bb := w.Deployment.FrontEnds, w.Deployment.Backbone
+	set := bb.FrontEndSet()
 	dists := make([][]units.Kilometers, 4) // rank -> per-client distance
 	var weights []float64
 	order := make([]int, 4)
 	for _, c := range w.Population.Clients {
-		order = s.feSet.RankInto(c.Point, 4, order)
+		order = set.RankInto(c.Point, 4, order)
 		for r, k := range order {
-			dists[r] = append(dists[r], geo.DistanceKm(c.Point, pts[k]))
+			dists[r] = append(dists[r], geo.DistanceKm(c.Point, bb.Site(fes[k].Site).Metro.Point))
 		}
 		weights = append(weights, c.Volume)
 	}

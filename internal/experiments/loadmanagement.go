@@ -7,7 +7,6 @@ import (
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/latency"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/stats"
 	"anycastcdn/internal/units"
@@ -150,7 +149,7 @@ func (a *loadMgmtAgg) Observe(d sim.DayResult) error {
 	return nil
 }
 
-func (a *loadMgmtAgg) observeRecord(r logs.DayRecord, asg bgp.Assignment, day int) {
+func (a *loadMgmtAgg) observeRecord(r sim.DayRecord, asg bgp.Assignment, day int) {
 	if r.Queries == 0 {
 		// Zero-query client-days are unobservable in the passive log; the
 		// redirection metrics follow the log's observability rule.

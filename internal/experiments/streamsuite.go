@@ -35,7 +35,6 @@ type StreamSuite struct {
 	// NewStreamSuite, one worker's shard for a ShardObserver.
 	lo, hi int
 	geoDB  *geo.DB
-	feSet  *geo.PointSet // front-end metros, for Figures 2 and 4's nearest searches
 
 	// days counts the observed days. Every client has one passive record
 	// a day, so it is also every client's day count.
@@ -88,11 +87,6 @@ func NewStreamSuite(cfg sim.Config, w *sim.World) *StreamSuite {
 }
 
 func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
-	fes := w.Deployment.FrontEnds
-	pts := make([]geo.Point, len(fes))
-	for i, fe := range fes {
-		pts[i] = w.Deployment.Backbone.Site(fe.Site).Metro.Point
-	}
 	window := make([]int8, hi-lo)
 	for i := range window {
 		window[i] = unseen
@@ -113,7 +107,6 @@ func newStreamSuite(cfg sim.Config, w *sim.World, lo, hi int) *StreamSuite {
 		lo:         lo,
 		hi:         hi,
 		geoDB:      geo.NewDB(cfg.Seed, geo.MedianErrorKm, geo.GrossErrorRate, geo.GrossErrorKm),
-		feSet:      geo.NewPointSet(pts),
 		switchDays: make([]int32, hi-lo),
 		window:     window,
 		sketch:     sk,
@@ -226,7 +219,7 @@ func (s *StreamSuite) resolveServed(d sim.DayResult, lo, hi int, dst []servedRow
 		fePt := bb.Site(r.FrontEnd).Metro.Point
 		loc := s.geoDB.Locate(cl.ID, cl.Point)
 		toFE := geo.DistanceKm(loc, fePt)
-		_, closest := s.feSet.Nearest(loc)
+		_, closest := bb.FrontEndSet().Nearest(loc)
 		dst[j] = servedRow{
 			fe: r.FrontEnd, ingress: d.Assignments[i].Ingress, queries: r.Queries, volume: cl.Volume,
 			dist: geo.DistanceKm(cl.Point, fePt), toFE: toFE, past: toFE - closest,

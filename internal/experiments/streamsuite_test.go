@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
@@ -41,9 +40,7 @@ func TestStreamSuiteMatchesSuite(t *testing.T) {
 // at the suite level: a front-end change on a day the client sent no
 // queries is invisible to the log, so neither the affinity figure (7) nor
 // the switch-distance figure (8) may count it — only the TCP-disruption
-// counts, which read every record, do. The same rule already holds for
-// the logs-level helpers (TestZeroQuerySwitchInvisibleToBothFigures in
-// internal/logs); this test keeps Observe honest too.
+// counts, which read every record, do.
 func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	res := testutil.SmallResult(t)
 	bb := res.World.Deployment.Backbone
@@ -51,7 +48,7 @@ func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	if len(fes) < 2 {
 		t.Fatal("fixture world needs two front-ends")
 	}
-	visible := logs.DayRecord{
+	visible := sim.DayRecord{
 		ClientID: 1, Day: 1, FrontEnd: fes[1], PrevFrontEnd: fes[0],
 		Switched: true, Queries: 5,
 	}
@@ -60,7 +57,7 @@ func TestZeroQuerySwitchExcludedFromSwitchFigures(t *testing.T) {
 	invisible.Queries = 0
 
 	ss := NewStreamSuite(res.Cfg, res.World)
-	if err := ss.Observe(sim.DayResult{Day: 1, Passive: []logs.DayRecord{visible, invisible}}); err != nil {
+	if err := ss.Observe(sim.DayResult{Day: 1, Passive: []sim.DayRecord{visible, invisible}}); err != nil {
 		t.Fatal(err)
 	}
 	// Only client 1 is seen and switched; client 2's zero-query day puts

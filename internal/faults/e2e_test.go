@@ -51,9 +51,11 @@ func diffRuns(a, b *sim.Result) string {
 	if a.Passive.Len() != b.Passive.Len() {
 		return fmt.Sprintf("passive lengths %d vs %d", a.Passive.Len(), b.Passive.Len())
 	}
-	for i := 0; i < a.Passive.Len(); i++ {
-		if a.Passive.At(i) != b.Passive.At(i) {
-			return fmt.Sprintf("passive record %d: %+v vs %+v", i, a.Passive.At(i), b.Passive.At(i))
+	for d := range a.Passive {
+		for i := range a.Passive[d] {
+			if a.Passive[d][i] != b.Passive[d][i] {
+				return fmt.Sprintf("day %d passive record %d: %+v vs %+v", d, i, a.Passive[d][i], b.Passive[d][i])
+			}
 		}
 	}
 	for c := range a.Assignments {
@@ -247,25 +249,26 @@ func TestDayPassMatchesRoutingOracle(t *testing.T) {
 			t.Fatalf("%s: %d passive records, want %d", text, got, want)
 		}
 		switched := 0
-		for i := 0; i < res.Passive.Len(); i++ {
-			r := res.Passive.At(i)
-			rc, ok := clients[r.ClientID]
-			if !ok {
-				t.Fatalf("%s: passive record %d names unknown client %d", text, i, r.ClientID)
-			}
-			if want := w.Router.SwitchedOnDay(rc, r.Day); r.Switched != want {
-				t.Fatalf("%s: client %d day %d: passive Switched %v, SwitchedOnDay %v", text, r.ClientID, r.Day, r.Switched, want)
-			}
-			c := w.Population.Client(r.ClientID)
-			q := c.QueriesOnDay(trafficSeed, r.Day, w.Router.IsWeekend(r.Day), res.Cfg.QueriesPerVolume)
-			if want := w.Faults.ScaleQueries(c.Region, r.Day, q); r.Queries != want {
-				t.Fatalf("%s: client %d day %d: %d passive queries, oracle %d", text, r.ClientID, r.Day, r.Queries, want)
-			}
-			if r.Queries != q {
-				surged++
-			}
-			if r.Switched {
-				switched++
+		for d, day := range res.Passive {
+			for i, r := range day {
+				rc, ok := clients[r.ClientID]
+				if !ok {
+					t.Fatalf("%s: day %d passive record %d names unknown client %d", text, d, i, r.ClientID)
+				}
+				if want := w.Router.SwitchedOnDay(rc, r.Day); r.Switched != want {
+					t.Fatalf("%s: client %d day %d: passive Switched %v, SwitchedOnDay %v", text, r.ClientID, r.Day, r.Switched, want)
+				}
+				c := w.Population.Client(r.ClientID)
+				q := c.QueriesOnDay(trafficSeed, r.Day, w.Router.IsWeekend(r.Day), res.Cfg.QueriesPerVolume)
+				if want := w.Faults.ScaleQueries(c.Region, r.Day, q); r.Queries != want {
+					t.Fatalf("%s: client %d day %d: %d passive queries, oracle %d", text, r.ClientID, r.Day, r.Queries, want)
+				}
+				if r.Queries != q {
+					surged++
+				}
+				if r.Switched {
+					switched++
+				}
 			}
 		}
 		if switched == 0 {
@@ -362,7 +365,7 @@ func TestSurgeScenario(t *testing.T) {
 	sawScale := false
 	for i, c := range base.World.Population.Clients {
 		for d := 0; d < days; d++ {
-			rb, rr := base.Passive.At(i*days+d), res.Passive.At(i*days+d)
+			rb, rr := base.Passive[d][i], res.Passive[d][i]
 			inWindow := d == 3 || d == 4
 			if !inWindow || c.Region != geo.RegionEurope {
 				if rr != rb {
@@ -400,17 +403,16 @@ func TestSurgeUnityIsNoOp(t *testing.T) {
 func TestSurgeZeroSilencesRegion(t *testing.T) {
 	base := testutil.SmallResult(t)
 	res := runScenario(t, "surge europe day=3 for=2 qps=0")
-	days := base.Cfg.Days
 	hadVolume := false
 	for i, c := range base.World.Population.Clients {
 		if c.Region != geo.RegionEurope {
 			continue
 		}
 		for d := 3; d <= 4; d++ {
-			if base.Passive.At(i*days+d).Queries > 0 {
+			if base.Passive[d][i].Queries > 0 {
 				hadVolume = true
 			}
-			if q := res.Passive.At(i*days + d).Queries; q != 0 {
+			if q := res.Passive[d][i].Queries; q != 0 {
 				t.Fatalf("client %d day %d still sent %d queries under qps=0", i, d, q)
 			}
 		}

@@ -213,9 +213,9 @@ func (inj *Injector) SurgeFactor(region geo.Region, day int) float64 {
 
 // ScaleQueries applies the day's surge factor to a client's query count,
 // rounding half-up so the scaling consumes no randomness and a factor of
-// exactly 1 returns q unchanged. Results are clamped to the int32 range
-// the columnar passive log stores queries in, so an absurd qps cannot
-// overflow downstream arithmetic.
+// exactly 1 returns q unchanged. Results are clamped to the int32 range,
+// so an absurd qps cannot overflow downstream arithmetic: the day loop
+// converts the beacon count it draws from q to an int32.
 func (inj *Injector) ScaleQueries(region geo.Region, day int, q int) int {
 	f := inj.SurgeFactor(region, day)
 	if f == 1 {

@@ -77,7 +77,7 @@ func TestNewInjectorTargetErrors(t *testing.T) {
 
 // TestSurgeFactorAndScaleQueries pins the injector-level surge semantics:
 // factors multiply where windows stack, scaling rounds half-up, and an
-// absurd qps clamps to the int32 range the passive log stores.
+// absurd qps clamps to the int32 range.
 func TestSurgeFactorAndScaleQueries(t *testing.T) {
 	w := testutil.SmallWorld(t)
 	sc, err := faults.ParseScenario(
@@ -116,7 +116,7 @@ func TestSurgeFactorAndScaleQueries(t *testing.T) {
 		{geo.RegionEurope, 1, 10, 30},          // x3
 		{geo.RegionEurope, 2, 3, 18},           // x6 stacked
 		{geo.RegionOceania, 1, 10, 3},          // 2.5 rounds half-up
-		{geo.RegionAsia, 1, 10, math.MaxInt32}, // clamped to the log's int32
+		{geo.RegionAsia, 1, 10, math.MaxInt32}, // clamped to the int32 range
 		{geo.RegionEurope, 1, 0, 0},            // nothing to scale
 	}
 	for _, tc := range scales {

@@ -8,7 +8,6 @@ import (
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/clients"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/xrand"
 )
@@ -258,7 +257,7 @@ func newLoadManager(cfg Config, w *World, caps []float64) (*loadManager, error) 
 // regardless of worker count — and integer-valued, so per-shard demand
 // vectors reduce exactly into the full-population one. The returned
 // vector is the manager's reusable scratch, valid until the next call.
-func (m *loadManager) demandFrom(passive []logs.DayRecord, assigns []bgp.Assignment) []float64 {
+func (m *loadManager) demandFrom(passive []DayRecord, assigns []bgp.Assignment) []float64 {
 	clear(m.demand)
 	for i := range passive {
 		m.demand[assigns[i].Ingress] += float64(passive[i].Queries)
@@ -325,7 +324,7 @@ func (m *loadManager) route(seed uint64, clientID uint64, day int, a bgp.Assignm
 // observeServed totals the day's effective served volume per front-end
 // and snapshots per-site utilization. Serial, in client order. The
 // returned slice is reused for the next day (DayResult ownership rules).
-func (m *loadManager) observeServed(passive []logs.DayRecord) []SiteUtil {
+func (m *loadManager) observeServed(passive []DayRecord) []SiteUtil {
 	clear(m.served)
 	for i := range passive {
 		m.served[passive[i].FrontEnd] += float64(passive[i].Queries)

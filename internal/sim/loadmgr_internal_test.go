@@ -5,7 +5,6 @@ import (
 
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/xrand"
 )
@@ -113,7 +112,7 @@ func TestRouteMatchesAlwaysDrawing(t *testing.T) {
 
 // demandReference sums a day's demand by ingress with one map assignment
 // per record.
-func demandReference(passive []logs.DayRecord, assigns []bgp.Assignment) map[topology.SiteID]float64 {
+func demandReference(passive []DayRecord, assigns []bgp.Assignment) map[topology.SiteID]float64 {
 	demand := map[topology.SiteID]float64{}
 	for i := range passive {
 		demand[assigns[i].Ingress] += float64(passive[i].Queries)
@@ -132,7 +131,7 @@ func TestDemandFromMatchesMap(t *testing.T) {
 	silent := 0
 	for day := 0; day < 20; day++ {
 		n := 50 + rs.Intn(500)
-		passive := make([]logs.DayRecord, n)
+		passive := make([]DayRecord, n)
 		assigns := make([]bgp.Assignment, n)
 		// One ingress per day sees only zero-query records, and the day's
 		// records use a random subset of the others.

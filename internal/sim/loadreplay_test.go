@@ -8,7 +8,6 @@ import (
 
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
@@ -50,9 +49,11 @@ func sameResults(t *testing.T, label string, a, b *sim.Result) {
 	if a.Passive.Len() != b.Passive.Len() {
 		t.Fatalf("%s: passive lengths differ: %d vs %d", label, a.Passive.Len(), b.Passive.Len())
 	}
-	for i := 0; i < a.Passive.Len(); i++ {
-		if a.Passive.At(i) != b.Passive.At(i) {
-			t.Fatalf("%s: passive record %d differs:\n%+v\nvs\n%+v", label, i, a.Passive.At(i), b.Passive.At(i))
+	for d := range a.Passive {
+		for i := range a.Passive[d] {
+			if a.Passive[d][i] != b.Passive[d][i] {
+				t.Fatalf("%s: day %d passive record %d differs:\n%+v\nvs\n%+v", label, d, i, a.Passive[d][i], b.Passive[d][i])
+			}
 		}
 	}
 	for c := range a.Assignments {
@@ -154,7 +155,7 @@ func TestManagedRunMatchesStream(t *testing.T) {
 					}
 				}
 				for i := range d.Passive {
-					if d.Passive[i] != full.Passive.At(i*cfg.Days+d.Day) {
+					if d.Passive[i] != full.Passive[d.Day][i] {
 						t.Fatalf("day %d passive %d differs between Stream and Run", d.Day, i)
 					}
 				}
@@ -201,10 +202,12 @@ func TestManagerWithoutSurgeIsByteIdentical(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 0; i < plain.Passive.Len(); i++ {
-			if plain.Passive.At(i) != managed.Passive.At(i) {
-				t.Fatalf("%s: passive record %d differs from unmanaged run:\n%+v\nvs\n%+v",
-					policy, i, plain.Passive.At(i), managed.Passive.At(i))
+		for d := range plain.Passive {
+			for i := range plain.Passive[d] {
+				if plain.Passive[d][i] != managed.Passive[d][i] {
+					t.Fatalf("%s: day %d passive record %d differs from unmanaged run:\n%+v\nvs\n%+v",
+						policy, d, i, plain.Passive[d][i], managed.Passive[d][i])
+				}
 			}
 		}
 		for day := range plain.Beacons {
@@ -240,7 +243,7 @@ func TestFastRouteRedirectsOnlyFromSurge(t *testing.T) {
 	redirectsBefore, redirectsDuring := 0, 0
 	for i := range res.Assignments {
 		for d := 0; d < cfg.Days; d++ {
-			r := res.Passive.At(i*cfg.Days + d)
+			r := res.Passive[d][i]
 			if r.FrontEnd == res.Assignments[i][d].FrontEnd {
 				continue
 			}
@@ -289,13 +292,14 @@ func TestQueriesColumnMatchesDraw(t *testing.T) {
 		// Only the serving front-ends may differ: clear them on both
 		// sides, and the rest of the runs must match.
 		redirected := 0
-		for i := 0; i < column.Passive.Len(); i++ {
-			r := column.Passive.At(i)
-			if r != drawn.Passive.At(i) {
-				redirected++
+		for d := range column.Passive {
+			for i, r := range column.Passive[d] {
+				if r != drawn.Passive[d][i] {
+					redirected++
+				}
+				column.Passive[d][i] = servedAnywhere(r)
+				drawn.Passive[d][i] = servedAnywhere(drawn.Passive[d][i])
 			}
-			column.Passive.Set(i, servedAnywhere(r))
-			drawn.Passive.Set(i, servedAnywhere(drawn.Passive.At(i)))
 		}
 		if redirected == 0 {
 			t.Fatalf("workers=%d: the managed run redirected nothing", workers)
@@ -304,14 +308,15 @@ func TestQueriesColumnMatchesDraw(t *testing.T) {
 		sameResults(t, fmt.Sprintf("workers=%d: column vs draw", workers), column, drawn)
 		// Outside the surge a record's queries are the fault-free draw.
 		saturated, unsurged := 0, 0
-		for i := 0; i < column.Passive.Len(); i++ {
-			r := column.Passive.At(i)
-			if w.Faults.SurgeFactor(w.Population.Client(r.ClientID).Region, r.Day) != 1 {
-				continue
-			}
-			unsurged++
-			if r.Queries >= math.MaxUint16 {
-				saturated++
+		for _, day := range column.Passive {
+			for _, r := range day {
+				if w.Faults.SurgeFactor(w.Population.Client(r.ClientID).Region, r.Day) != 1 {
+					continue
+				}
+				unsurged++
+				if r.Queries >= math.MaxUint16 {
+					saturated++
+				}
 			}
 		}
 		share := float64(saturated) / float64(unsurged)
@@ -325,7 +330,7 @@ func TestQueriesColumnMatchesDraw(t *testing.T) {
 
 // servedAnywhere clears the fields of a record that load management may
 // move: the serving front-ends.
-func servedAnywhere(r logs.DayRecord) logs.DayRecord {
+func servedAnywhere(r sim.DayRecord) sim.DayRecord {
 	r.FrontEnd, r.PrevFrontEnd = 0, 0
 	return r
 }

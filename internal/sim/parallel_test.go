@@ -52,10 +52,12 @@ func TestParallelMatchesSerial(t *testing.T) {
 		t.Fatalf("passive log lengths differ: serial %d vs parallel %d",
 			serial.Passive.Len(), parallel.Passive.Len())
 	}
-	for i := 0; i < serial.Passive.Len(); i++ {
-		if serial.Passive.At(i) != parallel.Passive.At(i) {
-			t.Fatalf("passive record %d differs:\nserial   %+v\nparallel %+v",
-				i, serial.Passive.At(i), parallel.Passive.At(i))
+	for d := range serial.Passive {
+		for i := range serial.Passive[d] {
+			if serial.Passive[d][i] != parallel.Passive[d][i] {
+				t.Fatalf("day %d passive record %d differs:\nserial   %+v\nparallel %+v",
+					d, i, serial.Passive[d][i], parallel.Passive[d][i])
+			}
 		}
 	}
 

@@ -41,9 +41,11 @@ func TestReplayIdentical(t *testing.T) {
 	if a.Passive.Len() != b.Passive.Len() {
 		t.Fatalf("passive log lengths differ across replays: %d vs %d", a.Passive.Len(), b.Passive.Len())
 	}
-	for i := 0; i < a.Passive.Len(); i++ {
-		if a.Passive.At(i) != b.Passive.At(i) {
-			t.Fatalf("passive record %d differs across replays:\n%+v\nvs\n%+v", i, a.Passive.At(i), b.Passive.At(i))
+	for d := range a.Passive {
+		for i := range a.Passive[d] {
+			if a.Passive[d][i] != b.Passive[d][i] {
+				t.Fatalf("day %d passive record %d differs across replays:\n%+v\nvs\n%+v", d, i, a.Passive[d][i], b.Passive[d][i])
+			}
 		}
 	}
 

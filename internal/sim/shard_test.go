@@ -8,7 +8,6 @@ import (
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 )
@@ -16,7 +15,7 @@ import (
 // dayCapture materializes one stream's per-day outputs (DayResult slices
 // are stream-owned and reused, so tests must copy).
 type dayCapture struct {
-	passive [][]logs.DayRecord
+	passive [][]sim.DayRecord
 	assigns [][]bgp.Assignment
 	beacons [][]beacon.Measurement
 	utils   [][]sim.SiteUtil
@@ -24,7 +23,7 @@ type dayCapture struct {
 
 func capture(days int) *dayCapture {
 	return &dayCapture{
-		passive: make([][]logs.DayRecord, days),
+		passive: make([][]sim.DayRecord, days),
 		assigns: make([][]bgp.Assignment, days),
 		beacons: make([][]beacon.Measurement, days),
 		utils:   make([][]sim.SiteUtil, days),
@@ -32,7 +31,7 @@ func capture(days int) *dayCapture {
 }
 
 func (c *dayCapture) observe(d sim.DayResult) error {
-	c.passive[d.Day] = append([]logs.DayRecord(nil), d.Passive...)
+	c.passive[d.Day] = append([]sim.DayRecord(nil), d.Passive...)
 	c.assigns[d.Day] = append([]bgp.Assignment(nil), d.Assignments...)
 	c.beacons[d.Day] = append([]beacon.Measurement(nil), d.Beacons...)
 	c.utils[d.Day] = append([]sim.SiteUtil(nil), d.Utilization...)
@@ -252,7 +251,7 @@ func TestStreamShardLoadManagedMatchesStreamWorld(t *testing.T) {
 		}
 
 		for d := 0; d < cfg.Days; d++ {
-			var passive []logs.DayRecord
+			var passive []sim.DayRecord
 			var beacons []beacon.Measurement
 			for _, sh := range shards {
 				passive = append(passive, sh.passive[d]...)

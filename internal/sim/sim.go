@@ -18,7 +18,6 @@ import (
 	"anycastcdn/internal/geo"
 	"anycastcdn/internal/latency"
 	"anycastcdn/internal/load"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/netaddr"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/xrand"
@@ -309,14 +308,28 @@ type Result struct {
 	World *World
 	// Beacons holds the active measurements, indexed by day.
 	Beacons [][]beacon.Measurement
-	// Passive is the per-client-day production log.
-	Passive *logs.Log
+	// Passive is the production log: Passive[d] is day d's records in
+	// client order.
+	Passive PassiveLog
 	// Assignments[i] is client i's per-day effective anycast assignment
 	// (after any fault rewrite).
 	Assignments [][]bgp.Assignment
 	// Utilization[d] is day d's per-front-end load picture; non-nil only
 	// when Cfg.LoadManager is active.
 	Utilization [][]SiteUtil
+}
+
+// PassiveLog is a run's passive log, day-major: one row per client per
+// day, as the stream emitted them.
+type PassiveLog [][]DayRecord
+
+// Len returns the number of records.
+func (l PassiveLog) Len() int {
+	n := 0
+	for _, day := range l {
+		n += len(day)
+	}
+	return n
 }
 
 // Run builds the world and simulates cfg.Days days.
@@ -339,10 +352,10 @@ var (
 // RunWorld simulates over an already-built world and materializes the
 // stream into a Result: it runs StreamWorld's day loop, so a batch run
 // and a streaming run agree record for record by construction. Each
-// streamed day lands in its final position: the passive log is
-// client-major (client i's day-d record is row i*Days+d),
-// Assignments[i][d] is client i's effective assignment on day d, and
-// Beacons[d] is day d's measurements in stream order.
+// streamed day lands in its final position: Passive[d] is day d's
+// records in client order, Assignments[i][d] is client i's effective
+// assignment on day d, and Beacons[d] is day d's measurements in stream
+// order.
 func RunWorld(cfg Config, w *World) (*Result, error) {
 	if w.Population.Base != 0 {
 		return nil, fmt.Errorf("sim: batch run over a shard world (clients start at %d); use StreamShard", w.Population.Base)
@@ -353,22 +366,23 @@ func RunWorld(cfg Config, w *World) (*Result, error) {
 		Cfg:         cfg,
 		World:       w,
 		Beacons:     make([][]beacon.Measurement, days),
-		Passive:     &logs.Log{},
+		Passive:     make(PassiveLog, days),
 		Assignments: make([][]bgp.Assignment, n),
 	}
 	if cfg.LoadManager != nil {
 		res.Utilization = make([][]SiteUtil, days)
 	}
-	res.Passive.Extend(n * days)
+	rows := make([]DayRecord, n*days)
+	for d := range res.Passive {
+		res.Passive[d] = rows[d*n : (d+1)*n : (d+1)*n]
+	}
 	flat := make([]bgp.Assignment, n*days)
 	for i := range res.Assignments {
 		res.Assignments[i] = flat[i*days : (i+1)*days : (i+1)*days]
 	}
 	err := streamRange(cfg, w, ShardOpts{Hi: n}, true, func(d DayResult) error {
 		day := d.Day
-		for i, r := range d.Passive {
-			res.Passive.Set(i*days+day, r)
-		}
+		copy(res.Passive[day], d.Passive)
 		for i, a := range d.Assignments {
 			res.Assignments[i][day] = a
 		}

@@ -128,14 +128,15 @@ func TestVolumes(t *testing.T) {
 
 func TestPassiveLogConsistentWithAssignments(t *testing.T) {
 	res := testutil.SmallResult(t)
-	for i := 0; i < res.Passive.Len(); i++ {
-		r := res.Passive.At(i)
-		if got := res.Assignments[r.ClientID][r.Day].FrontEnd; got != r.FrontEnd {
-			t.Fatalf("passive log FE %d != assignment FE %d for client %d day %d",
-				r.FrontEnd, got, r.ClientID, r.Day)
-		}
-		if !res.World.Deployment.Backbone.Site(r.FrontEnd).FrontEnd {
-			t.Fatal("passive log references a non-front-end site")
+	for _, day := range res.Passive {
+		for _, r := range day {
+			if got := res.Assignments[r.ClientID][r.Day].FrontEnd; got != r.FrontEnd {
+				t.Fatalf("passive log FE %d != assignment FE %d for client %d day %d",
+					r.FrontEnd, got, r.ClientID, r.Day)
+			}
+			if !res.World.Deployment.Backbone.Site(r.FrontEnd).FrontEnd {
+				t.Fatal("passive log references a non-front-end site")
+			}
 		}
 	}
 }

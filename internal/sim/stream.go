@@ -5,7 +5,6 @@ import (
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
-	"anycastcdn/internal/logs"
 	"anycastcdn/internal/topology"
 	"anycastcdn/internal/units"
 	"anycastcdn/internal/xrand"
@@ -25,7 +24,7 @@ type DayResult struct {
 	Beacons []beacon.Measurement
 	// Passive holds the day's per-client log records (client order, one
 	// per client).
-	Passive []logs.DayRecord
+	Passive []DayRecord
 	// Assignments holds the day's effective anycast assignment per client
 	// (client order), after any fault rewrite; RunWorld stores it as
 	// Result.Assignments[i][Day].
@@ -36,6 +35,30 @@ type DayResult struct {
 	// front-end while Assignments[i].FrontEnd stays the anycast one —
 	// the difference IS the shed volume.
 	Utilization []SiteUtil
+}
+
+// DayRecord summarizes one client /24's production traffic on one day:
+// one row of the CDN's passive server logs (§3.2.1), from which the
+// front-end affinity analysis of §5 (Figures 7 and 8) reads which
+// front-end served each client.
+type DayRecord struct {
+	ClientID uint64
+	Day      int
+	// FrontEnd is the front-end serving the client at the end of the day.
+	FrontEnd topology.SiteID
+	// Switched reports whether a route change occurred during the day;
+	// PrevFrontEnd is the front-end before the change (it can equal
+	// FrontEnd when only the ingress changed).
+	Switched     bool
+	PrevFrontEnd topology.SiteID
+	// Queries is the number of requests the prefix issued that day.
+	Queries int
+}
+
+// FrontEndChanged reports whether the record represents a visible
+// front-end change (the client "landed on multiple front-ends" that day).
+func (r DayRecord) FrontEndChanged() bool {
+	return r.Switched && r.PrevFrontEnd != r.FrontEnd
 }
 
 // Stream simulates cfg.Days days, invoking fn once per day with that
@@ -196,7 +219,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 
 	// Per-day output buffers, reused across days. Unless keepBeacons is
 	// set, the beacon buffer grows to the busiest day seen and stays there.
-	passive := make([]logs.DayRecord, n)
+	passive := make([]DayRecord, n)
 	assigns := make([]bgp.Assignment, n)
 	counts := make([]int32, n)
 	offs := make([]int32, n)
@@ -232,7 +255,7 @@ func streamRange(cfg Config, w *World, opts ShardOpts, keepBeacons bool, fn func
 		if faulted {
 			q = w.Faults.ScaleQueries(c.Region, day, q)
 		}
-		passive[i] = logs.DayRecord{
+		passive[i] = DayRecord{
 			ClientID:     c.ID,
 			Day:          day,
 			FrontEnd:     a.FrontEnd,

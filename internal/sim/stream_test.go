@@ -11,6 +11,21 @@ import (
 	"anycastcdn/internal/testutil"
 )
 
+func TestFrontEndChanged(t *testing.T) {
+	r := sim.DayRecord{Switched: true, PrevFrontEnd: 1, FrontEnd: 2}
+	if !r.FrontEndChanged() {
+		t.Fatal("switch with different FE should count")
+	}
+	r = sim.DayRecord{Switched: true, PrevFrontEnd: 2, FrontEnd: 2}
+	if r.FrontEndChanged() {
+		t.Fatal("ingress-only switch should not count as a front-end change")
+	}
+	r = sim.DayRecord{Switched: false, PrevFrontEnd: 1, FrontEnd: 2}
+	if r.FrontEndChanged() {
+		t.Fatal("no switch event means no change")
+	}
+}
+
 func TestStreamStopsOnError(t *testing.T) {
 	cfg := testutil.SmallConfig(23)
 	sentinel := errors.New("stop")

@@ -135,7 +135,7 @@ func BuildISPs(b *Backbone, metros []geo.Metro, cfg ISPModelConfig) *ISPModel {
 	var transitSites []SiteID
 	for _, name := range transitHubMetros {
 		if m, ok := geo.FindMetro(name); ok {
-			if s, _ := b.NearestSiteByAir(m.Point, true); s != InvalidSite {
+			if s, _ := b.NearestSiteByAir(m.Point); s != InvalidSite {
 				transitSites = append(transitSites, s)
 			}
 		}
@@ -158,7 +158,7 @@ func BuildISPs(b *Backbone, metros []geo.Metro, cfg ISPModelConfig) *ISPModel {
 				hub = m
 			}
 		}
-		hubSite, _ := b.NearestSiteByAir(hub.Point, true)
+		hubSite, _ := b.NearestSiteByAir(hub.Point)
 		for k := 0; k < cfg.PerCountry; k++ {
 			id := ISPID(len(model.ISPs))
 			rs := xrand.Substream(cfg.Seed, "isp", uint64(id))
@@ -209,7 +209,7 @@ func BuildISPs(b *Backbone, metros []geo.Metro, cfg ISPModelConfig) *ISPModel {
 					if !rs.Bool(p) {
 						continue
 					}
-					s, _ := b.NearestSiteByAir(m.Point, true)
+					s, _ := b.NearestSiteByAir(m.Point)
 					if !containsSite(isp.Hubs, s) {
 						isp.Hubs = append(isp.Hubs, s)
 					}

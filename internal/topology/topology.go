@@ -65,9 +65,9 @@ type Backbone struct {
 
 	frontEnds []SiteID
 	peerings  []SiteID
-	// peeringSet holds the peering sites' metros in peerings order, for
-	// RankPeeringByAirInto.
-	peeringSet *geo.PointSet
+	// frontEndSet and peeringSet hold the front-end and peering sites'
+	// metros in frontEnds and peerings order.
+	frontEndSet, peeringSet *geo.PointSet
 }
 
 type edge struct {
@@ -113,14 +113,21 @@ func Build(specs []SiteSpec, degree int) (*Backbone, error) {
 	if len(b.peerings) == 0 {
 		return nil, fmt.Errorf("topology: deployment has no peering sites")
 	}
-	peeringPts := make([]geo.Point, len(b.peerings))
-	for i, id := range b.peerings {
-		peeringPts[i] = b.Sites[id].Metro.Point
-	}
-	b.peeringSet = geo.NewPointSet(peeringPts)
+	b.frontEndSet = b.pointSet(b.frontEnds)
+	b.peeringSet = b.pointSet(b.peerings)
 	adj := b.buildLinks(degree)
 	b.computeRouting(adj)
 	return b, nil
+}
+
+// pointSet prepares the metros of sites, in that order, for nearest
+// searches.
+func (b *Backbone) pointSet(sites []SiteID) *geo.PointSet {
+	pts := make([]geo.Point, len(sites))
+	for i, id := range sites {
+		pts[i] = b.Sites[id].Metro.Point
+	}
+	return geo.NewPointSet(pts)
 }
 
 // buildLinks links each site to its `degree` nearest neighbors and returns
@@ -306,6 +313,10 @@ func (b *Backbone) FrontEnds() []SiteID {
 	return append([]SiteID(nil), b.frontEnds...)
 }
 
+// FrontEndSet returns the front-end metros prepared for nearest
+// searches: answer i is FrontEnds()[i]. It is shared and read-only.
+func (b *Backbone) FrontEndSet() *geo.PointSet { return b.frontEndSet }
+
 // PeeringSites returns the peering site IDs in deployment order.
 func (b *Backbone) PeeringSites() []SiteID {
 	return append([]SiteID(nil), b.peerings...)
@@ -372,19 +383,17 @@ func (b *Backbone) Path(src, dst SiteID) []SiteID {
 }
 
 // NearestSiteByAir returns the peering site geographically nearest to p and
-// the distance. Air distance, not IGP: this is what an outside network
-// "sees".
-func (b *Backbone) NearestSiteByAir(p geo.Point, onlyPeering bool) (SiteID, units.Kilometers) {
-	best, bestD := InvalidSite, units.Kilometers(math.Inf(1))
-	for _, s := range b.Sites {
-		if onlyPeering && !s.Peering {
-			continue
-		}
-		if d := geo.DistanceKm(p, s.Metro.Point); d < bestD {
-			best, bestD = s.ID, d
-		}
+// the distance, the lowest site ID among equals, or (InvalidSite, +Inf)
+// when no distance is a number. Air distance, not IGP: this is what an
+// outside network "sees".
+func (b *Backbone) NearestSiteByAir(p geo.Point) (SiteID, units.Kilometers) {
+	// peerings is in ascending site-ID order, so the set's first index at
+	// the minimum is the lowest site ID.
+	i, d := b.peeringSet.Nearest(p)
+	if i < 0 {
+		return InvalidSite, d
 	}
-	return best, bestD
+	return b.peerings[i], d
 }
 
 // RankPeeringByAir returns every peering site ID ordered by increasing
@@ -423,18 +432,4 @@ func (b *Backbone) RankPeeringByAirInto(p geo.Point, k int, buf []SiteID) []Site
 		out[i] = b.peerings[idx]
 	}
 	return out
-}
-
-func min(a, b SiteID) SiteID {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func max(a, b SiteID) SiteID {
-	if a > b {
-		return a
-	}
-	return b
 }

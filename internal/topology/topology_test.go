@@ -162,19 +162,46 @@ func TestPathReconstruction(t *testing.T) {
 func TestNearestSiteByAir(t *testing.T) {
 	b := mustBuild(t)
 	boston, _ := geo.FindMetro("boston")
-	id, d := b.NearestSiteByAir(boston.Point, true)
+	id, d := b.NearestSiteByAir(boston.Point)
 	if b.Site(id).Metro.Name != "new-york" {
 		t.Fatalf("nearest peering to boston = %s", b.Site(id).Metro.Name)
 	}
 	if d < 100 || d > 500 {
 		t.Fatalf("boston-NY distance %v out of range", d)
 	}
-	// Moscow is a backbone-only site: with onlyPeering, the nearest peering
-	// site from moscow must be elsewhere (stockholm).
+	// Moscow is a backbone-only site, so the nearest peering site from
+	// moscow must be elsewhere (stockholm).
 	moscow, _ := geo.FindMetro("moscow")
-	id, _ = b.NearestSiteByAir(moscow.Point, true)
+	id, _ = b.NearestSiteByAir(moscow.Point)
 	if b.Site(id).Metro.Name != "stockholm" {
 		t.Fatalf("nearest peering to moscow = %s, want stockholm", b.Site(id).Metro.Name)
+	}
+	// The oracle is a scan of every peering site in ID order, keeping the
+	// first at the minimum distance.
+	scan := func(p geo.Point) (SiteID, units.Kilometers) {
+		best, bestD := InvalidSite, units.Kilometers(math.Inf(1))
+		for _, s := range b.Sites {
+			if !s.Peering {
+				continue
+			}
+			if d := geo.DistanceKm(p, s.Metro.Point); d < bestD {
+				best, bestD = s.ID, d
+			}
+		}
+		return best, bestD
+	}
+	for _, m := range geo.World() {
+		antipode := geo.Point{Lat: -m.Point.Lat, Lon: m.Point.Lon + 180}
+		if antipode.Lon > 180 {
+			antipode.Lon -= 360
+		}
+		for _, p := range []geo.Point{m.Point, antipode} {
+			gotID, gotD := b.NearestSiteByAir(p)
+			wantID, wantD := scan(p)
+			if gotID != wantID || gotD != wantD {
+				t.Fatalf("NearestSiteByAir(%v) = (%d, %v), scan (%d, %v)", p, gotID, gotD, wantID, wantD)
+			}
+		}
 	}
 }
 
