@@ -207,7 +207,7 @@ go test -run '^$' -fuzz FuzzPolarCount -fuzztime 5s ./internal/xrand/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/stats/ ./internal/core/ ./internal/distsim/
-go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability' ./internal/experiments/
+go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability|TestFigure1DiminishingReturns|TestFigure1SameAcrossWorkers' ./internal/experiments/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'
 go test -coverpkg=anycastcdn/internal/faults,anycastcdn/internal/sim,anycastcdn/internal/analysis,anycastcdn/internal/load \

@@ -11,6 +11,7 @@ import (
 	"anycastcdn/internal/clients"
 	"anycastcdn/internal/dns"
 	"anycastcdn/internal/faults"
+	"anycastcdn/internal/geo"
 	"anycastcdn/internal/latency"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
@@ -140,6 +141,82 @@ func TestBatchMatchesReference(t *testing.T) {
 			t.Fatalf("events reached too little: %d outage, %d inflated, %d drained-day beacons", outages, inflated, drained)
 		}
 	})
+}
+
+// TestCandidateSamplesMatchFreshBatch pins Figure 1's batch form: one
+// Start serving several query IDs returns, for each, exactly what a
+// fresh batch returns for that ID alone, and exactly the candidates'
+// samples of the composition Figure 1 measured with before it (a fresh
+// Start, the anycast sample, then the candidates). It covers a hubbed
+// client of a single-interconnect centralized ISP, whose unicast paths
+// all run through its hub, and a European client on a day inside an
+// ldns-outage and on a day inside an inflate.
+func TestCandidateSamplesMatchFreshBatch(t *testing.T) {
+	cfg := testutil.SmallConfig(3)
+	cfg.Days = 3
+	sc, err := faults.ParseScenario("ldns-outage europe day=1 for=1; inflate europe day=2 for=1 ms=30")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Scenario = &sc
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := w.Executor
+	var hubbed, europe *clients.Client
+	for i := range w.Population.Clients {
+		c := &w.Population.Clients[i]
+		if isp := w.ISPs.ISP(c.ISP); hubbed == nil && isp.Policy == topology.Centralized && isp.SingleInterconnect {
+			hubbed = c
+		}
+		if europe == nil && c.Region == geo.RegionEurope {
+			europe = c
+		}
+	}
+	if hubbed == nil || europe == nil {
+		t.Fatalf("fixture lacks a hubbed client (%v) or a European one (%v)", hubbed != nil, europe != nil)
+	}
+	for _, tc := range []struct {
+		name string
+		c    *clients.Client
+		day  int
+	}{
+		{"hubbed", hubbed, 0},
+		{"ldns-outage", europe, 1},
+		{"inflate", europe, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := tc.c
+			home := w.Mapping.Resolver(c.ID)
+			if outage := e.Faults.Resolver(home, tc.day).ID != home.ID; outage != (tc.name == "ldns-outage") {
+				t.Fatalf("day %d: resolver swapped %v", tc.day, outage)
+			}
+			if inflated := e.Faults.InflationMs(c.Region, tc.day) > 0; inflated != (tc.name == "inflate") {
+				t.Fatalf("day %d: inflated %v", tc.day, inflated)
+			}
+			rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
+			assign := w.Router.Assign(rc, w.Router.BaseIngress(rc))
+			var shared beacon.Batch
+			shared.Start(e, *c, tc.day, assign)
+			var got []beacon.TargetSample
+			for k := range uint64(4) {
+				qid := xrand.DeriveSeed(cfg.Seed, "fig1", c.ID, k)
+				got = shared.CandidateSamples(got[:0], qid)
+				if len(got) != dns.DefaultCandidates {
+					t.Fatalf("query %d: %d candidate samples, want %d", qid, len(got), dns.DefaultCandidates)
+				}
+				var fresh beacon.Batch
+				fresh.Start(e, *c, tc.day, assign)
+				if want := fresh.CandidateSamples(nil, qid); !slices.Equal(got, want) {
+					t.Fatalf("query %d: shared batch sampled %v, fresh batch %v", qid, got, want)
+				}
+				if want := beacon.CandidatesAfterAnycast(e, *c, tc.day, assign, qid); !slices.Equal(got, want) {
+					t.Fatalf("query %d: shared batch sampled %v, after the anycast sample %v", qid, got, want)
+				}
+			}
+		})
+	}
 }
 
 // baseFrontEnd is the client's front-end on a fault-free day without

@@ -97,24 +97,6 @@ func (e *Executor) Run(c clients.Client, day int, assign bgp.Assignment, queryID
 	return b.Run(queryID)
 }
 
-// MeasureCandidates measures the client against every candidate front-end
-// of its LDNS plus anycast. The paper could not afford this per beacon
-// ("measuring from each client to every front-end would introduce too much
-// overhead") but uses the near-equivalent union over time for Figure 1's
-// diminishing-returns analysis; the simulator can do it directly.
-func (e *Executor) MeasureCandidates(c clients.Client, day int, assign bgp.Assignment, queryID uint64) (Measurement, []TargetSample) {
-	var b Batch
-	b.Start(e, c, day, assign)
-	m := b.measurement(queryID)
-	var rs xrand.Stream
-	m.Anycast = b.sample(&rs, 0, queryID, 0)
-	out := make([]TargetSample, len(b.cands))
-	for i := range out {
-		out[i] = b.sample(&rs, 1+i, queryID, uint64(i+1))
-	}
-	return m, out
-}
-
 // householdsPerPrefix is how many end hosts of a /24 run beacons. Each
 // execution runs in household queryID % householdsPerPrefix, and all four
 // samples of the execution share it.
@@ -213,6 +195,23 @@ func (b *Batch) Run(queryID uint64) Measurement {
 		m.Unicast[i] = b.sample(&rs, 1+r, queryID, uint64(i+1))
 	}
 	return m
+}
+
+// CandidateSamples appends query queryID's sample of every candidate
+// front-end of the batch's LDNS to dst, nearest first, and returns the
+// extended slice. The paper could not afford this per beacon ("measuring
+// from each client to every front-end would introduce too much
+// overhead") but uses the near-equivalent union over time for Figure 1's
+// diminishing-returns analysis; the simulator can do it directly. The
+// candidate of rank r is sampled over memo column 1+r in slot r+1, and
+// each sample draws from its own key, so the samples are the same
+// whatever the batch measured before.
+func (b *Batch) CandidateSamples(dst []TargetSample, queryID uint64) []TargetSample {
+	var rs xrand.Stream
+	for r := range b.cands {
+		dst = append(dst, b.sample(&rs, 1+r, queryID, uint64(r+1)))
+	}
+	return dst
 }
 
 // measurement returns query queryID's measurement with its samples unset.

@@ -162,12 +162,11 @@ func TestMeasureCandidates(t *testing.T) {
 	c := f.pop.Clients[2]
 	rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
 	assign := f.exec.Router.Assign(rc, f.exec.Router.BaseIngress(rc))
-	m, samples := f.exec.MeasureCandidates(c, 1, assign, 99)
+	var b Batch
+	b.Start(f.exec, c, 1, assign)
+	samples := b.CandidateSamples(nil, 99)
 	if len(samples) != 10 {
 		t.Fatalf("got %d candidate samples, want 10", len(samples))
-	}
-	if m.Anycast.RTTms <= 0 {
-		t.Fatal("anycast sample missing")
 	}
 	seen := map[topology.SiteID]bool{}
 	for _, s := range samples {
@@ -185,10 +184,12 @@ func TestNearerCandidatesFasterOnAverage(t *testing.T) {
 	f := setup(t)
 	var first, last float64
 	n := 0
+	var b Batch
+	var samples []TargetSample
 	for _, c := range f.pop.Clients[:300] {
 		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		assign := f.exec.Router.Assign(rc, f.exec.Router.BaseIngress(rc))
-		_, samples := f.exec.MeasureCandidates(c, 0, assign, 1000+c.ID)
+		b.Start(f.exec, c, 0, f.exec.Router.Assign(rc, f.exec.Router.BaseIngress(rc)))
+		samples = b.CandidateSamples(samples[:0], 1000+c.ID)
 		first += samples[0].RTTms.Float()
 		last += samples[len(samples)-1].RTTms.Float()
 		n++

@@ -170,8 +170,6 @@ func groupKey(o Observation, g Grouping) uint64 {
 type Predictions struct {
 	Grouping Grouping
 	byGroup  map[uint64]Target
-	// Scores holds the winning metric value per group (for ablations).
-	scores map[uint64]units.Millis
 }
 
 // Train builds predictions from one interval's observations: it groups
@@ -200,7 +198,6 @@ func (p *Predictor) train(groups []ClientSamples, g Grouping) *Predictions {
 	pr := &Predictions{
 		Grouping: g,
 		byGroup:  make(map[uint64]Target, len(groups)),
-		scores:   make(map[uint64]units.Millis, len(groups)),
 	}
 	for i := range groups {
 		best, bestScore, anycastScore, ok := p.pickTarget(groups[i].Targets)
@@ -212,11 +209,9 @@ func (p *Predictor) train(groups []ClientSamples, g Grouping) *Predictions {
 			// anycast itself is unmeasured); stay on anycast.
 			if p.cfg.HybridMarginMs > 0 {
 				best = AnycastTarget
-				bestScore = anycastScore
 			}
 		}
 		pr.byGroup[groups[i].ClientID] = best
-		pr.scores[groups[i].ClientID] = bestScore
 	}
 	return pr
 }

@@ -313,8 +313,8 @@ func TestEvaluateDefaultsClamped(t *testing.T) {
 // way: for every group, rescan the whole samples map for its qualifying
 // targets and score each with a copying, sorting stats.Quantile. The
 // production Train groups once and scores buckets it sorted in place; the
-// two must agree exactly on every prediction and score (same target sort,
-// same tie-breaks), which TestTrainMatchesReference pins.
+// two must agree exactly on every prediction (same target sort, same
+// tie-breaks), which TestTrainMatchesReference pins.
 func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 	type sampleKey struct {
 		group  uint64
@@ -328,7 +328,7 @@ func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 		samples[k] = append(samples[k], o.RTTms)
 		groups[k.group] = true
 	}
-	pr := &Predictions{Grouping: g, byGroup: map[uint64]Target{}, scores: map[uint64]units.Millis{}}
+	pr := &Predictions{Grouping: g, byGroup: map[uint64]Target{}}
 	ids := make([]uint64, 0, len(groups))
 	for id := range groups {
 		ids = append(ids, id)
@@ -368,10 +368,9 @@ func trainReference(p *Predictor, obs []Observation, g Grouping) *Predictions {
 			continue
 		}
 		if !best.Anycast && anycastScore-bestScore <= cfg.HybridMarginMs && cfg.HybridMarginMs > 0 {
-			best, bestScore = AnycastTarget, anycastScore
+			best = AnycastTarget
 		}
 		pr.byGroup[id] = best
-		pr.scores[id] = bestScore
 	}
 	return pr
 }
@@ -410,9 +409,9 @@ func synthObs(clients int, perTarget int) []Observation {
 
 // TestTrainMatchesReference pins Train under both groupings, and
 // TrainSamples over GroupSamples' output, to the reference on every
-// prediction and score, with and without a hybrid margin. The workload
-// has buckets just below, at and just above the 20-sample floor under
-// both groupings.
+// prediction, with and without a hybrid margin. The workload has
+// buckets just below, at and just above the 20-sample floor under both
+// groupings.
 func TestTrainMatchesReference(t *testing.T) {
 	obs := synthObs(120, 22)
 	for _, g := range []Grouping{ByPrefix, ByLDNS} {
@@ -441,9 +440,6 @@ func TestTrainMatchesReference(t *testing.T) {
 			for id, wt := range want.byGroup {
 				if got.byGroup[id] != wt {
 					t.Fatalf("cfg %+v %s group %d: predicted %v, reference %v", cfg, name, id, got.byGroup[id], wt)
-				}
-				if got.scores[id] != want.scores[id] {
-					t.Fatalf("cfg %+v %s group %d: score %v, reference %v", cfg, name, id, got.scores[id], want.scores[id])
 				}
 			}
 		}

@@ -36,8 +36,6 @@ var (
 
 // beaconState is what the latency reports read.
 type beaconState struct {
-	obs []core.Observation // the day's observations, reused every day
-
 	// Figure 3: every request's anycast penalty over the first fig3Days
 	// days, world-wide and for the two regional lines.
 	world, europe, us []units.Millis
@@ -67,11 +65,11 @@ type clientBeacons struct {
 	pairs []stabPair
 }
 
-// stabPair is one (client, target) pair's series of each percentile, one
-// value per qualifying day.
+// stabPair is one (client, target) pair's series: one row of every
+// stabPercentiles percentile per qualifying day, in day order.
 type stabPair struct {
 	target core.Target
-	series [len(stabPercentiles)][]units.Millis
+	rows   [][len(stabPercentiles)]units.Millis
 }
 
 // weighted is one weighted-ECDF line as (value, weight) pairs, kept in
@@ -87,12 +85,13 @@ func (l *weighted) add(x units.Millis, w float64) {
 	l.ws = append(l.ws, w)
 }
 
-func appendObservations(dst []core.Observation, ms []beacon.Measurement) []core.Observation {
-	dst = slices.Grow(dst, 4*len(ms))
-	for _, m := range ms {
-		dst = core.AppendObservations(dst, m)
+// expandObservations writes measurements [lo, hi) of ms into obs, which
+// holds four observations per measurement: measurement i's go to
+// obs[4i:4i+4], appended in place to an empty slice of capacity four.
+func expandObservations(obs []core.Observation, ms []beacon.Measurement, lo, hi int) {
+	for i := lo; i < hi; i++ {
+		core.AppendObservations(obs[4*i:4*i:4*i+4], ms[i])
 	}
-	return dst
 }
 
 // volume is a client's query volume, Figure 9's and the hybrid's weight.
@@ -113,8 +112,13 @@ func (s *StreamSuite) observeBeacons(day int, ms []beacon.Measurement) {
 			}
 		}
 	}
-	b.obs = appendObservations(b.obs[:0], ms)
-	b.pred.observe(b.obs, s.volume, func(grouped []core.ClientSamples) { s.foldClients(day, grouped) })
+	// Built only on a day with beacons: the fold's goroutine captures it,
+	// which moves it to the heap.
+	var perClient func([]core.ClientSamples)
+	if len(ms) > 0 {
+		perClient = func(grouped []core.ClientSamples) { s.foldClients(day, grouped) }
+	}
+	b.pred.observe(ms, s.volume, perClient)
 }
 
 // foldClients folds the day's per-client grouping into Figures 5 and 6
@@ -188,8 +192,6 @@ func (cb *clientBeacons) observeStability(c *core.ClientSamples) {
 		if len(ts.RTTs) < stabMinPerDay {
 			continue
 		}
-		// An index loop: IndexFunc would copy each 160-byte pair into
-		// its predicate.
 		k := 0
 		for k < len(cb.pairs) && cb.pairs[k].target != ts.Target {
 			k++
@@ -197,10 +199,11 @@ func (cb *clientBeacons) observeStability(c *core.ClientSamples) {
 		if k == len(cb.pairs) {
 			cb.pairs = append(cb.pairs, stabPair{target: ts.Target})
 		}
+		var row [len(stabPercentiles)]units.Millis
 		for i, q := range stabPercentiles {
-			v, _ := stats.QuantileSorted(ts.RTTs, q)
-			cb.pairs[k].series[i] = append(cb.pairs[k].series[i], v)
+			row[i], _ = stats.QuantileSorted(ts.RTTs, q)
 		}
+		cb.pairs[k].rows = append(cb.pairs[k].rows, row)
 	}
 }
 
@@ -228,8 +231,9 @@ var hybridPolicies = [...]string{
 // previous day's predictions, Figure 9's lines and the hybrid's rows in
 // (day, client) order, and each row's total and redirected weight. The
 // hybrid's plain policy steers by the ByPrefix predictions: it and
-// Figure 9 both use the paper's configuration. byClient and byLDNS hold
-// the day's two groupings, in storage reused every day.
+// Figure 9 both use the paper's configuration. obs holds the day's
+// observations and byClient and byLDNS its two groupings, in storage
+// reused every day.
 type predictionFold struct {
 	pred, margin     *core.Predictor      // margin is nil in a Figure 9 fold
 	prev             [2]*core.Predictions // indexed by core.Grouping
@@ -237,6 +241,7 @@ type predictionFold struct {
 	lines            [len(fig9Lines)]weighted
 	rows             [len(hybridPolicies)]weighted
 	redirW, totW     [len(hybridPolicies)]float64
+	obs              []core.Observation
 	byClient, byLDNS core.Grouper
 }
 
@@ -255,32 +260,55 @@ func newPredictionFold(cfg core.Config, hybrid bool) predictionFold {
 	return f
 }
 
-// observe folds one day's observations. It groups them per client, hands
-// the grouping to perClient (nil in a Figure 9 fold), scores the previous
-// day's predictions on it, and trains the ByPrefix and hybrid-margin
-// predictors from it. ByLDNS trains from the day's resolver grouping on
-// a goroutine of its own, which overlaps all of that and is joined
-// before observe returns. Training is a pure function of obs, which both
-// goroutines only read; the evaluation reads the previous day's ByLDNS
-// predictions, so the new ones are installed only after the join. A day
-// without observations starts nothing and leaves no predictions.
-func (f *predictionFold) observe(obs []core.Observation, volume func(uint64) float64, perClient func([]core.ClientSamples)) {
-	if len(obs) == 0 {
+// observe folds one day's measurements in two halves of about equal
+// weight, one on the calling goroutine and one on a goroutine of its own
+// that is joined before observe returns:
+//
+//   - Each expands half the measurements into the day's observations,
+//     measurement i into obs[4i:4i+4], and waits for the other's half.
+//   - The calling goroutine groups the observations per client and
+//     publishes the grouping, then scores the previous day's predictions
+//     on it, serves the hybrid's policies and trains the ByPrefix and
+//     hybrid-margin predictors from it.
+//   - The other trains ByLDNS from the day's resolver grouping, then
+//     hands the published per-client grouping to perClient (nil in a
+//     Figure 9 fold).
+//
+// The split changes no output. After the expansion both halves only
+// read the observations, the per-client grouping and volume, and each
+// writes state of its own: its Grouper, and perClient's state or the
+// scoring's, the hybrid's and the ByPrefix and hybrid-margin
+// predictions. The scoring reads the previous day's ByLDNS predictions,
+// so the new ones are installed only after the join. A day without
+// measurements starts nothing and leaves no predictions.
+func (f *predictionFold) observe(ms []beacon.Measurement, volume func(uint64) float64, perClient func([]core.ClientSamples)) {
+	if len(ms) == 0 {
 		f.prev = [2]*core.Predictions{&noPredictions[core.ByPrefix], &noPredictions[core.ByLDNS]}
 		f.marginPrev = f.prev[core.ByPrefix]
 		return
 	}
+	f.obs = slices.Grow(f.obs[:0], 4*len(ms))[:4*len(ms)]
+	half := len(ms) / 2
+	var expanded, done sync.WaitGroup
+	expanded.Add(2)
+	done.Add(1)
+	grouped := make(chan []core.ClientSamples, 1)
 	var ldns *core.Predictions
-	var wg sync.WaitGroup
-	wg.Add(1)
 	go func() {
-		defer wg.Done()
-		ldns = f.pred.TrainWith(&f.byLDNS, obs, core.ByLDNS)
+		defer done.Done()
+		expandObservations(f.obs, ms, half, len(ms))
+		expanded.Done()
+		expanded.Wait()
+		ldns = f.pred.TrainWith(&f.byLDNS, f.obs, core.ByLDNS)
+		if perClient != nil {
+			perClient(<-grouped)
+		}
 	}()
-	day := f.byClient.Group(obs, core.ByPrefix)
-	if perClient != nil {
-		perClient(day)
-	}
+	expandObservations(f.obs, ms, 0, half)
+	expanded.Done()
+	expanded.Wait()
+	day := f.byClient.Group(f.obs, core.ByPrefix)
+	grouped <- day
 	if f.prev[core.ByPrefix] != nil {
 		for i, l := range fig9Lines {
 			ev := core.Evaluator{Percentile: l.pctile, MinSamples: 2}
@@ -296,7 +324,7 @@ func (f *predictionFold) observe(obs []core.Observation, volume func(uint64) flo
 	if f.margin != nil {
 		f.marginPrev = f.margin.TrainSamples(day)
 	}
-	wg.Wait()
+	done.Wait()
 	f.prev[core.ByLDNS] = ldns
 }
 
@@ -349,14 +377,18 @@ func (s *StreamSuite) MetricStability() Report {
 		Columns: []string{"percentile", "median CoV across days", "median |day-over-day change| (ms)", "pairs"},
 	}
 	var covByPct []float64
+	var series []units.Millis // one pair's column i, reused for every pair
 	for i, p := range stabPercentiles {
 		var covs []float64
 		var deltas []units.Millis
 		for _, cb := range s.beacons.clients {
 			for _, pr := range cb.pairs {
-				series := pr.series[i]
-				if len(series) < 3 {
+				if len(pr.rows) < 3 {
 					continue
+				}
+				series = series[:0]
+				for _, row := range pr.rows {
+					series = append(series, row[i])
 				}
 				if cov, err := stats.CoefficientOfVariation(series); err == nil {
 					covs = append(covs, cov)

@@ -78,10 +78,8 @@ func NewSuite(res *sim.Result) *Suite {
 // a fresh Figure 9 fold.
 func (s *Suite) Figure9WithConfig(cfg core.Config) Report {
 	f := newPredictionFold(cfg, false)
-	var obs []core.Observation
 	for _, ms := range s.Res.Beacons {
-		obs = appendObservations(obs[:0], ms)
-		f.observe(obs, s.volume, nil)
+		f.observe(ms, s.volume, nil)
 	}
 	return f.figure9()
 }

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"anycastcdn/internal/core"
 	"anycastcdn/internal/testutil"
+	"anycastcdn/internal/units"
 )
 
 // testSuite wraps the process-wide cached simulation fixture; the Suite
@@ -74,6 +76,33 @@ func TestFigure1DiminishingReturns(t *testing.T) {
 	}
 	if gap59 > gap15 {
 		t.Fatalf("gap 5→9 (%v) exceeds gap 1→5 (%v); expected diminishing returns", gap59, gap15)
+	}
+}
+
+// TestFigure1SameAcrossWorkers pins Figure 1's split into client ranges:
+// measured by 1, 2 and 3 workers, every client's minima land in the same
+// slots and the figure renders the same text.
+func TestFigure1SameAcrossWorkers(t *testing.T) {
+	res := testutil.SuiteResult(t)
+	var wantMins [len(fig1Ns)][]units.Millis
+	var want string
+	for _, workers := range []int{1, 2, 3} {
+		cfg := res.Cfg
+		cfg.Workers = workers
+		s := &StreamSuite{Cfg: cfg, World: res.World}
+		mins, got := s.fig1Minima(), s.Figure1().Render()
+		if workers == 1 {
+			wantMins, want = mins, got
+			continue
+		}
+		for j := range mins {
+			if !slices.Equal(mins[j], wantMins[j]) {
+				t.Fatalf("%d workers: minima over the nearest %d candidates differ from one worker's", workers, fig1Ns[j])
+			}
+		}
+		if got != want {
+			t.Fatalf("%d workers render Figure 1 as\n%s\none worker as\n%s", workers, got, want)
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 
+	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/cdn"
 	"anycastcdn/internal/geo"
@@ -12,56 +13,15 @@ import (
 	"anycastcdn/internal/xrand"
 )
 
+// fig1Ns are Figure 1's candidate counts N.
+var fig1Ns = [...]int{1, 3, 5, 7, 9}
+
 // Figure1 reproduces the diminishing-returns validation of §3.3: the CDF
 // over client /24s of the minimum latency observed when measuring to the
 // nearest N candidate front-ends (N = 1, 3, 5, 7, 9). The paper uses it to
 // argue ten candidates suffice; the lines for N >= 5 should nearly overlap.
 func (s *StreamSuite) Figure1() Report {
-	const (
-		repetitions = 4
-		maxClients  = 4000
-	)
-	w := s.World
-	ns := []int{1, 3, 5, 7, 9}
-	mins := make(map[int][]units.Millis, len(ns)) // N -> per-client min latency
-	clientsToUse := w.Population.Clients
-	if len(clientsToUse) > maxClients {
-		clientsToUse = clientsToUse[:maxClients]
-	}
-	for _, c := range clientsToUse {
-		rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
-		assign := w.Router.Assign(rc, w.Router.BaseIngress(rc))
-		// Latency per candidate rank, min over repetitions.
-		var perRank []units.Millis
-		for rep := 0; rep < repetitions; rep++ {
-			qid := xrand.DeriveSeed(s.Cfg.Seed, "fig1", c.ID, uint64(rep))
-			_, samples := w.Executor.MeasureCandidates(c, 0, assign, qid)
-			if perRank == nil {
-				perRank = make([]units.Millis, len(samples))
-				for i := range perRank {
-					perRank[i] = units.Millis(math.Inf(1))
-				}
-			}
-			for i, ts := range samples {
-				if ts.RTTms < perRank[i] {
-					perRank[i] = ts.RTTms
-				}
-			}
-		}
-		for _, n := range ns {
-			k := n
-			if k > len(perRank) {
-				k = len(perRank)
-			}
-			best := units.Millis(math.Inf(1))
-			for i := 0; i < k; i++ {
-				if perRank[i] < best {
-					best = perRank[i]
-				}
-			}
-			mins[n] = append(mins[n], best)
-		}
-	}
+	mins := s.fig1Minima()
 	fig := &stats.Figure{
 		Title:  "Figure 1: CDF over /24s of min latency to the nearest N front-ends",
 		XLabel: "min latency (ms)",
@@ -69,8 +29,8 @@ func (s *StreamSuite) Figure1() Report {
 	}
 	grid := stats.LinearGrid[units.Millis](0, 200, 20)
 	medianAt := map[int]units.Millis{}
-	for _, n := range ns {
-		e, err := stats.NewECDF(mins[n])
+	for j, n := range fig1Ns {
+		e, err := stats.NewECDF(mins[j])
 		if err != nil {
 			continue
 		}
@@ -90,6 +50,63 @@ func (s *StreamSuite) Figure1() Report {
 			},
 		},
 	}
+}
+
+// fig1Minima measures Figure 1 on day 0 for the population's first
+// clients: mins[j][i] is client i's minimum latency to its nearest
+// fig1Ns[j] candidates, each candidate's latency being the minimum over
+// the client's repetitions. Each client's repetitions run through one
+// beacon.Batch. The clients split into Cfg.Workers contiguous ranges
+// measured in parallel (StreamSuite.ranges), and every client writes
+// only its own slots, so the split changes no output.
+func (s *StreamSuite) fig1Minima() [len(fig1Ns)][]units.Millis {
+	const (
+		repetitions = 4
+		maxClients  = 4000
+	)
+	w := s.World
+	cs := w.Population.Clients
+	if len(cs) > maxClients {
+		cs = cs[:maxClients]
+	}
+	var mins [len(fig1Ns)][]units.Millis
+	for j := range mins {
+		mins[j] = make([]units.Millis, len(cs))
+	}
+	eachRange(s.ranges(len(cs)), func(_, lo, hi int) {
+		var b beacon.Batch
+		var samples []beacon.TargetSample
+		var perRank []units.Millis // latency per candidate rank, min over repetitions
+		for i := lo; i < hi; i++ {
+			c := cs[i]
+			rc := bgp.Client{PrefixID: c.ID, Point: c.Point, ISP: c.ISP}
+			b.Start(w.Executor, c, 0, w.Router.Assign(rc, w.Router.BaseIngress(rc)))
+			perRank = perRank[:0]
+			for rep := range repetitions {
+				samples = b.CandidateSamples(samples[:0], xrand.DeriveSeed(s.Cfg.Seed, "fig1", c.ID, uint64(rep)))
+				if rep == 0 {
+					for range samples {
+						perRank = append(perRank, units.Millis(math.Inf(1)))
+					}
+				}
+				for r, ts := range samples {
+					if ts.RTTms < perRank[r] {
+						perRank[r] = ts.RTTms
+					}
+				}
+			}
+			for j, n := range fig1Ns {
+				best := units.Millis(math.Inf(1))
+				for _, rtt := range perRank[:min(n, len(perRank))] {
+					if rtt < best {
+						best = rtt
+					}
+				}
+				mins[j][i] = best
+			}
+		}
+	})
+	return mins
 }
 
 // Figure2 reproduces the deployment-density view of §4: the CDF, weighted

@@ -167,41 +167,58 @@ func (s *StreamSuite) observePassive(d sim.DayResult) {
 // observeServed appends day 0's records with traffic to s.served as
 // resolved rows, in client order. A row costs a geolocation draw, two
 // haversines and a nearest-front-end search over state that is read-only
-// during the run, so the records are split into Cfg.Workers contiguous
-// ranges (0 means GOMAXPROCS), each range's rows are counted, and each
-// range resolves its rows into their serial positions on a goroutine of
-// its own, joined before this returns. A single worker resolves inline.
+// during the run, so the records split into Cfg.Workers ranges, each
+// range's rows are counted, and each range resolves its rows into their
+// serial positions in parallel.
 func (s *StreamSuite) observeServed(d sim.DayResult) {
 	recs := d.Passive
-	workers := s.Cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	workers = max(1, min(workers, len(recs)))
-	// Range k covers records [k*n/workers, (k+1)*n/workers) and fills
-	// served rows [at[k], at[k+1]).
-	bound := func(k int) int { return k * len(recs) / workers }
-	at := make([]int, workers+1)
+	bounds := s.ranges(len(recs))
+	// Range k fills served rows [at[k], at[k+1]).
+	at := make([]int, len(bounds))
 	at[0] = len(s.served)
-	for k := range workers {
+	for k := range len(bounds) - 1 {
 		n := 0
-		for i := bound(k); i < bound(k+1); i++ {
-			if recs[i].Queries > 0 {
+		for _, r := range recs[bounds[k]:bounds[k+1]] {
+			if r.Queries > 0 {
 				n++
 			}
 		}
 		at[k+1] = at[k] + n
 	}
-	s.served = slices.Grow(s.served, at[workers]-at[0])[:at[workers]]
+	end := at[len(at)-1]
+	s.served = slices.Grow(s.served, end-at[0])[:end]
+	eachRange(bounds, func(k, lo, hi int) { s.resolveServed(d, lo, hi, s.served[at[k]:at[k+1]]) })
+}
+
+// ranges splits n items into Cfg.Workers contiguous ranges (0 means
+// GOMAXPROCS, and there are never more ranges than items, nor fewer than
+// one): range k covers items [bounds[k], bounds[k+1]).
+func (s *StreamSuite) ranges(n int) (bounds []int) {
+	workers := s.Cfg.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	workers = max(1, min(workers, n))
+	bounds = make([]int, workers+1)
+	for k := range bounds {
+		bounds[k] = k * n / workers
+	}
+	return bounds
+}
+
+// eachRange calls fn(k, lo, hi) for every range k of bounds, covering
+// [lo, hi): the first range inline and each other on a goroutine of its
+// own, all joined before it returns. A single range starts nothing.
+func eachRange(bounds []int, fn func(k, lo, hi int)) {
 	var wg sync.WaitGroup
-	for k := 1; k < workers; k++ {
+	for k := 1; k < len(bounds)-1; k++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			s.resolveServed(d, bound(k), bound(k+1), s.served[at[k]:at[k+1]])
+			fn(k, bounds[k], bounds[k+1])
 		}()
 	}
-	s.resolveServed(d, bound(0), bound(1), s.served[at[0]:at[1]])
+	fn(0, bounds[0], bounds[1])
 	wg.Wait()
 }
 
