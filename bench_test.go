@@ -19,9 +19,8 @@ import (
 	"anycastcdn/internal/core"
 	"anycastcdn/internal/experiments"
 	"anycastcdn/internal/sim"
+	"anycastcdn/internal/xrand"
 )
-
-func defaultRoutingForBench() bgp.Config { return bgp.DefaultConfig() }
 
 var (
 	benchOnce  sync.Once
@@ -219,22 +218,30 @@ func BenchmarkAblationHybridMargin25(b *testing.B) {
 
 // BenchmarkAblationNoWeekendChurn turns the weekday/weekend churn
 // asymmetry off and reports the weekly switched fraction (Figure 7's
-// plateau disappears).
+// plateau disappears). sim.Config has no routing override, and nothing
+// else in the world is built from the router, so the ablation swaps a
+// router under the ablated calibration, with the seed the build gives
+// its own, into the built world and streams the world into a suite.
 func BenchmarkAblationNoWeekendChurn(b *testing.B) {
 	cfg := sim.DefaultConfig(5)
 	cfg.Prefixes = 1500
 	cfg.Days = 7
-	routing := defaultRoutingForBench()
+	routing := bgp.DefaultConfig()
 	routing.WeekendFactor = 1.0
-	cfg.Routing = &routing
 	var weekly float64
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := sim.Run(cfg)
+		w, err := sim.BuildWorld(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		weekly = experiments.NewSuite(res).Figure7().Figure.Series[0].Points[6].Y
+		w.Router = bgp.NewRouter(w.Deployment.Backbone, w.ISPs, xrand.DeriveSeed(cfg.Seed, "bgp"), routing)
+		w.Executor.Router = w.Router
+		ss := experiments.NewStreamSuite(cfg, w)
+		if err := ss.Run(); err != nil {
+			b.Fatal(err)
+		}
+		weekly = ss.Figure7().Figure.Series[0].Points[6].Y
 	}
 	b.ReportMetric(weekly*100, "pct-switched-weekly")
 }

@@ -57,8 +57,11 @@
 #      population generator, the LDNS mapper, the load manager, the
 #      stats kernels, the prediction core, and the
 #      distributed coordinator/worker layer,
-#      then the beacon-fold tests of the experiments package (its fold
-#      trains the LDNS predictor on a goroutine of its own; the whole
+#      then the experiments package's concurrent tests: the beacon fold,
+#      which splits every day into two halves on two goroutines;
+#      Figure 1, which measures its clients in contiguous ranges, one
+#      goroutine each; and Resilience, whose faulted run streams on a
+#      goroutine of its own in lockstep with the baseline (the whole
 #      package under -race is too slow for this gate)
 #   7. coverage floor: the scenario engine, the simulation core, the
 #      analysis engine, and the load-management layer together must keep
@@ -207,7 +210,7 @@ go test -run '^$' -fuzz FuzzPolarCount -fuzztime 5s ./internal/xrand/
 
 echo '== go test -race (concurrent packages)'
 go test -race ./internal/sim/ ./internal/faults/ ./internal/clients/ ./internal/dns/ ./internal/load/ ./internal/stats/ ./internal/core/ ./internal/distsim/
-go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability|TestFigure1DiminishingReturns|TestFigure1SameAcrossWorkers' ./internal/experiments/
+go test -race -short -run 'TestStreamSuiteMatchesSuite|TestFigure9|TestHybridDeployment|TestMetricStability|TestFigure1DiminishingReturns|TestFigure1SameAcrossWorkers|TestResilience|TestPairStreams' ./internal/experiments/
 
 echo '== coverage floor: internal/faults + internal/sim + internal/analysis + internal/load >= 80% (artifact: cover_repro.out)'
 go test -coverpkg=anycastcdn/internal/faults,anycastcdn/internal/sim,anycastcdn/internal/analysis,anycastcdn/internal/load \

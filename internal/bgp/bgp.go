@@ -22,8 +22,6 @@
 package bgp
 
 import (
-	"fmt"
-	"math"
 	"time"
 
 	"anycastcdn/internal/geo"
@@ -89,40 +87,6 @@ func DefaultConfig() Config {
 		WeekendFactor:     0.10,
 		StartWeekday:      time.Wednesday,
 	}
-}
-
-// Validate rejects a configuration that would feed non-finite or
-// impossible probabilities to the churn and routing draws: rates and
-// class fractions outside [0, 1] (NaN included), class fractions summing
-// above 1, a non-finite or negative weekend factor, and a start weekday
-// outside Sunday–Saturday. A TieBreakTopK below 1 is not an error:
-// NewRouter clamps it to 1.
-func (c Config) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"HotPotatoMissRate", c.HotPotatoMissRate},
-		{"StableFrac", c.StableFrac},
-		{"ModerateFrac", c.ModerateFrac},
-		{"StableRate", c.StableRate},
-		{"ModerateRate", c.ModerateRate},
-		{"FlappyRate", c.FlappyRate},
-	} {
-		if !(p.v >= 0 && p.v <= 1) {
-			return fmt.Errorf("bgp: %s %v outside [0, 1]", p.name, p.v)
-		}
-	}
-	if c.StableFrac+c.ModerateFrac > 1 {
-		return fmt.Errorf("bgp: StableFrac %v + ModerateFrac %v exceeds 1", c.StableFrac, c.ModerateFrac)
-	}
-	if math.IsNaN(c.WeekendFactor) || math.IsInf(c.WeekendFactor, 0) || c.WeekendFactor < 0 {
-		return fmt.Errorf("bgp: WeekendFactor must be finite and non-negative, got %v", c.WeekendFactor)
-	}
-	if c.StartWeekday < time.Sunday || c.StartWeekday > time.Saturday {
-		return fmt.Errorf("bgp: StartWeekday %d outside Sunday-Saturday", int(c.StartWeekday))
-	}
-	return nil
 }
 
 // Per-router substream labels, hashed once. The schedule builder runs once

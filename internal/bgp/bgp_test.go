@@ -451,33 +451,3 @@ func BenchmarkAssignmentSchedule(b *testing.B) {
 		}
 	}
 }
-
-// TestConfigValidate sets one bad value per field of the default
-// calibration, which itself must pass.
-func TestConfigValidate(t *testing.T) {
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Fatalf("default config rejected: %v", err)
-	}
-	for _, tc := range []struct {
-		name string
-		mut  func(*Config)
-	}{
-		{"HotPotatoMissRate above one", func(c *Config) { c.HotPotatoMissRate = 1.1 }},
-		{"negative StableFrac", func(c *Config) { c.StableFrac = -0.1 }},
-		{"NaN ModerateFrac", func(c *Config) { c.ModerateFrac = math.NaN() }},
-		{"class fractions above one", func(c *Config) { c.StableFrac, c.ModerateFrac = 0.7, 0.4 }},
-		{"infinite StableRate", func(c *Config) { c.StableRate = math.Inf(1) }},
-		{"negative ModerateRate", func(c *Config) { c.ModerateRate = -0.13 }},
-		{"FlappyRate above one", func(c *Config) { c.FlappyRate = 2 }},
-		{"negative WeekendFactor", func(c *Config) { c.WeekendFactor = -1 }},
-		{"NaN WeekendFactor", func(c *Config) { c.WeekendFactor = math.NaN() }},
-		{"StartWeekday past Saturday", func(c *Config) { c.StartWeekday = time.Saturday + 1 }},
-		{"negative StartWeekday", func(c *Config) { c.StartWeekday = -1 }},
-	} {
-		c := DefaultConfig()
-		tc.mut(&c)
-		if err := c.Validate(); err == nil {
-			t.Errorf("%s: accepted", tc.name)
-		}
-	}
-}

@@ -90,7 +90,7 @@ func GroupSamples(obs []Observation) []ClientSamples {
 // interval's observations. volumes maps client→query volume; clients
 // missing from it get weight 1.
 func (ev Evaluator) Evaluate(pred *Predictions, next []Observation, volumes map[uint64]float64) []Evaluation {
-	return ev.EvaluateSamples(pred, GroupSamples(next), func(client uint64) float64 {
+	return ev.EvaluateSamples(nil, pred, GroupSamples(next), func(client uint64) float64 {
 		if v, ok := volumes[client]; ok {
 			return v
 		}
@@ -100,23 +100,23 @@ func (ev Evaluator) Evaluate(pred *Predictions, next []Observation, volumes map[
 
 // EvaluateSamples is Evaluate over an interval already grouped by
 // GroupSamples, so one grouping serves every prediction and percentile
-// scored against it. weight gives each client's weight; evaluations come
-// out in the day's client order.
-func (ev Evaluator) EvaluateSamples(pred *Predictions, day []ClientSamples, weight func(client uint64) float64) []Evaluation {
+// scored against it. weight gives each client's weight; evaluations are
+// appended to dst in the day's client order, and the extended slice is
+// returned.
+func (ev Evaluator) EvaluateSamples(dst []Evaluation, pred *Predictions, day []ClientSamples, weight func(client uint64) float64) []Evaluation {
 	if ev.Percentile <= 0 || ev.Percentile > 1 {
 		ev.Percentile = 0.5
 	}
 	if ev.MinSamples < 1 {
 		ev.MinSamples = 1
 	}
-	var out []Evaluation
 	for i := range day {
 		c := &day[i]
 		target := pred.For(c.ClientID, c.LDNS)
 		e := Evaluation{ClientID: c.ClientID, Predicted: target, Weight: weight(c.ClientID)}
 		if target.Anycast {
 			// The scheme kept the client on anycast: no change either way.
-			out = append(out, e)
+			dst = append(dst, e)
 			continue
 		}
 		anySamples, predSamples := c.samples(AnycastTarget), c.samples(target)
@@ -129,7 +129,7 @@ func (ev Evaluator) EvaluateSamples(pred *Predictions, day []ClientSamples, weig
 			continue
 		}
 		e.ImprovementMs = anyQ - predQ
-		out = append(out, e)
+		dst = append(dst, e)
 	}
-	return out
+	return dst
 }

@@ -233,7 +233,8 @@ var hybridPolicies = [...]string{
 // hybrid's plain policy steers by the ByPrefix predictions: it and
 // Figure 9 both use the paper's configuration. obs holds the day's
 // observations and byClient and byLDNS its two groupings, in storage
-// reused every day.
+// reused every day; evals holds the scoring's evaluations, reused by
+// every line of every day on observe's calling goroutine.
 type predictionFold struct {
 	pred, margin     *core.Predictor      // margin is nil in a Figure 9 fold
 	prev             [2]*core.Predictions // indexed by core.Grouping
@@ -243,6 +244,7 @@ type predictionFold struct {
 	redirW, totW     [len(hybridPolicies)]float64
 	obs              []core.Observation
 	byClient, byLDNS core.Grouper
+	evals            []core.Evaluation
 }
 
 // noPredictions are what a day without beacons leaves the next day to
@@ -312,7 +314,8 @@ func (f *predictionFold) observe(ms []beacon.Measurement, volume func(uint64) fl
 	if f.prev[core.ByPrefix] != nil {
 		for i, l := range fig9Lines {
 			ev := core.Evaluator{Percentile: l.pctile, MinSamples: 2}
-			for _, e := range ev.EvaluateSamples(f.prev[l.grouping], day, volume) {
+			f.evals = ev.EvaluateSamples(f.evals[:0], f.prev[l.grouping], day, volume)
+			for _, e := range f.evals {
 				f.lines[i].add(e.ImprovementMs, e.Weight)
 			}
 		}

@@ -69,51 +69,30 @@ type LoadManagementReport struct {
 
 // LoadManagement runs the three-policy comparison, streaming each arm's
 // simulation and retaining only the aggregators' state, so it scales to
-// paper-size runs. Each arm sets its own cfg.LoadManager; cfg.Scenario is
-// overridden by sc.
+// paper-size runs. cfg.Scenario is overridden by sc and cfg.LoadManager
+// by each arm's policy. The arms stream one world, which the policy does
+// not shape, and run it beacon-free: no arm reads a beacon, and beacons
+// feed nothing back into the day loop (DESIGN.md §14).
 func LoadManagement(cfg sim.Config, sc faults.Scenario) (*LoadManagementReport, error) {
-	rep := newLoadManagementReport(cfg, sc)
-	for _, p := range []load.Policy{load.Static, load.Withdraw, load.FastRoute} {
-		ac := armConfig(cfg, sc, p)
-		w, err := sim.BuildWorld(ac)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s arm: %w", p, err)
-		}
+	cfg.Scenario, cfg.LoadManager = &sc, nil
+	w, err := sim.BuildWorld(cfg)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: load-management world: %w", err)
+	}
+	cfg.BeaconSampleRate = 0
+	rep := &LoadManagementReport{Scenario: sc, Days: cfg.Days}
+	for _, a := range []struct {
+		policy load.Policy
+		arm    *LoadArm
+	}{{load.Static, &rep.Static}, {load.Withdraw, &rep.Withdraw}, {load.FastRoute, &rep.FastRoute}} {
+		cfg.LoadManager = &load.ManagerConfig{Policy: a.policy}
 		agg := newLoadMgmtAgg(w, cfg.Days)
-		if err := sim.StreamWorld(ac, w, agg.Observe); err != nil {
-			return nil, fmt.Errorf("experiments: %s arm: %w", p, err)
+		if err := sim.StreamWorld(cfg, w, agg.Observe); err != nil {
+			return nil, fmt.Errorf("experiments: %s arm: %w", a.policy, err)
 		}
-		if err := rep.setArm(p, agg.arm(p)); err != nil {
-			return nil, err
-		}
+		*a.arm = agg.arm(a.policy)
 	}
 	return rep, nil
-}
-
-func newLoadManagementReport(cfg sim.Config, sc faults.Scenario) *LoadManagementReport {
-	return &LoadManagementReport{Scenario: sc, Days: cfg.Days}
-}
-
-// armConfig derives one arm's simulation config: shared scenario, the
-// arm's policy.
-func armConfig(cfg sim.Config, sc faults.Scenario, p load.Policy) sim.Config {
-	cfg.LoadManager = &load.ManagerConfig{Policy: p}
-	cfg.Scenario = &sc
-	return cfg
-}
-
-func (r *LoadManagementReport) setArm(p load.Policy, arm LoadArm) error {
-	switch p {
-	case load.Static:
-		r.Static = arm
-	case load.Withdraw:
-		r.Withdraw = arm
-	case load.FastRoute:
-		r.FastRoute = arm
-	default:
-		return fmt.Errorf("experiments: unknown policy %v", p)
-	}
-	return nil
 }
 
 // loadMgmtAgg accumulates one arm's metrics online, one streamed day at a

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 
 	"anycastcdn/internal/beacon"
@@ -60,33 +61,24 @@ type ResilienceReport struct {
 // Resilience simulates cfg twice — once fault-free, once under sc — and
 // reports how the scenario moved catchments and latency and how quickly
 // the system returned to baseline. cfg.Scenario is overridden by sc for
-// the faulted run and cleared for the baseline.
+// the faulted run and cleared for the baseline. The runs stream in
+// lockstep (pairStreams), and each day pair folds straight into the
+// report and into the window tally of every event active that day.
 func Resilience(cfg sim.Config, sc faults.Scenario) (*ResilienceReport, error) {
 	baseCfg := cfg
 	baseCfg.Scenario = nil
 	faultCfg := cfg
 	faultCfg.Scenario = &sc
 
-	base, err := sim.Run(baseCfg)
+	bw, err := sim.BuildWorld(baseCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: baseline run: %w", err)
 	}
-	faulted, err := sim.Run(faultCfg)
+	fw, err := sim.BuildWorld(faultCfg)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: faulted run: %w", err)
 	}
-	return CompareRuns(base, faulted, sc)
-}
-
-// CompareRuns builds a ResilienceReport from an already-simulated
-// baseline and faulted run. The two must come from the same Config (same
-// seed, days and population); beacon executions then pair by client and
-// query (pairBeacons), even when a surge changed how many there are.
-func CompareRuns(base, faulted *sim.Result, sc faults.Scenario) (*ResilienceReport, error) {
-	days := base.Cfg.Days
-	if faulted.Cfg.Days != days || len(base.Assignments) != len(faulted.Assignments) {
-		return nil, fmt.Errorf("experiments: baseline and faulted runs have different shapes")
-	}
+	days := cfg.Days
 	r := &ResilienceReport{
 		Scenario:           sc,
 		Days:               days,
@@ -94,47 +86,101 @@ func CompareRuns(base, faulted *sim.Result, sc faults.Scenario) (*ResilienceRepo
 		BeaconDiffFrac:     make([]float64, days),
 		MeanAnycastDeltaMs: make([]units.Millis, days),
 	}
-
-	n := len(base.Assignments)
-	for d := 0; d < days; d++ {
+	// windows[k] tallies event k's window, a day at a time in day order.
+	windows := make([]beaconTally, len(sc.Events))
+	err = pairStreams(baseCfg, bw, faultCfg, fw, func(base, faulted sim.DayResult) {
+		d := base.Day
 		shifted := 0
-		for i := 0; i < n; i++ {
-			if faulted.Assignments[i][d].FrontEnd != base.Assignments[i][d].FrontEnd {
+		for i := range base.Assignments {
+			if faulted.Assignments[i].FrontEnd != base.Assignments[i].FrontEnd {
 				shifted++
 			}
 		}
-		if n > 0 {
+		if n := len(base.Assignments); n > 0 {
 			r.ShiftFrac[d] = float64(shifted) / float64(n)
 		}
 
-		var day beaconTally
 		var deltas *[]units.Millis
-		if len(sc.ActiveOn(d)) > 0 {
-			deltas = &r.ActiveDeltasMs
+		for k, e := range sc.Events {
+			if e.ActiveOn(d) {
+				deltas = &r.ActiveDeltasMs
+				windows[k].pairBeacons(base.Beacons, faulted.Beacons, nil)
+			}
 		}
-		day.pairBeacons(base.Beacons[d], faulted.Beacons[d], deltas)
+		var day beaconTally
+		day.pairBeacons(base.Beacons, faulted.Beacons, deltas)
 		r.BeaconDiffFrac[d], r.MeanAnycastDeltaMs[d] = day.result()
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	for _, e := range sc.Events {
-		r.Events = append(r.Events, r.eventImpact(e, base, faulted))
+	for k, e := range sc.Events {
+		r.Events = append(r.Events, r.eventImpact(e, windows[k]))
 	}
 	return r, nil
 }
 
-// eventImpact summarizes one event's window and recovery.
-func (r *ResilienceReport) eventImpact(e faults.Event, base, faulted *sim.Result) EventImpact {
+// errUnpaired reports runs of different lengths; each stream also
+// returns it to stop once the other has ended.
+var errUnpaired = errors.New("experiments: baseline and faulted runs differ in length")
+
+// pairStreams streams the baseline and the faulted run in lockstep, the
+// faulted one on a goroutine of its own, and hands fn day d of both
+// while both streams are parked: a stream reuses its day's buffers once
+// fn returns. It returns either stream's error under its run's name,
+// and errUnpaired when one run ends before the other.
+func pairStreams(baseCfg sim.Config, bw *sim.World, faultCfg sim.Config, fw *sim.World, fn func(base, faulted sim.DayResult)) error {
+	// The faulted stream hands each day over on days, stays parked until
+	// resume says whether to go on, and closes days when it returns.
+	days := make(chan sim.DayResult)
+	resume := make(chan bool)
+	var ferr error
+	go func() {
+		ferr = sim.StreamWorld(faultCfg, fw, func(d sim.DayResult) error {
+			days <- d
+			if !<-resume {
+				return errUnpaired
+			}
+			return nil
+		})
+		close(days)
+	}()
+	berr := sim.StreamWorld(baseCfg, bw, func(d sim.DayResult) error {
+		f, ok := <-days
+		if !ok {
+			return errUnpaired
+		}
+		fn(d, f)
+		resume <- true
+		return nil
+	})
+	// Join the faulted stream, stopping it at a day the baseline lacks.
+	for range days {
+		resume <- false
+	}
+	switch {
+	case berr != nil && !errors.Is(berr, errUnpaired):
+		return fmt.Errorf("experiments: baseline run: %w", berr)
+	case ferr != nil && !errors.Is(ferr, errUnpaired):
+		return fmt.Errorf("experiments: faulted run: %w", ferr)
+	case berr != nil || ferr != nil:
+		return errUnpaired
+	}
+	return nil
+}
+
+// eventImpact summarizes one event's window and recovery; window is the
+// event's beacon tally over its window days.
+func (r *ResilienceReport) eventImpact(e faults.Event, window beaconTally) EventImpact {
 	imp := EventImpact{Event: e, RecoveryDays: -1}
 	var shiftSum float64
 	winDays := 0
-	var window beaconTally
 	for d := e.Day; d < e.End() && d < r.Days; d++ {
 		if r.ShiftFrac[d] > imp.PeakShiftFrac {
 			imp.PeakShiftFrac = r.ShiftFrac[d]
 		}
 		shiftSum += r.ShiftFrac[d]
 		winDays++
-		window.pairBeacons(base.Beacons[d], faulted.Beacons[d], nil)
 	}
 	if winDays > 0 {
 		imp.MeanShiftFrac = shiftSum / float64(winDays)

@@ -1,11 +1,13 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"anycastcdn/internal/beacon"
 	"anycastcdn/internal/faults"
+	"anycastcdn/internal/load"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
 	"anycastcdn/internal/topology"
@@ -32,19 +34,12 @@ func busiestIngressMetro(t *testing.T, res *sim.Result, day int) string {
 // busiest ingress must show a nonzero catchment shift and latency delta
 // during its window and exact recovery to baseline after it.
 func TestResilienceFlap(t *testing.T) {
-	base := testutil.SmallResult(t)
-	ing := busiestIngressMetro(t, base, 3)
+	ing := busiestIngressMetro(t, testutil.SmallResult(t), 3)
 	sc, err := faults.ParseScenario("flap " + ing + " day=3 for=2")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := testutil.SmallConfig(1)
-	cfg.Scenario = &sc
-	faulted, err := sim.Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := CompareRuns(base, faulted, sc)
+	r, err := Resilience(testutil.SmallConfig(1), sc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +95,17 @@ func TestResilienceFlap(t *testing.T) {
 	}
 }
 
-// TestResilienceEmptyScenario pins the degenerate case: comparing a run
-// against itself under no events reports zero divergence everywhere.
+// TestResilienceEmptyScenario pins the degenerate case: an empty
+// scenario runs byte-identical to the fault-free baseline, so the
+// comparison reports zero divergence everywhere.
 func TestResilienceEmptyScenario(t *testing.T) {
-	base := testutil.SmallResult(t)
-	r, err := CompareRuns(base, base, faults.Scenario{})
+	r, err := Resilience(testutil.SmallConfig(1), faults.Scenario{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for d := 0; d < r.Days; d++ {
 		if r.ShiftFrac[d] != 0 || r.BeaconDiffFrac[d] != 0 || r.MeanAnycastDeltaMs[d] != 0 {
-			t.Fatalf("self-comparison shows divergence on day %d", d)
+			t.Fatalf("empty scenario shows divergence on day %d", d)
 		}
 	}
 	if len(r.ActiveDeltasMs) != 0 {
@@ -127,15 +122,58 @@ func TestResilienceEmptyScenario(t *testing.T) {
 	}
 }
 
-// TestResilienceShapeMismatch guards the alignment precondition.
-func TestResilienceShapeMismatch(t *testing.T) {
-	base := testutil.SmallResult(t)
-	other, err := sim.Run(testutil.TinyConfig(1))
+// TestPairStreams pins the lockstep contract: fn sees day d of both runs,
+// in day order, while both are parked (pairing a run with itself, every
+// pair must match in full); either run's error comes back under its
+// run's name; and runs of different lengths are an error, whichever
+// side ends first.
+func TestPairStreams(t *testing.T) {
+	cfg := testutil.TinyConfig(1)
+	bw, err := sim.BuildWorld(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := CompareRuns(base, other, faults.Scenario{}); err == nil {
-		t.Fatal("CompareRuns accepted runs of different shapes")
+	fw, err := sim.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := cfg
+	bad.LoadManager = &load.ManagerConfig{Policy: 99}
+	streamErr := sim.StreamWorld(bad, bw, func(sim.DayResult) error { return nil })
+	if streamErr == nil {
+		t.Fatal("StreamWorld accepted an unknown load policy")
+	}
+	short := cfg
+	short.Days = 2
+	for _, tc := range []struct {
+		name            string
+		baseCfg, fltCfg sim.Config
+		days            []int
+		err             string
+	}{
+		{"paired", cfg, cfg, []int{0, 1, 2, 3, 4}, ""},
+		{"baseline fails", bad, cfg, nil, "experiments: baseline run: " + streamErr.Error()},
+		{"faulted fails", cfg, bad, nil, "experiments: faulted run: " + streamErr.Error()},
+		{"baseline ends first", short, cfg, []int{0, 1}, errUnpaired.Error()},
+		{"faulted ends first", cfg, short, []int{0, 1}, errUnpaired.Error()},
+	} {
+		var days []int
+		err := pairStreams(tc.baseCfg, bw, tc.fltCfg, fw, func(base, faulted sim.DayResult) {
+			if base.Day != faulted.Day || base.Day != len(days) {
+				t.Errorf("%s: call %d paired baseline day %d with faulted day %d", tc.name, len(days), base.Day, faulted.Day)
+			}
+			if !slices.Equal(base.Passive, faulted.Passive) || !slices.Equal(base.Assignments, faulted.Assignments) ||
+				!slices.Equal(base.Beacons, faulted.Beacons) {
+				t.Errorf("%s: day %d: the paired days of one config differ", tc.name, base.Day)
+			}
+			days = append(days, base.Day)
+		})
+		if (err == nil) != (tc.err == "") || err != nil && err.Error() != tc.err {
+			t.Errorf("%s: error %v, want %q", tc.name, err, tc.err)
+		}
+		if !slices.Equal(days, tc.days) {
+			t.Errorf("%s: paired days %v, want %v", tc.name, days, tc.days)
+		}
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"anycastcdn/internal/bgp"
 	"anycastcdn/internal/faults"
 	"anycastcdn/internal/sim"
 	"anycastcdn/internal/testutil"
@@ -49,11 +48,6 @@ func TestConfigValidate(t *testing.T) {
 				{Kind: faults.Drain, Target: "paris", Day: c.Days + 3, Days: 1},
 			}}
 		}), "ends after day"},
-		{"invalid routing config", mut(func(c *sim.Config) {
-			r := bgp.DefaultConfig()
-			r.StableFrac = 0.9
-			c.Routing = &r
-		}), "StableFrac"},
 		{"invalid scenario event", mut(func(c *sim.Config) {
 			c.Scenario = &faults.Scenario{Events: []faults.Event{
 				{Kind: faults.Drain, Target: "paris", Day: 1, Days: 0},

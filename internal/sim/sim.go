@@ -41,9 +41,6 @@ type Config struct {
 	// Deployment selects a front-end density preset (cdn.Preset); empty
 	// means the default 64-site deployment.
 	Deployment cdn.Preset
-	// Routing overrides the BGP model's calibration; nil means
-	// bgp.DefaultConfig.
-	Routing *bgp.Config
 	// Workers bounds simulation parallelism. 0 means GOMAXPROCS; Validate
 	// rejects negative values. Every parallel phase — the world build's
 	// client walk and each phase of the day loop — runs on one worker
@@ -119,11 +116,6 @@ func (cfg Config) Validate() error {
 				return fmt.Errorf("sim: scenario event %d (%s %s) starts on day %d but the simulation ends after day %d",
 					i, e.Kind, e.Target, e.Day, cfg.Days-1)
 			}
-		}
-	}
-	if cfg.Routing != nil {
-		if err := cfg.Routing.Validate(); err != nil {
-			return err
 		}
 	}
 	if cfg.LoadManager != nil {
@@ -280,11 +272,7 @@ func buildComponents(cfg Config) (*World, error) {
 	isps := topology.BuildISPs(dep.Backbone, metros,
 		topology.DefaultISPModelConfig(xrand.DeriveSeed(cfg.Seed, "isps")))
 
-	routeCfg := bgp.DefaultConfig()
-	if cfg.Routing != nil {
-		routeCfg = *cfg.Routing
-	}
-	router := bgp.NewRouter(dep.Backbone, isps, xrand.DeriveSeed(cfg.Seed, "bgp"), routeCfg)
+	router := bgp.NewRouter(dep.Backbone, isps, xrand.DeriveSeed(cfg.Seed, "bgp"), bgp.DefaultConfig())
 
 	model := latency.NewModel(xrand.DeriveSeed(cfg.Seed, "latency"), latency.DefaultConfig())
 
